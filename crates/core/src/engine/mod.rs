@@ -2,8 +2,7 @@
 //!
 //! Since the plan/execute split, the engine is two halves: [`plan`]
 //! derives everything payload-independent once (validated buffer geometry,
-//! cluster decomposition, permutation tables, phase-B schedules, resolved
-//! thread fan-out) into a reusable [`plan::CollectivePlan`], and the
+//! cluster decomposition, phase-B schedules, resolved thread fan-out) into a reusable [`plan::CollectivePlan`], and the
 //! plan's execute methods run the payload-dependent half. The one-shot
 //! [`execute`] entry point is now plan-then-execute.
 

@@ -3,8 +3,8 @@
 //!
 //! Every collective call used to re-derive the same state on entry:
 //! validate the [`BufferSpec`] against the group geometry, decompose the
-//! mask into [`EgCluster`]s, rebuild the [`PermCache`] tables, recompute
-//! the per-cluster rotation schedule and re-resolve the thread fan-out.
+//! mask into [`EgCluster`]s, recompute the per-cluster rotation and
+//! placement schedules and re-resolve the thread fan-out.
 //! None of that depends on the payload — only on
 //! `(primitive, opt, mask, spec, geometry, op, threads)` — so iteration-heavy
 //! applications (CC/BFS run the identical `AllReduce` every level until
@@ -41,7 +41,6 @@ use pim_sim::{Breakdown, Category, PimSystem, TimeModel};
 
 use crate::config::{OptLevel, Primitive};
 use crate::engine::sheet::CostSheet;
-use crate::engine::streaming::{lane_ranks, PermCache};
 use crate::engine::{
     baseline, buffer_extents, logical_volumes, parallel, streaming, validate_host_in,
     validate_spec, BufferSpec, Execution,
@@ -51,19 +50,43 @@ use crate::hypercube::{build_clusters, CommGroup, DimMask, EgCluster, HypercubeM
 use crate::report::CommReport;
 
 /// Precomputed phase-B schedule of one cluster: the per-slot lane
-/// rotations and the lane-rank table the streaming loops previously
+/// rotations and final-slot placements the streaming loops previously
 /// recomputed on every call.
 pub(crate) struct ClusterSched {
     /// `rotation(k)` for every within-part slot `k` (length `lane_count`).
     pub(crate) rotations: Vec<LanePerm>,
-    /// Lane rank of every physical lane within its packed group.
-    pub(crate) rank: [usize; LANES],
+    /// `final_slot[k][lane]`: the within-part slot where the register
+    /// arriving at within-part slot `k` finally belongs on `lane` — the
+    /// phase-C post-permutation inverted per part, so the streaming writes
+    /// land every register directly in place.
+    pub(crate) final_slot: Vec<[usize; LANES]>,
+}
+
+impl ClusterSched {
+    pub(crate) fn for_cluster(c: &EgCluster) -> Self {
+        let l = c.lane_count;
+        // Lane rank of every physical lane within its packed group.
+        let mut rank = [0usize; LANES];
+        for g in &c.groups {
+            for (i, &lane) in g.lanes.iter().enumerate() {
+                rank[lane] = i;
+            }
+        }
+        Self {
+            rotations: (0..l).map(|k| c.rotation(k)).collect(),
+            // The chunk of source lane rank `i_s` arrives on lane rank
+            // `i_d` at slot `(i_d - i_s) mod l` and belongs at slot `i_s`.
+            final_slot: (0..l)
+                .map(|k| core::array::from_fn(|lane| (rank[lane] + l - k) % l))
+                .collect(),
+        }
+    }
 }
 
 /// A fully planned collective: everything `engine::execute` derives from
 /// `(primitive, opt, mask, spec, geometry, op, threads)` — validated
-/// buffer geometry, the [`EgCluster`] decomposition, the [`PermCache`]
-/// tables, the per-cluster phase-B rotation schedules, the baseline path's
+/// buffer geometry, the [`EgCluster`] decomposition, the per-cluster
+/// phase-B rotation and placement schedules, the baseline path's
 /// group tables and the resolved thread fan-out — ready to execute any
 /// number of times. See the module docs.
 pub struct CollectivePlan {
@@ -80,14 +103,11 @@ pub struct CollectivePlan {
     pub(crate) num_groups: usize,
     /// The entangled-group decomposition the streaming engine runs over.
     pub(crate) clusters: Vec<EgCluster>,
-    /// Per-cluster EG partition for [`PimSystem::split_eg_views`],
-    /// parallel to `clusters` — cloned once here instead of on every
-    /// execute (ISSUE 10).
+    /// Per-cluster EG partition, parallel to `clusters`: what the views of
+    /// [`PimSystem::split_eg_views`] borrow on every execute.
     pub(crate) parts: Vec<Vec<EgId>>,
     /// Per-cluster phase-B schedules, parallel to `clusters`.
     pub(crate) sched: Vec<ClusterSched>,
-    /// Memoized phase-A/C permutation tables for every cluster shape.
-    pub(crate) cache: PermCache,
     /// Group tables for the baseline host-memory path (empty when the plan
     /// never takes it).
     pub(crate) groups: Vec<CommGroup>,
@@ -123,10 +143,10 @@ impl CollectivePlan {
         let clusters = build_clusters(manager, mask)?;
 
         // Only the streaming paths of the reordering primitives read the
-        // rotation schedules and permutation tables; the baseline
-        // host-memory path instead runs per communication group, so each
-        // plan carries exactly the derived state its execution reads
-        // (Scatter/Gather/Broadcast need neither).
+        // schedules; the baseline host-memory path instead runs per
+        // communication group, so each plan carries exactly the derived
+        // state its execution reads (Scatter/Gather/Broadcast need
+        // neither).
         let reordering = matches!(
             primitive,
             Primitive::AlltoAll
@@ -136,19 +156,10 @@ impl CollectivePlan {
                 | Primitive::Reduce
         );
         let baseline_grouped = reordering && opt == OptLevel::Baseline;
-        let (sched, cache) = if reordering && !baseline_grouped {
-            (
-                clusters
-                    .iter()
-                    .map(|c| ClusterSched {
-                        rotations: (0..c.lane_count).map(|k| c.rotation(k)).collect(),
-                        rank: lane_ranks(c),
-                    })
-                    .collect(),
-                PermCache::for_clusters(&clusters),
-            )
+        let sched = if reordering && !baseline_grouped {
+            clusters.iter().map(ClusterSched::for_cluster).collect()
         } else {
-            (Vec::new(), PermCache::for_clusters(&[]))
+            Vec::new()
         };
         let groups = if baseline_grouped {
             manager.groups(mask)?
@@ -183,7 +194,6 @@ impl CollectivePlan {
             parts: clusters.iter().map(|c| c.egs.clone()).collect(),
             clusters,
             sched,
-            cache,
             groups,
             mask: mask.clone(),
             reserve_extent: src_end.max(dst_end),

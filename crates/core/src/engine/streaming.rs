@@ -32,38 +32,40 @@
 //! ([`super::parallel`]). Sheets are merged in cluster order afterwards;
 //! since every counter is an exact integer, the merged totals — and hence
 //! the modeled times — are byte-identical to serial execution no matter how
-//! the clusters were scheduled. Inside a task, the `(m_s, m_d, k)` loops
-//! move whole chunks per call through the batched burst-run transport
-//! instead of one 64-byte burst at a time.
+//! the clusters were scheduled.
 //!
-//! Every function here executes a [`CollectivePlan`]: the phase-A/C
-//! permutation tables ([`PermCache`]), the per-cluster rotation schedules
-//! and the resolved thread fan-out were all derived at *plan* time, so a
-//! plan held across iterations (or pooled in a `PlanCache`) pays none of
-//! that per call — the seed implementation recomputed the tables once per
-//! PE per entangled group, the pre-plan engine once per call.
+//! Inside a task, phase B is *resolve once, stream many*: after phase A the
+//! task resolves, once per PE, a read window over the source region and a
+//! write window over the destination region ([`EgView::windows`] — one
+//! capacity check, one segment lookup, one extent update each), and the
+//! `(m_s, m_d, k)` loops then move chunks between the resolved slices. The
+//! same loops serve every chunk size: a PE's region is resolved once
+//! whether a chunk is 8 bytes or 8 KiB.
+//!
+//! Every function here executes a [`CollectivePlan`]: the per-cluster
+//! rotation and final-slot schedules ([`ClusterSched`]) and the resolved
+//! thread fan-out were all derived at *plan* time, so a plan held across
+//! iterations (or pooled in a `PlanCache`) pays none of that per call.
 //!
 //! # Fault model
 //!
 //! The streaming loops need no fault hooks of their own: every byte they
-//! land — lane-permuted row writes, batched burst runs, reduction results
-//! — funnels through [`pim_sim::pe::Pe::write`] on the destination PE (an
-//! [`EgView`] borrows the system's hooked PEs), which is where
-//! [`pim_sim::FaultPlan`] injection and read-after-write verification
-//! live. Phase-A/C reordering ([`pim_sim::pe::Pe::permute_blocks`]) and
-//! the typed in-place views are PE-local *compute*, deliberately outside
-//! the transport fault scope (see `pim_sim::pe`). With no fault plan
-//! attached and verification off, none of these paths change behavior by
-//! a single byte or modeled nanosecond.
-
-#![allow(clippy::needless_range_loop)] // loop indices drive offset math
-
-use std::collections::HashMap;
+//! land goes through [`pim_sim::pe::WriteWindow::put`] on the destination
+//! PE — directly in phase B, via [`pim_sim::pe::Pe::write`] in the rooted
+//! primitives' row writes — which is where [`pim_sim::FaultPlan`] injection
+//! and read-after-write verification live; a window resolved while either
+//! is active lands each chunk checked, with the chunk's own
+//! `(pe, offset, len)`. Phase-A reordering
+//! ([`pim_sim::pe::Pe::rotate_parts`]) and the typed in-place views are
+//! PE-local *compute*, deliberately outside the transport fault scope (see
+//! `pim_sim::pe`). With no fault plan attached and verification off, none
+//! of these paths change behavior by a single byte or modeled nanosecond.
 
 use pim_sim::domain::{LanePerm, IDENTITY_PERM};
-use pim_sim::dtype::{fill_identity, DType, ReduceKind};
+use pim_sim::dtype::{fill_identity, reducer, DType};
 use pim_sim::geometry::{BURST_BYTES, LANES};
 use pim_sim::kernels;
+use pim_sim::pe::{ReadWindow, WriteWindow};
 use pim_sim::system::EgView;
 use pim_sim::PimSystem;
 
@@ -73,8 +75,11 @@ use crate::engine::plan::{ClusterSched, CollectivePlan};
 use crate::engine::sheet::CostSheet;
 use crate::hypercube::EgCluster;
 
-/// The per-PE pre-permutation of phase A: destination slot `m_d * l + k`
-/// receives the chunk originally at `((k + i_src) % l) + l * m_d`.
+/// The per-PE pre-permutation of phase A in table form: destination slot
+/// `m_d * l + k` receives the chunk originally at `((k + i_src) % l) + l *
+/// m_d` — every part of `l` chunks rotated left by the PE's lane rank,
+/// which is how [`pre_reorder_cluster`] executes it.
+#[cfg(test)]
 fn pre_perm(i_src: usize, l: usize, m: usize) -> Vec<usize> {
     (0..l * m)
         .map(|p| {
@@ -84,8 +89,12 @@ fn pre_perm(i_src: usize, l: usize, m: usize) -> Vec<usize> {
         .collect()
 }
 
-/// The per-PE post-permutation of phase C: final slot `s = m_s * l + i_s`
-/// receives the chunk that arrived at slot `m_s * l + ((i_dst - i_s) % l)`.
+/// The per-PE post-permutation of phase C in table form: final slot `s =
+/// m_s * l + i_s` receives the chunk that arrived at slot `m_s * l +
+/// ((i_dst - i_s) % l)`. The streaming writes never run it: they land
+/// every register directly in its final slot
+/// ([`ClusterSched::final_slot`], this table's per-part inverse).
+#[cfg(test)]
 fn post_perm(i_dst: usize, l: usize, m: usize) -> Vec<usize> {
     (0..l * m)
         .map(|s| {
@@ -93,95 +102,6 @@ fn post_perm(i_dst: usize, l: usize, m: usize) -> Vec<usize> {
             m_s * l + ((i_dst + l - i_s) % l)
         })
         .collect()
-}
-
-/// Memoized phase-A/C permutation tables.
-///
-/// `pre_perm`/`post_perm` depend only on `(lane rank, L, M)`, so one table
-/// set per distinct cluster shape serves every PE of every EG — the seed
-/// implementation recomputed them once per PE per entangled group.
-///
-/// Phase C is additionally stored in *placement* form: `place[i_dst][k]`
-/// is the within-part slot where the register arriving at within-part slot
-/// `k` finally belongs (the inverse of [`post_perm`] per part). The
-/// streaming writes use it to land every register directly in its final
-/// slot, fusing the phase-C PE kernel into phase B.
-// Keyed-lookup only (simlint: map-iteration): both tables are read through
-// `pre()`/`place()` index lookups, never iterated, so hash order can't
-// reach schedules or modeled time. Audited for ISSUE 8; if iteration ever
-// becomes necessary, sort the keys first or switch to BTreeMap.
-pub(crate) struct PermCache {
-    /// `(l, m)` → pre-permutations indexed by source lane rank.
-    pre: HashMap<(usize, usize), Vec<Vec<usize>>>,
-    /// `(l, m)` → within-part final slots indexed by destination lane
-    /// rank, then arrival slot.
-    place: HashMap<(usize, usize), Vec<Vec<usize>>>,
-}
-
-impl PermCache {
-    /// Builds the tables for every distinct `(L, M)` among `clusters`.
-    pub(crate) fn for_clusters(clusters: &[EgCluster]) -> Self {
-        let mut pre = HashMap::new();
-        let mut place = HashMap::new();
-        for c in clusters {
-            let key = (c.lane_count, c.eg_count());
-            let (l, m) = key;
-            pre.entry(key)
-                .or_insert_with(|| (0..l).map(|i| pre_perm(i, l, m)).collect());
-            place.entry(key).or_insert_with(|| {
-                (0..l)
-                    .map(|i_dst| {
-                        // Invert post_perm within one part: the table maps
-                        // final slot -> arrival slot, identically per part.
-                        let post = post_perm(i_dst, l, m);
-                        let mut inv = vec![0usize; l];
-                        for (s, &arrival) in post.iter().take(l).enumerate() {
-                            inv[arrival % l] = s % l;
-                        }
-                        inv
-                    })
-                    .collect()
-            });
-        }
-        Self { pre, place }
-    }
-
-    /// Pre-permutations for a cluster shape, indexed by lane rank.
-    pub(crate) fn pre(&self, l: usize, m: usize) -> &[Vec<usize>] {
-        &self.pre[&(l, m)]
-    }
-
-    /// Within-part final-slot placements for a cluster shape, indexed by
-    /// destination lane rank, then arrival slot.
-    pub(crate) fn place(&self, l: usize, m: usize) -> &[Vec<usize>] {
-        &self.place[&(l, m)]
-    }
-}
-
-/// Per-lane destination offsets for a register arriving at within-part
-/// slot `k` of part `base`: lane `d` lands at its *final* slot (the fused
-/// phase-C placement), `chunk` bytes apart.
-fn final_offsets(
-    place: &[Vec<usize>],
-    rank: &[usize; LANES],
-    dst: usize,
-    base: usize,
-    k: usize,
-    chunk: usize,
-) -> [usize; LANES] {
-    core::array::from_fn(|d| dst + (base + place[rank[d]][k]) * chunk)
-}
-
-/// The lane rank of every physical lane of a cluster (`rank[lane]` is the
-/// lane's index within its packed group).
-pub(crate) fn lane_ranks(c: &EgCluster) -> [usize; LANES] {
-    let mut rank = [0usize; LANES];
-    for g in &c.groups {
-        for (i, &lane) in g.lanes.iter().enumerate() {
-            rank[lane] = i;
-        }
-    }
-    rank
 }
 
 /// One cluster's execution context: exclusive PE access, private cost
@@ -216,7 +136,7 @@ fn run_clustered(
     // turns it into an immediate panic instead of silent corruption.
     static NO_SCHED: ClusterSched = ClusterSched {
         rotations: Vec::new(),
-        rank: [0; LANES],
+        final_slot: Vec::new(),
     };
     let sched_of = |i: usize| {
         if plan.sched.is_empty() {
@@ -226,9 +146,9 @@ fn run_clustered(
         }
     };
     let channels = sys.geometry().channels();
-    // The per-cluster EG partition was cloned out of the clusters on every
-    // call until ISSUE 10 hoisted it to plan time (`plan.parts`) — repeat
-    // executes of a warm plan now allocate nothing before the fan-out.
+    // The views borrow the plan's per-cluster EG partition (`plan.parts`);
+    // what a warm execute still allocates before the fan-out is the view
+    // and task vectors themselves, one entry per cluster.
     let views = sys.split_eg_views(&plan.parts);
     let mut tasks: Vec<ClusterTask> = views
         .into_iter()
@@ -253,20 +173,39 @@ fn run_clustered(
     outs
 }
 
-/// Runs phase A for one cluster: every PE rotates its `n` chunks of
-/// `chunk` bytes at `offset` according to its lane rank.
-fn pre_reorder_cluster(task: &mut ClusterTask, offset: usize, chunk: usize, cache: &PermCache) {
+/// Runs phase A for one cluster: every PE rotates each destination-EG part
+/// of its `n` chunks of `chunk` bytes at `offset` left by its lane rank.
+fn pre_reorder_cluster(task: &mut ClusterTask, offset: usize, chunk: usize) {
     let c = task.cluster;
     let (l, m) = (c.lane_count, c.eg_count());
-    let tables = cache.pre(l, m);
     for g in &c.groups {
         for (i_src, &lane) in g.lanes.iter().enumerate() {
             for slot in 0..m {
                 task.view
                     .pe_mut(slot, lane)
-                    .permute_blocks(offset, chunk, l * m, &tables[i_src]);
+                    .rotate_parts(offset, chunk, l, l * m, i_src);
             }
         }
+    }
+}
+
+/// Lands one register on the eight PEs of `bank`: lane `d` receives
+/// `row(sigma[d])` in the part at `base`, at its *final* within-part slot
+/// `slots[d]` — phase C fused into the write, so no destination-side PE
+/// kernel has to run afterwards. The model still charges the phase-C
+/// reorder (the device would execute it) while the simulator skips the
+/// byte shuffling it can prove redundant.
+#[inline]
+fn land_register<'r>(
+    bank: &mut [WriteWindow],
+    base: usize,
+    slots: &[usize; LANES],
+    chunk: usize,
+    sigma: &LanePerm,
+    row: impl Fn(usize) -> &'r [u8],
+) {
+    for (d, lane) in bank.iter_mut().enumerate() {
+        lane.put(base + slots[d] * chunk, row(sigma[d]));
     }
 }
 
@@ -444,7 +383,6 @@ pub(crate) fn charge(sheet: &mut CostSheet, plan: &CollectivePlan) {
 
 /// AlltoAll (§V-A, Fig. 7d).
 pub(crate) fn alltoall(sys: &mut PimSystem, sheet: &mut CostSheet, plan: &CollectivePlan) {
-    let cache = &plan.cache;
     let (src, dst) = (plan.spec.src_offset, plan.spec.dst_offset);
     let bytes_per_node = plan.spec.bytes_per_node;
     sys.charge_pe_reorder(bytes_per_node as u64);
@@ -452,31 +390,34 @@ pub(crate) fn alltoall(sys: &mut PimSystem, sheet: &mut CostSheet, plan: &Collec
     run_clustered(sys, sheet, plan, |task| {
         let c = task.cluster;
         let (l, m) = (c.lane_count, c.eg_count());
-        let n = l * m;
-        let chunk = bytes_per_node / n;
-        let sigmas = &task.sched.rotations;
+        let chunk = bytes_per_node / (l * m);
+        let sched = task.sched;
 
         charge_cluster(&mut task.sheet, plan, c);
-        pre_reorder_cluster(task, src, chunk, cache);
+        pre_reorder_cluster(task, src, chunk);
 
-        // Phase B with phase C fused into the write: the register read at
-        // part m_d, slot k of EG m_s lands directly in its *final* slot on
-        // EG m_d (per-lane placement), so no destination-side PE kernel
-        // has to run afterwards. The model still charges the phase-C
-        // reorder — the device would execute it — while the
-        // simulator skips the byte shuffling it can prove redundant.
-        let place = cache.place(l, m);
-        let rank = task.sched.rank;
-        for m_s in 0..m {
-            for m_d in 0..m {
+        // The register read at part m_d, slot k of EG m_s lands in part
+        // m_s of EG m_d.
+        let (srcs, mut dsts) = task
+            .view
+            .windows(src..src + bytes_per_node, dst..dst + bytes_per_node);
+        // simlint: hot(begin, alltoall phase B)
+        for (m_s, from) in srcs.chunks_exact(LANES).enumerate() {
+            for (m_d, to) in dsts.chunks_exact_mut(LANES).enumerate() {
                 for k in 0..l {
-                    let off_s = src + (m_d * l + k) * chunk;
-                    let offs = final_offsets(place, &rank, dst, m_s * l, k, chunk);
-                    task.view
-                        .copy_rows(m_s, off_s, m_d, &offs, chunk, &sigmas[k]);
+                    let at = (m_d * l + k) * chunk;
+                    land_register(
+                        to,
+                        dst + m_s * l * chunk,
+                        &sched.final_slot[k],
+                        chunk,
+                        &sched.rotations[k],
+                        |s| &from[s][at..at + chunk],
+                    );
                 }
             }
         }
+        // simlint: hot(end)
     });
     sheet.transfer_phases += 1;
     sys.charge_pe_reorder(bytes_per_node as u64);
@@ -505,63 +446,78 @@ fn align_reduce_charges(
     }
 }
 
-/// Accumulates every `(m_s, k)` source run of destination part `m_d` into
+/// Accumulates every `(m_s, k)` source chunk of destination part `m_d` into
 /// the per-lane rows of `acc` — the shared reduction loop of
-/// ReduceScatter, AllReduce and Reduce. Lane row `d` accumulates source
-/// row `sigma[d]` straight out of PE memory (no staging copy), the
-/// host-domain form of aligning each burst with the rotation before the
-/// vertical SIMD reduction. Purely functional: its costs are part of
+/// ReduceScatter, AllReduce and Reduce. Lane row `d` must end up holding
+/// the reduction, over all `m_s` and `k`, of slot `k` of source lane
+/// `sigmas[k][d]`: the host-domain form of aligning each burst with the
+/// rotation before the vertical SIMD reduction. Integer reductions are
+/// associative and commutative, so the sum is taken in the order that
+/// streams best, one source lane at a time: first *vertically* — the
+/// lane's whole `l`-chunk run across the entangled groups into `run_sum`
+/// (which stays cache-resident) — then each of its `l` slots is folded
+/// into the lane row the rotation aligns it with. Bit-identical to folding
+/// chunk by chunk and the same bytes reduced, in `m` long kernel calls and
+/// `l` short ones per lane instead of `m * l` short ones, straight out of
+/// the resolved source windows. Purely functional: its costs are part of
 /// [`charge_cluster`]'s per-primitive tallies.
-#[allow(clippy::too_many_arguments)]
 fn reduce_part(
-    task: &mut ClusterTask,
-    acc: &mut [u8],
+    plan: &CollectivePlan,
+    srcs: &[ReadWindow],
     sigmas: &[LanePerm],
     m_d: usize,
-    src: usize,
-    chunk: usize,
-    dtype: DType,
-    op: ReduceKind,
+    acc: &mut [u8],
+    run_sum: &mut [u8],
 ) {
-    let c = task.cluster;
-    let (l, m) = (c.lane_count, c.eg_count());
+    let (op, dtype) = (plan.op, plan.spec.dtype);
+    let chunk = acc.len() / LANES;
+    let run = run_sum.len();
+    let kernel = reducer(op, dtype);
     fill_identity(op, dtype, acc);
-    for m_s in 0..m {
-        for k in 0..l {
-            task.view.reduce_rows(
-                m_s,
-                src + (m_d * l + k) * chunk,
-                chunk,
-                acc,
-                &sigmas[k],
-                op,
-                dtype,
-            );
+    // simlint: hot(begin, reduction phase B)
+    for s in 0..LANES {
+        let mut runs = srcs
+            .iter()
+            .skip(s)
+            .step_by(LANES)
+            .map(|src| &src[m_d * run..][..run]);
+        run_sum.copy_from_slice(runs.next().expect("a cluster has an entangled group"));
+        for src in runs {
+            kernel(run_sum, src);
+        }
+        for (sigma, slot) in sigmas.iter().zip(run_sum.chunks_exact(chunk)) {
+            let d = sigma.iter().position(|&lane| lane == s);
+            let d = d.expect("rotations are lane permutations");
+            kernel(&mut acc[d * chunk..][..chunk], slot);
         }
     }
+    // simlint: hot(end)
 }
 
 /// ReduceScatter (§V-B2, Fig. 8b).
 pub(crate) fn reduce_scatter(sys: &mut PimSystem, sheet: &mut CostSheet, plan: &CollectivePlan) {
-    let cache = &plan.cache;
     let (src, dst) = (plan.spec.src_offset, plan.spec.dst_offset);
-    let (bytes_per_node, dtype, op) = (plan.spec.bytes_per_node, plan.spec.dtype, plan.op);
+    let bytes_per_node = plan.spec.bytes_per_node;
     sys.charge_pe_reorder(bytes_per_node as u64);
 
     run_clustered(sys, sheet, plan, |task| {
         let c = task.cluster;
-        let (l, m) = (c.lane_count, c.eg_count());
-        let n = l * m;
-        let chunk = bytes_per_node / n;
+        let chunk = bytes_per_node / c.group_size();
         let sigmas = task.sched.rotations.as_slice();
 
         charge_cluster(&mut task.sheet, plan, c);
-        pre_reorder_cluster(task, src, chunk, cache);
+        pre_reorder_cluster(task, src, chunk);
 
+        let (srcs, mut dsts) = task
+            .view
+            .windows(src..src + bytes_per_node, dst..dst + chunk);
         let mut acc = vec![0u8; LANES * chunk];
-        for m_d in 0..m {
-            reduce_part(task, &mut acc, sigmas, m_d, src, chunk, dtype, op);
-            task.view.write_rows(m_d, dst, chunk, &acc, &IDENTITY_PERM);
+        let mut run_sum = vec![0u8; sigmas.len() * chunk];
+        for (m_d, to) in dsts.chunks_exact_mut(LANES).enumerate() {
+            reduce_part(plan, &srcs, sigmas, m_d, &mut acc, &mut run_sum);
+            for (lane, row) in to.iter_mut().zip(acc.chunks_exact(chunk)) {
+                lane.put(dst, row);
+            }
         }
     });
     sheet.transfer_phases += 1;
@@ -571,43 +527,52 @@ pub(crate) fn reduce_scatter(sys: &mut PimSystem, sheet: &mut CostSheet, plan: &
 /// AllGather's distribution phase — the reduced registers are scattered to
 /// all PEs without a round-trip through PIM memory.
 pub(crate) fn all_reduce(sys: &mut PimSystem, sheet: &mut CostSheet, plan: &CollectivePlan) {
-    let cache = &plan.cache;
     let (src, dst) = (plan.spec.src_offset, plan.spec.dst_offset);
-    let (bytes_per_node, dtype, op) = (plan.spec.bytes_per_node, plan.spec.dtype, plan.op);
+    let bytes_per_node = plan.spec.bytes_per_node;
     sys.charge_pe_reorder(bytes_per_node as u64);
 
     run_clustered(sys, sheet, plan, |task| {
         let c = task.cluster;
         let (l, m) = (c.lane_count, c.eg_count());
-        let n = l * m;
-        let chunk = bytes_per_node / n;
-        let sigmas = task.sched.rotations.as_slice();
+        let chunk = bytes_per_node / (l * m);
+        let sched = task.sched;
 
         charge_cluster(&mut task.sheet, plan, c);
-        pre_reorder_cluster(task, src, chunk, cache);
+        pre_reorder_cluster(task, src, chunk);
 
-        // Reduction phase: one accumulator region per destination EG.
-        let mut accs: Vec<Vec<u8>> = vec![vec![0u8; LANES * chunk]; m];
-        for (m_d, acc) in accs.iter_mut().enumerate() {
-            reduce_part(task, acc, sigmas, m_d, src, chunk, dtype, op);
+        let (srcs, mut dsts) = task
+            .view
+            .windows(src..src + bytes_per_node, dst..dst + bytes_per_node);
+
+        // Reduction phase: one accumulator per destination EG, back to
+        // back in one buffer.
+        let mut accs = vec![0u8; m * LANES * chunk];
+        let mut run_sum = vec![0u8; l * chunk];
+        for (m_d, acc) in accs.chunks_exact_mut(LANES * chunk).enumerate() {
+            reduce_part(plan, &srcs, &sched.rotations, m_d, acc, &mut run_sum);
         }
 
         // Distribution phase: the model charges one domain transfer per
         // reduced register and one shuffle per written register (see
         // charge_cluster) — the reference flow rotates in the store loop —
-        // while the functional rotation rides the row writes' lane
-        // permutation, and the phase-C reorder is fused into per-lane
-        // final-slot placement exactly as in AlltoAll.
-        let place = cache.place(l, m);
-        let rank = task.sched.rank;
-        for (m_v, acc) in accs.iter().enumerate() {
-            for k in 0..l {
-                let offs = final_offsets(place, &rank, dst, m_v * l, k, chunk);
-                for m_d in 0..m {
-                    task.view.write_rows_at(m_d, &offs, chunk, acc, &sigmas[k]);
+        // while the functional rotation rides the lane permutation of the
+        // landing, exactly as in AlltoAll.
+        // simlint: hot(begin, allreduce distribution fan-out)
+        for (m_v, acc) in accs.chunks_exact(LANES * chunk).enumerate() {
+            for to in dsts.chunks_exact_mut(LANES) {
+                for k in 0..l {
+                    land_register(
+                        to,
+                        dst + m_v * l * chunk,
+                        &sched.final_slot[k],
+                        chunk,
+                        &sched.rotations[k],
+                        |s| &acc[s * chunk..(s + 1) * chunk],
+                    );
                 }
             }
         }
+        // simlint: hot(end)
     });
     sheet.transfer_phases += 1;
     sys.charge_pe_reorder(bytes_per_node as u64);
@@ -615,25 +580,34 @@ pub(crate) fn all_reduce(sys: &mut PimSystem, sheet: &mut CostSheet, plan: &Coll
 
 /// AllGather (§V-B1, Fig. 8a).
 pub(crate) fn all_gather(sys: &mut PimSystem, sheet: &mut CostSheet, plan: &CollectivePlan) {
-    let cache = &plan.cache;
     let (src, dst) = (plan.spec.src_offset, plan.spec.dst_offset);
     let chunk = plan.spec.bytes_per_node;
 
     run_clustered(sys, sheet, plan, |task| {
         let c = task.cluster;
-        let (l, m) = (c.lane_count, c.eg_count());
-        let sigmas = &task.sched.rotations;
-        let place = cache.place(l, m);
-        let rank = task.sched.rank;
+        let l = c.lane_count;
+        let sched = task.sched;
         charge_cluster(&mut task.sheet, plan, c);
-        for m_s in 0..m {
-            for k in 0..l {
-                let offs = final_offsets(place, &rank, dst, m_s * l, k, chunk);
-                for m_d in 0..m {
-                    task.view.copy_rows(m_s, src, m_d, &offs, chunk, &sigmas[k]);
+
+        let (srcs, mut dsts) = task
+            .view
+            .windows(src..src + chunk, dst..dst + plan.n * chunk);
+        // simlint: hot(begin, allgather phase B)
+        for (m_s, from) in srcs.chunks_exact(LANES).enumerate() {
+            for to in dsts.chunks_exact_mut(LANES) {
+                for k in 0..l {
+                    land_register(
+                        to,
+                        dst + m_s * l * chunk,
+                        &sched.final_slot[k],
+                        chunk,
+                        &sched.rotations[k],
+                        |s| &from[s][..],
+                    );
                 }
             }
         }
+        // simlint: hot(end)
     });
     sheet.transfer_phases += 1;
 
@@ -722,34 +696,34 @@ pub(crate) fn reduce(
     sheet: &mut CostSheet,
     plan: &CollectivePlan,
 ) -> Vec<Vec<u8>> {
-    let cache = &plan.cache;
     let src = plan.spec.src_offset;
-    let (bytes_per_node, dtype, op) = (plan.spec.bytes_per_node, plan.spec.dtype, plan.op);
+    let bytes_per_node = plan.spec.bytes_per_node;
     let num_groups = plan.num_groups;
     sys.charge_pe_reorder(bytes_per_node as u64);
 
     let outs = run_clustered(sys, sheet, plan, |task| {
         let c = task.cluster;
         let (l, m) = (c.lane_count, c.eg_count());
-        let n = l * m;
-        let chunk = bytes_per_node / n;
+        let chunk = bytes_per_node / (l * m);
         let sigmas = task.sched.rotations.as_slice();
 
         charge_cluster(&mut task.sheet, plan, c);
-        pre_reorder_cluster(task, src, chunk, cache);
+        pre_reorder_cluster(task, src, chunk);
 
         let mut host: Vec<(usize, Vec<u8>)> = c
             .groups
             .iter()
             .map(|g| (g.group_id, vec![0u8; bytes_per_node]))
             .collect();
+        let (srcs, _) = task.view.windows(src..src + bytes_per_node, 0..0);
         let mut acc = vec![0u8; LANES * chunk];
+        let mut run_sum = vec![0u8; l * chunk];
         for m_d in 0..m {
-            reduce_part(task, &mut acc, sigmas, m_d, src, chunk, dtype, op);
+            reduce_part(plan, &srcs, sigmas, m_d, &mut acc, &mut run_sum);
             // The accumulator rows already hold word order for every
             // element width (for 8-bit elements this is the free raw-domain
             // reinterpretation of the model: no DT charged).
-            for (gi, g) in task.cluster.groups.iter().enumerate() {
+            for (gi, g) in c.groups.iter().enumerate() {
                 for (i, &lane) in g.lanes.iter().enumerate() {
                     let rank = i + l * m_d;
                     let off = rank * chunk;
@@ -1084,13 +1058,15 @@ mod tests {
     }
 
     #[test]
-    fn perm_cache_matches_closed_form() {
-        // The cache must hand back exactly the closed-form tables for
-        // every lane rank of every cluster shape it was built for: the
-        // pre tables verbatim, and the placement tables as the per-part
-        // inverse of the closed-form post-permutation.
+    fn sched_matches_closed_form() {
+        // What the plan precomputes and phase A executes must equal the
+        // closed-form tables for every lane of every cluster shape:
+        // `rotate_parts` by the lane rank is `pre_perm`, and landing each
+        // arrival slot k of every part at `final_slot[k]` equals applying
+        // `post_perm` afterwards.
         use crate::hypercube::{build_clusters, HypercubeManager};
         use crate::HypercubeShape;
+        use pim_sim::pe::Pe;
         use pim_sim::DimmGeometry;
 
         let manager = HypercubeManager::new(
@@ -1099,24 +1075,23 @@ mod tests {
         )
         .unwrap();
         for mask in ["100", "010", "001", "110", "101", "111"] {
-            let clusters = build_clusters(&manager, &mask.parse().unwrap()).unwrap();
-            let cache = PermCache::for_clusters(&clusters);
-            for c in &clusters {
+            for c in &build_clusters(&manager, &mask.parse().unwrap()).unwrap() {
+                let sched = ClusterSched::for_cluster(c);
                 let (l, m) = (c.lane_count, c.eg_count());
-                for i in 0..l {
-                    assert_eq!(cache.pre(l, m)[i], pre_perm(i, l, m), "{mask} pre i={i}");
-                    // Writing each arrival slot k of every part directly to
-                    // place[i][k] must equal applying post_perm afterwards:
-                    // post[final] = arrival  <=>  place[arrival] = final.
-                    let post = post_perm(i, l, m);
-                    let place = &cache.place(l, m)[i];
-                    for m_s in 0..m {
-                        for i_s in 0..l {
-                            let arrival = post[m_s * l + i_s];
+                let image: Vec<u8> = (0..l * m).map(|slot| slot as u8).collect();
+                for g in &c.groups {
+                    for (i, &lane) in g.lanes.iter().enumerate() {
+                        let mut pe = Pe::new();
+                        pe.write(0, &image);
+                        pe.rotate_parts(0, 1, l, l * m, i);
+                        let pre: Vec<u8> = pre_perm(i, l, m).iter().map(|&s| s as u8).collect();
+                        assert_eq!(pe.peek(0, l * m), pre, "{mask} pre i={i}");
+                        // post[final] = arrival  <=>  final_slot[arrival] = final.
+                        for (final_slot, arrival) in post_perm(i, l, m).into_iter().enumerate() {
                             assert_eq!(
-                                m_s * l + place[arrival % l],
-                                m_s * l + i_s,
-                                "{mask} i={i} part {m_s} slot {i_s}"
+                                sched.final_slot[arrival % l][lane],
+                                final_slot % l,
+                                "{mask} i={i} slot {final_slot}"
                             );
                         }
                     }

@@ -47,20 +47,21 @@
 //!   burst, so modulation degenerates to row indirection and AlltoAll /
 //!   AllGather move PE-to-PE with no staging buffer at all. Reductions
 //!   accumulate rows straight out of PE memory.
-//! * **Permutation caching and phase fusion** — the phase-A/C reorder
-//!   tables depend only on `(lane rank, L, M)`; a per-collective
-//!   `PermCache` computes each table once (the seed recomputed them per PE
-//!   per entangled group). Phase-C placements are applied during the
-//!   streaming writes themselves — every register lands directly in its
-//!   final slot — while the cost sheet still charges the PE-side reorder
-//!   kernel the device would run. Phase A executes physically (the paper's
-//!   destructive source pre-rotation) via an in-place rotation fast path
-//!   in [`pim_sim::pe::Pe::permute_blocks`].
+//! * **Resolve-once window transport and phase fusion** — a cluster task
+//!   resolves each PE's source and destination regions once
+//!   ([`pim_sim::system::EgView::windows`]) and streams every chunk of the
+//!   collective between the resolved slices, so an 8-byte chunk costs a
+//!   slice copy, not a segment lookup. Phase-C placements are applied
+//!   during the streaming writes themselves — every register lands
+//!   directly in its final slot, from a table flattened at plan time —
+//!   while the cost sheet still charges the PE-side reorder kernel the
+//!   device would run. Phase A executes physically (the paper's
+//!   destructive source pre-rotation) as a part-wise rotation by the lane
+//!   rank, [`pim_sim::pe::Pe::rotate_parts`].
 //! * **Persistent plans** — the engine is split into plan and execute
 //!   halves: everything payload-independent (validated spec geometry,
-//!   cluster decomposition, permutation tables, phase-B schedules,
-//!   resolved thread fan-out) lives in a reusable [`CollectivePlan`]
-//!   built by [`Communicator::plan`] and executed any number of times,
+//!   cluster decomposition, phase-B schedules, resolved thread fan-out)
+//!   lives in a reusable [`CollectivePlan`] built by [`Communicator::plan`] and executed any number of times,
 //!   MPI-persistent-request style; [`Communicator::plan_cached`] pools
 //!   plans in a keyed [`PlanCache`]. The one-shot methods are themselves
 //!   plan-then-execute, and warm re-execution is byte-identical to cold

@@ -6,7 +6,8 @@
 //!   through the charge helpers, so cost-only execution cannot drift from
 //!   functional runs (PR 7's bit-identical guarantee).
 //! * [`Lint::PeChokePoint`] — no raw `slice_mut` writes to PE MRAM
-//!   outside `pe.rs`, so the fault layer's single-hook claim (PR 6) stays
+//!   outside `pe.rs` and no MRAM window resolved outside `pe.rs` /
+//!   `system.rs`, so the fault layer's single-hook claim (PR 6) stays
 //!   sound.
 //! * [`Lint::WallClock`] / [`Lint::MapIteration`] — no wall-clock reads
 //!   or hash-order iteration in modeled-time code, so `CommReport` times
@@ -85,14 +86,20 @@ cost-only path cannot miss it."
             }
             Lint::PeChokePoint => {
                 "\
-pe-choke-point: `slice_mut` — the raw mutable window into PE MRAM — may
-only be called inside crates/sim/src/pe.rs. All transport writes must
-land through `Pe::write`/`write_checked` or the typed-view encoders.
+pe-choke-point: `slice_mut` — the raw mutable view of PE MRAM — may only
+be called inside crates/sim/src/pe.rs, and an MRAM window may only be
+resolved (`Pe::write_window`, `Pe::window_pair`) inside
+crates/sim/src/{pe.rs,system.rs}. All transport writes must land through
+`Pe::write`, a `WriteWindow::put` or the typed-view encoders.
 
-Contract (PR 6): the fault layer injects and verifies at the single
-`Pe::write` choke point. A raw `slice_mut` write elsewhere is invisible
-to injection and read-after-write verification, quietly shrinking the
-chaos suite's coverage.
+Contract (PR 6, PR 12): the fault layer injects and verifies at the
+single `WriteWindow::put` choke point (`Pe::write` is its one-row case).
+A raw `slice_mut` write elsewhere is invisible to injection and
+read-after-write verification, quietly shrinking the chaos suite's
+coverage. A window resolved elsewhere is still hooked, but it is a
+second place that decides what a collective materializes and counts as
+used; the engine gets its windows from `EgView::windows`, whose borrow of
+the view is what proves no two lanes alias, and sees only `put`.
 
 PE-local compute that fills freshly-staged scratch (not transport) may
 opt out with `// simlint: allow(pe-choke-point, reason = \"...\")`."
@@ -413,6 +420,8 @@ fn cfg_test_ranges(toks: &[Tok]) -> Vec<(usize, usize)> {
 struct Policy {
     cost_sheet: bool,
     pe_choke_point: bool,
+    /// Whether resolving an MRAM window is out of bounds here.
+    pe_window: bool,
     wall_clock: bool,
     map_iteration: bool,
 }
@@ -427,6 +436,7 @@ fn policy_for(path: &str) -> Policy {
             || ends("crates/core/src/engine/streaming.rs")
             || ends("crates/core/src/engine/baseline.rs")),
         pe_choke_point: !ends("crates/sim/src/pe.rs"),
+        pe_window: !(ends("crates/sim/src/pe.rs") || ends("crates/sim/src/system.rs")),
         wall_clock: contains("crates/core/src")
             || contains("crates/sim/src")
             || contains("crates/apps/src"),
@@ -670,6 +680,21 @@ fn run_lints(
                 t,
                 "raw `slice_mut` write outside crates/sim/src/pe.rs bypasses the Pe::write \
                  fault/verification choke point"
+                    .to_string(),
+            );
+        }
+
+        // L2 pe-choke-point, windows: `write_window(` / `window_pair(`
+        // outside pe.rs and system.rs.
+        if policy.pe_window
+            && matches!(ident_at(toks, i), Some("write_window" | "window_pair"))
+            && punct_at(toks, i + 1, '(')
+        {
+            push(
+                Lint::PeChokePoint,
+                t,
+                "MRAM window resolved outside crates/sim/src/{pe,system}.rs; take the windows \
+                 from `EgView::windows` and land through `WriteWindow::put`"
                     .to_string(),
             );
         }

@@ -60,6 +60,29 @@ fn l2_pe_choke_point_bad_and_good() {
         vec![(Lint::PeChokePoint, 4, 8)]
     );
     assert_eq!(errors_of("good/crates/apps/src/staging.rs"), vec![]);
+    // Resolving an MRAM window is as confined as the raw view.
+    assert_eq!(
+        errors_of("bad/crates/core/src/engine/rawwindow.rs"),
+        vec![(Lint::PeChokePoint, 4, 28)]
+    );
+    assert_eq!(
+        errors_of("good/crates/core/src/engine/rawwindow.rs"),
+        vec![]
+    );
+}
+
+#[test]
+fn l2_windows_resolve_only_in_pe_and_system() {
+    let src = "pub fn f(pe: &mut Pe) { pe.window_pair(0..8, 8..16); }";
+    for (path, flagged) in [
+        ("crates/sim/src/pe.rs", false),
+        ("crates/sim/src/system.rs", false),
+        ("crates/sim/src/arena.rs", true),
+        ("crates/apps/src/bfs.rs", true),
+    ] {
+        let out = lint_source(path, src, &UnsafeAllowlist::default());
+        assert_eq!(!out.diags.is_empty(), flagged, "{path}: {:?}", out.diags);
+    }
 }
 
 #[test]
@@ -253,6 +276,7 @@ fn cli_exit_codes_and_spans() {
     for (fixture, needle) in [
         ("bad/crates/core/src/engine/newpath.rs", ":4:11"),
         ("bad/crates/apps/src/staging.rs", ":4:8"),
+        ("bad/crates/core/src/engine/rawwindow.rs", ":4:28"),
         ("bad/crates/core/src/engine/timing.rs", ":3:25"),
         ("bad/crates/core/src/engine/order.rs", ":10:29"),
         ("bad/crates/sim/src/hotpath.rs", ":4:19"),

@@ -183,19 +183,41 @@ macro_rules! reduce_lanes {
     }};
 }
 
-macro_rules! reduce_typed {
-    ($ty:ty, $kind:expr, $acc:expr, $src:expr) => {{
-        // Select the operator once, outside the data loop, so each arm
-        // monomorphizes into its own branch-free kernel.
-        match $kind {
-            ReduceKind::Sum => reduce_lanes!($ty, $acc, $src, |a: $ty, b: $ty| a.wrapping_add(b)),
-            ReduceKind::Min => reduce_lanes!($ty, $acc, $src, |a: $ty, b: $ty| a.min(b)),
-            ReduceKind::Max => reduce_lanes!($ty, $acc, $src, |a: $ty, b: $ty| a.max(b)),
-            ReduceKind::Or => reduce_lanes!($ty, $acc, $src, |a: $ty, b: $ty| a | b),
-            ReduceKind::And => reduce_lanes!($ty, $acc, $src, |a: $ty, b: $ty| a & b),
-            ReduceKind::Xor => reduce_lanes!($ty, $acc, $src, |a: $ty, b: $ty| a ^ b),
-        }
-    }};
+/// An element-wise reduction kernel for one already-selected
+/// `(operator, element type)` pair: `acc[i] = op(acc[i], src[i])` over
+/// little-endian elements. The operands must be equally long and a whole
+/// number of elements ([`reduce_bytes`] checks; a hoisting caller must).
+pub type ReduceFn = fn(acc: &mut [u8], src: &[u8]);
+
+/// Selects the reduction kernel for `op` over `dtype` — the dispatch of
+/// [`reduce_bytes`], hoisted: loops that reduce many small chunks select
+/// once and call the kernel directly. Each arm monomorphizes into its own
+/// branch-free kernel.
+pub fn reducer(op: ReduceKind, dtype: DType) -> ReduceFn {
+    macro_rules! typed {
+        ($ty:ty) => {
+            match op {
+                ReduceKind::Sum => {
+                    |a, s| reduce_lanes!($ty, a, s, |x: $ty, y: $ty| x.wrapping_add(y))
+                }
+                ReduceKind::Min => |a, s| reduce_lanes!($ty, a, s, |x: $ty, y: $ty| x.min(y)),
+                ReduceKind::Max => |a, s| reduce_lanes!($ty, a, s, |x: $ty, y: $ty| x.max(y)),
+                ReduceKind::Or => |a, s| reduce_lanes!($ty, a, s, |x: $ty, y: $ty| x | y),
+                ReduceKind::And => |a, s| reduce_lanes!($ty, a, s, |x: $ty, y: $ty| x & y),
+                ReduceKind::Xor => |a, s| reduce_lanes!($ty, a, s, |x: $ty, y: $ty| x ^ y),
+            }
+        };
+    }
+    match dtype {
+        DType::U8 => typed!(u8),
+        DType::I8 => typed!(i8),
+        DType::U16 => typed!(u16),
+        DType::I16 => typed!(i16),
+        DType::U32 => typed!(u32),
+        DType::I32 => typed!(i32),
+        DType::U64 => typed!(u64),
+        DType::I64 => typed!(i64),
+    }
 }
 
 /// Reduces `src` into `acc` element-wise: `acc[i] = op(acc[i], src[i])`.
@@ -215,24 +237,12 @@ pub fn reduce_bytes(op: ReduceKind, dtype: DType, acc: &mut [u8], src: &[u8]) {
         acc.len(),
         dtype.size_bytes()
     );
-    match dtype {
-        DType::U8 => reduce_typed!(u8, op, acc, src),
-        DType::I8 => reduce_typed!(i8, op, acc, src),
-        DType::U16 => reduce_typed!(u16, op, acc, src),
-        DType::I16 => reduce_typed!(i16, op, acc, src),
-        DType::U32 => reduce_typed!(u32, op, acc, src),
-        DType::I32 => reduce_typed!(i32, op, acc, src),
-        DType::U64 => reduce_typed!(u64, op, acc, src),
-        DType::I64 => reduce_typed!(i64, op, acc, src),
-    }
+    reducer(op, dtype)(acc, src);
 }
 
-/// The identity element of `op` for `dtype`, as `dtype.size_bytes()` bytes.
-///
-/// Folding any value `v` with the identity yields `v` again, so reducing
-/// collectives can seed their accumulators with it.
-pub fn identity_bytes(op: ReduceKind, dtype: DType) -> Vec<u8> {
-    let w = dtype.size_bytes();
+/// The identity element of `op` for `dtype`, little-endian in the first
+/// `dtype.size_bytes()` bytes of the word.
+fn identity_word(op: ReduceKind, dtype: DType) -> [u8; 8] {
     macro_rules! ident {
         ($ty:ty) => {{
             let v: $ty = match op {
@@ -241,10 +251,12 @@ pub fn identity_bytes(op: ReduceKind, dtype: DType) -> Vec<u8> {
                 ReduceKind::Max => <$ty>::MIN,
                 ReduceKind::And => !0,
             };
-            v.to_le_bytes().to_vec()
+            let mut word = [0u8; 8];
+            word[..core::mem::size_of::<$ty>()].copy_from_slice(&v.to_le_bytes());
+            word
         }};
     }
-    let bytes = match dtype {
+    match dtype {
         DType::U8 => ident!(u8),
         DType::I8 => ident!(i8),
         DType::U16 => ident!(u16),
@@ -253,25 +265,33 @@ pub fn identity_bytes(op: ReduceKind, dtype: DType) -> Vec<u8> {
         DType::I32 => ident!(i32),
         DType::U64 => ident!(u64),
         DType::I64 => ident!(i64),
-    };
-    debug_assert_eq!(bytes.len(), w);
-    bytes
+    }
 }
 
-/// Fills `buf` with repeated copies of the identity element.
+/// The identity element of `op` for `dtype`, as `dtype.size_bytes()` bytes.
+///
+/// Folding any value `v` with the identity yields `v` again, so reducing
+/// collectives can seed their accumulators with it.
+pub fn identity_bytes(op: ReduceKind, dtype: DType) -> Vec<u8> {
+    identity_word(op, dtype)[..dtype.size_bytes()].to_vec()
+}
+
+/// Fills `buf` with repeated copies of the identity element, without
+/// allocating.
 ///
 /// # Panics
 ///
 /// Panics if `buf.len()` is not a multiple of the element size.
 pub fn fill_identity(op: ReduceKind, dtype: DType, buf: &mut [u8]) {
-    let id = identity_bytes(op, dtype);
+    let word = identity_word(op, dtype);
+    let id = &word[..dtype.size_bytes()];
     assert_eq!(
         buf.len() % id.len(),
         0,
         "buffer not a multiple of element size"
     );
     for chunk in buf.chunks_exact_mut(id.len()) {
-        chunk.copy_from_slice(&id);
+        chunk.copy_from_slice(id);
     }
 }
 

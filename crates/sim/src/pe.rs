@@ -6,15 +6,27 @@
 //! through the host — but they *can* rearrange their own data, which is what
 //! the paper's *PE-assisted reordering* exploits (§V-A1).
 //!
-//! Because all inter-PE traffic lands through [`Pe::write`] (burst lanes,
-//! row transfers and host scatters alike), that method doubles as the
-//! chokepoint of the fault layer ([`crate::fault`]): an installed
+//! All inter-PE traffic lands through a [`WriteWindow`] — [`Pe::write`] is
+//! the one-row case: resolve a window, [`WriteWindow::put`] once — so `put`
+//! is the chokepoint of the fault layer ([`crate::fault`]): an installed
 //! [`crate::fault::FaultCtx`] lets a seeded plan corrupt or drop landing
 //! writes, and write verification read-after-write checks each landing
-//! against its intended FNV digest. Both are branch-on-`Option`/`bool`
-//! disabled by default, leaving the hot path untouched.
+//! against its intended FNV digest. Both are decided once, when the window
+//! is resolved, and disabled by default, leaving the hot path a plain
+//! slice copy.
+//!
+//! Resolving — a capacity check, an extent update, a binary search over
+//! the segment store, page materialization on first touch — is what a
+//! streaming collective cannot afford per 8-byte chunk, so the engine
+//! resolves once per PE ([`Pe::window_pair`]: a [`ReadWindow`] over the source
+//! region, a [`WriteWindow`] over the disjoint destination region) and
+//! streams every chunk between the resolved slices.
+
+use std::borrow::Cow;
+use std::ops::Range;
 
 use crate::fault::{self, CorruptionEvent, FaultCtx, WriteFault};
+use crate::geometry::LANE_BYTES;
 
 /// WRAM scratchpad size of an UPMEM DPU in bytes.
 pub const WRAM_BYTES: usize = 64 * 1024;
@@ -48,6 +60,15 @@ struct Segment {
 impl Segment {
     fn end(&self) -> usize {
         self.start + self.data.len()
+    }
+
+    /// The bytes of MRAM range `r`, which the segment must cover.
+    fn span(&self, r: Range<usize>) -> &[u8] {
+        &self.data[r.start - self.start..r.end - self.start]
+    }
+
+    fn span_mut(&mut self, r: Range<usize>) -> &mut [u8] {
+        &mut self.data[r.start - self.start..r.end - self.start]
     }
 }
 
@@ -96,6 +117,155 @@ fn check_capacity(end: usize) {
     );
 }
 
+/// Index of the segment containing `[offset, offset + len)` in full, if
+/// one exists — the contiguous fast path.
+#[inline]
+fn seg_covering(segs: &[Segment], offset: usize, len: usize) -> Option<usize> {
+    // Segment starts and ends are both strictly increasing, so the first
+    // segment ending after `offset` is the only candidate.
+    let i = segs.partition_point(|s| s.end() <= offset);
+    match segs.get(i) {
+        Some(s) if s.start <= offset && s.end() >= offset + len => Some(i),
+        _ => None,
+    }
+}
+
+/// Copies the bytes at `offset` into `dst`, reading zeros wherever no
+/// segment is materialized.
+fn peek_segs(segs: &[Segment], offset: usize, dst: &mut [u8]) {
+    let end = offset + dst.len();
+    if let Some(i) = seg_covering(segs, offset, dst.len()) {
+        dst.copy_from_slice(segs[i].span(offset..end));
+        return;
+    }
+    dst.fill(0);
+    let mut i = segs.partition_point(|s| s.end() <= offset);
+    while i < segs.len() && segs[i].start < end {
+        let s = &segs[i];
+        let lo = s.start.max(offset);
+        let hi = s.end().min(end);
+        dst[lo - offset..hi - offset].copy_from_slice(s.span(lo..hi));
+        i += 1;
+    }
+}
+
+/// A resolved read-only view of one MRAM region: the materialized bytes
+/// themselves when one segment covers the region, otherwise a zero-extended
+/// snapshot (nothing is materialized by reading). Index 0 is the region's
+/// first byte.
+pub type ReadWindow<'a> = Cow<'a, [u8]>;
+
+/// A resolved mutable window over one MRAM region of one PE — capacity
+/// checked, extent recorded and pages materialized once, by
+/// [`Pe::window_pair`] / [`Pe::write_window`] — that lands any number of
+/// chunks with [`WriteWindow::put`].
+///
+/// With neither a fault plan nor write verification installed a `put` is a
+/// bounds-checked slice copy. Otherwise every chunk takes the checked
+/// landing: dropped if the PE is stuck in the current epoch, struck by
+/// whatever [`crate::fault::FaultPlan::write_fault`] schedules for its
+/// `(pe, offset, len)`, and — under verification — read back and compared
+/// by FNV digest, the first mismatch per PE being kept for collection at
+/// the next execute boundary. (Resolving is not landing: a stuck PE's
+/// window still materializes its pages, which then stay zero.)
+#[derive(Debug)]
+pub struct WriteWindow<'a> {
+    /// MRAM offset of `data[0]`.
+    start: usize,
+    data: &'a mut [u8],
+    /// The fault layer's hooks; `None` is the direct lane.
+    hooks: Option<Hooks<'a>>,
+}
+
+#[derive(Debug)]
+struct Hooks<'a> {
+    fault: Option<&'a FaultCtx>,
+    verify: bool,
+    corruption: &'a mut Option<Box<CorruptionEvent>>,
+}
+
+impl WriteWindow<'_> {
+    /// Lands `src` at MRAM offset `offset`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `[offset, offset + src.len())` leaves the window.
+    #[inline]
+    pub fn put(&mut self, offset: usize, src: &[u8]) {
+        let landed = &mut self.data[offset.wrapping_sub(self.start)..][..src.len()];
+        match &mut self.hooks {
+            // One lane word — the transport's unit and the chunk of the
+            // overhead-bound collectives — moves as a register, not as a
+            // call into memcpy.
+            None => match <&mut [u8; LANE_BYTES]>::try_from(&mut *landed) {
+                Ok(word) => *word = src.try_into().expect("same length"),
+                Err(_) => landed.copy_from_slice(src),
+            },
+            Some(hooks) => hooks.land(landed, offset, src),
+        }
+    }
+}
+
+impl<'a> Hooks<'a> {
+    /// The hooks a window over a PE in this fault-layer state lands
+    /// through: `None`, the direct lane, unless a plan is attached or
+    /// verification is on.
+    fn of(
+        fault: &'a Option<FaultCtx>,
+        verify: bool,
+        corruption: &'a mut Option<Box<CorruptionEvent>>,
+    ) -> Option<Self> {
+        (fault.is_some() || verify).then_some(Hooks {
+            fault: fault.as_ref(),
+            verify,
+            corruption,
+        })
+    }
+
+    /// The checked landing. With no fault scheduled it lands exactly the
+    /// bytes the direct lane would.
+    fn land(&mut self, landed: &mut [u8], offset: usize, src: &[u8]) {
+        let (stuck, injected, pe, epoch) = match self.fault {
+            Some(ctx) => {
+                let stuck = ctx.plan.pe_stuck(ctx.pe);
+                let injected = if stuck {
+                    None
+                } else {
+                    ctx.plan.write_fault(ctx.pe, offset, src.len())
+                };
+                (stuck, injected, ctx.pe, ctx.plan.epoch())
+            }
+            None => (false, None, u32::MAX, 0),
+        };
+        if !stuck {
+            landed.copy_from_slice(src);
+            match injected {
+                Some(WriteFault::BitFlip { bit }) => landed[bit / 8] ^= 1 << (bit % 8),
+                Some(WriteFault::RowCorrupt { word, mask }) => {
+                    for (b, m) in landed[word * 8..][..8].iter_mut().zip(mask.to_le_bytes()) {
+                        *b ^= m;
+                    }
+                }
+                None => {}
+            }
+        }
+        if self.verify {
+            let expected = fault::fnv1a(src);
+            let found = fault::fnv1a(landed);
+            if found != expected && self.corruption.is_none() {
+                *self.corruption = Some(Box::new(CorruptionEvent {
+                    pe,
+                    offset,
+                    len: src.len(),
+                    expected,
+                    found,
+                    epoch,
+                }));
+            }
+        }
+    }
+}
+
 impl Pe {
     /// Creates a PE with empty (all-zero) MRAM.
     pub fn new() -> Self {
@@ -128,19 +298,6 @@ impl Pe {
         }
         self.extent = 0;
         self.corruption = None;
-    }
-
-    /// Index of the segment containing `[offset, offset + len)` in full,
-    /// if one exists — the contiguous fast path.
-    #[inline]
-    fn seg_covering(&self, offset: usize, len: usize) -> Option<usize> {
-        // Segment starts and ends are both strictly increasing, so the
-        // first segment ending after `offset` is the only candidate.
-        let i = self.segs.partition_point(|s| s.end() <= offset);
-        match self.segs.get(i) {
-            Some(s) if s.start <= offset && s.end() >= offset + len => Some(i),
-            _ => None,
-        }
     }
 
     /// Materializes a single segment covering `[offset, offset + len)`
@@ -233,22 +390,8 @@ impl Pe {
     ///
     /// Panics if the access would exceed [`MRAM_CAPACITY`].
     pub fn peek_into(&self, offset: usize, dst: &mut [u8]) {
-        let end = offset + dst.len();
-        check_capacity(end);
-        if let Some(i) = self.seg_covering(offset, dst.len()) {
-            let s = &self.segs[i];
-            dst.copy_from_slice(&s.data[offset - s.start..offset - s.start + dst.len()]);
-            return;
-        }
-        dst.fill(0);
-        let mut i = self.segs.partition_point(|s| s.end() <= offset);
-        while i < self.segs.len() && self.segs[i].start < end {
-            let s = &self.segs[i];
-            let lo = s.start.max(offset);
-            let hi = s.end().min(end);
-            dst[lo - offset..hi - offset].copy_from_slice(&s.data[lo - s.start..hi - s.start]);
-            i += 1;
-        }
+        check_capacity(offset + dst.len());
+        peek_segs(&self.segs, offset, dst);
     }
 
     /// Returns `len` bytes at `offset` as a fresh vector without growing
@@ -264,9 +407,21 @@ impl Pe {
     /// materialized in one segment, `None` otherwise. Zero-copy fast path
     /// for readers that can fall back to [`Pe::peek_into`].
     pub fn try_slice(&self, offset: usize, len: usize) -> Option<&[u8]> {
-        let i = self.seg_covering(offset, len)?;
-        let s = &self.segs[i];
-        Some(&s.data[offset - s.start..offset - s.start + len])
+        let i = seg_covering(&self.segs, offset, len)?;
+        Some(self.segs[i].span(offset..offset + len))
+    }
+
+    /// Resolves a [`ReadWindow`] over `[offset, offset + len)` without
+    /// materializing anything: unmaterialized bytes read as zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region would exceed [`MRAM_CAPACITY`].
+    pub fn read_window(&self, offset: usize, len: usize) -> ReadWindow<'_> {
+        match self.try_slice(offset, len) {
+            Some(s) => Cow::Borrowed(s),
+            None => Cow::Owned(self.peek(offset, len)),
+        }
     }
 
     /// Validates that accesses up to `end` bytes would be in bounds,
@@ -284,76 +439,106 @@ impl Pe {
         check_capacity(end);
     }
 
-    /// Writes `src` at `offset`.
-    ///
-    /// This is the landing point of every host-mediated transport (burst
-    /// lanes, row transfers, host scatters). With a fault context or write
-    /// verification installed (see [`Pe::set_fault_ctx`] /
-    /// [`Pe::set_verify`]) the write takes the checked transport path;
-    /// otherwise it is the direct store it has always been.
+    /// Writes `src` at `offset`: resolves a one-row [`WriteWindow`] and
+    /// lands `src` through it — the landing point of every host-mediated
+    /// transport that is not already streaming through a longer-lived
+    /// window (burst lanes, row transfers, host scatters).
+    #[inline]
     pub fn write(&mut self, offset: usize, src: &[u8]) {
-        if self.fault.is_some() || self.verify {
-            self.write_checked(offset, src);
-        } else {
-            self.slice_mut(offset, src.len()).copy_from_slice(src);
+        self.write_window(offset, src.len()).put(offset, src);
+    }
+
+    /// Resolves a [`WriteWindow`] over `[offset, offset + len)`:
+    /// materializes its pages (zero-filled on first touch) and records the
+    /// extent, like [`Pe::slice_mut`], but hands out the region behind the
+    /// fault layer's hooks instead of as raw bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region would exceed [`MRAM_CAPACITY`].
+    #[inline]
+    pub fn write_window(&mut self, offset: usize, len: usize) -> WriteWindow<'_> {
+        check_capacity(offset + len);
+        self.extent = self.extent.max(offset + len);
+        let i = (len > 0).then(|| self.ensure_span(offset, len));
+        let data = i.map(|i| self.segs[i].span_mut(offset..offset + len));
+        WriteWindow {
+            start: offset,
+            data: data.unwrap_or_default(),
+            hooks: Hooks::of(&self.fault, self.verify, &mut self.corruption),
         }
     }
 
-    /// The checked transport path: drops the write if this PE is stuck in
-    /// the current epoch, applies any scheduled fault to the landed bytes,
-    /// and — when verification is on — read-after-write compares FNV
-    /// digests, recording the first mismatch for collection at the next
-    /// execute boundary. With no fault scheduled this lands exactly the
-    /// bytes the direct path would (verification reads back via the
-    /// non-materializing peek, so extent and paging are untouched by it).
-    fn write_checked(&mut self, offset: usize, src: &[u8]) {
-        let len = src.len();
-        let (stuck, injected, pe_id, epoch) = match &self.fault {
-            Some(ctx) => {
-                let stuck = ctx.plan.pe_stuck(ctx.pe);
-                let injected = if stuck {
-                    None
+    /// Resolves a [`ReadWindow`] over `src` and a [`WriteWindow`] over
+    /// `dst` in one step, so a PE can be source and destination of the
+    /// same streaming loop. The destination is materialized and both
+    /// regions count towards [`Pe::mram_used`]; the source is never
+    /// materialized (see [`Pe::read_window`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the regions overlap or exceed [`MRAM_CAPACITY`].
+    pub fn window_pair(
+        &mut self,
+        src: Range<usize>,
+        dst: Range<usize>,
+    ) -> (ReadWindow<'_>, WriteWindow<'_>) {
+        assert!(
+            src.is_empty() || dst.is_empty() || src.end <= dst.start || dst.end <= src.start,
+            "MRAM windows {src:?} and {dst:?} overlap"
+        );
+        check_capacity(src.end.max(dst.end));
+        self.extent = self.extent.max(src.end).max(dst.end);
+        let di = (!dst.is_empty()).then(|| self.ensure_span(dst.start, dst.len()));
+        let Pe {
+            segs,
+            fault,
+            verify,
+            corruption,
+            ..
+        } = self;
+        let si = seg_covering(segs, src.start, src.len());
+        let (read, data): (ReadWindow, &mut [u8]) = match (si, di) {
+            (None, _) => {
+                let mut staged = vec![0u8; src.len()];
+                peek_segs(segs, src.start, &mut staged);
+                let data = di.map(|i| segs[i].span_mut(dst.clone()));
+                (Cow::Owned(staged), data.unwrap_or_default())
+            }
+            (Some(j), None) => (Cow::Borrowed(segs[j].span(src)), &mut []),
+            // One segment holds both regions: split it between them.
+            (Some(j), Some(i)) if i == j => {
+                let s = &mut segs[i];
+                let base = s.start;
+                if src.end <= dst.start {
+                    let (lo, hi) = s.data.split_at_mut(dst.start - base);
+                    (
+                        Cow::Borrowed(&lo[src.start - base..src.end - base]),
+                        &mut hi[..dst.len()],
+                    )
                 } else {
-                    ctx.plan.write_fault(ctx.pe, offset, len)
-                };
-                (stuck, injected, ctx.pe, ctx.plan.epoch())
+                    let (lo, hi) = s.data.split_at_mut(src.start - base);
+                    (
+                        Cow::Borrowed(&hi[..src.len()]),
+                        &mut lo[dst.start - base..dst.end - base],
+                    )
+                }
             }
-            None => (false, None, u32::MAX, 0),
+            (Some(j), Some(i)) => {
+                let (lo, hi) = segs.split_at_mut(i.max(j));
+                if j < i {
+                    (Cow::Borrowed(lo[j].span(src)), hi[0].span_mut(dst.clone()))
+                } else {
+                    (Cow::Borrowed(hi[0].span(src)), lo[i].span_mut(dst.clone()))
+                }
+            }
         };
-        if !stuck {
-            self.slice_mut(offset, len).copy_from_slice(src);
-            match injected {
-                Some(WriteFault::BitFlip { bit }) => {
-                    self.slice_mut(offset + bit / 8, 1)[0] ^= 1 << (bit % 8);
-                }
-                Some(WriteFault::RowCorrupt { word, mask }) => {
-                    let w = self.slice_mut(offset + word * 8, 8);
-                    for (b, m) in w.iter_mut().zip(mask.to_le_bytes()) {
-                        *b ^= m;
-                    }
-                }
-                None => {}
-            }
-        }
-        if self.verify {
-            let expected = fault::fnv1a(src);
-            let mut tmp = core::mem::take(&mut self.scratch);
-            tmp.clear();
-            tmp.resize(len, 0);
-            self.peek_into(offset, &mut tmp);
-            let found = fault::fnv1a(&tmp);
-            self.scratch = tmp;
-            if found != expected && self.corruption.is_none() {
-                self.corruption = Some(Box::new(CorruptionEvent {
-                    pe: pe_id,
-                    offset,
-                    len,
-                    expected,
-                    found,
-                    epoch,
-                }));
-            }
-        }
+        let write = WriteWindow {
+            start: dst.start,
+            data,
+            hooks: Hooks::of(fault, *verify, corruption),
+        };
+        (read, write)
     }
 
     /// Installs (or clears) this PE's handle on the system fault plan.
@@ -376,62 +561,22 @@ impl Pe {
     }
 
     /// Copies `len` bytes from another PE's MRAM (`src` at `src_offset`)
-    /// to `dst_offset` — the host-mediated PE-to-PE move, without staging
-    /// through an intermediate buffer. Untouched source regions read as
-    /// zeros, matching [`Pe::peek_into`]. Under an active fault context or
-    /// verification the move stages through scratch and lands via the
-    /// checked transport path, so PE-to-PE traffic is subject to the same
-    /// injection and verification as every other landing.
+    /// to `dst_offset` — the host-mediated PE-to-PE move as a one-row
+    /// window transfer, subject to the same injection and verification as
+    /// every other landing. Untouched source regions read as zeros.
     pub fn copy_from(&mut self, dst_offset: usize, src: &Pe, src_offset: usize, len: usize) {
-        if self.fault.is_some() || self.verify {
-            let mut tmp = core::mem::take(&mut self.scratch);
-            tmp.clear();
-            tmp.resize(len, 0);
-            src.peek_into(src_offset, &mut tmp);
-            self.write_checked(dst_offset, &tmp);
-            self.scratch = tmp;
-            return;
-        }
-        let dst = self.slice_mut(dst_offset, len);
-        src.peek_into(src_offset, dst);
+        self.write_window(dst_offset, len)
+            .put(dst_offset, &src.read_window(src_offset, len));
     }
 
     /// Copies `len` bytes from `src_offset` to `dst_offset` within this
-    /// PE's MRAM. The regions must not overlap.
+    /// PE's MRAM — PE-local compute (the DPU moving its own data), outside
+    /// the transport fault scope like the reorder kernels. The regions must
+    /// not overlap; nothing between them is materialized.
     pub fn copy_within_region(&mut self, src_offset: usize, dst_offset: usize, len: usize) {
-        debug_assert!(
-            src_offset + len <= dst_offset || dst_offset + len <= src_offset,
-            "overlapping intra-PE copy"
-        );
-        check_capacity(src_offset.max(dst_offset) + len);
-        if len == 0 {
-            self.extent = self.extent.max(src_offset.max(dst_offset));
-            return;
-        }
-        self.extent = self.extent.max(src_offset + len);
-        let lo = src_offset.min(dst_offset);
-        let hi = src_offset.max(dst_offset) + len;
-        if let Some(i) = self.seg_covering(lo, hi - lo) {
-            // Both regions live in one segment: a single in-place copy.
-            let s = &mut self.segs[i];
-            let base = s.start;
-            s.data.copy_within(
-                src_offset - base..src_offset - base + len,
-                dst_offset - base,
-            );
-            self.extent = self.extent.max(dst_offset + len);
-            return;
-        }
-        // The regions live in different segments (or partly in gaps):
-        // stage through the reusable scratch buffer instead of merging
-        // everything in between, which would defeat sparse paging for
-        // distant copies.
-        let mut tmp = core::mem::take(&mut self.scratch);
-        tmp.clear();
-        tmp.resize(len, 0);
-        self.peek_into(src_offset, &mut tmp);
-        self.write(dst_offset, &tmp);
-        self.scratch = tmp;
+        let (src, dst) =
+            self.window_pair(src_offset..src_offset + len, dst_offset..dst_offset + len);
+        dst.data.copy_from_slice(&src);
     }
 
     /// Mutable view of `len` bytes at `offset`.
@@ -512,12 +657,7 @@ impl Pe {
         let at = offset - s.start;
         let region = &mut s.data[at..at + len];
         if let Some((part, rot)) = Self::as_part_rotation(perm) {
-            if rot == 0 {
-                return;
-            }
-            for part_region in region.chunks_exact_mut(part * block) {
-                part_region.rotate_left(rot * block);
-            }
+            rotate_parts_in(region, part * block, rot * block);
             return;
         }
         scratch.clear();
@@ -609,21 +749,67 @@ impl Pe {
 
     /// Local rotation kernel: rotates `count` blocks of `block` bytes left
     /// by `rot` slots (the block at slot `(d + rot) % count` moves to slot
-    /// `d`). Implemented as an in-place slice rotation — no permutation
-    /// table, no staging copy.
+    /// `d`) — [`Pe::rotate_parts`] with a single part.
     pub fn rotate_blocks(&mut self, offset: usize, block: usize, count: usize, rot: usize) {
-        if count == 0 {
-            return;
+        if count > 0 {
+            self.rotate_parts(offset, block, count, count, rot % count);
         }
-        let rot = rot % count;
-        let len = block * count;
-        check_capacity(offset + len);
-        self.extent = self.extent.max(offset + len);
-        if rot == 0 || len == 0 {
-            return;
+    }
+
+    /// Part-wise rotation kernel: treats `[offset, offset + count*block)`
+    /// as consecutive parts of `part` blocks and rotates every part left
+    /// by `rot` slots, in place — `permute_blocks` with
+    /// `perm[j] = (j % part + rot) % part + (j / part) * part`, the form of
+    /// the collective engine's phase-A reorder (`part` = lane count, `rot`
+    /// = the PE's lane rank), without the table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `part` does not divide `count` or `rot >= part`.
+    pub fn rotate_parts(
+        &mut self,
+        offset: usize,
+        block: usize,
+        part: usize,
+        count: usize,
+        rot: usize,
+    ) {
+        assert!(
+            part > 0 && count.is_multiple_of(part),
+            "parts must tile the region"
+        );
+        assert!(
+            rot < part,
+            "rotation {rot} out of range for parts of {part}"
+        );
+        rotate_parts_in(
+            self.slice_mut(offset, block * count),
+            part * block,
+            rot * block,
+        );
+    }
+}
+
+/// Rotates every `span`-byte part of `region` left by `cut` bytes. The
+/// engine's parts are a burst wide (8 chunks of 8 bytes) at the payload
+/// sizes where phase A dominates, so small parts go through a stack buffer
+/// — two straight copies instead of `rotate_left`'s general cycle walk.
+fn rotate_parts_in(region: &mut [u8], span: usize, cut: usize) {
+    const STACK: usize = 512;
+    if cut == 0 {
+        return;
+    }
+    if span > STACK {
+        for part in region.chunks_exact_mut(span) {
+            part.rotate_left(cut);
         }
-        let region = self.slice_mut(offset, len);
-        region.rotate_left(rot * block);
+        return;
+    }
+    let mut tmp = [0u8; STACK];
+    for part in region.chunks_exact_mut(span) {
+        tmp[..cut].copy_from_slice(&part[..cut]);
+        part.copy_within(cut.., 0);
+        part[span - cut..].copy_from_slice(&tmp[..cut]);
     }
 }
 

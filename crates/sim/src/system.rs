@@ -1,12 +1,13 @@
 //! The simulated PIM system: PEs + host bus + time meter.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::cost::{Breakdown, Category, TimeModel};
 use crate::domain::{transpose8x8, LanePerm};
 use crate::fault::{CorruptionEvent, FaultCtx, FaultPlan};
 use crate::geometry::{DimmGeometry, EgId, PeId, BURST_BYTES, LANES, LANE_BYTES};
-use crate::pe::Pe;
+use crate::pe::{Pe, ReadWindow, WriteWindow};
 
 /// A complete PIM-enabled DIMM system: the PE array, the physical geometry,
 /// the calibrated time model and a running cost meter.
@@ -297,7 +298,7 @@ impl PimSystem {
     ///
     /// Panics if an entangled group appears in more than one part (or twice
     /// in one part).
-    pub fn split_eg_views(&mut self, parts: &[Vec<EgId>]) -> Vec<EgView<'_>> {
+    pub fn split_eg_views<'a>(&'a mut self, parts: &'a [Vec<EgId>]) -> Vec<EgView<'a>> {
         let geometry = self.geometry;
         let mut banks: Vec<Option<&mut [Pe]>> = self.pes.chunks_mut(LANES).map(Some).collect();
         parts
@@ -313,7 +314,7 @@ impl PimSystem {
                     .collect();
                 EgView {
                     geometry,
-                    egs: egs.clone(),
+                    egs,
                     banks: slices,
                 }
             })
@@ -549,7 +550,7 @@ impl Checkpoint {
 #[derive(Debug)]
 pub struct EgView<'a> {
     geometry: DimmGeometry,
-    egs: Vec<EgId>,
+    egs: &'a [EgId],
     banks: Vec<&'a mut [Pe]>,
 }
 
@@ -561,12 +562,33 @@ impl EgView<'_> {
 
     /// The entangled groups this view covers, in slot order.
     pub fn egs(&self) -> &[EgId] {
-        &self.egs
+        self.egs
     }
 
     /// Mutable access to the PE at `lane` of the EG in `slot`.
     pub fn pe_mut(&mut self, slot: usize, lane: usize) -> &mut Pe {
         &mut self.banks[slot][lane]
+    }
+
+    /// Resolves, once per PE, a [`ReadWindow`] over `src` and a
+    /// [`WriteWindow`] over `dst` (see [`Pe::window_pair`]) — the streaming
+    /// engine's transport: resolve at the top of a cluster task, then move
+    /// every chunk of the collective between the resolved slices. Both
+    /// vectors are indexed `slot * 8 + lane`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the regions overlap or exceed the bank capacity.
+    pub fn windows(
+        &mut self,
+        src: Range<usize>,
+        dst: Range<usize>,
+    ) -> (Vec<ReadWindow<'_>>, Vec<WriteWindow<'_>>) {
+        self.banks
+            .iter_mut()
+            .flat_map(|bank| bank.iter_mut())
+            .map(|pe| pe.window_pair(src.clone(), dst.clone()))
+            .unzip()
     }
 
     /// As [`PimSystem::read_burst`], for the EG in `slot`.
@@ -662,26 +684,16 @@ impl EgView<'_> {
         assert_eq!(row_len % LANE_BYTES, 0, "rows move whole 8-byte words");
         assert_eq!(acc.len(), LANES * row_len, "need one row per lane");
         for (d, accr) in acc.chunks_exact_mut(row_len).enumerate() {
-            let pe = &self.banks[slot][perm[d]];
-            if let Some(src) = pe.try_slice(offset, row_len) {
-                crate::dtype::reduce_bytes(op, dtype, accr, src);
-            } else {
-                // Slow path: the region is (partly) unmaterialized; stage
-                // zero-extended 64-byte pieces on the stack.
-                let mut tmp = [0u8; BURST_BYTES];
-                for (i, piece) in accr.chunks_mut(BURST_BYTES).enumerate() {
-                    pe.peek_into(offset + i * BURST_BYTES, &mut tmp[..piece.len()]);
-                    crate::dtype::reduce_bytes(op, dtype, piece, &tmp[..piece.len()]);
-                }
-            }
+            let src = self.banks[slot][perm[d]].read_window(offset, row_len);
+            crate::dtype::reduce_bytes(op, dtype, accr, &src);
         }
     }
 
     /// Moves one row run directly between entangled groups without a
     /// staging buffer: lane `d` of `dst_slot` receives the `row_len` bytes
     /// at `src_offset` of lane `perm[d]` of `src_slot`, written at
-    /// `dst_offsets[d]`. Source and destination regions must be disjoint
-    /// when they share a PE.
+    /// `dst_offsets[d]` — one one-row window transfer per lane. Source and
+    /// destination regions must be disjoint when they share a PE.
     pub fn copy_rows(
         &mut self,
         src_slot: usize,
@@ -697,7 +709,12 @@ impl EgView<'_> {
             for d in 0..LANES {
                 let s = perm[d];
                 if s == d {
-                    bank[d].copy_within_region(src_offset, dst_offsets[d], row_len);
+                    // A PE's chunk for itself still travels through the
+                    // host: a window transfer, not a PE-local copy.
+                    let to = dst_offsets[d];
+                    let (row, mut landing) =
+                        bank[d].window_pair(src_offset..src_offset + row_len, to..to + row_len);
+                    landing.put(to, &row);
                 } else {
                     let (a, b) = bank.split_at_mut(s.max(d));
                     if s < d {

@@ -1,0 +1,362 @@
+//! The resolve-once window transport of `pim_sim::pe`: a window must be
+//! indistinguishable from the per-call accessors it replaces — same bytes,
+//! same extent, same materialized pages, same faults — and must reject
+//! what they reject.
+
+use std::sync::Arc;
+
+use pim_sim::domain::IDENTITY_PERM;
+use pim_sim::dtype::{reduce_bytes, reducer};
+use pim_sim::geometry::{EgId, LANES};
+use pim_sim::pe::{Pe, MRAM_CAPACITY, PAGE_BYTES};
+use pim_sim::testgen::SplitMix64;
+use pim_sim::{CorruptionEvent, DType, DimmGeometry, FaultPlan, PimSystem, ReduceKind};
+
+/// The seed bases CI's chaos smoke runs under.
+const CI_SEEDS: [u64; 3] = [1, 77, 3_405_691_582];
+
+#[test]
+fn puts_through_one_window_equal_per_call_writes() {
+    let mut g = SplitMix64::new(0x51de);
+    // Page-straddling and off-grid bases, dense and sparse.
+    for base in [0usize, 4104, 3 * PAGE_BYTES - 8, 10 * PAGE_BYTES + 24] {
+        let len = 6 * 1024;
+        let mut windowed = Pe::new();
+        let mut per_call = Pe::new();
+        windowed.write(64, &[9u8; 32]);
+        per_call.write(64, &[9u8; 32]);
+        let mut w = windowed.write_window(base, len);
+        for _ in 0..200 {
+            let n = 8 * (1 + g.next_u64() as usize % 16);
+            let at = base + 8 * (g.next_u64() as usize % ((len - n) / 8 + 1));
+            let chunk = g.bytes(n);
+            w.put(at, &chunk);
+            per_call.write(at, &chunk);
+        }
+        // The window counts its whole region as touched; per-call writes
+        // only what they reached. Touch the region's end to align them.
+        per_call.write(base + len - 8, &windowed.peek(base + len - 8, 8));
+        per_call.write(base, &windowed.peek(base, 8));
+        assert_eq!(windowed.mram_used(), per_call.mram_used(), "base {base}");
+        assert_eq!(
+            windowed.mram_resident(),
+            per_call.mram_resident(),
+            "base {base}"
+        );
+        let end = windowed.mram_used();
+        assert_eq!(windowed.peek(0, end), per_call.peek(0, end), "base {base}");
+    }
+}
+
+#[test]
+fn source_window_never_materializes() {
+    // Never written: zeros, and still nothing resident behind the source.
+    let mut pe = Pe::new();
+    let (src, mut dst) = pe.window_pair(1 << 20..(1 << 20) + 4096, 0..64);
+    assert!(src.iter().all(|&b| b == 0));
+    dst.put(8, &src[..16]);
+    assert_eq!(pe.mram_resident(), PAGE_BYTES, "only the destination page");
+    assert_eq!(
+        pe.mram_used(),
+        (1 << 20) + 4096,
+        "both regions count as used"
+    );
+    assert!(pe.try_slice(1 << 20, 8).is_none());
+
+    // Partly written: a zero-extended snapshot, pages untouched.
+    let mut pe = Pe::new();
+    pe.write(PAGE_BYTES - 16, &[7u8; 16]);
+    pe.write(3 * PAGE_BYTES, &[5u8; 8]);
+    let resident = pe.mram_resident();
+    let src = pe.read_window(PAGE_BYTES - 16, 2 * PAGE_BYTES + 24);
+    assert_eq!(&src[..16], &[7u8; 16]);
+    assert!(src[16..2 * PAGE_BYTES + 16].iter().all(|&b| b == 0));
+    assert_eq!(&src[2 * PAGE_BYTES + 16..], &[5u8; 8]);
+    assert_eq!(pe.mram_resident(), resident);
+}
+
+#[test]
+fn distant_windows_leave_the_gap_unmaterialized() {
+    let mut pe = Pe::new();
+    pe.write(0, &[3u8; 256]);
+    let far = 40 * 1024 * 1024;
+    let (src, mut dst) = pe.window_pair(0..256, far..far + 256);
+    dst.put(far + 8, &src[..64]);
+    assert_eq!(pe.mram_resident(), 2 * PAGE_BYTES);
+    assert_eq!(pe.peek(far + 8, 64), vec![3u8; 64]);
+    assert_eq!(pe.peek(far, 8), vec![0u8; 8]);
+}
+
+#[test]
+fn abutting_windows_split_one_segment_either_way_round() {
+    for (src_at, dst_at) in [(4104usize, 4104 + 512), (4104 + 512, 4104)] {
+        let mut pe = Pe::new();
+        let data: Vec<u8> = (0..512).map(|i| (i * 7 + 1) as u8).collect();
+        // One segment holds both regions before they are resolved.
+        pe.write(4096, &vec![0xEE; 2048]);
+        pe.write(src_at, &data);
+        let (src, mut dst) = pe.window_pair(src_at..src_at + 512, dst_at..dst_at + 512);
+        assert_eq!(&src[..], &data[..]);
+        for (i, word) in src.chunks_exact(8).enumerate().rev() {
+            dst.put(dst_at + 8 * i, word);
+        }
+        assert_eq!(pe.peek(dst_at, 512), data, "{src_at} -> {dst_at}");
+        assert_eq!(pe.peek(src_at, 512), data, "source intact");
+        assert_eq!(pe.peek(4096, 8), vec![0xEE; 8], "neighbours intact");
+        assert_eq!(pe.mram_resident(), PAGE_BYTES);
+    }
+}
+
+#[test]
+#[should_panic(expected = "overlap")]
+fn overlapping_windows_rejected() {
+    let mut pe = Pe::new();
+    let _ = pe.window_pair(0..64, 56..120);
+}
+
+#[test]
+#[should_panic(expected = "exceeds 64 MiB")]
+fn window_past_capacity_rejected() {
+    let mut pe = Pe::new();
+    let _ = pe.write_window(MRAM_CAPACITY - 8, 16);
+}
+
+#[test]
+#[should_panic(expected = "exceeds 64 MiB")]
+fn source_window_past_capacity_rejected() {
+    let mut pe = Pe::new();
+    let _ = pe.window_pair(MRAM_CAPACITY - 8..MRAM_CAPACITY + 8, 0..8);
+}
+
+#[test]
+#[should_panic]
+fn put_past_the_window_rejected() {
+    let mut pe = Pe::new();
+    pe.write(0, &[1u8; 256]);
+    pe.write_window(64, 64).put(120, &[0u8; 16]);
+}
+
+#[test]
+#[should_panic]
+fn put_before_the_window_rejected() {
+    let mut pe = Pe::new();
+    pe.write(0, &[1u8; 256]);
+    pe.write_window(64, 64).put(56, &[0u8; 8]);
+}
+
+/// One epoch of chunk landings on a PE under `plan` with verification on,
+/// either through one window or through per-call writes; returns the
+/// recorded event.
+fn land_epoch(
+    pe: &mut Pe,
+    chunks: &[(usize, Vec<u8>)],
+    windowed: bool,
+    region: (usize, usize),
+) -> Option<CorruptionEvent> {
+    if windowed {
+        let mut w = pe.write_window(region.0, region.1);
+        for (at, bytes) in chunks {
+            w.put(*at, bytes);
+        }
+    } else {
+        for (at, bytes) in chunks {
+            pe.write(*at, bytes);
+        }
+    }
+    pe.take_corruption()
+}
+
+#[test]
+fn checked_lane_faults_equal_per_call_writes_for_ci_seeds() {
+    let mut g = SplitMix64::new(0xfa17);
+    for seed in CI_SEEDS {
+        let plan = Arc::new(
+            FaultPlan::new(seed)
+                .with_bit_flip_period(5)
+                .with_row_corrupt_period(7),
+        );
+        let mut sys = PimSystem::new(DimmGeometry::single_rank());
+        sys.attach_fault_plan(plan.clone());
+        sys.set_verify_writes(true);
+        let mut twin = sys.clone();
+        let (base, len) = (4104usize, 2048usize);
+        let mut events = 0;
+        for epoch in 1..=40u64 {
+            assert_eq!(plan.begin_epoch(), epoch);
+            for (pe, other) in sys.pes_mut().iter_mut().zip(twin.pes_mut()).step_by(9) {
+                // One chunk per epoch and PE, so every landing's event is
+                // observed, not only a PE's first.
+                let n = [8usize, 16, 24, 1024][g.next_u64() as usize % 4];
+                let at = base + 8 * (g.next_u64() as usize % ((len - n) / 8 + 1));
+                let chunks = [(at, g.bytes(n))];
+                let a = land_epoch(pe, &chunks, true, (base, len));
+                let b = land_epoch(other, &chunks, false, (base, len));
+                assert_eq!(a, b, "seed {seed} epoch {epoch}");
+                if let Some(ev) = a {
+                    assert_eq!((ev.offset, ev.len, ev.epoch), (at, n, epoch));
+                    events += 1;
+                }
+                assert_eq!(pe.peek(base, len), other.peek(base, len));
+            }
+        }
+        assert!(
+            events > 20,
+            "seed {seed}: periods too sparse ({events} events)"
+        );
+    }
+}
+
+#[test]
+fn first_event_per_pe_survives_a_whole_window_of_landings() {
+    for seed in CI_SEEDS {
+        let plan = Arc::new(FaultPlan::new(seed).with_bit_flip_period(3));
+        let mut sys = PimSystem::new(DimmGeometry::single_group());
+        sys.attach_fault_plan(plan.clone());
+        sys.set_verify_writes(true);
+        let mut twin = sys.clone();
+        plan.begin_epoch();
+        let chunks: Vec<(usize, Vec<u8>)> = (0..64).map(|i| (8 * i, vec![i as u8; 8])).collect();
+        for (pe, other) in sys.pes_mut().iter_mut().zip(twin.pes_mut()) {
+            let a = land_epoch(pe, &chunks, true, (0, 512));
+            let b = land_epoch(other, &chunks, false, (0, 512));
+            assert!(a.is_some(), "period 3 over 64 landings must fire");
+            assert_eq!(a, b, "seed {seed}");
+        }
+    }
+}
+
+#[test]
+fn verified_window_without_faults_is_byte_identical_and_silent() {
+    let mut plain = Pe::new();
+    let mut verified = Pe::new();
+    verified.set_verify(true);
+    let data: Vec<u8> = (0..=255).collect();
+    for pe in [&mut plain, &mut verified] {
+        let mut w = pe.write_window(4104, 256);
+        for (i, c) in data.chunks_exact(8).enumerate() {
+            w.put(4104 + 8 * i, c);
+        }
+    }
+    assert_eq!(plain.peek(4104, 256), verified.peek(4104, 256));
+    assert_eq!(plain.mram_used(), verified.mram_used());
+    assert!(verified.take_corruption().is_none());
+}
+
+#[test]
+fn stuck_pe_window_drops_every_landing() {
+    let mut sys = PimSystem::new(DimmGeometry::single_group());
+    sys.pe_mut(pim_sim::PeId(2)).write(0, &[7u8; 64]);
+    sys.attach_fault_plan(Arc::new(FaultPlan::new(0).with_failed_pe(2)));
+    let pe = &mut sys.pes_mut()[2];
+    let mut w = pe.write_window(0, 64);
+    w.put(0, &[9u8; 32]);
+    w.put(32, &[9u8; 32]);
+    assert_eq!(pe.peek(0, 64), vec![7u8; 64], "stale data survives");
+}
+
+#[test]
+fn rotate_parts_is_permute_blocks_with_the_rotation_table() {
+    // Small parts (stack path), large parts (slice rotation), every
+    // rotation, page-straddling base.
+    for (block, part, parts) in [(8usize, 8usize, 5usize), (1, 3, 4), (24, 4, 3), (128, 8, 2)] {
+        let count = part * parts;
+        let data: Vec<u8> = (0..block * count).map(|i| (i * 13 + 5) as u8).collect();
+        for rot in 0..part {
+            let mut a = Pe::new();
+            let mut b = Pe::new();
+            a.write(4104, &data);
+            b.write(4104, &data);
+            a.rotate_parts(4104, block, part, count, rot);
+            let perm: Vec<usize> = (0..count)
+                .map(|j| (j % part + rot) % part + (j / part) * part)
+                .collect();
+            b.permute_blocks(4104, block, count, &perm);
+            assert_eq!(
+                a.peek(4104, data.len()),
+                b.peek(4104, data.len()),
+                "block {block} part {part} rot {rot}"
+            );
+            assert_eq!(a.mram_used(), b.mram_used());
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "out of range")]
+fn rotate_parts_rejects_a_rotation_as_long_as_the_part() {
+    Pe::new().rotate_parts(0, 8, 4, 8, 4);
+}
+
+#[test]
+#[should_panic(expected = "tile")]
+fn rotate_parts_rejects_parts_that_do_not_tile() {
+    Pe::new().rotate_parts(0, 8, 3, 8, 1);
+}
+
+#[test]
+fn view_windows_index_by_slot_and_lane_and_match_copy_rows() {
+    let geom = DimmGeometry::single_rank();
+    let mut sys = PimSystem::new(geom);
+    for pe in geom.pes() {
+        let data: Vec<u8> = (0..64).map(|i| (pe.0 as usize * 3 + i) as u8).collect();
+        sys.pe_mut(pe).write(128, &data);
+    }
+    let mut per_call = sys.clone();
+    let parts = vec![vec![EgId(5), EgId(1)]];
+    let perm = [1, 2, 3, 0, 4, 6, 5, 7];
+
+    // Row transfer slot 0 -> slot 1 and slot 1 -> slot 1 (lanes 4 and 7
+    // send to themselves), chunk by chunk through the windows...
+    {
+        let mut views = sys.split_eg_views(&parts);
+        let (srcs, mut dsts) = views[0].windows(128..192, 512..648);
+        assert_eq!((srcs.len(), dsts.len()), (2 * LANES, 2 * LANES));
+        for from in 0..2 {
+            for d in 0..LANES {
+                for (w, word) in srcs[from * LANES + perm[d]].chunks_exact(8).enumerate() {
+                    dsts[LANES + d].put(512 + 64 * from + 8 * w, word);
+                }
+            }
+        }
+    }
+    // ...and row by row through the per-call method.
+    {
+        let mut views = per_call.split_eg_views(&parts);
+        for from in 0..2 {
+            views[0].copy_rows(from, 128, 1, &[512 + 64 * from; LANES], 64, &perm);
+        }
+        // The windows cover every PE of the view and count as used.
+        for slot in 0..2 {
+            views[0].write_rows(slot, 640, 8, &[0u8; 8 * LANES], &IDENTITY_PERM);
+        }
+    }
+    for pe in geom.pes() {
+        assert_eq!(
+            sys.pe(pe).mram_used(),
+            per_call.pe(pe).mram_used(),
+            "{pe} used"
+        );
+        assert_eq!(
+            sys.pe(pe).peek(0, 648),
+            per_call.pe(pe).peek(0, 648),
+            "{pe}"
+        );
+    }
+}
+
+#[test]
+fn hoisted_reducer_is_reduce_bytes() {
+    let mut g = SplitMix64::new(0x7ed);
+    for op in ReduceKind::ALL {
+        for dt in DType::ALL {
+            for len in [8usize, 24, 64, 200] {
+                let src = g.bytes(len);
+                let mut a = g.bytes(len);
+                let mut b = a.clone();
+                reducer(op, dt)(&mut a, &src);
+                reduce_bytes(op, dt, &mut b, &src);
+                assert_eq!(a, b, "{op} {dt} x{len}");
+            }
+        }
+    }
+}
