@@ -16,14 +16,12 @@
 
 use std::sync::Arc;
 
-use pidcomm::{
-    par_chunks, par_pes_with, BufferSpec, Communicator, DimMask, HypercubeManager, HypercubeShape,
-    Iteration, OptLevel, PlanCache, Primitive, RunPolicy, Supervisor,
-};
+use pidcomm::{par_chunks, par_pes_with, BufferSpec, DimMask, OptLevel, Primitive, RunPolicy};
 use pidcomm_data::CsrGraph;
 use pim_sim::{kernels, DType, DimmGeometry, FaultPlan, ReduceKind, SystemArena};
 
 use crate::cost::{pe_kernel_ns, CpuModel};
+use crate::driver::{drive, mismatches, validated, Run, Setup, Supervision, Verdict};
 use crate::profile::AppProfile;
 use crate::{AppRun, ResilientRun};
 
@@ -93,7 +91,6 @@ pub fn default_source(graph: &CsrGraph) -> u32 {
 /// # Panics
 ///
 /// Panics if validation fails.
-#[allow(clippy::needless_range_loop)] // vertex ids drive bit positions
 pub fn run_bfs(cfg: &BfsConfig, graph: &CsrGraph, source: u32) -> pidcomm::Result<AppRun> {
     run_bfs_in(cfg, graph, source, &mut SystemArena::new())
 }
@@ -106,235 +103,30 @@ pub fn run_bfs(cfg: &BfsConfig, graph: &CsrGraph, source: u32) -> pidcomm::Resul
 /// # Errors
 ///
 /// Propagates collective validation errors.
-#[allow(clippy::needless_range_loop)] // vertex ids drive bit positions
 pub fn run_bfs_in(
     cfg: &BfsConfig,
     graph: &CsrGraph,
     source: u32,
     arena: &mut SystemArena,
 ) -> pidcomm::Result<AppRun> {
-    let p = cfg.pes;
-    let n = graph.num_vertices();
-    let geom = DimmGeometry::with_pes(p);
-    let mut sys = arena.system(geom);
-    let mut plans = arena.take_extension::<PlanCache>();
-    let manager = HypercubeManager::new(HypercubeShape::linear(p)?, geom)?;
-    let comm = Communicator::new(manager)
-        .with_opt(cfg.opt)
-        .with_threads(cfg.threads);
-    let mask = DimMask::all(comm.manager().shape());
-    let mut profile = AppProfile::new("BFS", format!("{n}v"));
-
-    let per_pe = n.div_ceil(p);
-    // Visited bitmap, padded to the AllReduce alignment (8 x P bytes).
-    let bitmap_bytes = n.div_ceil(8).next_multiple_of(8 * p);
-
-    // Scatter adjacency partitions: PE p gets the CSR rows of its owned
-    // vertex range, padded to a uniform size.
-    let slice_bytes = {
-        let max_bytes = (0..p)
-            .map(|pe| {
-                let lo = pe * per_pe;
-                let hi = ((pe + 1) * per_pe).min(n);
-                (lo..hi)
-                    .map(|v| 4 + 4 * graph.degree(v as u32))
-                    .sum::<usize>()
-            })
-            .max()
-            .unwrap_or(0);
-        max_bytes.next_multiple_of(8).max(8)
-    };
-    let mut adj_host = arena.bytes(p * slice_bytes);
-    par_chunks(&mut adj_host, slice_bytes, cfg.threads, |pe, chunk| {
-        let mut off = 0;
-        let lo = pe * per_pe;
-        let hi = ((pe + 1) * per_pe).min(n);
-        for v in lo..hi {
-            let nbrs = graph.neighbors(v as u32);
-            chunk[off..off + 4].copy_from_slice(&(nbrs.len() as u32).to_le_bytes());
-            off += 4;
-            for &t in nbrs {
-                chunk[off..off + 4].copy_from_slice(&t.to_le_bytes());
-                off += 4;
-            }
-        }
-    });
-    let scatter_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Scatter,
-        &mask,
-        &BufferSpec::new(0, 0, slice_bytes).with_dtype(DType::U32),
-        ReduceKind::Sum,
-    )?;
-    // One-shot send: the direct path assembles rows through a cache-hot
-    // per-cluster scratch as it writes, which beats materializing a
-    // prepared image that would execute only once (the prepared tier
-    // pays off on repeat executes — see the resilient runner's retries).
-    let report = scatter_plan.execute_with_host(&mut sys, core::slice::from_ref(&adj_host))?;
-    profile.record(&report);
-    arena.recycle_bytes(adj_host);
-
-    let bitmap_src = slice_bytes.next_multiple_of(64);
-    let bitmap_dst = bitmap_src + bitmap_bytes.next_multiple_of(64);
-
-    // The per-level merge plan, built once for the whole traversal (and
-    // pooled across runs): BFS issues the identical AllReduce(Or) every
-    // level, so planning per call was pure per-level overhead.
-    let merge_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::AllReduce,
-        &mask,
-        &BufferSpec::new(bitmap_src, bitmap_dst, bitmap_bytes).with_dtype(DType::U8),
-        ReduceKind::Or,
-    )?;
-
-    // Host-side mirrors of the distributed state (each PE holds the same
-    // global bitmap after every AllReduce).
-    let set_bit = |bm: &mut [u8], v: usize| bm[v / 8] |= 1 << (v % 8);
-    let mut visited = vec![0u8; bitmap_bytes];
-    set_bit(&mut visited, source as usize);
-    let mut merged = vec![0u8; bitmap_bytes];
-
-    let mut dist = vec![u32::MAX; n];
-    dist[source as usize] = 0;
-    let mut frontier: Vec<u32> = vec![source];
-    let mut level = 0u32;
-
-    while !frontier.is_empty() {
-        level += 1;
-
-        // PE kernel: each PE expands its owned frontier vertices into a
-        // local copy of the bitmap — a per-*worker* scratch buffer each
-        // item overwrites wholesale, so high PE counts stop paying one
-        // bitmap allocation per PE. The frontier is sorted (it comes out
-        // of the word-ordered new-bit scan), so each PE's owned vertices
-        // are one contiguous slice found by binary search instead of a
-        // full-frontier filter per PE; PEs whose slice is empty
-        // contribute the shared visited bitmap verbatim, skipping the
-        // scratch copy entirely.
-        let kernels = par_pes_with(
-            sys.pes_mut(),
-            cfg.threads,
-            || vec![0u8; bitmap_bytes],
-            |local, pid, pe| {
-                // simlint: hot(begin, bfs expand)
-                let lo = (pid * per_pe) as u32;
-                let hi = (((pid + 1) * per_pe).min(n)) as u32;
-                let begin = frontier.partition_point(|&v| v < lo);
-                let end = frontier.partition_point(|&v| v < hi);
-                if begin == end {
-                    pe.write(bitmap_src, &visited);
-                    return KERNEL_SCALE * pe_kernel_ns(bitmap_bytes as u64, 0);
-                }
-                local.copy_from_slice(&visited);
-                let mut edges = 0u64;
-                for &v in &frontier[begin..end] {
-                    for &t in graph.neighbors(v) {
-                        set_bit(local, t as usize);
-                        edges += 1;
-                    }
-                }
-                pe.write(bitmap_src, local);
-                // Random per-edge accesses pay small-DMA granularity (~64 B).
-                KERNEL_SCALE * pe_kernel_ns(48 * edges + bitmap_bytes as u64, 10 * edges)
-                // simlint: hot(end)
-            },
-        );
-        let max_kernel = kernels.into_iter().fold(0.0f64, f64::max);
-        sys.run_kernel(max_kernel);
-        profile.record_kernel(max_kernel + sys.model().kernel_launch_ns);
-
-        // Merge bitmaps globally: AllReduce with bitwise OR (u8 elements,
-        // which skips domain transfer entirely, §V-C) — the warm
-        // per-level plan.
-        let report = merge_plan.execute(&mut sys)?;
-        profile.record(&report);
-
-        // Read the merged bitmap back (identical on every PE).
-        sys.pe_mut(geom.pes().next().unwrap())
-            .read_into(bitmap_dst, &mut merged);
-
-        // New frontier = newly set bits, scanned 64 at a time (the padding
-        // beyond `n` is never set, so whole words are safe).
-        let mut next = Vec::new();
-        kernels::for_each_new_bit(&merged, &visited, |v| {
-            if v < n {
-                dist[v] = level;
-                next.push(v as u32);
-            }
-        });
-        core::mem::swap(&mut visited, &mut merged);
-        frontier = next;
-    }
-
-    // Gather distances of owned ranges (u32 lanes encoded straight from
-    // the contiguous dist sub-range, staged in per-worker scratch).
-    let dist_bytes = (per_pe * 4).next_multiple_of(8);
-    let dist_off = bitmap_dst + bitmap_bytes.next_multiple_of(64);
-    par_pes_with(
-        sys.pes_mut(),
-        cfg.threads,
-        || vec![0u8; dist_bytes],
-        |bytes, pid, pe| {
-            // simlint: hot(begin, bfs distance encode)
-            // A trailing PE's range can be empty (lo clamps to n).
-            let lo = (pid * per_pe).min(n);
-            let hi = ((pid + 1) * per_pe).min(n);
-            bytes.fill(0xFF);
-            kernels::encode_u32(&dist[lo..hi], &mut bytes[..(hi - lo) * 4]);
-            pe.write(dist_off, bytes);
-            // simlint: hot(end)
-        },
-    );
-    let gather_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Gather,
-        &mask,
-        &BufferSpec::new(dist_off, 0, dist_bytes).with_dtype(DType::U32),
-        ReduceKind::Sum,
-    )?;
-    let (report, gathered) = gather_plan.execute_to_host(&mut sys)?;
-    profile.record(&report);
-
-    // Reassemble and validate against the CPU reference.
-    let mut got = vec![u32::MAX; n];
-    for pe in 0..p {
-        let lo = (pe * per_pe).min(n);
-        let hi = ((pe + 1) * per_pe).min(n);
-        let chunk = &gathered[0][pe * dist_bytes..(pe + 1) * dist_bytes];
-        kernels::decode_u32(&chunk[..(hi - lo) * 4], &mut got[lo..hi]);
-    }
-    let (expected, cpu_ns) = cpu_reference(graph, source);
-    let validated = got == expected;
-    assert!(validated, "BFS PIM distances diverge from CPU reference");
-    arena.recycle(sys);
-    arena.put_extension(plans);
-
-    Ok(AppRun {
-        profile,
-        cpu_ns,
-        validated,
-    })
+    Ok(validated(
+        bfs(cfg, graph, source, None, arena)?,
+        "BFS PIM distances",
+    ))
 }
 
 /// As [`run_bfs`], but under run-level supervision (see
-/// [`Supervisor`]): collectives run verified with quarantine-aware
-/// recovery, each frontier level commits through an iteration boundary,
-/// and unrecoverable faults end the run with a typed outcome instead of a
-/// panic. With `fault = None` the profile and outputs are bit-identical
-/// to [`run_bfs`].
-///
-/// BFS carries no live MRAM state across levels — every level restages
-/// the visited bitmap from the host mirror and the adjacency partitions
-/// are written once and never touched again — so iteration checkpoints
-/// are empty and a re-run simply replays the level from committed host
-/// state.
+/// [`pidcomm::engine::supervisor`]): the same body, with collectives run
+/// verified under quarantine-aware recovery, each frontier level
+/// committed through an iteration boundary, and unrecoverable faults
+/// ending the run with a typed outcome instead of a panic. With
+/// `fault = None` the profile and outputs are bit-identical to
+/// [`run_bfs`].
 ///
 /// # Errors
 ///
 /// Propagates collective validation errors (never typed fault errors —
 /// those are consumed by the supervisor).
-#[allow(clippy::needless_range_loop)] // vertex ids drive bit positions
 pub fn run_bfs_resilient(
     cfg: &BfsConfig,
     graph: &CsrGraph,
@@ -350,7 +142,6 @@ pub fn run_bfs_resilient(
 /// # Errors
 ///
 /// As [`run_bfs_resilient`].
-#[allow(clippy::needless_range_loop)] // vertex ids drive bit positions
 pub fn run_bfs_resilient_in(
     cfg: &BfsConfig,
     graph: &CsrGraph,
@@ -359,26 +150,31 @@ pub fn run_bfs_resilient_in(
     policy: RunPolicy,
     arena: &mut SystemArena,
 ) -> pidcomm::Result<ResilientRun> {
+    bfs(cfg, graph, source, Some((fault, policy)), arena)
+}
+
+/// The one BFS body behind all four runners (see [`crate::driver`]).
+///
+/// BFS carries no live MRAM state across levels — every level restages
+/// the visited bitmap from the host mirror and the adjacency partitions
+/// are written once and never touched again — so every step's checkpoint
+/// is empty and a re-run simply replays the step from committed host
+/// state.
+fn bfs(
+    cfg: &BfsConfig,
+    graph: &CsrGraph,
+    source: u32,
+    supervision: Supervision,
+    arena: &mut SystemArena,
+) -> pidcomm::Result<ResilientRun> {
     let p = cfg.pes;
     let n = graph.num_vertices();
     let geom = DimmGeometry::with_pes(p);
-    let mut sys = arena.system(geom);
-    if let Some(fp) = &fault {
-        sys.attach_fault_plan(fp.clone());
-        sys.set_verify_writes(true);
-    }
-    let mut plans = arena.take_extension::<PlanCache>();
-    let manager = HypercubeManager::new(HypercubeShape::linear(p)?, geom)?;
-    let comm = Communicator::new(manager)
-        .with_opt(cfg.opt)
-        .with_threads(cfg.threads);
-    let mask = DimMask::all(comm.manager().shape());
-    let mut profile = AppProfile::new("BFS", format!("{n}v"));
-    let mut sup = Supervisor::new(p, policy);
-
     let per_pe = n.div_ceil(p);
+    // Visited bitmap, padded to the AllReduce alignment (8 x P bytes).
     let bitmap_bytes = n.div_ceil(8).next_multiple_of(8 * p);
-
+    // Adjacency partitions: PE p gets the CSR rows of its owned vertex
+    // range, padded to a uniform size.
     let slice_bytes = {
         let max_bytes = (0..p)
             .map(|pe| {
@@ -392,82 +188,97 @@ pub fn run_bfs_resilient_in(
             .unwrap_or(0);
         max_bytes.next_multiple_of(8).max(8)
     };
-    let mut adj_host = arena.bytes(p * slice_bytes);
-    par_chunks(&mut adj_host, slice_bytes, cfg.threads, |pe, chunk| {
-        let mut off = 0;
-        let lo = pe * per_pe;
-        let hi = ((pe + 1) * per_pe).min(n);
-        for v in lo..hi {
-            let nbrs = graph.neighbors(v as u32);
-            chunk[off..off + 4].copy_from_slice(&(nbrs.len() as u32).to_le_bytes());
-            off += 4;
-            for &t in nbrs {
-                chunk[off..off + 4].copy_from_slice(&t.to_le_bytes());
-                off += 4;
-            }
-        }
-    });
-    let adj_host_in = [adj_host];
-
     let bitmap_src = slice_bytes.next_multiple_of(64);
     let bitmap_dst = bitmap_src + bitmap_bytes.next_multiple_of(64);
     let dist_bytes = (per_pe * 4).next_multiple_of(8);
     let dist_off = bitmap_dst + bitmap_bytes.next_multiple_of(64);
 
-    let scatter_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Scatter,
-        &mask,
-        &BufferSpec::new(0, 0, slice_bytes).with_dtype(DType::U32),
-        ReduceKind::Sum,
-    )?;
-    let merge_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::AllReduce,
-        &mask,
-        &BufferSpec::new(bitmap_src, bitmap_dst, bitmap_bytes).with_dtype(DType::U8),
-        ReduceKind::Or,
-    )?;
-    let gather_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Gather,
-        &mask,
-        &BufferSpec::new(dist_off, 0, dist_bytes).with_dtype(DType::U32),
-        ReduceKind::Sum,
-    )?;
+    let setup = Setup {
+        geom,
+        dims: vec![p],
+        opt: cfg.opt,
+        threads: cfg.threads,
+        profile: AppProfile::new("BFS", format!("{n}v")),
+    };
+    let body = |run: &mut Run<'_>| {
+        let mask = DimMask::all(run.comm.manager().shape());
+        let mut plan = |primitive, spec: BufferSpec, op| {
+            run.comm
+                .plan_cached(&mut run.plans, primitive, &mask, &spec, op)
+        };
+        let scatter_plan = plan(
+            Primitive::Scatter,
+            BufferSpec::new(0, 0, slice_bytes).with_dtype(DType::U32),
+            ReduceKind::Sum,
+        )?;
+        // The per-level merge plan, built once for the whole traversal
+        // (and pooled across runs): BFS issues the identical
+        // AllReduce(Or) every level, so planning per call was pure
+        // per-level overhead.
+        let merge_plan = plan(
+            Primitive::AllReduce,
+            BufferSpec::new(bitmap_src, bitmap_dst, bitmap_bytes).with_dtype(DType::U8),
+            ReduceKind::Or,
+        )?;
+        let gather_plan = plan(
+            Primitive::Gather,
+            BufferSpec::new(dist_off, 0, dist_bytes).with_dtype(DType::U32),
+            ReduceKind::Sum,
+        )?;
 
-    // Host-side mirrors of the distributed state, committed only at
-    // iteration boundaries.
-    let set_bit = |bm: &mut [u8], v: usize| bm[v / 8] |= 1 << (v % 8);
-    let mut visited = vec![0u8; bitmap_bytes];
-    set_bit(&mut visited, source as usize);
-    let mut merged = vec![0u8; bitmap_bytes];
-    let mut dist = vec![u32::MAX; n];
-    dist[source as usize] = 0;
-    let mut frontier: Vec<u32> = vec![source];
-    let mut level = 0u32;
+        // Setup: scatter the adjacency partitions. A one-shot send, so it
+        // executes directly — the direct path assembles rows through a
+        // cache-hot per-cluster scratch as it writes, which beats
+        // materializing a prepared image that would execute only once.
+        let mut adj_host = run.arena.bytes(p * slice_bytes);
+        par_chunks(&mut adj_host, slice_bytes, cfg.threads, |pe, chunk| {
+            let mut off = 0;
+            let lo = pe * per_pe;
+            let hi = ((pe + 1) * per_pe).min(n);
+            for v in lo..hi {
+                let nbrs = graph.neighbors(v as u32);
+                chunk[off..off + 4].copy_from_slice(&(nbrs.len() as u32).to_le_bytes());
+                off += 4;
+                for &t in nbrs {
+                    chunk[off..off + 4].copy_from_slice(&t.to_le_bytes());
+                    off += 4;
+                }
+            }
+        });
+        let scattered = run.step(&[], |sys, at| {
+            at.collective(sys, &scatter_plan, Some(core::slice::from_ref(&adj_host)))
+        });
+        run.arena.recycle_bytes(adj_host);
+        run.profile.record(&scattered?.report);
 
-    let mut result: Option<Vec<u32>> = None;
-    'run: {
-        // Setup: the adjacency scatter restages everything from the host
-        // buffer, so a re-run needs no checkpointed MRAM state.
-        match sup.iteration(&mut sys, arena, &[], |sys, at| {
-            Ok(at
-                .collective(&comm, sys, &scatter_plan, Some(&adj_host_in))?
-                .report)
-        })? {
-            Iteration::Done(report) => profile.record(&report),
-            Iteration::Abort(_) => break 'run,
-        }
+        // Host-side mirrors of the distributed state (each PE holds the
+        // same global bitmap after every AllReduce), committed only at
+        // step boundaries.
+        let set_bit = |bm: &mut [u8], v: usize| bm[v / 8] |= 1 << (v % 8);
+        let mut visited = vec![0u8; bitmap_bytes];
+        set_bit(&mut visited, source as usize);
+        let mut merged = vec![0u8; bitmap_bytes];
+        let mut dist = vec![u32::MAX; n];
+        dist[source as usize] = 0;
+        let mut frontier: Vec<u32> = vec![source];
+        let mut level = 0u32;
 
-        // The level cap guards termination under heavily degraded
-        // execution (corrupted merges are not guaranteed monotone); a
-        // clean traversal finishes in at most `n` levels regardless.
+        // A clean traversal finishes in at most `n` levels, so the cap
+        // never binds on one; it guards termination under heavily
+        // degraded execution, where corrupted merges are not guaranteed
+        // monotone.
         while !frontier.is_empty() && (level as usize) < n {
-            // Each level rewrites the bitmap regions wholesale from the
-            // committed host mirrors, so the checkpoint is empty; a re-run
-            // replays the level exactly.
-            match sup.iteration(&mut sys, arena, &[], |sys, at| {
+            let (kernel, report) = run.step(&[], |sys, at| {
+                // PE kernel: each PE expands its owned frontier vertices
+                // into a local copy of the bitmap — a per-*worker* scratch
+                // buffer each item overwrites wholesale, so high PE counts
+                // stop paying one bitmap allocation per PE. The frontier
+                // is sorted (it comes out of the word-ordered new-bit
+                // scan), so each PE's owned vertices are one contiguous
+                // slice found by binary search instead of a full-frontier
+                // filter per PE; PEs whose slice is empty contribute the
+                // shared visited bitmap verbatim, skipping the scratch
+                // copy entirely.
                 let kernels = par_pes_with(
                     sys.pes_mut(),
                     cfg.threads,
@@ -491,32 +302,29 @@ pub fn run_bfs_resilient_in(
                             }
                         }
                         pe.write(bitmap_src, local);
+                        // Random per-edge accesses pay small-DMA
+                        // granularity (~64 B).
                         KERNEL_SCALE * pe_kernel_ns(48 * edges + bitmap_bytes as u64, 10 * edges)
                         // simlint: hot(end)
                     },
                 );
-                let max_kernel = kernels.into_iter().fold(0.0f64, f64::max);
-                sys.run_kernel(max_kernel);
-                let report = at.collective(&comm, sys, &merge_plan, None)?.report;
-                // Read the merged bitmap back from the first healthy PE
-                // (identical on every PE; a degraded execution skips
-                // landing output on quarantined PEs, whose copy is stale).
-                let read_pe = geom
-                    .pes()
-                    .find(|pe| !at.ledger().is_quarantined(pe.index() as u32))
-                    .or_else(|| geom.pes().next())
-                    .expect("system has at least one PE");
-                sys.pe_mut(read_pe).read_into(bitmap_dst, &mut merged);
-                Ok((max_kernel, report))
-            })? {
-                Iteration::Done((max_kernel, report)) => {
-                    profile.record_kernel(max_kernel + sys.model().kernel_launch_ns);
-                    profile.record(&report);
-                }
-                Iteration::Abort(_) => break 'run,
-            }
+                let kernel = Run::launch(sys, kernels);
 
-            // Commit: fold the merged bitmap into the host mirrors.
+                // Merge bitmaps globally: AllReduce with bitwise OR (u8
+                // elements, which skips domain transfer entirely, §V-C) —
+                // the warm per-level plan — and read the merged bitmap
+                // back (identical on every healthy PE).
+                let report = at.collective(sys, &merge_plan, None)?.report;
+                sys.pe_mut(at.readback_pe(&geom))
+                    .read_into(bitmap_dst, &mut merged);
+                Ok((kernel, report))
+            })?;
+            run.record_kernel(kernel);
+            run.profile.record(&report);
+
+            // Commit: new frontier = newly set bits, scanned 64 at a time
+            // (the padding beyond `n` is never set, so whole words are
+            // safe).
             level += 1;
             let mut next = Vec::new();
             kernels::for_each_new_bit(&merged, &visited, |v| {
@@ -529,15 +337,17 @@ pub fn run_bfs_resilient_in(
             frontier = next;
         }
 
-        // Final gather: the distance encode restages from the committed
-        // host `dist`, so the checkpoint is empty here too.
-        match sup.iteration(&mut sys, arena, &[], |sys, at| {
+        // Gather distances of owned ranges (u32 lanes encoded straight
+        // from the contiguous dist sub-range of the committed host `dist`,
+        // staged in per-worker scratch).
+        let gathered = run.step(&[], |sys, at| {
             par_pes_with(
                 sys.pes_mut(),
                 cfg.threads,
                 || vec![0u8; dist_bytes],
                 |bytes, pid, pe| {
                     // simlint: hot(begin, bfs distance encode)
+                    // A trailing PE's range can be empty (lo clamps to n).
                     let lo = (pid * per_pe).min(n);
                     let hi = ((pid + 1) * per_pe).min(n);
                     bytes.fill(0xFF);
@@ -546,57 +356,27 @@ pub fn run_bfs_resilient_in(
                     // simlint: hot(end)
                 },
             );
-            let exec = at.collective(&comm, sys, &gather_plan, None)?;
-            Ok((
-                exec.report,
-                exec.host_out.expect("gather produces host output"),
-            ))
-        })? {
-            Iteration::Done((report, gathered)) => {
-                profile.record(&report);
-                let mut got = vec![u32::MAX; n];
-                for pe in 0..p {
-                    let lo = (pe * per_pe).min(n);
-                    let hi = ((pe + 1) * per_pe).min(n);
-                    let chunk = &gathered[0][pe * dist_bytes..(pe + 1) * dist_bytes];
-                    kernels::decode_u32(&chunk[..(hi - lo) * 4], &mut got[lo..hi]);
-                }
-                result = Some(got);
-            }
-            Iteration::Abort(_) => {}
-        }
-    }
-    let [adj_host] = adj_host_in;
-    arena.recycle_bytes(adj_host);
+            at.collective(sys, &gather_plan, None)
+        })?;
+        run.profile.record(&gathered.report);
+        let gathered = gathered.host_out.expect("gather produces host output");
 
-    let (expected, cpu_ns) = cpu_reference(graph, source);
-    let (mismatched, validated) = match &result {
-        Some(r) => {
-            let mm = r.iter().zip(&expected).filter(|(a, b)| a != b).count()
-                + r.len().abs_diff(expected.len());
-            (mm as u64, mm == 0)
+        // Reassemble the owned ranges.
+        let mut got = vec![u32::MAX; n];
+        for pe in 0..p {
+            let lo = (pe * per_pe).min(n);
+            let hi = ((pe + 1) * per_pe).min(n);
+            let chunk = &gathered[0][pe * dist_bytes..(pe + 1) * dist_bytes];
+            kernels::decode_u32(&chunk[..(hi - lo) * 4], &mut got[lo..hi]);
         }
-        None => (expected.len() as u64, false),
+        Ok(got)
     };
-    let modeled_ns = sys.meter().total();
-    sys.detach_fault_plan();
-    sys.set_verify_writes(false);
-    arena.recycle(sys);
-    arena.put_extension(plans);
-
-    Ok(ResilientRun {
-        run: AppRun {
-            profile,
+    drive(arena, supervision, setup, body, |got| {
+        let (expected, cpu_ns) = cpu_reference(graph, source);
+        Verdict {
+            mismatched: mismatches(got.as_deref(), &expected),
             cpu_ns,
-            validated,
-        },
-        outcome: sup.outcome(),
-        retries: sup.retries(),
-        quarantined: sup.ledger().quarantined(),
-        mismatched,
-        modeled_ns,
-        backoff_epochs: sup.backoff_epochs(),
-        checkpoint_restores: sup.checkpoint_restores(),
+        }
     })
 }
 

@@ -17,14 +17,12 @@
 
 use std::sync::Arc;
 
-use pidcomm::{
-    par_pes, BufferSpec, Communicator, DimMask, HypercubeManager, HypercubeShape, Iteration,
-    OptLevel, PlanCache, Primitive, RunPolicy, Supervisor,
-};
+use pidcomm::{par_pes, BufferSpec, DimMask, OptLevel, Primitive, RunPolicy};
 use pidcomm_data::CsrGraph;
 use pim_sim::{kernels, DType, DimmGeometry, FaultPlan, ReduceKind, SystemArena};
 
 use crate::cost::{pe_kernel_ns, CpuModel};
+use crate::driver::{drive, mismatches, validated, Run, Setup, Supervision, Verdict};
 use crate::profile::AppProfile;
 use crate::{AppRun, ResilientRun};
 
@@ -148,190 +146,16 @@ pub fn run_cc_in(
     graph: &CsrGraph,
     arena: &mut SystemArena,
 ) -> pidcomm::Result<AppRun> {
-    let graph = graph.to_undirected();
-    let p = cfg.pes;
-    let n = graph.num_vertices();
-    let geom = DimmGeometry::with_pes(p);
-    let mut sys = arena.system(geom);
-    let mut plans = arena.take_extension::<PlanCache>();
-    let manager = HypercubeManager::new(HypercubeShape::linear(p)?, geom)?;
-    let comm = Communicator::new(manager)
-        .with_opt(cfg.opt)
-        .with_threads(cfg.threads);
-    let mask = DimMask::all(comm.manager().shape());
-    let mut profile = AppProfile::new("CC", format!("{n}v"));
-
-    let per_pe = n.div_ceil(p);
-    // Label array (u32 per vertex) padded to AllReduce alignment; the pad
-    // is filled with u32::MAX, the Min identity.
-    let label_bytes = (n * 4).next_multiple_of(8 * p);
-
-    // Scatter adjacency (same layout as BFS).
-    let slice_bytes = {
-        let max_bytes = (0..p)
-            .map(|pe| {
-                let lo = pe * per_pe;
-                let hi = ((pe + 1) * per_pe).min(n);
-                (lo..hi)
-                    .map(|v| 4 + 4 * graph.degree(v as u32))
-                    .sum::<usize>()
-            })
-            .max()
-            .unwrap_or(0);
-        max_bytes.next_multiple_of(8).max(8)
-    };
-    let adj_host = arena.bytes(p * slice_bytes);
-    let scatter_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Scatter,
-        &mask,
-        &BufferSpec::new(0, 0, slice_bytes).with_dtype(DType::U32),
-        ReduceKind::Sum,
-    )?;
-    // One-shot send: direct execution beats staging a prepared image
-    // that would run only once (the prepared tier pays off on repeat
-    // executes; CC's per-iteration win is the label staging elimination
-    // below).
-    let report = scatter_plan.execute_with_host(&mut sys, core::slice::from_ref(&adj_host))?;
-    profile.record(&report);
-    arena.recycle_bytes(adj_host);
-
-    let src_off = slice_bytes.next_multiple_of(64);
-    let dst_off = src_off + label_bytes.next_multiple_of(64);
-
-    // The per-iteration merge plan, built once for the whole fixed-point
-    // loop (and pooled across runs): CC issues the identical AllReduce
-    // every level, so planning per call was pure per-iteration overhead.
-    let merge_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::AllReduce,
-        &mask,
-        &BufferSpec::new(src_off, dst_off, label_bytes).with_dtype(DType::U32),
-        ReduceKind::Min,
-    )?;
-
-    let mut labels: Vec<u32> = (0..n as u32).collect();
-    let mut merged = vec![0u32; n];
-    // The label array every PE's local copy starts from, encoded once per
-    // iteration (pad = u32::MAX, the Min identity) instead of re-encoded
-    // per PE.
-    let mut proto = vec![0u8; label_bytes];
-    // The modeled per-PE expansion charge streams every owned adjacency
-    // list — a constant across iterations, precomputed once.
-    let owned_edges: Vec<u64> = (0..p)
-        .map(|pid| {
-            let lo = pid * per_pe;
-            let hi = ((pid + 1) * per_pe).min(n);
-            (lo..hi).map(|v| graph.degree(v as u32) as u64).sum()
-        })
-        .collect();
-    // Dirty set for the frontier-sparse expansion (see the doc comment);
-    // iteration 1 recomputes everything.
-    let mut dirty = vec![true; n];
-    let mut iterations = 0usize;
-
-    loop {
-        iterations += 1;
-
-        proto.fill(0xFF);
-        kernels::encode_u32(&labels, &mut proto[..n * 4]);
-
-        // PE kernel: the shared prototype lands in MRAM directly from the
-        // host mirror, then each PE lowers only its owned *dirty*
-        // vertices' labels in place — the per-worker staging copy of the
-        // whole array is gone (clean vertices keep their prototype value,
-        // which the full scan would reproduce). One host-kernel work item
-        // per PE; labels and the dirty set are shared read-only.
-        let kernels = par_pes(sys.pes_mut(), cfg.threads, |pid, pe| {
-            // simlint: hot(begin, cc label lowering)
-            let lo = pid * per_pe;
-            let hi = ((pid + 1) * per_pe).min(n);
-            pe.write(src_off, &proto);
-            for v in lo..hi {
-                if !dirty[v] {
-                    continue;
-                }
-                let mut m = labels[v];
-                for &t in graph.neighbors(v as u32) {
-                    m = m.min(labels[t as usize]);
-                }
-                pe.write(src_off + v * 4, &m.to_le_bytes());
-            }
-            // Random per-edge accesses pay small-DMA granularity
-            // (~64 B); the device streams all owned adjacency lists.
-            let edges = owned_edges[pid];
-            KERNEL_SCALE * pe_kernel_ns(48 * edges + label_bytes as u64, 10 * edges)
-            // simlint: hot(end)
-        });
-        let max_kernel = kernels.into_iter().fold(0.0f64, f64::max);
-        sys.run_kernel(max_kernel);
-        profile.record_kernel(max_kernel + sys.model().kernel_launch_ns);
-
-        // Merge with AllReduce(Min) — the warm per-iteration plan.
-        let report = merge_plan.execute(&mut sys)?;
-        profile.record(&report);
-
-        sys.pe_mut(geom.pes().next().unwrap())
-            .read_u32s(dst_off, &mut merged);
-
-        // Changed vertices and their neighborhoods form the next dirty
-        // set; a fixed point leaves it empty and ends the loop.
-        let mut changed = false;
-        dirty.fill(false);
-        for v in 0..n {
-            if merged[v] != labels[v] {
-                changed = true;
-                dirty[v] = true;
-                for &t in graph.neighbors(v as u32) {
-                    dirty[t as usize] = true;
-                }
-            }
-        }
-        labels.copy_from_slice(&merged);
-        if !changed {
-            break;
-        }
-    }
-
-    // Retrieve final labels with a Reduce(Min) — every PE holds the global
-    // array, the host takes the reduction (a no-op numerically).
-    let reduce_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Reduce,
-        &mask,
-        &BufferSpec::new(dst_off, 0, label_bytes).with_dtype(DType::U32),
-        ReduceKind::Min,
-    )?;
-    let (report, reduced) = reduce_plan.execute_to_host(&mut sys)?;
-    profile.record(&report);
-    let mut final_labels = vec![0u32; n];
-    kernels::decode_u32(&reduced[0][..n * 4], &mut final_labels);
-
-    let (expected, cpu_ns) = cpu_reference(&graph);
-    let validated = final_labels == expected;
-    assert!(validated, "CC PIM labels diverge from CPU reference");
-    profile.dataset = format!("{n}v/{}it", iterations);
-    arena.recycle(sys);
-    arena.put_extension(plans);
-
-    Ok(AppRun {
-        profile,
-        cpu_ns,
-        validated,
-    })
+    Ok(validated(cc(cfg, graph, None, arena)?, "CC PIM labels"))
 }
 
 /// As [`run_cc`], but under run-level supervision (see
-/// [`Supervisor`]): collectives run verified with quarantine-aware
-/// recovery, each label-propagation pass commits through an iteration
-/// boundary, and unrecoverable faults end the run with a typed outcome
-/// instead of a panic. With `fault = None` the profile and outputs are
-/// bit-identical to [`run_cc`].
-///
-/// Like BFS, CC carries no live MRAM state across passes — every pass
-/// re-encodes the label array from the committed host mirror — so
-/// iteration checkpoints are empty and a re-run replays the pass from
-/// committed host state.
+/// [`pidcomm::engine::supervisor`]): the same body, with collectives run
+/// verified under quarantine-aware recovery, each label-propagation pass
+/// committed through an iteration boundary, and unrecoverable faults
+/// ending the run with a typed outcome instead of a panic. With
+/// `fault = None` the profile and outputs are bit-identical to
+/// [`run_cc`].
 ///
 /// # Errors
 ///
@@ -358,27 +182,30 @@ pub fn run_cc_resilient_in(
     policy: RunPolicy,
     arena: &mut SystemArena,
 ) -> pidcomm::Result<ResilientRun> {
+    cc(cfg, graph, Some((fault, policy)), arena)
+}
+
+/// The one CC body behind all four runners (see [`crate::driver`]).
+///
+/// Like BFS, CC carries no live MRAM state across passes — every pass
+/// re-encodes the label array from the committed host mirror — so every
+/// step's checkpoint is empty and a re-run replays the step from
+/// committed host state.
+fn cc(
+    cfg: &CcConfig,
+    graph: &CsrGraph,
+    supervision: Supervision,
+    arena: &mut SystemArena,
+) -> pidcomm::Result<ResilientRun> {
     let graph = graph.to_undirected();
     let p = cfg.pes;
     let n = graph.num_vertices();
     let geom = DimmGeometry::with_pes(p);
-    let mut sys = arena.system(geom);
-    if let Some(fp) = &fault {
-        sys.attach_fault_plan(fp.clone());
-        sys.set_verify_writes(true);
-    }
-    let mut plans = arena.take_extension::<PlanCache>();
-    let manager = HypercubeManager::new(HypercubeShape::linear(p)?, geom)?;
-    let comm = Communicator::new(manager)
-        .with_opt(cfg.opt)
-        .with_threads(cfg.threads);
-    let mask = DimMask::all(comm.manager().shape());
-    let mut profile = AppProfile::new("CC", format!("{n}v"));
-    let mut sup = Supervisor::new(p, policy);
-
     let per_pe = n.div_ceil(p);
+    // Label array (u32 per vertex) padded to AllReduce alignment; the pad
+    // is filled with u32::MAX, the Min identity.
     let label_bytes = (n * 4).next_multiple_of(8 * p);
-
+    // Adjacency slices (same layout as BFS).
     let slice_bytes = {
         let max_bytes = (0..p)
             .map(|pe| {
@@ -392,70 +219,82 @@ pub fn run_cc_resilient_in(
             .unwrap_or(0);
         max_bytes.next_multiple_of(8).max(8)
     };
-    let adj_host = [arena.bytes(p * slice_bytes)];
-
     let src_off = slice_bytes.next_multiple_of(64);
     let dst_off = src_off + label_bytes.next_multiple_of(64);
 
-    let scatter_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Scatter,
-        &mask,
-        &BufferSpec::new(0, 0, slice_bytes).with_dtype(DType::U32),
-        ReduceKind::Sum,
-    )?;
-    let merge_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::AllReduce,
-        &mask,
-        &BufferSpec::new(src_off, dst_off, label_bytes).with_dtype(DType::U32),
-        ReduceKind::Min,
-    )?;
-    let reduce_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Reduce,
-        &mask,
-        &BufferSpec::new(dst_off, 0, label_bytes).with_dtype(DType::U32),
-        ReduceKind::Min,
-    )?;
+    let setup = Setup {
+        geom,
+        dims: vec![p],
+        opt: cfg.opt,
+        threads: cfg.threads,
+        profile: AppProfile::new("CC", format!("{n}v")),
+    };
+    // Passes until the labels reach a fixed point, counted in
+    // `iterations`; returns the final labels.
+    let propagate = |run: &mut Run<'_>, iterations: &mut usize| {
+        let mask = DimMask::all(run.comm.manager().shape());
+        let mut plan = |primitive, src, dst, bytes, op| {
+            let spec = BufferSpec::new(src, dst, bytes).with_dtype(DType::U32);
+            run.comm
+                .plan_cached(&mut run.plans, primitive, &mask, &spec, op)
+        };
+        let scatter_plan = plan(Primitive::Scatter, 0, 0, slice_bytes, ReduceKind::Sum)?;
+        // The per-iteration merge plan, built once for the whole
+        // fixed-point loop (and pooled across runs): CC issues the
+        // identical AllReduce every level, so planning per call was pure
+        // per-iteration overhead.
+        let merge_plan = plan(
+            Primitive::AllReduce,
+            src_off,
+            dst_off,
+            label_bytes,
+            ReduceKind::Min,
+        )?;
+        let reduce_plan = plan(Primitive::Reduce, dst_off, 0, label_bytes, ReduceKind::Min)?;
 
-    let mut labels: Vec<u32> = (0..n as u32).collect();
-    let mut merged = vec![0u32; n];
-    let mut proto = vec![0u8; label_bytes];
-    let owned_edges: Vec<u64> = (0..p)
-        .map(|pid| {
-            let lo = pid * per_pe;
-            let hi = ((pid + 1) * per_pe).min(n);
-            (lo..hi).map(|v| graph.degree(v as u32) as u64).sum()
-        })
-        .collect();
-    let mut dirty = vec![true; n];
-    let mut iterations = 0usize;
+        // Setup: scatter the adjacency slices — a one-shot send, executed
+        // directly (CC's per-iteration win is the label staging
+        // elimination below, not a prepared image that would run once).
+        let adj_host = run.arena.bytes(p * slice_bytes);
+        let scattered = run.step(&[], |sys, at| {
+            at.collective(sys, &scatter_plan, Some(core::slice::from_ref(&adj_host)))
+        });
+        run.arena.recycle_bytes(adj_host);
+        run.profile.record(&scattered?.report);
 
-    let mut result: Option<Vec<u32>> = None;
-    'run: {
-        match sup.iteration(&mut sys, arena, &[], |sys, at| {
-            Ok(at
-                .collective(&comm, sys, &scatter_plan, Some(&adj_host))?
-                .report)
-        })? {
-            Iteration::Done(report) => profile.record(&report),
-            Iteration::Abort(_) => break 'run,
-        }
+        let mut labels: Vec<u32> = (0..n as u32).collect();
+        let mut merged = vec![0u32; n];
+        // The label array every PE's local copy starts from, encoded once
+        // per iteration (pad = u32::MAX, the Min identity) instead of
+        // re-encoded per PE.
+        let mut proto = vec![0u8; label_bytes];
+        // The modeled per-PE expansion charge streams every owned
+        // adjacency list — a constant across iterations, precomputed once.
+        let owned_edges: Vec<u64> = (0..p)
+            .map(|pid| {
+                let lo = pid * per_pe;
+                let hi = ((pid + 1) * per_pe).min(n);
+                (lo..hi).map(|v| graph.degree(v as u32) as u64).sum()
+            })
+            .collect();
+        // Dirty set for the frontier-sparse expansion (see `run_cc_in`);
+        // iteration 1 recomputes everything.
+        let mut dirty = vec![true; n];
 
-        // The pass cap guards termination under heavily degraded
-        // execution (corrupted merges are not guaranteed monotone); a
-        // clean propagation converges in at most `n` passes regardless.
         loop {
-            iterations += 1;
+            *iterations += 1;
 
             proto.fill(0xFF);
             kernels::encode_u32(&labels, &mut proto[..n * 4]);
 
-            // Each pass rewrites the label regions wholesale from the
-            // committed host mirrors, so the checkpoint is empty; a
-            // re-run replays the pass exactly.
-            match sup.iteration(&mut sys, arena, &[], |sys, at| {
+            let (kernel, report) = run.step(&[], |sys, at| {
+                // PE kernel: the shared prototype lands in MRAM directly
+                // from the host mirror, then each PE lowers only its owned
+                // *dirty* vertices' labels in place — the per-worker
+                // staging copy of the whole array is gone (clean vertices
+                // keep their prototype value, which the full scan would
+                // reproduce). One host-kernel work item per PE; labels and
+                // the dirty set are shared read-only.
                 let kernels = par_pes(sys.pes_mut(), cfg.threads, |pid, pe| {
                     // simlint: hot(begin, cc label lowering)
                     let lo = pid * per_pe;
@@ -471,32 +310,29 @@ pub fn run_cc_resilient_in(
                         }
                         pe.write(src_off + v * 4, &m.to_le_bytes());
                     }
+                    // Random per-edge accesses pay small-DMA granularity
+                    // (~64 B); the device streams all owned adjacency
+                    // lists.
                     let edges = owned_edges[pid];
                     KERNEL_SCALE * pe_kernel_ns(48 * edges + label_bytes as u64, 10 * edges)
                     // simlint: hot(end)
                 });
-                let max_kernel = kernels.into_iter().fold(0.0f64, f64::max);
-                sys.run_kernel(max_kernel);
-                let report = at.collective(&comm, sys, &merge_plan, None)?.report;
-                // Read the merged labels back from the first healthy PE
-                // (identical on every PE; a degraded execution skips
-                // landing output on quarantined PEs, whose copy is stale).
-                let read_pe = geom
-                    .pes()
-                    .find(|pe| !at.ledger().is_quarantined(pe.index() as u32))
-                    .or_else(|| geom.pes().next())
-                    .expect("system has at least one PE");
-                sys.pe_mut(read_pe).read_u32s(dst_off, &mut merged);
-                Ok((max_kernel, report))
-            })? {
-                Iteration::Done((max_kernel, report)) => {
-                    profile.record_kernel(max_kernel + sys.model().kernel_launch_ns);
-                    profile.record(&report);
-                }
-                Iteration::Abort(_) => break 'run,
-            }
+                let kernel = Run::launch(sys, kernels);
 
-            // Commit: fold the merged labels into the host mirrors.
+                // Merge with AllReduce(Min) — the warm per-iteration plan
+                // — and read the merged labels back (identical on every
+                // healthy PE).
+                let report = at.collective(sys, &merge_plan, None)?.report;
+                sys.pe_mut(at.readback_pe(&geom))
+                    .read_u32s(dst_off, &mut merged);
+                Ok((kernel, report))
+            })?;
+            run.record_kernel(kernel);
+            run.profile.record(&report);
+
+            // Commit: changed vertices and their neighborhoods form the
+            // next dirty set; a fixed point leaves it empty and ends the
+            // loop.
             let mut changed = false;
             dirty.fill(false);
             for v in 0..n {
@@ -509,62 +345,40 @@ pub fn run_cc_resilient_in(
                 }
             }
             labels.copy_from_slice(&merged);
-            if !changed || iterations > n {
+            // A clean propagation converges in at most `n` passes, so the
+            // cap never binds on one; it guards termination under heavily
+            // degraded execution, where corrupted merges are not
+            // guaranteed monotone.
+            if !changed || *iterations > n {
                 break;
             }
         }
 
-        // Final Reduce(Min): reads the merged array left by the last pass
-        // (reads cannot be corrupted, and the body writes nothing to the
-        // checkpointed regions), so the checkpoint stays empty.
-        match sup.iteration(&mut sys, arena, &[], |sys, at| {
-            let exec = at.collective(&comm, sys, &reduce_plan, None)?;
-            Ok((
-                exec.report,
-                exec.host_out.expect("reduce produces host output"),
-            ))
-        })? {
-            Iteration::Done((report, reduced)) => {
-                profile.record(&report);
-                let mut final_labels = vec![0u32; n];
-                kernels::decode_u32(&reduced[0][..n * 4], &mut final_labels);
-                result = Some(final_labels);
-            }
-            Iteration::Abort(_) => {}
-        }
-    }
-    let [adj_host] = adj_host;
-    arena.recycle_bytes(adj_host);
-
-    let (expected, cpu_ns) = cpu_reference(&graph);
-    let (mismatched, validated) = match &result {
-        Some(r) => {
-            let mm = r.iter().zip(&expected).filter(|(a, b)| a != b).count()
-                + r.len().abs_diff(expected.len());
-            (mm as u64, mm == 0)
-        }
-        None => (expected.len() as u64, false),
+        // Retrieve final labels with a Reduce(Min) — every PE holds the
+        // global array left by the last pass, the host takes the reduction
+        // (a no-op numerically). Reads cannot be corrupted and the step
+        // writes no MRAM, so there is nothing to checkpoint.
+        let reduced = run.step(&[], |sys, at| at.collective(sys, &reduce_plan, None))?;
+        run.profile.record(&reduced.report);
+        let reduced = reduced.host_out.expect("reduce produces host output");
+        let mut final_labels = vec![0u32; n];
+        kernels::decode_u32(&reduced[0][..n * 4], &mut final_labels);
+        Ok(final_labels)
     };
-    profile.dataset = format!("{n}v/{}it", iterations);
-    let modeled_ns = sys.meter().total();
-    sys.detach_fault_plan();
-    sys.set_verify_writes(false);
-    arena.recycle(sys);
-    arena.put_extension(plans);
-
-    Ok(ResilientRun {
-        run: AppRun {
-            profile,
+    let body = |run: &mut Run<'_>| {
+        let mut iterations = 0usize;
+        let labels = propagate(run, &mut iterations);
+        // Recorded even when the run stopped early: the pass count is
+        // part of what an aborted run did.
+        run.profile.dataset = format!("{n}v/{iterations}it");
+        labels
+    };
+    drive(arena, supervision, setup, body, |labels| {
+        let (expected, cpu_ns) = cpu_reference(&graph);
+        Verdict {
+            mismatched: mismatches(labels.as_deref(), &expected),
             cpu_ns,
-            validated,
-        },
-        outcome: sup.outcome(),
-        retries: sup.retries(),
-        quarantined: sup.ledger().quarantined(),
-        mismatched,
-        modeled_ns,
-        backoff_epochs: sup.backoff_epochs(),
-        checkpoint_restores: sup.checkpoint_restores(),
+        }
     })
 }
 

@@ -1,0 +1,310 @@
+//! The one run driver behind every application runner.
+//!
+//! Each app has a single body written against [`Run::step`] and the
+//! [`Step`] handle it passes to the step's closure. What a step does
+//! depends only on which public function was called:
+//!
+//! * `run_x` / `run_x_in` drive the body **unsupervised**: a step runs its
+//!   closure exactly once and a collective goes straight to
+//!   [`CollectivePlan::run`] / [`FusedPlan::execute_with`] — no
+//!   [`Supervisor`], no write verification, no checkpoint copy, no
+//!   corruption drain. Verified-clean execution costs 8–10× the plain
+//!   path in host time, so "supervised with faults off" is not a
+//!   substitute.
+//! * `run_x_resilient` / `run_x_resilient_in` drive the same body
+//!   **supervised**: a step is one [`Supervisor::iteration`] (checkpoint
+//!   of the named live regions, rollback + backoff + re-run on a typed
+//!   fault) and a collective goes through [`Attempt`]'s quarantine-aware
+//!   verified path.
+//!
+//! [`drive`] owns everything around the body: system and plan-cache
+//! checkout from the arena, fault-plan attach/detach, the
+//! [`Communicator`], the mismatch verdict and the [`ResilientRun`] record
+//! — and returns both checkouts to the arena on **every** exit, so an
+//! `Err` or an aborted storm run cannot cost a sweep worker its warmed
+//! plan cache or leave a fault plan attached to a pooled system.
+
+use std::sync::Arc;
+
+use pidcomm::engine::supervisor::{Attempt, Iteration, Supervisor};
+use pidcomm::engine::Execution;
+use pidcomm::{
+    CollectivePlan, CommReport, Communicator, FusedPlan, HypercubeManager, HypercubeShape,
+    OptLevel, PlanCache, RunOutcome, RunPolicy,
+};
+use pim_sim::{DimmGeometry, FaultPlan, PeId, PimSystem, SystemArena};
+
+use crate::profile::AppProfile;
+use crate::{AppRun, ResilientRun};
+
+/// Fault plan and policy of a supervised run; `None` runs unsupervised.
+pub(crate) type Supervision = Option<(Option<Arc<FaultPlan>>, RunPolicy)>;
+
+/// What a run needs before its body can start.
+pub(crate) struct Setup {
+    pub geom: DimmGeometry,
+    /// Hypercube dimensions (product = PE count).
+    pub dims: Vec<usize>,
+    pub opt: OptLevel,
+    pub threads: usize,
+    pub profile: AppProfile,
+}
+
+/// Why a body stopped early.
+pub(crate) enum Stop {
+    /// The supervisor aborted the run under policy (deadline or budget);
+    /// the typed outcome is on the run record.
+    Aborted,
+    /// A non-fault error, propagated to the caller.
+    Error(pidcomm::Error),
+}
+
+impl From<pidcomm::Error> for Stop {
+    fn from(err: pidcomm::Error) -> Self {
+        Stop::Error(err)
+    }
+}
+
+/// How far the run's output is from the CPU reference.
+pub(crate) struct Verdict {
+    /// Output elements that differ from the reference.
+    pub mismatched: u64,
+    /// Modeled CPU-only reference time.
+    pub cpu_ns: f64,
+}
+
+/// Elements of `got` that differ from `expected`; the full reference
+/// length when the run produced no output at all.
+pub(crate) fn mismatches<T: PartialEq>(got: Option<&[T]>, expected: &[T]) -> u64 {
+    match got {
+        Some(got) => {
+            let differing = got.iter().zip(expected).filter(|(a, b)| a != b).count();
+            (differing + got.len().abs_diff(expected.len())) as u64
+        }
+        None => expected.len() as u64,
+    }
+}
+
+/// The state an app body works with between and inside steps.
+pub(crate) struct Run<'a> {
+    pub sys: PimSystem,
+    pub arena: &'a mut SystemArena,
+    pub plans: PlanCache,
+    pub comm: Communicator,
+    pub profile: AppProfile,
+    sup: Option<Supervisor>,
+}
+
+impl Run<'_> {
+    /// Runs one step of the app — a setup phase, one iteration, the final
+    /// readback. `regions` names the live MRAM state the step overwrites
+    /// and a re-run needs back; the body must derive everything else it
+    /// writes from committed host state (commit host-side mirrors only
+    /// after `step` returns `Ok`). Unsupervised, the body runs once and
+    /// `regions` is not copied.
+    pub(crate) fn step<T>(
+        &mut self,
+        regions: &[(usize, usize)],
+        mut body: impl FnMut(&mut PimSystem, &mut Step<'_, '_>) -> pidcomm::Result<T>,
+    ) -> Result<T, Stop> {
+        let Run {
+            sys,
+            arena,
+            comm,
+            sup,
+            ..
+        } = self;
+        let Some(sup) = sup else {
+            let mut direct = Step {
+                comm,
+                attempt: None,
+            };
+            return Ok(body(sys, &mut direct)?);
+        };
+        let outcome = sup.iteration(sys, arena, regions, |sys, at| {
+            let attempt = Some(at);
+            body(sys, &mut Step { comm, attempt })
+        })?;
+        match outcome {
+            Iteration::Done(value) => Ok(value),
+            Iteration::Abort(_) => Err(Stop::Aborted),
+        }
+    }
+
+    /// Charges one kernel launch whose modeled time is the slowest PE's,
+    /// returning that time for [`Run::record_kernel`] once the step
+    /// commits.
+    pub(crate) fn launch(sys: &mut PimSystem, per_pe_ns: Vec<f64>) -> f64 {
+        let slowest = per_pe_ns.into_iter().fold(0.0f64, f64::max);
+        sys.run_kernel(slowest);
+        slowest
+    }
+
+    /// Records a committed kernel (execution + launch overhead) in the
+    /// profile.
+    pub(crate) fn record_kernel(&mut self, kernel_ns: f64) {
+        let launch_ns = self.sys.model().kernel_launch_ns;
+        self.profile.record_kernel(kernel_ns + launch_ns);
+    }
+}
+
+/// Per-attempt handle of a step body: issues the step's collectives on
+/// whichever path the run is driven by.
+pub(crate) struct Step<'s, 'a> {
+    comm: &'s Communicator,
+    attempt: Option<&'s mut Attempt<'a>>,
+}
+
+impl Step<'_, '_> {
+    /// Executes one collective (`host_in` for Scatter/Broadcast;
+    /// `host_out` comes back for Gather/Reduce).
+    pub(crate) fn collective(
+        &mut self,
+        sys: &mut PimSystem,
+        plan: &CollectivePlan,
+        host_in: Option<&[Vec<u8>]>,
+    ) -> pidcomm::Result<Execution> {
+        match &mut self.attempt {
+            None => plan.run(sys, host_in),
+            Some(at) => {
+                let exec = at.collective(self.comm, sys, plan, host_in)?;
+                Ok(Execution {
+                    report: exec.report,
+                    host_out: exec.host_out,
+                })
+            }
+        }
+    }
+
+    /// Executes a fused chain with `hook(k, sys)` between steps `k` and
+    /// `k + 1`, returning one report per step. Supervised, the chain is
+    /// the retry unit: hooks re-run on a rollback, so they must write only
+    /// MRAM the chain's regions cover.
+    pub(crate) fn fused(
+        &mut self,
+        sys: &mut PimSystem,
+        fused: &FusedPlan,
+        hook: impl FnMut(usize, &mut PimSystem) -> pidcomm::Result<()>,
+    ) -> pidcomm::Result<Vec<CommReport>> {
+        match &mut self.attempt {
+            None => Ok(fused.execute_with(sys, None, hook)?.reports),
+            Some(at) => Ok(at.fused(self.comm, sys, fused, None, hook)?.reports),
+        }
+    }
+
+    /// The PE to read a replicated result back from: the first one the
+    /// ledger has not quarantined — a degraded execution lands no output
+    /// on quarantined PEs, so their copy is stale. Unsupervised there is
+    /// no ledger and that is PE 0.
+    pub(crate) fn readback_pe(&self, geom: &DimmGeometry) -> PeId {
+        let quarantined = |pe: &PeId| {
+            self.attempt
+                .as_ref()
+                .is_some_and(|at| at.ledger().is_quarantined(pe.index() as u32))
+        };
+        geom.pes()
+            .find(|pe| !quarantined(pe))
+            .or_else(|| geom.pes().next())
+            .expect("system has at least one PE")
+    }
+}
+
+/// Drives one application run: `body` produces the app's output through
+/// [`Run::step`]s (or stops early), `judge` compares it with the CPU
+/// reference (`None` = the run aborted before producing output).
+///
+/// # Errors
+///
+/// Shape/geometry errors and whatever non-fault error the body
+/// propagates; typed fault errors never escape a supervised run.
+pub(crate) fn drive<T>(
+    arena: &mut SystemArena,
+    supervision: Supervision,
+    setup: Setup,
+    body: impl FnOnce(&mut Run<'_>) -> Result<T, Stop>,
+    judge: impl FnOnce(Option<T>) -> Verdict,
+) -> pidcomm::Result<ResilientRun> {
+    // Built before anything is checked out of the arena, so a bad shape
+    // has nothing to give back.
+    let manager = HypercubeManager::new(HypercubeShape::new(setup.dims)?, setup.geom)?;
+    let comm = Communicator::new(manager)
+        .with_opt(setup.opt)
+        .with_threads(setup.threads);
+
+    let mut sys = arena.system(setup.geom);
+    let sup = supervision.map(|(fault, policy)| {
+        if let Some(fp) = fault {
+            sys.attach_fault_plan(fp);
+            sys.set_verify_writes(true);
+        }
+        Supervisor::new(setup.geom.num_pes(), policy)
+    });
+    let plans = arena.take_extension::<PlanCache>();
+    let mut run = Run {
+        sys,
+        arena,
+        plans,
+        comm,
+        profile: setup.profile,
+        sup,
+    };
+    let output = body(&mut run);
+
+    // No early return between the checkouts above and this point: the
+    // pooled system goes back fault-detached and verify-off, and the plan
+    // cache goes back warm, whether the body succeeded, failed or aborted.
+    let Run {
+        mut sys,
+        arena,
+        plans,
+        profile,
+        sup,
+        ..
+    } = run;
+    let modeled_ns = sys.meter().total();
+    sys.detach_fault_plan();
+    sys.set_verify_writes(false);
+    arena.recycle(sys);
+    arena.put_extension(plans);
+
+    let output = match output {
+        Ok(output) => Some(output),
+        Err(Stop::Aborted) => None,
+        Err(Stop::Error(err)) => return Err(err),
+    };
+    let Verdict { mismatched, cpu_ns } = judge(output);
+    let run = AppRun {
+        profile,
+        cpu_ns,
+        validated: mismatched == 0,
+    };
+    let unsupervised = ResilientRun {
+        run,
+        outcome: RunOutcome::Completed,
+        retries: 0,
+        quarantined: Vec::new(),
+        mismatched,
+        modeled_ns,
+        backoff_epochs: 0,
+        checkpoint_restores: 0,
+    };
+    Ok(match sup {
+        None => unsupervised,
+        Some(sup) => ResilientRun {
+            outcome: sup.outcome(),
+            retries: sup.retries(),
+            quarantined: sup.ledger().quarantined(),
+            backoff_epochs: sup.backoff_epochs(),
+            checkpoint_restores: sup.checkpoint_restores(),
+            ..unsupervised
+        },
+    })
+}
+
+/// The plain runners' contract on top of [`drive`]: no recovery record,
+/// and output divergence is a panic (typed config/validation errors are
+/// a later round's work).
+pub(crate) fn validated(run: ResilientRun, what: &str) -> AppRun {
+    assert!(run.run.validated, "{what} diverges from CPU reference");
+    run.run
+}

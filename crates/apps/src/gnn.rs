@@ -18,14 +18,12 @@
 
 use std::sync::Arc;
 
-use pidcomm::{
-    par_pes, par_pes_with, BufferSpec, Communicator, DimMask, HypercubeManager, HypercubeShape,
-    Iteration, OptLevel, PlanCache, Primitive, RunPolicy, Supervisor,
-};
+use pidcomm::{par_pes, par_pes_with, BufferSpec, DimMask, OptLevel, Primitive, RunPolicy};
 use pidcomm_data::{CsrGraph, MatI32};
-use pim_sim::{kernels, DType, DimmGeometry, FaultPlan, ReduceKind, SystemArena};
+use pim_sim::{kernels, DType, DimmGeometry, FaultPlan, PimSystem, ReduceKind, SystemArena};
 
 use crate::cost::{pe_kernel_ns, CpuModel};
+use crate::driver::{drive, mismatches, validated, Run, Setup, Supervision, Verdict};
 use crate::profile::AppProfile;
 use crate::{AppRun, ResilientRun};
 
@@ -206,359 +204,16 @@ pub fn run_gnn_in(
     graph: &CsrGraph,
     arena: &mut SystemArena,
 ) -> pidcomm::Result<AppRun> {
-    let p = cfg.pes;
-    let s = isqrt(p);
-    let f = cfg.feature_dim;
-    let n = graph.num_vertices();
-    assert_eq!(n % (s * s), 0, "vertices must divide by s^2");
-    assert_eq!(f % s, 0, "feature dim must divide by s");
-    let bs = n / s; // vertices per block
-    let es = esize(cfg.dtype);
-    let block_bytes = bs * f * es;
-    assert_eq!(block_bytes % (8 * s), 0, "collective alignment");
-
-    let geom = DimmGeometry::with_pes(p);
-    let mut sys = arena.system(geom);
-    let mut plans = arena.take_extension::<PlanCache>();
-    let manager = HypercubeManager::new(HypercubeShape::new(vec![s, s])?, geom)?;
-    let comm = Communicator::new(manager)
-        .with_opt(cfg.opt)
-        .with_threads(cfg.threads);
-    let mut profile = AppProfile::new(
-        format!("GNN {}", cfg.variant.label()),
-        format!("{n}v/int{}", 8 * es),
-    );
-
-    let tile = tiles(graph, s);
-    let weights: Vec<MatI32> = (0..cfg.layers)
-        .map(|l| MatI32::random(f, f, 3, 0x6e6e + l as u64))
-        .collect();
-    let f0 = MatI32::random(n, f, 3, 0xfea7);
-
-    // MRAM layout.
-    const FEAT: usize = 0; // this PE's current feature block (bs x f)
-    let partial_off = block_bytes.next_multiple_of(64);
-    let reduced_off = partial_off + block_bytes.next_multiple_of(64);
-    let out_off = reduced_off + block_bytes.next_multiple_of(64);
-
-    // Scatter initial feature blocks: at layer 0 the active mask is "10"
-    // (x varies within a group), so PE (x, y) must hold block x. The
-    // per-group payloads come from (and return to) the arena's buffer-set
-    // pool; feature rows are encoded straight into their rank-major slot.
-    let mask0: DimMask = "10".parse()?;
-    let groups0 = comm.manager().groups(&mask0)?;
-    let mut scatter_bufs = arena.byte_set(groups0.len(), s * block_bytes);
-    for g in &groups0 {
-        let buf = &mut scatter_bufs[g.id];
-        for rank in 0..g.members.len() {
-            // Member `rank` holds feature rows [rank*bs, (rank+1)*bs).
-            let dst = &mut buf[rank * block_bytes..(rank + 1) * block_bytes];
-            for (lr, r) in (rank * bs..(rank + 1) * bs).enumerate() {
-                kernels::encode_trunc(
-                    cfg.dtype,
-                    f0.row(r),
-                    &mut dst[lr * f * es..(lr + 1) * f * es],
-                );
-            }
-        }
-    }
-    let scatter_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Scatter,
-        &mask0,
-        &BufferSpec::new(0, FEAT, block_bytes).with_dtype(cfg.dtype),
-        ReduceKind::Sum,
-    )?;
-    // One-shot send: direct execution beats staging a prepared image
-    // that would run only once (the prepared tier pays off on repeat
-    // executes; GNN's per-layer win is the fused pairs below).
-    let report = scatter_plan.execute_with_host(&mut sys, &scatter_bufs)?;
-    profile.record(&report);
-    arena.recycle_byte_set(scatter_bufs);
-
-    // Layers with alternating masks.
-    for (layer, w) in weights.iter().enumerate() {
-        let mask: DimMask = if layer % 2 == 0 {
-            "10".parse()?
-        } else {
-            "01".parse()?
-        };
-        let groups = comm.manager().groups(&mask)?;
-        // Host-kernel work items run one per PE; recover each PE's
-        // (group, rank) coordinates up front since groups partition the
-        // PE array exactly.
-        let mut owner = vec![(0usize, 0usize); p];
-        for g in &groups {
-            for (rank, &pe) in g.members.iter().enumerate() {
-                owner[pe.index()] = (g.id, rank);
-            }
-        }
-
-        // Aggregation kernel: within its group, PE of rank r computes
-        // A[i_group][r] · F_r, a partial of row-block i_group. Per-edge
-        // row accumulation runs as a typed-lane segment-sum over the
-        // feature block decoded into per-worker scratch.
-        let kernels = par_pes_with(
-            sys.pes_mut(),
-            cfg.threads,
-            || (vec![0i32; bs * f], vec![0i32; bs * f]),
-            |(fblk, partial), pid, pe| {
-                // simlint: hot(begin, gnn aggregation)
-                let (gid, rank) = owner[pid];
-                pe.read_sext(FEAT, cfg.dtype, fblk);
-                partial.fill(0);
-                let t = &tile[gid][rank];
-                for &(u, v) in t {
-                    let (u, v) = (u as usize, v as usize);
-                    kernels::add_wrap(
-                        cfg.dtype,
-                        &mut partial[u * f..(u + 1) * f],
-                        &fblk[v * f..(v + 1) * f],
-                    );
-                }
-                pe.write_trunc(partial_off, cfg.dtype, partial);
-                let edges = t.len() as u64;
-                KERNEL_SCALE
-                    * pe_kernel_ns(
-                        edges * (f * es) as u64 + block_bytes as u64,
-                        4 * edges * f as u64,
-                    )
-                // simlint: hot(end)
-            },
-        );
-        let max_kernel = kernels.into_iter().fold(0.0f64, f64::max);
-        sys.run_kernel(max_kernel);
-        profile.record_kernel(max_kernel + sys.model().kernel_launch_ns);
-
-        match cfg.variant {
-            GnnVariant::RsAr => {
-                // ReduceScatter + AllReduce run as one fused chain:
-                // rank r's reduced rows sub-block lands in MRAM, the
-                // combination kernel rewrites it in place as the
-                // inter-step hook, and the AllReduce consumes the result
-                // directly — no host staging between the pair. Layers
-                // alternate between two masks, so every plan below is
-                // built at most twice per run (and pooled across runs in
-                // the arena cache).
-                let rs_plan = comm.plan_cached(
-                    &mut plans,
-                    Primitive::ReduceScatter,
-                    &mask,
-                    &BufferSpec::new(partial_off, reduced_off, block_bytes).with_dtype(cfg.dtype),
-                    ReduceKind::Sum,
-                )?;
-                let ar_plan = comm.plan_cached(
-                    &mut plans,
-                    Primitive::AllReduce,
-                    &mask,
-                    &BufferSpec::new(partial_off, out_off, block_bytes).with_dtype(cfg.dtype),
-                    ReduceKind::Sum,
-                )?;
-                let fused = comm.fuse(vec![rs_plan.clone(), ar_plan.clone()], &[])?;
-
-                // Combination kernel (the hook): rows sub-block x full W,
-                // placed at its sub-block position in an otherwise-zero
-                // block. The gemm runs as typed-lane axpy rows over W,
-                // accumulating directly into the sub-block slot of the
-                // output scratch.
-                let sub_rows = bs / s;
-                let mut comb_kernel = 0.0f64;
-                let exec = fused.execute_with(&mut sys, None, |_, sys| {
-                    let kernels = par_pes_with(
-                        sys.pes_mut(),
-                        cfg.threads,
-                        || (vec![0i32; sub_rows * f], vec![0i32; bs * f]),
-                        |(rows, out), pid, pe| {
-                            // simlint: hot(begin, gnn rs-ar combine)
-                            let (_, rank) = owner[pid];
-                            let sub_bytes = sub_rows * f * es;
-                            pe.read_sext(reduced_off, cfg.dtype, rows);
-                            out.fill(0);
-                            let base = rank * sub_rows * f;
-                            for r in 0..sub_rows {
-                                let acc = &mut out[base + r * f..base + (r + 1) * f];
-                                for k in 0..f {
-                                    let a = rows[r * f + k];
-                                    if a == 0 {
-                                        continue;
-                                    }
-                                    kernels::axpy_wrap(cfg.dtype, acc, a, w.row(k));
-                                }
-                            }
-                            kernels::relu_i32(&mut out[base..base + sub_rows * f]);
-                            pe.write_trunc(partial_off, cfg.dtype, out);
-                            KERNEL_SCALE
-                                * pe_kernel_ns(
-                                    (sub_bytes + f * f * es) as u64,
-                                    12 * (sub_rows * f * f) as u64,
-                                )
-                            // simlint: hot(end)
-                        },
-                    );
-                    comb_kernel = kernels.into_iter().fold(0.0f64, f64::max);
-                    sys.run_kernel(comb_kernel);
-                    Ok(())
-                })?;
-                profile.record(&exec.reports[0]);
-                profile.record_kernel(comb_kernel + sys.model().kernel_launch_ns);
-                profile.record(&exec.reports[1]);
-            }
-            GnnVariant::ArAg => {
-                // AllReduce + AllGather as one fused chain (plans pooled
-                // per mask, as in RS&AR): the combination kernel runs as
-                // the inter-step hook over the reduced aggregates already
-                // sitting in MRAM, and the AllGather picks its column
-                // blocks up from the same place.
-                let sub_cols = f / s;
-                let colblk_bytes = bs * sub_cols * es;
-                let ar_plan = comm.plan_cached(
-                    &mut plans,
-                    Primitive::AllReduce,
-                    &mask,
-                    &BufferSpec::new(partial_off, reduced_off, block_bytes).with_dtype(cfg.dtype),
-                    ReduceKind::Sum,
-                )?;
-                let ag_plan = comm.plan_cached(
-                    &mut plans,
-                    Primitive::AllGather,
-                    &mask,
-                    &BufferSpec::new(partial_off, out_off, colblk_bytes).with_dtype(cfg.dtype),
-                    ReduceKind::Sum,
-                )?;
-                let fused = comm.fuse(vec![ar_plan.clone(), ag_plan.clone()], &[])?;
-
-                // Combination kernel (the hook): one weight column-block
-                // per rank, as typed-lane axpy rows over W's column
-                // sub-slices.
-                let mut comb_kernel = 0.0f64;
-                let exec = fused.execute_with(&mut sys, None, |_, sys| {
-                    let kernels = par_pes_with(
-                        sys.pes_mut(),
-                        cfg.threads,
-                        || (vec![0i32; bs * f], vec![0i32; bs * sub_cols]),
-                        |(agg, colblk), pid, pe| {
-                            // simlint: hot(begin, gnn ar-ag combine)
-                            let (_, rank) = owner[pid];
-                            pe.read_sext(reduced_off, cfg.dtype, agg);
-                            // col block of result: agg x W[:, cols]
-                            colblk.fill(0);
-                            for r in 0..bs {
-                                let acc = &mut colblk[r * sub_cols..(r + 1) * sub_cols];
-                                for k in 0..f {
-                                    let a = agg[r * f + k];
-                                    if a == 0 {
-                                        continue;
-                                    }
-                                    let wcols = &w.row(k)[rank * sub_cols..(rank + 1) * sub_cols];
-                                    kernels::axpy_wrap(cfg.dtype, acc, a, wcols);
-                                }
-                            }
-                            kernels::relu_i32(colblk);
-                            pe.write_trunc(partial_off, cfg.dtype, colblk);
-                            KERNEL_SCALE
-                                * pe_kernel_ns(
-                                    (block_bytes + f * sub_cols * es) as u64,
-                                    12 * (bs * f * sub_cols) as u64,
-                                )
-                            // simlint: hot(end)
-                        },
-                    );
-                    comb_kernel = kernels.into_iter().fold(0.0f64, f64::max);
-                    sys.run_kernel(comb_kernel);
-                    Ok(())
-                })?;
-                profile.record(&exec.reports[0]);
-                profile.record_kernel(comb_kernel + sys.model().kernel_launch_ns);
-                profile.record(&exec.reports[1]);
-                // The gathered layout is column-block-major; interleaving
-                // it back to row-major is a pure row scatter (decode +
-                // re-encode at one width is the identity on bytes), one
-                // `copy_rows` per block through per-worker scratch.
-                par_pes_with(
-                    sys.pes_mut(),
-                    cfg.threads,
-                    || vec![0u8; block_bytes],
-                    |full, _, pe| {
-                        // simlint: hot(begin, gnn layout transpose)
-                        {
-                            let bytes = pe.read(out_off, block_bytes);
-                            for blk in 0..s {
-                                kernels::copy_rows(
-                                    full,
-                                    blk * sub_cols * es,
-                                    f * es,
-                                    &bytes[blk * colblk_bytes..(blk + 1) * colblk_bytes],
-                                    0,
-                                    sub_cols * es,
-                                    sub_cols * es,
-                                    bs,
-                                );
-                            }
-                        }
-                        pe.write(out_off, full);
-                        // simlint: hot(end)
-                    },
-                );
-            }
-        }
-
-        // The result block becomes the next layer's feature block.
-        par_pes(sys.pes_mut(), cfg.threads, |_, pe| {
-            // simlint: hot(begin, gnn feature rotate)
-            pe.copy_within_region(out_off, FEAT, block_bytes);
-            // simlint: hot(end)
-        });
-    }
-
-    // Gather final features along the last active mask and validate.
-    let last_mask: DimMask = if (cfg.layers - 1).is_multiple_of(2) {
-        "10".parse()?
-    } else {
-        "01".parse()?
-    };
-    let gather_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Gather,
-        &last_mask,
-        &BufferSpec::new(FEAT, 0, block_bytes).with_dtype(cfg.dtype),
-        ReduceKind::Sum,
-    )?;
-    let (report, gathered) = gather_plan.execute_to_host(&mut sys)?;
-    profile.record(&report);
-
-    // After the final layer every PE of group i holds the full block i;
-    // stitch the blocks together from each group's rank-i holder... every
-    // member of group g holds block g (the group's row-block), so take
-    // rank 0's copy.
-    let (expected, cpu_ns) = cpu_reference(graph, &f0, &weights, cfg.dtype);
-    let groups = comm.manager().groups(&last_mask)?;
-    let mut validated = true;
-    for g in &groups {
-        let blk = &gathered[g.id][..block_bytes];
-        let got = mat_from_bytes(bs, f, blk, cfg.dtype);
-        for r in 0..bs {
-            if got.row(r) != expected.row(g.id * bs + r) {
-                validated = false;
-            }
-        }
-    }
-    assert!(validated, "GNN PIM features diverge from CPU reference");
-    arena.recycle(sys);
-    arena.put_extension(plans);
-
-    Ok(AppRun {
-        profile,
-        cpu_ns,
-        validated,
-    })
+    Ok(validated(gnn(cfg, graph, None, arena)?, "GNN PIM features"))
 }
 
 /// As [`run_gnn`], but under run-level supervision (see
-/// [`Supervisor`]): collectives run verified with quarantine-aware
-/// recovery, each layer commits through an iteration checkpoint of the
-/// live feature block, and unrecoverable faults end the run with a typed
-/// outcome instead of a panic. With `fault = None` the profile and
-/// outputs are bit-identical to [`run_gnn`].
+/// [`pidcomm::engine::supervisor`]): the same body, with collectives run
+/// verified under quarantine-aware recovery, each layer committed through
+/// an iteration checkpoint of the live feature block, and unrecoverable
+/// faults ending the run with a typed outcome instead of a panic. With
+/// `fault = None` the profile and outputs are bit-identical to
+/// [`run_gnn`].
 ///
 /// # Errors
 ///
@@ -585,33 +240,26 @@ pub fn run_gnn_resilient_in(
     policy: RunPolicy,
     arena: &mut SystemArena,
 ) -> pidcomm::Result<ResilientRun> {
+    gnn(cfg, graph, Some((fault, policy)), arena)
+}
+
+/// The one GNN body behind all four runners (see [`crate::driver`]).
+fn gnn(
+    cfg: &GnnConfig,
+    graph: &CsrGraph,
+    supervision: Supervision,
+    arena: &mut SystemArena,
+) -> pidcomm::Result<ResilientRun> {
     let p = cfg.pes;
     let s = isqrt(p);
     let f = cfg.feature_dim;
     let n = graph.num_vertices();
     assert_eq!(n % (s * s), 0, "vertices must divide by s^2");
     assert_eq!(f % s, 0, "feature dim must divide by s");
-    let bs = n / s;
+    let bs = n / s; // vertices per block
     let es = esize(cfg.dtype);
     let block_bytes = bs * f * es;
     assert_eq!(block_bytes % (8 * s), 0, "collective alignment");
-
-    let geom = DimmGeometry::with_pes(p);
-    let mut sys = arena.system(geom);
-    if let Some(fp) = &fault {
-        sys.attach_fault_plan(fp.clone());
-        sys.set_verify_writes(true);
-    }
-    let mut plans = arena.take_extension::<PlanCache>();
-    let manager = HypercubeManager::new(HypercubeShape::new(vec![s, s])?, geom)?;
-    let comm = Communicator::new(manager)
-        .with_opt(cfg.opt)
-        .with_threads(cfg.threads);
-    let mut profile = AppProfile::new(
-        format!("GNN {}", cfg.variant.label()),
-        format!("{n}v/int{}", 8 * es),
-    );
-    let mut sup = Supervisor::new(p, policy);
 
     let tile = tiles(graph, s);
     let weights: Vec<MatI32> = (0..cfg.layers)
@@ -619,146 +267,156 @@ pub fn run_gnn_resilient_in(
         .collect();
     let f0 = MatI32::random(n, f, 3, 0xfea7);
 
-    const FEAT: usize = 0;
+    // MRAM layout.
+    const FEAT: usize = 0; // this PE's current feature block (bs x f)
     let partial_off = block_bytes.next_multiple_of(64);
     let reduced_off = partial_off + block_bytes.next_multiple_of(64);
     let out_off = reduced_off + block_bytes.next_multiple_of(64);
+    // The active dimension alternates between layers.
+    let layer_mask = |layer: usize| -> pidcomm::Result<DimMask> {
+        if layer.is_multiple_of(2) { "10" } else { "01" }.parse()
+    };
 
-    let mask0: DimMask = "10".parse()?;
-    let groups0 = comm.manager().groups(&mask0)?;
-    let mut scatter_bufs = arena.byte_set(groups0.len(), s * block_bytes);
-    for g in &groups0 {
-        let buf = &mut scatter_bufs[g.id];
-        for rank in 0..g.members.len() {
-            let dst = &mut buf[rank * block_bytes..(rank + 1) * block_bytes];
-            for (lr, r) in (rank * bs..(rank + 1) * bs).enumerate() {
-                kernels::encode_trunc(
-                    cfg.dtype,
-                    f0.row(r),
-                    &mut dst[lr * f * es..(lr + 1) * f * es],
-                );
+    let setup = Setup {
+        geom: DimmGeometry::with_pes(p),
+        dims: vec![s, s],
+        opt: cfg.opt,
+        threads: cfg.threads,
+        profile: AppProfile::new(
+            format!("GNN {}", cfg.variant.label()),
+            format!("{n}v/int{}", 8 * es),
+        ),
+    };
+    // Returns the gathered feature blocks, one buffer per group of the
+    // last layer's mask.
+    let body = |run: &mut Run<'_>| {
+        // Scatter initial feature blocks: at layer 0 the active mask is
+        // "10" (x varies within a group), so PE (x, y) must hold block x.
+        // The per-group payloads come from (and return to) the arena's
+        // buffer-set pool; feature rows are encoded straight into their
+        // rank-major slot. A one-shot send, executed directly (GNN's
+        // per-layer win is the fused pairs below, not a prepared image
+        // that would run once); it restages everything from the host
+        // buffers, so a re-run needs no checkpointed MRAM state.
+        let mask0 = layer_mask(0)?;
+        let groups0 = run.comm.manager().groups(&mask0)?;
+        let mut scatter_bufs = run.arena.byte_set(groups0.len(), s * block_bytes);
+        for g in &groups0 {
+            let buf = &mut scatter_bufs[g.id];
+            for rank in 0..g.members.len() {
+                // Member `rank` holds feature rows [rank*bs, (rank+1)*bs).
+                let dst = &mut buf[rank * block_bytes..(rank + 1) * block_bytes];
+                for (lr, r) in (rank * bs..(rank + 1) * bs).enumerate() {
+                    kernels::encode_trunc(
+                        cfg.dtype,
+                        f0.row(r),
+                        &mut dst[lr * f * es..(lr + 1) * f * es],
+                    );
+                }
             }
         }
-    }
-    let scatter_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Scatter,
-        &mask0,
-        &BufferSpec::new(0, FEAT, block_bytes).with_dtype(cfg.dtype),
-        ReduceKind::Sum,
-    )?;
-
-    'run: {
-        // Setup: the feature scatter restages everything from the host
-        // buffers, so a re-run needs no checkpointed MRAM state.
-        match sup.iteration(&mut sys, arena, &[], |sys, at| {
-            Ok(at
-                .collective(&comm, sys, &scatter_plan, Some(&scatter_bufs))?
-                .report)
-        })? {
-            Iteration::Done(report) => profile.record(&report),
-            Iteration::Abort(_) => break 'run,
-        }
+        let scatter_plan = run.comm.plan_cached(
+            &mut run.plans,
+            Primitive::Scatter,
+            &mask0,
+            &BufferSpec::new(0, FEAT, block_bytes).with_dtype(cfg.dtype),
+            ReduceKind::Sum,
+        )?;
+        let scattered = run.step(&[], |sys, at| {
+            at.collective(sys, &scatter_plan, Some(&scatter_bufs))
+        });
+        run.arena.recycle_byte_set(scatter_bufs);
+        run.profile.record(&scattered?.report);
 
         for (layer, w) in weights.iter().enumerate() {
-            let mask: DimMask = if layer % 2 == 0 {
-                "10".parse()?
-            } else {
-                "01".parse()?
-            };
-            let groups = comm.manager().groups(&mask)?;
+            let mask = layer_mask(layer)?;
+            let groups = run.comm.manager().groups(&mask)?;
+            // Host-kernel work items run one per PE; recover each PE's
+            // (group, rank) coordinates up front since groups partition
+            // the PE array exactly.
             let mut owner = vec![(0usize, 0usize); p];
             for g in &groups {
                 for (rank, &pe) in g.members.iter().enumerate() {
                     owner[pe.index()] = (g.id, rank);
                 }
             }
-            // The two per-layer plans, built (cached) outside the retry
-            // body. Masks alternate, so each is planned at most twice.
-            let (first_plan, second_plan) = match cfg.variant {
-                GnnVariant::RsAr => (
-                    comm.plan_cached(
-                        &mut plans,
-                        Primitive::ReduceScatter,
-                        &mask,
-                        &BufferSpec::new(partial_off, reduced_off, block_bytes)
-                            .with_dtype(cfg.dtype),
-                        ReduceKind::Sum,
-                    )?,
-                    comm.plan_cached(
-                        &mut plans,
-                        Primitive::AllReduce,
-                        &mask,
-                        &BufferSpec::new(partial_off, out_off, block_bytes).with_dtype(cfg.dtype),
-                        ReduceKind::Sum,
-                    )?,
-                ),
-                GnnVariant::ArAg => (
-                    comm.plan_cached(
-                        &mut plans,
-                        Primitive::AllReduce,
-                        &mask,
-                        &BufferSpec::new(partial_off, reduced_off, block_bytes)
-                            .with_dtype(cfg.dtype),
-                        ReduceKind::Sum,
-                    )?,
-                    comm.plan_cached(
-                        &mut plans,
-                        Primitive::AllGather,
-                        &mask,
-                        &BufferSpec::new(partial_off, out_off, bs * (f / s) * es)
-                            .with_dtype(cfg.dtype),
-                        ReduceKind::Sum,
-                    )?,
-                ),
+            // The layer's two collectives run as one fused chain: the
+            // first step's result lands in MRAM, the combination kernel
+            // rewrites it in place as the inter-step hook, and the second
+            // step consumes it directly — no host staging between the
+            // pair. Layers alternate between two masks, so each plan is
+            // built at most twice per run (and pooled across runs in the
+            // arena cache). Supervised, the chain's merged rollback image
+            // covers both steps' regions, so a mid-chain fault restores
+            // and replays the whole pair.
+            let sub_rows = bs / s;
+            let sub_cols = f / s;
+            let colblk_bytes = bs * sub_cols * es;
+            let mut plan = |primitive, dst, bytes| {
+                let spec = BufferSpec::new(partial_off, dst, bytes).with_dtype(cfg.dtype);
+                run.comm
+                    .plan_cached(&mut run.plans, primitive, &mask, &spec, ReduceKind::Sum)
             };
-            // The pair runs as one fused chain under the supervisor: the
-            // chain's merged rollback image covers both steps' regions,
-            // so a mid-chain fault restores and replays the whole pair
-            // (the combine hook re-runs deterministically from step 0's
-            // restored output).
-            let fused = comm.fuse(vec![first_plan.clone(), second_plan.clone()], &[])?;
+            let pair = match cfg.variant {
+                GnnVariant::RsAr => vec![
+                    plan(Primitive::ReduceScatter, reduced_off, block_bytes)?,
+                    plan(Primitive::AllReduce, out_off, block_bytes)?,
+                ],
+                GnnVariant::ArAg => vec![
+                    plan(Primitive::AllReduce, reduced_off, block_bytes)?,
+                    plan(Primitive::AllGather, out_off, colblk_bytes)?,
+                ],
+            };
+            let fused = run.comm.fuse(pair, &[])?;
 
             // The live state at a layer boundary is the feature block
             // (everything else is rewritten from it or read-only).
-            match sup.iteration(&mut sys, arena, &[(FEAT, block_bytes)], |sys, at| {
-                let kernels = par_pes_with(
-                    sys.pes_mut(),
-                    cfg.threads,
-                    || (vec![0i32; bs * f], vec![0i32; bs * f]),
-                    |(fblk, partial), pid, pe| {
-                        // simlint: hot(begin, gnn aggregation)
-                        let (gid, rank) = owner[pid];
-                        pe.read_sext(FEAT, cfg.dtype, fblk);
-                        partial.fill(0);
-                        let t = &tile[gid][rank];
-                        for &(u, v) in t {
-                            let (u, v) = (u as usize, v as usize);
-                            kernels::add_wrap(
-                                cfg.dtype,
-                                &mut partial[u * f..(u + 1) * f],
-                                &fblk[v * f..(v + 1) * f],
-                            );
-                        }
-                        pe.write_trunc(partial_off, cfg.dtype, partial);
-                        let edges = t.len() as u64;
-                        KERNEL_SCALE
-                            * pe_kernel_ns(
-                                edges * (f * es) as u64 + block_bytes as u64,
-                                4 * edges * f as u64,
-                            )
-                        // simlint: hot(end)
-                    },
-                );
-                let agg_kernel = kernels.into_iter().fold(0.0f64, f64::max);
-                sys.run_kernel(agg_kernel);
+            let (agg_kernel, comb_kernel, reports) =
+                run.step(&[(FEAT, block_bytes)], |sys, at| {
+                    // Aggregation kernel: within its group, PE of rank r
+                    // computes A[i_group][r] · F_r, a partial of row-block
+                    // i_group. Per-edge row accumulation runs as a
+                    // typed-lane segment-sum over the feature block
+                    // decoded into per-worker scratch.
+                    let kernels = par_pes_with(
+                        sys.pes_mut(),
+                        cfg.threads,
+                        || (vec![0i32; bs * f], vec![0i32; bs * f]),
+                        |(fblk, partial), pid, pe| {
+                            // simlint: hot(begin, gnn aggregation)
+                            let (gid, rank) = owner[pid];
+                            pe.read_sext(FEAT, cfg.dtype, fblk);
+                            partial.fill(0);
+                            let t = &tile[gid][rank];
+                            for &(u, v) in t {
+                                let (u, v) = (u as usize, v as usize);
+                                kernels::add_wrap(
+                                    cfg.dtype,
+                                    &mut partial[u * f..(u + 1) * f],
+                                    &fblk[v * f..(v + 1) * f],
+                                );
+                            }
+                            pe.write_trunc(partial_off, cfg.dtype, partial);
+                            let edges = t.len() as u64;
+                            KERNEL_SCALE
+                                * pe_kernel_ns(
+                                    edges * (f * es) as u64 + block_bytes as u64,
+                                    4 * edges * f as u64,
+                                )
+                            // simlint: hot(end)
+                        },
+                    );
+                    let agg_kernel = Run::launch(sys, kernels);
 
-                let (comb_kernel, first_report, second_report) = match cfg.variant {
-                    GnnVariant::RsAr => {
-                        let sub_rows = bs / s;
-                        let mut comb_kernel = 0.0f64;
-                        let exec = at.fused(&comm, sys, &fused, None, |_, sys| {
-                            let kernels = par_pes_with(
+                    // The combination kernel, run as the chain's hook.
+                    let combine = |sys: &mut PimSystem| match cfg.variant {
+                        // Rows sub-block x full W, placed at its sub-block
+                        // position in an otherwise-zero block. The gemm
+                        // runs as typed-lane axpy rows over W,
+                        // accumulating directly into the sub-block slot of
+                        // the output scratch.
+                        GnnVariant::RsAr => {
+                            par_pes_with(
                                 sys.pes_mut(),
                                 cfg.threads,
                                 || (vec![0i32; sub_rows * f], vec![0i32; bs * f]),
@@ -788,21 +446,14 @@ pub fn run_gnn_resilient_in(
                                         )
                                     // simlint: hot(end)
                                 },
-                            );
-                            comb_kernel = kernels.into_iter().fold(0.0f64, f64::max);
-                            sys.run_kernel(comb_kernel);
-                            Ok(())
-                        })?;
-                        let mut reports = exec.reports.into_iter();
-                        let first_report = reports.next().expect("fused pair: RS report");
-                        let second_report = reports.next().expect("fused pair: AR report");
-                        (comb_kernel, first_report, second_report)
-                    }
-                    GnnVariant::ArAg => {
-                        let sub_cols = f / s;
-                        let mut comb_kernel = 0.0f64;
-                        let exec = at.fused(&comm, sys, &fused, None, |_, sys| {
-                            let kernels = par_pes_with(
+                            )
+                        }
+                        // One weight column-block per rank, as typed-lane
+                        // axpy rows over W's column sub-slices; the
+                        // AllGather picks the column blocks up from the
+                        // same place.
+                        GnnVariant::ArAg => {
+                            par_pes_with(
                                 sys.pes_mut(),
                                 cfg.threads,
                                 || (vec![0i32; bs * f], vec![0i32; bs * sub_cols]),
@@ -810,6 +461,7 @@ pub fn run_gnn_resilient_in(
                                     // simlint: hot(begin, gnn ar-ag combine)
                                     let (_, rank) = owner[pid];
                                     pe.read_sext(reduced_off, cfg.dtype, agg);
+                                    // col block of result: agg x W[:, cols]
                                     colblk.fill(0);
                                     for r in 0..bs {
                                         let acc = &mut colblk[r * sub_cols..(r + 1) * sub_cols];
@@ -832,15 +484,21 @@ pub fn run_gnn_resilient_in(
                                         )
                                     // simlint: hot(end)
                                 },
-                            );
-                            comb_kernel = kernels.into_iter().fold(0.0f64, f64::max);
-                            sys.run_kernel(comb_kernel);
-                            Ok(())
-                        })?;
-                        let mut reports = exec.reports.into_iter();
-                        let first_report = reports.next().expect("fused pair: AR report");
-                        let second_report = reports.next().expect("fused pair: AG report");
-                        let colblk_bytes = bs * sub_cols * es;
+                            )
+                        }
+                    };
+                    let mut comb_kernel = 0.0f64;
+                    let reports = at.fused(sys, &fused, |_, sys| {
+                        let kernels = combine(sys);
+                        comb_kernel = Run::launch(sys, kernels);
+                        Ok(())
+                    })?;
+                    if cfg.variant == GnnVariant::ArAg {
+                        // The gathered layout is column-block-major;
+                        // interleaving it back to row-major is a pure row
+                        // scatter (decode + re-encode at one width is the
+                        // identity on bytes), one `copy_rows` per block
+                        // through per-worker scratch.
                         par_pes_with(
                             sys.pes_mut(),
                             cfg.threads,
@@ -866,96 +524,56 @@ pub fn run_gnn_resilient_in(
                                 // simlint: hot(end)
                             },
                         );
-                        (comb_kernel, first_report, second_report)
                     }
-                };
 
-                par_pes(sys.pes_mut(), cfg.threads, |_, pe| {
-                    // simlint: hot(begin, gnn feature rotate)
-                    pe.copy_within_region(out_off, FEAT, block_bytes);
-                    // simlint: hot(end)
-                });
-                Ok((agg_kernel, first_report, comb_kernel, second_report))
-            })? {
-                Iteration::Done((agg_kernel, first_report, comb_kernel, second_report)) => {
-                    profile.record_kernel(agg_kernel + sys.model().kernel_launch_ns);
-                    profile.record(&first_report);
-                    profile.record_kernel(comb_kernel + sys.model().kernel_launch_ns);
-                    profile.record(&second_report);
-                }
-                Iteration::Abort(_) => break 'run,
-            }
+                    // The result block becomes the next layer's feature
+                    // block.
+                    par_pes(sys.pes_mut(), cfg.threads, |_, pe| {
+                        // simlint: hot(begin, gnn feature rotate)
+                        pe.copy_within_region(out_off, FEAT, block_bytes);
+                        // simlint: hot(end)
+                    });
+                    Ok((agg_kernel, comb_kernel, reports))
+                })?;
+            run.record_kernel(agg_kernel);
+            run.profile.record(&reports[0]);
+            run.record_kernel(comb_kernel);
+            run.profile.record(&reports[1]);
         }
-    }
-    arena.recycle_byte_set(scatter_bufs);
 
-    // Final gather and validation, outside the labeled block so an
-    // aborted run still reports its mismatch count.
-    let (expected, cpu_ns) = cpu_reference(graph, &f0, &weights, cfg.dtype);
-    let mut mismatched = (n * f) as u64;
-    if sup.outcome() != pidcomm::RunOutcome::DeadlineExceeded
-        && sup.outcome() != pidcomm::RunOutcome::BudgetExhausted
-    {
-        let last_mask: DimMask = if (cfg.layers - 1).is_multiple_of(2) {
-            "10".parse()?
-        } else {
-            "01".parse()?
-        };
-        let gather_plan = comm.plan_cached(
-            &mut plans,
+        // Gather final features along the last active mask. A run that
+        // aborted in a layer never gets here (the early return above), so
+        // its verdict is the full output length.
+        let last_mask = layer_mask(cfg.layers - 1)?;
+        let gather_plan = run.comm.plan_cached(
+            &mut run.plans,
             Primitive::Gather,
             &last_mask,
             &BufferSpec::new(FEAT, 0, block_bytes).with_dtype(cfg.dtype),
             ReduceKind::Sum,
         )?;
-        match sup.iteration(&mut sys, arena, &[], |sys, at| {
-            let exec = at.collective(&comm, sys, &gather_plan, None)?;
-            Ok((
-                exec.report,
-                exec.host_out.expect("gather produces host output"),
-            ))
-        })? {
-            Iteration::Done((report, gathered)) => {
-                profile.record(&report);
-                let groups = comm.manager().groups(&last_mask)?;
-                let mut mm = 0u64;
-                for g in &groups {
-                    let blk = &gathered[g.id][..block_bytes];
-                    let got = mat_from_bytes(bs, f, blk, cfg.dtype);
-                    for r in 0..bs {
-                        mm += got
-                            .row(r)
-                            .iter()
-                            .zip(expected.row(g.id * bs + r))
-                            .filter(|(a, b)| a != b)
-                            .count() as u64;
-                    }
-                }
-                mismatched = mm;
-            }
-            Iteration::Abort(_) => {}
-        }
-    }
-    let validated = mismatched == 0;
-    let modeled_ns = sys.meter().total();
-    sys.detach_fault_plan();
-    sys.set_verify_writes(false);
-    arena.recycle(sys);
-    arena.put_extension(plans);
-
-    Ok(ResilientRun {
-        run: AppRun {
-            profile,
-            cpu_ns,
-            validated,
-        },
-        outcome: sup.outcome(),
-        retries: sup.retries(),
-        quarantined: sup.ledger().quarantined(),
-        mismatched,
-        modeled_ns,
-        backoff_epochs: sup.backoff_epochs(),
-        checkpoint_restores: sup.checkpoint_restores(),
+        let gathered = run.step(&[], |sys, at| at.collective(sys, &gather_plan, None))?;
+        run.profile.record(&gathered.report);
+        Ok(gathered.host_out.expect("gather produces host output"))
+    };
+    drive(arena, supervision, setup, body, |gathered| {
+        let (expected, cpu_ns) = cpu_reference(graph, &f0, &weights, cfg.dtype);
+        // After the final layer every member of group g holds block g (the
+        // group's row-block); the gather's buffer g starts with rank 0's
+        // copy.
+        let mismatched = match gathered {
+            Some(gathered) => gathered
+                .iter()
+                .enumerate()
+                .map(|(g, buf)| {
+                    let got = mat_from_bytes(bs, f, &buf[..block_bytes], cfg.dtype);
+                    let want = &expected.as_slice()[g * bs * f..(g + 1) * bs * f];
+                    mismatches(Some(got.as_slice()), want)
+                })
+                .sum(),
+            None => (n * f) as u64,
+        };
+        Verdict { mismatched, cpu_ns }
     })
 }
 

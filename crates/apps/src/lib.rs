@@ -13,6 +13,11 @@
 //! * [`gnn`] — 2-D partitioned GNN in both RS&AR and AR&AG variants.
 //! * [`dlrm`] — 3-D partitioned recommendation model (AlltoAll /
 //!   ReduceScatter / AlltoAll).
+//!
+//! Every app ships four entry points over **one** body: `run_x` /
+//! `run_x_in` (plain; `_in` sources allocations from a caller's
+//! `SystemArena`) and `run_x_resilient` / `run_x_resilient_in` (the same
+//! body under run-level supervision, returning a [`ResilientRun`]).
 
 // The modeled engine takes no unsafe shortcuts; any future unsafe
 // fast path belongs in pim_sim, under simlint's unsafe-audit lint.
@@ -22,6 +27,7 @@ pub mod bfs;
 pub mod cc;
 pub mod cost;
 pub mod dlrm;
+mod driver;
 pub mod gnn;
 pub mod mlp;
 pub mod profile;
@@ -40,12 +46,16 @@ pub struct AppRun {
 }
 
 /// Result of one resilient application run (the `run_*_resilient`
-/// variants): the ordinary [`AppRun`] plus the run-level recovery record.
+/// entry points): the ordinary [`AppRun`] plus the run-level recovery
+/// record.
 ///
-/// Unlike the plain runners, a resilient run never panics on output
-/// divergence — degraded execution is the point — and instead reports the
-/// divergence as [`ResilientRun::mismatched`]. With no fault plan the
-/// profile and outputs are bit-identical to the plain runner's.
+/// Each app has one body; `run_x` / `run_x_in` drive it unsupervised
+/// (steps run once, collectives execute directly) and assert the output
+/// matches the CPU reference, while `run_x_resilient` /
+/// `run_x_resilient_in` drive it under a `pidcomm` supervisor and never
+/// panic on output divergence — degraded execution is the point — but
+/// report it as [`ResilientRun::mismatched`]. With no fault plan the
+/// profile and outputs of the two are bit-identical.
 #[derive(Debug, Clone)]
 pub struct ResilientRun {
     /// Profile, CPU reference time and validation flag. The profile

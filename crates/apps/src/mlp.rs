@@ -13,13 +13,13 @@
 use std::sync::Arc;
 
 use pidcomm::{
-    par_chunks, par_pes, par_pes_with, BufferSpec, Communicator, DimMask, HypercubeManager,
-    HypercubeShape, Iteration, OptLevel, PlanCache, Primitive, RunPolicy, Supervisor,
+    par_chunks, par_pes, par_pes_with, BufferSpec, DimMask, OptLevel, Primitive, RunPolicy,
 };
 use pidcomm_data::MatI32;
 use pim_sim::{kernels, DType, DimmGeometry, FaultPlan, ReduceKind, SystemArena};
 
 use crate::cost::{pe_kernel_ns, CpuModel};
+use crate::driver::{drive, mismatches, validated, Run, Setup, Supervision, Verdict};
 use crate::profile::AppProfile;
 use crate::{AppRun, ResilientRun};
 
@@ -122,175 +122,16 @@ pub fn run_mlp(cfg: &MlpConfig) -> pidcomm::Result<AppRun> {
 ///
 /// Propagates collective validation errors.
 pub fn run_mlp_in(cfg: &MlpConfig, arena: &mut SystemArena) -> pidcomm::Result<AppRun> {
-    let p = cfg.pes;
-    let f = cfg.features;
-    assert_eq!(f % p, 0, "features must divide evenly across PEs");
-    assert_eq!((f * 4) % (8 * p), 0, "ReduceScatter alignment: 4f % 8P");
-    let cols = f / p;
-
-    let geom = DimmGeometry::with_pes(p);
-    let mut sys = arena.system(geom);
-    let mut plans = arena.take_extension::<PlanCache>();
-    let manager = HypercubeManager::new(HypercubeShape::linear(p)?, geom)?;
-    let comm = Communicator::new(manager)
-        .with_opt(cfg.opt)
-        .with_threads(cfg.threads);
-    let mask = DimMask::all(comm.manager().shape());
-    let mut profile = AppProfile::new("MLP", cfg.label());
-
-    // Deterministic weights and input.
-    let weights: Vec<MatI32> = (0..cfg.layers)
-        .map(|l| MatI32::random(f, f, 4, 0x9a77 + l as u64))
-        .collect();
-    let x0: Vec<i32> = (0..f).map(|i| ((i * 37 + 11) % 9) as i32 - 4).collect();
-
-    // Layout: activation slice at SLICE, partial vectors at PARTIAL,
-    // reduced output at OUT.
-    let slice_bytes = cols * 4;
-    let partial_bytes = f * 4;
-    const SLICE: usize = 0;
-    let partial_off = slice_bytes.next_multiple_of(64);
-    let out_off = partial_off + partial_bytes.next_multiple_of(64);
-
-    // Scatter the initial activation slices.
-    let host_x: Vec<Vec<u8>> = vec![x0.iter().flat_map(|v| v.to_le_bytes()).collect()];
-    let x_scatter_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Scatter,
-        &mask,
-        &BufferSpec::new(0, SLICE, slice_bytes).with_dtype(DType::I32),
-        ReduceKind::Sum,
-    )?;
-    // One-shot sends: both setup scatters execute directly — staging a
-    // prepared image only pays off when it executes more than once (the
-    // resilient runner's retries, the multi-host shared stage).
-    let report = x_scatter_plan.execute_with_host(&mut sys, &host_x)?;
-    profile.record(&report);
-
-    // Scatter the weight column slices (all layers at once): PE p receives
-    // columns [p*cols, (p+1)*cols) of every W_l.
-    let w_slice_bytes = cfg.layers * f * cols * 4;
-    let mut w_host = arena.bytes(p * w_slice_bytes);
-    par_chunks(&mut w_host, w_slice_bytes, cfg.threads, |dst_pe, chunk| {
-        let mut off = 0;
-        for w in &weights {
-            for c in dst_pe * cols..(dst_pe + 1) * cols {
-                for r in 0..f {
-                    chunk[off..off + 4].copy_from_slice(&w.get(r, c).to_le_bytes());
-                    off += 4;
-                }
-            }
-        }
-    });
-    let w_off = out_off + slice_bytes.next_multiple_of(64);
-    let w_scatter_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Scatter,
-        &mask,
-        &BufferSpec::new(0, w_off, w_slice_bytes).with_dtype(DType::I32),
-        ReduceKind::Sum,
-    )?;
-    let report = w_scatter_plan.execute_with_host(&mut sys, core::slice::from_ref(&w_host))?;
-    profile.record(&report);
-    arena.recycle_bytes(w_host);
-
-    // The per-layer reduction plan, built once for the whole stack (and
-    // pooled across runs): every layer issues the identical
-    // ReduceScatter, so planning per call was pure per-layer overhead.
-    let rs_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::ReduceScatter,
-        &mask,
-        &BufferSpec::new(partial_off, out_off, partial_bytes).with_dtype(DType::I32),
-        ReduceKind::Sum,
-    )?;
-
-    // Layers.
-    for l in 0..cfg.layers {
-        // PE kernel: partial_p = sum over owned columns c of x[c] * W[:,c],
-        // with ReLU applied to the incoming slice (except the first layer,
-        // whose input is raw). One host-kernel work item per PE; the
-        // activation slice and partial vector live in per-worker scratch,
-        // and the gemv runs as fused decode+axpy over the weight columns
-        // already staged *in PE MRAM* (each owned column is a contiguous
-        // f-length typed lane there — the layout the scatter built).
-        let kernels = par_pes_with(
-            sys.pes_mut(),
-            cfg.threads,
-            || (vec![0i32; cols], vec![0i32; f]),
-            |(xs, partial), _, pe| {
-                // simlint: hot(begin, mlp gemv)
-                pe.read_i32s(SLICE, xs);
-                if l > 0 {
-                    kernels::relu_i32(xs);
-                }
-                partial.fill(0);
-                let layer_off = w_off + l * cols * f * 4;
-                let wbytes = pe.read(layer_off, cols * f * 4);
-                for (ci, &xv) in xs.iter().enumerate() {
-                    if xv == 0 {
-                        continue;
-                    }
-                    kernels::axpy_i32_bytes(partial, xv, &wbytes[ci * f * 4..(ci + 1) * f * 4]);
-                }
-                pe.write_i32s(partial_off, partial);
-                pe_kernel_ns((f * cols * 4 + f * 8) as u64, (12 * f * cols) as u64)
-                // simlint: hot(end)
-            },
-        );
-        let max_kernel = kernels.into_iter().fold(0.0f64, f64::max);
-        sys.run_kernel(max_kernel);
-        profile.record_kernel(max_kernel + sys.model().kernel_launch_ns);
-
-        // ReduceScatter the partials: PE p ends with elements
-        // [p*cols, (p+1)*cols) of the summed output — the warm per-layer
-        // plan.
-        let report = rs_plan.execute(&mut sys)?;
-        profile.record(&report);
-
-        // The reduced slice becomes the next activation slice.
-        par_pes(sys.pes_mut(), cfg.threads, |_, pe| {
-            // simlint: hot(begin, mlp slice rotate)
-            pe.copy_within_region(out_off, SLICE, slice_bytes);
-            // simlint: hot(end)
-        });
-    }
-
-    // Gather the final activation (pre-ReLU of the last layer's output,
-    // so apply ReLU on the host like the reference does).
-    let gather_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Gather,
-        &mask,
-        &BufferSpec::new(SLICE, 0, slice_bytes).with_dtype(DType::I32),
-        ReduceKind::Sum,
-    )?;
-    let (report, gathered) = gather_plan.execute_to_host(&mut sys)?;
-    profile.record(&report);
-    let result: Vec<i32> = gathered[0]
-        .chunks_exact(4)
-        .map(|c| relu(i32::from_le_bytes(c.try_into().unwrap())))
-        .collect();
-
-    let (expected, cpu_ns) = cpu_reference(&weights, &x0);
-    let validated = result == expected;
-    assert!(validated, "MLP PIM result diverges from CPU reference");
-    arena.recycle(sys);
-    arena.put_extension(plans);
-
-    Ok(AppRun {
-        profile,
-        cpu_ns,
-        validated,
-    })
+    Ok(validated(mlp(cfg, None, arena)?, "MLP PIM result"))
 }
 
 /// As [`run_mlp`], but under run-level supervision (see
-/// [`Supervisor`]): collectives run verified with quarantine-aware
-/// recovery, each layer commits through an iteration checkpoint of the
-/// live activation slice, and unrecoverable faults end the run with a
-/// typed outcome instead of a panic. With `fault = None` the profile and
-/// outputs are bit-identical to [`run_mlp`].
+/// [`pidcomm::engine::supervisor`]): the same body, with collectives run
+/// verified under quarantine-aware recovery, each layer committed through
+/// an iteration checkpoint of the live activation slice, and
+/// unrecoverable faults ending the run with a typed outcome instead of a
+/// panic. With `fault = None` the profile and outputs are bit-identical
+/// to [`run_mlp`].
 ///
 /// # Errors
 ///
@@ -315,32 +156,29 @@ pub fn run_mlp_resilient_in(
     policy: RunPolicy,
     arena: &mut SystemArena,
 ) -> pidcomm::Result<ResilientRun> {
+    mlp(cfg, Some((fault, policy)), arena)
+}
+
+/// The one MLP body behind all four runners (see [`crate::driver`]).
+fn mlp(
+    cfg: &MlpConfig,
+    supervision: Supervision,
+    arena: &mut SystemArena,
+) -> pidcomm::Result<ResilientRun> {
     let p = cfg.pes;
     let f = cfg.features;
     assert_eq!(f % p, 0, "features must divide evenly across PEs");
     assert_eq!((f * 4) % (8 * p), 0, "ReduceScatter alignment: 4f % 8P");
     let cols = f / p;
 
-    let geom = DimmGeometry::with_pes(p);
-    let mut sys = arena.system(geom);
-    if let Some(fp) = &fault {
-        sys.attach_fault_plan(fp.clone());
-        sys.set_verify_writes(true);
-    }
-    let mut plans = arena.take_extension::<PlanCache>();
-    let manager = HypercubeManager::new(HypercubeShape::linear(p)?, geom)?;
-    let comm = Communicator::new(manager)
-        .with_opt(cfg.opt)
-        .with_threads(cfg.threads);
-    let mask = DimMask::all(comm.manager().shape());
-    let mut profile = AppProfile::new("MLP", cfg.label());
-    let mut sup = Supervisor::new(p, policy);
-
+    // Deterministic weights and input.
     let weights: Vec<MatI32> = (0..cfg.layers)
         .map(|l| MatI32::random(f, f, 4, 0x9a77 + l as u64))
         .collect();
     let x0: Vec<i32> = (0..f).map(|i| ((i * 37 + 11) % 9) as i32 - 4).collect();
 
+    // Layout: activation slice at SLICE, partial vectors at PARTIAL,
+    // reduced output at OUT, weight column slices behind them.
     let slice_bytes = cols * 4;
     let partial_bytes = f * 4;
     const SLICE: usize = 0;
@@ -349,75 +187,75 @@ pub fn run_mlp_resilient_in(
     let w_off = out_off + slice_bytes.next_multiple_of(64);
     let w_slice_bytes = cfg.layers * f * cols * 4;
 
-    let host_x: Vec<Vec<u8>> = vec![x0.iter().flat_map(|v| v.to_le_bytes()).collect()];
-    let mut w_host = arena.bytes(p * w_slice_bytes);
-    par_chunks(&mut w_host, w_slice_bytes, cfg.threads, |dst_pe, chunk| {
-        let mut off = 0;
-        for w in &weights {
-            for c in dst_pe * cols..(dst_pe + 1) * cols {
-                for r in 0..f {
-                    chunk[off..off + 4].copy_from_slice(&w.get(r, c).to_le_bytes());
-                    off += 4;
+    let setup = Setup {
+        geom: DimmGeometry::with_pes(p),
+        dims: vec![p],
+        opt: cfg.opt,
+        threads: cfg.threads,
+        profile: AppProfile::new("MLP", cfg.label()),
+    };
+    let body = |run: &mut Run<'_>| {
+        let mask = DimMask::all(run.comm.manager().shape());
+        let mut plan = |primitive, src, dst, bytes| {
+            let spec = BufferSpec::new(src, dst, bytes).with_dtype(DType::I32);
+            run.comm
+                .plan_cached(&mut run.plans, primitive, &mask, &spec, ReduceKind::Sum)
+        };
+        let x_scatter_plan = plan(Primitive::Scatter, 0, SLICE, slice_bytes)?;
+        let w_scatter_plan = plan(Primitive::Scatter, 0, w_off, w_slice_bytes)?;
+        // The per-layer reduction plan, built once for the whole stack
+        // (and pooled across runs): every layer issues the identical
+        // ReduceScatter, so planning per call was pure per-layer overhead.
+        let rs_plan = plan(
+            Primitive::ReduceScatter,
+            partial_off,
+            out_off,
+            partial_bytes,
+        )?;
+        let gather_plan = plan(Primitive::Gather, SLICE, 0, slice_bytes)?;
+
+        // Setup: scatter the initial activation slices and the weight
+        // column slices (all layers at once): PE p receives columns
+        // [p*cols, (p+1)*cols) of every W_l. Both sends restage everything
+        // from host buffers, so a re-run needs no checkpointed MRAM state.
+        let host_x: Vec<Vec<u8>> = vec![x0.iter().flat_map(|v| v.to_le_bytes()).collect()];
+        let mut w_host = run.arena.bytes(p * w_slice_bytes);
+        par_chunks(&mut w_host, w_slice_bytes, cfg.threads, |dst_pe, chunk| {
+            let mut off = 0;
+            for w in &weights {
+                for c in dst_pe * cols..(dst_pe + 1) * cols {
+                    for r in 0..f {
+                        chunk[off..off + 4].copy_from_slice(&w.get(r, c).to_le_bytes());
+                        off += 4;
+                    }
                 }
             }
-        }
-    });
-
-    let x_scatter_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Scatter,
-        &mask,
-        &BufferSpec::new(0, SLICE, slice_bytes).with_dtype(DType::I32),
-        ReduceKind::Sum,
-    )?;
-    let w_scatter_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Scatter,
-        &mask,
-        &BufferSpec::new(0, w_off, w_slice_bytes).with_dtype(DType::I32),
-        ReduceKind::Sum,
-    )?;
-    let rs_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::ReduceScatter,
-        &mask,
-        &BufferSpec::new(partial_off, out_off, partial_bytes).with_dtype(DType::I32),
-        ReduceKind::Sum,
-    )?;
-    let gather_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Gather,
-        &mask,
-        &BufferSpec::new(SLICE, 0, slice_bytes).with_dtype(DType::I32),
-        ReduceKind::Sum,
-    )?;
-
-    let mut result: Option<Vec<i32>> = None;
-    'run: {
-        // Setup: both scatters restage everything from host buffers, so a
-        // re-run needs no checkpointed MRAM state.
-        match sup.iteration(&mut sys, arena, &[], |sys, at| {
-            let a = at.collective(&comm, sys, &x_scatter_plan, Some(&host_x))?;
-            let b = at.collective(
-                &comm,
-                sys,
-                &w_scatter_plan,
-                Some(core::slice::from_ref(&w_host)),
-            )?;
-            Ok([a.report, b.report])
-        })? {
-            Iteration::Done(reports) => {
-                for r in &reports {
-                    profile.record(r);
-                }
-            }
-            Iteration::Abort(_) => break 'run,
+        });
+        let scattered = run.step(&[], |sys, at| {
+            let x = at.collective(sys, &x_scatter_plan, Some(&host_x))?;
+            let w = at.collective(sys, &w_scatter_plan, Some(core::slice::from_ref(&w_host)))?;
+            Ok([x.report, w.report])
+        });
+        // The image is dead once the setup step is over (a retry happens
+        // inside it); hand it back before the layers run, aborted or not.
+        run.arena.recycle_bytes(w_host);
+        for report in &scattered? {
+            run.profile.record(report);
         }
 
         for l in 0..cfg.layers {
             // The live state at a layer boundary is the activation slice
             // (everything else is rewritten from it or read-only).
-            match sup.iteration(&mut sys, arena, &[(SLICE, slice_bytes)], |sys, at| {
+            let (kernel, report) = run.step(&[(SLICE, slice_bytes)], |sys, at| {
+                // PE kernel: partial_p = sum over owned columns c of
+                // x[c] * W[:,c], with ReLU applied to the incoming slice
+                // (except the first layer, whose input is raw). One
+                // host-kernel work item per PE; the activation slice and
+                // partial vector live in per-worker scratch, and the gemv
+                // runs as fused decode+axpy over the weight columns
+                // already staged *in PE MRAM* (each owned column is a
+                // contiguous f-length typed lane there — the layout the
+                // scatter built).
                 let kernels = par_pes_with(
                     sys.pes_mut(),
                     cfg.threads,
@@ -446,73 +284,41 @@ pub fn run_mlp_resilient_in(
                         // simlint: hot(end)
                     },
                 );
-                let max_kernel = kernels.into_iter().fold(0.0f64, f64::max);
-                sys.run_kernel(max_kernel);
-                let report = at.collective(&comm, sys, &rs_plan, None)?.report;
+                let kernel = Run::launch(sys, kernels);
+
+                // ReduceScatter the partials: PE p ends with elements
+                // [p*cols, (p+1)*cols) of the summed output — the warm
+                // per-layer plan.
+                let report = at.collective(sys, &rs_plan, None)?.report;
+
+                // The reduced slice becomes the next activation slice.
                 par_pes(sys.pes_mut(), cfg.threads, |_, pe| {
                     // simlint: hot(begin, mlp slice rotate)
                     pe.copy_within_region(out_off, SLICE, slice_bytes);
                     // simlint: hot(end)
                 });
-                Ok((max_kernel, report))
-            })? {
-                Iteration::Done((max_kernel, report)) => {
-                    profile.record_kernel(max_kernel + sys.model().kernel_launch_ns);
-                    profile.record(&report);
-                }
-                Iteration::Abort(_) => break 'run,
-            }
+                Ok((kernel, report))
+            })?;
+            run.record_kernel(kernel);
+            run.profile.record(&report);
         }
 
-        match sup.iteration(&mut sys, arena, &[], |sys, at| {
-            let exec = at.collective(&comm, sys, &gather_plan, None)?;
-            Ok((
-                exec.report,
-                exec.host_out.expect("gather produces host output"),
-            ))
-        })? {
-            Iteration::Done((report, gathered)) => {
-                profile.record(&report);
-                result = Some(
-                    gathered[0]
-                        .chunks_exact(4)
-                        .map(|c| relu(i32::from_le_bytes(c.try_into().unwrap())))
-                        .collect(),
-                );
-            }
-            Iteration::Abort(_) => {}
-        }
-    }
-    arena.recycle_bytes(w_host);
-
-    let (expected, cpu_ns) = cpu_reference(&weights, &x0);
-    let (mismatched, validated) = match &result {
-        Some(r) => {
-            let mm = r.iter().zip(&expected).filter(|(a, b)| a != b).count()
-                + r.len().abs_diff(expected.len());
-            (mm as u64, mm == 0)
-        }
-        None => (expected.len() as u64, false),
+        // Gather the final activation (pre-ReLU of the last layer's
+        // output, so apply ReLU on the host like the reference does).
+        let gathered = run.step(&[], |sys, at| at.collective(sys, &gather_plan, None))?;
+        run.profile.record(&gathered.report);
+        let gathered = gathered.host_out.expect("gather produces host output");
+        Ok(gathered[0]
+            .chunks_exact(4)
+            .map(|c| relu(i32::from_le_bytes(c.try_into().unwrap())))
+            .collect::<Vec<i32>>())
     };
-    let modeled_ns = sys.meter().total();
-    sys.detach_fault_plan();
-    sys.set_verify_writes(false);
-    arena.recycle(sys);
-    arena.put_extension(plans);
-
-    Ok(ResilientRun {
-        run: AppRun {
-            profile,
+    drive(arena, supervision, setup, body, |result| {
+        let (expected, cpu_ns) = cpu_reference(&weights, &x0);
+        Verdict {
+            mismatched: mismatches(result.as_deref(), &expected),
             cpu_ns,
-            validated,
-        },
-        outcome: sup.outcome(),
-        retries: sup.retries(),
-        quarantined: sup.ledger().quarantined(),
-        mismatched,
-        modeled_ns,
-        backoff_epochs: sup.backoff_epochs(),
-        checkpoint_restores: sup.checkpoint_restores(),
+        }
     })
 }
 

@@ -2,16 +2,17 @@
 //! levels and (where applicable) element widths — all must validate
 //! bit-exactly and produce structurally sane profiles.
 
-use pidcomm::{OptLevel, Primitive};
+use pidcomm::{OptLevel, PlanCache, Primitive, RunOutcome, RunPolicy};
 use pidcomm_apps::bfs::{default_source, run_bfs, run_bfs_in, BfsConfig};
 use pidcomm_apps::cc::{run_cc, run_cc_in, CcConfig};
 use pidcomm_apps::dlrm::{run_dlrm, run_dlrm_in, DlrmRunConfig};
-use pidcomm_apps::gnn::{run_gnn, run_gnn_in, GnnConfig, GnnVariant};
-use pidcomm_apps::mlp::{run_mlp, run_mlp_in, MlpConfig};
+use pidcomm_apps::gnn::{run_gnn, run_gnn_in, run_gnn_resilient_in, GnnConfig, GnnVariant};
+use pidcomm_apps::mlp::{run_mlp, run_mlp_in, run_mlp_resilient_in, MlpConfig};
 use pidcomm_apps::AppRun;
 use pidcomm_data::dlrm::DlrmConfig;
 use pidcomm_data::{rmat, CsrGraph, RmatParams};
-use pim_sim::{DType, SystemArena};
+use pim_sim::{DType, DimmGeometry, FaultPlan, SystemArena};
+use std::sync::Arc;
 
 fn graph() -> CsrGraph {
     rmat(11, 6, RmatParams::skewed(77)).to_undirected()
@@ -369,6 +370,72 @@ fn arena_reuse_between_runs_never_leaks_state() {
         arena.pooled_systems() >= 1,
         "apps must recycle their systems"
     );
+}
+
+/// Everything a run checks out of the arena goes back on every exit: a
+/// sweep worker that hits a bad cell keeps its warmed plan cache, and a
+/// pooled system never carries a fault plan or verification into the
+/// next (possibly plain) run.
+#[test]
+fn failed_and_aborted_runs_return_their_checkouts_to_the_arena() {
+    let g = graph();
+    let gnn = |feature_dim| GnnConfig {
+        threads: 0,
+        pes: 64,
+        feature_dim,
+        layers: 2,
+        variant: GnnVariant::RsAr,
+        opt: OptLevel::Full,
+        dtype: DType::I32,
+    };
+    let storm = || Some(Arc::new(FaultPlan::new(3).with_bit_flip_period(1 << 4)));
+    let mut arena = SystemArena::new();
+    assert!(run_gnn_in(&gnn(16), &g, &mut arena).unwrap().validated);
+    let warm = |arena: &mut SystemArena| {
+        let plans = arena.take_extension::<PlanCache>();
+        let len = plans.len();
+        arena.put_extension(plans);
+        len
+    };
+    let warmed = warm(&mut arena);
+    assert!(warmed > 0, "the first run pools its plans");
+
+    // A zero-width feature block passes the shape asserts and fails plan
+    // validation — after the system and the plan cache were checked out.
+    let err = run_gnn_in(&gnn(0), &g, &mut arena).unwrap_err();
+    assert!(matches!(err, pidcomm::Error::InvalidBuffer(_)), "{err}");
+    assert_eq!(warm(&mut arena), warmed, "an Err dropped the plan cache");
+    assert_eq!(arena.pooled_systems(), 1, "an Err dropped the system");
+
+    // The same failure under supervision with a fault plan attached …
+    let policy = RunPolicy::default();
+    assert!(run_gnn_resilient_in(&gnn(0), &g, storm(), policy, &mut arena).is_err());
+    assert_eq!(warm(&mut arena), warmed);
+    // … and a storm run the supervisor aborts for lack of budget.
+    let mlp = MlpConfig {
+        threads: 0,
+        features: 512,
+        layers: 2,
+        pes: 64,
+        opt: OptLevel::Full,
+    };
+    let aborted =
+        run_mlp_resilient_in(&mlp, storm(), policy.with_retry_budget(0), &mut arena).unwrap();
+    assert_eq!(aborted.outcome, RunOutcome::BudgetExhausted);
+    assert!(
+        warm(&mut arena) > warmed,
+        "the aborted run's plans stay pooled"
+    );
+
+    assert_eq!(arena.pooled_systems(), 1);
+    let sys = arena.system(DimmGeometry::with_pes(64));
+    assert!(
+        sys.fault_plan().is_none(),
+        "pooled system kept a fault plan"
+    );
+    assert!(!sys.verify_writes(), "pooled system kept verification on");
+    arena.recycle(sys);
+    assert!(run_gnn_in(&gnn(16), &g, &mut arena).unwrap().validated);
 }
 
 #[test]

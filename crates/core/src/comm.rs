@@ -8,7 +8,9 @@ use pim_sim::{PimSystem, SystemArena};
 use crate::config::{OptLevel, Primitive};
 use crate::engine::plan::{CollectivePlan, PlanCache, PlanKey};
 use crate::engine::prepared::{FusedPlan, PreparedScatter};
-use crate::engine::recovery::{self, FusedVerifiedExecution, RecoveryPolicy, VerifiedExecution};
+use crate::engine::recovery::{
+    self, FusedVerifiedExecution, RecoveryPolicy, Unit, VerifiedExecution,
+};
 use crate::engine::{self, BufferSpec};
 use crate::error::{Error, Result};
 use crate::hypercube::{DimMask, HypercubeManager};
@@ -189,7 +191,9 @@ impl Communicator {
         host_in: Option<&[Vec<u8>]>,
         policy: &RecoveryPolicy,
     ) -> Result<VerifiedExecution> {
-        recovery::run_verified(sys, &self.manager, plan, host_in, policy)
+        let unit = Unit::Plan { plan, host_in };
+        recovery::run_verified(sys, &self.manager, &unit, policy, None, |_, _| Ok(()))
+            .map(FusedVerifiedExecution::into_single)
     }
 
     /// Stages a rooted send's host payload for repeat execution: the
@@ -273,7 +277,8 @@ impl Communicator {
         policy: &RecoveryPolicy,
         hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
     ) -> Result<FusedVerifiedExecution> {
-        recovery::run_verified_fused(sys, &self.manager, fused, staged, policy, None, hook)
+        let unit = Unit::chain(fused, staged)?;
+        recovery::run_verified(sys, &self.manager, &unit, policy, None, hook)
     }
 
     /// A plan only prepares/fuses on the communicator whose geometry it

@@ -61,9 +61,12 @@ impl BufferSpec {
     }
 }
 
-/// Outcome of one engine invocation.
-pub(crate) struct Execution {
+/// Outcome of one plan execution ([`plan::CollectivePlan::run`]).
+#[derive(Debug, Clone)]
+pub struct Execution {
+    /// Modeled-time report of the execution.
     pub report: CommReport,
+    /// Host output buffers (Gather/Reduce only), one per group.
     pub host_out: Option<Vec<Vec<u8>>>,
 }
 

@@ -305,12 +305,20 @@ impl CollectivePlan {
     }
 
     /// The execute half: payload-dependent validation, dispatch and cost
-    /// application — everything the plan could not precompute.
-    pub(crate) fn run(
-        &self,
-        sys: &mut PimSystem,
-        host_in: Option<&[Vec<u8>]>,
-    ) -> Result<Execution> {
+    /// application — everything the plan could not precompute. The one
+    /// entry point behind [`CollectivePlan::execute`],
+    /// [`CollectivePlan::execute_with_host`] and
+    /// [`CollectivePlan::execute_to_host`], for callers that handle every
+    /// primitive uniformly: `host_in` is `Some` exactly for Scatter and
+    /// Broadcast, and `host_out` comes back `Some` exactly for Gather and
+    /// Reduce.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::ShapeSystemMismatch`] when `sys` has a different geometry
+    /// than the plan, [`Error::InvalidHostData`] when `host_in` does not
+    /// match the primitive, plus the fault layer's typed errors.
+    pub fn run(&self, sys: &mut PimSystem, host_in: Option<&[Vec<u8>]>) -> Result<Execution> {
         self.check_geometry(sys)?;
         validate_host_in(
             self.primitive,

@@ -14,11 +14,11 @@
 //! 2. **Retry**: transient faults are epoch-keyed and each execution is one
 //!    epoch, so a bounded number of re-runs clears them. The failed
 //!    attempt is first rolled back from a pre-execution image of the
-//!    plan's touched MRAM windows — phase-A reordering destructively
+//!    unit's touched MRAM windows — phase-A reordering destructively
 //!    pre-rotates the sources in place, so a blind re-run would
 //!    double-permute them into silent garbage. The image is scoped to the
-//!    plan's validated source/destination extents (nothing else changes
-//!    during execution), not the whole MRAM. Each retry pays the failed
+//!    validated source/destination extents (nothing else changes during
+//!    execution), not the whole MRAM. Each retry pays the failed
 //!    attempt's full modeled cost (already on the meter) plus a fixed
 //!    resynchronization setup (the [`CostSheet`] recovery counter).
 //! 3. **Degrade**: a *persistently* failed PE cannot be retried around.
@@ -30,26 +30,28 @@
 //!    outputs are dropped, and its *inputs* are taken from its bank as-is
 //!    (on UPMEM the host reaches a bank regardless of DPU health).
 //!
+//! One loop (`run_verified`) drives all three tiers over a `Unit`:
+//! a single plan is a one-step unit, a fused chain ([`FusedPlan`]) an
+//! N-step one that recovers as a whole — its rollback image covers the
+//! chain's *merged* region list (every step's touched windows plus
+//! hook-written intermediates), so a fault detected mid-chain, after
+//! earlier steps already committed their landings, restores the
+//! chain-entry state in one [`PimSystem::restore_regions`] and re-runs
+//! from step 0.
+//!
 //! Run-level supervision ([`crate::engine::supervisor`]) builds on these
 //! same pieces: its [`HealthLedger`] receives per-PE attribution of every
 //! detected fault, and PEs it has quarantined degrade up front via
 //! [`run_degraded`] instead of burning retries rediscovering them.
-//!
-//! Fused chains ([`FusedPlan`]) recover as one unit: the rollback image
-//! covers the chain's *merged* region list (every step's touched windows
-//! plus hook-written intermediates), so a fault detected mid-chain —
-//! after earlier steps already committed their landings — restores the
-//! chain-entry state in one [`PimSystem::restore_regions`] and re-runs
-//! from step 0 ([`run_verified_fused`]).
 
 use pim_sim::{Breakdown, Checkpoint, FaultPlan, PimSystem};
 
 use crate::config::Primitive;
-use crate::engine::logical_volumes;
 use crate::engine::plan::CollectivePlan;
-use crate::engine::prepared::{FusedPlan, PreparedScatter};
+use crate::engine::prepared::{FusedExecution, FusedPlan, PreparedScatter};
 use crate::engine::sheet::CostSheet;
 use crate::engine::supervisor::HealthLedger;
+use crate::engine::{logical_volumes, Execution};
 use crate::error::{Error, Result};
 use crate::hypercube::HypercubeManager;
 use crate::oracle;
@@ -109,369 +111,251 @@ pub struct FusedVerifiedExecution {
     pub degraded: bool,
 }
 
-/// Captures the pre-execution rollback image: the plan's touched MRAM
-/// windows only (source extent — phase-A reordering is destructive in
-/// place — plus destination extent), captured only when a fault plan is
-/// attached, so the clean path never pays for the copy.
-fn capture(sys: &PimSystem, plan: &CollectivePlan) -> Checkpoint {
-    let mut ckpt = Checkpoint::new();
-    sys.checkpoint_regions(&plan.touched_regions(), &mut ckpt);
-    ckpt
+impl FusedVerifiedExecution {
+    /// The single-plan view of a one-step unit's outcome. The report
+    /// spans all attempts: a clean first attempt reproduces the
+    /// unverified breakdown bit-for-bit (nothing else is charged between
+    /// entry and the run), while a recovered one carries every failed
+    /// attempt plus the retry setups.
+    pub(crate) fn into_single(mut self) -> VerifiedExecution {
+        let mut report = self.reports.pop().expect("a unit has at least one step");
+        report.breakdown = self.breakdown;
+        VerifiedExecution {
+            report,
+            host_out: self.host_out,
+            retries: self.retries,
+            degraded: self.degraded,
+        }
+    }
 }
 
-/// As [`capture`], over a fused chain's merged region list — every step's
-/// touched windows plus the hook-written extras, so a fault in step *k*
-/// rolls back steps `0..k`'s landings and the hooks' intermediate writes
-/// in one restore.
-fn capture_fused(sys: &PimSystem, fused: &FusedPlan) -> Checkpoint {
-    let mut ckpt = Checkpoint::new();
-    sys.checkpoint_regions(fused.regions(), &mut ckpt);
-    ckpt
+/// What the recovery loop drives: something that can run, name its
+/// rollback regions and degrade step by step.
+pub(crate) enum Unit<'a> {
+    /// One collective — a one-step unit.
+    Plan {
+        plan: &'a CollectivePlan,
+        host_in: Option<&'a [Vec<u8>]>,
+    },
+    /// A fused chain; retried and rolled back as a whole.
+    Chain {
+        fused: &'a FusedPlan,
+        staged: Option<&'a PreparedScatter>,
+    },
 }
 
-/// Runs `plan` with verification enabled, retrying transient faults and
-/// degrading around persistent PE failures per `policy`.
-pub(crate) fn run_verified(
+impl<'a> Unit<'a> {
+    /// A chain unit, validating `staged` against the chain's first step.
+    pub(crate) fn chain(fused: &'a FusedPlan, staged: Option<&'a PreparedScatter>) -> Result<Self> {
+        fused.check_staged(staged)?;
+        Ok(Unit::Chain { fused, staged })
+    }
+
+    /// Number of collectives in the unit.
+    pub(crate) fn steps(&self) -> usize {
+        match self {
+            Unit::Plan { .. } => 1,
+            Unit::Chain { fused, .. } => fused.steps().len(),
+        }
+    }
+
+    /// The `k`-th collective.
+    pub(crate) fn step(&self, k: usize) -> &CollectivePlan {
+        match self {
+            Unit::Plan { plan, .. } => plan,
+            Unit::Chain { fused, .. } => &fused.steps()[k],
+        }
+    }
+
+    /// Captures the pre-execution rollback image: a plan's touched MRAM
+    /// windows only (source extent — phase-A reordering is destructive in
+    /// place — plus destination extent); for a chain the merged region
+    /// list, so a fault in step *k* rolls back steps `0..k`'s landings
+    /// and the hooks' intermediate writes in one restore.
+    fn capture(&self, sys: &PimSystem) -> Checkpoint {
+        let mut ckpt = Checkpoint::new();
+        match self {
+            Unit::Plan { plan, .. } => sys.checkpoint_regions(&plan.touched_regions(), &mut ckpt),
+            Unit::Chain { fused, .. } => sys.checkpoint_regions(fused.regions(), &mut ckpt),
+        }
+        ckpt
+    }
+
+    /// One ordinary (non-degraded) pass over every step.
+    fn run(
+        &self,
+        sys: &mut PimSystem,
+        hook: &mut impl FnMut(usize, &mut PimSystem) -> Result<()>,
+    ) -> Result<FusedExecution> {
+        match *self {
+            Unit::Plan { plan, host_in } => plan.run(sys, host_in).map(|exec| FusedExecution {
+                reports: vec![exec.report],
+                host_out: exec.host_out,
+            }),
+            Unit::Chain { fused, staged } => fused.execute_with(sys, staged, hook),
+        }
+    }
+
+    /// Graceful degradation: each step recomputes host-side
+    /// ([`degrade_step`]), with the inter-step hooks between them. Step 0
+    /// of a rooted-send chain rebuilds its original host buffers from the
+    /// staged image ([`PreparedScatter::unstage`]).
+    fn degrade(
+        &self,
+        sys: &mut PimSystem,
+        manager: &HypercubeManager,
+        quarantine: Option<&HealthLedger>,
+        hook: &mut impl FnMut(usize, &mut PimSystem) -> Result<()>,
+    ) -> Result<FusedExecution> {
+        let unstaged;
+        let first_in = match *self {
+            Unit::Plan { host_in, .. } => host_in,
+            Unit::Chain { staged, .. } => {
+                unstaged = staged.map(PreparedScatter::unstage);
+                unstaged.as_deref()
+            }
+        };
+        let mut reports = Vec::with_capacity(self.steps());
+        let mut host_out = None;
+        for k in 0..self.steps() {
+            let host_in = if k == 0 { first_in } else { None };
+            let exec = degrade_step(sys, manager, self.step(k), host_in, quarantine)?;
+            reports.push(exec.report);
+            host_out = exec.host_out;
+            if k + 1 < self.steps() {
+                hook(k, sys)?;
+            }
+        }
+        Ok(FusedExecution { reports, host_out })
+    }
+}
+
+/// The shared envelope of verified and degraded execution: meter mark,
+/// verification on for the duration, previous setting restored on every
+/// exit.
+fn verifying<T>(
     sys: &mut PimSystem,
-    manager: &HypercubeManager,
-    plan: &CollectivePlan,
-    host_in: Option<&[Vec<u8>]>,
-    policy: &RecoveryPolicy,
-) -> Result<VerifiedExecution> {
-    run_verified_tracked(sys, manager, plan, host_in, policy, None)
-}
-
-/// As [`run_verified`], but additionally attributing every detected fault
-/// (corruption, stuck detection, retry, persistent failure) to its PE in
-/// `ledger`, so run-level supervision can quarantine repeat offenders.
-pub(crate) fn run_verified_tracked(
-    sys: &mut PimSystem,
-    manager: &HypercubeManager,
-    plan: &CollectivePlan,
-    host_in: Option<&[Vec<u8>]>,
-    policy: &RecoveryPolicy,
-    ledger: Option<&mut HealthLedger>,
-) -> Result<VerifiedExecution> {
+    f: impl FnOnce(&mut PimSystem, &Breakdown) -> Result<T>,
+) -> Result<T> {
     let before = sys.meter();
     let prev = sys.verify_writes();
     sys.set_verify_writes(true);
-    let snapshot = sys.fault_plan().is_some().then(|| capture(sys, plan));
-    let result = drive(
-        sys,
-        manager,
-        plan,
-        host_in,
-        policy,
-        &before,
-        snapshot.as_ref(),
-        ledger,
-    );
+    let result = f(sys, &before);
     sys.set_verify_writes(prev);
     result
 }
 
-/// Degrades `plan` up front, without attempting a normal execution —
-/// the run-level supervisor's path for plans whose members include
+fn finish(
+    sys: &PimSystem,
+    before: &Breakdown,
+    exec: FusedExecution,
+    retries: u32,
+    degraded: bool,
+) -> FusedVerifiedExecution {
+    FusedVerifiedExecution {
+        reports: exec.reports,
+        breakdown: sys.meter().since(before),
+        host_out: exec.host_out,
+        retries,
+        degraded,
+    }
+}
+
+/// Runs `unit` with verification enabled, retrying transient faults and
+/// degrading around persistent PE failures per `policy`; every detected
+/// fault (corruption, stuck detection, retry, persistent failure) is
+/// attributed to its PE in `ledger` when one is given, so run-level
+/// supervision can quarantine repeat offenders.
+///
+/// The retry unit is the **whole unit**: a fault in step *k* of a chain
+/// restores the rollback image, charges one resynchronization setup, and
+/// re-runs from step 0 — inter-step hooks re-run too, which is safe by
+/// the fusion contract (hooks derive everything they write from host
+/// state plus covered regions). With no fault plan attached this is
+/// byte- and modeled-bit-identical to the unverified execution, and the
+/// rollback image is not even captured — the clean path never pays for
+/// the copy.
+pub(crate) fn run_verified(
+    sys: &mut PimSystem,
+    manager: &HypercubeManager,
+    unit: &Unit<'_>,
+    policy: &RecoveryPolicy,
+    mut ledger: Option<&mut HealthLedger>,
+    mut hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
+) -> Result<FusedVerifiedExecution> {
+    verifying(sys, |sys, before| {
+        let snapshot = sys.fault_plan().is_some().then(|| unit.capture(sys));
+        let mut retries = 0u32;
+        loop {
+            let err = match unit.run(sys, &mut hook) {
+                Ok(exec) => return Ok(finish(sys, before, exec, retries, false)),
+                Err(err) => err,
+            };
+            let pe = match &err {
+                Error::DataCorruption { pe, .. } | Error::PeFailed { pe, .. } => *pe,
+                _ => return Err(err),
+            };
+            if let Some(ledger) = ledger.as_deref_mut() {
+                ledger.record_fault(sys, &err);
+            }
+            let persistent = is_persistent(sys, &err);
+            if (!persistent && retries >= policy.max_retries) || (persistent && !policy.degrade) {
+                return Err(err);
+            }
+            // Roll the failed attempt back — phase A destroyed the
+            // sources, and a mid-chain fault leaves earlier steps
+            // committed — so the re-run (or the oracle) sees the entry
+            // state. Under a fixed fault plan a persistent failure
+            // surfaces at step 0's pre-dispatch scan, before the attempt
+            // wrote anything, and the restore rewrites identical bytes; a
+            // PE that dies mid-chain leaves landings behind
+            // (`tests/prepared.rs`). The restore is unconditional so that
+            // degradation never depends on *where* a failure was noticed.
+            if let Some(img) = &snapshot {
+                sys.restore_regions(img);
+            }
+            if persistent {
+                let exec = unit.degrade(sys, manager, ledger.as_deref(), &mut hook)?;
+                return Ok(finish(sys, before, exec, retries, true));
+            }
+            retries += 1;
+            if let Some(ledger) = ledger.as_deref_mut() {
+                ledger.record_retry(pe);
+            }
+            // The failed attempt's work is already on the meter; the
+            // retry additionally pays one resynchronization setup,
+            // tallied on the dedicated recovery counter.
+            let mut sheet = CostSheet::new(sys.geometry().channels());
+            sheet.recovery_retries = 1; // simlint: allow(cost-sheet, reason = "fault-recovery surcharge outside the plan's cost model by design; cost-only execution models the fault-free run")
+            sheet.apply(sys);
+        }
+    })
+}
+
+/// Degrades `unit` up front, without attempting a normal execution —
+/// the run-level supervisor's path for units whose members include
 /// already-quarantined PEs. Writes additionally skip every quarantined PE
 /// (its transport is known-bad; landing bytes there would only re-detect
 /// what the ledger already knows).
 pub(crate) fn run_degraded(
     sys: &mut PimSystem,
     manager: &HypercubeManager,
-    plan: &CollectivePlan,
-    host_in: Option<&[Vec<u8>]>,
+    unit: &Unit<'_>,
     ledger: &HealthLedger,
-) -> Result<VerifiedExecution> {
-    let before = sys.meter();
-    let prev = sys.verify_writes();
-    sys.set_verify_writes(true);
-    let result = degrade(sys, manager, plan, host_in, &before, 0, Some(ledger));
-    sys.set_verify_writes(prev);
-    result
-}
-
-/// Runs a fused chain with verification enabled, retrying transient
-/// faults and degrading around persistent PE failures per `policy`.
-///
-/// The retry unit is the **whole chain**: a fault in step *k* restores
-/// the chain's merged rollback regions (all steps' touched windows plus
-/// hook-written extras), charges one resynchronization setup, and
-/// re-runs from step 0 — inter-step hooks re-run too, which is safe by
-/// the fusion contract (hooks derive everything they write from host
-/// state plus covered regions). With no fault plan attached this is
-/// byte- and modeled-bit-identical to [`FusedPlan::execute_with`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_verified_fused(
-    sys: &mut PimSystem,
-    manager: &HypercubeManager,
-    fused: &FusedPlan,
-    staged: Option<&PreparedScatter>,
-    policy: &RecoveryPolicy,
-    ledger: Option<&mut HealthLedger>,
-    hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
-) -> Result<FusedVerifiedExecution> {
-    fused.check_staged(staged)?;
-    let before = sys.meter();
-    let prev = sys.verify_writes();
-    sys.set_verify_writes(true);
-    let snapshot = sys
-        .fault_plan()
-        .is_some()
-        .then(|| capture_fused(sys, fused));
-    let result = drive_fused(
-        sys,
-        manager,
-        fused,
-        staged,
-        policy,
-        &before,
-        snapshot.as_ref(),
-        ledger,
-        hook,
-    );
-    sys.set_verify_writes(prev);
-    result
-}
-
-/// Degrades a fused chain up front (the supervisor's path for chains
-/// whose members include already-quarantined PEs): every step runs as
-/// host-side oracle recompute, hooks run between steps as usual.
-pub(crate) fn run_degraded_fused(
-    sys: &mut PimSystem,
-    manager: &HypercubeManager,
-    fused: &FusedPlan,
-    staged: Option<&PreparedScatter>,
-    ledger: &HealthLedger,
-    hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
-) -> Result<FusedVerifiedExecution> {
-    fused.check_staged(staged)?;
-    let before = sys.meter();
-    let prev = sys.verify_writes();
-    sys.set_verify_writes(true);
-    let result = degrade_fused(sys, manager, fused, staged, &before, 0, Some(ledger), hook);
-    sys.set_verify_writes(prev);
-    result
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive_fused(
-    sys: &mut PimSystem,
-    manager: &HypercubeManager,
-    fused: &FusedPlan,
-    staged: Option<&PreparedScatter>,
-    policy: &RecoveryPolicy,
-    before: &Breakdown,
-    snapshot: Option<&Checkpoint>,
-    mut ledger: Option<&mut HealthLedger>,
     mut hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
 ) -> Result<FusedVerifiedExecution> {
-    let mut retries = 0u32;
-    loop {
-        match fused.execute_with(sys, staged, &mut hook) {
-            Ok(exec) => {
-                return Ok(FusedVerifiedExecution {
-                    reports: exec.reports,
-                    breakdown: sys.meter().since(before),
-                    host_out: exec.host_out,
-                    retries,
-                    degraded: false,
-                });
-            }
-            Err(err @ (Error::DataCorruption { .. } | Error::PeFailed { .. })) => {
-                let persistent = match (&err, sys.fault_plan()) {
-                    (Error::PeFailed { pe, .. }, Some(fp)) => fp.pe_failed_persistent(*pe),
-                    _ => false,
-                };
-                if let Some(ledger) = ledger.as_deref_mut() {
-                    match &err {
-                        Error::DataCorruption { pe, .. } => ledger.record_corruption(*pe),
-                        Error::PeFailed { pe, .. } if persistent => ledger.record_failure(*pe),
-                        Error::PeFailed { pe, .. } => ledger.record_stuck(*pe),
-                        _ => unreachable!("matched above"),
-                    }
-                }
-                if persistent {
-                    if policy.degrade {
-                        // The failed pass left partial step landings and
-                        // possibly permuted sources; the oracle needs the
-                        // chain-entry state back.
-                        if let Some(img) = snapshot {
-                            sys.restore_regions(img);
-                        }
-                        return degrade_fused(
-                            sys,
-                            manager,
-                            fused,
-                            staged,
-                            before,
-                            retries,
-                            ledger.as_deref(),
-                            hook,
-                        );
-                    }
-                    return Err(err);
-                }
-                if retries >= policy.max_retries {
-                    return Err(err);
-                }
-                // Roll the whole chain back — a mid-chain fault leaves
-                // earlier steps committed and step k's sources permuted —
-                // then re-run from step 0 under fresh fault epochs.
-                if let Some(img) = snapshot {
-                    sys.restore_regions(img);
-                }
-                retries += 1;
-                if let (
-                    Some(ledger),
-                    Error::DataCorruption { pe, .. } | Error::PeFailed { pe, .. },
-                ) = (ledger.as_deref_mut(), &err)
-                {
-                    ledger.record_retry(*pe);
-                }
-                let mut sheet = CostSheet::new(sys.geometry().channels());
-                sheet.recovery_retries = 1; // simlint: allow(cost-sheet, reason = "fault-recovery surcharge outside the plan's cost model by design; cost-only execution models the fault-free run")
-                sheet.apply(sys);
-            }
-            Err(err) => return Err(err),
-        }
-    }
-}
-
-/// Graceful degradation of a fused chain: each step recomputes host-side
-/// (as [`degrade`]), with the inter-step hooks between them. Step 0 of a
-/// rooted-send chain rebuilds its original host buffers from the staged
-/// image ([`PreparedScatter::unstage`]).
-#[allow(clippy::too_many_arguments)]
-fn degrade_fused(
-    sys: &mut PimSystem,
-    manager: &HypercubeManager,
-    fused: &FusedPlan,
-    staged: Option<&PreparedScatter>,
-    before: &Breakdown,
-    retries: u32,
-    quarantine: Option<&HealthLedger>,
-    mut hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
-) -> Result<FusedVerifiedExecution> {
-    let mut reports = Vec::with_capacity(fused.steps().len());
-    let mut host_out = None;
-    for (k, step) in fused.steps().iter().enumerate() {
-        let host_in = if k == 0 {
-            staged.map(PreparedScatter::unstage)
-        } else {
-            None
-        };
-        let step_before = sys.meter();
-        let exec = degrade(
-            sys,
-            manager,
-            step,
-            host_in.as_deref(),
-            &step_before,
-            0,
-            quarantine,
-        )?;
-        reports.push(exec.report);
-        host_out = exec.host_out;
-        if k + 1 < fused.steps().len() {
-            hook(k, sys)?;
-        }
-    }
-    Ok(FusedVerifiedExecution {
-        reports,
-        breakdown: sys.meter().since(before),
-        host_out,
-        retries,
-        degraded: true,
+    verifying(sys, |sys, before| {
+        let exec = unit.degrade(sys, manager, Some(ledger), &mut hook)?;
+        Ok(finish(sys, before, exec, 0, true))
     })
 }
 
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    sys: &mut PimSystem,
-    manager: &HypercubeManager,
-    plan: &CollectivePlan,
-    host_in: Option<&[Vec<u8>]>,
-    policy: &RecoveryPolicy,
-    before: &pim_sim::Breakdown,
-    snapshot: Option<&Checkpoint>,
-    mut ledger: Option<&mut HealthLedger>,
-) -> Result<VerifiedExecution> {
-    let mut retries = 0u32;
-    loop {
-        match plan.run(sys, host_in) {
-            Ok(exec) => {
-                let mut report = exec.report;
-                // Span all attempts: a clean first attempt reproduces the
-                // unverified breakdown bit-for-bit (nothing else charged
-                // between `before` and the run), while a recovered one
-                // carries every failed attempt plus the retry setups.
-                report.breakdown = sys.meter().since(before);
-                return Ok(VerifiedExecution {
-                    report,
-                    host_out: exec.host_out,
-                    retries,
-                    degraded: false,
-                });
-            }
-            Err(err @ (Error::DataCorruption { .. } | Error::PeFailed { .. })) => {
-                let persistent = match (&err, sys.fault_plan()) {
-                    (Error::PeFailed { pe, .. }, Some(fp)) => fp.pe_failed_persistent(*pe),
-                    _ => false,
-                };
-                if let Some(ledger) = ledger.as_deref_mut() {
-                    match &err {
-                        Error::DataCorruption { pe, .. } => ledger.record_corruption(*pe),
-                        Error::PeFailed { pe, .. } if persistent => ledger.record_failure(*pe),
-                        Error::PeFailed { pe, .. } => ledger.record_stuck(*pe),
-                        _ => unreachable!("matched above"),
-                    }
-                }
-                if persistent {
-                    if policy.degrade {
-                        // Failed transient attempts (if any) permuted the
-                        // sources; the oracle needs them pristine.
-                        if retries > 0 {
-                            if let Some(img) = snapshot {
-                                sys.restore_regions(img);
-                            }
-                        }
-                        return degrade(
-                            sys,
-                            manager,
-                            plan,
-                            host_in,
-                            before,
-                            retries,
-                            ledger.as_deref(),
-                        );
-                    }
-                    return Err(err);
-                }
-                if retries >= policy.max_retries {
-                    return Err(err);
-                }
-                // Roll the failed attempt back — phase A destroyed the
-                // sources — then re-run under a fresh fault epoch.
-                if let Some(img) = snapshot {
-                    sys.restore_regions(img);
-                }
-                retries += 1;
-                if let (
-                    Some(ledger),
-                    Error::DataCorruption { pe, .. } | Error::PeFailed { pe, .. },
-                ) = (ledger.as_deref_mut(), &err)
-                {
-                    ledger.record_retry(*pe);
-                }
-                // The failed attempt's work is already on the meter; the
-                // retry additionally pays one resynchronization setup,
-                // tallied on the dedicated recovery counter.
-                let mut sheet = CostSheet::new(sys.geometry().channels());
-                sheet.recovery_retries = 1; // simlint: allow(cost-sheet, reason = "fault-recovery surcharge outside the plan's cost model by design; cost-only execution models the fault-free run")
-                sheet.apply(sys);
-            }
-            Err(err) => return Err(err),
-        }
+/// Whether `err` reports a PE the attached fault plan lists as
+/// persistently failed (as opposed to a transient stuck epoch).
+pub(crate) fn is_persistent(sys: &PimSystem, err: &Error) -> bool {
+    match (err, sys.fault_plan()) {
+        (Error::PeFailed { pe, .. }, Some(fp)) => fp.pe_failed_persistent(*pe),
+        _ => false,
     }
 }
 
@@ -480,20 +364,20 @@ fn is_stuck(fault: Option<&FaultPlan>, pe: pim_sim::PeId) -> bool {
     fault.is_some_and(|fp| fp.pe_stuck(pe.index() as u32))
 }
 
-/// Graceful degradation: the host recomputes the collective's semantics
-/// directly from the members' MRAM (the oracle reference path), landing
-/// results on every non-stuck PE — additionally skipping PEs the given
-/// ledger (if any) has quarantined. The moved bytes are charged to the
-/// [`CostSheet`] recovery counter at word-granular host-modulation cost.
-fn degrade(
+/// Degraded execution of one collective: the host recomputes its
+/// semantics directly from the members' MRAM (the oracle reference path),
+/// landing results on every non-stuck PE — additionally skipping PEs the
+/// given ledger (if any) has quarantined. The moved bytes are charged to
+/// the [`CostSheet`] recovery counter at word-granular host-modulation
+/// cost.
+fn degrade_step(
     sys: &mut PimSystem,
     manager: &HypercubeManager,
     plan: &CollectivePlan,
     host_in: Option<&[Vec<u8>]>,
-    before: &pim_sim::Breakdown,
-    retries: u32,
     quarantine: Option<&HealthLedger>,
-) -> Result<VerifiedExecution> {
+) -> Result<Execution> {
+    let before = sys.meter();
     let groups = manager.groups(&plan.mask)?;
     let b = plan.spec.bytes_per_node;
     let n = plan.n;
@@ -575,18 +459,16 @@ fn degrade(
 
     let (bytes_in, bytes_out) =
         logical_volumes(plan.primitive, b, n, plan.num_nodes, plan.num_groups);
-    Ok(VerifiedExecution {
+    Ok(Execution {
         report: CommReport {
             primitive: plan.primitive,
             opt: plan.opt,
-            breakdown: sys.meter().since(before),
+            breakdown: sys.meter().since(&before),
             bytes_in,
             bytes_out,
             group_size: n,
             num_groups: plan.num_groups,
         },
         host_out,
-        retries,
-        degraded: true,
     })
 }

@@ -12,8 +12,7 @@
 //!   corruptions, retries, stuck detections, persistent failures — and
 //!   **quarantines** PEs whose weighted score crosses the policy
 //!   threshold. Later plans with quarantined members degrade around them
-//!   up front ([`crate::engine::recovery::run_degraded`]) instead of
-//!   rediscovering the bad PE through failed retries.
+//!   up front instead of rediscovering the bad PE through failed retries.
 //! * **Iteration checkpoints**: apps snapshot only their live MRAM
 //!   regions ([`PimSystem::checkpoint_regions`], pooled through
 //!   [`SystemArena`]) at iteration boundaries, so recovery rolls back one
@@ -36,7 +35,9 @@ use pim_sim::{CorruptionEvent, PimSystem, SystemArena};
 use crate::comm::Communicator;
 use crate::engine::plan::CollectivePlan;
 use crate::engine::prepared::{FusedPlan, PreparedScatter};
-use crate::engine::recovery::{self, FusedVerifiedExecution, RecoveryPolicy, VerifiedExecution};
+use crate::engine::recovery::{
+    self, FusedVerifiedExecution, RecoveryPolicy, Unit, VerifiedExecution,
+};
 use crate::engine::sheet::CostSheet;
 use crate::error::{Error, Result};
 
@@ -85,7 +86,7 @@ pub struct HealthLedger {
 impl HealthLedger {
     /// An empty ledger over `num_pes` PEs quarantining at `threshold`
     /// (`0` disables quarantine).
-    pub fn new(num_pes: usize, threshold: u32) -> Self {
+    pub(crate) fn new(num_pes: usize, threshold: u32) -> Self {
         Self {
             pes: vec![PeHealth::default(); num_pes],
             quarantined: BTreeSet::new(),
@@ -103,24 +104,22 @@ impl HealthLedger {
         }
     }
 
-    /// Records a detected write corruption on `pe`.
-    pub fn record_corruption(&mut self, pe: u32) {
-        self.bump(pe, |h| h.corruptions += 1);
+    /// Attributes a typed fault error to its PE: a detected write
+    /// corruption, a persistent failure, or a transient stuck epoch.
+    pub(crate) fn record_fault(&mut self, sys: &PimSystem, err: &Error) {
+        match err {
+            Error::DataCorruption { pe, .. } => self.bump(*pe, |h| h.corruptions += 1),
+            Error::PeFailed { pe, .. } if recovery::is_persistent(sys, err) => {
+                self.bump(*pe, |h| h.failures += 1);
+            }
+            Error::PeFailed { pe, .. } => self.bump(*pe, |h| h.stuck += 1),
+            _ => {}
+        }
     }
 
     /// Records a retry attributed to `pe`'s fault.
-    pub fn record_retry(&mut self, pe: u32) {
+    pub(crate) fn record_retry(&mut self, pe: u32) {
         self.bump(pe, |h| h.retries += 1);
-    }
-
-    /// Records a transient stuck detection on `pe`.
-    pub fn record_stuck(&mut self, pe: u32) {
-        self.bump(pe, |h| h.stuck += 1);
-    }
-
-    /// Records a persistent failure detection on `pe`.
-    pub fn record_failure(&mut self, pe: u32) {
-        self.bump(pe, |h| h.failures += 1);
     }
 
     /// The accumulated tallies for `pe`.
@@ -319,29 +318,6 @@ impl Supervisor {
         RunOutcome::Completed
     }
 
-    /// Issues one collective outside an [`Supervisor::iteration`] body
-    /// (setup scatters, final gathers), with the same quarantine-aware
-    /// recovery as [`Attempt::collective`].
-    pub fn collective(
-        &mut self,
-        comm: &Communicator,
-        sys: &mut PimSystem,
-        plan: &CollectivePlan,
-        host_in: Option<&[Vec<u8>]>,
-    ) -> Result<VerifiedExecution> {
-        collective_impl(
-            &self.policy,
-            &mut self.ledger,
-            &mut self.retries_used,
-            &mut self.degraded,
-            &mut self.events,
-            comm,
-            sys,
-            plan,
-            host_in,
-        )
-    }
-
     /// Runs one iteration resiliently: snapshots `regions` (the app's
     /// live MRAM state) into an arena-pooled checkpoint, runs `body`, and
     /// on a typed fault error rolls the regions back, applies exponential
@@ -394,7 +370,7 @@ impl Supervisor {
                     break Iteration::Done(t);
                 }
                 Err(err @ (Error::DataCorruption { .. } | Error::PeFailed { .. })) => {
-                    record_fault(&mut self.ledger, sys, &err);
+                    self.ledger.record_fault(sys, &err);
                     if self.retries_used >= self.policy.retry_budget {
                         self.aborted = Some(RunOutcome::BudgetExhausted);
                         break Iteration::Abort(RunOutcome::BudgetExhausted);
@@ -476,25 +452,17 @@ impl Attempt<'_> {
         plan: &CollectivePlan,
         host_in: Option<&[Vec<u8>]>,
     ) -> Result<VerifiedExecution> {
-        collective_impl(
-            self.policy,
-            self.ledger,
-            self.retries_used,
-            self.degraded,
-            self.events,
-            comm,
-            sys,
-            plan,
-            host_in,
-        )
+        self.run(comm, sys, &Unit::Plan { plan, host_in }, |_, _| Ok(()))
+            .map(FusedVerifiedExecution::into_single)
     }
 
     /// Executes a fused chain with verification, ledger attribution and
     /// quarantine — the chain-level analogue of [`Attempt::collective`]:
     /// a chain whose steps touch a quarantined PE degrades step-by-step
-    /// up front; otherwise the whole chain runs under the per-collective
-    /// recovery policy (the retry unit is the chain), clamped to the
-    /// run's remaining retry budget.
+    /// up front, exactly as its unfused collectives would; otherwise the
+    /// whole chain runs under the per-collective recovery policy (the
+    /// retry unit is the chain), clamped to the run's remaining retry
+    /// budget.
     ///
     /// # Errors
     ///
@@ -508,41 +476,58 @@ impl Attempt<'_> {
         staged: Option<&PreparedScatter>,
         hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
     ) -> Result<FusedVerifiedExecution> {
-        fused_impl(
-            self.policy,
-            self.ledger,
-            self.retries_used,
-            self.degraded,
-            self.events,
-            comm,
-            sys,
-            fused,
-            staged,
-            hook,
-        )
+        self.run(comm, sys, &Unit::chain(fused, staged)?, hook)
+    }
+
+    /// The one quarantine-check + budget-clamp routine behind both entry
+    /// points (a single plan is a one-step unit).
+    fn run(
+        &mut self,
+        comm: &Communicator,
+        sys: &mut PimSystem,
+        unit: &Unit<'_>,
+        hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
+    ) -> Result<FusedVerifiedExecution> {
+        // Staging writes since the last boundary may have left corruption
+        // records; surface healthy PEs' now (attributed, so the iteration
+        // retry can roll back) rather than letting the unit blame them on
+        // itself mid-flight.
+        if let Some(err) = residual_fault(sys, self.ledger, self.events) {
+            return Err(err);
+        }
+        // Quarantine: a unit touching a known-bad PE degrades up front.
+        if self.ledger.any_quarantined() {
+            for k in 0..unit.steps() {
+                let groups = comm.manager().groups(&unit.step(k).mask)?;
+                let hit = groups.iter().any(|g| {
+                    g.members
+                        .iter()
+                        .any(|&pe| self.ledger.is_quarantined(pe.index() as u32))
+                });
+                if hit {
+                    *self.degraded = true;
+                    return recovery::run_degraded(sys, comm.manager(), unit, self.ledger, hook);
+                }
+            }
+        }
+        let attempt = RecoveryPolicy {
+            max_retries: self
+                .policy
+                .plan_attempt
+                .max_retries
+                .min(self.policy.retry_budget.saturating_sub(*self.retries_used)),
+            degrade: self.policy.plan_attempt.degrade,
+        };
+        let exec =
+            recovery::run_verified(sys, comm.manager(), unit, &attempt, Some(self.ledger), hook)?;
+        *self.retries_used += exec.retries;
+        *self.degraded |= exec.degraded;
+        Ok(exec)
     }
 
     /// Read access to the run's health ledger.
     pub fn ledger(&self) -> &HealthLedger {
         self.ledger
-    }
-}
-
-/// Attributes a typed fault error to its PE in the ledger.
-fn record_fault(ledger: &mut HealthLedger, sys: &PimSystem, err: &Error) {
-    match err {
-        Error::DataCorruption { pe, .. } => ledger.record_corruption(*pe),
-        Error::PeFailed { pe, .. } => {
-            if sys
-                .fault_plan()
-                .is_some_and(|fp| fp.pe_failed_persistent(*pe))
-            {
-                ledger.record_failure(*pe);
-            } else {
-                ledger.record_stuck(*pe);
-            }
-        }
-        _ => {}
     }
 }
 
@@ -568,111 +553,4 @@ fn residual_fault(
         });
     events.clear();
     err
-}
-
-#[allow(clippy::too_many_arguments)]
-fn collective_impl(
-    policy: &RunPolicy,
-    ledger: &mut HealthLedger,
-    retries_used: &mut u32,
-    degraded: &mut bool,
-    events: &mut Vec<CorruptionEvent>,
-    comm: &Communicator,
-    sys: &mut PimSystem,
-    plan: &CollectivePlan,
-    host_in: Option<&[Vec<u8>]>,
-) -> Result<VerifiedExecution> {
-    // Staging writes since the last boundary may have left corruption
-    // records; surface healthy PEs' now (attributed, so the iteration
-    // retry can roll back) rather than letting the plan blame them on
-    // itself mid-flight.
-    if let Some(err) = residual_fault(sys, ledger, events) {
-        return Err(err);
-    }
-    // Quarantine: a plan touching a known-bad PE degrades up front.
-    if ledger.any_quarantined() {
-        let groups = comm.manager().groups(&plan.mask)?;
-        let hit = groups.iter().any(|g| {
-            g.members
-                .iter()
-                .any(|&pe| ledger.is_quarantined(pe.index() as u32))
-        });
-        if hit {
-            *degraded = true;
-            return recovery::run_degraded(sys, comm.manager(), plan, host_in, ledger);
-        }
-    }
-    let attempt = RecoveryPolicy {
-        max_retries: policy
-            .plan_attempt
-            .max_retries
-            .min(policy.retry_budget.saturating_sub(*retries_used)),
-        degrade: policy.plan_attempt.degrade,
-    };
-    let exec =
-        recovery::run_verified_tracked(sys, comm.manager(), plan, host_in, &attempt, Some(ledger))?;
-    *retries_used += exec.retries;
-    if exec.degraded {
-        *degraded = true;
-    }
-    Ok(exec)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn fused_impl(
-    policy: &RunPolicy,
-    ledger: &mut HealthLedger,
-    retries_used: &mut u32,
-    degraded: &mut bool,
-    events: &mut Vec<CorruptionEvent>,
-    comm: &Communicator,
-    sys: &mut PimSystem,
-    fused: &FusedPlan,
-    staged: Option<&PreparedScatter>,
-    hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
-) -> Result<FusedVerifiedExecution> {
-    if let Some(err) = residual_fault(sys, ledger, events) {
-        return Err(err);
-    }
-    // Quarantine: a chain whose steps touch a known-bad PE degrades up
-    // front, step by step, exactly as its unfused collectives would.
-    if ledger.any_quarantined() {
-        let mut hit = false;
-        for step in fused.steps() {
-            let groups = comm.manager().groups(&step.mask)?;
-            if groups.iter().any(|g| {
-                g.members
-                    .iter()
-                    .any(|&pe| ledger.is_quarantined(pe.index() as u32))
-            }) {
-                hit = true;
-                break;
-            }
-        }
-        if hit {
-            *degraded = true;
-            return recovery::run_degraded_fused(sys, comm.manager(), fused, staged, ledger, hook);
-        }
-    }
-    let attempt = RecoveryPolicy {
-        max_retries: policy
-            .plan_attempt
-            .max_retries
-            .min(policy.retry_budget.saturating_sub(*retries_used)),
-        degrade: policy.plan_attempt.degrade,
-    };
-    let exec = recovery::run_verified_fused(
-        sys,
-        comm.manager(),
-        fused,
-        staged,
-        &attempt,
-        Some(ledger),
-        hook,
-    )?;
-    *retries_used += exec.retries;
-    if exec.degraded {
-        *degraded = true;
-    }
-    Ok(exec)
 }

@@ -121,9 +121,7 @@ pub use engine::parallel::auto_threads;
 pub use engine::plan::{CollectivePlan, PlanCache, PlanCacheStats};
 pub use engine::prepared::{FusedExecution, FusedPlan, PreparedScatter};
 pub use engine::recovery::{FusedVerifiedExecution, RecoveryPolicy, VerifiedExecution};
-pub use engine::supervisor::{
-    Attempt, HealthLedger, Iteration, PeHealth, RunOutcome, RunPolicy, Supervisor,
-};
+pub use engine::supervisor::{RunOutcome, RunPolicy};
 pub use engine::BufferSpec;
 pub use error::{Error, Result};
 pub use hypercube::{DimMask, HypercubeManager, HypercubeShape};

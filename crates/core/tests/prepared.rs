@@ -434,3 +434,78 @@ fn mid_fused_step_fault_rolls_back_whole_chain_cleanly() {
         "retried chain must land the exact clean bytes, hook region included"
     );
 }
+
+/// The merged recovery loop restores the unit's rollback image before
+/// every degrade, for single plans and chains alike — and this is the
+/// case that needs it. A single plan can only meet a persistently failed
+/// PE at its pre-dispatch scan, before anything was written, where the
+/// restore rewrites identical bytes. A chain can meet one *mid-chain*:
+/// here PE 9 dies between step 0 and step 1 (the inter-step hook swaps in
+/// a fault plan that lists it), after step 0 pre-rotated its sources in
+/// place and landed its output, and with no retry having happened. The
+/// host recompute must start from the chain-entry state regardless — the
+/// result equals degrading the same chain with PE 9 dead from the start.
+#[test]
+fn degrade_starts_from_the_entry_state_for_plans_and_chains() {
+    const DEAD: u32 = 9;
+    let mask: DimMask = "10".parse().unwrap();
+    let c = comm(OptLevel::Full, 1);
+    let plan = |prim: Primitive, src: usize, dst: usize| {
+        let spec = BufferSpec::new(src, dst, B);
+        Arc::new(c.plan(prim, &mask, &spec, ReduceKind::Sum).unwrap())
+    };
+    let dead = || Arc::new(FaultPlan::new(7).with_failed_pe(DEAD));
+    let policy = RecoveryPolicy::default();
+    let mut arena = SystemArena::new();
+    let entry = snapshot(&fresh_filled(&mut arena));
+
+    // Single plan, PE dead from the start: degraded on the first attempt,
+    // sources untouched.
+    let single = plan(Primitive::AllReduce, 0, O1);
+    let mut sys = fresh_filled(&mut arena);
+    sys.attach_fault_plan(dead());
+    let ver = c
+        .execute_verified(&mut sys, &single, None, &policy)
+        .unwrap();
+    assert!(ver.degraded);
+    assert_eq!(ver.retries, 0);
+    for (got, want) in snapshot(&sys).iter().zip(&entry) {
+        assert!(got[..B] == want[..B], "degrade must leave sources intact");
+    }
+
+    // Reference for the chain: PE dead from the start, so the degrade
+    // runs on the entry state by construction.
+    let fused = c
+        .fuse(
+            vec![
+                plan(Primitive::AllReduce, 0, O1),
+                plan(Primitive::AlltoAll, O1, O2),
+            ],
+            &[],
+        )
+        .unwrap();
+    let mut sys = fresh_filled(&mut arena);
+    sys.attach_fault_plan(dead());
+    let reference = c
+        .execute_verified_fused(&mut sys, &fused, None, &policy, |_, _| Ok(()))
+        .unwrap();
+    assert!(reference.degraded);
+    let reference_mram = snapshot(&sys);
+
+    // The same chain with the PE dying after step 0 committed. A
+    // fault-free plan is attached up front so the rollback image exists.
+    let mut sys = fresh_filled(&mut arena);
+    sys.attach_fault_plan(Arc::new(FaultPlan::new(7)));
+    let ver = c
+        .execute_verified_fused(&mut sys, &fused, None, &policy, |_, sys| {
+            sys.attach_fault_plan(dead());
+            Ok(())
+        })
+        .unwrap();
+    assert!(ver.degraded);
+    assert_eq!(ver.retries, 0, "a persistent failure is not retried");
+    assert!(
+        snapshot(&sys) == reference_mram,
+        "mid-chain degrade must recompute from the chain-entry state"
+    );
+}
