@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use pidcomm::{
-    par_chunks, par_pes, par_pes_with, BufferSpec, DimMask, OptLevel, Primitive, RunPolicy,
+    par_chunks, par_pes, par_pes_with, BufferSpec, DimMask, Error, OptLevel, Primitive, RunPolicy,
 };
 use pidcomm_data::MatI32;
 use pim_sim::{kernels, DType, DimmGeometry, FaultPlan, ReduceKind, SystemArena};
@@ -23,7 +23,9 @@ use crate::driver::{drive, mismatches, validated, Run, Setup, Supervision, Verdi
 use crate::profile::AppProfile;
 use crate::{AppRun, ResilientRun};
 
-/// MLP configuration.
+/// MLP configuration. The weight matrices are a pure function of
+/// `(features, layer)` and are never materialized: the scatter image is
+/// generated in place in PE order and the CPU reference regenerates rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MlpConfig {
     /// Feature width `f` (the paper uses 16k and 32k; scaled presets use
@@ -75,40 +77,63 @@ fn relu(v: i32) -> i32 {
     v.max(0)
 }
 
-/// CPU reference: `x <- relu(W_l x)` per layer, wrapping arithmetic.
-fn cpu_reference(weights: &[MatI32], x0: &[i32]) -> (Vec<i32>, f64) {
+/// Entries of every weight matrix lie in `[-W_BOUND, W_BOUND)`.
+const W_BOUND: i32 = 4;
+
+/// Seed of layer `l`'s weight matrix `MatI32::random(f, f, W_BOUND, _)`.
+fn w_seed(l: usize) -> u64 {
+    0x9a77 + l as u64
+}
+
+/// CPU reference: `x <- relu(W_l x)` per layer, wrapping arithmetic. It
+/// regenerates each weight row from the formula and takes a contiguous
+/// dot product, so it depends on neither PE memory nor the staged image.
+fn cpu_reference(layers: usize, x0: &[i32]) -> (Vec<i32>, f64) {
     let cpu = CpuModel::xeon_5215();
     let f = x0.len();
     let mut x = x0.to_vec();
+    let mut row = vec![0i32; f];
     let mut time = 0.0;
-    for w in weights {
-        let mut y = vec![0i32; f];
-        for (c, &xv) in x.iter().enumerate() {
-            if xv == 0 {
-                continue;
-            }
-            for (r, yv) in y.iter_mut().enumerate() {
-                *yv = yv.wrapping_add(w.get(r, c).wrapping_mul(xv));
-            }
-        }
-        x = y.into_iter().map(relu).collect();
+    for l in 0..layers {
+        let y = (0..f).map(|r| {
+            MatI32::random_row(W_BOUND, w_seed(l), r, &mut row);
+            let dot = row.iter().zip(&x);
+            relu(dot.fold(0i32, |acc, (&w, &xv)| acc.wrapping_add(w.wrapping_mul(xv))))
+        });
+        x = y.collect();
         // 2 ops per MAC; streams the whole weight matrix once.
         time += cpu.time_ns(2 * (f * f) as u64, (f * f * 4 + f * 8) as u64);
     }
     (x, time)
 }
 
+/// Fills the weight scatter image: PE `p`'s slot holds, per layer, its
+/// columns `[p*cols, (p+1)*cols)` as contiguous `f`-length little-endian
+/// lanes, each generated in place — no matrix, no transpose. The slots
+/// tile the image and the lanes tile a slot, so every byte is written.
+fn stage_weights(image: &mut [u8], f: usize, cols: usize, layers: usize, threads: usize) {
+    par_chunks(image, layers * cols * f * 4, threads, |dst_pe, slot| {
+        for (k, lane) in slot.chunks_exact_mut(f * 4).enumerate() {
+            let c = dst_pe * cols + k % cols;
+            MatI32::random_col_le(f, W_BOUND, w_seed(k / cols), c, lane);
+        }
+    });
+}
+
 /// Runs the MLP benchmark and validates the PIM result against the CPU
-/// reference.
+/// reference. The weights are generated in place on both sides and never
+/// materialized (see [`MlpConfig`]).
 ///
 /// # Errors
 ///
-/// Propagates collective validation errors.
+/// [`pidcomm::Error::InvalidBuffer`], before anything leaves the arena,
+/// unless `features`, `layers`, `pes` are positive, `features % pes == 0`
+/// (whole columns per PE) and `4 × features % (8 × pes) == 0` (the
+/// ReduceScatter alignment); else propagates collective validation errors.
 ///
 /// # Panics
 ///
-/// Panics if `features` is not divisible by `8 × pes / 4` (the
-/// ReduceScatter alignment) or if validation fails.
+/// Panics if the PIM result diverges from the CPU reference.
 pub fn run_mlp(cfg: &MlpConfig) -> pidcomm::Result<AppRun> {
     run_mlp_in(cfg, &mut SystemArena::new())
 }
@@ -120,7 +145,7 @@ pub fn run_mlp(cfg: &MlpConfig) -> pidcomm::Result<AppRun> {
 ///
 /// # Errors
 ///
-/// Propagates collective validation errors.
+/// As [`run_mlp`].
 pub fn run_mlp_in(cfg: &MlpConfig, arena: &mut SystemArena) -> pidcomm::Result<AppRun> {
     Ok(validated(mlp(cfg, None, arena)?, "MLP PIM result"))
 }
@@ -165,16 +190,12 @@ fn mlp(
     supervision: Supervision,
     arena: &mut SystemArena,
 ) -> pidcomm::Result<ResilientRun> {
-    let p = cfg.pes;
-    let f = cfg.features;
-    assert_eq!(f % p, 0, "features must divide evenly across PEs");
-    assert_eq!((f * 4) % (8 * p), 0, "ReduceScatter alignment: 4f % 8P");
+    let (p, f) = (cfg.pes, cfg.features);
+    if p == 0 || f == 0 || cfg.layers == 0 || f % p != 0 || (f * 4) % (8 * p) != 0 {
+        let want = "positive features/layers/pes, features % pes == 0, 4*features % (8*pes) == 0";
+        return Err(Error::InvalidBuffer(format!("MLP needs {want}: {cfg:?}")));
+    }
     let cols = f / p;
-
-    // Deterministic weights and input.
-    let weights: Vec<MatI32> = (0..cfg.layers)
-        .map(|l| MatI32::random(f, f, 4, 0x9a77 + l as u64))
-        .collect();
     let x0: Vec<i32> = (0..f).map(|i| ((i * 37 + 11) % 9) as i32 - 4).collect();
 
     // Layout: activation slice at SLICE, partial vectors at PARTIAL,
@@ -219,18 +240,10 @@ fn mlp(
         // [p*cols, (p+1)*cols) of every W_l. Both sends restage everything
         // from host buffers, so a re-run needs no checkpointed MRAM state.
         let host_x: Vec<Vec<u8>> = vec![x0.iter().flat_map(|v| v.to_le_bytes()).collect()];
-        let mut w_host = run.arena.bytes(p * w_slice_bytes);
-        par_chunks(&mut w_host, w_slice_bytes, cfg.threads, |dst_pe, chunk| {
-            let mut off = 0;
-            for w in &weights {
-                for c in dst_pe * cols..(dst_pe + 1) * cols {
-                    for r in 0..f {
-                        chunk[off..off + 4].copy_from_slice(&w.get(r, c).to_le_bytes());
-                        off += 4;
-                    }
-                }
-            }
-        });
+        // Unspecified contents are safe here: `stage_weights` overwrites
+        // every byte of the image before the scatter reads any.
+        let mut w_host = run.arena.raw_bytes(p * w_slice_bytes);
+        stage_weights(&mut w_host, f, cols, cfg.layers, cfg.threads);
         let scattered = run.step(&[], |sys, at| {
             let x = at.collective(sys, &x_scatter_plan, Some(&host_x))?;
             let w = at.collective(sys, &w_scatter_plan, Some(core::slice::from_ref(&w_host)))?;
@@ -314,7 +327,7 @@ fn mlp(
             .collect::<Vec<i32>>())
     };
     drive(arena, supervision, setup, body, |result| {
-        let (expected, cpu_ns) = cpu_reference(&weights, &x0);
+        let (expected, cpu_ns) = cpu_reference(cfg.layers, &x0);
         Verdict {
             mismatched: mismatches(result.as_deref(), &expected),
             cpu_ns,
@@ -325,6 +338,80 @@ fn mlp(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The column-order reference this module used before the row
+    /// generator: walks each materialized matrix down its columns.
+    fn cpu_reference_by_columns(layers: usize, x0: &[i32]) -> Vec<i32> {
+        let f = x0.len();
+        let mut x = x0.to_vec();
+        for l in 0..layers {
+            let w = MatI32::random(f, f, W_BOUND, w_seed(l));
+            let mut y = vec![0i32; f];
+            for (c, &xv) in x.iter().enumerate() {
+                if xv == 0 {
+                    continue;
+                }
+                for (r, yv) in y.iter_mut().enumerate() {
+                    *yv = yv.wrapping_add(w.get(r, c).wrapping_mul(xv));
+                }
+            }
+            x = y.into_iter().map(relu).collect();
+        }
+        x
+    }
+
+    /// The per-element staging loop this module used before the column
+    /// generator: transposes materialized matrices into PE order.
+    fn stage_weights_by_elements(f: usize, cols: usize, layers: usize) -> Vec<u8> {
+        let weights: Vec<MatI32> = (0..layers)
+            .map(|l| MatI32::random(f, f, W_BOUND, w_seed(l)))
+            .collect();
+        let mut image = Vec::new();
+        for dst_pe in 0..f / cols {
+            for w in &weights {
+                for c in dst_pe * cols..(dst_pe + 1) * cols {
+                    for r in 0..f {
+                        image.extend_from_slice(&w.get(r, c).to_le_bytes());
+                    }
+                }
+            }
+        }
+        image
+    }
+
+    #[test]
+    fn row_order_reference_equals_the_column_order_one() {
+        for (f, layers) in [(64, 1), (96, 3), (512, 3)] {
+            // Zeros, negatives, and magnitudes whose products with a
+            // weight of -4 wrap past `i32::MIN`.
+            let x0: Vec<i32> = (0..f)
+                .map(|i| match i % 5 {
+                    0 => 0,
+                    1 => -i,
+                    2 => i32::MIN + i,
+                    3 => i32::MAX - i,
+                    _ => i * 7919,
+                })
+                .collect();
+            let (got, _) = cpu_reference(layers, &x0);
+            assert_eq!(got, cpu_reference_by_columns(layers, &x0), "f {f}");
+        }
+    }
+
+    #[test]
+    fn generated_image_equals_the_transposed_matrices() {
+        let layers = 3;
+        for (f, p) in [(64, 64), (96, 8), (512, 64)] {
+            let cols = f / p;
+            let expected = stage_weights_by_elements(f, cols, layers);
+            for threads in [1, 2, 0] {
+                // Stale contents, as `raw_bytes` may hand back.
+                let mut image = vec![0xA5u8; expected.len()];
+                stage_weights(&mut image, f, cols, layers, threads);
+                assert!(image == expected, "f {f} P {p} threads {threads}");
+            }
+        }
+    }
 
     #[test]
     fn mlp_validates_on_64_pes() {

@@ -438,6 +438,47 @@ fn failed_and_aborted_runs_return_their_checkouts_to_the_arena() {
     assert!(run_gnn_in(&gnn(16), &g, &mut arena).unwrap().validated);
 }
 
+/// A bad MLP config is a typed error, not a panic, and is refused before
+/// anything leaves the arena.
+#[test]
+fn bad_mlp_configs_are_typed_errors_that_leave_the_arena_alone() {
+    let good = MlpConfig {
+        threads: 0,
+        features: 512,
+        layers: 2,
+        pes: 64,
+        opt: OptLevel::Full,
+    };
+    let mut arena = SystemArena::new();
+    assert!(run_mlp_in(&good, &mut arena).unwrap().validated);
+    let pools = format!("{arena:?}");
+    let bad = [
+        MlpConfig { pes: 0, ..good },
+        MlpConfig { layers: 0, ..good },
+        MlpConfig {
+            features: 0,
+            ..good
+        },
+        // 500 % 64 != 0: no whole number of columns per PE.
+        MlpConfig {
+            features: 500,
+            ..good
+        },
+        // 64 % 64 == 0, but 4 * 64 % (8 * 64) != 0: ReduceScatter alignment.
+        MlpConfig {
+            features: 64,
+            ..good
+        },
+    ];
+    for cfg in bad {
+        let err = run_mlp_in(&cfg, &mut arena).unwrap_err();
+        assert!(matches!(err, pidcomm::Error::InvalidBuffer(_)), "{err}");
+        let policy = RunPolicy::default();
+        assert!(run_mlp_resilient_in(&cfg, None, policy, &mut arena).is_err());
+        assert_eq!(format!("{arena:?}"), pools, "{cfg:?} touched the arena");
+    }
+}
+
 #[test]
 fn optimization_level_never_changes_results_only_time() {
     // Same seed, all four levels: identical kernels, different comm time.

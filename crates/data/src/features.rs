@@ -12,6 +12,24 @@ pub struct MatI32 {
     data: Vec<i32>,
 }
 
+/// The one definition of [`MatI32::random`]'s entry formula: the entries
+/// at flat row-major indices `start, start + stride, …` (unbounded).
+fn random_entries(bound: i32, seed: u64, start: usize, stride: usize) -> impl Iterator<Item = i32> {
+    assert!(bound > 0, "bound must be positive");
+    let m = 2 * bound;
+    let pow2 = m & (m - 1) == 0;
+    (0usize..).map(move |k| {
+        let x = ((start + k * stride) as u64)
+            .wrapping_mul(0x9e3779b97f4a7c15)
+            .wrapping_add(seed.rotate_left(17))
+            ^ seed;
+        let raw = ((x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9) >> 33) as i32;
+        // `raw` is a non-negative 31-bit value, so `rem_euclid(m)` is
+        // `% m`, and a mask where `m` is a power of two.
+        (if pow2 { raw & (m - 1) } else { raw % m }) - bound
+    })
+}
+
 impl MatI32 {
     /// Creates a zero matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
@@ -23,19 +41,30 @@ impl MatI32 {
     }
 
     /// Creates a deterministic pseudo-random matrix with entries in
-    /// `[-bound, bound)`.
+    /// `[-bound, bound)`. Each entry is a pure function of its flat
+    /// row-major index, so [`MatI32::random_row`] and
+    /// [`MatI32::random_col_le`] regenerate any part of it on demand.
     pub fn random(rows: usize, cols: usize, bound: i32, seed: u64) -> Self {
-        assert!(bound > 0, "bound must be positive");
-        let mut data = Vec::with_capacity(rows * cols);
-        for i in 0..rows * cols {
-            let x = (i as u64)
-                .wrapping_mul(0x9e3779b97f4a7c15)
-                .wrapping_add(seed.rotate_left(17))
-                ^ seed;
-            let mixed = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-            data.push(((mixed >> 33) as i32).rem_euclid(2 * bound) - bound);
-        }
+        let entries = random_entries(bound, seed, 0, 1);
+        let data = entries.take(rows * cols).collect();
         Self { rows, cols, data }
+    }
+
+    /// Writes row `r` of `random(_, out.len(), bound, seed)` into `out`
+    /// without building the matrix.
+    pub fn random_row(bound: i32, seed: u64, r: usize, out: &mut [i32]) {
+        let entries = random_entries(bound, seed, r * out.len(), 1);
+        out.iter_mut().zip(entries).for_each(|(d, v)| *d = v);
+    }
+
+    /// Writes column `c` of `random(out.len() / 4, cols, bound, seed)` into
+    /// `out` as little-endian bytes without building the matrix. Panics
+    /// if `out.len()` is not a multiple of 4.
+    pub fn random_col_le(cols: usize, bound: i32, seed: u64, c: usize, out: &mut [u8]) {
+        assert_eq!(out.len() % 4, 0, "column bytes hold whole i32 entries");
+        let entries = random_entries(bound, seed, c, cols);
+        let lanes = out.chunks_exact_mut(4).zip(entries);
+        lanes.for_each(|(d, v)| d.copy_from_slice(&v.to_le_bytes()));
     }
 
     /// Number of rows.
@@ -134,6 +163,55 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.as_slice().iter().all(|&v| (-10..10).contains(&v)));
         assert_ne!(a, MatI32::random(8, 8, 10, 43));
+    }
+
+    /// Literal entries taken at the commit before the generators existed:
+    /// the MLP's PIM image and its CPU reference both derive from this one
+    /// formula, so validation alone cannot see it drift.
+    #[test]
+    fn random_matches_its_golden_entries() {
+        let big = MatI32::random(2048, 2048, 4, 0x9a77);
+        assert_eq!(big.as_slice()[..8], [-2, -4, 1, 0, -2, 3, -2, 0]);
+        assert_eq!(big.as_slice()[2048 * 2048 - 2..], [0, 1]);
+        // Non-power-of-two modulus.
+        assert_eq!(
+            MatI32::random(5, 7, 3, 0xfea7).as_slice(),
+            [
+                0, 1, 0, 0, -2, -2, 2, -3, 0, 1, -3, -3, 1, -3, -2, 1, 0, -3, 0, -1, 2, 0, 2, -1,
+                2, -1, 0, 1, 1, 1, 0, -1, -1, -3, -3
+            ]
+        );
+        assert_eq!(MatI32::random(1, 1, 1, 0).as_slice(), [-1]);
+    }
+
+    #[test]
+    fn row_and_column_generators_equal_the_matrix() {
+        for (rows, cols) in [(1, 1), (3, 5), (64, 64), (96, 40)] {
+            for bound in [1, 3, 4, 100] {
+                for seed in [0, 0x9a77, u64::MAX - 5] {
+                    let m = MatI32::random(rows, cols, bound, seed);
+                    let mut row = vec![0i32; cols];
+                    for r in 0..rows {
+                        MatI32::random_row(bound, seed, r, &mut row);
+                        assert_eq!(row, m.row(r), "row {r} of {rows}x{cols}");
+                    }
+                    // The column lands at a non-zero offset of a larger
+                    // buffer and touches nothing around it.
+                    let mut buf = vec![0xA5u8; 12 + rows * 4 + 8];
+                    for c in 0..cols {
+                        MatI32::random_col_le(cols, bound, seed, c, &mut buf[12..12 + rows * 4]);
+                        for (r, le) in buf[12..12 + rows * 4].chunks_exact(4).enumerate() {
+                            let v = i32::from_le_bytes(le.try_into().unwrap());
+                            assert_eq!(v, m.get(r, c), "({r}, {c}) of {rows}x{cols}");
+                        }
+                    }
+                    assert!(buf[..12]
+                        .iter()
+                        .chain(&buf[12 + rows * 4..])
+                        .all(|&b| b == 0xA5));
+                }
+            }
+        }
     }
 
     #[test]
