@@ -18,10 +18,10 @@ use std::sync::Arc;
 
 use pidcomm::{par_chunks, par_pes_with, BufferSpec, DimMask, OptLevel, Primitive, RunPolicy};
 use pidcomm_data::CsrGraph;
-use pim_sim::{kernels, DType, DimmGeometry, FaultPlan, ReduceKind, SystemArena};
+use pim_sim::{kernels, DType, FaultPlan, ReduceKind, SystemArena};
 
 use crate::cost::{pe_kernel_ns, CpuModel};
-use crate::driver::{drive, mismatches, validated, Run, Setup, Supervision, Verdict};
+use crate::driver::{drive, geometry, mismatches, validated, Run, Setup, Supervision, Verdict};
 use crate::profile::AppProfile;
 use crate::{AppRun, ResilientRun};
 
@@ -86,11 +86,14 @@ pub fn default_source(graph: &CsrGraph) -> u32 {
 ///
 /// # Errors
 ///
-/// Propagates collective validation errors.
+/// [`pidcomm::Error::InvalidBuffer`], before anything leaves the arena, if
+/// `cfg.pes` is not a positive multiple of 8 that factors into a DIMM
+/// geometry or `source` is not a vertex of `graph` (so: on an empty graph);
+/// else propagates collective validation errors.
 ///
 /// # Panics
 ///
-/// Panics if validation fails.
+/// Panics if the PIM distances diverge from the CPU reference.
 pub fn run_bfs(cfg: &BfsConfig, graph: &CsrGraph, source: u32) -> pidcomm::Result<AppRun> {
     run_bfs_in(cfg, graph, source, &mut SystemArena::new())
 }
@@ -102,7 +105,11 @@ pub fn run_bfs(cfg: &BfsConfig, graph: &CsrGraph, source: u32) -> pidcomm::Resul
 ///
 /// # Errors
 ///
-/// Propagates collective validation errors.
+/// As [`run_bfs`].
+///
+/// # Panics
+///
+/// As [`run_bfs`].
 pub fn run_bfs_in(
     cfg: &BfsConfig,
     graph: &CsrGraph,
@@ -125,8 +132,9 @@ pub fn run_bfs_in(
 ///
 /// # Errors
 ///
-/// Propagates collective validation errors (never typed fault errors —
-/// those are consumed by the supervisor).
+/// As [`run_bfs`] (never typed fault errors — those are consumed by the
+/// supervisor). A result that diverges from the reference is reported on
+/// the run record, not by panicking.
 pub fn run_bfs_resilient(
     cfg: &BfsConfig,
     graph: &CsrGraph,
@@ -169,7 +177,11 @@ fn bfs(
 ) -> pidcomm::Result<ResilientRun> {
     let p = cfg.pes;
     let n = graph.num_vertices();
-    let geom = DimmGeometry::with_pes(p);
+    let geom = geometry("BFS", p)?;
+    if source as usize >= n {
+        let what = format!("BFS source {source} is not a vertex of a {n}-vertex graph");
+        return Err(pidcomm::Error::InvalidBuffer(what));
+    }
     let per_pe = n.div_ceil(p);
     // Visited bitmap, padded to the AllReduce alignment (8 x P bytes).
     let bitmap_bytes = n.div_ceil(8).next_multiple_of(8 * p);

@@ -19,10 +19,10 @@ use std::sync::Arc;
 
 use pidcomm::{par_pes, BufferSpec, DimMask, OptLevel, Primitive, RunPolicy};
 use pidcomm_data::CsrGraph;
-use pim_sim::{kernels, DType, DimmGeometry, FaultPlan, ReduceKind, SystemArena};
+use pim_sim::{kernels, DType, FaultPlan, ReduceKind, SystemArena};
 
 use crate::cost::{pe_kernel_ns, CpuModel};
-use crate::driver::{drive, mismatches, validated, Run, Setup, Supervision, Verdict};
+use crate::driver::{drive, geometry, mismatches, validated, Run, Setup, Supervision, Verdict};
 use crate::profile::AppProfile;
 use crate::{AppRun, ResilientRun};
 
@@ -110,11 +110,14 @@ pub fn component_count(labels: &[u32]) -> usize {
 ///
 /// # Errors
 ///
-/// Propagates collective validation errors.
+/// [`pidcomm::Error::InvalidBuffer`], before anything leaves the arena, if
+/// `cfg.pes` is not a positive multiple of 8 that factors into a DIMM
+/// geometry or `graph` has no vertices; else propagates collective
+/// validation errors.
 ///
 /// # Panics
 ///
-/// Panics if validation fails.
+/// Panics if the PIM labels diverge from the CPU reference.
 pub fn run_cc(cfg: &CcConfig, graph: &CsrGraph) -> pidcomm::Result<AppRun> {
     run_cc_in(cfg, graph, &mut SystemArena::new())
 }
@@ -140,7 +143,11 @@ pub fn run_cc(cfg: &CcConfig, graph: &CsrGraph) -> pidcomm::Result<AppRun> {
 ///
 /// # Errors
 ///
-/// Propagates collective validation errors.
+/// As [`run_cc`].
+///
+/// # Panics
+///
+/// As [`run_cc`].
 pub fn run_cc_in(
     cfg: &CcConfig,
     graph: &CsrGraph,
@@ -159,8 +166,9 @@ pub fn run_cc_in(
 ///
 /// # Errors
 ///
-/// Propagates collective validation errors (never typed fault errors —
-/// those are consumed by the supervisor).
+/// As [`run_cc`] (never typed fault errors — those are consumed by the
+/// supervisor). A result that diverges from the reference is reported on
+/// the run record, not by panicking.
 pub fn run_cc_resilient(
     cfg: &CcConfig,
     graph: &CsrGraph,
@@ -197,10 +205,16 @@ fn cc(
     supervision: Supervision,
     arena: &mut SystemArena,
 ) -> pidcomm::Result<ResilientRun> {
-    let graph = graph.to_undirected();
     let p = cfg.pes;
     let n = graph.num_vertices();
-    let geom = DimmGeometry::with_pes(p);
+    let geom = geometry("CC", p)?;
+    if n == 0 {
+        return Err(pidcomm::Error::InvalidBuffer(
+            "CC needs a non-empty graph".into(),
+        ));
+    }
+    // Cheap on the fig15 graphs, which already are: O(V + E), no sort.
+    let graph = graph.to_undirected();
     let per_pe = n.div_ceil(p);
     // Label array (u32 per vertex) padded to AllReduce alignment; the pad
     // is filled with u32::MAX, the Min identity.

@@ -50,6 +50,15 @@ pub(crate) struct Setup {
     pub profile: AppProfile,
 }
 
+/// The paper-order geometry of `pes` PEs, or the typed error `app` returns
+/// for a PE count that has none (before anything leaves the arena).
+pub(crate) fn geometry(app: &str, pes: usize) -> pidcomm::Result<DimmGeometry> {
+    DimmGeometry::try_with_pes(pes).ok_or_else(|| {
+        let want = "a positive multiple of 8 that factors into banks x ranks x channels";
+        pidcomm::Error::InvalidBuffer(format!("{app} needs a PE count that is {want}; got {pes}"))
+    })
+}
+
 /// Why a body stopped early.
 pub(crate) enum Stop {
     /// The supervisor aborted the run under policy (deadline or budget);

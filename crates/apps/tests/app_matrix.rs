@@ -3,8 +3,8 @@
 //! bit-exactly and produce structurally sane profiles.
 
 use pidcomm::{OptLevel, PlanCache, Primitive, RunOutcome, RunPolicy};
-use pidcomm_apps::bfs::{default_source, run_bfs, run_bfs_in, BfsConfig};
-use pidcomm_apps::cc::{run_cc, run_cc_in, CcConfig};
+use pidcomm_apps::bfs::{default_source, run_bfs, run_bfs_in, run_bfs_resilient_in, BfsConfig};
+use pidcomm_apps::cc::{run_cc, run_cc_in, run_cc_resilient_in, CcConfig};
 use pidcomm_apps::dlrm::{run_dlrm, run_dlrm_in, DlrmRunConfig};
 use pidcomm_apps::gnn::{run_gnn, run_gnn_in, run_gnn_resilient_in, GnnConfig, GnnVariant};
 use pidcomm_apps::mlp::{run_mlp, run_mlp_in, run_mlp_resilient_in, MlpConfig};
@@ -476,6 +476,76 @@ fn bad_mlp_configs_are_typed_errors_that_leave_the_arena_alone() {
         let policy = RunPolicy::default();
         assert!(run_mlp_resilient_in(&cfg, None, policy, &mut arena).is_err());
         assert_eq!(format!("{arena:?}"), pools, "{cfg:?} touched the arena");
+    }
+}
+
+/// Bad BFS / CC configs likewise: no PEs (a division by zero once), a PE
+/// count with no geometry, an empty graph, a source that is no vertex.
+#[test]
+fn bad_graph_app_configs_are_typed_errors_that_leave_the_arena_alone() {
+    let (g, empty) = (graph(), CsrGraph::from_edges(0, vec![]));
+    let policy = RunPolicy::default();
+    let mut arena = SystemArena::new();
+    let (threads, opt) = (0, OptLevel::Full);
+    let good = 64;
+    assert!(
+        run_bfs_in(
+            &BfsConfig {
+                threads,
+                pes: good,
+                opt
+            },
+            &g,
+            0,
+            &mut arena
+        )
+        .unwrap()
+        .validated
+    );
+    assert!(
+        run_cc_in(
+            &CcConfig {
+                threads,
+                pes: good,
+                opt
+            },
+            &g,
+            &mut arena
+        )
+        .unwrap()
+        .validated
+    );
+    let pools = format!("{arena:?}");
+    let past_the_end = g.num_vertices() as u32;
+    // 320 PEs = 40 entangled groups: 8 banks x 4 ranks x 1.25 channels.
+    for (pes, graph, source) in [
+        (0, &g, 0),
+        (12, &g, 0),
+        (320, &g, 0),
+        (good, &empty, 0),
+        (good, &g, past_the_end),
+    ] {
+        let what = format!(
+            "{pes} PEs, {} vertices, source {source}",
+            graph.num_vertices()
+        );
+        let bfs = BfsConfig { threads, pes, opt };
+        let err = run_bfs_in(&bfs, graph, source, &mut arena).unwrap_err();
+        assert!(
+            matches!(err, pidcomm::Error::InvalidBuffer(_)),
+            "{what}: {err}"
+        );
+        assert!(run_bfs_resilient_in(&bfs, graph, source, None, policy, &mut arena).is_err());
+        if source == 0 {
+            let cc = CcConfig { threads, pes, opt };
+            let err = run_cc_in(&cc, graph, &mut arena).unwrap_err();
+            assert!(
+                matches!(err, pidcomm::Error::InvalidBuffer(_)),
+                "{what}: {err}"
+            );
+            assert!(run_cc_resilient_in(&cc, graph, None, policy, &mut arena).is_err());
+        }
+        assert_eq!(format!("{arena:?}"), pools, "{what} touched the arena");
     }
 }
 

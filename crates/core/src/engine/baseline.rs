@@ -3,38 +3,31 @@
 //! This is the UPMEM-SDK / SimplePIM-style flow the paper compares against:
 //! all data is pulled to the host (with automatic domain transfer),
 //! globally rearranged/reduced *in host memory*, domain-transferred again
-//! and pushed back. Functionally it simply executes the oracle semantics —
-//! which is faithful, because the conventional flow really does materialize
-//! everything in host memory — while the cost sheet charges the three
-//! bottlenecks the paper identifies: host-memory staging, word-granular
-//! modulation and per-byte domain transfer.
+//! and pushed back. Functionally it executes the oracle semantics
+//! ([`crate::oracle`]) on borrowed windows of PE memory: the pull resolves a
+//! [`pim_sim::pe::ReadWindow`] per member (nothing is copied, nothing
+//! materialized), the host-memory pass produces **one** flat result per
+//! group — the reduced vector for AllReduce / ReduceScatter / Reduce, the
+//! concatenation for AllGather, the transposed image for AlltoAll — and the
+//! push writes each member its share of it, whole or by chunk, one
+//! `Pe::write` per member. Every read of a call finishes before its first
+//! push, so the call sees a snapshot of its sources. The cost sheet charges
+//! the three bottlenecks the paper identifies: host-memory staging,
+//! word-granular modulation and per-byte domain transfer.
 //!
 //! Groups touch disjoint PEs, so the host-memory rearrangement of the
-//! groups fans out over scoped threads; pulls and pushes stay in group
-//! order, keeping the cost accounting and final MRAM images identical to
-//! serial execution.
+//! groups fans out over scoped threads; pushes stay in group order, keeping
+//! the cost accounting and final MRAM images identical to serial execution.
 
 use pim_sim::geometry::BURST_BYTES;
+use pim_sim::pe::ReadWindow;
 use pim_sim::PimSystem;
 
 use crate::config::Primitive;
+use crate::engine::buffer_extents;
 use crate::engine::plan::CollectivePlan;
 use crate::engine::sheet::CostSheet;
 use crate::oracle;
-
-/// Bytes read from / written to each member PE for one primitive.
-fn in_out_sizes(primitive: Primitive, bytes_per_node: usize, n: usize) -> (usize, usize) {
-    match primitive {
-        Primitive::AlltoAll => (bytes_per_node, bytes_per_node),
-        Primitive::ReduceScatter => (bytes_per_node, bytes_per_node / n),
-        Primitive::AllReduce => (bytes_per_node, bytes_per_node),
-        Primitive::AllGather => (bytes_per_node, bytes_per_node * n),
-        Primitive::Reduce => (bytes_per_node, 0),
-        Primitive::Scatter | Primitive::Gather | Primitive::Broadcast => {
-            unreachable!("{primitive} does not use the baseline group path")
-        }
-    }
-}
 
 /// Records every `CostSheet` charge the baseline execution of `plan`
 /// incurs — the **single source of truth** for the conventional path's
@@ -48,7 +41,8 @@ pub(crate) fn charge(sheet: &mut CostSheet, plan: &CollectivePlan) {
     let primitive = plan.primitive;
     let bytes_per_node = plan.spec.bytes_per_node;
     let n = groups[0].members.len();
-    let (in_size, out_size) = in_out_sizes(primitive, bytes_per_node, n);
+    // Bytes read from / written to each member PE.
+    let (in_size, out_size) = buffer_extents(primitive, bytes_per_node, n);
 
     // 1. Pull every member's data into host memory.
     for group in groups {
@@ -109,65 +103,98 @@ pub(crate) fn run(
     sheet: &mut CostSheet,
     plan: &CollectivePlan,
 ) -> Option<Vec<Vec<u8>>> {
-    let groups = plan.groups.as_slice();
     let primitive = plan.primitive;
-    let (src, dst) = (plan.spec.src_offset, plan.spec.dst_offset);
-    let (in_size, dtype, op) = (
-        in_out_sizes(primitive, plan.spec.bytes_per_node, groups[0].members.len()).0,
-        plan.spec.dtype,
-        plan.op,
+    let (src, dst, b) = (
+        plan.spec.src_offset,
+        plan.spec.dst_offset,
+        plan.spec.bytes_per_node,
     );
+    let (dtype, op) = (plan.spec.dtype, plan.op);
 
     charge(sheet, plan);
 
-    // 1. Pull every member's data into host memory (domain transfer is
-    //    automatic in the conventional driver). Reads never grow MRAM, so
-    //    the snapshot works through shared references.
-    let inputs: Vec<Vec<Vec<u8>>> = groups
-        .iter()
-        .map(|group| {
-            group
-                .members
-                .iter()
-                .map(|&pe| sys.pe(pe).peek(src, in_size))
-                .collect()
-        })
-        .collect();
-
-    // 2. Globally rearrange / reduce in host memory — pure computation on
-    //    the snapshots, one task per group.
-    /// Per-group work slot: group index, per-member outputs (distributing
-    /// primitives) and the host-side reduction (Reduce).
-    type WorkSlot = (usize, Option<Vec<Vec<u8>>>, Option<Vec<u8>>);
-    let mut work: Vec<WorkSlot> = (0..groups.len()).map(|g| (g, None, None)).collect();
-    crate::engine::parallel::par_for_each(&mut work, plan.group_threads, |slot| {
-        let inputs = &inputs[slot.0];
-        match primitive {
-            Primitive::AlltoAll => slot.1 = Some(oracle::alltoall(inputs)),
-            Primitive::ReduceScatter => slot.1 = Some(oracle::reduce_scatter(inputs, op, dtype)),
-            Primitive::AllReduce => slot.1 = Some(oracle::all_reduce(inputs, op, dtype)),
-            Primitive::AllGather => slot.1 = Some(oracle::all_gather(inputs)),
-            Primitive::Reduce => slot.2 = Some(oracle::reduce(inputs, op, dtype)),
-            _ => unreachable!(),
-        }
+    // 1. Pull every member's data (domain transfer is automatic in the
+    //    conventional driver) and 2. globally rearrange / reduce it in host
+    //    memory — pure computation on shared borrows, one task and one
+    //    flat result per group.
+    let pes = &*sys;
+    let mut work: Vec<_> = plan.groups.iter().map(|g| (g, Vec::new())).collect();
+    crate::engine::parallel::par_for_each(&mut work, plan.group_threads, |(group, result)| {
+        let pull = |&pe| pes.pe(pe).read_window(src, b);
+        let inputs: Vec<ReadWindow> = group.members.iter().map(pull).collect();
+        *result = match primitive {
+            Primitive::AlltoAll => oracle::alltoall_image(&inputs),
+            Primitive::AllGather => oracle::gather(&inputs),
+            _ => oracle::reduce(&inputs, op, dtype),
+        };
     });
 
-    // 3. Push results back (domain transfer again), in group order.
-    let mut host_out: Vec<Vec<u8>> = Vec::new();
-    for (group, (_, outputs, reduced)) in groups.iter().zip(work) {
-        if let Some(reduced) = reduced {
-            host_out.push(reduced);
-        }
-        if let Some(outputs) = outputs {
-            for (&pe, out) in group.members.iter().zip(&outputs) {
-                sys.pe_mut(pe).write(dst, out);
-            }
+    // 3. Push results back (domain transfer again), in group order: every
+    //    member gets its chunk of the group's result, or all of it where
+    //    the result is one member's output.
+    if primitive == Primitive::Reduce {
+        return Some(work.into_iter().map(|(_, reduced)| reduced).collect());
+    }
+    let out_size = buffer_extents(primitive, b, plan.n).1;
+    for (group, result) in &work {
+        for (&pe, out) in group.members.iter().zip(result.chunks(out_size).cycle()) {
+            sys.pe_mut(pe).write(dst, out);
         }
     }
+    None
+}
 
-    if primitive == Primitive::Reduce {
-        Some(host_out)
-    } else {
-        None
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{BufferSpec, Communicator, DimMask, HypercubeManager, HypercubeShape, OptLevel};
+    use pim_sim::{DimmGeometry, ReduceKind};
+
+    /// Plan validation refuses overlapping regions, so no caller gets
+    /// here; the flow itself would still see a snapshot of its sources,
+    /// because no push starts before the last read has ended.
+    #[test]
+    fn overlapping_regions_would_still_see_a_snapshot() {
+        let geom = DimmGeometry::single_group();
+        let shape = HypercubeShape::new(vec![8]).unwrap();
+        let comm = Communicator::new(HypercubeManager::new(shape, geom).unwrap())
+            .with_opt(OptLevel::Baseline)
+            .with_threads(1);
+        let mask = DimMask::all(comm.manager().shape());
+        for primitive in [
+            Primitive::AlltoAll,
+            Primitive::ReduceScatter,
+            Primitive::AllReduce,
+            Primitive::AllGather,
+        ] {
+            let b = if primitive == Primitive::AllGather {
+                16
+            } else {
+                128
+            };
+            let apart = BufferSpec::new(0, 4096, b);
+            let mut plan = comm
+                .plan(primitive, &mask, &apart, ReduceKind::Sum)
+                .unwrap();
+            plan.spec.dst_offset = 8; // one word into every source
+            let mut sys = PimSystem::new(geom);
+            for pe in geom.pes() {
+                let data: Vec<u8> = (0..b).map(|i| (pe.0 as usize * 37 + i * 5) as u8).collect();
+                sys.pe_mut(pe).write(0, &data);
+            }
+            let members = &plan.groups[0].members;
+            let inputs: Vec<Vec<u8>> = members.iter().map(|&pe| sys.pe(pe).peek(0, b)).collect();
+            let (op, dtype) = (plan.op, plan.spec.dtype);
+            let want = match primitive {
+                Primitive::AlltoAll => oracle::alltoall(&inputs),
+                Primitive::ReduceScatter => oracle::reduce_scatter(&inputs, op, dtype),
+                Primitive::AllReduce => oracle::all_reduce(&inputs, op, dtype),
+                _ => oracle::all_gather(&inputs),
+            };
+            run(&mut sys, &mut CostSheet::new(geom.channels()), &plan);
+            for (&pe, want) in members.iter().zip(&want) {
+                assert_eq!(&sys.pe(pe).peek(8, want.len()), want, "{primitive} {pe}");
+            }
+        }
     }
 }

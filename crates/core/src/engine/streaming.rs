@@ -34,13 +34,23 @@
 //! the modeled times — are byte-identical to serial execution no matter how
 //! the clusters were scheduled.
 //!
-//! Inside a task, phase B is *resolve once, stream many*: after phase A the
-//! task resolves, once per PE, a read window over the source region and a
-//! write window over the destination region ([`EgView::windows`] — one
-//! capacity check, one segment lookup, one extent update each), and the
-//! `(m_s, m_d, k)` loops then move chunks between the resolved slices. The
-//! same loops serve every chunk size: a PE's region is resolved once
-//! whether a chunk is 8 bytes or 8 KiB.
+//! Inside a task, the moving primitives (AlltoAll, AllGather) are *resolve
+//! once, stream many*: after phase A the task resolves, once per PE, a read
+//! window over the source region and a write window over the destination
+//! region ([`EgView::windows`] — one capacity check, one segment lookup, one
+//! extent update each), and the `(m_s, m_d, k)` loops then move chunks
+//! between the resolved slices. The same loops serve every chunk size: a
+//! PE's region is resolved once whether a chunk is 8 bytes or 8 KiB.
+//!
+//! The reducing primitives (ReduceScatter, AllReduce, Reduce) are *stream
+//! every PE once*: one PE-major pass ([`reduce_cluster`]) walks the source
+//! regions tile by tile, rotating each PE's stretch (phase A, fused) and
+//! folding it while it is hot, and leaves one reduced vector per group in
+//! rank order. That vector *is* Reduce's host output; ReduceScatter lands
+//! each member its chunk of it; AllReduce lands all of it on every member
+//! as one run ([`pim_sim::pe::WriteWindow::put_run`]). No region is walked
+//! twice and nothing is moved in pieces smaller than the model's registers
+//! unless the fault layer is watching them.
 //!
 //! Every function here executes a [`CollectivePlan`]: the per-cluster
 //! rotation and final-slot schedules ([`ClusterSched`]) and the resolved
@@ -50,12 +60,13 @@
 //! # Fault model
 //!
 //! The streaming loops need no fault hooks of their own: every byte they
-//! land goes through [`pim_sim::pe::WriteWindow::put`] on the destination
-//! PE — directly in phase B, via [`pim_sim::pe::Pe::write`] in the rooted
-//! primitives' row writes — which is where [`pim_sim::FaultPlan`] injection
-//! and read-after-write verification live; a window resolved while either
-//! is active lands each chunk checked, with the chunk's own
-//! `(pe, offset, len)`. Phase-A reordering
+//! land goes through [`pim_sim::pe::WriteWindow::put`] (or `put_run`) on the
+//! destination PE — directly in phase B, via [`pim_sim::pe::Pe::write`] in
+//! the rooted primitives' row writes — which is where [`pim_sim::FaultPlan`]
+//! injection and read-after-write verification live; a window resolved
+//! while either is active lands each chunk checked, with the chunk's own
+//! `(pe, offset, len)` — a run as the registers it stands for, in their
+//! order. Phase-A reordering
 //! ([`pim_sim::pe::Pe::rotate_parts`]) and the typed in-place views are
 //! PE-local *compute*, deliberately outside the transport fault scope (see
 //! `pim_sim::pe`). With no fault plan attached and verification off, none
@@ -65,7 +76,7 @@ use pim_sim::domain::{LanePerm, IDENTITY_PERM};
 use pim_sim::dtype::{fill_identity, reducer, DType};
 use pim_sim::geometry::{BURST_BYTES, LANES};
 use pim_sim::kernels;
-use pim_sim::pe::{ReadWindow, WriteWindow};
+use pim_sim::pe::WriteWindow;
 use pim_sim::system::EgView;
 use pim_sim::PimSystem;
 
@@ -78,7 +89,7 @@ use crate::hypercube::EgCluster;
 /// The per-PE pre-permutation of phase A in table form: destination slot
 /// `m_d * l + k` receives the chunk originally at `((k + i_src) % l) + l *
 /// m_d` — every part of `l` chunks rotated left by the PE's lane rank,
-/// which is how [`pre_reorder_cluster`] executes it.
+/// which is how [`pre_reorder_cluster`] and [`reduce_cluster`] execute it.
 #[cfg(test)]
 fn pre_perm(i_src: usize, l: usize, m: usize) -> Vec<usize> {
     (0..l * m)
@@ -446,77 +457,91 @@ fn align_reduce_charges(
     }
 }
 
-/// Accumulates every `(m_s, k)` source chunk of destination part `m_d` into
-/// the per-lane rows of `acc` — the shared reduction loop of
-/// ReduceScatter, AllReduce and Reduce. Lane row `d` must end up holding
-/// the reduction, over all `m_s` and `k`, of slot `k` of source lane
-/// `sigmas[k][d]`: the host-domain form of aligning each burst with the
-/// rotation before the vertical SIMD reduction. Integer reductions are
-/// associative and commutative, so the sum is taken in the order that
-/// streams best, one source lane at a time: first *vertically* — the
-/// lane's whole `l`-chunk run across the entangled groups into `run_sum`
-/// (which stays cache-resident) — then each of its `l` slots is folded
-/// into the lane row the rotation aligns it with. Bit-identical to folding
-/// chunk by chunk and the same bytes reduced, in `m` long kernel calls and
-/// `l` short ones per lane instead of `m * l` short ones, straight out of
-/// the resolved source windows. Purely functional: its costs are part of
+/// Bytes of one source lane the PE-major reduction keeps in flight: the
+/// tile it folds a lane's PEs into (and the stretch of each PE it rotates
+/// and reads while doing so) stays cache-resident at any `bytes_per_node`.
+const TILE_BYTES: usize = 64 * 1024;
+
+/// The shared reduction of ReduceScatter, AllReduce and Reduce, fused with
+/// their phase A: returns, per packed group in `cluster.groups` order, the
+/// group's reduced vector — `bytes_per_node` bytes, chunk `r` being what
+/// rank `r = i + l * m_d` (lane rank `i` of EG `m_d`) is owed.
+///
+/// PE-major: the region is tiled in whole destination-EG parts, and per
+/// tile every source PE is visited once — its parts are rotated by its lane
+/// rank (phase A, exactly [`pim_sim::pe::Pe::rotate_parts`] over the whole
+/// region once all tiles are done) and the still-hot tile is folded
+/// *vertically* into its lane's sum, one long kernel call. Each lane sum is
+/// then aligned: slot `k` of a part rotated by `i` belongs to lane rank
+/// `(k + i) % l`, so the part folds into the group's vector as two runs —
+/// the host-domain form of aligning every burst with the rotation before
+/// the vertical SIMD reduction. Integer reductions are associative and
+/// commutative, so this is bit-identical to folding burst by burst, and the
+/// same bytes reduced. Purely functional: its costs are part of
 /// [`charge_cluster`]'s per-primitive tallies.
-fn reduce_part(
-    plan: &CollectivePlan,
-    srcs: &[ReadWindow],
-    sigmas: &[LanePerm],
-    m_d: usize,
-    acc: &mut [u8],
-    run_sum: &mut [u8],
-) {
+fn reduce_cluster(task: &mut ClusterTask, plan: &CollectivePlan) -> Vec<Vec<u8>> {
+    let c = task.cluster;
+    let (l, m) = (c.lane_count, c.eg_count());
+    let (src, b) = (plan.spec.src_offset, plan.spec.bytes_per_node);
     let (op, dtype) = (plan.op, plan.spec.dtype);
-    let chunk = acc.len() / LANES;
-    let run = run_sum.len();
+    let chunk = b / (l * m);
+    let part = l * chunk;
+    let tile = (TILE_BYTES / part).max(1) * part;
     let kernel = reducer(op, dtype);
-    fill_identity(op, dtype, acc);
-    // simlint: hot(begin, reduction phase B)
-    for s in 0..LANES {
-        let mut runs = srcs
-            .iter()
-            .skip(s)
-            .step_by(LANES)
-            .map(|src| &src[m_d * run..][..run]);
-        run_sum.copy_from_slice(runs.next().expect("a cluster has an entangled group"));
-        for src in runs {
-            kernel(run_sum, src);
-        }
-        for (sigma, slot) in sigmas.iter().zip(run_sum.chunks_exact(chunk)) {
-            let d = sigma.iter().position(|&lane| lane == s);
-            let d = d.expect("rotations are lane permutations");
-            kernel(&mut acc[d * chunk..][..chunk], slot);
+    let mut images = vec![vec![0u8; b]; c.groups.len()];
+    for image in &mut images {
+        fill_identity(op, dtype, image);
+    }
+    let mut sum = vec![0u8; tile.min(b)];
+    // simlint: hot(begin, PE-major reduction)
+    for t0 in (0..b).step_by(tile) {
+        let len = tile.min(b - t0);
+        let sum = &mut sum[..len];
+        for (g, image) in c.groups.iter().zip(&mut images) {
+            for (i, &lane) in g.lanes.iter().enumerate() {
+                for m_s in 0..m {
+                    let pe = task.view.pe_mut(m_s, lane);
+                    pe.rotate_parts(src + t0, chunk, l, len / chunk, i);
+                    let hot = pe.read_window(src + t0, len);
+                    if m_s == 0 {
+                        sum.copy_from_slice(&hot);
+                    } else {
+                        kernel(sum, &hot);
+                    }
+                }
+                let cut = (l - i) * chunk;
+                let to = image[t0..t0 + len].chunks_exact_mut(part);
+                for (to, from) in to.zip(sum.chunks_exact(part)) {
+                    kernel(&mut to[i * chunk..], &from[..cut]);
+                    kernel(&mut to[..i * chunk], &from[cut..]);
+                }
+            }
         }
     }
     // simlint: hot(end)
+    images
 }
 
 /// ReduceScatter (§V-B2, Fig. 8b).
 pub(crate) fn reduce_scatter(sys: &mut PimSystem, sheet: &mut CostSheet, plan: &CollectivePlan) {
-    let (src, dst) = (plan.spec.src_offset, plan.spec.dst_offset);
+    let dst = plan.spec.dst_offset;
     let bytes_per_node = plan.spec.bytes_per_node;
     sys.charge_pe_reorder(bytes_per_node as u64);
 
     run_clustered(sys, sheet, plan, |task| {
         let c = task.cluster;
+        let l = c.lane_count;
         let chunk = bytes_per_node / c.group_size();
-        let sigmas = task.sched.rotations.as_slice();
 
         charge_cluster(&mut task.sheet, plan, c);
-        pre_reorder_cluster(task, src, chunk);
+        let images = reduce_cluster(task, plan);
 
-        let (srcs, mut dsts) = task
-            .view
-            .windows(src..src + bytes_per_node, dst..dst + chunk);
-        let mut acc = vec![0u8; LANES * chunk];
-        let mut run_sum = vec![0u8; sigmas.len() * chunk];
+        let (_, mut dsts) = task.view.windows(0..0, dst..dst + chunk);
         for (m_d, to) in dsts.chunks_exact_mut(LANES).enumerate() {
-            reduce_part(plan, &srcs, sigmas, m_d, &mut acc, &mut run_sum);
-            for (lane, row) in to.iter_mut().zip(acc.chunks_exact(chunk)) {
-                lane.put(dst, row);
+            for (g, image) in c.groups.iter().zip(&images) {
+                for (&lane, row) in g.lanes.iter().zip(image[m_d * l * chunk..].chunks(chunk)) {
+                    to[lane].put(dst, row);
+                }
             }
         }
     });
@@ -527,7 +552,7 @@ pub(crate) fn reduce_scatter(sys: &mut PimSystem, sheet: &mut CostSheet, plan: &
 /// AllGather's distribution phase — the reduced registers are scattered to
 /// all PEs without a round-trip through PIM memory.
 pub(crate) fn all_reduce(sys: &mut PimSystem, sheet: &mut CostSheet, plan: &CollectivePlan) {
-    let (src, dst) = (plan.spec.src_offset, plan.spec.dst_offset);
+    let dst = plan.spec.dst_offset;
     let bytes_per_node = plan.spec.bytes_per_node;
     sys.charge_pe_reorder(bytes_per_node as u64);
 
@@ -535,40 +560,25 @@ pub(crate) fn all_reduce(sys: &mut PimSystem, sheet: &mut CostSheet, plan: &Coll
         let c = task.cluster;
         let (l, m) = (c.lane_count, c.eg_count());
         let chunk = bytes_per_node / (l * m);
-        let sched = task.sched;
 
         charge_cluster(&mut task.sheet, plan, c);
-        pre_reorder_cluster(task, src, chunk);
-
-        let (srcs, mut dsts) = task
-            .view
-            .windows(src..src + bytes_per_node, dst..dst + bytes_per_node);
-
-        // Reduction phase: one accumulator per destination EG, back to
-        // back in one buffer.
-        let mut accs = vec![0u8; m * LANES * chunk];
-        let mut run_sum = vec![0u8; l * chunk];
-        for (m_d, acc) in accs.chunks_exact_mut(LANES * chunk).enumerate() {
-            reduce_part(plan, &srcs, &sched.rotations, m_d, acc, &mut run_sum);
-        }
+        let images = reduce_cluster(task, plan);
 
         // Distribution phase: the model charges one domain transfer per
         // reduced register and one shuffle per written register (see
-        // charge_cluster) — the reference flow rotates in the store loop —
-        // while the functional rotation rides the lane permutation of the
-        // landing, exactly as in AlltoAll.
+        // charge_cluster) — the reference flow rotates in the store loop.
+        // Functionally every member ends up with its group's whole vector
+        // in rank order, so it lands as one run; where the fault layer
+        // watches, as the registers the model counts: lane rank `i`
+        // receives slot `(i - k) % l` of every part with rotation `k`.
+        let (_, mut dsts) = task.view.windows(0..0, dst..dst + bytes_per_node);
         // simlint: hot(begin, allreduce distribution fan-out)
-        for (m_v, acc) in accs.chunks_exact(LANES * chunk).enumerate() {
-            for to in dsts.chunks_exact_mut(LANES) {
-                for k in 0..l {
-                    land_register(
-                        to,
-                        dst + m_v * l * chunk,
-                        &sched.final_slot[k],
-                        chunk,
-                        &sched.rotations[k],
-                        |s| &acc[s * chunk..(s + 1) * chunk],
-                    );
+        for to in dsts.chunks_exact_mut(LANES) {
+            for (g, image) in c.groups.iter().zip(&images) {
+                for (i, &lane) in g.lanes.iter().enumerate() {
+                    let registers =
+                        (0..m).flat_map(|m_v| (0..l).map(move |k| m_v * l + (i + l - k) % l));
+                    to[lane].put_run(dst, image, chunk, registers);
                 }
             }
         }
@@ -696,43 +706,17 @@ pub(crate) fn reduce(
     sheet: &mut CostSheet,
     plan: &CollectivePlan,
 ) -> Vec<Vec<u8>> {
-    let src = plan.spec.src_offset;
-    let bytes_per_node = plan.spec.bytes_per_node;
     let num_groups = plan.num_groups;
-    sys.charge_pe_reorder(bytes_per_node as u64);
+    sys.charge_pe_reorder(plan.spec.bytes_per_node as u64);
 
     let outs = run_clustered(sys, sheet, plan, |task| {
         let c = task.cluster;
-        let (l, m) = (c.lane_count, c.eg_count());
-        let chunk = bytes_per_node / (l * m);
-        let sigmas = task.sched.rotations.as_slice();
-
         charge_cluster(&mut task.sheet, plan, c);
-        pre_reorder_cluster(task, src, chunk);
-
-        let mut host: Vec<(usize, Vec<u8>)> = c
-            .groups
-            .iter()
-            .map(|g| (g.group_id, vec![0u8; bytes_per_node]))
-            .collect();
-        let (srcs, _) = task.view.windows(src..src + bytes_per_node, 0..0);
-        let mut acc = vec![0u8; LANES * chunk];
-        let mut run_sum = vec![0u8; l * chunk];
-        for m_d in 0..m {
-            reduce_part(plan, &srcs, sigmas, m_d, &mut acc, &mut run_sum);
-            // The accumulator rows already hold word order for every
-            // element width (for 8-bit elements this is the free raw-domain
-            // reinterpretation of the model: no DT charged).
-            for (gi, g) in c.groups.iter().enumerate() {
-                for (i, &lane) in g.lanes.iter().enumerate() {
-                    let rank = i + l * m_d;
-                    let off = rank * chunk;
-                    host[gi].1[off..off + chunk]
-                        .copy_from_slice(&acc[lane * chunk..(lane + 1) * chunk]);
-                }
-            }
-        }
-        task.out = host;
+        // The reduced vectors already hold word order for every element
+        // width (for 8-bit elements this is the free raw-domain
+        // reinterpretation of the model: no DT charged).
+        let images = reduce_cluster(task, plan);
+        task.out = c.groups.iter().map(|g| g.group_id).zip(images).collect();
     });
     sheet.transfer_phases += 1;
 

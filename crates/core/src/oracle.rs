@@ -1,12 +1,44 @@
 //! Functional reference semantics for the eight collectives.
 //!
 //! These are deliberately naive, obviously-correct implementations on plain
-//! byte vectors; the engine's byte-accurate streaming paths are tested
-//! against them, and the baseline (host-memory) path executes them
-//! directly — which is faithful, since the conventional flow really does
-//! materialize all data in host memory and rearrange it there.
+//! byte slices; the engine's byte-accurate streaming paths are tested
+//! against them, and the baseline (host-memory) path executes them directly
+//! on borrowed views of PE memory — which is faithful, since the
+//! conventional flow really does rearrange all data in host memory. Inputs
+//! are anything that derefs to bytes (`Vec<u8>` in the tests, resolved
+//! `ReadWindow`s in the engine); what a group produces is one flat buffer
+//! ([`alltoall_image`], [`reduce`], [`gather`]), and the per-node functions
+//! cut or repeat it.
 
 use pim_sim::dtype::{fill_identity, reduce_bytes, DType, ReduceKind};
+
+/// The common length of `inputs`.
+fn node_len(inputs: &[impl AsRef<[u8]>]) -> usize {
+    let b = inputs[0].as_ref().len();
+    assert!(
+        inputs.iter().all(|v| v.as_ref().len() == b),
+        "ragged inputs"
+    );
+    b
+}
+
+/// AlltoAll as one buffer: the outputs of [`alltoall`] back to back.
+///
+/// # Panics
+///
+/// As [`alltoall`].
+pub fn alltoall_image(inputs: &[impl AsRef<[u8]>]) -> Vec<u8> {
+    let (n, b) = (inputs.len(), node_len(inputs));
+    assert_eq!(b % n, 0, "input not divisible into {n} chunks");
+    let c = b / n;
+    let mut image = Vec::with_capacity(n * b);
+    for d in 0..n {
+        for src in inputs {
+            image.extend_from_slice(&src.as_ref()[d * c..(d + 1) * c]);
+        }
+    }
+    image
+}
 
 /// AlltoAll: `out[d]` is the concatenation over sources `s` of chunk `d`
 /// of `inputs[s]`.
@@ -15,22 +47,9 @@ use pim_sim::dtype::{fill_identity, reduce_bytes, DType, ReduceKind};
 ///
 /// Panics if inputs have unequal lengths or are not divisible into
 /// `inputs.len()` chunks.
-#[allow(clippy::needless_range_loop)]
-pub fn alltoall(inputs: &[Vec<u8>]) -> Vec<Vec<u8>> {
-    let n = inputs.len();
-    let b = inputs[0].len();
-    assert!(inputs.iter().all(|v| v.len() == b), "ragged inputs");
-    assert_eq!(b % n, 0, "input not divisible into {n} chunks");
-    let c = b / n;
-    (0..n)
-        .map(|d| {
-            let mut out = Vec::with_capacity(b);
-            for src in inputs {
-                out.extend_from_slice(&src[d * c..(d + 1) * c]);
-            }
-            out
-        })
-        .collect()
+pub fn alltoall(inputs: &[impl AsRef<[u8]>]) -> Vec<Vec<u8>> {
+    let image = alltoall_image(inputs);
+    image.chunks(node_len(inputs)).map(<[u8]>::to_vec).collect()
 }
 
 /// ReduceScatter: `out[d]` is the element-wise reduction over sources of
@@ -39,22 +58,11 @@ pub fn alltoall(inputs: &[Vec<u8>]) -> Vec<Vec<u8>> {
 /// # Panics
 ///
 /// Panics on ragged or indivisible inputs.
-pub fn reduce_scatter(inputs: &[Vec<u8>], op: ReduceKind, dtype: DType) -> Vec<Vec<u8>> {
-    let n = inputs.len();
-    let b = inputs[0].len();
-    assert!(inputs.iter().all(|v| v.len() == b), "ragged inputs");
+pub fn reduce_scatter(inputs: &[impl AsRef<[u8]>], op: ReduceKind, dtype: DType) -> Vec<Vec<u8>> {
+    let (n, b) = (inputs.len(), node_len(inputs));
     assert_eq!(b % n, 0, "input not divisible into {n} chunks");
-    let c = b / n;
-    (0..n)
-        .map(|d| {
-            let mut acc = vec![0u8; c];
-            fill_identity(op, dtype, &mut acc);
-            for src in inputs {
-                reduce_bytes(op, dtype, &mut acc, &src[d * c..(d + 1) * c]);
-            }
-            acc
-        })
-        .collect()
+    let reduced = reduce(inputs, op, dtype);
+    reduced.chunks(b / n).map(<[u8]>::to_vec).collect()
 }
 
 /// AllReduce: every output is the element-wise reduction of all inputs.
@@ -62,9 +70,8 @@ pub fn reduce_scatter(inputs: &[Vec<u8>], op: ReduceKind, dtype: DType) -> Vec<V
 /// # Panics
 ///
 /// Panics on ragged inputs.
-pub fn all_reduce(inputs: &[Vec<u8>], op: ReduceKind, dtype: DType) -> Vec<Vec<u8>> {
-    let reduced = reduce(inputs, op, dtype);
-    vec![reduced; inputs.len()]
+pub fn all_reduce(inputs: &[impl AsRef<[u8]>], op: ReduceKind, dtype: DType) -> Vec<Vec<u8>> {
+    vec![reduce(inputs, op, dtype); inputs.len()]
 }
 
 /// AllGather: every output is the concatenation of all inputs.
@@ -72,11 +79,9 @@ pub fn all_reduce(inputs: &[Vec<u8>], op: ReduceKind, dtype: DType) -> Vec<Vec<u
 /// # Panics
 ///
 /// Panics on ragged inputs.
-pub fn all_gather(inputs: &[Vec<u8>]) -> Vec<Vec<u8>> {
-    let b = inputs[0].len();
-    assert!(inputs.iter().all(|v| v.len() == b), "ragged inputs");
-    let cat: Vec<u8> = inputs.iter().flatten().copied().collect();
-    vec![cat; inputs.len()]
+pub fn all_gather(inputs: &[impl AsRef<[u8]>]) -> Vec<Vec<u8>> {
+    node_len(inputs);
+    vec![gather(inputs); inputs.len()]
 }
 
 /// Scatter: splits `host` into `n` equal chunks.
@@ -91,8 +96,12 @@ pub fn scatter(host: &[u8], n: usize) -> Vec<Vec<u8>> {
 }
 
 /// Gather: concatenates all inputs on the host.
-pub fn gather(inputs: &[Vec<u8>]) -> Vec<u8> {
-    inputs.iter().flatten().copied().collect()
+pub fn gather(inputs: &[impl AsRef<[u8]>]) -> Vec<u8> {
+    let mut host = Vec::with_capacity(inputs.iter().map(|v| v.as_ref().len()).sum());
+    for v in inputs {
+        host.extend_from_slice(v.as_ref());
+    }
+    host
 }
 
 /// Reduce: the element-wise reduction of all inputs, on the host.
@@ -100,13 +109,11 @@ pub fn gather(inputs: &[Vec<u8>]) -> Vec<u8> {
 /// # Panics
 ///
 /// Panics on ragged inputs.
-pub fn reduce(inputs: &[Vec<u8>], op: ReduceKind, dtype: DType) -> Vec<u8> {
-    let b = inputs[0].len();
-    assert!(inputs.iter().all(|v| v.len() == b), "ragged inputs");
-    let mut acc = vec![0u8; b];
+pub fn reduce(inputs: &[impl AsRef<[u8]>], op: ReduceKind, dtype: DType) -> Vec<u8> {
+    let mut acc = vec![0u8; node_len(inputs)];
     fill_identity(op, dtype, &mut acc);
     for src in inputs {
-        reduce_bytes(op, dtype, &mut acc, src);
+        reduce_bytes(op, dtype, &mut acc, src.as_ref());
     }
     acc
 }

@@ -9,17 +9,16 @@
 
 #![allow(clippy::needless_range_loop)] // loop indices drive offset math
 
+mod common;
+
 use std::sync::Arc;
 
-use pidcomm::hypercube::{build_clusters, EgCluster};
-use pidcomm::{
-    oracle, BufferSpec, Communicator, DimMask, Error, HypercubeManager, HypercubeShape, OptLevel,
-    Primitive,
+use common::{
+    communicator, extents, fill, is_chunked, pages, per_call_reference, run_and_check, Call,
+    CI_SEEDS,
 };
-use pim_sim::domain::{LanePerm, IDENTITY_PERM};
-use pim_sim::dtype::fill_identity;
-use pim_sim::geometry::LANES;
-use pim_sim::pe::PAGE_BYTES;
+use pidcomm::hypercube::build_clusters;
+use pidcomm::{BufferSpec, Communicator, DimMask, Error, OptLevel, Primitive};
 use pim_sim::testgen::fill_byte;
 use pim_sim::{DType, DimmGeometry, FaultPlan, PimSystem, ReduceKind};
 
@@ -42,44 +41,6 @@ const PAIRS: [(DType, ReduceKind); 4] = [
 /// use (the suite runs unoptimized): a 1 KiB chunk fits the groups of 8;
 /// larger groups meet it in the 64-PE per-call comparisons below.
 const PE_BUDGET: usize = 24 * 1024;
-/// The seed bases CI's chaos smoke runs under.
-const CI_SEEDS: [u64; 3] = [1, 77, 3_405_691_582];
-
-fn communicator(dims: &[usize], geom: DimmGeometry, opt: OptLevel) -> Communicator {
-    let shape = HypercubeShape::new(dims.to_vec()).unwrap();
-    Communicator::new(HypercubeManager::new(shape, geom).unwrap())
-        .with_opt(opt)
-        .with_threads(1)
-}
-
-fn is_chunked(prim: Primitive) -> bool {
-    matches!(
-        prim,
-        Primitive::AlltoAll | Primitive::ReduceScatter | Primitive::AllReduce | Primitive::Reduce
-    )
-}
-
-/// Per-PE `(source, destination)` bytes of `prim` at `bytes_per_node`.
-fn extents(prim: Primitive, b: usize, n: usize) -> (usize, usize) {
-    match prim {
-        Primitive::AlltoAll | Primitive::AllReduce => (b, b),
-        Primitive::ReduceScatter => (b, b / n),
-        Primitive::AllGather => (b, b * n),
-        Primitive::Scatter | Primitive::Broadcast => (0, b),
-        Primitive::Gather | Primitive::Reduce => (b, 0),
-    }
-}
-
-/// Writes `len` salted bytes at `offset` of every PE, each PE a different
-/// cut of one pattern (a fresh pattern per PE would dominate the suite).
-fn fill(sys: &mut PimSystem, offset: usize, len: usize, salt: u64) {
-    let pattern: Vec<u8> = (0..len + 2048).map(|i| fill_byte(salt, 0, i)).collect();
-    for pe in sys.geometry().pes() {
-        let cut = (pe.0 as usize * 7) % 2048;
-        sys.pe_mut(pe).write(offset, &pattern[cut..cut + len]);
-    }
-}
-
 fn host_payload(prim: Primitive, b: usize, n: usize, groups: usize, salt: u64) -> Vec<Vec<u8>> {
     let len = match prim {
         Primitive::Scatter => n * b,
@@ -93,79 +54,6 @@ fn host_payload(prim: Primitive, b: usize, n: usize, groups: usize, salt: u64) -
                 .collect()
         })
         .collect()
-}
-
-/// One collective call of the suite.
-struct Call<'a> {
-    prim: Primitive,
-    mask: &'a DimMask,
-    spec: BufferSpec,
-    op: ReduceKind,
-    host_in: &'a [Vec<u8>],
-}
-
-/// Executes the call one-shot and compares every member's destination
-/// bytes (and the host buffers of Gather/Reduce) with the oracle.
-fn run_and_check(comm: &Communicator, sys: &mut PimSystem, call: &Call, what: &str) {
-    let Call {
-        prim,
-        mask,
-        ref spec,
-        op,
-        host_in,
-    } = *call;
-    let (b, dtype) = (spec.bytes_per_node, spec.dtype);
-    let groups = comm.manager().groups(mask).unwrap();
-    let mut want_pe = Vec::new();
-    let mut want_host = Vec::new();
-    for g in &groups {
-        let n = g.members.len();
-        let inputs: Vec<Vec<u8>> = g
-            .members
-            .iter()
-            .map(|&pe| sys.pe(pe).peek(spec.src_offset, b))
-            .collect();
-        let outputs = match prim {
-            Primitive::AlltoAll => oracle::alltoall(&inputs),
-            Primitive::ReduceScatter => oracle::reduce_scatter(&inputs, op, dtype),
-            Primitive::AllReduce => oracle::all_reduce(&inputs, op, dtype),
-            Primitive::AllGather => oracle::all_gather(&inputs),
-            Primitive::Scatter => oracle::scatter(&host_in[g.id], n),
-            Primitive::Broadcast => oracle::broadcast(&host_in[g.id], n),
-            Primitive::Gather => {
-                want_host.push(oracle::gather(&inputs));
-                continue;
-            }
-            Primitive::Reduce => {
-                want_host.push(oracle::reduce(&inputs, op, dtype));
-                continue;
-            }
-        };
-        want_pe.extend(g.members.iter().copied().zip(outputs));
-    }
-    let host_out = match prim {
-        Primitive::AlltoAll => comm.all_to_all(sys, mask, spec).map(|_| None),
-        Primitive::ReduceScatter => comm.reduce_scatter(sys, mask, spec, op).map(|_| None),
-        Primitive::AllReduce => comm.all_reduce(sys, mask, spec, op).map(|_| None),
-        Primitive::AllGather => comm.all_gather(sys, mask, spec).map(|_| None),
-        Primitive::Scatter => comm.scatter(sys, mask, spec, host_in).map(|_| None),
-        Primitive::Broadcast => comm.broadcast(sys, mask, spec, host_in).map(|_| None),
-        Primitive::Gather => comm.gather(sys, mask, spec).map(|(_, out)| Some(out)),
-        Primitive::Reduce => comm.reduce(sys, mask, spec, op).map(|(_, out)| Some(out)),
-    }
-    .unwrap_or_else(|e| panic!("{what}: {e}"));
-    for (pe, bytes) in &want_pe {
-        assert!(
-            sys.pe(*pe).peek(spec.dst_offset, bytes.len()) == *bytes,
-            "{what}: {pe} differs from the oracle"
-        );
-    }
-    if let Some(out) = host_out {
-        assert!(
-            out == want_host,
-            "{what}: host output differs from the oracle"
-        );
-    }
 }
 
 /// One shape of the matrix: 8 primitives x every `OptLevel` x the chunk
@@ -263,10 +151,6 @@ fn small() -> (Communicator, DimmGeometry) {
     (communicator(&[8, 8], geom, OptLevel::Full), geom)
 }
 
-fn pages(offset: usize, len: usize) -> usize {
-    (offset + len).next_multiple_of(PAGE_BYTES) - offset / PAGE_BYTES * PAGE_BYTES
-}
-
 #[test]
 fn all_gather_from_fresh_mram_reads_zeros_and_leaves_the_source_unmaterialized() {
     let (comm, geom) = small();
@@ -335,97 +219,6 @@ fn distant_regions_page_straddling_and_abutting_layouts_match_oracle() {
                     }
                 }
             }
-        }
-    }
-}
-
-// ---- the per-call reference ---------------------------------------------
-
-/// Executes `prim` over `clusters` with the per-call `EgView` row methods
-/// — phase A, then one `copy_rows` / `reduce_rows` / `write_rows(_at)` per
-/// `(m_s, m_d, k)`: the transport the windows replaced.
-fn per_call_reference(
-    sys: &mut PimSystem,
-    clusters: &[EgCluster],
-    prim: Primitive,
-    spec: &BufferSpec,
-    op: ReduceKind,
-) {
-    let (src, dst, dtype) = (spec.src_offset, spec.dst_offset, spec.dtype);
-    let parts: Vec<_> = clusters.iter().map(|c| c.egs.clone()).collect();
-    let mut views = sys.split_eg_views(&parts);
-    for (view, c) in views.iter_mut().zip(clusters) {
-        let (l, m) = (c.lane_count, c.eg_count());
-        let chunk = if prim == Primitive::AllGather {
-            spec.bytes_per_node
-        } else {
-            spec.bytes_per_node / (l * m)
-        };
-        let sigmas: Vec<LanePerm> = (0..l).map(|k| c.rotation(k)).collect();
-        let mut rank = [0usize; LANES];
-        for g in &c.groups {
-            for (i, &lane) in g.lanes.iter().enumerate() {
-                rank[lane] = i;
-                if prim != Primitive::AllGather {
-                    for slot in 0..m {
-                        view.pe_mut(slot, lane)
-                            .rotate_parts(src, chunk, l, l * m, i);
-                    }
-                }
-            }
-        }
-        let final_offsets = |part: usize, k: usize| -> [usize; LANES] {
-            core::array::from_fn(|d| dst + (part * l + (rank[d] + l - k) % l) * chunk)
-        };
-        let mut accs = vec![vec![0u8; LANES * chunk]; m];
-        if prim.is_reducing() {
-            for (m_d, acc) in accs.iter_mut().enumerate() {
-                fill_identity(op, dtype, acc);
-                for m_s in 0..m {
-                    for k in 0..l {
-                        let at = src + (m_d * l + k) * chunk;
-                        view.reduce_rows(m_s, at, chunk, acc, &sigmas[k], op, dtype);
-                    }
-                }
-            }
-        }
-        match prim {
-            Primitive::AlltoAll => {
-                for m_s in 0..m {
-                    for m_d in 0..m {
-                        for k in 0..l {
-                            let at = src + (m_d * l + k) * chunk;
-                            let offs = final_offsets(m_s, k);
-                            view.copy_rows(m_s, at, m_d, &offs, chunk, &sigmas[k]);
-                        }
-                    }
-                }
-            }
-            Primitive::AllGather => {
-                for m_s in 0..m {
-                    for k in 0..l {
-                        for m_d in 0..m {
-                            let offs = final_offsets(m_s, k);
-                            view.copy_rows(m_s, src, m_d, &offs, chunk, &sigmas[k]);
-                        }
-                    }
-                }
-            }
-            Primitive::ReduceScatter => {
-                for (m_d, acc) in accs.iter().enumerate() {
-                    view.write_rows(m_d, dst, chunk, acc, &IDENTITY_PERM);
-                }
-            }
-            Primitive::AllReduce => {
-                for (m_v, acc) in accs.iter().enumerate() {
-                    for k in 0..l {
-                        for m_d in 0..m {
-                            view.write_rows_at(m_d, &final_offsets(m_v, k), chunk, acc, &sigmas[k]);
-                        }
-                    }
-                }
-            }
-            _ => unreachable!("the reference covers the windowed MRAM-to-MRAM primitives"),
         }
     }
 }

@@ -61,13 +61,43 @@ impl CsrGraph {
 
     /// Returns the graph with every edge mirrored (the paper preprocesses
     /// CC inputs from directed to undirected edges, §VII-D).
+    ///
+    /// `O(V + E)`: a counting transpose — visiting the sources in order
+    /// leaves every in-neighbor list ascending — then, per vertex, a merge
+    /// of its two sorted, duplicate-free lists that keeps one copy of what
+    /// both hold. Bit for bit the CSR [`CsrGraph::from_edges`] builds from
+    /// the `2E` mirrored pairs.
     pub fn to_undirected(&self) -> CsrGraph {
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(self.num_edges() * 2);
-        for (s, t) in self.edges() {
-            edges.push((s, t));
-            edges.push((t, s));
+        let n = self.num_vertices();
+        let mut starts = vec![0usize; n + 1];
+        for &t in &self.targets {
+            starts[t as usize + 1] += 1;
         }
-        CsrGraph::from_edges(self.num_vertices(), edges)
+        for v in 0..n {
+            starts[v + 1] += starts[v];
+        }
+        let mut sources = vec![0u32; self.num_edges()];
+        let mut next = starts.clone();
+        for (s, t) in self.edges() {
+            sources[next[t as usize]] = s;
+            next[t as usize] += 1;
+        }
+
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(2 * self.num_edges());
+        offsets.push(0);
+        for v in 0..n {
+            let (mut out, mut inc) = (self.neighbors(v as u32), &sources[starts[v]..starts[v + 1]]);
+            while let (Some(&a), Some(&b)) = (out.first(), inc.first()) {
+                targets.push(a.min(b));
+                out = &out[usize::from(a <= b)..];
+                inc = &inc[usize::from(b <= a)..];
+            }
+            targets.extend_from_slice(out);
+            targets.extend_from_slice(inc);
+            offsets.push(targets.len());
+        }
+        CsrGraph { offsets, targets }
     }
 }
 
@@ -214,6 +244,47 @@ mod tests {
         let u = g.to_undirected();
         assert_eq!(u.num_edges(), 4);
         assert_eq!(u.neighbors(1), &[0, 2]);
+    }
+
+    /// The construction `to_undirected` replaced: sort and deduplicate the
+    /// `2E` mirrored pairs.
+    fn mirrored_by_sorting(g: &CsrGraph) -> CsrGraph {
+        let edges = g.edges().flat_map(|(s, t)| [(s, t), (t, s)]).collect();
+        CsrGraph::from_edges(g.num_vertices(), edges)
+    }
+
+    #[test]
+    fn undirected_equals_the_sorted_pair_construction() {
+        let mut graphs = vec![
+            CsrGraph::from_edges(0, vec![]),
+            CsrGraph::from_edges(5, vec![]),
+            // Self-loops, duplicate and antiparallel edges, isolated
+            // vertices (2 and 6), a vertex with only in-edges (5).
+            CsrGraph::from_edges(
+                7,
+                vec![
+                    (0, 0),
+                    (0, 1),
+                    (0, 1),
+                    (1, 0),
+                    (3, 3),
+                    (4, 5),
+                    (3, 5),
+                    (1, 4),
+                    (4, 1),
+                ],
+            ),
+        ];
+        for seed in [1, 7, 0xbeef] {
+            graphs.push(rmat(9, 6, RmatParams::skewed(seed)));
+            graphs.push(rmat(9, 6, RmatParams::uniform(seed)));
+        }
+        for g in &graphs {
+            let u = g.to_undirected();
+            assert_eq!(u, mirrored_by_sorting(g), "{} vertices", g.num_vertices());
+            assert_eq!(u.to_undirected(), u, "idempotent");
+            assert!(u.edges().all(|(s, t)| u.neighbors(t).contains(&s)));
+        }
     }
 
     #[test]

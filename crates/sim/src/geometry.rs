@@ -94,22 +94,29 @@ impl DimmGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if `pes` is not a positive multiple of [`LANES`].
+    /// Panics if `pes` is not a positive multiple of [`LANES`] or does not
+    /// factor into banks × ranks × channels ([`Self::try_with_pes`] is the
+    /// fallible form).
     pub fn with_pes(pes: usize) -> Self {
         assert!(
             pes > 0 && pes.is_multiple_of(LANES),
             "PE count must be a positive multiple of 8"
         );
+        Self::try_with_pes(pes)
+            .unwrap_or_else(|| panic!("PE count {pes} does not factor into banks×ranks×channels"))
+    }
+
+    /// As [`Self::with_pes`], or `None` where that panics: `pes` is zero,
+    /// not a multiple of [`LANES`], or does not factor.
+    pub fn try_with_pes(pes: usize) -> Option<Self> {
+        if pes == 0 || !pes.is_multiple_of(LANES) {
+            return None;
+        }
         let groups = pes / LANES;
         let banks = groups.min(8);
         let ranks = (groups / banks).clamp(1, 4);
         let channels = groups / (banks * ranks);
-        assert_eq!(
-            banks * ranks * channels,
-            groups,
-            "PE count {pes} does not factor into banks×ranks×channels"
-        );
-        Self::new(channels, ranks, banks)
+        (banks * ranks * channels == groups).then(|| Self::new(channels, ranks, banks))
     }
 
     /// Number of memory channels.
@@ -358,6 +365,17 @@ mod tests {
             assert_eq!(g.num_pes(), pes, "geometry for {pes} PEs");
         }
         assert_eq!(DimmGeometry::with_pes(1024), DimmGeometry::upmem_1024());
+    }
+
+    #[test]
+    fn try_with_pes_is_with_pes_or_none() {
+        for pes in 0..=2048usize {
+            let caught = std::panic::catch_unwind(|| DimmGeometry::with_pes(pes)).ok();
+            assert_eq!(DimmGeometry::try_with_pes(pes), caught, "{pes} PEs");
+        }
+        // 40 entangled groups: 8 banks x 4 ranks leaves 1.25 channels.
+        assert_eq!(DimmGeometry::try_with_pes(320), None);
+        assert!(DimmGeometry::try_with_pes(2048).is_some());
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! the paper's *PE-assisted reordering* exploits (§V-A1).
 //!
 //! All inter-PE traffic lands through a [`WriteWindow`] — [`Pe::write`] is
-//! the one-row case: resolve a window, [`WriteWindow::put`] once — so `put`
-//! is the chokepoint of the fault layer ([`crate::fault`]): an installed
+//! the one-row case: resolve a window, [`WriteWindow::put`] once; a
+//! [`WriteWindow::put_run`] is many `put`s that a direct window takes as
+//! one copy — so the window's landing is the chokepoint of the fault layer
+//! ([`crate::fault`]): an installed
 //! [`crate::fault::FaultCtx`] lets a seeded plan corrupt or drop landing
 //! writes, and write verification read-after-write checks each landing
 //! against its intended FNV digest. Both are decided once, when the window
@@ -202,6 +204,39 @@ impl WriteWindow<'_> {
                 Err(_) => landed.copy_from_slice(src),
             },
             Some(hooks) => hooks.land(landed, offset, src),
+        }
+    }
+
+    /// Lands all of `src` at MRAM offset `offset` as one run of
+    /// `chunk`-byte pieces, piece `i` being `src[i * chunk..][..chunk]` at
+    /// `offset + i * chunk`. On a direct window the run is a single copy
+    /// and `order` is never consumed. A window carrying the fault layer's
+    /// hooks lands the pieces one by one through the checked landing, in
+    /// the order `order` names them — so each keeps the `(pe, offset,
+    /// len)`, and the PE the landing sequence, of the [`WriteWindow::put`]
+    /// loop the run stands for. `order` must name every piece once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `[offset, offset + src.len())` leaves the window or a
+    /// named piece leaves the run.
+    #[inline]
+    pub fn put_run(
+        &mut self,
+        offset: usize,
+        src: &[u8],
+        chunk: usize,
+        order: impl IntoIterator<Item = usize>,
+    ) {
+        let landed = &mut self.data[offset.wrapping_sub(self.start)..][..src.len()];
+        match &mut self.hooks {
+            None => landed.copy_from_slice(src),
+            Some(hooks) => {
+                for at in order.into_iter().map(|i| i * chunk) {
+                    let piece = at..at + chunk;
+                    hooks.land(&mut landed[piece.clone()], offset + at, &src[piece]);
+                }
+            }
         }
     }
 }

@@ -225,6 +225,128 @@ fn first_event_per_pe_survives_a_whole_window_of_landings() {
     }
 }
 
+/// The register order of an AllReduce landing on lane rank `rank`: parts in
+/// order, every part from slot `rank` downwards, wrapping.
+fn descending_from(rank: usize, l: usize, parts: usize) -> impl Iterator<Item = usize> {
+    (0..parts).flat_map(move |p| (0..l).map(move |k| p * l + (rank + l - k) % l))
+}
+
+#[test]
+fn run_on_a_direct_window_is_one_copy_that_never_asks_for_the_order() {
+    let data: Vec<u8> = (0..960).map(|i| (i * 11 + 3) as u8).collect();
+    let mut run = Pe::new();
+    let mut puts = Pe::new();
+    for pe in [&mut run, &mut puts] {
+        pe.write(4096, &[0xEE; 2048]);
+    }
+    let never = std::iter::from_fn(|| -> Option<usize> { panic!("a direct run has no pieces") });
+    run.write_window(4104, 1024).put_run(4136, &data, 24, never);
+    let mut w = puts.write_window(4104, 1024);
+    for (i, piece) in data.chunks_exact(24).enumerate() {
+        w.put(4136 + 24 * i, piece);
+    }
+    assert_eq!(run.peek(4096, 2048), puts.peek(4096, 2048));
+    assert_eq!(run.mram_used(), puts.mram_used());
+    assert_eq!(run.mram_resident(), puts.mram_resident());
+}
+
+#[test]
+fn run_on_a_hooked_window_lands_piece_by_piece_in_the_order_given() {
+    let (l, parts, chunk) = (4usize, 6usize, 16usize);
+    let data: Vec<u8> = (0..l * parts * chunk).map(|i| (i * 7 + 1) as u8).collect();
+    let mut order_mattered = 0;
+    for seed in CI_SEEDS {
+        let plan = Arc::new(
+            FaultPlan::new(seed)
+                .with_bit_flip_period(3)
+                .with_row_corrupt_period(5),
+        );
+        let mut sys = PimSystem::new(DimmGeometry::single_group());
+        sys.attach_fault_plan(plan.clone());
+        sys.set_verify_writes(true);
+        let mut twin = sys.clone();
+        plan.begin_epoch();
+        for (lane, (pe, other)) in sys.pes_mut().iter_mut().zip(twin.pes_mut()).enumerate() {
+            let base = 4104 + 8 * lane;
+            pe.write_window(4096, 1024).put_run(
+                base,
+                &data,
+                chunk,
+                descending_from(lane % l, l, parts),
+            );
+            let mut w = other.write_window(4096, 1024);
+            for i in descending_from(lane % l, l, parts) {
+                w.put(base + i * chunk, &data[i * chunk..][..chunk]);
+            }
+            // Same (pe, offset, len) per piece: the same faults strike …
+            assert_eq!(pe.peek(4096, 1024), other.peek(4096, 1024), "seed {seed}");
+            assert_ne!(
+                pe.peek(base, data.len()),
+                data,
+                "period 3 over 24 pieces must fire"
+            );
+            // … and the same sequence: the same piece is the PE's first.
+            let first = pe.take_corruption();
+            assert_eq!(first, other.take_corruption(), "seed {seed} lane {lane}");
+            let first = first.expect("verification is on");
+            assert_eq!(first.len, chunk);
+            let ascending = {
+                let mut w = other.write_window(4096, 1024);
+                for i in 0..l * parts {
+                    w.put(base + i * chunk, &data[i * chunk..][..chunk]);
+                }
+                other.take_corruption().expect("the same pieces are struck")
+            };
+            order_mattered += usize::from(ascending.offset != first.offset);
+        }
+    }
+    assert!(order_mattered > 0, "every first event was the lowest piece");
+}
+
+#[test]
+fn run_without_faults_is_silent_under_verification_and_dropped_on_a_stuck_pe() {
+    let data = [5u8; 64];
+    let mut verified = Pe::new();
+    verified.set_verify(true);
+    verified
+        .write_window(0, 64)
+        .put_run(0, &data, 8, (0..8).rev());
+    assert_eq!(verified.peek(0, 64), data);
+    assert!(verified.take_corruption().is_none());
+
+    let mut sys = PimSystem::new(DimmGeometry::single_group());
+    sys.pe_mut(pim_sim::PeId(2)).write(0, &[7u8; 64]);
+    sys.attach_fault_plan(Arc::new(FaultPlan::new(0).with_failed_pe(2)));
+    let pe = &mut sys.pes_mut()[2];
+    pe.write_window(0, 64).put_run(0, &data, 8, 0..8);
+    assert_eq!(pe.peek(0, 64), vec![7u8; 64], "stale data survives");
+}
+
+#[test]
+#[should_panic]
+fn run_past_the_window_rejected() {
+    let mut pe = Pe::new();
+    pe.write(0, &[1u8; 256]);
+    pe.write_window(64, 64).put_run(96, &[0u8; 40], 8, 0..5);
+}
+
+#[test]
+#[should_panic]
+fn run_before_the_window_rejected() {
+    let mut pe = Pe::new();
+    pe.write(0, &[1u8; 256]);
+    pe.write_window(64, 64).put_run(56, &[0u8; 16], 8, 0..2);
+}
+
+#[test]
+#[should_panic]
+fn hooked_run_rejects_a_piece_outside_the_run() {
+    let mut pe = Pe::new();
+    pe.set_verify(true);
+    pe.write_window(0, 64)
+        .put_run(0, &[0u8; 32], 8, [0, 1, 2, 4]);
+}
+
 #[test]
 fn verified_window_without_faults_is_byte_identical_and_silent() {
     let mut plain = Pe::new();
