@@ -22,10 +22,12 @@ use pidcomm::{
     par_chunks, par_pes, par_pes_with, BufferSpec, DimMask, OptLevel, Primitive, RunPolicy,
 };
 use pidcomm_data::dlrm::{embedding_value, generate_batch, DlrmConfig};
-use pim_sim::{kernels, DType, DimmGeometry, FaultPlan, ReduceKind, SystemArena};
+use pim_sim::{kernels, DType, FaultPlan, ReduceKind, SystemArena};
 
 use crate::cost::{pe_kernel_ns, CpuModel};
-use crate::driver::{drive, mismatches, validated, Run, Setup, Stop, Supervision, Verdict};
+use crate::driver::{
+    drive, geometry, mismatches, validated, Run, Setup, Stop, Supervision, Verdict,
+};
 use crate::profile::AppProfile;
 use crate::{AppRun, ResilientRun};
 
@@ -49,16 +51,20 @@ pub struct DlrmRunConfig {
     pub threads: usize,
 }
 
-/// Hypercube split `[x, y, z]` for a PE count (x = column division,
-/// y = row division, z = table division ≤ number of tables).
-fn split(pes: usize, tables: usize, dim: usize) -> [usize; 3] {
+/// Hypercube split `[x, y, z]` for a positive PE count (x = column
+/// division, y = row division, z = table division ≤ number of tables);
+/// `None` without tables or embedding components, or when the PE count
+/// does not divide by the table division.
+fn split(pes: usize, tables: usize, dim: usize) -> Option<[usize; 3]> {
     let tz = tables.min(8);
-    assert_eq!(pes % tz, 0, "PE count must divide by table division");
+    if tz == 0 || dim == 0 || !pes.is_multiple_of(tz) {
+        return None;
+    }
     let rest = pes / tz;
     // Column division cannot exceed the embedding dimension.
     let tx = (1 << (rest.trailing_zeros() / 2)).min(dim).min(8);
     let ty = rest / tx;
-    [tx, ty, tz]
+    Some([tx, ty, tz])
 }
 
 /// One lookup routed through the index AlltoAll: `(sample, table, row)`
@@ -140,11 +146,16 @@ fn cpu_reference(cfg: &DlrmConfig, batch: &pidcomm_data::LookupBatch) -> (Vec<Ve
 ///
 /// # Errors
 ///
-/// Propagates collective validation errors.
+/// [`pidcomm::Error::InvalidBuffer`], before anything leaves the arena, if
+/// `cfg.pes` has no DIMM geometry or the workload does not split over it:
+/// the `[x, y, z]` hypercube must cover every PE, with the embedding
+/// dimension divisible by `x`, the tables by `z`, a positive row count per
+/// table by `y` and a non-empty batch by the PE count; else propagates
+/// collective validation errors.
 ///
 /// # Panics
 ///
-/// Panics on invalid shape splits or if validation fails.
+/// Panics if the pooled embeddings diverge from the CPU reference.
 pub fn run_dlrm(cfg: &DlrmRunConfig) -> pidcomm::Result<AppRun> {
     run_dlrm_in(cfg, &mut SystemArena::new())
 }
@@ -156,7 +167,11 @@ pub fn run_dlrm(cfg: &DlrmRunConfig) -> pidcomm::Result<AppRun> {
 ///
 /// # Errors
 ///
-/// Propagates collective validation errors.
+/// As [`run_dlrm`].
+///
+/// # Panics
+///
+/// As [`run_dlrm`].
 pub fn run_dlrm_in(cfg: &DlrmRunConfig, arena: &mut SystemArena) -> pidcomm::Result<AppRun> {
     Ok(validated(dlrm(cfg, None, arena)?, "DLRM pooled embeddings"))
 }
@@ -171,8 +186,8 @@ pub fn run_dlrm_in(cfg: &DlrmRunConfig, arena: &mut SystemArena) -> pidcomm::Res
 ///
 /// # Errors
 ///
-/// Propagates collective validation errors (never typed fault errors —
-/// those are consumed by the supervisor).
+/// As [`run_dlrm`] (never typed fault errors — those are consumed by the
+/// supervisor).
 pub fn run_dlrm_resilient(
     cfg: &DlrmRunConfig,
     fault: Option<Arc<FaultPlan>>,
@@ -211,28 +226,36 @@ fn dlrm(
     let p = cfg.pes;
     let d = w.embedding_dim;
     let t = w.num_tables;
-    let [tx, ty, tz] = split(p, t, d);
-    assert_eq!(tx * ty * tz, p, "split must cover all PEs");
-    assert_eq!(d % tx, 0);
-    assert_eq!(w.rows_per_table % ty, 0);
-    assert_eq!(t % tz, 0);
+    let bs = w.batch_size;
+    let geom = geometry("DLRM", p)?;
+    let [tx, ty, tz] = split(p, t, d)
+        .filter(|&[tx, ty, tz]| {
+            tx * ty * tz == p
+                && d.is_multiple_of(tx)
+                && w.rows_per_table > 0
+                && w.rows_per_table.is_multiple_of(ty)
+                && t.is_multiple_of(tz)
+                && bs > 0
+                && bs.is_multiple_of(p)
+        })
+        .ok_or_else(|| {
+            let want = "an [x, y, z] split covering every PE with embedding_dim % x == 0, \
+                        num_tables % z == 0, and positive rows_per_table % y == 0 and \
+                        batch_size % pes == 0";
+            pidcomm::Error::InvalidBuffer(format!("DLRM needs {want}: {cfg:?}"))
+        })?;
     let comps = d / tx; // embedding components per column shard
     let tables_per_z = t / tz;
     let rows_per_y = w.rows_per_table / ty;
-    let bs = w.batch_size;
-    assert_eq!(bs % p, 0, "batch must divide across PEs");
     // After the RS, PE (x, y, z) holds chunk y: samples sub-range
     // [y*bs/ty, ...) of the pooled (table z-shard, comps x-shard) values.
     // Within each y-fixed group (tx*tz members), member (x, z) holds the
     // y-chunk's samples for its (comps, tables) shard; destination (x', z')
-    // owns samples sub-subset and wants all shards.
+    // owns samples sub-subset and wants all shards (at least one sample
+    // each: the batch is a positive multiple of the PE count).
     let samples_per_y = bs / ty;
     let n2 = tx * tz;
     let samples_per_dest = samples_per_y / n2;
-    assert!(
-        samples_per_dest >= 1,
-        "batch too small for the 101 AlltoAll"
-    );
 
     let batch = generate_batch(w);
     let (expected, cpu_lookup_ns) = cpu_reference(w, &batch);
@@ -251,7 +274,7 @@ fn dlrm(
     let mlp_kernel = pe_kernel_ns(mlp_bytes, mlp_ops);
 
     let setup = Setup {
-        geom: DimmGeometry::with_pes(p),
+        geom,
         dims: vec![tx, ty, tz],
         opt: cfg.opt,
         threads: cfg.threads,
@@ -610,7 +633,7 @@ mod tests {
     #[test]
     fn split_shapes_are_consistent() {
         for pes in [64, 128, 256, 512, 1024] {
-            let [x, y, z] = split(pes, 8, 16);
+            let [x, y, z] = split(pes, 8, 16).unwrap();
             assert_eq!(x * y * z, pes, "pes {pes}");
             assert!(x <= 16 && z <= 8);
         }

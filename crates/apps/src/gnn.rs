@@ -20,10 +20,10 @@ use std::sync::Arc;
 
 use pidcomm::{par_pes, par_pes_with, BufferSpec, DimMask, OptLevel, Primitive, RunPolicy};
 use pidcomm_data::{CsrGraph, MatI32};
-use pim_sim::{kernels, DType, DimmGeometry, FaultPlan, PimSystem, ReduceKind, SystemArena};
+use pim_sim::{kernels, DType, FaultPlan, PimSystem, ReduceKind, SystemArena};
 
 use crate::cost::{pe_kernel_ns, CpuModel};
-use crate::driver::{drive, mismatches, validated, Run, Setup, Supervision, Verdict};
+use crate::driver::{drive, geometry, mismatches, validated, Run, Setup, Supervision, Verdict};
 use crate::profile::AppProfile;
 use crate::{AppRun, ResilientRun};
 
@@ -103,10 +103,10 @@ fn mat_from_bytes(rows: usize, cols: usize, bytes: &[u8], dtype: DType) -> MatI3
 /// (Fig. 13); see EXPERIMENTS.md.
 const KERNEL_SCALE: f64 = 6.0;
 
-fn isqrt(p: usize) -> usize {
+/// The side of a square `p`-PE grid, if `p` is a perfect square.
+fn isqrt(p: usize) -> Option<usize> {
     let s = (p as f64).sqrt().round() as usize;
-    assert_eq!(s * s, p, "GNN needs a square PE count, got {p}");
-    s
+    (s * s == p).then_some(s)
 }
 
 fn relu(v: i32) -> i32 {
@@ -183,11 +183,16 @@ fn tiles(graph: &CsrGraph, s: usize) -> Vec<Vec<Vec<(u32, u32)>>> {
 ///
 /// # Errors
 ///
-/// Propagates collective validation errors.
+/// [`pidcomm::Error::InvalidBuffer`], before anything leaves the arena, if
+/// `cfg.pes` has no DIMM geometry or is not a perfect square, the vertex
+/// count does not divide by `cfg.pes`, `cfg.feature_dim` does not divide
+/// by `sqrt(cfg.pes)`, or a feature block is not a multiple of
+/// `8 * sqrt(cfg.pes)` bytes; else propagates collective validation
+/// errors.
 ///
 /// # Panics
 ///
-/// Panics if shape constraints are violated or validation fails.
+/// Panics if the PIM features diverge from the CPU reference.
 pub fn run_gnn(cfg: &GnnConfig, graph: &CsrGraph) -> pidcomm::Result<AppRun> {
     run_gnn_in(cfg, graph, &mut SystemArena::new())
 }
@@ -198,7 +203,11 @@ pub fn run_gnn(cfg: &GnnConfig, graph: &CsrGraph) -> pidcomm::Result<AppRun> {
 ///
 /// # Errors
 ///
-/// Propagates collective validation errors.
+/// As [`run_gnn`].
+///
+/// # Panics
+///
+/// As [`run_gnn`].
 pub fn run_gnn_in(
     cfg: &GnnConfig,
     graph: &CsrGraph,
@@ -217,8 +226,8 @@ pub fn run_gnn_in(
 ///
 /// # Errors
 ///
-/// Propagates collective validation errors (never typed fault errors —
-/// those are consumed by the supervisor).
+/// As [`run_gnn`] (never typed fault errors — those are consumed by the
+/// supervisor).
 pub fn run_gnn_resilient(
     cfg: &GnnConfig,
     graph: &CsrGraph,
@@ -251,15 +260,23 @@ fn gnn(
     arena: &mut SystemArena,
 ) -> pidcomm::Result<ResilientRun> {
     let p = cfg.pes;
-    let s = isqrt(p);
     let f = cfg.feature_dim;
     let n = graph.num_vertices();
-    assert_eq!(n % (s * s), 0, "vertices must divide by s^2");
-    assert_eq!(f % s, 0, "feature dim must divide by s");
-    let bs = n / s; // vertices per block
     let es = esize(cfg.dtype);
+    let geom = geometry("GNN", p)?;
+    let s = isqrt(p)
+        // `s` vertex blocks of `bs` rows; collectives move whole blocks.
+        .filter(|&s| {
+            n.is_multiple_of(p) && f.is_multiple_of(s) && (n / s * f * es).is_multiple_of(8 * s)
+        })
+        .ok_or_else(|| {
+            let want = "a square PE count s*s, vertices % pes == 0, feature_dim % s == 0 \
+                        and a feature block of a multiple of 8*s bytes";
+            let what = format!("GNN needs {want}: {n} vertices, {cfg:?}");
+            pidcomm::Error::InvalidBuffer(what)
+        })?;
+    let bs = n / s; // vertices per block
     let block_bytes = bs * f * es;
-    assert_eq!(block_bytes % (8 * s), 0, "collective alignment");
 
     let tile = tiles(graph, s);
     let weights: Vec<MatI32> = (0..cfg.layers)
@@ -278,7 +295,7 @@ fn gnn(
     };
 
     let setup = Setup {
-        geom: DimmGeometry::with_pes(p),
+        geom,
         dims: vec![s, s],
         opt: cfg.opt,
         threads: cfg.threads,
@@ -666,7 +683,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "square PE count")]
     fn non_square_pes_rejected() {
         let cfg = GnnConfig {
             threads: 0,
@@ -677,6 +693,8 @@ mod tests {
             opt: OptLevel::Full,
             dtype: DType::I32,
         };
-        let _ = run_gnn(&cfg, &small_graph());
+        let err = run_gnn(&cfg, &small_graph()).unwrap_err();
+        assert!(matches!(err, pidcomm::Error::InvalidBuffer(_)), "{err}");
+        assert!(err.to_string().contains("square PE count"), "{err}");
     }
 }

@@ -5,7 +5,7 @@
 use pidcomm::{OptLevel, PlanCache, Primitive, RunOutcome, RunPolicy};
 use pidcomm_apps::bfs::{default_source, run_bfs, run_bfs_in, run_bfs_resilient_in, BfsConfig};
 use pidcomm_apps::cc::{run_cc, run_cc_in, run_cc_resilient_in, CcConfig};
-use pidcomm_apps::dlrm::{run_dlrm, run_dlrm_in, DlrmRunConfig};
+use pidcomm_apps::dlrm::{run_dlrm, run_dlrm_in, run_dlrm_resilient_in, DlrmRunConfig};
 use pidcomm_apps::gnn::{run_gnn, run_gnn_in, run_gnn_resilient_in, GnnConfig, GnnVariant};
 use pidcomm_apps::mlp::{run_mlp, run_mlp_in, run_mlp_resilient_in, MlpConfig};
 use pidcomm_apps::AppRun;
@@ -545,6 +545,114 @@ fn bad_graph_app_configs_are_typed_errors_that_leave_the_arena_alone() {
             );
             assert!(run_cc_resilient_in(&cc, graph, None, policy, &mut arena).is_err());
         }
+        assert_eq!(format!("{arena:?}"), pools, "{what} touched the arena");
+    }
+}
+
+/// Bad DLRM / GNN configs likewise — each was an `assert!` (or, at 128
+/// PEs, GNN's square-root check) once: a PE count with no geometry or no
+/// square root, workloads that do not split over the hypercube, an empty
+/// batch or table, a graph or feature width that does not tile.
+#[test]
+fn bad_dlrm_and_gnn_configs_are_typed_errors_that_leave_the_arena_alone() {
+    let policy = RunPolicy::default();
+    let mut arena = SystemArena::new();
+    let dlrm = DlrmRunConfig {
+        threads: 0,
+        workload: DlrmConfig {
+            num_tables: 8,
+            rows_per_table: 1 << 10,
+            embedding_dim: 16,
+            batch_size: 1024,
+            seed: 7,
+        },
+        pes: 64,
+        opt: OptLevel::Full,
+    };
+    let gnn = GnnConfig {
+        threads: 0,
+        pes: 64,
+        feature_dim: 16,
+        layers: 2,
+        variant: GnnVariant::RsAr,
+        opt: OptLevel::Full,
+        dtype: DType::I32,
+    };
+    let g = rmat(10, 4, RmatParams::uniform(9));
+    assert!(run_dlrm_in(&dlrm, &mut arena).unwrap().validated);
+    assert!(run_gnn_in(&gnn, &g, &mut arena).unwrap().validated);
+    let pools = format!("{arena:?}");
+
+    let workload = |edit: fn(&mut DlrmConfig)| {
+        let mut w = dlrm.workload;
+        edit(&mut w);
+        DlrmRunConfig {
+            workload: w,
+            ..dlrm
+        }
+    };
+    let bad_dlrm = [
+        DlrmRunConfig { pes: 0, ..dlrm },
+        DlrmRunConfig { pes: 12, ..dlrm },
+        // 3 tables: the table division (3) does not divide 64 PEs.
+        workload(|w| w.num_tables = 3),
+        // 12 tables over a table division of 8.
+        workload(|w| w.num_tables = 12),
+        workload(|w| w.num_tables = 0),
+        workload(|w| w.embedding_dim = 0),
+        // Column division 2 does not divide 3 components.
+        workload(|w| w.embedding_dim = 3),
+        // Row division 4 at 64 PEs.
+        workload(|w| w.rows_per_table = 1023),
+        workload(|w| w.rows_per_table = 0),
+        workload(|w| w.batch_size = 1000),
+        workload(|w| w.batch_size = 0),
+    ];
+    for cfg in bad_dlrm {
+        let err = run_dlrm_in(&cfg, &mut arena).unwrap_err();
+        assert!(
+            matches!(err, pidcomm::Error::InvalidBuffer(_)),
+            "{cfg:?}: {err}"
+        );
+        assert!(run_dlrm_resilient_in(&cfg, None, policy, &mut arena).is_err());
+        assert_eq!(format!("{arena:?}"), pools, "{cfg:?} touched the arena");
+    }
+
+    let bad_gnn = [
+        (GnnConfig { pes: 0, ..gnn }, &g),
+        (GnnConfig { pes: 12, ..gnn }, &g),
+        // A geometry, but no square root.
+        (GnnConfig { pes: 128, ..gnn }, &g),
+        // 12 % sqrt(64) != 0.
+        (
+            GnnConfig {
+                feature_dim: 12,
+                ..gnn
+            },
+            &g,
+        ),
+        // 100 vertices do not tile over 64 PEs.
+        (gnn, &CsrGraph::from_edges(100, vec![(0, 1)])),
+        // 4 x 4 PEs, blocks of 4 rows x 4 features x 1 B = 16 B: not the
+        // 8 * 4 bytes a collective over 4 members moves.
+        (
+            GnnConfig {
+                pes: 16,
+                feature_dim: 4,
+                dtype: DType::I8,
+                ..gnn
+            },
+            &CsrGraph::from_edges(16, vec![(0, 1)]),
+        ),
+    ];
+    for (cfg, graph) in bad_gnn {
+        let what = format!("{} vertices, {cfg:?}", graph.num_vertices());
+        let err = run_gnn_in(&cfg, graph, &mut arena).unwrap_err();
+        assert!(
+            matches!(err, pidcomm::Error::InvalidBuffer(_)),
+            "{what}: {err}"
+        );
+        assert!(run_gnn_resilient_in(&cfg, graph, None, policy, &mut arena).is_err());
         assert_eq!(format!("{arena:?}"), pools, "{what} touched the arena");
     }
 }

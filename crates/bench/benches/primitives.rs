@@ -301,7 +301,6 @@ fn bench_collectives() {
         bytes_per_node: 8 * 8 * 16,
         dtype: pim_sim::DType::U64,
         model: pim_sim::TimeModel::upmem(),
-        threads: 0,
     };
     for prim in [
         Primitive::AlltoAll,

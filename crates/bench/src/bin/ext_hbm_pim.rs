@@ -30,7 +30,6 @@ fn main() {
         bytes_per_node: 32 * 1024,
         dtype: DType::U64,
         model: hbm.clone(),
-        threads: 0,
     };
 
     println!(

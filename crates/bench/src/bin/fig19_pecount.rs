@@ -44,7 +44,6 @@ fn main() {
                     mask,
                     dtype: DType::U64,
                     model: pim_sim::TimeModel::upmem(),
-                    threads: 0,
                 };
                 let base = run_primitive(&setup, prim, OptLevel::Baseline).throughput_gbps();
                 let ours = run_primitive(&setup, prim, OptLevel::Full).throughput_gbps();

@@ -35,7 +35,6 @@ fn main() {
             bytes_per_node: (8 * n * 32).max(4096),
             dtype: DType::U64,
             model: pim_sim::TimeModel::upmem(),
-            threads: 0,
         };
         let vals: Vec<f64> = [
             Primitive::AlltoAll,

@@ -1,8 +1,12 @@
 //! # pidcomm-bench — figure/table regeneration harness
 //!
-//! One binary per table/figure of the paper's evaluation (§VIII); see
-//! DESIGN.md §3 for the experiment index and EXPERIMENTS.md for measured
-//! vs published shapes. This library holds the shared runners.
+//! One binary per table/figure of the paper's evaluation (§VIII). This
+//! library is the cell core they share: [`run_primitive`] for one
+//! collective, [`apps`] for the application cases and their sweep, the
+//! [`sweep`] pool — and [`pins`], the deterministic sweeps whose bit
+//! patterns `cargo test` checks against the `BENCH_*.json` files at the
+//! repo root. Pins are tests; host time is measured by the `benchmark/`
+//! package and nowhere in this crate's library.
 //!
 //! # Threading model
 //!
@@ -18,16 +22,16 @@
 //!    `Communicator::with_threads` bound down to `pidcomm`'s
 //!    cluster-parallel engine (each cluster gets a disjoint `EgView`).
 //!
-//! A machine budget (`--threads N`, `0` = auto from `PIDCOMM_THREADS` or
-//! the available parallelism) is split by [`sweep::SweepBudget`] so
+//! A machine budget (the figure binaries' `--threads N`, `0` = auto from
+//! `PIDCOMM_THREADS` or the available parallelism) is split by [`sweep::SweepBudget`] so
 //! `workers × engine_threads` never exceeds it: the outer level is filled
 //! first (whole-app cells scale better than cluster fan-out), and the
 //! remainder goes to the engine. The serial reference schedule
 //! ([`sweep::SweepBudget::serial`]) is one worker with a serial engine;
 //! `tests/app_sweep_determinism.rs` pins every other budget to it.
 
-// The harness times walls but never takes unsafe shortcuts; any future
-// unsafe fast path belongs in pim_sim, under simlint's unsafe-audit lint.
+// The harness never takes unsafe shortcuts; any future unsafe fast path
+// belongs in pim_sim, under simlint's unsafe-audit lint.
 #![forbid(unsafe_code)]
 
 use pidcomm::{
@@ -36,6 +40,7 @@ use pidcomm::{
 };
 use pim_sim::{DType, DimmGeometry, PimSystem, ReduceKind, TimeModel};
 
+pub mod pins;
 pub mod sweep;
 
 /// A primitive invocation setup shared by the sweeps.
@@ -55,10 +60,6 @@ pub struct PrimSetup {
     /// Timing model (defaults to the UPMEM calibration; extensions swap in
     /// projected hardware).
     pub model: TimeModel,
-    /// Engine thread budget for the collective (`0` = auto, `1` = serial
-    /// reference), passed to `Communicator::with_threads` — so sweeps that
-    /// record their schedule report the budget that actually ran.
-    pub threads: usize,
 }
 
 impl PrimSetup {
@@ -71,7 +72,6 @@ impl PrimSetup {
             bytes_per_node,
             dtype: DType::U64,
             model: TimeModel::upmem(),
-            threads: 0,
         }
     }
 
@@ -84,7 +84,6 @@ impl PrimSetup {
             bytes_per_node,
             dtype: DType::U64,
             model: TimeModel::upmem(),
-            threads: 0,
         }
     }
 
@@ -105,78 +104,49 @@ impl PrimSetup {
 ///
 /// Panics on configuration errors (this is a harness, not a library API).
 pub fn run_primitive(setup: &PrimSetup, prim: Primitive, opt: OptLevel) -> CommReport {
-    time_primitive(setup, prim, opt, 1).0
-}
-
-/// Runs one primitive like [`run_primitive`], but times *only* the
-/// collective invocation (system construction and buffer fills stay
-/// outside the clock) and returns the minimum wall-clock milliseconds over
-/// `reps` fresh runs alongside the last report. This is the measurement
-/// the simulator-performance trajectory (`bench_json`) records: the
-/// engine hot path, undiluted by harness setup.
-///
-/// # Panics
-///
-/// Panics on configuration errors (this is a harness, not a library API).
-pub fn time_primitive(
-    setup: &PrimSetup,
-    prim: Primitive,
-    opt: OptLevel,
-    reps: usize,
-) -> (CommReport, f64) {
     let shape = HypercubeShape::new(setup.dims.clone()).unwrap();
     let mask: DimMask = setup.mask.parse().unwrap();
     let n = setup.group_size();
     let b = setup.bytes_per_node;
     let manager = HypercubeManager::new(shape, setup.geom).unwrap();
-    let comm = Communicator::new(manager)
-        .with_opt(opt)
-        .with_threads(setup.threads);
+    let comm = Communicator::new(manager).with_opt(opt);
     let groups = comm.manager().groups(&mask).unwrap().len();
     let small = (b / n).max(8).next_multiple_of(8);
     let dst = 2 * b.next_multiple_of(64) + 64;
     let spec = BufferSpec::new(0, dst, b).with_dtype(setup.dtype);
     let small_spec = BufferSpec::new(0, dst, small).with_dtype(setup.dtype);
 
-    let mut best = f64::INFINITY;
-    let mut report = None;
-    for _ in 0..reps.max(1) {
-        let mut sys = PimSystem::with_model(setup.geom, setup.model.clone());
-        for pe in setup.geom.pes() {
-            let fill: Vec<u8> = (0..b)
-                .map(|i| ((pe.0 as usize + i * 13) % 251) as u8)
-                .collect();
-            sys.pe_mut(pe).write(0, &fill);
-        }
-        let t0 = std::time::Instant::now();
-        let r = match prim {
-            Primitive::AlltoAll => comm.all_to_all(&mut sys, &mask, &spec).unwrap(),
-            Primitive::ReduceScatter => comm
-                .reduce_scatter(&mut sys, &mask, &spec, ReduceKind::Sum)
-                .unwrap(),
-            Primitive::AllReduce => comm
-                .all_reduce(&mut sys, &mask, &spec, ReduceKind::Sum)
-                .unwrap(),
-            Primitive::AllGather => comm.all_gather(&mut sys, &mask, &small_spec).unwrap(),
-            Primitive::Scatter => {
-                let host: Vec<Vec<u8>> = vec![vec![0x5Au8; n * small]; groups];
-                comm.scatter(&mut sys, &mask, &small_spec, &host).unwrap()
-            }
-            Primitive::Gather => comm.gather(&mut sys, &mask, &small_spec).unwrap().0,
-            Primitive::Reduce => {
-                comm.reduce(&mut sys, &mask, &spec, ReduceKind::Sum)
-                    .unwrap()
-                    .0
-            }
-            Primitive::Broadcast => {
-                let host: Vec<Vec<u8>> = vec![vec![0xA5u8; small]; groups];
-                comm.broadcast(&mut sys, &mask, &small_spec, &host).unwrap()
-            }
-        };
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        report = Some(r);
+    let mut sys = PimSystem::with_model(setup.geom, setup.model.clone());
+    for pe in setup.geom.pes() {
+        let fill: Vec<u8> = (0..b)
+            .map(|i| ((pe.0 as usize + i * 13) % 251) as u8)
+            .collect();
+        sys.pe_mut(pe).write(0, &fill);
     }
-    (report.unwrap(), best)
+    match prim {
+        Primitive::AlltoAll => comm.all_to_all(&mut sys, &mask, &spec).unwrap(),
+        Primitive::ReduceScatter => comm
+            .reduce_scatter(&mut sys, &mask, &spec, ReduceKind::Sum)
+            .unwrap(),
+        Primitive::AllReduce => comm
+            .all_reduce(&mut sys, &mask, &spec, ReduceKind::Sum)
+            .unwrap(),
+        Primitive::AllGather => comm.all_gather(&mut sys, &mask, &small_spec).unwrap(),
+        Primitive::Scatter => {
+            let host: Vec<Vec<u8>> = vec![vec![0x5Au8; n * small]; groups];
+            comm.scatter(&mut sys, &mask, &small_spec, &host).unwrap()
+        }
+        Primitive::Gather => comm.gather(&mut sys, &mask, &small_spec).unwrap().0,
+        Primitive::Reduce => {
+            comm.reduce(&mut sys, &mask, &spec, ReduceKind::Sum)
+                .unwrap()
+                .0
+        }
+        Primitive::Broadcast => {
+            let host: Vec<Vec<u8>> = vec![vec![0xA5u8; small]; groups];
+            comm.broadcast(&mut sys, &mask, &small_spec, &host).unwrap()
+        }
+    }
 }
 
 /// Geometric mean of a slice.
@@ -217,7 +187,6 @@ mod tests {
             bytes_per_node: 8 * 8 * 8,
             dtype: DType::U64,
             model: TimeModel::upmem(),
-            threads: 0,
         };
         for prim in Primitive::ALL {
             let report = run_primitive(&setup, prim, OptLevel::Full);
@@ -276,17 +245,6 @@ pub mod apps {
     /// Reddit-like GNN graph (2048 vertices, dense).
     pub fn rd() -> &'static CsrGraph {
         &RD
-    }
-
-    /// The `sm` harness graph shared by the small GNN case and the chaos
-    /// soak.
-    pub fn small() -> &'static CsrGraph {
-        &SMALL
-    }
-
-    /// Undirected view of [`small`] (the small BFS/CC dataset).
-    pub fn small_undir() -> &'static CsrGraph {
-        &SMALL_UNDIR
     }
 
     /// `(pes, opt, threads, arena)` entry point of one benchmark case.
@@ -483,8 +441,8 @@ pub mod apps {
     }
 
     /// Reduced-scale cases covering all five applications, sized so the
-    /// whole sweep finishes in seconds on 64 PEs — used by the CI smoke
-    /// run of `bench_json --apps --small` and the sweep determinism test.
+    /// whole sweep finishes in seconds on 64 PEs — the cells of
+    /// [`crate::pins::apps_small`] and of the sweep determinism test.
     pub fn small_cases() -> Vec<AppCase> {
         vec![
             AppCase {
@@ -605,29 +563,10 @@ pub mod apps {
     /// staging buffers instead of rebuilding them from scratch (see the
     /// [`sweep`] module docs for the lifecycle).
     pub fn run_app_sweep(cases: &[AppCase], cells: &[AppCell], budget: SweepBudget) -> Vec<AppRun> {
-        run_app_sweep_with_stats(cases, cells, budget).0
-    }
-
-    /// As [`run_app_sweep`], but additionally returns the pool-wide
-    /// [`pidcomm::PlanCacheStats`] summed over every worker's private
-    /// plan cache (parked in its arena's extension slot between cells) —
-    /// the scoped replacement for the removed process-global counters.
-    /// Integer sums commute, so the tally is worker-order independent.
-    pub fn run_app_sweep_with_stats(
-        cases: &[AppCase],
-        cells: &[AppCell],
-        budget: SweepBudget,
-    ) -> (Vec<AppRun>, pidcomm::PlanCacheStats) {
-        let (runs, arenas) =
-            sweep::run_cells_collect(cells.len(), budget.workers, SystemArena::new, |arena, i| {
-                let c = &cells[i];
-                cases[c.case].run_in(c.pes, c.opt, budget.engine_threads, arena)
-            });
-        let stats = arenas
-            .into_iter()
-            .map(|mut arena| arena.take_extension::<pidcomm::PlanCache>().snapshot())
-            .fold(pidcomm::PlanCacheStats::default(), |acc, s| acc.merge(&s));
-        (runs, stats)
+        sweep::run_cells_with(cells.len(), budget.workers, SystemArena::new, |arena, i| {
+            let c = &cells[i];
+            cases[c.case].run_in(c.pes, c.opt, budget.engine_threads, arena)
+        })
     }
 
     /// The fig13/fig15 cell list: every case at `pes` PEs, baseline then
@@ -640,291 +579,5 @@ pub mod apps {
                     .map(move |opt| AppCell { case, pes, opt })
             })
             .collect()
-    }
-}
-
-/// Deterministic chaos soak: the five small application cases rerun
-/// through their `run_*_resilient` variants under seeded fault profiles
-/// and recovery policies (`bench_json --chaos`).
-///
-/// Every number the soak records is a pure function of the grid: fault
-/// schedules are seeded [`pim_sim::FaultPlan`]s (decisions keyed on
-/// `(seed, pe, epoch, offset)`), the apps commit per-iteration, and the
-/// engine is deterministic — so the whole `BENCH_chaos.json` report is
-/// reproducible bit-for-bit and `--check` can pin it exactly like the
-/// fault-free sweeps. The `clean` column doubles as the zero-fault
-/// bit-identity guard: its modeled bits must equal the plain runners'.
-pub mod chaos {
-    use std::sync::Arc;
-
-    use pidcomm::{OptLevel, RunPolicy};
-    use pidcomm_apps::bfs::{default_source, run_bfs_resilient_in, BfsConfig};
-    use pidcomm_apps::cc::{run_cc_resilient_in, CcConfig};
-    use pidcomm_apps::dlrm::{run_dlrm_resilient_in, DlrmRunConfig};
-    use pidcomm_apps::gnn::{run_gnn_resilient_in, GnnConfig, GnnVariant};
-    use pidcomm_apps::mlp::{run_mlp_resilient_in, MlpConfig};
-    use pidcomm_apps::ResilientRun;
-    use pidcomm_data::dlrm::DlrmConfig;
-    use pim_sim::{DType, FaultPlan, SystemArena};
-
-    use crate::apps;
-
-    /// Seeded fault profile of one soak column.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum FaultProfile {
-        /// No fault plan attached — the zero-fault bit-identity column.
-        Clean,
-        /// Rare transient bit flips (about one write in 2^14).
-        Flip,
-        /// Dense transient corruption: bit flips at 2^13 plus row
-        /// corruption at 2^14 — retry pressure high enough to exercise
-        /// backoff and, under quarantine, the ledger threshold.
-        Storm,
-        /// One persistently dead PE (flat index 3): the case bounded
-        /// retry cannot fix and recovery must degrade around.
-        DeadPe,
-    }
-
-    impl FaultProfile {
-        /// Every profile, clean first.
-        pub const ALL: [FaultProfile; 4] = [
-            FaultProfile::Clean,
-            FaultProfile::Flip,
-            FaultProfile::Storm,
-            FaultProfile::DeadPe,
-        ];
-
-        /// Stable report label.
-        pub fn label(self) -> &'static str {
-            match self {
-                FaultProfile::Clean => "clean",
-                FaultProfile::Flip => "flip",
-                FaultProfile::Storm => "storm",
-                FaultProfile::DeadPe => "dead-pe",
-            }
-        }
-
-        /// The seeded fault plan of this profile (`None` for clean).
-        pub fn plan(self, seed: u64) -> Option<Arc<FaultPlan>> {
-            match self {
-                FaultProfile::Clean => None,
-                FaultProfile::Flip => {
-                    Some(Arc::new(FaultPlan::new(seed).with_bit_flip_period(1 << 14)))
-                }
-                FaultProfile::Storm => Some(Arc::new(
-                    FaultPlan::new(seed)
-                        .with_bit_flip_period(1 << 13)
-                        .with_row_corrupt_period(1 << 14),
-                )),
-                FaultProfile::DeadPe => Some(Arc::new(FaultPlan::new(seed).with_failed_pe(3))),
-            }
-        }
-    }
-
-    /// `(pes, fault, policy, arena)` entry point of one soak case — the
-    /// resilient twin of [`apps::AppCase`], always at `OptLevel::Full`
-    /// with a serial engine.
-    type ChaosRunner = Box<
-        dyn Fn(usize, Option<Arc<FaultPlan>>, RunPolicy, &mut SystemArena) -> ResilientRun
-            + Send
-            + Sync,
-    >;
-
-    /// One application of the soak grid.
-    pub struct ChaosCase {
-        /// Application name (paper naming, matching [`apps::small_cases`]).
-        pub app: &'static str,
-        runner: ChaosRunner,
-    }
-
-    impl ChaosCase {
-        /// Runs the case on `pes` PEs under `fault` and `policy`,
-        /// sourcing allocations from `arena`.
-        pub fn run_in(
-            &self,
-            pes: usize,
-            fault: Option<Arc<FaultPlan>>,
-            policy: RunPolicy,
-            arena: &mut SystemArena,
-        ) -> ResilientRun {
-            (self.runner)(pes, fault, policy, arena)
-        }
-    }
-
-    /// The five soak applications at exactly the [`apps::small_cases`]
-    /// configurations, so the `clean` column is directly comparable to
-    /// the `--apps --small` sweep.
-    pub fn cases() -> Vec<ChaosCase> {
-        vec![
-            ChaosCase {
-                app: "DLRM",
-                runner: Box::new(|pes, fault, policy, arena| {
-                    run_dlrm_resilient_in(
-                        &DlrmRunConfig {
-                            workload: DlrmConfig {
-                                num_tables: 8,
-                                rows_per_table: 1 << 10,
-                                embedding_dim: 16,
-                                batch_size: 1024,
-                                seed: 7,
-                            },
-                            pes,
-                            opt: OptLevel::Full,
-                            threads: 1,
-                        },
-                        fault,
-                        policy,
-                        arena,
-                    )
-                    .unwrap()
-                }),
-            },
-            ChaosCase {
-                app: "GNN RS&AR",
-                runner: Box::new(|pes, fault, policy, arena| {
-                    run_gnn_resilient_in(
-                        &GnnConfig {
-                            pes,
-                            feature_dim: 64,
-                            layers: 3,
-                            variant: GnnVariant::RsAr,
-                            opt: OptLevel::Full,
-                            dtype: DType::I32,
-                            threads: 1,
-                        },
-                        apps::small(),
-                        fault,
-                        policy,
-                        arena,
-                    )
-                    .unwrap()
-                }),
-            },
-            ChaosCase {
-                app: "BFS",
-                runner: Box::new(|pes, fault, policy, arena| {
-                    let g = apps::small_undir();
-                    run_bfs_resilient_in(
-                        &BfsConfig {
-                            pes,
-                            opt: OptLevel::Full,
-                            threads: 1,
-                        },
-                        g,
-                        default_source(g),
-                        fault,
-                        policy,
-                        arena,
-                    )
-                    .unwrap()
-                }),
-            },
-            ChaosCase {
-                app: "CC",
-                runner: Box::new(|pes, fault, policy, arena| {
-                    run_cc_resilient_in(
-                        &CcConfig {
-                            pes,
-                            opt: OptLevel::Full,
-                            threads: 1,
-                        },
-                        apps::small_undir(),
-                        fault,
-                        policy,
-                        arena,
-                    )
-                    .unwrap()
-                }),
-            },
-            ChaosCase {
-                app: "MLP",
-                runner: Box::new(|pes, fault, policy, arena| {
-                    run_mlp_resilient_in(
-                        &MlpConfig {
-                            features: 512,
-                            layers: 3,
-                            pes,
-                            opt: OptLevel::Full,
-                            threads: 1,
-                        },
-                        fault,
-                        policy,
-                        arena,
-                    )
-                    .unwrap()
-                }),
-            },
-        ]
-    }
-
-    /// One cell of the soak grid: which case, under which fault profile
-    /// and which policy column.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct ChaosCell {
-        /// Index into [`cases`].
-        pub case: usize,
-        /// Seeded fault profile.
-        pub profile: FaultProfile,
-        /// Whether the health ledger may quarantine (the default policy);
-        /// `false` runs [`RunPolicy::without_quarantine`].
-        pub quarantine: bool,
-        /// Fault-plan seed (fixed per profile; the report is keyed on it).
-        pub seed: u64,
-    }
-
-    impl ChaosCell {
-        /// Dataset label of the report row — the fault profile and policy
-        /// column folded into the `app/dataset/opt/pes` identity key so
-        /// the tolerant `--check` scanner pins every cell unchanged.
-        pub fn dataset(&self) -> String {
-            match self.profile {
-                FaultProfile::Clean => "sm+clean".into(),
-                p => format!(
-                    "sm+{}/{}",
-                    p.label(),
-                    if self.quarantine { "q" } else { "nq" }
-                ),
-            }
-        }
-
-        /// The run policy of this cell.
-        pub fn policy(&self) -> RunPolicy {
-            if self.quarantine {
-                RunPolicy::default()
-            } else {
-                RunPolicy::default().without_quarantine()
-            }
-        }
-    }
-
-    /// The full soak grid over `num_cases` applications: the clean column
-    /// once per app (policy is irrelevant without faults), every faulty
-    /// profile under quarantine on and off. Seeds are fixed per profile
-    /// so the grid — and therefore the report — is fully deterministic.
-    pub fn soak_cells(num_cases: usize) -> Vec<ChaosCell> {
-        let mut cells = Vec::new();
-        for case in 0..num_cases {
-            for (i, profile) in FaultProfile::ALL.into_iter().enumerate() {
-                let seed = 0xc4a0_5000 + i as u64;
-                if profile == FaultProfile::Clean {
-                    cells.push(ChaosCell {
-                        case,
-                        profile,
-                        quarantine: true,
-                        seed,
-                    });
-                    continue;
-                }
-                for quarantine in [true, false] {
-                    cells.push(ChaosCell {
-                        case,
-                        profile,
-                        quarantine,
-                        seed,
-                    });
-                }
-            }
-        }
-        cells
     }
 }

@@ -149,35 +149,10 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    run_cells_collect(cells, workers, init, f).0
-}
-
-/// As [`run_cells_with`], but additionally returns each worker's final
-/// state value (in no particular order) once the sweep drains — the hook
-/// scoped accounting uses to read per-worker caches (e.g. the plan-cache
-/// counters parked in each worker's arena) without process globals.
-///
-/// A worker whose state was rebuilt after a contained panic contributes
-/// only its *final* state; the poisoned state's counters are lost with
-/// it. That is fine for the only current consumer: a panicking sweep
-/// re-panics below before any stats are read.
-pub fn run_cells_collect<T, S, I, F>(
-    cells: usize,
-    workers: usize,
-    init: I,
-    f: F,
-) -> (Vec<T>, Vec<S>)
-where
-    T: Send,
-    S: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     let poisoned: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
     let slots: Vec<Mutex<Option<T>>> = (0..cells).map(|_| Mutex::new(None)).collect();
-    let states: Mutex<Vec<S>> = Mutex::new(Vec::new());
     if workers <= 1 || cells <= 1 {
         let mut state = init();
         for (i, slot) in slots.iter().enumerate() {
@@ -194,11 +169,9 @@ where
                 }
             }
         }
-        states.lock().unwrap().push(state);
     } else {
         let next = AtomicUsize::new(0);
         let poisoned = &poisoned;
-        let states = &states;
         std::thread::scope(|s| {
             for _ in 0..workers.min(cells) {
                 s.spawn(|| {
@@ -219,7 +192,6 @@ where
                             }
                         }
                     }
-                    states.lock().unwrap().push(state);
                 });
             }
         });
@@ -234,11 +206,10 @@ where
             count = poisoned.len()
         );
     }
-    let results = slots
+    slots
         .into_iter()
         .map(|m| m.into_inner().unwrap().expect("cell ran"))
-        .collect();
-    (results, states.into_inner().unwrap())
+        .collect()
 }
 
 #[cfg(test)]

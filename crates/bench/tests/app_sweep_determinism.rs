@@ -3,8 +3,8 @@
 //! arena are pure execution knobs: every budget, host-kernel thread count
 //! and arena-reuse pattern must produce `AppProfile`s, modeled CPU times
 //! and validation results byte-identical to the serial fresh-allocation
-//! reference schedule — the property the recorded `BENCH_apps.json`
-//! speedups rest on.
+//! reference schedule — the one `tests/pins.rs` pins bit for bit
+//! (`BENCH_apps_small.json`), so every schedule here is pinned with it.
 
 use pidcomm::{OptLevel, PlanCache};
 use pidcomm_bench::apps;

@@ -607,20 +607,6 @@ impl PlanCacheStats {
             len: self.len,
         }
     }
-
-    /// Counter sum across caches (`len` adds too): the aggregation the
-    /// sweep harness uses to combine every worker's private cache into
-    /// one pool-wide tally. Integer sums commute, so the result is
-    /// independent of worker enumeration order.
-    #[must_use]
-    pub fn merge(&self, other: &PlanCacheStats) -> PlanCacheStats {
-        PlanCacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            evictions: self.evictions + other.evictions,
-            len: self.len + other.len,
-        }
-    }
 }
 
 /// One pooled plan plus its recency stamp for LRU eviction.

@@ -221,7 +221,8 @@ pub enum RunOutcome {
 }
 
 impl RunOutcome {
-    /// Short stable label for reports (`BENCH_chaos.json`).
+    /// Short stable label for reports (the `chaos_small` recovery pins of
+    /// `benchmark/expected.json`).
     pub fn label(&self) -> &'static str {
         match self {
             RunOutcome::Completed => "completed",

@@ -74,9 +74,10 @@
 //!   host staging between, with per-step reports bit-identical to
 //!   standalone execution (`tests/prepared.rs`).
 //!
-//! `BENCH_streaming.json` (regenerated by the `bench_json` binary in
-//! `pidcomm-bench`) tracks the wall-clock trajectory of the fig. 14 sweep
-//! against the modeled times, which must never change.
+//! The modeled times of the fig. 14 sweep must never change: the
+//! standalone `benchmark/` package pins them bit for bit
+//! (`benchmark/expected.json`, workloads `prims_full` / `prims_baseline`)
+//! next to the host time the sweep costs.
 //!
 //! ## Quick start
 //!

@@ -449,8 +449,8 @@ fn transiently_stuck_pe_is_caught_before_dispatch() {
 //
 // The supervisor tier lifts the per-collective guarantees above to whole
 // application runs. Tiny 16-PE configurations keep the debug-mode storm
-// affordable; the release-mode soak (`bench_json --chaos`) covers the
-// benchmark-scale grid.
+// affordable; the release-mode soak (`benchmark`'s `chaos_small`
+// workload, 35 pinned cells at 64 PEs) covers the benchmark-scale grid.
 
 mod app_storms {
     use pidcomm::OptLevel;

@@ -3,8 +3,9 @@
 //! produces must be **bit-identical** (`f64::to_bits`) to what a real
 //! functional run reports — on fresh systems, on arena-recycled systems,
 //! and across the multi-host hierarchy. The autotuner and the extended
-//! design-space sweeps rest on this equivalence; so does the recorded
-//! analytic-vs-functional speedup in `BENCH_design.json`.
+//! design-space sweeps rest on this equivalence: `BENCH_design.json` and
+//! `BENCH_autotune.json` are pinned from cost-only reports alone
+//! (`crates/bench/tests/pins.rs`).
 
 use pidcomm::{
     autotune, BufferSpec, Communicator, DimMask, HypercubeManager, HypercubeShape, LinkModel,

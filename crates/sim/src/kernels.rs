@@ -11,7 +11,9 @@
 //!
 //! # The autovectorization contract
 //!
-//! Every kernel processes its bulk in **64-byte blocks** (one cache line,
+//! Every kernel except the fixed-width codecs (`decode` / `encode` of
+//! `i32`, `u32`, `u64`: a per-element loop, which measured faster than its
+//! blocked form) processes its bulk in **64-byte blocks** (one cache line,
 //! and one PIM burst — the natural granule of everything in this
 //! simulator) decoded into fixed-width native-typed lane arrays:
 //!
@@ -52,72 +54,44 @@ use crate::dtype::DType;
 /// Lane count for 4-byte elements: one 64-byte block.
 const L32: usize = 16;
 
-/// Lane count for 8-byte elements: one 64-byte block.
-const L64: usize = 8;
-
 // Everything from here to the `reference` module runs once per PE per
 // app iteration; simlint's hot-alloc lint keeps the region allocation-free
 // (the PR 4 contract). Scratch belongs in callers' par_pes_with init.
 // simlint: hot(begin, typed-lane kernels)
 macro_rules! codec {
-    ($decode:ident, $encode:ident, $ty:ty, $lanes:expr, $w:expr) => {
-        /// Decodes little-endian elements from `src` into `dst`, one
-        /// 64-byte block (a full lane array) at a time.
+    ($decode:ident, $encode:ident, $ty:ty, $w:expr) => {
+        /// Decodes little-endian elements from `src` into `dst`. The
+        /// per-element loop is the whole kernel: LLVM vectorizes it as it
+        /// stands, and the 64-byte blocked form measured 0.63–0.97x of it.
         ///
         /// # Panics
         ///
         /// Panics if `src.len() != dst.len() * size_of::<element>()`.
         pub fn $decode(src: &[u8], dst: &mut [$ty]) {
-            const W: usize = $w;
-            const L: usize = $lanes;
-            assert_eq!(src.len(), dst.len() * W, "decode length mismatch");
-            let mut sb = src.chunks_exact(W * L);
-            let mut db = dst.chunks_exact_mut(L);
-            for (s, d) in sb.by_ref().zip(db.by_ref()) {
-                for i in 0..L {
-                    d[i] = <$ty>::from_le_bytes(s[i * W..(i + 1) * W].try_into().unwrap());
-                }
-            }
-            for (s, d) in sb
-                .remainder()
-                .chunks_exact(W)
-                .zip(db.into_remainder().iter_mut())
-            {
+            assert_eq!(src.len(), dst.len() * $w, "decode length mismatch");
+            for (s, d) in src.chunks_exact($w).zip(dst) {
                 *d = <$ty>::from_le_bytes(s.try_into().unwrap());
             }
         }
 
-        /// Encodes `src` into little-endian bytes in `dst`, one 64-byte
-        /// block at a time.
+        /// Encodes `src` into little-endian bytes in `dst`, element by
+        /// element (see the decoder).
         ///
         /// # Panics
         ///
         /// Panics if `dst.len() != src.len() * size_of::<element>()`.
         pub fn $encode(src: &[$ty], dst: &mut [u8]) {
-            const W: usize = $w;
-            const L: usize = $lanes;
-            assert_eq!(dst.len(), src.len() * W, "encode length mismatch");
-            let mut sb = src.chunks_exact(L);
-            let mut db = dst.chunks_exact_mut(W * L);
-            for (s, d) in sb.by_ref().zip(db.by_ref()) {
-                for i in 0..L {
-                    d[i * W..(i + 1) * W].copy_from_slice(&s[i].to_le_bytes());
-                }
-            }
-            for (s, d) in sb
-                .remainder()
-                .iter()
-                .zip(db.into_remainder().chunks_exact_mut(W))
-            {
+            assert_eq!(dst.len(), src.len() * $w, "encode length mismatch");
+            for (s, d) in src.iter().zip(dst.chunks_exact_mut($w)) {
                 d.copy_from_slice(&s.to_le_bytes());
             }
         }
     };
 }
 
-codec!(decode_i32, encode_i32, i32, L32, 4);
-codec!(decode_u32, encode_u32, u32, L32, 4);
-codec!(decode_u64, encode_u64, u64, L64, 8);
+codec!(decode_i32, encode_i32, i32, 4);
+codec!(decode_u32, encode_u32, u32, 4);
+codec!(decode_u64, encode_u64, u64, 8);
 
 /// Sign-extending decode of 1/2/4-byte little-endian elements into `i32`
 /// — the typed view the GNN uses for its word-bit sensitivity study
