@@ -22,6 +22,7 @@ use pidcomm::{
     par_chunks, par_pes, par_pes_with, BufferSpec, DimMask, OptLevel, Primitive, RunPolicy,
 };
 use pidcomm_data::dlrm::{embedding_value, generate_batch, DlrmConfig};
+use pidcomm_data::LookupBatch;
 use pim_sim::{kernels, DType, FaultPlan, ReduceKind, SystemArena};
 
 use crate::cost::{pe_kernel_ns, CpuModel};
@@ -68,8 +69,10 @@ fn split(pes: usize, tables: usize, dim: usize) -> Option<[usize; 3]> {
 }
 
 /// One lookup routed through the index AlltoAll: `(sample, table, row)`
-/// packed into a u64.
+/// packed into a u64 — the table in 8 bits, the row in 24 (both bounds are
+/// part of [`dlrm`]'s config filter).
 fn pack(sample: usize, table: usize, row: u32) -> u64 {
+    debug_assert!(table < 1 << 8 && row < 1 << 24, "({table}, {row}) aliases");
     ((sample as u64) << 32) | ((table as u64) << 24) | row as u64
 }
 
@@ -84,54 +87,78 @@ fn unpack(v: u64) -> (usize, usize, u32) {
 /// Sentinel marking a padding slot in index chunks.
 const PAD: u64 = u64::MAX;
 
-/// Per-worker cache of materialized embedding rows: `embedding_value` is a
-/// per-element hash, and the same `(table, row)` is looked up many times
-/// across samples (multi-hot pooling over a bounded row space), so each
-/// worker materializes a touched row once and pooling runs as typed-lane
-/// adds over the cached slice instead of per-element hash calls. The row
-/// space is bounded (`tables × rows_per_table`), so the cache is a flat
-/// slot table indexed directly — no hashing on the lookup path. Purely a
-/// memoization — the cached values are the deterministic
-/// `embedding_value` outputs, so sums are bit-identical.
-struct RowCache {
-    d: usize,
-    rows_per_table: usize,
-    slots: Vec<Option<Box<[i32]>>>,
+/// Row `k` of the multi-hot pool of a lookup whose drawn row is `r0`.
+fn pool_row(w: &DlrmConfig, r0: u32, k: usize) -> u32 {
+    ((r0 as usize + k * 97) % w.rows_per_table) as u32
 }
 
-impl RowCache {
-    fn new(w: &DlrmConfig) -> Self {
-        let mut slots = Vec::new();
-        slots.resize_with(w.num_tables * w.rows_per_table, || None);
+/// The embedding rows the batch touches, materialized once per run:
+/// `embedding_value` is a per-element hash and the same `(table, row)` is
+/// looked up many times across samples (multi-hot pooling over a bounded
+/// row space), so pooling runs as typed-lane adds over a materialized
+/// slice instead of per-element hash calls. The table is the model's
+/// weights — input to the CPU reference and to the PEs' lookup kernel
+/// alike, part of neither computation — and immutable once built. The row
+/// space is bounded (`tables × rows_per_table`), so the index is a flat
+/// slot table: no hashing on the lookup path.
+struct EmbeddingRows {
+    d: usize,
+    rows_per_table: usize,
+    /// Per `(table, row)`, its row number in `values`; `usize::MAX` where
+    /// no sample touches it.
+    slots: Vec<usize>,
+    values: Vec<i32>,
+}
+
+impl EmbeddingRows {
+    fn touched_by(w: &DlrmConfig, batch: &LookupBatch) -> Self {
+        let d = w.embedding_dim;
+        let mut slots = vec![usize::MAX; w.num_tables * w.rows_per_table];
+        let mut values = Vec::new();
+        for tables in &batch.indices {
+            for (t, &r0) in tables.iter().enumerate() {
+                for row in (0..POOL_K).map(|k| pool_row(w, r0, k)) {
+                    let slot = &mut slots[t * w.rows_per_table + row as usize];
+                    if *slot == usize::MAX {
+                        *slot = values.len() / d;
+                        values.extend((0..d).map(|c| embedding_value(t, row, c)));
+                    }
+                }
+            }
+        }
         Self {
-            d: w.embedding_dim,
+            d,
             rows_per_table: w.rows_per_table,
             slots,
+            values,
         }
     }
 
-    /// The cached full-width row for `(table, row)`, materialized on
-    /// first touch.
-    fn row(&mut self, table: usize, row: u32) -> &[i32] {
-        let d = self.d;
-        self.slots[table * self.rows_per_table + row as usize]
-            .get_or_insert_with(|| (0..d).map(|c| embedding_value(table, row, c)).collect())
+    /// The full-width row for an in-range `(table, row)`, if a sample
+    /// touches it.
+    fn get(&self, table: usize, row: u32) -> Option<&[i32]> {
+        let slot = self.slots[table * self.rows_per_table + row as usize];
+        (slot != usize::MAX).then(|| &self.values[slot * self.d..(slot + 1) * self.d])
     }
 }
 
 /// CPU reference: pooled embedding vectors per sample (all tables
 /// concatenated), plus a roofline time for lookup + pooling.
-fn cpu_reference(cfg: &DlrmConfig, batch: &pidcomm_data::LookupBatch) -> (Vec<Vec<i32>>, f64) {
+fn cpu_reference(
+    cfg: &DlrmConfig,
+    batch: &LookupBatch,
+    rows: &EmbeddingRows,
+) -> (Vec<Vec<i32>>, f64) {
     let cpu = CpuModel::xeon_5215();
     let d = cfg.embedding_dim;
-    let mut rows = RowCache::new(cfg);
     let mut out = Vec::with_capacity(cfg.batch_size);
     for tables in batch.indices.iter() {
         let mut vec = vec![0i32; cfg.num_tables * d];
         for (t, &r0) in tables.iter().enumerate() {
             for k in 0..POOL_K {
-                let row = ((r0 as usize + k * 97) % cfg.rows_per_table) as u32;
-                let vals = rows.row(t, row);
+                let vals = rows
+                    .get(t, pool_row(cfg, r0, k))
+                    .expect("the batch touches it");
                 kernels::add_wrap(DType::I32, &mut vec[t * d..(t + 1) * d], vals);
             }
         }
@@ -142,6 +169,77 @@ fn cpu_reference(cfg: &DlrmConfig, batch: &pidcomm_data::LookupBatch) -> (Vec<Ve
     (out, time)
 }
 
+/// Index routing for AlltoAll("111"). The destination of `(sample, table,
+/// row)` is z = table shard, y = row shard and every x (duplicated, since
+/// every column shard needs it), so a lookup is stored once, under its
+/// x = 0 destination, and goes to the `tx` PEs from there. Each source
+/// PE's lookups are kept in push order, stably grouped by destination —
+/// the order a per-(source, destination) list grid would hold them in.
+struct Routing {
+    /// Lookups per source PE.
+    per_src: usize,
+    tx: usize,
+    /// `(x = 0 destination, packed entry)`, `per_src` per source.
+    routes: Vec<(usize, u64)>,
+    /// Entries per (source, destination) chunk of the index AlltoAll: the
+    /// longest list, computed exactly, padded uniformly.
+    chunk_entries: usize,
+}
+
+impl Routing {
+    /// Each source PE's routing depends only on its own batch shard, so
+    /// the expansion fans out one host-kernel work item per source.
+    fn of(w: &DlrmConfig, batch: &LookupBatch, [tx, ty, tz]: [usize; 3], threads: usize) -> Self {
+        let shard = w.batch_size / (tx * ty * tz);
+        let per_src = shard * w.num_tables * POOL_K;
+        let tables_per_z = w.num_tables / tz;
+        let rows_per_y = w.rows_per_table / ty;
+        let mut routes = vec![(0usize, 0u64); tx * ty * tz * per_src];
+        let longest = par_chunks(&mut routes, per_src, threads, |src, own| {
+            // simlint: hot(begin, dlrm index routing)
+            let mut slots = own.iter_mut();
+            for s in src * shard..(src + 1) * shard {
+                for (ti, &r0) in batch.indices[s].iter().enumerate() {
+                    for row in (0..POOL_K).map(|k| pool_row(w, r0, k)) {
+                        let (dy, dz) = (row as usize / rows_per_y, ti / tables_per_z);
+                        let slot = slots.next().expect("per_src lookups per source");
+                        *slot = (tx * (dy + ty * dz), pack(s, ti, row));
+                    }
+                }
+            }
+            own.sort_by_key(|&(dst0, _)| dst0); // stable
+            let lists = own.chunk_by(|a, b| a.0 == b.0);
+            lists.map(<[_]>::len).max().unwrap_or(0)
+            // simlint: hot(end)
+        });
+        let max_entries = longest.into_iter().max().unwrap_or(0).max(1);
+        Self {
+            per_src,
+            tx,
+            routes,
+            chunk_entries: max_entries.next_multiple_of(2).max(2),
+        }
+    }
+
+    /// Fills `image` — source PE `src`'s AlltoAll send buffer, one
+    /// `chunk_entries`-entry chunk per destination — with its routed
+    /// entries, PAD everywhere else.
+    fn encode(&self, src: usize, image: &mut [u8]) {
+        // simlint: hot(begin, dlrm index encode)
+        image.fill(0xFF);
+        let own = &self.routes[src * self.per_src..(src + 1) * self.per_src];
+        for list in own.chunk_by(|a, b| a.0 == b.0) {
+            for dst in list[0].0..list[0].0 + self.tx {
+                let chunk = &mut image[dst * self.chunk_entries * 8..][..list.len() * 8];
+                for (slot, (_, entry)) in chunk.chunks_exact_mut(8).zip(list) {
+                    slot.copy_from_slice(&entry.to_le_bytes());
+                }
+            }
+        }
+        // simlint: hot(end)
+    }
+}
+
 /// Runs DLRM and validates the pooled embedding vectors.
 ///
 /// # Errors
@@ -149,9 +247,9 @@ fn cpu_reference(cfg: &DlrmConfig, batch: &pidcomm_data::LookupBatch) -> (Vec<Ve
 /// [`pidcomm::Error::InvalidBuffer`], before anything leaves the arena, if
 /// `cfg.pes` has no DIMM geometry or the workload does not split over it:
 /// the `[x, y, z]` hypercube must cover every PE, with the embedding
-/// dimension divisible by `x`, the tables by `z`, a positive row count per
-/// table by `y` and a non-empty batch by the PE count; else propagates
-/// collective validation errors.
+/// dimension divisible by `x`, the tables (at most 256) by `z`, a positive
+/// row count per table (at most 2^24) by `y` and a non-empty batch by the
+/// PE count; else propagates collective validation errors.
 ///
 /// # Panics
 ///
@@ -235,18 +333,20 @@ fn dlrm(
                 && w.rows_per_table > 0
                 && w.rows_per_table.is_multiple_of(ty)
                 && t.is_multiple_of(tz)
+                // What an index entry can name (see `pack`).
+                && t <= 1 << 8
+                && w.rows_per_table <= 1 << 24
                 && bs > 0
                 && bs.is_multiple_of(p)
         })
         .ok_or_else(|| {
             let want = "an [x, y, z] split covering every PE with embedding_dim % x == 0, \
-                        num_tables % z == 0, and positive rows_per_table % y == 0 and \
-                        batch_size % pes == 0";
+                        num_tables % z == 0 (at most 256), and positive rows_per_table % y == 0 \
+                        (at most 2^24) and batch_size % pes == 0";
             pidcomm::Error::InvalidBuffer(format!("DLRM needs {want}: {cfg:?}"))
         })?;
     let comps = d / tx; // embedding components per column shard
     let tables_per_z = t / tz;
-    let rows_per_y = w.rows_per_table / ty;
     // After the RS, PE (x, y, z) holds chunk y: samples sub-range
     // [y*bs/ty, ...) of the pooled (table z-shard, comps x-shard) values.
     // Within each y-fixed group (tx*tz members), member (x, z) holds the
@@ -258,7 +358,8 @@ fn dlrm(
     let samples_per_dest = samples_per_y / n2;
 
     let batch = generate_batch(w);
-    let (expected, cpu_lookup_ns) = cpu_reference(w, &batch);
+    let rows = EmbeddingRows::touched_by(w, &batch);
+    let (expected, cpu_lookup_ns) = cpu_reference(w, &batch, &rows);
     let coords = |pe: usize| {
         let x = pe % tx;
         let y = (pe / tx) % ty;
@@ -297,32 +398,8 @@ fn dlrm(
         });
 
         // ---- Index routing for AlltoAll("111"). -------------------------
-        // Destination of (sample, table, row): z = table shard, y = row
-        // shard, every x (duplicated). Chunk capacity is computed exactly,
-        // then padded uniformly. Each source PE's routing depends only on
-        // its own batch shard, so the expansion fans out one host-kernel
-        // work item per source row of the flat [src * p + dst] routing
-        // grid, whose p^2 lists come from (and return to) the arena's
-        // index-list pool.
-        let mut per_dest = run.arena.index_lists(p * p);
-        par_chunks(&mut per_dest, p, cfg.threads, |src, dests| {
-            for si in 0..shard {
-                let s = src * shard + si;
-                for (ti, &r0) in batch.indices[s].iter().enumerate() {
-                    for k in 0..POOL_K {
-                        let row = ((r0 as usize + k * 97) % w.rows_per_table) as u32;
-                        let dz = ti / tables_per_z;
-                        let dy = row as usize / rows_per_y;
-                        for dx in 0..tx {
-                            let dst = dx + tx * (dy + ty * dz);
-                            dests[dst].push(pack(s, ti, row));
-                        }
-                    }
-                }
-            }
-        });
-        let max_entries = per_dest.iter().map(Vec::len).max().unwrap_or(0).max(1);
-        let chunk_entries = max_entries.next_multiple_of(2).max(2);
+        let routing = Routing::of(w, &batch, [tx, ty, tz], cfg.threads);
+        let chunk_entries = routing.chunk_entries;
         let idx_b = p * chunk_entries * 8;
         let idx_src = shard_bytes.next_multiple_of(64);
         let idx_dst = idx_src + idx_b.next_multiple_of(64);
@@ -393,42 +470,32 @@ fn dlrm(
         run.profile.record(&scattered?.report);
 
         // The embedding pipeline as one step.
-        let pipelined = run.step(&[], |sys, at| {
+        let (reports, lookup_kernel) = run.step(&[], |sys, at| {
             // Encode each source PE's routed index chunks (PAD-padded)
             // into its AlltoAll send buffer.
             par_pes_with(
                 sys.pes_mut(),
                 cfg.threads,
-                Vec::new,
-                |buf: &mut Vec<u8>, src, pe| {
-                    // simlint: hot(begin, dlrm index encode)
-                    buf.clear();
-                    buf.resize(idx_b, 0xFF); // PAD everywhere
-                    for (dst, entries) in per_dest[src * p..(src + 1) * p].iter().enumerate() {
-                        let off = dst * chunk_entries * 8;
-                        kernels::encode_u64(entries, &mut buf[off..off + entries.len() * 8]);
-                    }
-                    pe.write(idx_src, buf);
+                || vec![0u8; idx_b],
+                |image, src, pe| {
+                    // simlint: hot(begin, dlrm index landing)
+                    routing.encode(src, image);
+                    pe.write(idx_src, image);
                     // simlint: hot(end)
                 },
             );
             let mut lookup_kernel = 0.0f64;
             let reports = at.fused(sys, &pipeline, |step, sys| {
                 match step {
-                    // After the index AlltoAll: sum-pool owned rows. Each
-                    // worker materializes every touched (table, row)
-                    // embedding row once into its private cache; pooling
-                    // then runs as a typed-lane add over the PE's column
-                    // slice of the cached row instead of per-element
-                    // `embedding_value` calls — the same multi-hot rows
-                    // recur across samples, and all PEs of one worker
-                    // share the cache.
+                    // After the index AlltoAll: sum-pool owned rows, as a
+                    // typed-lane add over the PE's column slice of each
+                    // materialized embedding row.
                     0 => {
                         let kernels = par_pes_with(
                             sys.pes_mut(),
                             cfg.threads,
-                            || (vec![0i32; partial_entries], RowCache::new(w)),
-                            |(partial, rows), pid, pe| {
+                            || (vec![0i32; partial_entries], vec![0i32; d]),
+                            |(partial, spare), pid, pe| {
                                 // simlint: hot(begin, dlrm pooled lookup)
                                 let (x, _, z) = coords(pid);
                                 partial.fill(0);
@@ -457,7 +524,19 @@ fn dlrm(
                                         let local_t = ti % tables_per_z;
                                         lookups += 1;
                                         let base = (s * tables_per_z + local_t) * comps;
-                                        let vals = rows.row(ti, row);
+                                        let vals = match rows.get(ti, row) {
+                                            Some(vals) => vals,
+                                            // In range, yet no sample
+                                            // looks it up: a corrupted
+                                            // entry. Pool what the table
+                                            // holds there all the same.
+                                            None => {
+                                                for (c, v) in spare.iter_mut().enumerate() {
+                                                    *v = embedding_value(ti, row, c);
+                                                }
+                                                &spare[..]
+                                            }
+                                        };
                                         kernels::add_wrap(
                                             DType::I32,
                                             &mut partial[base..base + comps],
@@ -502,9 +581,7 @@ fn dlrm(
                 Ok(())
             })?;
             Ok((reports, lookup_kernel))
-        });
-        run.arena.recycle_index_lists(per_dest);
-        let (reports, lookup_kernel) = pipelined?;
+        })?;
         run.profile.record(&reports[0]);
         run.record_kernel(lookup_kernel);
         run.profile.record(&reports[1]);
@@ -637,6 +714,99 @@ mod tests {
             assert_eq!(x * y * z, pes, "pes {pes}");
             assert!(x <= 16 && z <= 8);
         }
+    }
+
+    /// The builder `Routing` replaced, kept as its reference: a
+    /// `[src * p + dst]` grid of p^2 entry lists filled in push order,
+    /// the longest of which sizes the chunks, encoded list by list.
+    fn grid_images(w: &DlrmConfig, batch: &LookupBatch, p: usize) -> (usize, Vec<Vec<u8>>) {
+        let [tx, ty, tz] = split(p, w.num_tables, w.embedding_dim).unwrap();
+        let shard = w.batch_size / p;
+        let (tables_per_z, rows_per_y) = (w.num_tables / tz, w.rows_per_table / ty);
+        let mut per_dest = vec![Vec::new(); p * p];
+        for (s, tables) in batch.indices.iter().enumerate() {
+            for (ti, &r0) in tables.iter().enumerate() {
+                for k in 0..POOL_K {
+                    let row = ((r0 as usize + k * 97) % w.rows_per_table) as u32;
+                    let (dz, dy) = (ti / tables_per_z, row as usize / rows_per_y);
+                    for dx in 0..tx {
+                        let dst = dx + tx * (dy + ty * dz);
+                        per_dest[s / shard * p + dst].push(pack(s, ti, row));
+                    }
+                }
+            }
+        }
+        let max_entries = per_dest.iter().map(Vec::len).max().unwrap_or(0).max(1);
+        let chunk_entries = max_entries.next_multiple_of(2).max(2);
+        let images = per_dest.chunks(p).map(|dests| {
+            let mut image = vec![0xFF; p * chunk_entries * 8];
+            for (dst, entries) in dests.iter().enumerate() {
+                let off = dst * chunk_entries * 8;
+                kernels::encode_u64(entries, &mut image[off..off + entries.len() * 8]);
+            }
+            image
+        });
+        (chunk_entries, images.collect())
+    }
+
+    #[test]
+    fn routing_images_equal_the_list_grid_they_replaced() {
+        for (pes, dim) in [(64, 16), (64, 32), (256, 16), (256, 32)] {
+            let w = DlrmConfig {
+                embedding_dim: dim,
+                ..workload()
+            };
+            let popular = generate_batch(&w);
+            // Every sample of a source shard hammers one row shard, so
+            // single (source, destination) lists run long.
+            let mut skewed = popular.clone();
+            for (s, tables) in skewed.indices.iter_mut().enumerate() {
+                tables.fill((s * pes / w.batch_size % 5) as u32);
+            }
+            for (name, batch) in [("popular", &popular), ("skewed", &skewed)] {
+                let dims = split(pes, w.num_tables, dim).unwrap();
+                let (chunk_entries, images) = grid_images(&w, batch, pes);
+                for threads in [1, 2] {
+                    let routing = Routing::of(&w, batch, dims, threads);
+                    let what = format!("{pes} PEs d{dim} {name} x{threads}");
+                    assert_eq!(routing.chunk_entries, chunk_entries, "{what}");
+                    for (src, want) in images.iter().enumerate() {
+                        let mut image = vec![0u8; want.len()];
+                        routing.encode(src, &mut image);
+                        assert!(image == *want, "{what}: source PE {src}");
+                    }
+                }
+            }
+            // The skewed batch repeats one destination per (source, table).
+            let repeats = w.batch_size / pes * POOL_K;
+            assert_eq!(grid_images(&w, &skewed, pes).0, repeats, "{pes} PEs");
+        }
+    }
+
+    fn rejected(edit: fn(&mut DlrmConfig)) -> String {
+        let mut w = workload();
+        edit(&mut w);
+        let cfg = DlrmRunConfig {
+            threads: 0,
+            workload: w,
+            pes: 64,
+            opt: OptLevel::Full,
+        };
+        let err = run_dlrm(&cfg).unwrap_err();
+        assert!(matches!(err, pidcomm::Error::InvalidBuffer(_)), "{err}");
+        err.to_string()
+    }
+
+    #[test]
+    fn more_rows_than_an_index_entry_can_name_are_rejected() {
+        // Divisible by the row division (4), so only the bound refuses it.
+        assert!(rejected(|w| w.rows_per_table = (1 << 24) + 4).contains("at most 2^24"));
+    }
+
+    #[test]
+    fn more_tables_than_an_index_entry_can_name_are_rejected() {
+        // Divisible by the table division (8), so only the bound refuses it.
+        assert!(rejected(|w| w.num_tables = 256 + 8).contains("at most 256"));
     }
 
     #[test]

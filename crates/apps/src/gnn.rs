@@ -72,16 +72,6 @@ pub struct GnnConfig {
     pub threads: usize,
 }
 
-/// Wraps `v` to the declared element width (sign-extending truncation),
-/// matching what fixed-width PE arithmetic would produce.
-fn wrap(v: i32, dtype: DType) -> i32 {
-    match dtype {
-        DType::I8 | DType::U8 => v as i8 as i32,
-        DType::I16 | DType::U16 => v as i16 as i32,
-        _ => v,
-    }
-}
-
 /// Element size in bytes.
 fn esize(dtype: DType) -> usize {
     dtype.size_bytes()
@@ -109,12 +99,12 @@ fn isqrt(p: usize) -> Option<usize> {
     (s * s == p).then_some(s)
 }
 
-fn relu(v: i32) -> i32 {
-    v.max(0)
-}
-
 /// CPU reference: `F <- relu((A · F) · W_l)` per layer with wrapping
-/// arithmetic. Returns the final feature matrix and a roofline time.
+/// arithmetic, as row operations — one `add_wrap` per edge, one `axpy_wrap`
+/// per non-zero aggregate over W's rows. Deliberately *not* the panel
+/// product the PEs run: the two sides stay different computations,
+/// compared element by element. Returns the final feature matrix and a
+/// roofline time.
 fn cpu_reference(graph: &CsrGraph, f0: &MatI32, weights: &[MatI32], dtype: DType) -> (MatI32, f64) {
     let cpu = CpuModel::xeon_5215();
     let n = graph.num_vertices();
@@ -125,36 +115,19 @@ fn cpu_reference(graph: &CsrGraph, f0: &MatI32, weights: &[MatI32], dtype: DType
         // Aggregation: I[u] = sum over (u, v) of F[v], at element width.
         let mut agg = MatI32::zeros(n, f);
         for (u, v) in graph.edges() {
-            for c in 0..f {
-                let val = wrap(
-                    agg.get(u as usize, c).wrapping_add(feat.get(v as usize, c)),
-                    dtype,
-                );
-                agg.set(u as usize, c, val);
-            }
+            kernels::add_wrap(dtype, agg.row_mut(u as usize), feat.row(v as usize));
         }
         // Combination + ReLU at element width.
         let mut comb = MatI32::zeros(n, f);
         for r in 0..n {
-            for k in 0..f {
-                let a = agg.get(r, k);
-                if a == 0 {
-                    continue;
-                }
-                for c in 0..f {
-                    let val = wrap(
-                        comb.get(r, c).wrapping_add(a.wrapping_mul(w.get(k, c))),
-                        dtype,
-                    );
-                    comb.set(r, c, val);
+            let acc = comb.row_mut(r);
+            for (k, &a) in agg.row(r).iter().enumerate() {
+                if a != 0 {
+                    kernels::axpy_wrap(dtype, acc, a, w.row(k));
                 }
             }
         }
-        for r in 0..n {
-            for c in 0..f {
-                comb.set(r, c, relu(comb.get(r, c)));
-            }
-        }
+        kernels::relu_i32(comb.as_mut_slice());
         feat = comb;
         let edges = graph.num_edges() as u64;
         time += cpu.time_mixed_ns(
@@ -184,11 +157,11 @@ fn tiles(graph: &CsrGraph, s: usize) -> Vec<Vec<Vec<(u32, u32)>>> {
 /// # Errors
 ///
 /// [`pidcomm::Error::InvalidBuffer`], before anything leaves the arena, if
-/// `cfg.pes` has no DIMM geometry or is not a perfect square, the vertex
-/// count does not divide by `cfg.pes`, `cfg.feature_dim` does not divide
-/// by `sqrt(cfg.pes)`, or a feature block is not a multiple of
-/// `8 * sqrt(cfg.pes)` bytes; else propagates collective validation
-/// errors.
+/// `cfg.pes` has no DIMM geometry or is not a perfect square,
+/// `cfg.layers` is zero, the vertex count does not divide by `cfg.pes`,
+/// `cfg.feature_dim` does not divide by `sqrt(cfg.pes)`, or a feature
+/// block is not a multiple of `8 * sqrt(cfg.pes)` bytes; else propagates
+/// collective validation errors.
 ///
 /// # Panics
 ///
@@ -267,11 +240,14 @@ fn gnn(
     let s = isqrt(p)
         // `s` vertex blocks of `bs` rows; collectives move whole blocks.
         .filter(|&s| {
-            n.is_multiple_of(p) && f.is_multiple_of(s) && (n / s * f * es).is_multiple_of(8 * s)
+            cfg.layers > 0
+                && n.is_multiple_of(p)
+                && f.is_multiple_of(s)
+                && (n / s * f * es).is_multiple_of(8 * s)
         })
         .ok_or_else(|| {
-            let want = "a square PE count s*s, vertices % pes == 0, feature_dim % s == 0 \
-                        and a feature block of a multiple of 8*s bytes";
+            let want = "a square PE count s*s, at least one layer, vertices % pes == 0, \
+                        feature_dim % s == 0 and a feature block of a multiple of 8*s bytes";
             let what = format!("GNN needs {want}: {n} vertices, {cfg:?}");
             pidcomm::Error::InvalidBuffer(what)
         })?;
@@ -309,28 +285,20 @@ fn gnn(
     let body = |run: &mut Run<'_>| {
         // Scatter initial feature blocks: at layer 0 the active mask is
         // "10" (x varies within a group), so PE (x, y) must hold block x.
-        // The per-group payloads come from (and return to) the arena's
-        // buffer-set pool; feature rows are encoded straight into their
-        // rank-major slot. A one-shot send, executed directly (GNN's
+        // The payloads, one per group (`s` groups of `s` members), come from
+        // (and return to) the arena's buffer-set pool. Member `rank` of
+        // every group holds feature rows [rank*bs, (rank+1)*bs), so each
+        // payload is the whole of `f0` in row order: encoded once, copied
+        // to the other groups. A one-shot send, executed directly (GNN's
         // per-layer win is the fused pairs below, not a prepared image
         // that would run once); it restages everything from the host
         // buffers, so a re-run needs no checkpointed MRAM state.
         let mask0 = layer_mask(0)?;
-        let groups0 = run.comm.manager().groups(&mask0)?;
-        let mut scatter_bufs = run.arena.byte_set(groups0.len(), s * block_bytes);
-        for g in &groups0 {
-            let buf = &mut scatter_bufs[g.id];
-            for rank in 0..g.members.len() {
-                // Member `rank` holds feature rows [rank*bs, (rank+1)*bs).
-                let dst = &mut buf[rank * block_bytes..(rank + 1) * block_bytes];
-                for (lr, r) in (rank * bs..(rank + 1) * bs).enumerate() {
-                    kernels::encode_trunc(
-                        cfg.dtype,
-                        f0.row(r),
-                        &mut dst[lr * f * es..(lr + 1) * f * es],
-                    );
-                }
-            }
+        let mut scatter_bufs = run.arena.byte_set(s, s * block_bytes);
+        let (first, rest) = scatter_bufs.split_first_mut().expect("s >= 1 groups");
+        kernels::encode_trunc(cfg.dtype, f0.as_slice(), first);
+        for buf in rest {
+            buf.copy_from_slice(first);
         }
         let scatter_plan = run.comm.plan_cached(
             &mut run.plans,
@@ -357,6 +325,17 @@ fn gnn(
                     owner[pe.index()] = (g.id, rank);
                 }
             }
+            let sub_cols = f / s;
+            let colblk_bytes = bs * sub_cols * es;
+            // The combine's shape: `in_rows` reduced rows against a panel
+            // of `panel_cols` rows of W^T, `tile_len` products per PE,
+            // written out as `out_len` elements.
+            let (in_rows, panel_cols, out_len) = match cfg.variant {
+                GnnVariant::RsAr => (bs / s, f, bs * f),
+                GnnVariant::ArAg => (bs, sub_cols, bs * sub_cols),
+            };
+            let tile_len = in_rows * panel_cols;
+            let wt: Vec<i32> = (0..f * f).map(|i| w.get(i % f, i / f)).collect();
             // The layer's two collectives run as one fused chain: the
             // first step's result lands in MRAM, the combination kernel
             // rewrites it in place as the inter-step hook, and the second
@@ -366,9 +345,6 @@ fn gnn(
             // arena cache). Supervised, the chain's merged rollback image
             // covers both steps' regions, so a mid-chain fault restores
             // and replays the whole pair.
-            let sub_rows = bs / s;
-            let sub_cols = f / s;
-            let colblk_bytes = bs * sub_cols * es;
             let mut plan = |primitive, dst, bytes| {
                 let spec = BufferSpec::new(partial_off, dst, bytes).with_dtype(cfg.dtype);
                 run.comm
@@ -425,84 +401,46 @@ fn gnn(
                     );
                     let agg_kernel = Run::launch(sys, kernels);
 
-                    // The combination kernel, run as the chain's hook.
-                    let combine = |sys: &mut PimSystem| match cfg.variant {
-                        // Rows sub-block x full W, placed at its sub-block
-                        // position in an otherwise-zero block. The gemm
-                        // runs as typed-lane axpy rows over W,
-                        // accumulating directly into the sub-block slot of
-                        // the output scratch.
-                        GnnVariant::RsAr => {
-                            par_pes_with(
-                                sys.pes_mut(),
-                                cfg.threads,
-                                || (vec![0i32; sub_rows * f], vec![0i32; bs * f]),
-                                |(rows, out), pid, pe| {
-                                    // simlint: hot(begin, gnn rs-ar combine)
-                                    let (_, rank) = owner[pid];
-                                    let sub_bytes = sub_rows * f * es;
-                                    pe.read_sext(reduced_off, cfg.dtype, rows);
-                                    out.fill(0);
-                                    let base = rank * sub_rows * f;
-                                    for r in 0..sub_rows {
-                                        let acc = &mut out[base + r * f..base + (r + 1) * f];
-                                        for k in 0..f {
-                                            let a = rows[r * f + k];
-                                            if a == 0 {
-                                                continue;
-                                            }
-                                            kernels::axpy_wrap(cfg.dtype, acc, a, w.row(k));
-                                        }
-                                    }
-                                    kernels::relu_i32(&mut out[base..base + sub_rows * f]);
-                                    pe.write_trunc(partial_off, cfg.dtype, out);
-                                    KERNEL_SCALE
-                                        * pe_kernel_ns(
-                                            (sub_bytes + f * f * es) as u64,
-                                            12 * (sub_rows * f * f) as u64,
-                                        )
-                                    // simlint: hot(end)
-                                },
-                            )
-                        }
-                        // One weight column-block per rank, as typed-lane
-                        // axpy rows over W's column sub-slices; the
-                        // AllGather picks the column blocks up from the
-                        // same place.
-                        GnnVariant::ArAg => {
-                            par_pes_with(
-                                sys.pes_mut(),
-                                cfg.threads,
-                                || (vec![0i32; bs * f], vec![0i32; bs * sub_cols]),
-                                |(agg, colblk), pid, pe| {
-                                    // simlint: hot(begin, gnn ar-ag combine)
-                                    let (_, rank) = owner[pid];
-                                    pe.read_sext(reduced_off, cfg.dtype, agg);
-                                    // col block of result: agg x W[:, cols]
-                                    colblk.fill(0);
-                                    for r in 0..bs {
-                                        let acc = &mut colblk[r * sub_cols..(r + 1) * sub_cols];
-                                        for k in 0..f {
-                                            let a = agg[r * f + k];
-                                            if a == 0 {
-                                                continue;
-                                            }
-                                            let wcols =
-                                                &w.row(k)[rank * sub_cols..(rank + 1) * sub_cols];
-                                            kernels::axpy_wrap(cfg.dtype, acc, a, wcols);
-                                        }
-                                    }
-                                    kernels::relu_i32(colblk);
-                                    pe.write_trunc(partial_off, cfg.dtype, colblk);
-                                    KERNEL_SCALE
-                                        * pe_kernel_ns(
-                                            (block_bytes + f * sub_cols * es) as u64,
-                                            12 * (bs * f * sub_cols) as u64,
-                                        )
-                                    // simlint: hot(end)
-                                },
-                            )
-                        }
+                    // The combination kernel, run as the chain's hook: one
+                    // panel product of the PE's reduced rows with a panel
+                    // of W^T, then ReLU. RS&AR multiplies its rows
+                    // sub-block by all of W and places the result at its
+                    // sub-block position in an otherwise-zero block;
+                    // AR&AG multiplies the whole block by its rank's
+                    // column block of W, which the AllGather picks up
+                    // from the same place.
+                    let combine = |sys: &mut PimSystem| {
+                        par_pes_with(
+                            sys.pes_mut(),
+                            cfg.threads,
+                            || (vec![0i32; in_rows * f], vec![0i32; out_len]),
+                            |(rows, out), pid, pe| {
+                                // simlint: hot(begin, gnn combine)
+                                let (_, rank) = owner[pid];
+                                let (slot, panel) = match cfg.variant {
+                                    GnnVariant::RsAr => (rank * tile_len, 0),
+                                    GnnVariant::ArAg => (0, rank * panel_cols * f),
+                                };
+                                pe.read_sext(reduced_off, cfg.dtype, rows);
+                                out.fill(0);
+                                let product = &mut out[slot..slot + tile_len];
+                                kernels::panel_product_wrap(
+                                    cfg.dtype,
+                                    product,
+                                    rows,
+                                    &wt[panel..panel + panel_cols * f],
+                                    f,
+                                );
+                                kernels::relu_i32(product);
+                                pe.write_trunc(partial_off, cfg.dtype, out);
+                                KERNEL_SCALE
+                                    * pe_kernel_ns(
+                                        ((in_rows + panel_cols) * f * es) as u64,
+                                        12 * (in_rows * f * panel_cols) as u64,
+                                    )
+                                // simlint: hot(end)
+                            },
+                        )
                     };
                     let mut comb_kernel = 0.0f64;
                     let reports = at.fused(sys, &fused, |_, sys| {
@@ -510,44 +448,18 @@ fn gnn(
                         comb_kernel = Run::launch(sys, kernels);
                         Ok(())
                     })?;
-                    if cfg.variant == GnnVariant::ArAg {
-                        // The gathered layout is column-block-major;
-                        // interleaving it back to row-major is a pure row
-                        // scatter (decode + re-encode at one width is the
-                        // identity on bytes), one `copy_rows` per block
-                        // through per-worker scratch.
-                        par_pes_with(
-                            sys.pes_mut(),
-                            cfg.threads,
-                            || vec![0u8; block_bytes],
-                            |full, _, pe| {
-                                // simlint: hot(begin, gnn layout transpose)
-                                {
-                                    let bytes = pe.read(out_off, block_bytes);
-                                    for blk in 0..s {
-                                        kernels::copy_rows(
-                                            full,
-                                            blk * sub_cols * es,
-                                            f * es,
-                                            &bytes[blk * colblk_bytes..(blk + 1) * colblk_bytes],
-                                            0,
-                                            sub_cols * es,
-                                            sub_cols * es,
-                                            bs,
-                                        );
-                                    }
-                                }
-                                pe.write(out_off, full);
-                                // simlint: hot(end)
-                            },
-                        );
-                    }
-
                     // The result block becomes the next layer's feature
-                    // block.
+                    // block: as it stands for RS&AR; AR&AG's gathered
+                    // layout is column-block-major, and interleaving it
+                    // back to row-major is the same PE-local pass.
                     par_pes(sys.pes_mut(), cfg.threads, |_, pe| {
                         // simlint: hot(begin, gnn feature rotate)
-                        pe.copy_within_region(out_off, FEAT, block_bytes);
+                        match cfg.variant {
+                            GnnVariant::RsAr => pe.copy_within_region(out_off, FEAT, block_bytes),
+                            GnnVariant::ArAg => {
+                                pe.interleave_blocks(out_off, FEAT, s, bs, sub_cols * es)
+                            }
+                        }
                         // simlint: hot(end)
                     });
                     Ok((agg_kernel, comb_kernel, reports))

@@ -178,6 +178,71 @@ fn gnn_all_variants_widths_and_levels() {
     }
 }
 
+/// AR&AG's combine multiplies by a `sub_cols`-row panel of W^T and its
+/// interleave moves `sub_cols`-element rows: one, two and four elements
+/// per row cover a row below, at and above the 8-byte lane word at every
+/// width.
+#[test]
+fn gnn_arag_validates_at_every_panel_width_and_element_width() {
+    let g = rmat(10, 4, RmatParams::uniform(9));
+    for sub_cols in [1, 2, 4] {
+        for dtype in [DType::I8, DType::I16, DType::I32] {
+            for opt in [OptLevel::Baseline, OptLevel::Full] {
+                let cfg = GnnConfig {
+                    threads: 0,
+                    pes: 64,
+                    feature_dim: 8 * sub_cols,
+                    layers: 3,
+                    variant: GnnVariant::ArAg,
+                    opt,
+                    dtype,
+                };
+                let run = run_gnn(&cfg, &g).unwrap();
+                assert!(run.validated, "sub_cols {sub_cols} {dtype} {opt}");
+            }
+        }
+    }
+}
+
+/// AR&AG's interleave is PE-local compute, outside the fault scope; the
+/// collectives around it are not. Under a storm the supervised run keeps
+/// the recovery contract: `Completed` means validated with nothing
+/// mismatched, and the mismatch count and the flag never disagree.
+#[test]
+fn supervised_gnn_arag_keeps_the_recovery_contract_under_a_storm() {
+    let g = rmat(10, 4, RmatParams::uniform(9));
+    let cfg = GnnConfig {
+        threads: 0,
+        pes: 64,
+        feature_dim: 16,
+        layers: 3,
+        variant: GnnVariant::ArAg,
+        opt: OptLevel::Full,
+        dtype: DType::I32,
+    };
+    let mut arena = SystemArena::new();
+    let mut recovered = 0;
+    for seed in [1u64, 77, 3_405_691_582] {
+        for policy in [
+            RunPolicy::default(),
+            RunPolicy::default().without_quarantine(),
+        ] {
+            let storm = FaultPlan::new(seed)
+                .with_bit_flip_period(1 << 10)
+                .with_row_corrupt_period(1 << 11);
+            let run =
+                run_gnn_resilient_in(&cfg, &g, Some(Arc::new(storm)), policy, &mut arena).unwrap();
+            let what = format!("seed {seed}: {:?}", run.outcome);
+            assert_eq!(run.run.validated, run.mismatched == 0, "{what}");
+            if run.outcome == RunOutcome::Completed {
+                assert!(run.run.validated && run.mismatched == 0, "{what}");
+                recovered += usize::from(run.retries > 0);
+            }
+        }
+    }
+    assert!(recovered > 0, "storm too sparse to exercise a recovery");
+}
+
 #[test]
 fn gnn_single_layer_and_256_pes() {
     let g = rmat(12, 4, RmatParams::skewed(4)); // 4096 vertices % 256
@@ -631,6 +696,8 @@ fn bad_dlrm_and_gnn_configs_are_typed_errors_that_leave_the_arena_alone() {
             },
             &g,
         ),
+        // No layer to run: once `layers - 1` underflowed after checkout.
+        (GnnConfig { layers: 0, ..gnn }, &g),
         // 100 vertices do not tile over 64 PEs.
         (gnn, &CsrGraph::from_edges(100, vec![(0, 1)])),
         // 4 x 4 PEs, blocks of 4 rows x 4 features x 1 B = 16 B: not the

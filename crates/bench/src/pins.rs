@@ -430,5 +430,23 @@ pub fn kernels() -> Vec<Pin> {
         k::copy_rows(&mut dst, blk * 8, 256, &src, blk * 64 * 8, 8, 8, 64);
     }
     pin("copy_rows", "gnn_transpose", &dst);
+
+    // Panel product at the GNN AR&AG combine shape (64 rows x 64, against
+    // a 2-column panel of W^T) plus a ragged one, at the narrow widths.
+    let a: Vec<i32> = (0..64 * 64).map(|i| (i * 7919 % 255) - 127).collect();
+    let bt: Vec<i32> = (0..3 * 64).map(|i| (i % 7) - 3).collect();
+    let mut out = Vec::new();
+    for (dt, rows, cols, depth) in [(DType::I8, 64, 2, 64), (DType::I16, 37, 3, 41)] {
+        let mut product = vec![0i32; rows * cols];
+        k::panel_product_wrap(
+            dt,
+            &mut product,
+            &a[..rows * depth],
+            &bt[..cols * depth],
+            depth,
+        );
+        out.extend(le32(&product));
+    }
+    pin("panel_product_wrap", "gnn_combine", &out);
     pins
 }

@@ -1,5 +1,5 @@
 //! The pins that live nowhere else — 10 small app cells, 58 design-space
-//! cells, 8 autotuner winners, 21 kernel checksums — checked against the
+//! cells, 8 autotuner winners, 22 kernel checksums — checked against the
 //! `BENCH_*.json` files at the repo root. A failing set names every cell
 //! that moved; `cargo test -p pidcomm-bench --test pins <set>` re-runs one
 //! set alone, and each run leaves what it computed under

@@ -29,12 +29,10 @@
 //!   tier's staged rows (`PreparedScatter::stage_in` checks one out,
 //!   `retire` returns it), so iteration-heavy sweeps re-stage into one
 //!   allocation across cells.
-//! * [`SystemArena::byte_set`] / [`SystemArena::index_lists`] (with their
-//!   `recycle_*` twins) pool the two remaining per-cell buffer classes:
-//!   the GNN's per-group scatter payloads (`Vec<Vec<u8>>`) and the DLRM's
-//!   per-(source, destination) index routing lists (`Vec<Vec<u64>>`). A
-//!   checkout is observationally fresh — zero-filled buffers, empty
-//!   lists — with only spare capacity carried over.
+//! * [`SystemArena::byte_set`] / [`SystemArena::recycle_byte_set`] pool
+//!   the remaining per-cell buffer class, the GNN's per-group scatter
+//!   payloads (`Vec<Vec<u8>>`). A checkout is observationally fresh —
+//!   zero-filled buffers — with only spare capacity carried over.
 //!
 //! Because a checkout is always all-zero with a cleared meter, two
 //! consecutive cells on one worker can never observe each other's state —
@@ -52,7 +50,6 @@ pub struct SystemArena {
     systems: Vec<PimSystem>,
     buffers: Vec<Vec<u8>>,
     byte_sets: Vec<Vec<Vec<u8>>>,
-    index_lists: Vec<Vec<Vec<u64>>>,
     checkpoints: Vec<Checkpoint>,
     extensions: Vec<Box<dyn Any + Send>>,
 }
@@ -63,7 +60,6 @@ impl core::fmt::Debug for SystemArena {
             .field("systems", &self.systems.len())
             .field("buffers", &self.buffers.len())
             .field("byte_sets", &self.byte_sets.len())
-            .field("index_lists", &self.index_lists.len())
             .field("checkpoints", &self.checkpoints.len())
             .field("extensions", &self.extensions.len())
             .finish()
@@ -161,25 +157,6 @@ impl SystemArena {
     /// Returns a buffer set to the pool for the next checkout.
     pub fn recycle_byte_set(&mut self, set: Vec<Vec<u8>>) {
         self.byte_sets.push(set);
-    }
-
-    /// Checks out `count` empty `u64` lists — the DLRM per-(source,
-    /// destination) index routing buffers — reusing a recycled set's
-    /// allocations. Observationally `vec![Vec::new(); count]`: every list
-    /// is empty, only spare capacity betrays the recycling.
-    pub fn index_lists(&mut self, count: usize) -> Vec<Vec<u64>> {
-        let mut lists = self.index_lists.pop().unwrap_or_default();
-        lists.truncate(count);
-        for list in &mut lists {
-            list.clear();
-        }
-        lists.resize_with(count, Vec::new);
-        lists
-    }
-
-    /// Returns an index-list set to the pool for the next checkout.
-    pub fn recycle_index_lists(&mut self, lists: Vec<Vec<u64>>) {
-        self.index_lists.push(lists);
     }
 
     /// Checks out an iteration [`Checkpoint`] for
@@ -280,23 +257,6 @@ mod tests {
         // Larger checkout: grows with fresh buffers for the extras.
         let set = arena.byte_set(6, 16);
         assert_eq!(set, vec![vec![0u8; 16]; 6]);
-    }
-
-    #[test]
-    fn index_lists_come_back_empty_with_capacity() {
-        let mut arena = SystemArena::new();
-        let mut lists = arena.index_lists(5);
-        assert!(lists.iter().all(Vec::is_empty));
-        lists[2].extend_from_slice(&[7, 8, 9]);
-        let cap = lists[2].capacity();
-        arena.recycle_index_lists(lists);
-        let lists = arena.index_lists(5);
-        assert!(lists.iter().all(Vec::is_empty), "checkout must be empty");
-        assert_eq!(lists[2].capacity(), cap, "capacity is recycled");
-        arena.recycle_index_lists(lists);
-        let lists = arena.index_lists(9);
-        assert_eq!(lists.len(), 9);
-        assert!(lists.iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -50,6 +50,7 @@
 //! into MRAM, so staging `Vec`s disappear from the apps' inner loops.
 
 use crate::dtype::DType;
+use crate::geometry::LANE_BYTES;
 
 /// Lane count for 4-byte elements: one 64-byte block.
 const L32: usize = 16;
@@ -304,6 +305,63 @@ pub fn axpy_wrap(dtype: DType, acc: &mut [i32], x: i32, xs: &[i32]) {
     width_dispatch!(dtype, axpy_wrap_impl(acc, x, xs))
 }
 
+/// Wrapping dot product of two equal-length rows, sixteen independent
+/// lane sums wide (integer addition commutes, so the lane order is
+/// bit-identical to the sequential sum).
+#[inline]
+fn dot_i32(a: &[i32], b: &[i32]) -> i32 {
+    let mut lanes = [0i32; L32];
+    let mut ab = a.chunks_exact(L32);
+    let mut bb = b.chunks_exact(L32);
+    for (x, y) in ab.by_ref().zip(bb.by_ref()) {
+        for i in 0..L32 {
+            lanes[i] = lanes[i].wrapping_add(x[i].wrapping_mul(y[i]));
+        }
+    }
+    let tail = ab.remainder().iter().zip(bb.remainder());
+    let tail = tail.fold(0i32, |s, (x, y)| s.wrapping_add(x.wrapping_mul(*y)));
+    lanes.iter().fold(tail, |s, v| s.wrapping_add(*v))
+}
+
+fn panel_product_impl<const SHIFT: u32>(out: &mut [i32], a: &[i32], bt: &[i32], k: usize) {
+    let cols = bt.len() / k;
+    if cols == 0 {
+        return;
+    }
+    for (a_row, out_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(cols)) {
+        for (o, b_row) in out_row.iter_mut().zip(bt.chunks_exact(k)) {
+            *o = wrap32::<SHIFT>(dot_i32(a_row, b_row));
+        }
+    }
+}
+
+/// Panel product at the declared element width:
+/// `out[r][c] = wrap(Σ_j a[r][j] · bt[c][j])` over rows of `k` elements —
+/// `a` is `rows × k`, the weight panel `bt` is given *transposed*
+/// (`cols × k`), so both operands stream contiguously, and `out` is
+/// `rows × cols`, overwritten. This is the GNN combination gemm as dot
+/// products; wrapping once at the end equals [`axpy_wrap`]'s wrap after
+/// every step, because truncation to the element width is a ring
+/// homomorphism.
+///
+/// # Panics
+///
+/// Panics if `k == 0`, `a` or `bt` is not whole rows of `k`,
+/// `out.len() != rows * cols`, or `dtype` is wider than 4 bytes.
+pub fn panel_product_wrap(dtype: DType, out: &mut [i32], a: &[i32], bt: &[i32], k: usize) {
+    assert!(k > 0, "panel rows must not be empty");
+    assert!(
+        a.len().is_multiple_of(k) && bt.len().is_multiple_of(k),
+        "panel operands must be whole rows of {k}"
+    );
+    assert_eq!(
+        out.len(),
+        (a.len() / k) * (bt.len() / k),
+        "panel product length mismatch"
+    );
+    width_dispatch!(dtype, panel_product_impl(out, a, bt, k))
+}
+
 /// Element-wise ReLU in place: `xs[i] = max(xs[i], 0)`.
 pub fn relu_i32(xs: &mut [i32]) {
     let mut xb = xs.chunks_exact_mut(L32);
@@ -393,7 +451,9 @@ pub fn for_each_new_bit(news: &[u8], olds: &[u8], mut f: impl FnMut(usize)) {
 /// (consecutive rows `src_pitch` bytes apart, starting at `src_off`) to a
 /// strided layout in `dst` — the typed scatter/gather between staged
 /// row-major blocks and column-block-major collective payloads (the GNN
-/// AllGather transpose). Each row is one `copy_from_slice`.
+/// AllGather interleave). Each row is one `copy_from_slice`, except a row
+/// of exactly one lane word — the interleave's row at the fig15 shape —
+/// which moves as a register like [`crate::pe::WriteWindow::put`]'s.
 ///
 /// # Panics
 ///
@@ -426,9 +486,12 @@ pub fn copy_rows(
         "destination rows overrun the slice"
     );
     for r in 0..rows {
-        let s = src_off + r * src_pitch;
-        let d = dst_off + r * dst_pitch;
-        dst[d..d + row_bytes].copy_from_slice(&src[s..s + row_bytes]);
+        let from = &src[src_off + r * src_pitch..][..row_bytes];
+        let to = &mut dst[dst_off + r * dst_pitch..][..row_bytes];
+        match <&mut [u8; LANE_BYTES]>::try_from(&mut *to) {
+            Ok(word) => *word = from.try_into().expect("same length"),
+            Err(_) => to.copy_from_slice(from),
+        }
     }
 }
 
@@ -562,6 +625,31 @@ pub mod reference {
         }
     }
 
+    /// Scalar twin of [`super::panel_product_wrap`]: the triple loop,
+    /// wrapping every multiply-accumulate.
+    pub fn panel_product_wrap_scalar_ref(
+        dtype: DType,
+        out: &mut [i32],
+        a: &[i32],
+        bt: &[i32],
+        k: usize,
+    ) {
+        let (rows, cols) = (a.len() / k, bt.len() / k);
+        assert_eq!(out.len(), rows * cols, "panel product length mismatch");
+        for r in 0..rows {
+            for c in 0..cols {
+                let mut sum = 0i32;
+                for j in 0..k {
+                    sum = wrap(
+                        sum.wrapping_add(a[r * k + j].wrapping_mul(bt[c * k + j])),
+                        dtype,
+                    );
+                }
+                out[r * cols + c] = sum;
+            }
+        }
+    }
+
     /// Scalar twin of [`super::relu_i32`].
     pub fn relu_i32_scalar_ref(xs: &mut [i32]) {
         for x in xs {
@@ -661,6 +749,43 @@ mod tests {
         let mut seen = Vec::new();
         for_each_new_bit(&news, &olds, |v| seen.push(v));
         assert_eq!(seen, vec![0, 7, 23]);
+    }
+
+    #[test]
+    fn panel_product_is_the_row_axpy_gemm() {
+        // 3 x 5 rows against a 2-column panel, at every width; the axpy
+        // formulation walks W row by row, the panel kernel W transposed.
+        let a: Vec<i32> = (0..15).map(|i| i * 37 - 200).collect();
+        let w: Vec<i32> = (0..10).map(|i| 90 - i * 23).collect(); // 5 x 2
+        let wt: Vec<i32> = (0..10).map(|i| w[(i % 5) * 2 + i / 5]).collect();
+        for dt in [DType::I8, DType::I16, DType::I32] {
+            let mut want = vec![0i32; 6];
+            for r in 0..3 {
+                for j in 0..5 {
+                    axpy_wrap(dt, &mut want[r * 2..][..2], a[r * 5 + j], &w[j * 2..][..2]);
+                }
+            }
+            let mut got = vec![-1i32; 6];
+            panel_product_wrap(dt, &mut got, &a, &wt, 5);
+            assert_eq!(got, want, "{dt}");
+            reference::panel_product_wrap_scalar_ref(dt, &mut got, &a, &wt, 5);
+            assert_eq!(got, want, "{dt} oracle");
+        }
+        // No rows, and no panel columns, are empty products.
+        panel_product_wrap(DType::I32, &mut [], &[], &wt, 5);
+        panel_product_wrap(DType::I32, &mut [], &a, &[], 5);
+    }
+
+    #[test]
+    fn copy_rows_moves_lane_words_and_ragged_rows_alike() {
+        let src: Vec<u8> = (0..64).collect();
+        for row_bytes in [1usize, 7, 8, 9] {
+            let mut fast = [0xEEu8; 48];
+            let mut slow = fast;
+            copy_rows(&mut fast, 3, 11, &src, 1, 13, row_bytes, 4);
+            reference::copy_rows_scalar_ref(&mut slow, 3, 11, &src, 1, 13, row_bytes, 4);
+            assert_eq!(fast, slow, "{row_bytes}-byte rows");
+        }
     }
 
     #[test]

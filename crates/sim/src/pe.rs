@@ -614,6 +614,40 @@ impl Pe {
         dst.data.copy_from_slice(&src);
     }
 
+    /// Interleaves `blocks` consecutive blocks of `rows` rows of
+    /// `row_bytes` bytes at `src_offset` into `rows` rows of
+    /// `blocks * row_bytes` bytes at `dst_offset`: row `r` of the result is
+    /// row `r` of every block, in block order — column-block-major (what an
+    /// AllGather of column blocks leaves) to row-major. PE-local compute
+    /// like [`Pe::copy_within_region`]: one pass between the resolved
+    /// windows, outside the transport fault scope, the source never
+    /// materialized. The regions must not overlap.
+    pub fn interleave_blocks(
+        &mut self,
+        src_offset: usize,
+        dst_offset: usize,
+        blocks: usize,
+        rows: usize,
+        row_bytes: usize,
+    ) {
+        let (block, pitch) = (rows * row_bytes, blocks * row_bytes);
+        let len = blocks * block;
+        let (src, dst) =
+            self.window_pair(src_offset..src_offset + len, dst_offset..dst_offset + len);
+        for b in 0..blocks {
+            crate::kernels::copy_rows(
+                dst.data,
+                b * row_bytes,
+                pitch,
+                &src,
+                b * block,
+                row_bytes,
+                row_bytes,
+                rows,
+            );
+        }
+    }
+
     /// Mutable view of `len` bytes at `offset`.
     pub fn slice_mut(&mut self, offset: usize, len: usize) -> &mut [u8] {
         check_capacity(offset + len);
@@ -1050,6 +1084,23 @@ mod tests {
         // Reverse direction, partly unmaterialized source -> zeros.
         pe.copy_within_region(20 * PAGE_BYTES, 64, 16);
         assert_eq!(pe.peek(64, 16), vec![0u8; 16]);
+    }
+
+    #[test]
+    fn interleave_blocks_is_the_row_major_view_of_column_blocks() {
+        // Three blocks of two 2-byte rows -> two rows of three cells.
+        let mut pe = Pe::new();
+        pe.write(64, &[1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]);
+        pe.interleave_blocks(64, 0, 3, 2, 2);
+        assert_eq!(pe.read(0, 12), &[1, 1, 3, 3, 5, 5, 2, 2, 4, 4, 6, 6]);
+        assert_eq!(pe.mram_used(), 76);
+        // One block is a plain copy; a never-written source reads as zeros
+        // and stays unmaterialized.
+        pe.interleave_blocks(0, 32, 1, 2, 6);
+        assert_eq!(pe.peek(32, 12), pe.peek(0, 12));
+        pe.interleave_blocks(20 * PAGE_BYTES, 0, 3, 2, 2);
+        assert_eq!(pe.peek(0, 12), vec![0u8; 12]);
+        assert_eq!(pe.mram_resident(), PAGE_BYTES);
     }
 
     #[test]

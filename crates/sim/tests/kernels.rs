@@ -158,6 +158,42 @@ fn accumulate_kernels_match_scalar_oracles() {
 }
 
 #[test]
+fn panel_product_matches_its_scalar_oracle_and_the_row_axpy_gemm() {
+    let mut g = SplitMix64::new(0x9a4e1);
+    for dt in [DType::I8, DType::U8, DType::I16, DType::U16, DType::I32] {
+        for k in [1usize, 7, 64, 65] {
+            for cols in [1usize, 2, 3, 64] {
+                for rows in [0usize, 1, 5] {
+                    let what = format!("{dt} {rows}x{k} . {k}x{cols}");
+                    // Operands at the element width, as the PEs hold them.
+                    let mut a = i32s(&mut g, rows * k);
+                    let mut w = i32s(&mut g, k * cols); // row-major k x cols
+                    kernels::add_wrap(dt, &mut a, &vec![0; rows * k]);
+                    kernels::add_wrap(dt, &mut w, &vec![0; k * cols]);
+                    let wt: Vec<i32> = (0..cols * k).map(|i| w[(i % k) * cols + i / k]).collect();
+
+                    let mut fast = i32s(&mut g, rows * cols); // overwritten
+                    let mut slow = vec![0i32; rows * cols];
+                    kernels::panel_product_wrap(dt, &mut fast, &a, &wt, k);
+                    oracle::panel_product_wrap_scalar_ref(dt, &mut slow, &a, &wt, k);
+                    assert_eq!(fast, slow, "{what}: oracle");
+
+                    // The formulation the GNN's CPU reference keeps.
+                    let mut gemm = vec![0i32; rows * cols];
+                    for r in 0..rows {
+                        for j in 0..k {
+                            let acc = &mut gemm[r * cols..(r + 1) * cols];
+                            kernels::axpy_wrap(dt, acc, a[r * k + j], &w[j * cols..(j + 1) * cols]);
+                        }
+                    }
+                    assert_eq!(fast, gemm, "{what}: row axpy");
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn map_kernels_match_scalar_oracles() {
     let mut g = SplitMix64::new(0xf1a9);
     for n in LENS {
@@ -213,6 +249,14 @@ fn copy_rows_matches_scalar_oracle() {
         (7, 12, 12, 40, 0, 16),  // scatter: packed -> strided
         (16, 64, 96, 64, 32, 0), // block-sized rows
         (5, 17, 17, 33, 2, 1),   // ragged everything
+        // Around the lane word, which moves as a register: packed and
+        // strided, aligned and not.
+        (9, 1, 1, 3, 0, 2),
+        (9, 2, 2, 8, 1, 0),
+        (9, 4, 12, 4, 0, 4),
+        (9, 8, 8, 256, 0, 24),
+        (9, 8, 11, 8, 3, 5),
+        (9, 16, 16, 40, 8, 0),
     ] {
         let src = g.bytes(src_off + rows.saturating_sub(1) * src_pitch + row_bytes + 8);
         let dst0 = g.bytes(dst_off + rows.saturating_sub(1) * dst_pitch + row_bytes + 8);

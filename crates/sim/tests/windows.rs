@@ -8,6 +8,7 @@ use std::sync::Arc;
 use pim_sim::domain::IDENTITY_PERM;
 use pim_sim::dtype::{reduce_bytes, reducer};
 use pim_sim::geometry::{EgId, LANES};
+use pim_sim::kernels;
 use pim_sim::pe::{Pe, MRAM_CAPACITY, PAGE_BYTES};
 use pim_sim::testgen::SplitMix64;
 use pim_sim::{CorruptionEvent, DType, DimmGeometry, FaultPlan, PimSystem, ReduceKind};
@@ -413,6 +414,125 @@ fn rotate_parts_rejects_a_rotation_as_long_as_the_part() {
 #[should_panic(expected = "tile")]
 fn rotate_parts_rejects_parts_that_do_not_tile() {
     Pe::new().rotate_parts(0, 8, 3, 8, 1);
+}
+
+/// The sequence `Pe::interleave_blocks` replaced in the GNN: borrow the
+/// column blocks, scatter their rows into host scratch, re-land the block
+/// in place through the transport, copy it to its destination.
+fn interleave_by_relanding(
+    pe: &mut Pe,
+    src: usize,
+    dst: usize,
+    (blocks, rows, row_bytes): (usize, usize, usize),
+) {
+    let block = rows * row_bytes;
+    let mut full = vec![0u8; blocks * block];
+    {
+        let bytes = pe.read(src, blocks * block);
+        for b in 0..blocks {
+            let cols = &bytes[b * block..(b + 1) * block];
+            let pitch = blocks * row_bytes;
+            kernels::copy_rows(
+                &mut full,
+                b * row_bytes,
+                pitch,
+                cols,
+                0,
+                row_bytes,
+                row_bytes,
+                rows,
+            );
+        }
+    }
+    pe.write(src, &full);
+    pe.copy_within_region(src, dst, full.len());
+}
+
+#[test]
+fn interleave_blocks_equals_the_relanding_sequence_it_replaced() {
+    let mut g = SplitMix64::new(0x17e4);
+    // The fig15 shape (32 blocks of 64 lane-word rows), narrow and ragged
+    // rows, a single block; bases abutting, page-straddling and far apart,
+    // destination below and above the source.
+    for shape in [
+        (32usize, 64usize, 8usize),
+        (8, 16, 2),
+        (4, 5, 3),
+        (1, 7, 16),
+        (3, 1, 1),
+    ] {
+        let len = shape.0 * shape.1 * shape.2;
+        for (src, dst) in [
+            (len, 0),
+            (4104, 4104 + len),
+            (3 * PAGE_BYTES - 8, 40 * PAGE_BYTES + 24),
+            (0, 17 * PAGE_BYTES - 4),
+        ] {
+            let data = g.bytes(len);
+            let mut one_pass = Pe::new();
+            let mut relanded = Pe::new();
+            one_pass.write(src, &data);
+            relanded.write(src, &data);
+            one_pass.interleave_blocks(src, dst, shape.0, shape.1, shape.2);
+            interleave_by_relanding(&mut relanded, src, dst, shape);
+            let what = format!("{shape:?} {src} -> {dst}");
+            assert_eq!(one_pass.peek(dst, len), relanded.peek(dst, len), "{what}");
+            assert_eq!(one_pass.peek(src, len), data, "{what}: source untouched");
+            assert_eq!(one_pass.mram_used(), relanded.mram_used(), "{what}");
+            assert_eq!(one_pass.mram_resident(), relanded.mram_resident(), "{what}");
+        }
+    }
+}
+
+#[test]
+fn interleave_of_a_never_written_source_lands_zeros_without_materializing_it() {
+    let (src, dst, shape) = (
+        9 * PAGE_BYTES,
+        2 * PAGE_BYTES - 100,
+        (4usize, 8usize, 8usize),
+    );
+    let mut one_pass = Pe::new();
+    let mut relanded = Pe::new();
+    one_pass.write(dst, &[0xAB; 256]);
+    relanded.write(dst, &[0xAB; 256]);
+    one_pass.interleave_blocks(src, dst, shape.0, shape.1, shape.2);
+    interleave_by_relanding(&mut relanded, src, dst, shape);
+    assert_eq!(one_pass.peek(dst, 256), vec![0u8; 256]);
+    assert_eq!(one_pass.mram_used(), relanded.mram_used());
+    // The old sequence materialized the source by reading it.
+    assert_eq!(one_pass.mram_resident(), 2 * PAGE_BYTES, "destination only");
+    assert_eq!(relanded.mram_resident(), 3 * PAGE_BYTES);
+}
+
+#[test]
+#[should_panic(expected = "overlap")]
+fn interleave_rejects_overlapping_regions() {
+    Pe::new().interleave_blocks(0, 64, 4, 4, 8);
+}
+
+#[test]
+fn interleave_is_pe_local_compute_outside_the_fault_scope() {
+    // Periods of one: every *transport* landing would be struck.
+    for seed in CI_SEEDS {
+        let plan = FaultPlan::new(seed)
+            .with_bit_flip_period(1)
+            .with_row_corrupt_period(1);
+        let mut sys = PimSystem::new(DimmGeometry::single_group());
+        let data: Vec<u8> = (0..=255).collect();
+        for pe in sys.pes_mut() {
+            pe.write(4104, &data);
+        }
+        let mut clean = sys.clone();
+        sys.attach_fault_plan(Arc::new(plan));
+        sys.set_verify_writes(true);
+        sys.fault_plan().expect("attached").begin_epoch();
+        for (pe, twin) in sys.pes_mut().iter_mut().zip(clean.pes_mut()) {
+            pe.interleave_blocks(4104, 0, 4, 8, 8);
+            twin.interleave_blocks(4104, 0, 4, 8, 8);
+            assert_eq!(pe.peek(0, 256), twin.peek(0, 256), "seed {seed}");
+            assert!(pe.take_corruption().is_none(), "seed {seed}");
+        }
+    }
 }
 
 #[test]
