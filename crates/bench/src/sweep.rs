@@ -1,12 +1,11 @@
-//! Work-stealing sweep pool for independent benchmark cells.
+//! Sweep pool for independent benchmark cells.
 //!
 //! The figure regenerators run many independent `AppCase` × `OptLevel` ×
 //! PE-count cells; cell runtimes vary by an order of magnitude (CC/LJ vs
-//! MLP/16k), so static partitioning would leave workers idle. This pool
-//! mirrors `pidcomm`'s `engine/parallel.rs` in spirit — scoped threads, no
-//! dependencies — but schedules dynamically: workers pull the next cell
-//! index from one shared atomic queue, so a worker that drew short cells
-//! steals the remaining work from one stuck on a long cell.
+//! MLP/16k), so static partitioning would leave workers idle. The pool is
+//! `pidcomm`'s one executor (`par_pes_with`) with cells as its items:
+//! workers pull the next cell from one shared queue, so a worker that drew
+//! short cells takes the remaining work from one stuck on a long cell.
 //!
 //! Results land in a per-cell slot, so the output order is the submission
 //! order no matter which worker finished which cell when — and every cell
@@ -16,12 +15,11 @@
 //!
 //! # Per-worker system arena
 //!
-//! Every app cell used to build its `PimSystem` (up to 1024 paged-MRAM
-//! PEs) and multi-megabyte scatter staging buffers from scratch and drop
-//! them at the end, so sweeps spent a measurable slice of their wall on
-//! the allocator. [`run_cells_with`] fixes that shape generically: each
-//! worker thread constructs one private state value (`init()`) when it
-//! starts and threads it through every cell it executes. The app sweep
+//! Building a `PimSystem` (up to 1024 paged-MRAM PEs) and multi-megabyte
+//! scatter staging buffers per cell and dropping them at the end costs a
+//! measurable slice of a sweep's wall in the allocator. So each
+//! [`run_cells_with`] worker constructs one private state value (`init()`)
+//! when it starts and threads it through every cell it executes. The app sweep
 //! instantiates that state as a [`pim_sim::SystemArena`] — apps check
 //! systems and buffers out of the worker's arena and return them when the
 //! cell completes, so *consecutive cells on one worker reuse the same
@@ -43,9 +41,6 @@
 //! per-PE functional loops run on the same thread allowance as the
 //! cluster fan-out, so `workers × engine_threads ≤ budget` keeps holding
 //! with host kernels parallelized.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 pub use pidcomm::auto_threads;
 
@@ -138,8 +133,8 @@ where
 /// # Panics
 ///
 /// A panicking cell is *contained*: the worker catches it, rebuilds its
-/// state, and keeps pulling from the queue, so one bad cell no longer
-/// aborts the rest of the sweep mid-flight. Only once every worker has
+/// state, and keeps pulling from the queue, so one bad cell does not
+/// abort the rest of the sweep mid-flight. Only once every worker has
 /// drained does the call re-panic, reporting how many cells were poisoned
 /// and the lowest-numbered one with its panic message.
 pub fn run_cells_with<T, S, I, F>(cells: usize, workers: usize, init: I, f: F) -> Vec<T>
@@ -149,72 +144,16 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    let poisoned: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-    let slots: Vec<Mutex<Option<T>>> = (0..cells).map(|_| Mutex::new(None)).collect();
-    if workers <= 1 || cells <= 1 {
-        let mut state = init();
-        for (i, slot) in slots.iter().enumerate() {
-            match catch_unwind(AssertUnwindSafe(|| f(&mut state, i))) {
-                Ok(r) => *slot.lock().unwrap() = Some(r),
-                Err(payload) => {
-                    poisoned
-                        .lock()
-                        .unwrap()
-                        .push((i, pidcomm::panic_message(payload.as_ref())));
-                    // The unwind may have left the state mid-update;
-                    // rebuild it so later cells see clean state.
-                    state = init();
-                }
-            }
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let poisoned = &poisoned;
-        std::thread::scope(|s| {
-            for _ in 0..workers.min(cells) {
-                s.spawn(|| {
-                    let mut state = init();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= cells {
-                            break;
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| f(&mut state, i))) {
-                            Ok(r) => *slots[i].lock().unwrap() = Some(r),
-                            Err(payload) => {
-                                poisoned
-                                    .lock()
-                                    .unwrap()
-                                    .push((i, pidcomm::panic_message(payload.as_ref())));
-                                state = init();
-                            }
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    let mut poisoned = poisoned.into_inner().unwrap();
-    if !poisoned.is_empty() {
-        poisoned.sort_by_key(|(i, _)| *i);
-        let (i, msg) = &poisoned[0];
-        panic!(
-            "{count} sweep cell(s) panicked; first at cell {i}: {msg}",
-            count = poisoned.len()
-        );
-    }
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("cell ran"))
-        .collect()
+    // The cells are the executor's items; their state is its per-worker
+    // scratch. (`0` means auto to the executor, one worker here.)
+    let mut cells = vec![(); cells];
+    pidcomm::par_pes_with(&mut cells, workers.max(1), init, |state, i, ()| f(state, i))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_keep_submission_order() {
@@ -291,8 +230,8 @@ mod tests {
             }))
             .expect_err("poisoned sweep must re-panic");
             let msg = pidcomm::panic_message(caught.as_ref());
-            assert!(msg.contains("1 sweep cell(s) panicked"), "{workers}: {msg}");
-            assert!(msg.contains("cell 3"), "{workers}: {msg}");
+            assert!(msg.contains("1 item(s) panicked"), "{workers}: {msg}");
+            assert!(msg.contains("item 3"), "{workers}: {msg}");
             assert!(msg.contains("cell 3 exploded"), "{workers}: {msg}");
             // Every healthy cell — including those queued after the
             // poisoned one — still completed.

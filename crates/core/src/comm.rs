@@ -11,7 +11,7 @@ use crate::engine::prepared::{FusedPlan, PreparedScatter};
 use crate::engine::recovery::{
     self, FusedVerifiedExecution, RecoveryPolicy, Unit, VerifiedExecution,
 };
-use crate::engine::{self, BufferSpec};
+use crate::engine::BufferSpec;
 use crate::error::{Error, Result};
 use crate::hypercube::{DimMask, HypercubeManager};
 use crate::report::CommReport;
@@ -103,14 +103,15 @@ impl Communicator {
         &self.manager
     }
 
-    /// Plans one collective — validates the spec, decomposes the mask into
-    /// entangled-group clusters, builds the permutation tables and phase-B
-    /// schedules, and resolves the thread fan-out — without executing it.
-    /// The returned [`CollectivePlan`] can be executed any number of
-    /// times, against any system of matching geometry; each execution is
-    /// byte-identical to the corresponding one-shot call (which is itself
-    /// plan-then-execute). `op` is ignored by non-reducing primitives
-    /// (pass [`ReduceKind::Sum`]).
+    /// Plans one collective — validates the spec against the group size
+    /// and the MRAM bank, decomposes the mask into entangled-group
+    /// clusters, builds the phase-B schedules, and resolves the thread
+    /// fan-out — without executing it. The returned [`CollectivePlan`] can
+    /// be executed any number of times, against any system of matching
+    /// geometry; the one-shot calls below are this followed by
+    /// [`CollectivePlan::run`], so each execution is byte-identical to
+    /// theirs. `op` is ignored by non-reducing primitives (pass
+    /// [`ReduceKind::Sum`]).
     ///
     /// This is the classic persistent-collective shape (MPI persistent
     /// requests, FFTW plans): iteration-heavy applications hoist the plan
@@ -119,8 +120,9 @@ impl Communicator {
     ///
     /// # Errors
     ///
-    /// Returns [`crate::Error`] on invalid masks or misaligned/overlapping
-    /// buffers — the payload-independent half of the one-shot validation.
+    /// Returns [`crate::Error`] on invalid masks or misaligned, overlapping
+    /// or out-of-bank buffers — the payload-independent half of the
+    /// one-shot validation.
     pub fn plan(
         &self,
         primitive: Primitive,
@@ -309,18 +311,9 @@ impl Communicator {
         mask: &DimMask,
         spec: &BufferSpec,
     ) -> Result<CommReport> {
-        engine::execute(
-            sys,
-            &self.manager,
-            self.opt,
-            Primitive::AlltoAll,
-            mask,
-            spec,
-            ReduceKind::Sum,
-            None,
-            self.threads,
-        )
-        .map(|e| e.report)
+        self.plan(Primitive::AlltoAll, mask, spec, ReduceKind::Sum)?
+            .run(sys, None)
+            .map(|e| e.report)
     }
 
     /// ReduceScatter: chunks are reduced element-wise across the group and
@@ -337,18 +330,9 @@ impl Communicator {
         spec: &BufferSpec,
         op: ReduceKind,
     ) -> Result<CommReport> {
-        engine::execute(
-            sys,
-            &self.manager,
-            self.opt,
-            Primitive::ReduceScatter,
-            mask,
-            spec,
-            op,
-            None,
-            self.threads,
-        )
-        .map(|e| e.report)
+        self.plan(Primitive::ReduceScatter, mask, spec, op)?
+            .run(sys, None)
+            .map(|e| e.report)
     }
 
     /// AllReduce: every node receives the element-wise reduction of all
@@ -366,18 +350,9 @@ impl Communicator {
         spec: &BufferSpec,
         op: ReduceKind,
     ) -> Result<CommReport> {
-        engine::execute(
-            sys,
-            &self.manager,
-            self.opt,
-            Primitive::AllReduce,
-            mask,
-            spec,
-            op,
-            None,
-            self.threads,
-        )
-        .map(|e| e.report)
+        self.plan(Primitive::AllReduce, mask, spec, op)?
+            .run(sys, None)
+            .map(|e| e.report)
     }
 
     /// AllGather: every node contributes `bytes_per_node` bytes and
@@ -393,18 +368,9 @@ impl Communicator {
         mask: &DimMask,
         spec: &BufferSpec,
     ) -> Result<CommReport> {
-        engine::execute(
-            sys,
-            &self.manager,
-            self.opt,
-            Primitive::AllGather,
-            mask,
-            spec,
-            ReduceKind::Sum,
-            None,
-            self.threads,
-        )
-        .map(|e| e.report)
+        self.plan(Primitive::AllGather, mask, spec, ReduceKind::Sum)?
+            .run(sys, None)
+            .map(|e| e.report)
     }
 
     /// Scatter: the host (root) distributes `host_in[g]` — `group size ×
@@ -422,18 +388,9 @@ impl Communicator {
         spec: &BufferSpec,
         host_in: &[Vec<u8>],
     ) -> Result<CommReport> {
-        engine::execute(
-            sys,
-            &self.manager,
-            self.opt,
-            Primitive::Scatter,
-            mask,
-            spec,
-            ReduceKind::Sum,
-            Some(host_in),
-            self.threads,
-        )
-        .map(|e| e.report)
+        self.plan(Primitive::Scatter, mask, spec, ReduceKind::Sum)?
+            .run(sys, Some(host_in))
+            .map(|e| e.report)
     }
 
     /// Gather: the host (root) collects `bytes_per_node` bytes from every
@@ -448,18 +405,9 @@ impl Communicator {
         mask: &DimMask,
         spec: &BufferSpec,
     ) -> Result<(CommReport, Vec<Vec<u8>>)> {
-        engine::execute(
-            sys,
-            &self.manager,
-            self.opt,
-            Primitive::Gather,
-            mask,
-            spec,
-            ReduceKind::Sum,
-            None,
-            self.threads,
-        )
-        .map(|e| (e.report, e.host_out.expect("gather produces host output")))
+        self.plan(Primitive::Gather, mask, spec, ReduceKind::Sum)?
+            .run(sys, None)
+            .map(|e| (e.report, e.host_out.expect("gather produces host output")))
     }
 
     /// Reduce: the host (root) receives, per group, the element-wise
@@ -475,18 +423,9 @@ impl Communicator {
         spec: &BufferSpec,
         op: ReduceKind,
     ) -> Result<(CommReport, Vec<Vec<u8>>)> {
-        engine::execute(
-            sys,
-            &self.manager,
-            self.opt,
-            Primitive::Reduce,
-            mask,
-            spec,
-            op,
-            None,
-            self.threads,
-        )
-        .map(|e| (e.report, e.host_out.expect("reduce produces host output")))
+        self.plan(Primitive::Reduce, mask, spec, op)?
+            .run(sys, None)
+            .map(|e| (e.report, e.host_out.expect("reduce produces host output")))
     }
 
     /// Broadcast: the host (root) sends `host_in[g]` (`bytes_per_node`
@@ -503,17 +442,8 @@ impl Communicator {
         spec: &BufferSpec,
         host_in: &[Vec<u8>],
     ) -> Result<CommReport> {
-        engine::execute(
-            sys,
-            &self.manager,
-            self.opt,
-            Primitive::Broadcast,
-            mask,
-            spec,
-            ReduceKind::Sum,
-            Some(host_in),
-            self.threads,
-        )
-        .map(|e| e.report)
+        self.plan(Primitive::Broadcast, mask, spec, ReduceKind::Sum)?
+            .run(sys, Some(host_in))
+            .map(|e| e.report)
     }
 }

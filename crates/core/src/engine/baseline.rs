@@ -16,7 +16,7 @@
 //! word-granular modulation and per-byte domain transfer.
 //!
 //! Groups touch disjoint PEs, so the host-memory rearrangement of the
-//! groups fans out over scoped threads; pushes stay in group order, keeping
+//! groups fans out over the executor; pushes stay in group order, keeping
 //! the cost accounting and final MRAM images identical to serial execution.
 
 use pim_sim::geometry::BURST_BYTES;
@@ -25,6 +25,7 @@ use pim_sim::PimSystem;
 
 use crate::config::Primitive;
 use crate::engine::buffer_extents;
+use crate::engine::hostkernel::par_pes;
 use crate::engine::plan::CollectivePlan;
 use crate::engine::sheet::CostSheet;
 use crate::oracle;
@@ -118,25 +119,25 @@ pub(crate) fn run(
     //    memory — pure computation on shared borrows, one task and one
     //    flat result per group.
     let pes = &*sys;
-    let mut work: Vec<_> = plan.groups.iter().map(|g| (g, Vec::new())).collect();
-    crate::engine::parallel::par_for_each(&mut work, plan.group_threads, |(group, result)| {
+    let mut groups: Vec<_> = plan.groups.iter().collect();
+    let results = par_pes(&mut groups, plan.group_threads, |_, group| {
         let pull = |&pe| pes.pe(pe).read_window(src, b);
         let inputs: Vec<ReadWindow> = group.members.iter().map(pull).collect();
-        *result = match primitive {
+        match primitive {
             Primitive::AlltoAll => oracle::alltoall_image(&inputs),
             Primitive::AllGather => oracle::gather(&inputs),
             _ => oracle::reduce(&inputs, op, dtype),
-        };
+        }
     });
 
     // 3. Push results back (domain transfer again), in group order: every
     //    member gets its chunk of the group's result, or all of it where
     //    the result is one member's output.
     if primitive == Primitive::Reduce {
-        return Some(work.into_iter().map(|(_, reduced)| reduced).collect());
+        return Some(results);
     }
     let out_size = buffer_extents(primitive, b, plan.n).1;
-    for (group, result) in &work {
+    for (group, result) in groups.iter().zip(&results) {
         for (&pe, out) in group.members.iter().zip(result.chunks(out_size).cycle()) {
             sys.pe_mut(pe).write(dst, out);
         }

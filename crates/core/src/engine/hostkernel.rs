@@ -1,30 +1,31 @@
-//! Host-kernel executor: deterministic fan-out for the apps' per-PE
-//! functional loops.
+//! The one scoped-thread executor: deterministic fan-out over work items
+//! that each own what they mutate.
 //!
 //! The benchmark applications interleave collectives with *host-side
 //! kernels*: loops that, for every PE, read that PE's buffers, compute the
 //! functional result the device kernel would produce (MLP partial vectors,
 //! BFS/CC frontier expansion, GNN aggregation, DLRM index routing) and
 //! write it back. Those loops are embarrassingly parallel — each iteration
-//! touches exactly one PE plus shared *immutable* inputs — but until now
-//! they ran single-threaded on the caller even when the surrounding sweep
-//! cell held an unused engine budget.
+//! touches exactly one PE plus shared *immutable* inputs — and so are the
+//! engine's cluster tasks (disjoint [`pim_sim::system::EgView`]s), the
+//! baseline path's groups, the multi-host phases (one system per host) and
+//! the benchmark sweep's cells. All of them fan out through
+//! [`par_pes_with`], the only function here or in `pidcomm-bench` that
+//! spawns threads:
 //!
-//! [`par_pes`] and [`par_chunks`] close that gap with the same discipline
-//! as the engine's cluster fan-out ([`super::parallel`]):
-//!
-//! * **Budget**: callers pass the same `threads` knob they hand to
+//! * **Budget**: callers pass the `threads` knob of
 //!   [`crate::Communicator::with_threads`] (`0` = auto via
 //!   [`super::parallel::auto_threads`], `1` = the serial reference path),
 //!   so sweep-level, engine-level and host-kernel parallelism split one
 //!   machine budget instead of oversubscribing it.
-//! * **Determinism**: work items are statically partitioned into
-//!   contiguous chunks, every item gets exclusive `&mut` access to its own
-//!   slot, and every per-item result lands in a pre-sized slot returned in
-//!   item order. Nothing about the outcome — bytes written, results
-//!   returned, or any fold over them — can depend on scheduling, which is
-//!   what keeps app outputs and modeled times byte-identical to serial at
-//!   any thread count (pinned by `app_sweep_determinism`).
+//! * **Determinism**: workers pull items from one shared queue (items may
+//!   differ tenfold in length — sweep cells do), every item gets exclusive
+//!   `&mut` access to itself, and every per-item result lands in a
+//!   pre-sized slot returned in item order. Nothing about the outcome —
+//!   bytes written, results returned, or any fold over them — can depend
+//!   on which worker ran what when, which is what keeps app outputs and
+//!   modeled times byte-identical to serial at any thread count (pinned by
+//!   `app_sweep_determinism` and `parallel_determinism`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -41,19 +42,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Re-raises contained item panics with context: how many items were
-/// poisoned and where the first one (in item order, not completion order)
-/// failed. Called only after every worker has drained its items, so one
-/// bad item no longer tears down the siblings mid-flight.
-fn report_poisoned(what: &str, mut poisoned: Vec<(usize, String)>) -> ! {
-    poisoned.sort_by_key(|(i, _)| *i);
-    let (i, msg) = &poisoned[0];
-    panic!(
-        "{count} {what}(s) panicked; first at {what} {i}: {msg}",
-        count = poisoned.len()
-    );
 }
 
 /// Runs `f(i, &mut items[i])` for every item — one item per PE in the
@@ -106,7 +94,7 @@ pub fn par_pes<T: Send, R: Send>(
 /// # Panics
 ///
 /// A panicking item is *contained*: the worker catches it, rebuilds its
-/// scratch, and finishes its remaining items, so siblings complete and
+/// scratch, and keeps pulling from the queue, so siblings complete and
 /// every healthy item's effect lands. Only once all workers drain does
 /// the call re-panic — with the poisoned item count and the first failing
 /// item index and message — instead of an anonymous unwind from whichever
@@ -121,57 +109,61 @@ pub fn par_pes_with<T: Send, R: Send, S>(
     let t = effective_threads(threads, n);
     let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
     let poisoned: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-    if t <= 1 || n <= 1 {
-        let mut scratch = init();
-        for (i, (x, slot)) in items.iter_mut().zip(slots.iter_mut()).enumerate() {
-            match catch_unwind(AssertUnwindSafe(|| f(&mut scratch, i, x))) {
-                Ok(r) => *slot = Some(r),
-                Err(payload) => {
-                    poisoned
-                        .lock()
-                        .unwrap()
-                        .push((i, panic_message(payload.as_ref())));
-                    // The unwind may have left the scratch mid-update;
-                    // rebuild it so later items see clean state.
-                    scratch = init();
-                }
-            }
-        }
+    let mut queue = items.iter_mut().zip(slots.iter_mut()).enumerate();
+    if t <= 1 {
+        drain(|| queue.next(), &init, &f, &poisoned);
     } else {
-        let chunk = n.div_ceil(t);
+        // Workers pull the next item from one shared queue, so a worker
+        // that drew short items takes over what is left of a long one's
+        // share; every result still lands in its own slot.
+        let queue = Mutex::new(queue);
+        let pull = || queue.lock().expect(NEVER_POISONED).next();
         std::thread::scope(|s| {
-            for (ci, (part, out)) in items
-                .chunks_mut(chunk)
-                .zip(slots.chunks_mut(chunk))
-                .enumerate()
-            {
-                let f = &f;
-                let init = &init;
-                let poisoned = &poisoned;
-                s.spawn(move || {
-                    let mut scratch = init();
-                    for (j, (x, slot)) in part.iter_mut().zip(out.iter_mut()).enumerate() {
-                        let i = ci * chunk + j;
-                        match catch_unwind(AssertUnwindSafe(|| f(&mut scratch, i, x))) {
-                            Ok(r) => *slot = Some(r),
-                            Err(payload) => {
-                                poisoned
-                                    .lock()
-                                    .unwrap()
-                                    .push((i, panic_message(payload.as_ref())));
-                                scratch = init();
-                            }
-                        }
-                    }
-                });
+            for _ in 0..t {
+                s.spawn(|| drain(pull, &init, &f, &poisoned));
             }
         });
     }
-    let poisoned = poisoned.into_inner().unwrap();
+    let mut poisoned = poisoned.into_inner().expect(NEVER_POISONED);
     if !poisoned.is_empty() {
-        report_poisoned("host-kernel item", poisoned);
+        // First in item order, not completion order.
+        poisoned.sort_by_key(|(i, _)| *i);
+        let (i, msg) = &poisoned[0];
+        panic!(
+            "{count} item(s) panicked; first at item {i}: {msg}",
+            count = poisoned.len()
+        );
     }
     slots.into_iter().map(|r| r.expect("item ran")).collect()
+}
+
+/// Item panics are caught outside the executor's locks, so neither can be
+/// poisoned.
+const NEVER_POISONED: &str = "no code that can panic runs under this lock";
+
+/// One worker of [`par_pes_with`]: builds its scratch, then runs the items
+/// `next` hands out until the queue is dry, containing item panics.
+fn drain<'a, T: 'a, R: 'a, S>(
+    mut next: impl FnMut() -> Option<(usize, (&'a mut T, &'a mut Option<R>))>,
+    init: &impl Fn() -> S,
+    f: &impl Fn(&mut S, usize, &mut T) -> R,
+    poisoned: &Mutex<Vec<(usize, String)>>,
+) {
+    let mut scratch = init();
+    while let Some((i, (x, slot))) = next() {
+        match catch_unwind(AssertUnwindSafe(|| f(&mut scratch, i, x))) {
+            Ok(r) => *slot = Some(r),
+            Err(payload) => {
+                poisoned
+                    .lock()
+                    .expect(NEVER_POISONED)
+                    .push((i, panic_message(payload.as_ref())));
+                // The unwind may have left the scratch mid-update;
+                // rebuild it so later items see clean state.
+                scratch = init();
+            }
+        }
+    }
 }
 
 /// Runs `f(c, chunk_c)` over the `chunk_len`-sized chunks of `data` (the
@@ -217,6 +209,15 @@ mod tests {
                 (0..33).map(|i| i * 10).collect::<Vec<_>>(),
                 "{threads}"
             );
+        }
+    }
+
+    #[test]
+    fn par_pes_visits_every_item_once() {
+        for threads in [1, 2, 7, 64] {
+            let mut items: Vec<usize> = vec![0; 33];
+            par_pes(&mut items, threads, |_, x| *x += 1);
+            assert!(items.iter().all(|&x| x == 1), "threads={threads}");
         }
     }
 
@@ -268,6 +269,37 @@ mod tests {
     }
 
     #[test]
+    fn uneven_items_keep_item_order_and_one_scratch_per_worker() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Every seventh item does 100x the work of its neighbours, so the
+        // workers' shares of the queue differ; neither the result order
+        // nor the scratch count may depend on who drew what.
+        let work = |rounds: usize| {
+            (0..rounds).fold(1u64, |h, k| (h ^ k as u64).wrapping_mul(0x100_0000_01b3))
+        };
+        for threads in [1usize, 2, 3, 8] {
+            let inits = AtomicUsize::new(0);
+            let mut items: Vec<usize> = (0..50).collect();
+            let out = par_pes_with(
+                &mut items,
+                threads,
+                || inits.fetch_add(1, Ordering::Relaxed),
+                |_, i, x| {
+                    let rounds = if i % 7 == 0 { 200_000 } else { 2_000 };
+                    *x += 1;
+                    (i, work(rounds))
+                },
+            );
+            let want: Vec<(usize, u64)> = (0..50)
+                .map(|i| (i, work(if i % 7 == 0 { 200_000 } else { 2_000 })))
+                .collect();
+            assert_eq!(out, want, "{threads}");
+            assert!(items.iter().enumerate().all(|(i, &x)| x == i + 1));
+            assert!(inits.load(Ordering::Relaxed) <= threads, "{threads}");
+        }
+    }
+
+    #[test]
     fn poisoned_items_are_contained_and_reported_with_context() {
         for threads in [1usize, 4] {
             let mut items: Vec<u32> = (0..16).collect();
@@ -281,10 +313,7 @@ mod tests {
             }))
             .expect_err("poisoned run must re-panic");
             let msg = panic_message(caught.as_ref());
-            assert!(
-                msg.contains("2 host-kernel item(s) panicked"),
-                "{threads}: {msg}"
-            );
+            assert!(msg.contains("2 item(s) panicked"), "{threads}: {msg}");
             assert!(msg.contains("item 5"), "{threads}: {msg}");
             assert!(
                 msg.contains("injected failure at item 5"),

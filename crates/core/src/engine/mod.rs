@@ -1,10 +1,10 @@
 //! Execution engine: validation, dispatch and cost application.
 //!
-//! Since the plan/execute split, the engine is two halves: [`plan`]
-//! derives everything payload-independent once (validated buffer geometry,
-//! cluster decomposition, phase-B schedules, resolved thread fan-out) into a reusable [`plan::CollectivePlan`], and the
-//! plan's execute methods run the payload-dependent half. The one-shot
-//! [`execute`] entry point is now plan-then-execute.
+//! Two halves: [`plan`] derives everything payload-independent once
+//! (validated buffer geometry, cluster decomposition, phase-B schedules,
+//! resolved thread fan-out) into a reusable [`plan::CollectivePlan`], and
+//! [`plan::CollectivePlan::run`] is the payload-dependent half — the one
+//! entry every way of executing a collective ends in.
 
 pub mod autotune;
 pub(crate) mod baseline;
@@ -17,12 +17,11 @@ pub mod sheet;
 pub(crate) mod streaming;
 pub mod supervisor;
 
-use pim_sim::dtype::{DType, ReduceKind};
-use pim_sim::PimSystem;
+use pim_sim::dtype::DType;
+use pim_sim::pe::MRAM_CAPACITY;
 
-use crate::config::{OptLevel, Primitive};
+use crate::config::Primitive;
 use crate::error::{Error, Result};
-use crate::hypercube::{DimMask, HypercubeManager};
 use crate::report::CommReport;
 
 /// Buffer description shared by all collective calls: the same MRAM offsets
@@ -131,17 +130,40 @@ pub(crate) fn validate_spec(primitive: Primitive, spec: &BufferSpec, n: usize) -
         )));
     }
 
+    // Every primitive has an extent of at least `b` bytes, so a larger `b`
+    // cannot fit — and bounding it first keeps `b * n` below from
+    // overflowing.
+    if b > MRAM_CAPACITY {
+        return Err(Error::InvalidBuffer(format!(
+            "bytes_per_node {b} exceeds the {MRAM_CAPACITY}-byte MRAM bank"
+        )));
+    }
     let (src_len, dst_len) = buffer_extents(primitive, b, n);
-    if src_len > 0 && dst_len > 0 {
-        let (s0, s1) = (spec.src_offset, spec.src_offset + src_len);
-        let (d0, d1) = (spec.dst_offset, spec.dst_offset + dst_len);
-        if s0 < d1 && d0 < s1 {
-            return Err(Error::InvalidBuffer(format!(
-                "source [{s0}, {s1}) and destination [{d0}, {d1}) regions overlap"
-            )));
-        }
+    let s = bank_extent("source", spec.src_offset, src_len)?;
+    let d = bank_extent("destination", spec.dst_offset, dst_len)?;
+    if src_len > 0 && dst_len > 0 && s.start < d.end && d.start < s.end {
+        return Err(Error::InvalidBuffer(format!(
+            "source [{}, {}) and destination [{}, {}) regions overlap",
+            s.start, s.end, d.start, d.end
+        )));
     }
     Ok(())
+}
+
+/// The per-PE MRAM range `[offset, offset + len)`, or
+/// [`Error::InvalidBuffer`] when it does not end inside the bank. An
+/// extent of no bytes is not accessed, so its offset is not checked (the
+/// spec's unused side may hold anything).
+fn bank_extent(what: &str, offset: usize, len: usize) -> Result<std::ops::Range<usize>> {
+    if len == 0 {
+        return Ok(offset..offset);
+    }
+    match offset.checked_add(len) {
+        Some(end) if end <= MRAM_CAPACITY => Ok(offset..end),
+        _ => Err(Error::InvalidBuffer(format!(
+            "{what} region of {len} bytes at offset {offset} ends past the {MRAM_CAPACITY}-byte MRAM bank"
+        ))),
+    }
 }
 
 /// The payload-dependent validation half: host buffer counts and sizes,
@@ -187,29 +209,4 @@ pub(crate) fn validate_host_in(
         }
     }
     Ok(())
-}
-
-/// Validates and executes one collective call, returning the report and
-/// (for rooted receive primitives) host-side outputs.
-///
-/// Implemented as plan-then-execute over [`plan::CollectivePlan`]: the
-/// one-shot path pays exactly one planning pass, and repeated callers can
-/// hold the plan instead.
-///
-/// `threads` bounds the engine's cluster-level fan-out; `0` means auto and
-/// `1` forces the serial reference schedule (both produce byte-identical
-/// buffers and reports).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn execute(
-    sys: &mut PimSystem,
-    manager: &HypercubeManager,
-    opt: OptLevel,
-    primitive: Primitive,
-    mask: &DimMask,
-    spec: &BufferSpec,
-    op: ReduceKind,
-    host_in: Option<&[Vec<u8>]>,
-    threads: usize,
-) -> Result<Execution> {
-    plan::CollectivePlan::build(manager, opt, primitive, mask, spec, op, threads)?.run(sys, host_in)
 }

@@ -1,10 +1,5 @@
-//! Minimal deterministic fan-out over scoped threads.
-//!
-//! The container has no rayon; `std::thread::scope` is all the engine
-//! needs. Work items are statically partitioned into contiguous chunks —
-//! cluster workloads are homogeneous, so static splitting is both fair and
-//! deterministic — and every item's results land in its own slot, so the
-//! merge order never depends on scheduling.
+//! The thread budget: one rule for resolving a `threads` request, shared
+//! by every layer that fans out through [`super::hostkernel::par_pes_with`].
 
 /// The machine's automatic thread budget: the `PIDCOMM_THREADS`
 /// environment variable if set, otherwise the available parallelism.
@@ -35,31 +30,6 @@ pub(crate) fn effective_threads(requested: usize, work_items: usize) -> usize {
     t.clamp(1, work_items.max(1))
 }
 
-/// Runs `f` on every item, on up to `threads` scoped worker threads.
-///
-/// With `threads <= 1` the items run on the caller's thread in order — the
-/// serial reference path. Parallel runs produce byte-identical outcomes
-/// because items only mutate themselves (the engine gives each cluster a
-/// disjoint [`pim_sim::system::EgView`] and a private cost sheet).
-pub(crate) fn par_for_each<T: Send>(items: &mut [T], threads: usize, f: impl Fn(&mut T) + Sync) {
-    if threads <= 1 || items.len() <= 1 {
-        for item in items {
-            f(item);
-        }
-        return;
-    }
-    let chunk = items.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        for part in items.chunks_mut(chunk) {
-            s.spawn(|| {
-                for item in part {
-                    f(item);
-                }
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,14 +40,5 @@ mod tests {
         assert_eq!(effective_threads(1, 100), 1);
         assert_eq!(effective_threads(8, 0), 1);
         assert!(effective_threads(0, 64) >= 1);
-    }
-
-    #[test]
-    fn par_for_each_visits_every_item_once() {
-        for threads in [1, 2, 7, 64] {
-            let mut items: Vec<usize> = vec![0; 33];
-            par_for_each(&mut items, threads, |x| *x += 1);
-            assert!(items.iter().all(|&x| x == 1), "threads={threads}");
-        }
     }
 }

@@ -1,15 +1,13 @@
 //! Persistent collective plans: the plan half of the engine's
 //! plan-once / execute-many split.
 //!
-//! Every collective call used to re-derive the same state on entry:
-//! validate the [`BufferSpec`] against the group geometry, decompose the
-//! mask into [`EgCluster`]s, recompute the per-cluster rotation and
-//! placement schedules and re-resolve the thread fan-out.
-//! None of that depends on the payload — only on
-//! `(primitive, opt, mask, spec, geometry, op, threads)` — so iteration-heavy
-//! applications (CC/BFS run the identical `AllReduce` every level until
-//! fixed point, MLP per layer, GNN per step, DLRM per batch) paid a fixed
-//! planning cost per iteration for a plan that never changed.
+//! Validating the [`BufferSpec`] against the group geometry, decomposing
+//! the mask into [`EgCluster`]s, computing the per-cluster rotation and
+//! placement schedules and resolving the thread fan-out depend only on
+//! `(primitive, opt, mask, spec, geometry, op, threads)`, never on the
+//! payload — and iteration-heavy applications (CC/BFS run the identical
+//! `AllReduce` every level until fixed point, MLP per layer, GNN per step,
+//! DLRM per batch) repeat the same key every iteration.
 //!
 //! [`CollectivePlan`] captures all of it as a first-class, reusable value,
 //! in the style of MPI persistent requests / FFTW plans:
@@ -18,8 +16,9 @@
 //!   [`CollectivePlan::execute`] (and the rooted variants
 //!   [`CollectivePlan::execute_with_host`] /
 //!   [`CollectivePlan::execute_to_host`]) runs it any number of times,
-//!   against any system of matching geometry — byte-identical to the
-//!   one-shot call, which is itself now implemented as plan-then-execute.
+//!   against any system of matching geometry. Every way of executing a
+//!   collective — the one-shot `Communicator` methods included — ends in
+//!   [`CollectivePlan::run`].
 //! * [`PlanCache`] is a keyed pool of plans ([`crate::Communicator::plan_cached`]):
 //!   planning runs at most once per distinct key per cache, with hit/miss
 //!   counters so harnesses can assert and report reuse. Sweep workers park
@@ -41,6 +40,7 @@ use pim_sim::{Breakdown, Category, PimSystem, TimeModel};
 
 use crate::config::{OptLevel, Primitive};
 use crate::engine::sheet::CostSheet;
+use crate::engine::streaming::Rows;
 use crate::engine::{
     baseline, buffer_extents, logical_volumes, parallel, streaming, validate_host_in,
     validate_spec, BufferSpec, Execution,
@@ -50,8 +50,7 @@ use crate::hypercube::{build_clusters, CommGroup, DimMask, EgCluster, HypercubeM
 use crate::report::CommReport;
 
 /// Precomputed phase-B schedule of one cluster: the per-slot lane
-/// rotations and final-slot placements the streaming loops previously
-/// recomputed on every call.
+/// rotations and final-slot placements the streaming loops read.
 pub(crate) struct ClusterSched {
     /// `rotation(k)` for every within-part slot `k` (length `lane_count`).
     pub(crate) rotations: Vec<LanePerm>,
@@ -83,7 +82,7 @@ impl ClusterSched {
     }
 }
 
-/// A fully planned collective: everything `engine::execute` derives from
+/// A fully planned collective: everything that follows from
 /// `(primitive, opt, mask, spec, geometry, op, threads)` — validated
 /// buffer geometry, the [`EgCluster`] decomposition, the per-cluster
 /// phase-B rotation and placement schedules, the baseline path's
@@ -119,14 +118,11 @@ pub struct CollectivePlan {
     pub(crate) cluster_threads: usize,
     /// Resolved per-group fan-out of the baseline path.
     pub(crate) group_threads: usize,
-    /// MRAM extent to reserve on every PE before streaming.
-    pub(crate) reserve_extent: usize,
 }
 
 impl CollectivePlan {
-    /// Plans one collective against `manager`. This is the planning half
-    /// of the old `engine::execute`: everything payload-independent runs
-    /// here, once.
+    /// Plans one collective against `manager`: everything
+    /// payload-independent runs here, once.
     pub(crate) fn build(
         manager: &HypercubeManager,
         opt: OptLevel,
@@ -167,19 +163,6 @@ impl CollectivePlan {
             Vec::new()
         };
 
-        let b = spec.bytes_per_node;
-        let (src_len, dst_len) = buffer_extents(primitive, b, n);
-        let src_end = if src_len > 0 {
-            spec.src_offset + src_len
-        } else {
-            0
-        };
-        let dst_end = if dst_len > 0 {
-            spec.dst_offset + dst_len
-        } else {
-            0
-        };
-
         Ok(Self {
             primitive,
             opt,
@@ -196,7 +179,6 @@ impl CollectivePlan {
             sched,
             groups,
             mask: mask.clone(),
-            reserve_extent: src_end.max(dst_end),
         })
     }
 
@@ -304,14 +286,14 @@ impl CollectivePlan {
         })
     }
 
-    /// The execute half: payload-dependent validation, dispatch and cost
-    /// application — everything the plan could not precompute. The one
-    /// entry point behind [`CollectivePlan::execute`],
-    /// [`CollectivePlan::execute_with_host`] and
-    /// [`CollectivePlan::execute_to_host`], for callers that handle every
-    /// primitive uniformly: `host_in` is `Some` exactly for Scatter and
-    /// Broadcast, and `host_out` comes back `Some` exactly for Gather and
-    /// Reduce.
+    /// The one execution entry: payload-dependent validation, then the
+    /// dispatch. Behind [`CollectivePlan::execute`],
+    /// [`CollectivePlan::execute_with_host`],
+    /// [`CollectivePlan::execute_to_host`], the one-shot `Communicator`
+    /// methods, every fused step, the verified tier and the multi-host
+    /// phases; for callers that handle every primitive uniformly, `host_in`
+    /// is `Some` exactly for Scatter and Broadcast, and `host_out` comes
+    /// back `Some` exactly for Gather and Reduce.
     ///
     /// # Errors
     ///
@@ -327,39 +309,11 @@ impl CollectivePlan {
             self.num_groups,
             host_in,
         )?;
-        self.run_with(sys, |sys, sheet| match self.primitive {
-            Primitive::Broadcast => {
-                streaming::broadcast(sys, sheet, self, host_in.unwrap());
-                None
-            }
-            Primitive::Scatter => {
-                streaming::scatter(sys, sheet, self, host_in.unwrap());
-                None
-            }
-            Primitive::Gather => Some(streaming::gather(sys, sheet, self)),
-            _ if self.opt == OptLevel::Baseline => baseline::run(sys, sheet, self),
-            Primitive::AlltoAll => {
-                streaming::alltoall(sys, sheet, self);
-                None
-            }
-            Primitive::ReduceScatter => {
-                streaming::reduce_scatter(sys, sheet, self);
-                None
-            }
-            Primitive::AllReduce => {
-                streaming::all_reduce(sys, sheet, self);
-                None
-            }
-            Primitive::AllGather => {
-                streaming::all_gather(sys, sheet, self);
-                None
-            }
-            Primitive::Reduce => Some(streaming::reduce(sys, sheet, self)),
-        })
+        self.dispatch(sys, host_in.map(Rows::Host))
     }
 
-    /// The plan's geometry gate, shared by every execution entry point:
-    /// a plan only runs against systems of the geometry it was built for.
+    /// The plan's geometry gate: a plan only runs against systems of the
+    /// geometry it was built for.
     pub(crate) fn check_geometry(&self, sys: &PimSystem) -> Result<()> {
         if self.geometry != *sys.geometry() {
             return Err(Error::ShapeSystemMismatch {
@@ -370,19 +324,19 @@ impl CollectivePlan {
         Ok(())
     }
 
-    /// The shared execution envelope around a primitive dispatch: fault
-    /// epoch + stuck scan, fresh private [`CostSheet`], extent
-    /// reservation, cost application, corruption check and report
-    /// assembly. [`CollectivePlan::run`] wraps the standard executors in
-    /// it; the prepared tier ([`super::prepared`]) wraps the prestaged
-    /// ones — both therefore charge and report bit-identically.
-    ///
-    /// Callers must have validated geometry and host buffers first
-    /// ([`CollectivePlan::check_geometry`] / [`validate_host_in`]).
-    pub(crate) fn run_with(
+    /// The execution envelope and the primitive dispatch inside it: fault
+    /// epoch + stuck scan, fresh private [`CostSheet`], the one `match`
+    /// over primitives, cost application, corruption check and report
+    /// assembly. Its two callers differ only in where a rooted send's
+    /// `rows` come from — [`CollectivePlan::run`] passes the host buffers
+    /// it validated (`None` for every other primitive), the prepared tier
+    /// ([`super::prepared`]) the image it validated when staging — so both
+    /// charge and report bit-identically. Either checks the geometry
+    /// first ([`CollectivePlan::check_geometry`]).
+    pub(super) fn dispatch(
         &self,
         sys: &mut PimSystem,
-        dispatch: impl FnOnce(&mut PimSystem, &mut CostSheet) -> Option<Vec<Vec<u8>>>,
+        rows: Option<Rows<'_>>,
     ) -> Result<Execution> {
         // Fault-layer execute boundary: each execution is one epoch, and a
         // stuck PE fails the collective up front — every PE participates in
@@ -398,12 +352,32 @@ impl CollectivePlan {
         let mut sheet = CostSheet::new(sys.geometry().channels());
         let before = sys.meter();
 
-        // Reserve backing capacity for the full buffer extent on every PE
-        // up front (functionally a no-op; nothing is materialized) so the
-        // streaming loops never pay incremental MRAM reallocation copies.
-        sys.reserve_extent_all(self.reserve_extent);
-
-        let host_out: Option<Vec<Vec<u8>>> = dispatch(sys, &mut sheet);
+        let host_out = match self.primitive {
+            Primitive::Scatter | Primitive::Broadcast => {
+                let rows = rows.expect("callers pass a rooted send its rows");
+                streaming::rooted_send(sys, &mut sheet, self, rows);
+                None
+            }
+            Primitive::Gather => Some(streaming::gather(sys, &mut sheet, self)),
+            _ if self.opt == OptLevel::Baseline => baseline::run(sys, &mut sheet, self),
+            Primitive::AlltoAll => {
+                streaming::alltoall(sys, &mut sheet, self);
+                None
+            }
+            Primitive::ReduceScatter => {
+                streaming::reduce_scatter(sys, &mut sheet, self);
+                None
+            }
+            Primitive::AllReduce => {
+                streaming::all_reduce(sys, &mut sheet, self);
+                None
+            }
+            Primitive::AllGather => {
+                streaming::all_gather(sys, &mut sheet, self);
+                None
+            }
+            Primitive::Reduce => Some(streaming::reduce(sys, &mut sheet, self)),
+        };
 
         sheet.apply(sys);
 
@@ -421,7 +395,14 @@ impl CollectivePlan {
             });
         }
 
-        let breakdown = sys.meter().since(&before);
+        Ok(Execution {
+            report: self.report(sys.meter().since(&before)),
+            host_out,
+        })
+    }
+
+    /// The report of one execution whose modeled time is `breakdown`.
+    fn report(&self, breakdown: Breakdown) -> CommReport {
         let (bytes_in, bytes_out) = logical_volumes(
             self.primitive,
             self.spec.bytes_per_node,
@@ -429,19 +410,15 @@ impl CollectivePlan {
             self.num_nodes,
             self.num_groups,
         );
-
-        Ok(Execution {
-            report: CommReport {
-                primitive: self.primitive,
-                opt: self.opt,
-                breakdown,
-                bytes_in,
-                bytes_out,
-                group_size: self.n,
-                num_groups: self.num_groups,
-            },
-            host_out,
-        })
+        CommReport {
+            primitive: self.primitive,
+            opt: self.opt,
+            breakdown,
+            bytes_in,
+            bytes_out,
+            group_size: self.n,
+            num_groups: self.num_groups,
+        }
     }
 
     /// Whether [`CollectivePlan::run`] dispatches this plan to the
@@ -522,22 +499,7 @@ impl CollectivePlan {
     pub fn cost_only_report(&self, model: &TimeModel) -> CommReport {
         let mut meter = Breakdown::new();
         self.charge_cost_only(&mut meter, model);
-        let (bytes_in, bytes_out) = logical_volumes(
-            self.primitive,
-            self.spec.bytes_per_node,
-            self.n,
-            self.num_nodes,
-            self.num_groups,
-        );
-        CommReport {
-            primitive: self.primitive,
-            opt: self.opt,
-            breakdown: meter,
-            bytes_in,
-            bytes_out,
-            group_size: self.n,
-            num_groups: self.num_groups,
-        }
+        self.report(meter)
     }
 }
 
@@ -580,8 +542,7 @@ impl PlanKey {
 /// delta accounting: take a [`PlanCache::snapshot`] before a phase, take
 /// another after, and [`PlanCacheStats::delta`] yields exactly that
 /// phase's hits/misses/evictions — immune to other caches (and other
-/// threads' caches) in the process. (The process-global counters this
-/// replaced were removed in ISSUE 8.)
+/// threads' caches) in the process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanCacheStats {
     /// Lookups served by an already-built plan.

@@ -1,17 +1,17 @@
 //! Prepared execution: validate and stage once, execute many — and fused
 //! multi-step plans with no intermediate host staging.
 //!
-//! The plan/execute split ([`CollectivePlan`]) hoisted every
-//! payload-*independent* derivation out of the iteration loops; this
-//! module hoists the payload-*dependent* per-call work that remained:
+//! A [`CollectivePlan`] holds every payload-*independent* derivation; this
+//! module holds the payload-*dependent* per-call work that can be hoisted
+//! out of an iteration loop as well:
 //!
 //! * [`PreparedScatter`] validates a Scatter/Broadcast's `host_in` once
-//!   and assembles its per-cluster row image once (through the pitch-based
-//!   [`pim_sim::kernels::copy_rows`]), into a buffer that can be pooled in
+//!   and assembles its row image once, into a buffer that can be pooled in
 //!   a [`SystemArena`]. Repeat executes then skip validation and row
-//!   re-assembly entirely — the prestaged executors slice the image and
-//!   land rows with the exact charging of the unprepared path, so reports
-//!   and PE bytes are bit-identical (pinned by `tests/prepared.rs`).
+//!   assembly entirely — the rooted-send executor slices the image where
+//!   the per-call path fills a scratch block, and everything around it is
+//!   the one dispatch, so reports and PE bytes are bit-identical (pinned
+//!   by `tests/prepared.rs`).
 //! * [`FusedPlan`] chains 2+ plans of one geometry into a single execution
 //!   unit: step *k*'s output rows sit in PE MRAM exactly where step
 //!   *k+1*'s plan reads them, with optional host kernels ([`FusedPlan::
@@ -47,7 +47,8 @@ use pim_sim::{PimSystem, SystemArena};
 
 use crate::config::Primitive;
 use crate::engine::plan::CollectivePlan;
-use crate::engine::{streaming, validate_host_in, Execution};
+use crate::engine::streaming::{self, Rows};
+use crate::engine::{validate_host_in, Execution};
 use crate::error::{Error, Result};
 use crate::report::CommReport;
 
@@ -159,24 +160,11 @@ impl PreparedScatter {
     /// and the recovery tier share it).
     pub(crate) fn run(&self, sys: &mut PimSystem) -> Result<Execution> {
         self.plan.check_geometry(sys)?;
-        self.plan.run_with(sys, |sys, sheet| {
-            match self.plan.primitive {
-                Primitive::Scatter => {
-                    streaming::scatter_prestaged(sys, sheet, &self.plan, &self.rows, &self.offsets);
-                }
-                Primitive::Broadcast => {
-                    streaming::broadcast_prestaged(
-                        sys,
-                        sheet,
-                        &self.plan,
-                        &self.rows,
-                        &self.offsets,
-                    );
-                }
-                _ => unreachable!("stage() admits only rooted sends"),
-            }
-            None
-        })
+        let rows = Rows::Staged {
+            image: &self.rows,
+            offsets: &self.offsets,
+        };
+        self.plan.dispatch(sys, Some(rows))
     }
 
     /// Rebuilds the original per-group host buffers from the staged image

@@ -28,8 +28,8 @@
 //!
 //! Clusters touch disjoint entangled groups, so each cluster runs as an
 //! independent task: it receives an exclusive [`EgView`] over its PEs and a
-//! private [`CostSheet`], and the tasks fan out over scoped threads
-//! ([`super::parallel`]). Sheets are merged in cluster order afterwards;
+//! private [`CostSheet`], and the tasks fan out over the executor
+//! ([`super::hostkernel`]). Sheets are merged in cluster order afterwards;
 //! since every counter is an exact integer, the merged totals — and hence
 //! the modeled times — are byte-identical to serial execution no matter how
 //! the clusters were scheduled.
@@ -72,16 +72,17 @@
 //! `pim_sim::pe`). With no fault plan attached and verification off, none
 //! of these paths change behavior by a single byte or modeled nanosecond.
 
+use std::ops::Range;
+
 use pim_sim::domain::{LanePerm, IDENTITY_PERM};
 use pim_sim::dtype::{fill_identity, reducer, DType};
 use pim_sim::geometry::{BURST_BYTES, LANES};
-use pim_sim::kernels;
 use pim_sim::pe::WriteWindow;
 use pim_sim::system::EgView;
 use pim_sim::PimSystem;
 
 use crate::config::{OptLevel, Primitive, Technique};
-use crate::engine::parallel;
+use crate::engine::hostkernel::par_pes;
 use crate::engine::plan::{ClusterSched, CollectivePlan};
 use crate::engine::sheet::CostSheet;
 use crate::hypercube::EgCluster;
@@ -173,7 +174,7 @@ fn run_clustered(
             out: Vec::new(),
         })
         .collect();
-    parallel::par_for_each(&mut tasks, plan.cluster_threads, f);
+    par_pes(&mut tasks, plan.cluster_threads, |_, task| f(task));
 
     let mut outs = Vec::new();
     for task in tasks {
@@ -229,7 +230,7 @@ fn land_register<'r>(
 /// write ([`EgView::write_rows`] with the rotation as the lane
 /// permutation) — byte-identical to shuffling each raw burst, by the
 /// fusion identity of [`pim_sim::domain`] — so only the model's operation
-/// counts are recorded here, exactly as the per-burst path charged them.
+/// counts are recorded here, one per burst the device would shuffle.
 fn modulate_charges(sheet: &mut CostSheet, primitive: Primitive, opt: OptLevel, blocks: u64) {
     if opt.enables(Technique::CrossDomain, primitive) {
         sheet.shuffle_blocks += blocks;
@@ -250,10 +251,10 @@ fn modulate_charges(sheet: &mut CostSheet, primitive: Primitive, opt: OptLevel, 
 /// bytes with no in-loop accounting; the cost-only path
 /// ([`charge`]) calls it for every cluster without touching PE memory.
 /// Both therefore tally the *identical integer* counters: the formulas
-/// here are the exact loop aggregations of the original per-`(m_s, m_d,
-/// k)` charges (every counter is a `u64`, so summing per-iteration charges
-/// in any grouping is exact), and the one `u64 → f64` conversion happens
-/// later, in [`CostSheet::apply`]/[`CostSheet::apply_to`].
+/// here aggregate the model's per-`(m_s, m_d, k)` charges over their loops
+/// (every counter is a `u64`, so summing per-iteration charges in any
+/// grouping is exact), and the one `u64 → f64` conversion happens later,
+/// in [`CostSheet::apply`]/[`CostSheet::apply_to`].
 fn charge_cluster(sheet: &mut CostSheet, plan: &CollectivePlan, c: &EgCluster) {
     let p = plan.primitive;
     let (opt, dtype) = (plan.opt, plan.spec.dtype);
@@ -624,41 +625,6 @@ pub(crate) fn all_gather(sys: &mut PimSystem, sheet: &mut CostSheet, plan: &Coll
     sys.charge_pe_reorder((plan.n * chunk) as u64);
 }
 
-/// Scatter (§V-B4: the write-back half of ReduceScatter, host as root).
-/// `host_in` is indexed by group id; each entry holds `N * bytes_per_node`
-/// bytes laid out by destination rank.
-pub(crate) fn scatter(
-    sys: &mut PimSystem,
-    sheet: &mut CostSheet,
-    plan: &CollectivePlan,
-    host_in: &[Vec<u8>],
-) {
-    let dst = plan.spec.dst_offset;
-    let bytes_per_node = plan.spec.bytes_per_node;
-
-    run_clustered(sys, sheet, plan, |task| {
-        let c = task.cluster;
-        let (l, m) = (c.lane_count, c.eg_count());
-        let mut rows = vec![0u8; LANES * bytes_per_node];
-        charge_cluster(&mut task.sheet, plan, c);
-        for m_d in 0..m {
-            // Assemble the rows: each lane's span of the per-group host
-            // buffer is contiguous, one memcpy per lane.
-            for g in &c.groups {
-                for (i, &lane) in g.lanes.iter().enumerate() {
-                    let rank = i + l * m_d;
-                    let off = rank * bytes_per_node;
-                    rows[lane * bytes_per_node..(lane + 1) * bytes_per_node]
-                        .copy_from_slice(&host_in[g.group_id][off..off + bytes_per_node]);
-                }
-            }
-            task.view
-                .write_rows(m_d, dst, bytes_per_node, &rows, &IDENTITY_PERM);
-        }
-    });
-    sheet.transfer_phases += 1;
-}
-
 /// Gather (§V-B4: AllGather's read step followed by domain transfer).
 /// Returns host buffers indexed by group id, `N * bytes_per_node` each.
 pub(crate) fn gather(
@@ -723,112 +689,133 @@ pub(crate) fn reduce(
     collect_host_out(outs, num_groups)
 }
 
-/// Broadcast (§V-B4): the native driver path — one domain transfer per
-/// block, reused for every destination PE of the group. No technique
-/// applies; it is already bus-bound (Table II, §VIII-B).
-pub(crate) fn broadcast(
+/// Where a rooted send takes its rows from.
+#[derive(Clone, Copy)]
+pub(crate) enum Rows<'a> {
+    /// Per-group host buffers indexed by group id; the executor assembles
+    /// one `LANES * bytes_per_node` block at a time, so a send never holds
+    /// a second copy of its payload.
+    Host(&'a [Vec<u8>]),
+    /// A row image assembled by [`stage_rows`], with the base offset of
+    /// each cluster's blocks in plan order.
+    Staged {
+        image: &'a [u8],
+        offsets: &'a [usize],
+    },
+}
+
+/// The rooted-send row layout: the bytes of its group's host buffer that
+/// lane rank `i` of destination part `m_d` receives — rank `i + l * m_d`'s
+/// `bytes_per_node` for Scatter (buffers are laid out by destination
+/// rank), the whole buffer for Broadcast.
+fn row_source(plan: &CollectivePlan, c: &EgCluster, i: usize, m_d: usize) -> Range<usize> {
+    let b = plan.spec.bytes_per_node;
+    match plan.primitive {
+        Primitive::Scatter => {
+            let rank = i + c.lane_count * m_d;
+            rank * b..(rank + 1) * b
+        }
+        _ => 0..b,
+    }
+}
+
+/// Row blocks a cluster's rooted send is made of: one per destination part
+/// for Scatter, one written to every part unchanged for Broadcast.
+fn row_blocks(plan: &CollectivePlan, c: &EgCluster) -> usize {
+    match plan.primitive {
+        Primitive::Scatter => c.eg_count(),
+        _ => 1,
+    }
+}
+
+/// Assembles row block `block` of cluster `c` into `rows` (`LANES *
+/// bytes_per_node` bytes, lane-major): one memcpy per lane. A cluster's
+/// packed groups own all eight lanes between them (`build_clusters`), so
+/// every byte of `rows` is overwritten.
+fn fill_block(
+    plan: &CollectivePlan,
+    c: &EgCluster,
+    block: usize,
+    host_in: &[Vec<u8>],
+    rows: &mut [u8],
+) {
+    let b = plan.spec.bytes_per_node;
+    for g in &c.groups {
+        let src = &host_in[g.group_id];
+        for (i, &lane) in g.lanes.iter().enumerate() {
+            rows[lane * b..(lane + 1) * b].copy_from_slice(&src[row_source(plan, c, i, block)]);
+        }
+    }
+}
+
+/// Scatter and Broadcast (§V-B4), the host as root. Scatter is the
+/// write-back half of ReduceScatter; Broadcast is the native driver path —
+/// one domain transfer per block, reused for every destination PE of the
+/// group, no technique applies, already bus-bound (Table II, §VIII-B).
+/// Either lands one row block per destination part ([`row_source`]).
+pub(crate) fn rooted_send(
     sys: &mut PimSystem,
     sheet: &mut CostSheet,
     plan: &CollectivePlan,
-    host_in: &[Vec<u8>],
+    rows: Rows<'_>,
 ) {
     let dst = plan.spec.dst_offset;
-    let bytes_per_node = plan.spec.bytes_per_node;
+    let b = plan.spec.bytes_per_node;
+    let block_len = LANES * b;
 
     run_clustered(sys, sheet, plan, |task| {
         let c = task.cluster;
-        let m = c.eg_count();
-        let mut rows = vec![0u8; LANES * bytes_per_node];
+        let last_block = row_blocks(plan, c) - 1;
+        let mut scratch = match rows {
+            Rows::Host(_) => vec![0u8; block_len],
+            Rows::Staged { .. } => Vec::new(),
+        };
         charge_cluster(&mut task.sheet, plan, c);
-        for g in &c.groups {
-            for &lane in &g.lanes {
-                rows[lane * bytes_per_node..(lane + 1) * bytes_per_node]
-                    .copy_from_slice(&host_in[g.group_id][..bytes_per_node]);
-            }
+        // simlint: hot(begin, rooted-send landing)
+        for m_d in 0..c.eg_count() {
+            // Scatter: part `m_d` lands block `m_d`. Broadcast: its one
+            // block, assembled for part 0, lands on every part.
+            let block = m_d.min(last_block);
+            let rows = match rows {
+                Rows::Staged { image, offsets } => {
+                    let at = offsets[task.index] + block * block_len;
+                    &image[at..at + block_len]
+                }
+                Rows::Host(host_in) => {
+                    if block == m_d {
+                        fill_block(plan, c, block, host_in, &mut scratch);
+                    }
+                    &scratch[..]
+                }
+            };
+            task.view.write_rows(m_d, dst, b, rows, &IDENTITY_PERM);
         }
-        for m_d in 0..m {
-            task.view
-                .write_rows(m_d, dst, bytes_per_node, &rows, &IDENTITY_PERM);
-        }
+        // simlint: hot(end)
     });
     sheet.transfer_phases += 1;
 }
 
-/// Total staged-row bytes a prepared execution of `plan` needs: one
-/// `LANES * bytes_per_node` row block per destination part of every
-/// cluster for Scatter, one per cluster for Broadcast (the block is
-/// written to every part unchanged).
+/// Total bytes of the row image a prepared execution of `plan` needs.
 pub(crate) fn staged_len(plan: &CollectivePlan) -> usize {
-    let b = plan.spec.bytes_per_node;
-    match plan.primitive {
-        Primitive::Scatter => plan.clusters.iter().map(|c| c.eg_count() * LANES * b).sum(),
-        Primitive::Broadcast => plan.clusters.len() * LANES * b,
-        _ => 0,
-    }
+    let blocks: usize = plan.clusters.iter().map(|c| row_blocks(plan, c)).sum();
+    blocks * LANES * plan.spec.bytes_per_node
 }
 
 /// Assembles the per-group host buffers of a Scatter/Broadcast into the
 /// prepared row image `buf` (length [`staged_len`]), returning the base
-/// offset of each cluster's block in plan order.
-///
-/// This is exactly the row assembly the per-call executors perform —
-/// lane `lane` of destination part `m_d` sources rank `i + l * m_d` of
-/// its group's host buffer — hoisted to prepare time, in the same
-/// part-major order (each `LANES * b` block is assembled front to back,
-/// so writes stay cache-local instead of striding the whole image once
-/// per lane). Lane rows no group covers are zeroed explicitly, which
-/// keeps the image byte-identical to the executors' fresh
-/// `vec![0u8; ..]` row staging whatever `buf` held before — recycled
-/// arena buffers and `restage` over a previous payload need no
-/// whole-image clear first.
+/// offset of each cluster's blocks in plan order. Blocks are assembled
+/// front to back, exactly as the per-call path fills its scratch block,
+/// and fully overwritten — recycled arena buffers and `restage` over a
+/// previous payload need no clear first.
 pub(crate) fn stage_rows(plan: &CollectivePlan, host_in: &[Vec<u8>], buf: &mut [u8]) -> Vec<usize> {
-    let b = plan.spec.bytes_per_node;
+    let block_len = LANES * plan.spec.bytes_per_node;
     let mut offsets = Vec::with_capacity(plan.clusters.len());
     let mut base = 0usize;
     for c in &plan.clusters {
         offsets.push(base);
-        let (l, m) = (c.lane_count, c.eg_count());
-        let mut covered = [false; LANES];
-        for g in &c.groups {
-            for &lane in &g.lanes {
-                covered[lane] = true;
-            }
-        }
-        match plan.primitive {
-            Primitive::Scatter => {
-                for m_d in 0..m {
-                    let block = base + m_d * LANES * b;
-                    for (lane, cov) in covered.iter().enumerate() {
-                        if !cov {
-                            buf[block + lane * b..block + (lane + 1) * b].fill(0);
-                        }
-                    }
-                    for g in &c.groups {
-                        let src = &host_in[g.group_id];
-                        for (i, &lane) in g.lanes.iter().enumerate() {
-                            let rank = i + l * m_d;
-                            buf[block + lane * b..block + (lane + 1) * b]
-                                .copy_from_slice(&src[rank * b..(rank + 1) * b]);
-                        }
-                    }
-                }
-                base += m * LANES * b;
-            }
-            Primitive::Broadcast => {
-                for (lane, cov) in covered.iter().enumerate() {
-                    if !cov {
-                        buf[base + lane * b..base + (lane + 1) * b].fill(0);
-                    }
-                }
-                for g in &c.groups {
-                    for &lane in &g.lanes {
-                        buf[base + lane * b..base + (lane + 1) * b]
-                            .copy_from_slice(&host_in[g.group_id][..b]);
-                    }
-                }
-                base += LANES * b;
-            }
-            _ => unreachable!("stage_rows only stages Scatter/Broadcast plans"),
+        for block in 0..row_blocks(plan, c) {
+            fill_block(plan, c, block, host_in, &mut buf[base..base + block_len]);
+            base += block_len;
         }
     }
     offsets
@@ -836,10 +823,11 @@ pub(crate) fn stage_rows(plan: &CollectivePlan, host_in: &[Vec<u8>], buf: &mut [
 
 /// Rebuilds the per-group host buffers from a prepared row image — the
 /// exact inverse of [`stage_rows`] (staging is a pure byte permutation,
-/// so no information is lost). Only the degraded-recompute path uses
-/// this (the oracle needs the original rank-ordered buffers), which is
-/// what lets [`super::prepared::PreparedScatter`] drop `host_in` after
-/// staging instead of retaining a second copy.
+/// so no information is lost; every lane of a Broadcast group carries the
+/// same bytes). Only the degraded-recompute path uses this (the oracle
+/// needs the original rank-ordered buffers), which is what lets
+/// [`super::prepared::PreparedScatter`] drop `host_in` after staging
+/// instead of retaining a second copy.
 pub(crate) fn unstage_rows(
     plan: &CollectivePlan,
     staged: &[u8],
@@ -848,105 +836,21 @@ pub(crate) fn unstage_rows(
     let b = plan.spec.bytes_per_node;
     let per_group = match plan.primitive {
         Primitive::Scatter => plan.n * b,
-        Primitive::Broadcast => b,
-        _ => unreachable!("unstage_rows only reads Scatter/Broadcast images"),
+        _ => b,
     };
     let mut host: Vec<Vec<u8>> = vec![vec![0u8; per_group]; plan.num_groups];
-    for (ci, c) in plan.clusters.iter().enumerate() {
-        let base = offsets[ci];
-        let (l, m) = (c.lane_count, c.eg_count());
-        match plan.primitive {
-            Primitive::Scatter => {
-                for g in &c.groups {
-                    for (i, &lane) in g.lanes.iter().enumerate() {
-                        kernels::copy_rows(
-                            &mut host[g.group_id],
-                            i * b,
-                            l * b,
-                            staged,
-                            base + lane * b,
-                            LANES * b,
-                            b,
-                            m,
-                        );
-                    }
+    for (c, &base) in plan.clusters.iter().zip(offsets) {
+        for block in 0..row_blocks(plan, c) {
+            let rows = &staged[base + block * LANES * b..];
+            for g in &c.groups {
+                for (i, &lane) in g.lanes.iter().enumerate() {
+                    host[g.group_id][row_source(plan, c, i, block)]
+                        .copy_from_slice(&rows[lane * b..(lane + 1) * b]);
                 }
             }
-            Primitive::Broadcast => {
-                // Every lane of the group carries the same bytes; the
-                // first is as good as any.
-                for g in &c.groups {
-                    let lane = g.lanes[0];
-                    host[g.group_id]
-                        .copy_from_slice(&staged[base + lane * b..base + (lane + 1) * b]);
-                }
-            }
-            _ => unreachable!("matched above"),
         }
     }
     host
-}
-
-/// Scatter from a prepared row image: identical charging and row writes
-/// to [`scatter`], with the per-call assembly replaced by slicing the
-/// image staged once by [`stage_rows`]. Byte- and bit-identical to the
-/// unprepared path by construction.
-pub(crate) fn scatter_prestaged(
-    sys: &mut PimSystem,
-    sheet: &mut CostSheet,
-    plan: &CollectivePlan,
-    staged: &[u8],
-    offsets: &[usize],
-) {
-    let dst = plan.spec.dst_offset;
-    let b = plan.spec.bytes_per_node;
-
-    run_clustered(sys, sheet, plan, |task| {
-        let c = task.cluster;
-        let m = c.eg_count();
-        let base = offsets[task.index];
-        charge_cluster(&mut task.sheet, plan, c);
-        // simlint: hot(begin, prestaged scatter landing)
-        for m_d in 0..m {
-            let block = base + m_d * LANES * b;
-            task.view.write_rows(
-                m_d,
-                dst,
-                b,
-                &staged[block..block + LANES * b],
-                &IDENTITY_PERM,
-            );
-        }
-        // simlint: hot(end)
-    });
-    sheet.transfer_phases += 1;
-}
-
-/// Broadcast from a prepared row image: identical charging and row
-/// writes to [`broadcast`], assembly replaced by the staged image.
-pub(crate) fn broadcast_prestaged(
-    sys: &mut PimSystem,
-    sheet: &mut CostSheet,
-    plan: &CollectivePlan,
-    staged: &[u8],
-    offsets: &[usize],
-) {
-    let dst = plan.spec.dst_offset;
-    let b = plan.spec.bytes_per_node;
-
-    run_clustered(sys, sheet, plan, |task| {
-        let c = task.cluster;
-        let m = c.eg_count();
-        let base = offsets[task.index];
-        charge_cluster(&mut task.sheet, plan, c);
-        // simlint: hot(begin, prestaged broadcast landing)
-        let rows = &staged[base..base + LANES * b];
-        for m_d in 0..m {
-            task.view.write_rows(m_d, dst, b, rows, &IDENTITY_PERM);
-        }
-        // simlint: hot(end)
-    });
-    sheet.transfer_phases += 1;
 }
 
 /// Places per-cluster `(group_id, buffer)` outputs into the dense

@@ -225,6 +225,40 @@ mod tests {
     }
 
     #[test]
+    fn packed_groups_own_every_lane_of_their_clusters_egs() {
+        // Every PE is in exactly one group, and a group touching an EG is
+        // in that EG's cluster — so between them a cluster's groups own
+        // each of the 8 lanes exactly once, and the clusters partition the
+        // EGs. The rooted-send row layout relies on it: no lane row of a
+        // block is left for anyone else to fill.
+        for (dims, geom) in [
+            (vec![4, 2, 4], DimmGeometry::new(2, 1, 2)),
+            (vec![16, 4], DimmGeometry::single_rank()),
+            (vec![2, 2, 2, 8], DimmGeometry::single_rank()),
+            (vec![8, 8, 16], DimmGeometry::upmem_1024()),
+            (vec![32, 32], DimmGeometry::upmem_1024()),
+        ] {
+            let m = manager(&dims, geom);
+            for bits in 1..1usize << dims.len() {
+                let mask: String = (0..dims.len())
+                    .map(|d| if bits >> d & 1 == 1 { '1' } else { '0' })
+                    .collect();
+                let clusters = build_clusters(&m, &mask.parse().unwrap()).unwrap();
+                let mut egs: Vec<EgId> = Vec::new();
+                for c in &clusters {
+                    let mut lanes: Vec<usize> =
+                        c.groups.iter().flat_map(|g| g.lanes.clone()).collect();
+                    lanes.sort_unstable();
+                    assert_eq!(lanes, (0..LANES).collect::<Vec<_>>(), "{dims:?} {mask}");
+                    egs.extend(&c.egs);
+                }
+                egs.sort_unstable();
+                assert_eq!(egs, geom.groups().collect::<Vec<_>>(), "{dims:?} {mask}");
+            }
+        }
+    }
+
+    #[test]
     fn strided_lane_groups() {
         // [4, 2, 4] mask "010": y groups have stride-4 lanes {l, l+4}.
         let m = manager(&[4, 2, 4], DimmGeometry::new(2, 1, 2));

@@ -34,7 +34,7 @@
 //!   into clusters of entangled groups that touch disjoint PEs. Each
 //!   cluster executes as an independent task with an exclusive
 //!   [`pim_sim::system::EgView`] and a private cost sheet, fanned out over
-//!   scoped threads; sheets merge in cluster order, and since every
+//!   the one executor ([`par_pes_with`]); sheets merge in cluster order, and since every
 //!   counter is an exact integer the totals cannot depend on scheduling.
 //!   [`Communicator::with_threads`] bounds the fan-out (`1` = serial
 //!   reference schedule); `multihost` collectives additionally run one
@@ -58,21 +58,24 @@
 //!   device would run. Phase A executes physically (the paper's
 //!   destructive source pre-rotation) as a part-wise rotation by the lane
 //!   rank, [`pim_sim::pe::Pe::rotate_parts`].
-//! * **Persistent plans** — the engine is split into plan and execute
-//!   halves: everything payload-independent (validated spec geometry,
-//!   cluster decomposition, phase-B schedules, resolved thread fan-out)
-//!   lives in a reusable [`CollectivePlan`] built by [`Communicator::plan`] and executed any number of times,
-//!   MPI-persistent-request style; [`Communicator::plan_cached`] pools
-//!   plans in a keyed [`PlanCache`]. The one-shot methods are themselves
-//!   plan-then-execute, and warm re-execution is byte-identical to cold
-//!   planning (`tests/plan_reuse.rs`).
-//! * **Prepared & fused execution** — the tier above plans: a
-//!   [`PreparedScatter`] validates and row-stages a rooted send's host
-//!   payload once (arena-pooled image), so repeat executes skip
-//!   validation and assembly; a [`FusedPlan`] chains collectives of one
-//!   geometry so step *k*'s output is step *k+1*'s in-MRAM input with no
-//!   host staging between, with per-step reports bit-identical to
-//!   standalone execution (`tests/prepared.rs`).
+//! * **Persistent plans, one execution entry** — everything
+//!   payload-independent (validated spec geometry, cluster decomposition,
+//!   phase-B schedules, resolved thread fan-out) lives in a reusable
+//!   [`CollectivePlan`] built by [`Communicator::plan`] and executed any
+//!   number of times, MPI-persistent-request style;
+//!   [`Communicator::plan_cached`] pools plans in a keyed [`PlanCache`].
+//!   Every way of executing — the one-shot methods, the plan's `execute*`
+//!   wrappers, fused steps, verified execution, the multi-host phases —
+//!   ends in [`CollectivePlan::run`], and warm re-execution is
+//!   byte-identical to cold planning (`tests/plan_reuse.rs`).
+//! * **Prepared & fused execution** — a [`PreparedScatter`] validates
+//!   and row-stages a rooted send's host payload once (arena-pooled
+//!   image) and hands the image to the same dispatch in place of host
+//!   buffers, so repeat executes skip validation and assembly; a
+//!   [`FusedPlan`] chains collectives of one geometry so step *k*'s
+//!   output is step *k+1*'s in-MRAM input with no host staging between,
+//!   with per-step reports bit-identical to standalone execution
+//!   (`tests/prepared.rs`).
 //!
 //! The modeled times of the fig. 14 sweep must never change: the
 //! standalone `benchmark/` package pins them bit for bit

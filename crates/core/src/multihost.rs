@@ -11,24 +11,22 @@
 //! fraction destined to other hosts, which is why its multi-host overhead
 //! grows with host count while AllReduce's stays negligible.
 
-use std::sync::Arc;
-
 use pim_sim::dtype::{reduce_bytes, ReduceKind};
 use pim_sim::{Breakdown, PimSystem, TimeModel};
 
 use crate::comm::Communicator;
 use crate::config::Primitive;
+use crate::engine::hostkernel::{panic_message, par_pes};
 use crate::engine::plan::CollectivePlan;
-use crate::engine::prepared::PreparedScatter;
-use crate::engine::{parallel, BufferSpec};
+use crate::engine::{parallel, BufferSpec, Execution};
 use crate::error::{Error, Result};
 use crate::hypercube::{CommGroup, DimMask};
 use crate::oracle;
 
-/// Runs `f(host, system)` once per host on scoped worker threads (hosts
-/// own disjoint [`PimSystem`]s, mirroring the independent processes of the
-/// paper's testbed) and returns the per-host results in host order; the
-/// error of the lowest-numbered failing host wins, deterministically.
+/// Runs `f(host, system)` once per host on the executor's worker threads
+/// (hosts own disjoint [`PimSystem`]s, mirroring the independent processes
+/// of the paper's testbed) and returns the per-host results in host order;
+/// the error of the lowest-numbered failing host wins, deterministically.
 /// `threads` is the host-level fan-out resolved once at plan time.
 ///
 /// A panicking host worker is contained ([`std::panic::catch_unwind`]) and
@@ -43,25 +41,16 @@ where
 {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    let mut units: Vec<(usize, &mut PimSystem, Option<Result<T>>)> = systems
-        .iter_mut()
-        .enumerate()
-        .map(|(h, s)| (h, s, None))
-        .collect();
-    parallel::par_for_each(&mut units, threads, |u| {
-        let (h, sys) = (u.0, &mut *u.1);
-        u.2 = Some(match catch_unwind(AssertUnwindSafe(|| f(h, sys))) {
-            Ok(res) => res,
-            Err(payload) => Err(Error::WorkerPanicked(format!(
+    par_pes(systems, threads, |h, sys| {
+        catch_unwind(AssertUnwindSafe(|| f(h, sys))).unwrap_or_else(|payload| {
+            Err(Error::WorkerPanicked(format!(
                 "host {h}: {}",
-                crate::engine::hostkernel::panic_message(payload.as_ref())
-            ))),
-        });
-    });
-    units
-        .into_iter()
-        .map(|u| u.2.expect("host task ran"))
-        .collect()
+                panic_message(payload.as_ref())
+            )))
+        })
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Analytic model of the inter-host interconnect.
@@ -160,8 +149,7 @@ impl MultiHost {
     /// host-level thread schedule once (including the inner auto-budget
     /// division of concurrently running hosts), builds the per-host inner
     /// [`CollectivePlan`]s for both local phases, and captures the shared
-    /// group tables — everything the per-call path re-derived on every
-    /// invocation. The returned [`MultiHostPlan`] executes any number of
+    /// group tables. The returned [`MultiHostPlan`] executes any number of
     /// times; the one-shot methods below are plan-then-execute.
     ///
     /// Supported primitives: `AllReduce`, `AlltoAll`, `ReduceScatter`,
@@ -169,8 +157,10 @@ impl MultiHost {
     ///
     /// # Errors
     ///
-    /// Propagates local plan validation errors, plus the multi-host
-    /// divisibility requirements of AlltoAll / ReduceScatter.
+    /// Propagates local plan validation errors, plus
+    /// [`Error::InvalidBuffer`] for the multi-host divisibility requirement
+    /// of AlltoAll / ReduceScatter and for an AllGather whose global result
+    /// or scratch window does not fit the MRAM bank.
     pub fn plan(
         &self,
         primitive: Primitive,
@@ -183,18 +173,82 @@ impl MultiHost {
         let manager = self.comms[0].manager();
         let n = mask.group_size(manager.shape())?;
         let num_groups = manager.num_nodes() / n;
-        // Only the AlltoAll/AllGather execute paths walk the group member
-        // tables (for their host-side snapshots); the reduction
-        // hierarchies just count groups.
-        let groups = if matches!(primitive, Primitive::AlltoAll | Primitive::AllGather) {
-            manager.groups(mask)?
-        } else {
-            Vec::new()
-        };
 
-        // The host-level schedule (formerly recomputed inside every
-        // `par_hosts` call): an explicit bound on every host caps the host
-        // fan-out at the largest bound, any host on auto keeps it
+        // Phase 3 always lands host data at the caller's destination.
+        let landing = |bytes_per_node| BufferSpec {
+            src_offset: 0,
+            dst_offset: spec.dst_offset,
+            bytes_per_node,
+            dtype: spec.dtype,
+        };
+        // Per primitive: the two local phases (phase 2 is the analytic
+        // link model) and whether `bytes_per_node` must split into one
+        // 8-byte-aligned chunk per *global* rank.
+        let (prim1, spec1, prim3, spec3, per_global_rank) = match primitive {
+            Primitive::AllReduce => (
+                Primitive::Reduce,
+                *spec,
+                Primitive::Broadcast,
+                landing(b),
+                false,
+            ),
+            Primitive::AlltoAll => (
+                Primitive::AlltoAll,
+                *spec,
+                Primitive::Scatter,
+                landing(b),
+                true,
+            ),
+            Primitive::ReduceScatter => (
+                Primitive::Reduce,
+                *spec,
+                Primitive::Scatter,
+                landing(b / (n * h)),
+                true,
+            ),
+            Primitive::AllGather => {
+                // The local AllGather's intermediate result lands in a
+                // scratch region past the final destination window. Sizes
+                // that overflow cannot fit the bank either; the plans
+                // below check the ones that do not.
+                let global = h.checked_mul(n).and_then(|ranks| ranks.checked_mul(b));
+                let scratch = global
+                    .and_then(|len| spec.dst_offset.checked_add(len))
+                    .and_then(|end| end.checked_next_multiple_of(64));
+                let (Some(global), Some(scratch)) = (global, scratch) else {
+                    return Err(Error::InvalidBuffer(format!(
+                        "multi-host AllGather of {b} bytes per node over {} ranks at offset {} overflows",
+                        n * h,
+                        spec.dst_offset
+                    )));
+                };
+                let gathered = BufferSpec {
+                    dst_offset: scratch,
+                    ..*spec
+                };
+                (
+                    Primitive::AllGather,
+                    gathered,
+                    Primitive::Broadcast,
+                    landing(global),
+                    false,
+                )
+            }
+            other => {
+                return Err(Error::InvalidHostData(format!(
+                    "{other} has no hierarchical multi-host form"
+                )))
+            }
+        };
+        if per_global_rank && !b.is_multiple_of(8 * n * h) {
+            return Err(Error::InvalidBuffer(format!(
+                "multi-host {primitive} needs bytes_per_node divisible by 8 x {} (hosts x group size); got {b}",
+                n * h
+            )));
+        }
+
+        // The host-level schedule: an explicit bound on every host caps
+        // the host fan-out at the largest bound, any host on auto keeps it
         // automatic; hosts left on auto get their inner cluster budget
         // divided by the number of concurrently running hosts so `H` hosts
         // cannot oversubscribe an `N`-core box `H`-fold. Purely an
@@ -207,121 +261,18 @@ impl MultiHost {
         };
         let host_threads = parallel::effective_threads(requested, h);
         let inner_auto = (parallel::auto_threads() / host_threads.max(1)).max(1);
-        let inner_threads = |c: &Communicator| {
-            if host_threads > 1 && c.threads() == 0 {
-                inner_auto
-            } else {
-                c.threads()
-            }
-        };
-        let inner_plan = |c: &Communicator, prim: Primitive, spec: &BufferSpec| {
-            CollectivePlan::build(c.manager(), c.opt(), prim, mask, spec, op, inner_threads(c))
-        };
-        // Phase-3 plans live behind `Arc` so the reduction hierarchies can
-        // feed one shared [`PreparedScatter`] image to every host worker.
-        let inner_plan_arc = |c: &Communicator, prim: Primitive, spec: &BufferSpec| {
-            inner_plan(c, prim, spec).map(Arc::new)
-        };
-
-        // Per-primitive phase specs (phase 2 is the analytic link model).
-        let (phase1, phase3): (Vec<CollectivePlan>, Vec<Arc<CollectivePlan>>) = match primitive {
-            Primitive::AllReduce => {
-                let p3 = BufferSpec {
-                    src_offset: 0,
-                    dst_offset: spec.dst_offset,
-                    bytes_per_node: b,
-                    dtype: spec.dtype,
-                };
-                (
-                    self.comms
-                        .iter()
-                        .map(|c| inner_plan(c, Primitive::Reduce, spec))
-                        .collect::<Result<_>>()?,
-                    self.comms
-                        .iter()
-                        .map(|c| inner_plan_arc(c, Primitive::Broadcast, &p3))
-                        .collect::<Result<_>>()?,
-                )
-            }
-            Primitive::AlltoAll => {
-                if !b.is_multiple_of(8 * n * h) {
-                    return Err(Error::InvalidBuffer(format!(
-                        "multi-host AlltoAll needs bytes_per_node divisible by 8 x {} (hosts x group size); got {b}",
-                        n * h
-                    )));
-                }
-                let p3 = BufferSpec {
-                    src_offset: 0,
-                    dst_offset: spec.dst_offset,
-                    bytes_per_node: b,
-                    dtype: spec.dtype,
-                };
-                (
-                    self.comms
-                        .iter()
-                        .map(|c| inner_plan(c, Primitive::AlltoAll, spec))
-                        .collect::<Result<_>>()?,
-                    self.comms
-                        .iter()
-                        .map(|c| inner_plan_arc(c, Primitive::Scatter, &p3))
-                        .collect::<Result<_>>()?,
-                )
-            }
-            Primitive::ReduceScatter => {
-                if !b.is_multiple_of(8 * n * h) {
-                    return Err(Error::InvalidHostData(format!(
-                        "multi-host ReduceScatter needs bytes_per_node divisible by 8 x {} (hosts x group size); got {b}",
-                        n * h
-                    )));
-                }
-                let p3 = BufferSpec {
-                    src_offset: 0,
-                    dst_offset: spec.dst_offset,
-                    bytes_per_node: b / (n * h),
-                    dtype: spec.dtype,
-                };
-                (
-                    self.comms
-                        .iter()
-                        .map(|c| inner_plan(c, Primitive::Reduce, spec))
-                        .collect::<Result<_>>()?,
-                    self.comms
-                        .iter()
-                        .map(|c| inner_plan_arc(c, Primitive::Scatter, &p3))
-                        .collect::<Result<_>>()?,
-                )
-            }
-            Primitive::AllGather => {
-                // The local AllGather's intermediate result lands in a
-                // scratch region past the final destination window.
-                let p1 = BufferSpec {
-                    src_offset: spec.src_offset,
-                    dst_offset: (spec.dst_offset + h * n * b).next_multiple_of(64),
-                    bytes_per_node: b,
-                    dtype: spec.dtype,
-                };
-                let p3 = BufferSpec {
-                    src_offset: 0,
-                    dst_offset: spec.dst_offset,
-                    bytes_per_node: h * n * b,
-                    dtype: spec.dtype,
-                };
-                (
-                    self.comms
-                        .iter()
-                        .map(|c| inner_plan(c, Primitive::AllGather, &p1))
-                        .collect::<Result<_>>()?,
-                    self.comms
-                        .iter()
-                        .map(|c| inner_plan_arc(c, Primitive::Broadcast, &p3))
-                        .collect::<Result<_>>()?,
-                )
-            }
-            other => {
-                return Err(Error::InvalidHostData(format!(
-                    "{other} has no hierarchical multi-host form"
-                )))
-            }
+        let collect = |prim: Primitive, spec: &BufferSpec| -> Result<Vec<CollectivePlan>> {
+            self.comms
+                .iter()
+                .map(|c| {
+                    let threads = if host_threads > 1 && c.threads() == 0 {
+                        inner_auto
+                    } else {
+                        c.threads()
+                    };
+                    CollectivePlan::build(c.manager(), c.opt(), prim, mask, spec, op, threads)
+                })
+                .collect()
         };
 
         Ok(MultiHostPlan {
@@ -333,9 +284,16 @@ impl MultiHost {
             host_threads,
             n,
             num_groups,
-            groups,
-            phase1,
-            phase3,
+            // Only the moving hierarchies walk the group member tables
+            // (for their host-side snapshot); the reducing ones just count
+            // groups.
+            groups: if matches!(primitive, Primitive::AlltoAll | Primitive::AllGather) {
+                manager.groups(mask)?
+            } else {
+                Vec::new()
+            },
+            phase1: collect(prim1, &spec1)?,
+            phase3: collect(prim3, &spec3)?,
         })
     }
 
@@ -437,10 +395,8 @@ pub struct MultiHostPlan {
     groups: Vec<CommGroup>,
     /// Per-host plans of the first local phase.
     phase1: Vec<CollectivePlan>,
-    /// Per-host plans of the closing local phase, shareable so the
-    /// reduction hierarchies can stage one [`PreparedScatter`] image for
-    /// every host (the hosts share one hypercube shape).
-    phase3: Vec<Arc<CollectivePlan>>,
+    /// Per-host plans of the closing local phase.
+    phase3: Vec<CollectivePlan>,
 }
 
 impl MultiHostPlan {
@@ -512,7 +468,9 @@ impl MultiHostPlan {
         }
     }
 
-    /// Executes the planned collective over one [`PimSystem`] per host.
+    /// Executes the planned collective over one [`PimSystem`] per host:
+    /// a local collective on every host, the inter-host exchange, and a
+    /// local rooted send of what each host is owed.
     ///
     /// # Errors
     ///
@@ -526,186 +484,99 @@ impl MultiHostPlan {
                 self.hosts
             )));
         }
+        let (src, b) = (self.spec.src_offset, self.spec.bytes_per_node);
+
+        // Snapshot, `[group][global rank]` (AlltoAll / AllGather; `groups`
+        // is empty otherwise): the moving hierarchies compute their global
+        // result host-side over the union of all hosts' groups, from the
+        // sources as they were before the local phase rearranges them.
+        let snapshot: Vec<Vec<Vec<u8>>> = self
+            .groups
+            .iter()
+            .map(|g| {
+                let ranks = systems
+                    .iter()
+                    .flat_map(|sys| g.members.iter().map(move |&pe| sys.pe(pe).peek(src, b)));
+                ranks.collect()
+            })
+            .collect();
+
+        // Phase 1: the first local collective on every host (hosts really
+        // run in parallel, one worker thread each).
+        let phase1 = par_hosts(self.host_threads, systems, |host, sys| {
+            self.phase1[host].run(sys, None)
+        })?;
+
+        // Phase 2: the inter-host exchange; its time is analytic
+        // ([`MultiHostPlan::mpi_ns`]).
+        let inputs = self.phase2(&phase1, &snapshot);
+
+        // Phase 3: every host lands its share — or the one set all hosts
+        // share — with a local rooted send.
+        let phase3 = par_hosts(self.host_threads, systems, |host, sys| {
+            self.phase3[host].run(sys, Some(&inputs[host % inputs.len()]))
+        })?;
+
+        let locals: Vec<Breakdown> = phase1
+            .iter()
+            .zip(&phase3)
+            .map(|(first, last)| {
+                let mut local = first.report.breakdown;
+                local += last.report.breakdown;
+                local
+            })
+            .collect();
+        Ok(MultiHostReport {
+            local: slowest(&locals),
+            mpi_ns: self.mpi_ns(),
+            hosts: self.hosts,
+        })
+    }
+
+    /// Phase 2, functionally: turns what phase 1 left — the per-host
+    /// reduced vectors, or the snapshot — into phase 3's host input, one
+    /// buffer per group. Returns one such set per host, or a single set
+    /// where every host lands the same bytes (AllReduce, AllGather).
+    fn phase2(&self, phase1: &[Execution], snapshot: &[Vec<Vec<u8>>]) -> Vec<Vec<Vec<u8>>> {
+        let (h, n) = (self.hosts, self.n);
         match self.primitive {
-            Primitive::AllReduce => self.run_all_reduce(systems),
-            Primitive::AlltoAll => self.run_all_to_all(systems),
-            Primitive::ReduceScatter => self.run_reduce_scatter(systems),
-            Primitive::AllGather => self.run_all_gather(systems),
+            Primitive::AllReduce | Primitive::ReduceScatter => {
+                // The hosts' reduced vectors, reduced across hosts.
+                let mut reduced = phase1
+                    .iter()
+                    .map(|e| e.host_out.as_deref().expect("Reduce returns host output"));
+                let mut global = reduced.next().expect("at least one host").to_vec();
+                for host in reduced {
+                    for (acc, src) in global.iter_mut().zip(host) {
+                        reduce_bytes(self.op, self.spec.dtype, acc, src);
+                    }
+                }
+                if self.primitive == Primitive::AllReduce {
+                    return vec![global];
+                }
+                // Host `host` scatters the chunks of its own ranks.
+                let share = self.spec.bytes_per_node / h;
+                let mine = |host: usize| host * share..(host + 1) * share;
+                (0..h)
+                    .map(|host| global.iter().map(|g| g[mine(host)].to_vec()).collect())
+                    .collect()
+            }
+            // The global concatenation, ordered by global rank.
+            Primitive::AllGather => vec![snapshot.iter().map(|ranks| ranks.concat()).collect()],
+            Primitive::AlltoAll => {
+                // The global AlltoAll oracle runs once per group; every
+                // host scatters its own rank range of the shared result.
+                let global: Vec<Vec<Vec<u8>>> = snapshot
+                    .iter()
+                    .map(|ranks| oracle::alltoall(ranks))
+                    .collect();
+                let mine = |host: usize| host * n..(host + 1) * n;
+                (0..h)
+                    .map(|host| global.iter().map(|out| out[mine(host)].concat()).collect())
+                    .collect()
+            }
             _ => unreachable!("plan() only builds hierarchical primitives"),
         }
-    }
-
-    fn run_all_reduce(&self, systems: &mut [PimSystem]) -> Result<MultiHostReport> {
-        let h = self.hosts;
-
-        // Phase 1: local Reduce on every host (hosts really run in
-        // parallel, one worker thread each).
-        let phase1 = par_hosts(self.host_threads, systems, |host, sys| {
-            let (report, out) = self.phase1[host].execute_to_host(sys)?;
-            Ok((report.breakdown, out))
-        })?;
-        let (mut locals, reduced): (Vec<Breakdown>, Vec<Vec<Vec<u8>>>) = phase1.into_iter().unzip();
-
-        // Phase 2: inter-host AllReduce of the per-group reduced vectors.
-        let mut global: Vec<Vec<u8>> = reduced[0].clone();
-        for host in &reduced[1..] {
-            for (acc, src) in global.iter_mut().zip(host) {
-                reduce_bytes(self.op, self.spec.dtype, acc, src);
-            }
-        }
-        let mpi_ns = self.mpi_ns();
-
-        // Phase 3: local Broadcast of the global result. Every host
-        // broadcasts the same bytes, so the rows are validated and staged
-        // once through the prepared tier and the shared image feeds all
-        // host workers (host 0's plan serves every system — the hosts
-        // share one shape, and threads are a schedule-only knob).
-        let prepared = PreparedScatter::stage(Arc::clone(&self.phase3[0]), &global)?;
-        let phase3 = par_hosts(self.host_threads, systems, |_host, sys| {
-            Ok(prepared.execute(sys)?.breakdown)
-        })?;
-        for (local, extra) in locals.iter_mut().zip(phase3) {
-            *local += extra;
-        }
-
-        Ok(MultiHostReport {
-            local: slowest(&locals),
-            mpi_ns,
-            hosts: h,
-        })
-    }
-
-    fn run_all_to_all(&self, systems: &mut [PimSystem]) -> Result<MultiHostReport> {
-        let h = self.hosts;
-        let b = self.spec.bytes_per_node;
-        let n = self.n;
-
-        // Snapshot inputs: global semantics are computed functionally over
-        // the union of all hosts' groups (the plan's shared group tables).
-        let mut inputs: Vec<Vec<Vec<u8>>> = vec![Vec::new(); self.num_groups]; // [group][global rank]
-        for (gid, input) in inputs.iter_mut().enumerate() {
-            for sys in systems.iter() {
-                for &pe in &self.groups[gid].members {
-                    input.push(sys.pe(pe).peek(self.spec.src_offset, b));
-                }
-            }
-        }
-
-        // Phase 1: local AlltoAll on every host to group chunks by
-        // destination host (charged, data rearranged in place).
-        let mut locals: Vec<Breakdown> = par_hosts(self.host_threads, systems, |host, sys| {
-            Ok(self.phase1[host].execute(sys)?.breakdown)
-        })?;
-
-        // Phase 2: the chunks destined to other hosts cross the link.
-        let mpi_ns = self.mpi_ns();
-
-        // Phase 3: place the globally-correct result with a local Scatter.
-        // The global AlltoAll oracle runs once per group; every host
-        // scatters its own rank range of the shared result.
-        let global: Vec<Vec<Vec<u8>>> = inputs.iter().map(|i| oracle::alltoall(i)).collect();
-        let phase3 = par_hosts(self.host_threads, systems, |host, sys| {
-            let scatter_bufs: Vec<Vec<u8>> = global
-                .iter()
-                .map(|out| out[host * n..(host + 1) * n].concat())
-                .collect();
-            Ok(self.phase3[host]
-                .execute_with_host(sys, &scatter_bufs)?
-                .breakdown)
-        })?;
-        for (local, extra) in locals.iter_mut().zip(phase3) {
-            *local += extra;
-        }
-
-        Ok(MultiHostReport {
-            local: slowest(&locals),
-            mpi_ns,
-            hosts: h,
-        })
-    }
-
-    fn run_reduce_scatter(&self, systems: &mut [PimSystem]) -> Result<MultiHostReport> {
-        let h = self.hosts;
-        let b = self.spec.bytes_per_node;
-        let n = self.n;
-        let chunk = b / (n * h);
-
-        // Phase 1: local Reduce on every host.
-        let phase1 = par_hosts(self.host_threads, systems, |host, sys| {
-            let (report, out) = self.phase1[host].execute_to_host(sys)?;
-            Ok((report.breakdown, out))
-        })?;
-        let (mut locals, reduced): (Vec<Breakdown>, Vec<Vec<Vec<u8>>>) = phase1.into_iter().unzip();
-
-        // Phase 2: inter-host reduce-scatter of the reduced vectors — one
-        // (H-1)/H pass of the reduced data.
-        let mut global: Vec<Vec<u8>> = reduced[0].clone();
-        for host in &reduced[1..] {
-            for (acc, src) in global.iter_mut().zip(host) {
-                reduce_bytes(self.op, self.spec.dtype, acc, src);
-            }
-        }
-        let mpi_ns = self.mpi_ns();
-
-        // Phase 3: local Scatter of this host's chunk range.
-        let phase3 = par_hosts(self.host_threads, systems, |host, sys| {
-            let bufs: Vec<Vec<u8>> = (0..self.num_groups)
-                .map(|g| {
-                    let lo = host * n * chunk;
-                    global[g][lo..lo + n * chunk].to_vec()
-                })
-                .collect();
-            Ok(self.phase3[host].execute_with_host(sys, &bufs)?.breakdown)
-        })?;
-        for (local, extra) in locals.iter_mut().zip(phase3) {
-            *local += extra;
-        }
-
-        Ok(MultiHostReport {
-            local: slowest(&locals),
-            mpi_ns,
-            hosts: h,
-        })
-    }
-
-    fn run_all_gather(&self, systems: &mut [PimSystem]) -> Result<MultiHostReport> {
-        let h = self.hosts;
-        let b = self.spec.bytes_per_node;
-
-        // Phase 1: capture inputs (the local AllGather overwrites nothing
-        // at src, but we assemble the global result host-side anyway) and
-        // run the real local AllGather for its cost.
-        let mut concat: Vec<Vec<u8>> = vec![Vec::new(); self.num_groups]; // by global rank
-        for sys in systems.iter() {
-            for g in &self.groups {
-                for &pe in &g.members {
-                    let data = sys.pe(pe).peek(self.spec.src_offset, b);
-                    concat[g.id].extend_from_slice(&data);
-                }
-            }
-        }
-        let mut locals: Vec<Breakdown> = par_hosts(self.host_threads, systems, |host, sys| {
-            Ok(self.phase1[host].execute(sys)?.breakdown)
-        })?;
-
-        // Phase 2: the per-host concatenations cross the link once.
-        let mpi_ns = self.mpi_ns();
-
-        // Phase 3: local Broadcast of the global concatenation, staged
-        // once and shared by all hosts exactly as in the AllReduce tail.
-        let prepared = PreparedScatter::stage(Arc::clone(&self.phase3[0]), &concat)?;
-        let phase3 = par_hosts(self.host_threads, systems, |_host, sys| {
-            Ok(prepared.execute(sys)?.breakdown)
-        })?;
-        for (local, extra) in locals.iter_mut().zip(phase3) {
-            *local += extra;
-        }
-
-        Ok(MultiHostReport {
-            local: slowest(&locals),
-            mpi_ns,
-            hosts: h,
-        })
     }
 }
 
@@ -986,6 +857,55 @@ mod tests {
             .all_gather(&mut systems, &mask, &BufferSpec::new(0, 8192, 16))
             .unwrap();
         assert!(rs.mpi_ns > 0.0 && ag.mpi_ns > 0.0);
+    }
+
+    /// The one body, over every hierarchy and host count: one error
+    /// variant for the one divisibility rule, the functional report equal
+    /// to the analytic one bit for bit, and a plan that carries nothing
+    /// from one execution into the next.
+    #[test]
+    fn every_hierarchy_at_every_host_count() {
+        let n = 8;
+        let dst = 4096;
+        for hosts in [1usize, 2, 4] {
+            let (mh, mut systems, mask) = ensemble(hosts);
+            // (primitive, bytes per node, a size the rule rejects, bytes landed per PE)
+            let per_rank = 8 * n * hosts;
+            for (prim, b, bad_b, landed) in [
+                (Primitive::AllReduce, per_rank, 4 * n, per_rank),
+                (Primitive::AlltoAll, per_rank, 4 * n * hosts, per_rank),
+                (Primitive::ReduceScatter, per_rank, 4 * n * hosts, 8),
+                (Primitive::AllGather, 16, 4, 16 * n * hosts),
+            ] {
+                let what = format!("{prim} x {hosts}");
+                let plan = |b| mh.plan(prim, &mask, &BufferSpec::new(0, dst, b), ReduceKind::Sum);
+                assert!(
+                    matches!(plan(bad_b), Err(Error::InvalidBuffer(_))),
+                    "{what}: {bad_b} bytes"
+                );
+                let plan = plan(b).unwrap();
+                let analytic = plan.execute_cost_only(&TimeModel::upmem());
+
+                let mut run = || {
+                    systems.iter_mut().for_each(PimSystem::reset);
+                    fill(&mut systems, b);
+                    let report = plan.execute(&mut systems).unwrap();
+                    let image: Vec<Vec<u8>> = systems
+                        .iter()
+                        .flat_map(|sys| sys.geometry().pes().map(|pe| sys.pe(pe).peek(dst, landed)))
+                        .collect();
+                    (report, image)
+                };
+                let (first, second) = (run(), run());
+                assert_eq!(first, second, "{what}: second execute");
+                assert_eq!(first.0, analytic, "{what}: cost-only");
+                assert_eq!(
+                    first.0.time_ns().to_bits(),
+                    analytic.time_ns().to_bits(),
+                    "{what}"
+                );
+            }
+        }
     }
 
     #[test]

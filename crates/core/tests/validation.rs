@@ -2,7 +2,8 @@
 //! through `Communicator` calls.
 
 use pidcomm::hypercube::HypercubeManager;
-use pidcomm::{BufferSpec, Communicator, DimMask, Error, HypercubeShape, OptLevel};
+use pidcomm::{BufferSpec, Communicator, DimMask, Error, HypercubeShape, OptLevel, Primitive};
+use pim_sim::pe::MRAM_CAPACITY;
 use pim_sim::{DType, DimmGeometry, PimSystem, ReduceKind};
 
 fn comm_64() -> (PimSystem, Communicator) {
@@ -214,5 +215,105 @@ fn all_levels_reject_the_same_inputs() {
                 .is_err(),
             "{opt} accepted a misaligned buffer"
         );
+    }
+}
+
+/// Per-PE `(source, destination)` bytes `prim` touches at `b` bytes per node.
+fn extents(prim: Primitive, b: usize, n: usize) -> (usize, usize) {
+    match prim {
+        Primitive::AlltoAll | Primitive::AllReduce => (b, b),
+        Primitive::ReduceScatter => (b, b / n),
+        Primitive::AllGather => (b, b * n),
+        Primitive::Scatter | Primitive::Broadcast => (0, b),
+        Primitive::Gather | Primitive::Reduce => (b, 0),
+    }
+}
+
+fn one_shot(
+    comm: &Communicator,
+    sys: &mut PimSystem,
+    prim: Primitive,
+    mask: &DimMask,
+    spec: &BufferSpec,
+    host_in: &[Vec<u8>],
+) -> Result<(), Error> {
+    let op = ReduceKind::Sum;
+    match prim {
+        Primitive::AlltoAll => comm.all_to_all(sys, mask, spec).map(drop),
+        Primitive::ReduceScatter => comm.reduce_scatter(sys, mask, spec, op).map(drop),
+        Primitive::AllReduce => comm.all_reduce(sys, mask, spec, op).map(drop),
+        Primitive::AllGather => comm.all_gather(sys, mask, spec).map(drop),
+        Primitive::Scatter => comm.scatter(sys, mask, spec, host_in).map(drop),
+        Primitive::Gather => comm.gather(sys, mask, spec).map(drop),
+        Primitive::Reduce => comm.reduce(sys, mask, spec, op).map(drop),
+        Primitive::Broadcast => comm.broadcast(sys, mask, spec, host_in).map(drop),
+    }
+}
+
+#[test]
+fn out_of_bank_extents_are_typed_errors_at_plan_time() {
+    let (mut sys, comm) = comm_64();
+    let mask: DimMask = "10".parse().unwrap();
+    let (n, b) = (8usize, 64usize);
+    for pe in sys.geometry().pes() {
+        sys.pe_mut(pe).write(0, &[7u8; 512]);
+    }
+    let (meter, used) = (sys.meter(), sys.total_mram_used());
+
+    for prim in Primitive::ALL {
+        let (src_len, dst_len) = extents(prim, b, n);
+        let host_in = vec![vec![1u8; if prim == Primitive::Scatter { n * b } else { b }]; 8];
+        let mut bad = vec![BufferSpec::new(0, 4096, MRAM_CAPACITY + 8 * n)];
+        if src_len > 0 {
+            bad.push(BufferSpec::new(MRAM_CAPACITY - src_len + 1, 0, b));
+            bad.push(BufferSpec::new(usize::MAX, 0, b));
+        }
+        if dst_len > 0 {
+            bad.push(BufferSpec::new(0, MRAM_CAPACITY - dst_len + 1, b));
+            bad.push(BufferSpec::new(0, MRAM_CAPACITY, b));
+            bad.push(BufferSpec::new(0, usize::MAX, b));
+        }
+        for spec in &bad {
+            assert!(
+                matches!(
+                    comm.plan(prim, &mask, spec, ReduceKind::Sum),
+                    Err(Error::InvalidBuffer(_))
+                ),
+                "{prim} planned {spec:?}"
+            );
+            assert!(
+                matches!(
+                    one_shot(&comm, &mut sys, prim, &mask, spec, &host_in),
+                    Err(Error::InvalidBuffer(_))
+                ),
+                "{prim} ran {spec:?}"
+            );
+        }
+
+        // Both extents may end on the bank's last byte, and the side a
+        // primitive does not use may hold any offset.
+        let (src, dst) = (
+            if src_len > 0 { 0 } else { usize::MAX },
+            if dst_len > 0 {
+                MRAM_CAPACITY - dst_len
+            } else {
+                usize::MAX
+            },
+        );
+        let edge = BufferSpec::new(src, dst, b);
+        assert!(
+            comm.plan(prim, &mask, &edge, ReduceKind::Sum).is_ok(),
+            "{prim} {edge:?}"
+        );
+    }
+
+    assert_eq!(
+        sys.meter().total(),
+        meter.total(),
+        "a rejected call charged time"
+    );
+    assert_eq!(sys.total_mram_used(), used, "a rejected call touched MRAM");
+    for pe in sys.geometry().pes() {
+        assert!(sys.pe(pe).peek(0, 512).iter().all(|&x| x == 7), "{pe}");
     }
 }

@@ -459,21 +459,6 @@ impl Pe {
         }
     }
 
-    /// Validates that accesses up to `end` bytes would be in bounds,
-    /// without materializing (zero-filling) anything. With the paged
-    /// store this is otherwise a no-op — in-place segment growth is
-    /// amortized by `Vec`'s geometric resizing, and pre-reserving
-    /// capacity for the full extent would defeat sparse paging (a small
-    /// island would carry the whole hinted extent's capacity). Kept so
-    /// callers can bound a collective's extent up front.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `end` exceeds [`MRAM_CAPACITY`].
-    pub fn reserve_extent(&mut self, end: usize) {
-        check_capacity(end);
-    }
-
     /// Writes `src` at `offset`: resolves a one-row [`WriteWindow`] and
     /// lands `src` through it — the landing point of every host-mediated
     /// transport that is not already streaming through a longer-lived

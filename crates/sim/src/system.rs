@@ -362,16 +362,6 @@ impl PimSystem {
         self.pes.iter().map(Pe::mram_used).sum()
     }
 
-    /// Materializes every PE's MRAM up to `end` bytes (zero-filled).
-    /// The collective engine calls this once per invocation with the
-    /// buffers' full extent so the streaming loops never pay incremental
-    /// reallocation copies; functionally a no-op.
-    pub fn reserve_extent_all(&mut self, end: usize) {
-        for pe in &mut self.pes {
-            pe.reserve_extent(end);
-        }
-    }
-
     // ---- fault layer ----------------------------------------------------
 
     /// Attaches a fault plan: every PE gets a [`FaultCtx`] binding its

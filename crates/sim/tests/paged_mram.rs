@@ -138,7 +138,6 @@ fn growth_keeps_extent_and_residency_consistent() {
     // Dense forward streaming (the engine's common pattern) converges on
     // one segment; extent tracks the high-water mark exactly.
     let mut pe = Pe::new();
-    pe.reserve_extent(WINDOW);
     let mut g = SplitMix64::new(0x90b1);
     let mut end = 0;
     while end < WINDOW {
