@@ -158,7 +158,8 @@ fn tiles(graph: &CsrGraph, s: usize) -> Vec<Vec<Vec<(u32, u32)>>> {
 ///
 /// [`pidcomm::Error::InvalidBuffer`], before anything leaves the arena, if
 /// `cfg.pes` has no DIMM geometry or is not a perfect square,
-/// `cfg.layers` is zero, the vertex count does not divide by `cfg.pes`,
+/// `cfg.layers` is zero, `cfg.dtype` is wider than 4 bytes, the vertex
+/// count does not divide by `cfg.pes`,
 /// `cfg.feature_dim` does not divide by `sqrt(cfg.pes)`, or a feature
 /// block is not a multiple of `8 * sqrt(cfg.pes)` bytes; else propagates
 /// collective validation errors.
@@ -241,13 +242,16 @@ fn gnn(
         // `s` vertex blocks of `bs` rows; collectives move whole blocks.
         .filter(|&s| {
             cfg.layers > 0
+                // The typed-lane kernels hold elements in `i32` lanes.
+                && es <= 4
                 && n.is_multiple_of(p)
                 && f.is_multiple_of(s)
                 && (n / s * f * es).is_multiple_of(8 * s)
         })
         .ok_or_else(|| {
-            let want = "a square PE count s*s, at least one layer, vertices % pes == 0, \
-                        feature_dim % s == 0 and a feature block of a multiple of 8*s bytes";
+            let want = "a square PE count s*s, at least one layer, elements of at most \
+                        4 bytes, vertices % pes == 0, feature_dim % s == 0 and a feature \
+                        block of a multiple of 8*s bytes";
             let what = format!("GNN needs {want}: {n} vertices, {cfg:?}");
             pidcomm::Error::InvalidBuffer(what)
         })?;

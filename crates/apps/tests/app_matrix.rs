@@ -698,6 +698,22 @@ fn bad_dlrm_and_gnn_configs_are_typed_errors_that_leave_the_arena_alone() {
         ),
         // No layer to run: once `layers - 1` underflowed after checkout.
         (GnnConfig { layers: 0, ..gnn }, &g),
+        // 8-byte elements do not fit the kernels' `i32` lanes: once a
+        // panic in `encode_trunc` after checkout.
+        (
+            GnnConfig {
+                dtype: DType::I64,
+                ..gnn
+            },
+            &g,
+        ),
+        (
+            GnnConfig {
+                dtype: DType::U64,
+                ..gnn
+            },
+            &g,
+        ),
         // 100 vertices do not tile over 64 PEs.
         (gnn, &CsrGraph::from_edges(100, vec![(0, 1)])),
         // 4 x 4 PEs, blocks of 4 rows x 4 features x 1 B = 16 B: not the

@@ -331,21 +331,17 @@ pub fn autotune() -> Vec<Pin> {
 
 /// Every `pim_sim::kernels` entry point on seeded inputs of ragged length
 /// (block bulk *and* scalar tail run); pins an FNV-1a checksum of each
-/// output. Outputs that are not bytes are serialized by the scalar
-/// oracles' encoders, never by a kernel under test; kernel ≡ oracle
-/// itself is `crates/sim/tests/kernels.rs`.
+/// output. Outputs that are not bytes are serialized with `to_le_bytes`,
+/// never by a kernel under test; kernel ≡ definition itself is
+/// `crates/sim/tests/kernels.rs`.
 pub fn kernels() -> Vec<Pin> {
     use pim_sim::kernels::{self as k, reference as oracle};
 
     fn le32(v: &[i32]) -> Vec<u8> {
-        let mut out = vec![0u8; v.len() * 4];
-        oracle::encode_i32_scalar_ref(v, &mut out);
-        out
+        v.iter().flat_map(|x| x.to_le_bytes()).collect()
     }
     fn le_u32(v: &[u32]) -> Vec<u8> {
-        let mut out = vec![0u8; v.len() * 4];
-        oracle::encode_u32_scalar_ref(v, &mut out);
-        out
+        v.iter().flat_map(|x| x.to_le_bytes()).collect()
     }
 
     // Inputs are drawn from one seeded stream, in this order.
@@ -374,8 +370,7 @@ pub fn kernels() -> Vec<Pin> {
 
     let mut u64s = vec![0u64; N];
     k::decode_u64(&bytes, &mut u64s);
-    let mut enc = vec![0u8; N * 8];
-    oracle::encode_u64_scalar_ref(&u64s, &mut enc);
+    let mut enc: Vec<u8> = u64s.iter().flat_map(|x| x.to_le_bytes()).collect();
     pin("decode_u64", &n, &enc);
     k::encode_u64(&u64s, &mut enc);
     pin("encode_u64", &n, &enc);

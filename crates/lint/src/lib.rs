@@ -52,12 +52,10 @@ impl Report {
     }
 }
 
-/// Directory names the walker never descends into. Test and bench code
+/// Directory names the walker never descends into. Test code
 /// deliberately violates invariants (bad fixtures, raw-sheet probes), and
 /// `target/` is build output.
-const SKIP_DIRS: [&str; 7] = [
-    "target", ".git", "tests", "benches", "examples", "fixtures", ".github",
-];
+const SKIP_DIRS: [&str; 6] = ["target", ".git", "tests", "examples", "fixtures", ".github"];
 
 /// Walks `root` for workspace `.rs` files, sorted for deterministic
 /// output, returning workspace-relative paths.

@@ -107,14 +107,15 @@ opt out with `// simlint: allow(pe-choke-point, reason = \"...\")`."
             Lint::WallClock => {
                 "\
 wall-clock: `Instant::now`, `SystemTime` and `thread::current` are
-forbidden in modeled-time code (crates/{core,sim,apps}/src).
+forbidden in crates/{core,sim,apps,bench,data}/src.
 
 Contract (PR 1): modeled `CommReport` times are a pure function of the
 configuration — bit-identical at any thread count, on any machine. One
 wall-clock read in an engine path destroys reproducibility in a way the
 determinism suites only catch for the configurations they enumerate.
-Benchmark harnesses (crates/bench) time walls legitimately and are out
-of scope."
+The figure harness (crates/bench) and the generators (crates/data) feed
+pins, so they are held to the same rule: host time is measured in one
+place, the outside-in `benchmark/` package."
             }
             Lint::MapIteration => {
                 "\
@@ -437,9 +438,9 @@ fn policy_for(path: &str) -> Policy {
             || ends("crates/core/src/engine/baseline.rs")),
         pe_choke_point: !ends("crates/sim/src/pe.rs"),
         pe_window: !(ends("crates/sim/src/pe.rs") || ends("crates/sim/src/system.rs")),
-        wall_clock: contains("crates/core/src")
-            || contains("crates/sim/src")
-            || contains("crates/apps/src"),
+        wall_clock: ["core", "sim", "apps", "bench", "data"]
+            .iter()
+            .any(|c| contains(&format!("crates/{c}/src"))),
         map_iteration: contains("crates/core/src") || contains("crates/sim/src"),
     }
 }

@@ -92,6 +92,11 @@ fn l3_wall_clock_bad_and_good() {
         vec![(Lint::WallClock, 3, 25)]
     );
     assert_eq!(errors_of("good/crates/core/src/engine/timing.rs"), vec![]);
+    // The figure harness feeds pins: host time lives only in `benchmark/`.
+    assert_eq!(
+        errors_of("bad/crates/bench/src/walltime.rs"),
+        vec![(Lint::WallClock, 4, 25)]
+    );
 }
 
 #[test]

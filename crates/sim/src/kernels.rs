@@ -1,48 +1,40 @@
 //! Typed-lane kernel library for the single-PE hot loops of the benchmark
-//! applications.
+//! applications: safe, allocation-free loops over contiguous typed lanes
+//! (decode / encode, accumulate, pool, bitmap scan, row scatter), so the
+//! apps' per-PE work items carry no per-element `Vec` churn.
 //!
-//! After the host-kernel executor parallelized the apps' per-PE loops
-//! *across* PEs, the remaining serial wall is what happens *inside* one
-//! work item: per-element `i32::from_le_bytes` decode loops, scalar
-//! accumulate / pool / ReLU passes and per-cell `Vec` churn. This module
-//! gives those loops the same treatment the PR 2 `reduce_bytes` rewrite
-//! gave the collective engine's reductions — safe, allocation-free kernels
-//! over contiguous typed lanes, shaped so LLVM autovectorizes them.
+//! # One body per kernel
 //!
-//! # The autovectorization contract
+//! A kernel is the plain per-element loop — the definition, written once.
+//! LLVM vectorizes those loops as they stand, so a 64-byte block loop with
+//! a scalar tail next to it is the same code twice. A kernel keeps a
+//! transformed body only where a reading says so (the table is in
+//! `crates/README.md`, "Kernel bodies"):
 //!
-//! Every kernel except the fixed-width codecs (`decode` / `encode` of
-//! `i32`, `u32`, `u64`: a per-element loop, which measured faster than its
-//! blocked form) processes its bulk in **64-byte blocks** (one cache line,
-//! and one PIM burst — the natural granule of everything in this
-//! simulator) decoded into fixed-width native-typed lane arrays:
+//! * the transformed body measured at least 1.5x its own plain loop at
+//!   both ~4 Ki and ~64 Ki elements, ten alternating readings:
+//!   [`encode_trunc`]'s narrowing blocks and [`for_each_new_bit`]'s 64-bit
+//!   word scan;
+//! * or the kernel's own benchmark probe (`sim.kernels.*_gelems`) read
+//!   worse with the plain loop in at least 9 of 10 alternating
+//!   parent/change pairs: [`add_wrap`] and [`bitmap_or`] (~1.3x while
+//!   the operands sit in L1, where the blocks unroll twice as wide).
 //!
-//! * the per-lane loops have **compile-time trip counts** (`for i in 0..L`
-//!   with `L` a constant), so LLVM fully unrolls them and lowers the lane
-//!   array to vector registers — no runtime bound checks survive;
-//! * lane arrays live on the stack and never escape, so nothing aliases
-//!   and the loads/stores batch into wide moves;
-//! * a scalar tail handles the ragged remainder, which keeps every kernel
-//!   correct at **any** length and alignment (the property suite pins
-//!   this against the scalar oracles below).
+//! [`copy_rows`] moves a row of one lane word as a register inside its
+//! single loop. Nothing selects between bodies at build or run time.
 //!
-//! **Why not `std::simd`?** Portable SIMD is still nightly-only and this
-//! repository pins a stable toolchain in an offline container; more
-//! importantly, the chunked-lane shape already gets the same codegen —
-//! the PR 2 `reduce_bytes` rewrite measured 2–7x from exactly this
-//! pattern, with zero `unsafe` and zero feature gates. The contract is
-//! *shape*, not intrinsics.
+//! All arithmetic is wrapping (like the PEs' fixed-width ALUs), so any
+//! evaluation order is *bit-identical* to the sequential definition, not
+//! merely close.
 //!
 //! # Scalar oracles
 //!
-//! [`reference`] holds a per-element scalar twin of every kernel — the
-//! loop shape the applications used before this module existed. They are
-//! the semantic source of truth: `crates/sim/tests/kernels.rs` pins every
-//! kernel to its oracle byte-for-byte over seeded inputs at many lengths
-//! and alignments, and `benches/primitives.rs` times each pair so the
-//! speedup stays visible in the trajectory. All arithmetic is wrapping
-//! (like the PEs' fixed-width ALUs), so lane-blocked accumulation orders
-//! are *bit-identical* to the sequential oracles, not merely close.
+//! [`reference`] holds a per-element twin of every kernel whose body
+//! states the definition differently from it (a generic-width codec, a
+//! per-step wrap, a bit-at-a-time scan, a byte-at-a-time copy).
+//! `crates/sim/tests/kernels.rs` pins each such kernel to its twin
+//! byte-for-byte over seeded inputs at many lengths and alignments, and
+//! every other kernel to the element-wise definition written in the test.
 //!
 //! Zero-copy entry points over PE memory live on [`crate::pe::Pe`]
 //! (`read_i32s` / `write_i32s` / `read_sext` / `write_trunc`): decodes
@@ -52,18 +44,13 @@
 use crate::dtype::DType;
 use crate::geometry::LANE_BYTES;
 
-/// Lane count for 4-byte elements: one 64-byte block.
-const L32: usize = 16;
-
 // Everything from here to the `reference` module runs once per PE per
-// app iteration; simlint's hot-alloc lint keeps the region allocation-free
-// (the PR 4 contract). Scratch belongs in callers' par_pes_with init.
+// app iteration; simlint's hot-alloc lint keeps the region allocation-free.
+// Scratch belongs in callers' par_pes_with init.
 // simlint: hot(begin, typed-lane kernels)
 macro_rules! codec {
     ($decode:ident, $encode:ident, $ty:ty, $w:expr) => {
-        /// Decodes little-endian elements from `src` into `dst`. The
-        /// per-element loop is the whole kernel: LLVM vectorizes it as it
-        /// stands, and the 64-byte blocked form measured 0.63–0.97x of it.
+        /// Decodes little-endian elements from `src` into `dst`.
         ///
         /// # Panics
         ///
@@ -75,8 +62,7 @@ macro_rules! codec {
             }
         }
 
-        /// Encodes `src` into little-endian bytes in `dst`, element by
-        /// element (see the decoder).
+        /// Encodes `src` into little-endian bytes in `dst`.
         ///
         /// # Panics
         ///
@@ -106,31 +92,13 @@ pub fn decode_sext(dtype: DType, src: &[u8], dst: &mut [i32]) {
     match dtype.size_bytes() {
         1 => {
             assert_eq!(src.len(), dst.len(), "decode length mismatch");
-            let mut sb = src.chunks_exact(64);
-            let mut db = dst.chunks_exact_mut(64);
-            for (s, d) in sb.by_ref().zip(db.by_ref()) {
-                for i in 0..64 {
-                    d[i] = s[i] as i8 as i32;
-                }
-            }
-            for (s, d) in sb.remainder().iter().zip(db.into_remainder()) {
+            for (s, d) in src.iter().zip(dst) {
                 *d = *s as i8 as i32;
             }
         }
         2 => {
             assert_eq!(src.len(), dst.len() * 2, "decode length mismatch");
-            let mut sb = src.chunks_exact(64);
-            let mut db = dst.chunks_exact_mut(32);
-            for (s, d) in sb.by_ref().zip(db.by_ref()) {
-                for i in 0..32 {
-                    d[i] = i16::from_le_bytes(s[i * 2..(i + 1) * 2].try_into().unwrap()) as i32;
-                }
-            }
-            for (s, d) in sb
-                .remainder()
-                .chunks_exact(2)
-                .zip(db.into_remainder().iter_mut())
-            {
+            for (s, d) in src.chunks_exact(2).zip(dst) {
                 *d = i16::from_le_bytes(s.try_into().unwrap()) as i32;
             }
         }
@@ -142,6 +110,8 @@ pub fn decode_sext(dtype: DType, src: &[u8], dst: &mut [i32]) {
 /// Truncating encode of `i32` values to 1/2/4-byte little-endian elements
 /// (the low bytes, exactly what storing through a narrow PE register
 /// would keep). Inverse of [`decode_sext`] for values that fit the width.
+/// The narrowing arms run in 64-byte blocks with a tail: the plain loop
+/// measured 2.6x (1 byte) and 1.7x (2 bytes) slower.
 ///
 /// # Panics
 ///
@@ -193,14 +163,7 @@ pub fn encode_trunc(dtype: DType, src: &[i32], dst: &mut [u8]) {
 /// Panics if the slice lengths differ.
 pub fn axpy_i32(acc: &mut [i32], x: i32, xs: &[i32]) {
     assert_eq!(acc.len(), xs.len(), "axpy length mismatch");
-    let mut ab = acc.chunks_exact_mut(L32);
-    let mut sb = xs.chunks_exact(L32);
-    for (a, s) in ab.by_ref().zip(sb.by_ref()) {
-        for i in 0..L32 {
-            a[i] = a[i].wrapping_add(x.wrapping_mul(s[i]));
-        }
-    }
-    for (a, s) in ab.into_remainder().iter_mut().zip(sb.remainder()) {
+    for (a, s) in acc.iter_mut().zip(xs) {
         *a = a.wrapping_add(x.wrapping_mul(*s));
     }
 }
@@ -215,22 +178,7 @@ pub fn axpy_i32(acc: &mut [i32], x: i32, xs: &[i32]) {
 /// Panics if `src.len() != acc.len() * 4`.
 pub fn axpy_i32_bytes(acc: &mut [i32], x: i32, src: &[u8]) {
     assert_eq!(src.len(), acc.len() * 4, "axpy length mismatch");
-    let mut ab = acc.chunks_exact_mut(L32);
-    let mut sb = src.chunks_exact(64);
-    for (a, s) in ab.by_ref().zip(sb.by_ref()) {
-        let mut sv = [0i32; L32];
-        for i in 0..L32 {
-            sv[i] = i32::from_le_bytes(s[i * 4..(i + 1) * 4].try_into().unwrap());
-        }
-        for i in 0..L32 {
-            a[i] = a[i].wrapping_add(x.wrapping_mul(sv[i]));
-        }
-    }
-    for (a, s) in ab
-        .into_remainder()
-        .iter_mut()
-        .zip(sb.remainder().chunks_exact(4))
-    {
+    for (a, s) in acc.iter_mut().zip(src.chunks_exact(4)) {
         *a = a.wrapping_add(x.wrapping_mul(i32::from_le_bytes(s.try_into().unwrap())));
     }
 }
@@ -255,10 +203,10 @@ macro_rules! width_dispatch {
 }
 
 fn add_wrap_impl<const SHIFT: u32>(acc: &mut [i32], src: &[i32]) {
-    let mut ab = acc.chunks_exact_mut(L32);
-    let mut sb = src.chunks_exact(L32);
+    let mut ab = acc.chunks_exact_mut(16);
+    let mut sb = src.chunks_exact(16);
     for (a, s) in ab.by_ref().zip(sb.by_ref()) {
-        for i in 0..L32 {
+        for i in 0..16 {
             a[i] = wrap32::<SHIFT>(a[i].wrapping_add(s[i]));
         }
     }
@@ -270,7 +218,8 @@ fn add_wrap_impl<const SHIFT: u32>(acc: &mut [i32], src: &[i32]) {
 /// Element-wise wrapping accumulate at the declared element width:
 /// `acc[i] = wrap(acc[i] + src[i])` — the segment-sum step of the GNN
 /// aggregation (`partial.row(u) += F.row(v)`) and of any row-pooling
-/// loop.
+/// loop. Runs in 16-lane blocks with a tail: as the plain loop,
+/// `sim.kernels.add_wrap_gelems` read 0.77x in 10 of 10 pairs.
 ///
 /// # Panics
 ///
@@ -281,14 +230,7 @@ pub fn add_wrap(dtype: DType, acc: &mut [i32], src: &[i32]) {
 }
 
 fn axpy_wrap_impl<const SHIFT: u32>(acc: &mut [i32], x: i32, xs: &[i32]) {
-    let mut ab = acc.chunks_exact_mut(L32);
-    let mut sb = xs.chunks_exact(L32);
-    for (a, s) in ab.by_ref().zip(sb.by_ref()) {
-        for i in 0..L32 {
-            a[i] = wrap32::<SHIFT>(a[i].wrapping_add(x.wrapping_mul(s[i])));
-        }
-    }
-    for (a, s) in ab.into_remainder().iter_mut().zip(sb.remainder()) {
+    for (a, s) in acc.iter_mut().zip(xs) {
         *a = wrap32::<SHIFT>(a.wrapping_add(x.wrapping_mul(*s)));
     }
 }
@@ -305,22 +247,11 @@ pub fn axpy_wrap(dtype: DType, acc: &mut [i32], x: i32, xs: &[i32]) {
     width_dispatch!(dtype, axpy_wrap_impl(acc, x, xs))
 }
 
-/// Wrapping dot product of two equal-length rows, sixteen independent
-/// lane sums wide (integer addition commutes, so the lane order is
-/// bit-identical to the sequential sum).
+/// Wrapping dot product of two equal-length rows.
 #[inline]
 fn dot_i32(a: &[i32], b: &[i32]) -> i32 {
-    let mut lanes = [0i32; L32];
-    let mut ab = a.chunks_exact(L32);
-    let mut bb = b.chunks_exact(L32);
-    for (x, y) in ab.by_ref().zip(bb.by_ref()) {
-        for i in 0..L32 {
-            lanes[i] = lanes[i].wrapping_add(x[i].wrapping_mul(y[i]));
-        }
-    }
-    let tail = ab.remainder().iter().zip(bb.remainder());
-    let tail = tail.fold(0i32, |s, (x, y)| s.wrapping_add(x.wrapping_mul(*y)));
-    lanes.iter().fold(tail, |s, v| s.wrapping_add(*v))
+    let pairs = a.iter().zip(b);
+    pairs.fold(0i32, |s, (x, y)| s.wrapping_add(x.wrapping_mul(*y)))
 }
 
 fn panel_product_impl<const SHIFT: u32>(out: &mut [i32], a: &[i32], bt: &[i32], k: usize) {
@@ -364,13 +295,7 @@ pub fn panel_product_wrap(dtype: DType, out: &mut [i32], a: &[i32], bt: &[i32], 
 
 /// Element-wise ReLU in place: `xs[i] = max(xs[i], 0)`.
 pub fn relu_i32(xs: &mut [i32]) {
-    let mut xb = xs.chunks_exact_mut(L32);
-    for x in xb.by_ref() {
-        for v in x.iter_mut() {
-            *v = (*v).max(0);
-        }
-    }
-    for x in xb.into_remainder() {
+    for x in xs {
         *x = (*x).max(0);
     }
 }
@@ -382,20 +307,15 @@ pub fn relu_i32(xs: &mut [i32]) {
 /// Panics if the slice lengths differ.
 pub fn max_i32(acc: &mut [i32], src: &[i32]) {
     assert_eq!(acc.len(), src.len(), "max length mismatch");
-    let mut ab = acc.chunks_exact_mut(L32);
-    let mut sb = src.chunks_exact(L32);
-    for (a, s) in ab.by_ref().zip(sb.by_ref()) {
-        for i in 0..L32 {
-            a[i] = a[i].max(s[i]);
-        }
-    }
-    for (a, s) in ab.into_remainder().iter_mut().zip(sb.remainder()) {
+    for (a, s) in acc.iter_mut().zip(src) {
         *a = (*a).max(*s);
     }
 }
 
 /// Bitwise OR of two bitmaps: `acc[i] |= src[i]` — the frontier-merge
-/// step of BFS/CC-style bitmap algorithms.
+/// step of BFS/CC-style bitmap algorithms. Runs in 64-byte blocks with a
+/// tail: as the plain loop, `sim.kernels.bitmap_or_gelems` read 0.83x in
+/// 9 of 10 pairs.
 ///
 /// # Panics
 ///
@@ -419,7 +339,7 @@ pub fn bitmap_or(acc: &mut [u8], src: &[u8]) {
 /// vertices). Bit `v` lives at `bitmap[v / 8] & (1 << (v % 8))`, matching
 /// the apps' layout. The bulk runs 64 bits at a time on `u64` words with
 /// `trailing_zeros`, so a mostly-unchanged bitmap costs one compare per
-/// word instead of one per bit.
+/// word instead of one per byte (2.6-6.5x the byte loop).
 ///
 /// # Panics
 ///
@@ -497,63 +417,14 @@ pub fn copy_rows(
 
 // simlint: hot(end)
 
-/// Per-element scalar twins of every kernel — the loop shapes the
-/// applications ran before this module existed. They are the oracles the
-/// property suite (`crates/sim/tests/kernels.rs`) pins the blocked
-/// kernels against and the baselines the microbenches
-/// (`benches/primitives.rs`) measure them over; they are not meant to be
-/// called from production paths.
+/// Per-element scalar twins of the kernels whose bodies state the
+/// definition differently — the loop shapes the applications ran before
+/// this module existed. They are the oracles the property suite
+/// (`crates/sim/tests/kernels.rs`) pins those kernels against; a kernel
+/// that *is* the per-element loop has no twin. Not meant to be called
+/// from production paths.
 pub mod reference {
     use crate::dtype::DType;
-
-    /// Scalar twin of [`super::decode_i32`].
-    pub fn decode_i32_scalar_ref(src: &[u8], dst: &mut [i32]) {
-        assert_eq!(src.len(), dst.len() * 4, "decode length mismatch");
-        for (s, d) in src.chunks_exact(4).zip(dst) {
-            *d = i32::from_le_bytes(s.try_into().unwrap());
-        }
-    }
-
-    /// Scalar twin of [`super::encode_i32`] (the apps'
-    /// `flat_map(to_le_bytes).collect` shape, without the allocation).
-    pub fn encode_i32_scalar_ref(src: &[i32], dst: &mut [u8]) {
-        assert_eq!(dst.len(), src.len() * 4, "encode length mismatch");
-        for (s, d) in src.iter().zip(dst.chunks_exact_mut(4)) {
-            d.copy_from_slice(&s.to_le_bytes());
-        }
-    }
-
-    /// Scalar twin of [`super::decode_u32`].
-    pub fn decode_u32_scalar_ref(src: &[u8], dst: &mut [u32]) {
-        assert_eq!(src.len(), dst.len() * 4, "decode length mismatch");
-        for (s, d) in src.chunks_exact(4).zip(dst) {
-            *d = u32::from_le_bytes(s.try_into().unwrap());
-        }
-    }
-
-    /// Scalar twin of [`super::encode_u32`].
-    pub fn encode_u32_scalar_ref(src: &[u32], dst: &mut [u8]) {
-        assert_eq!(dst.len(), src.len() * 4, "encode length mismatch");
-        for (s, d) in src.iter().zip(dst.chunks_exact_mut(4)) {
-            d.copy_from_slice(&s.to_le_bytes());
-        }
-    }
-
-    /// Scalar twin of [`super::decode_u64`].
-    pub fn decode_u64_scalar_ref(src: &[u8], dst: &mut [u64]) {
-        assert_eq!(src.len(), dst.len() * 8, "decode length mismatch");
-        for (s, d) in src.chunks_exact(8).zip(dst) {
-            *d = u64::from_le_bytes(s.try_into().unwrap());
-        }
-    }
-
-    /// Scalar twin of [`super::encode_u64`].
-    pub fn encode_u64_scalar_ref(src: &[u64], dst: &mut [u8]) {
-        assert_eq!(dst.len(), src.len() * 8, "encode length mismatch");
-        for (s, d) in src.iter().zip(dst.chunks_exact_mut(8)) {
-            d.copy_from_slice(&s.to_le_bytes());
-        }
-    }
 
     /// Scalar twin of [`super::decode_sext`] (the GNN's
     /// `mat_from_bytes` per-element sign-extension).
@@ -577,25 +448,6 @@ pub mod reference {
         assert_eq!(dst.len(), src.len() * w, "encode length mismatch");
         for (s, d) in src.iter().zip(dst.chunks_exact_mut(w)) {
             d.copy_from_slice(&s.to_le_bytes()[..w]);
-        }
-    }
-
-    /// Scalar twin of [`super::axpy_i32`] (the MLP partial-vector inner
-    /// loop).
-    pub fn axpy_i32_scalar_ref(acc: &mut [i32], x: i32, xs: &[i32]) {
-        assert_eq!(acc.len(), xs.len(), "axpy length mismatch");
-        for (a, s) in acc.iter_mut().zip(xs) {
-            *a = a.wrapping_add(x.wrapping_mul(*s));
-        }
-    }
-
-    /// Scalar twin of [`super::axpy_i32_bytes`] (decode-per-element, the
-    /// seed MLP shape).
-    pub fn axpy_i32_bytes_scalar_ref(acc: &mut [i32], x: i32, src: &[u8]) {
-        assert_eq!(src.len(), acc.len() * 4, "axpy length mismatch");
-        for (a, s) in acc.iter_mut().zip(src.chunks_exact(4)) {
-            let v = i32::from_le_bytes(s.try_into().unwrap());
-            *a = a.wrapping_add(x.wrapping_mul(v));
         }
     }
 
@@ -647,21 +499,6 @@ pub mod reference {
                 }
                 out[r * cols + c] = sum;
             }
-        }
-    }
-
-    /// Scalar twin of [`super::relu_i32`].
-    pub fn relu_i32_scalar_ref(xs: &mut [i32]) {
-        for x in xs {
-            *x = (*x).max(0);
-        }
-    }
-
-    /// Scalar twin of [`super::max_i32`].
-    pub fn max_i32_scalar_ref(acc: &mut [i32], src: &[i32]) {
-        assert_eq!(acc.len(), src.len(), "max length mismatch");
-        for (a, s) in acc.iter_mut().zip(src) {
-            *a = (*a).max(*s);
         }
     }
 

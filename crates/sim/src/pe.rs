@@ -658,38 +658,15 @@ impl Pe {
         }
     }
 
-    /// Recognizes a permutation that rotates equal-sized parts uniformly:
-    /// returns `(part_len, rot)` such that
-    /// `perm[j] == (j % part_len + rot) % part_len + (j / part_len) * part_len`.
-    /// The phase-A tables of the collective engine always have this form,
-    /// and rotating in place halves the memory traffic of the generic
-    /// staged permutation.
-    fn as_part_rotation(perm: &[usize]) -> Option<(usize, usize)> {
-        let count = perm.len();
-        'candidates: for q in (1..=count).filter(|&q| count.is_multiple_of(q)) {
-            let rot = perm[0];
-            if rot >= q {
-                continue;
-            }
-            for (j, &p) in perm.iter().enumerate() {
-                if p != (j % q + rot) % q + (j / q) * q {
-                    continue 'candidates;
-                }
-            }
-            return Some((q, rot));
-        }
-        None
-    }
-
     /// Local reorder kernel: treats `[offset, offset + count*block) ` as
     /// `count` blocks of `block` bytes and rearranges them so that the block
     /// at destination slot `d` is the block previously at slot `perm[d]`.
     ///
     /// This runs *inside* the PE (through WRAM), so the host never sees the
     /// data; callers charge [`crate::cost::Category::PeModulation`] time.
-    /// Allocation-free in steady state: part-wise rotations (the engine's
-    /// phase-A tables) run as in-place slice rotations; anything else is
-    /// staged through the PE's reusable scratch buffer.
+    /// Allocation-free in steady state: the region is staged through the
+    /// PE's reusable scratch buffer. A table that rotates equal parts has a
+    /// table-free in-place form, [`Pe::rotate_parts`].
     ///
     /// # Panics
     ///
@@ -710,10 +687,6 @@ impl Pe {
         let s = &mut segs[i];
         let at = offset - s.start;
         let region = &mut s.data[at..at + len];
-        if let Some((part, rot)) = Self::as_part_rotation(perm) {
-            rotate_parts_in(region, part * block, rot * block);
-            return;
-        }
         scratch.clear();
         scratch.extend_from_slice(region);
         for (dst, &src) in perm.iter().enumerate() {
@@ -975,17 +948,16 @@ mod tests {
     }
 
     #[test]
-    fn permute_blocks_rotation_fast_path_matches_generic() {
-        // Every permutation — part rotations (fast path) and arbitrary
-        // tables (scratch path) — must produce the mapping
-        // out[d] = in[perm[d]].
+    fn permute_blocks_applies_rotation_and_arbitrary_tables() {
+        // Every permutation — part rotations and arbitrary tables alike —
+        // must produce the mapping out[d] = in[perm[d]].
         let perms: Vec<Vec<usize>> = vec![
             vec![0, 1, 2, 3, 4, 5], // identity
             vec![2, 3, 4, 5, 0, 1], // single-part rotation
             vec![1, 2, 0, 4, 5, 3], // two parts of 3, rot 1
-            vec![5, 4, 3, 2, 1, 0], // reversal (generic)
+            vec![5, 4, 3, 2, 1, 0], // reversal
             vec![1, 0, 3, 2, 5, 4], // pairwise swap = parts of 2 rot 1
-            vec![3, 1, 4, 0, 5, 2], // arbitrary (generic)
+            vec![3, 1, 4, 0, 5, 2], // arbitrary
         ];
         for perm in perms {
             let data: Vec<u8> = (0..48).collect();
