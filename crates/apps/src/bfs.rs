@@ -21,7 +21,7 @@ use pidcomm_data::CsrGraph;
 use pim_sim::{kernels, DType, FaultPlan, ReduceKind, SystemArena};
 
 use crate::cost::{pe_kernel_ns, CpuModel};
-use crate::driver::{drive, geometry, mismatches, validated, Run, Setup, Supervision, Verdict};
+use crate::driver::{drive, geometry, mismatches, validated, Run, Setup, Verdict};
 use crate::profile::AppProfile;
 use crate::{AppRun, ResilientRun};
 
@@ -117,7 +117,7 @@ pub fn run_bfs_in(
     arena: &mut SystemArena,
 ) -> pidcomm::Result<AppRun> {
     Ok(validated(
-        bfs(cfg, graph, source, None, arena)?,
+        run_bfs_resilient_in(cfg, graph, source, None, RunPolicy::default(), arena)?,
         "BFS PIM distances",
     ))
 }
@@ -145,7 +145,14 @@ pub fn run_bfs_resilient(
     run_bfs_resilient_in(cfg, graph, source, fault, policy, &mut SystemArena::new())
 }
 
-/// As [`run_bfs_resilient`], sourcing allocations from `arena`.
+/// As [`run_bfs_resilient`], sourcing allocations from `arena` — the one
+/// BFS body behind all four runners (see [`crate::driver`]).
+///
+/// BFS carries no live MRAM state across levels — every level restages
+/// the visited bitmap from the host mirror and the adjacency partitions
+/// are written once and never touched again — so every step's checkpoint
+/// is empty and a re-run simply replays the step from committed host
+/// state.
 ///
 /// # Errors
 ///
@@ -156,23 +163,6 @@ pub fn run_bfs_resilient_in(
     source: u32,
     fault: Option<Arc<FaultPlan>>,
     policy: RunPolicy,
-    arena: &mut SystemArena,
-) -> pidcomm::Result<ResilientRun> {
-    bfs(cfg, graph, source, Some((fault, policy)), arena)
-}
-
-/// The one BFS body behind all four runners (see [`crate::driver`]).
-///
-/// BFS carries no live MRAM state across levels — every level restages
-/// the visited bitmap from the host mirror and the adjacency partitions
-/// are written once and never touched again — so every step's checkpoint
-/// is empty and a re-run simply replays the step from committed host
-/// state.
-fn bfs(
-    cfg: &BfsConfig,
-    graph: &CsrGraph,
-    source: u32,
-    supervision: Supervision,
     arena: &mut SystemArena,
 ) -> pidcomm::Result<ResilientRun> {
     let p = cfg.pes;
@@ -383,7 +373,7 @@ fn bfs(
         }
         Ok(got)
     };
-    drive(arena, supervision, setup, body, |got| {
+    drive(arena, fault, policy, setup, body, |got| {
         let (expected, cpu_ns) = cpu_reference(graph, source);
         Verdict {
             mismatched: mismatches(got.as_deref(), &expected),

@@ -22,7 +22,7 @@ use pidcomm_data::CsrGraph;
 use pim_sim::{kernels, DType, FaultPlan, ReduceKind, SystemArena};
 
 use crate::cost::{pe_kernel_ns, CpuModel};
-use crate::driver::{drive, geometry, mismatches, validated, Run, Setup, Supervision, Verdict};
+use crate::driver::{drive, geometry, mismatches, validated, Run, Setup, Verdict};
 use crate::profile::AppProfile;
 use crate::{AppRun, ResilientRun};
 
@@ -153,7 +153,10 @@ pub fn run_cc_in(
     graph: &CsrGraph,
     arena: &mut SystemArena,
 ) -> pidcomm::Result<AppRun> {
-    Ok(validated(cc(cfg, graph, None, arena)?, "CC PIM labels"))
+    Ok(validated(
+        run_cc_resilient_in(cfg, graph, None, RunPolicy::default(), arena)?,
+        "CC PIM labels",
+    ))
 }
 
 /// As [`run_cc`], but under run-level supervision (see
@@ -178,7 +181,13 @@ pub fn run_cc_resilient(
     run_cc_resilient_in(cfg, graph, fault, policy, &mut SystemArena::new())
 }
 
-/// As [`run_cc_resilient`], sourcing allocations from `arena`.
+/// As [`run_cc_resilient`], sourcing allocations from `arena` — the one
+/// CC body behind all four runners (see [`crate::driver`]).
+///
+/// Like BFS, CC carries no live MRAM state across passes — every pass
+/// re-encodes the label array from the committed host mirror — so every
+/// step's checkpoint is empty and a re-run replays the step from
+/// committed host state.
 ///
 /// # Errors
 ///
@@ -188,21 +197,6 @@ pub fn run_cc_resilient_in(
     graph: &CsrGraph,
     fault: Option<Arc<FaultPlan>>,
     policy: RunPolicy,
-    arena: &mut SystemArena,
-) -> pidcomm::Result<ResilientRun> {
-    cc(cfg, graph, Some((fault, policy)), arena)
-}
-
-/// The one CC body behind all four runners (see [`crate::driver`]).
-///
-/// Like BFS, CC carries no live MRAM state across passes — every pass
-/// re-encodes the label array from the committed host mirror — so every
-/// step's checkpoint is empty and a re-run replays the step from
-/// committed host state.
-fn cc(
-    cfg: &CcConfig,
-    graph: &CsrGraph,
-    supervision: Supervision,
     arena: &mut SystemArena,
 ) -> pidcomm::Result<ResilientRun> {
     let p = cfg.pes;
@@ -387,7 +381,7 @@ fn cc(
         run.profile.dataset = format!("{n}v/{iterations}it");
         labels
     };
-    drive(arena, supervision, setup, body, |labels| {
+    drive(arena, fault, policy, setup, body, |labels| {
         let (expected, cpu_ns) = cpu_reference(&graph);
         Verdict {
             mismatched: mismatches(labels.as_deref(), &expected),

@@ -26,9 +26,7 @@ use pidcomm_data::LookupBatch;
 use pim_sim::{kernels, DType, FaultPlan, ReduceKind, SystemArena};
 
 use crate::cost::{pe_kernel_ns, CpuModel};
-use crate::driver::{
-    drive, geometry, mismatches, validated, Run, Setup, Stop, Supervision, Verdict,
-};
+use crate::driver::{drive, geometry, mismatches, validated, Run, Setup, Stop, Verdict};
 use crate::profile::AppProfile;
 use crate::{AppRun, ResilientRun};
 
@@ -271,7 +269,10 @@ pub fn run_dlrm(cfg: &DlrmRunConfig) -> pidcomm::Result<AppRun> {
 ///
 /// As [`run_dlrm`].
 pub fn run_dlrm_in(cfg: &DlrmRunConfig, arena: &mut SystemArena) -> pidcomm::Result<AppRun> {
-    Ok(validated(dlrm(cfg, None, arena)?, "DLRM pooled embeddings"))
+    Ok(validated(
+        run_dlrm_resilient_in(cfg, None, RunPolicy::default(), arena)?,
+        "DLRM pooled embeddings",
+    ))
 }
 
 /// As [`run_dlrm`], but under run-level supervision (see
@@ -294,7 +295,14 @@ pub fn run_dlrm_resilient(
     run_dlrm_resilient_in(cfg, fault, policy, &mut SystemArena::new())
 }
 
-/// As [`run_dlrm_resilient`], sourcing allocations from `arena`.
+/// As [`run_dlrm_resilient`], sourcing allocations from `arena` — the one
+/// DLRM body behind all four runners (see [`crate::driver`]):
+/// scatter step → index encode + fused 3-collective pipeline step →
+/// read-only assembly → top-MLP + score gather step.
+///
+/// Every stage restages its inputs from host data or from buffers written
+/// earlier in the same attempt, so every step's checkpoint is empty and a
+/// re-run replays the whole step.
 ///
 /// # Errors
 ///
@@ -303,21 +311,6 @@ pub fn run_dlrm_resilient_in(
     cfg: &DlrmRunConfig,
     fault: Option<Arc<FaultPlan>>,
     policy: RunPolicy,
-    arena: &mut SystemArena,
-) -> pidcomm::Result<ResilientRun> {
-    dlrm(cfg, Some((fault, policy)), arena)
-}
-
-/// The one DLRM body behind all four runners (see [`crate::driver`]):
-/// scatter step → index encode + fused 3-collective pipeline step →
-/// read-only assembly → top-MLP + score gather step.
-///
-/// Every stage restages its inputs from host data or from buffers written
-/// earlier in the same attempt, so every step's checkpoint is empty and a
-/// re-run replays the whole step.
-fn dlrm(
-    cfg: &DlrmRunConfig,
-    supervision: Supervision,
     arena: &mut SystemArena,
 ) -> pidcomm::Result<ResilientRun> {
     let w = &cfg.workload;
@@ -648,7 +641,7 @@ fn dlrm(
         }
         Ok(mismatched)
     };
-    drive(arena, supervision, setup, body, |mismatched| {
+    drive(arena, fault, policy, setup, body, |mismatched| {
         // CPU reference also runs the top MLP.
         let cpu = CpuModel::xeon_5215();
         let cpu_mlp_ns = cpu.time_ns(bs as u64 * 8 * 2 * width * width, bs as u64 * 8 * width * 4);

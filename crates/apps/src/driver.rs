@@ -1,21 +1,16 @@
 //! The one run driver behind every application runner.
 //!
 //! Each app has a single body written against [`Run::step`] and the
-//! [`Step`] handle it passes to the step's closure. What a step does
-//! depends only on which public function was called:
-//!
-//! * `run_x` / `run_x_in` drive the body **unsupervised**: a step runs its
-//!   closure exactly once and a collective goes straight to
-//!   [`CollectivePlan::run`] / [`FusedPlan::execute_with`] — no
-//!   [`Supervisor`], no write verification, no checkpoint copy, no
-//!   corruption drain. Verified-clean execution costs 8–10× the plain
-//!   path in host time, so "supervised with faults off" is not a
-//!   substitute.
-//! * `run_x_resilient` / `run_x_resilient_in` drive the same body
-//!   **supervised**: a step is one [`Supervisor::iteration`] (checkpoint
-//!   of the named live regions, rollback + backoff + re-run on a typed
-//!   fault) and a collective goes through [`Attempt`]'s quarantine-aware
-//!   verified path.
+//! [`Step`] handle it passes to the step's closure, and every run is
+//! supervised: a step is one [`Supervisor::iteration`] (checkpoint of the
+//! named live regions, rollback + backoff + re-run on a typed fault) and a
+//! collective goes through [`Attempt`]'s quarantine-aware verified path.
+//! `run_x` / `run_x_in` are `run_x_resilient_in` with no fault plan and
+//! the default policy, plus the assertion that the output matches the CPU
+//! reference. With no plan attached nothing can fail, so that run is the
+//! plain run: verification is one compare per landing, no checkpoint is
+//! copied, each step's closure runs exactly once, and profile, outputs
+//! and modeled bits are those of the bare [`CollectivePlan::run`] calls.
 //!
 //! [`drive`] owns everything around the body: system and plan-cache
 //! checkout from the arena, fault-plan attach/detach, the
@@ -30,15 +25,12 @@ use pidcomm::engine::supervisor::{Attempt, Iteration, Supervisor};
 use pidcomm::engine::Execution;
 use pidcomm::{
     CollectivePlan, CommReport, Communicator, FusedPlan, HypercubeManager, HypercubeShape,
-    OptLevel, PlanCache, RunOutcome, RunPolicy,
+    OptLevel, PlanCache, RunPolicy,
 };
 use pim_sim::{DimmGeometry, FaultPlan, PeId, PimSystem, SystemArena};
 
 use crate::profile::AppProfile;
 use crate::{AppRun, ResilientRun};
-
-/// Fault plan and policy of a supervised run; `None` runs unsupervised.
-pub(crate) type Supervision = Option<(Option<Arc<FaultPlan>>, RunPolicy)>;
 
 /// What a run needs before its body can start.
 pub(crate) struct Setup {
@@ -101,7 +93,7 @@ pub(crate) struct Run<'a> {
     pub plans: PlanCache,
     pub comm: Communicator,
     pub profile: AppProfile,
-    sup: Option<Supervisor>,
+    sup: Supervisor,
 }
 
 impl Run<'_> {
@@ -109,8 +101,7 @@ impl Run<'_> {
     /// readback. `regions` names the live MRAM state the step overwrites
     /// and a re-run needs back; the body must derive everything else it
     /// writes from committed host state (commit host-side mirrors only
-    /// after `step` returns `Ok`). Unsupervised, the body runs once and
-    /// `regions` is not copied.
+    /// after `step` returns `Ok`).
     pub(crate) fn step<T>(
         &mut self,
         regions: &[(usize, usize)],
@@ -123,15 +114,7 @@ impl Run<'_> {
             sup,
             ..
         } = self;
-        let Some(sup) = sup else {
-            let mut direct = Step {
-                comm,
-                attempt: None,
-            };
-            return Ok(body(sys, &mut direct)?);
-        };
-        let outcome = sup.iteration(sys, arena, regions, |sys, at| {
-            let attempt = Some(at);
+        let outcome = sup.iteration(sys, arena, regions, |sys, attempt| {
             body(sys, &mut Step { comm, attempt })
         })?;
         match outcome {
@@ -157,11 +140,11 @@ impl Run<'_> {
     }
 }
 
-/// Per-attempt handle of a step body: issues the step's collectives on
-/// whichever path the run is driven by.
+/// Per-attempt handle of a step body: issues the step's collectives
+/// through the run's [`Attempt`].
 pub(crate) struct Step<'s, 'a> {
     comm: &'s Communicator,
-    attempt: Option<&'s mut Attempt<'a>>,
+    attempt: &'s mut Attempt<'a>,
 }
 
 impl Step<'_, '_> {
@@ -173,62 +156,54 @@ impl Step<'_, '_> {
         plan: &CollectivePlan,
         host_in: Option<&[Vec<u8>]>,
     ) -> pidcomm::Result<Execution> {
-        match &mut self.attempt {
-            None => plan.run(sys, host_in),
-            Some(at) => {
-                let exec = at.collective(self.comm, sys, plan, host_in)?;
-                Ok(Execution {
-                    report: exec.report,
-                    host_out: exec.host_out,
-                })
-            }
-        }
+        let exec = self.attempt.collective(self.comm, sys, plan, host_in)?;
+        Ok(Execution {
+            report: exec.report,
+            host_out: exec.host_out,
+        })
     }
 
     /// Executes a fused chain with `hook(k, sys)` between steps `k` and
-    /// `k + 1`, returning one report per step. Supervised, the chain is
-    /// the retry unit: hooks re-run on a rollback, so they must write only
-    /// MRAM the chain's regions cover.
+    /// `k + 1`, returning one report per step. The chain is the retry
+    /// unit: hooks re-run on a rollback, so they must write only MRAM the
+    /// chain's regions cover.
     pub(crate) fn fused(
         &mut self,
         sys: &mut PimSystem,
         fused: &FusedPlan,
         hook: impl FnMut(usize, &mut PimSystem) -> pidcomm::Result<()>,
     ) -> pidcomm::Result<Vec<CommReport>> {
-        match &mut self.attempt {
-            None => Ok(fused.execute_with(sys, None, hook)?.reports),
-            Some(at) => Ok(at.fused(self.comm, sys, fused, None, hook)?.reports),
-        }
+        Ok(self
+            .attempt
+            .fused(self.comm, sys, fused, None, hook)?
+            .reports)
     }
 
     /// The PE to read a replicated result back from: the first one the
     /// ledger has not quarantined — a degraded execution lands no output
-    /// on quarantined PEs, so their copy is stale. Unsupervised there is
-    /// no ledger and that is PE 0.
+    /// on quarantined PEs, so their copy is stale.
     pub(crate) fn readback_pe(&self, geom: &DimmGeometry) -> PeId {
-        let quarantined = |pe: &PeId| {
-            self.attempt
-                .as_ref()
-                .is_some_and(|at| at.ledger().is_quarantined(pe.index() as u32))
-        };
+        let ledger = self.attempt.ledger();
         geom.pes()
-            .find(|pe| !quarantined(pe))
+            .find(|pe| !ledger.is_quarantined(pe.index() as u32))
             .or_else(|| geom.pes().next())
             .expect("system has at least one PE")
     }
 }
 
-/// Drives one application run: `body` produces the app's output through
-/// [`Run::step`]s (or stops early), `judge` compares it with the CPU
-/// reference (`None` = the run aborted before producing output).
+/// Drives one application run under `policy` (and `fault`, if any):
+/// `body` produces the app's output through [`Run::step`]s (or stops
+/// early), `judge` compares it with the CPU reference (`None` = the run
+/// aborted before producing output).
 ///
 /// # Errors
 ///
 /// Shape/geometry errors and whatever non-fault error the body
-/// propagates; typed fault errors never escape a supervised run.
+/// propagates; typed fault errors never escape the supervisor.
 pub(crate) fn drive<T>(
     arena: &mut SystemArena,
-    supervision: Supervision,
+    fault: Option<Arc<FaultPlan>>,
+    policy: RunPolicy,
     setup: Setup,
     body: impl FnOnce(&mut Run<'_>) -> Result<T, Stop>,
     judge: impl FnOnce(Option<T>) -> Verdict,
@@ -241,13 +216,10 @@ pub(crate) fn drive<T>(
         .with_threads(setup.threads);
 
     let mut sys = arena.system(setup.geom);
-    let sup = supervision.map(|(fault, policy)| {
-        if let Some(fp) = fault {
-            sys.attach_fault_plan(fp);
-            sys.set_verify_writes(true);
-        }
-        Supervisor::new(setup.geom.num_pes(), policy)
-    });
+    if let Some(fp) = fault {
+        sys.attach_fault_plan(fp);
+        sys.set_verify_writes(true);
+    }
     let plans = arena.take_extension::<PlanCache>();
     let mut run = Run {
         sys,
@@ -255,7 +227,7 @@ pub(crate) fn drive<T>(
         plans,
         comm,
         profile: setup.profile,
-        sup,
+        sup: Supervisor::new(setup.geom.num_pes(), policy),
     };
     let output = body(&mut run);
 
@@ -282,31 +254,19 @@ pub(crate) fn drive<T>(
         Err(Stop::Error(err)) => return Err(err),
     };
     let Verdict { mismatched, cpu_ns } = judge(output);
-    let run = AppRun {
-        profile,
-        cpu_ns,
-        validated: mismatched == 0,
-    };
-    let unsupervised = ResilientRun {
-        run,
-        outcome: RunOutcome::Completed,
-        retries: 0,
-        quarantined: Vec::new(),
+    Ok(ResilientRun {
+        run: AppRun {
+            profile,
+            cpu_ns,
+            validated: mismatched == 0,
+        },
+        outcome: sup.outcome(),
+        retries: sup.retries(),
+        quarantined: sup.ledger().quarantined(),
         mismatched,
         modeled_ns,
-        backoff_epochs: 0,
-        checkpoint_restores: 0,
-    };
-    Ok(match sup {
-        None => unsupervised,
-        Some(sup) => ResilientRun {
-            outcome: sup.outcome(),
-            retries: sup.retries(),
-            quarantined: sup.ledger().quarantined(),
-            backoff_epochs: sup.backoff_epochs(),
-            checkpoint_restores: sup.checkpoint_restores(),
-            ..unsupervised
-        },
+        backoff_epochs: sup.backoff_epochs(),
+        checkpoint_restores: sup.checkpoint_restores(),
     })
 }
 

@@ -23,7 +23,7 @@ use pidcomm_data::{CsrGraph, MatI32};
 use pim_sim::{kernels, DType, FaultPlan, PimSystem, ReduceKind, SystemArena};
 
 use crate::cost::{pe_kernel_ns, CpuModel};
-use crate::driver::{drive, geometry, mismatches, validated, Run, Setup, Supervision, Verdict};
+use crate::driver::{drive, geometry, mismatches, validated, Run, Setup, Verdict};
 use crate::profile::AppProfile;
 use crate::{AppRun, ResilientRun};
 
@@ -187,7 +187,10 @@ pub fn run_gnn_in(
     graph: &CsrGraph,
     arena: &mut SystemArena,
 ) -> pidcomm::Result<AppRun> {
-    Ok(validated(gnn(cfg, graph, None, arena)?, "GNN PIM features"))
+    Ok(validated(
+        run_gnn_resilient_in(cfg, graph, None, RunPolicy::default(), arena)?,
+        "GNN PIM features",
+    ))
 }
 
 /// As [`run_gnn`], but under run-level supervision (see
@@ -211,7 +214,8 @@ pub fn run_gnn_resilient(
     run_gnn_resilient_in(cfg, graph, fault, policy, &mut SystemArena::new())
 }
 
-/// As [`run_gnn_resilient`], sourcing allocations from `arena`.
+/// As [`run_gnn_resilient`], sourcing allocations from `arena` — the one
+/// GNN body behind all four runners (see [`crate::driver`]).
 ///
 /// # Errors
 ///
@@ -221,16 +225,6 @@ pub fn run_gnn_resilient_in(
     graph: &CsrGraph,
     fault: Option<Arc<FaultPlan>>,
     policy: RunPolicy,
-    arena: &mut SystemArena,
-) -> pidcomm::Result<ResilientRun> {
-    gnn(cfg, graph, Some((fault, policy)), arena)
-}
-
-/// The one GNN body behind all four runners (see [`crate::driver`]).
-fn gnn(
-    cfg: &GnnConfig,
-    graph: &CsrGraph,
-    supervision: Supervision,
     arena: &mut SystemArena,
 ) -> pidcomm::Result<ResilientRun> {
     let p = cfg.pes;
@@ -489,7 +483,7 @@ fn gnn(
         run.profile.record(&gathered.report);
         Ok(gathered.host_out.expect("gather produces host output"))
     };
-    drive(arena, supervision, setup, body, |gathered| {
+    drive(arena, fault, policy, setup, body, |gathered| {
         let (expected, cpu_ns) = cpu_reference(graph, &f0, &weights, cfg.dtype);
         // After the final layer every member of group g holds block g (the
         // group's row-block); the gather's buffer g starts with rank 0's

@@ -14,10 +14,12 @@
 //! * [`dlrm`] — 3-D partitioned recommendation model (AlltoAll /
 //!   ReduceScatter / AlltoAll).
 //!
-//! Every app ships four entry points over **one** body: `run_x` /
-//! `run_x_in` (plain; `_in` sources allocations from a caller's
-//! `SystemArena`) and `run_x_resilient` / `run_x_resilient_in` (the same
-//! body under run-level supervision, returning a [`ResilientRun`]).
+//! Every app ships four entry points over **one** body and **one**
+//! driver: `run_x_resilient` / `run_x_resilient_in` run the body under
+//! run-level supervision and return a [`ResilientRun`] (`_in` sources
+//! allocations from a caller's `SystemArena`); `run_x` / `run_x_in` are
+//! that run with no fault plan and the default policy, asserted to match
+//! the CPU reference and returned as a plain [`AppRun`].
 
 // The modeled engine takes no unsafe shortcuts; any future unsafe
 // fast path belongs in pim_sim, under simlint's unsafe-audit lint.
@@ -49,13 +51,12 @@ pub struct AppRun {
 /// entry points): the ordinary [`AppRun`] plus the run-level recovery
 /// record.
 ///
-/// Each app has one body; `run_x` / `run_x_in` drive it unsupervised
-/// (steps run once, collectives execute directly) and assert the output
-/// matches the CPU reference, while `run_x_resilient` /
-/// `run_x_resilient_in` drive it under a `pidcomm` supervisor and never
-/// panic on output divergence — degraded execution is the point — but
-/// report it as [`ResilientRun::mismatched`]. With no fault plan the
-/// profile and outputs of the two are bit-identical.
+/// Every run is driven under a `pidcomm` supervisor and never panics on
+/// output divergence — degraded execution is the point — but reports it
+/// as [`ResilientRun::mismatched`]. With no fault plan nothing can fail:
+/// the record reads `Completed` with every count zero, and
+/// [`ResilientRun::run`] is what `run_x` / `run_x_in` return after
+/// asserting it validated.
 #[derive(Debug, Clone)]
 pub struct ResilientRun {
     /// Profile, CPU reference time and validation flag. The profile

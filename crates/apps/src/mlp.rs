@@ -19,7 +19,7 @@ use pidcomm_data::MatI32;
 use pim_sim::{kernels, DType, DimmGeometry, FaultPlan, ReduceKind, SystemArena};
 
 use crate::cost::{pe_kernel_ns, CpuModel};
-use crate::driver::{drive, mismatches, validated, Run, Setup, Supervision, Verdict};
+use crate::driver::{drive, mismatches, validated, Run, Setup, Verdict};
 use crate::profile::AppProfile;
 use crate::{AppRun, ResilientRun};
 
@@ -147,7 +147,10 @@ pub fn run_mlp(cfg: &MlpConfig) -> pidcomm::Result<AppRun> {
 ///
 /// As [`run_mlp`].
 pub fn run_mlp_in(cfg: &MlpConfig, arena: &mut SystemArena) -> pidcomm::Result<AppRun> {
-    Ok(validated(mlp(cfg, None, arena)?, "MLP PIM result"))
+    Ok(validated(
+        run_mlp_resilient_in(cfg, None, RunPolicy::default(), arena)?,
+        "MLP PIM result",
+    ))
 }
 
 /// As [`run_mlp`], but under run-level supervision (see
@@ -170,7 +173,8 @@ pub fn run_mlp_resilient(
     run_mlp_resilient_in(cfg, fault, policy, &mut SystemArena::new())
 }
 
-/// As [`run_mlp_resilient`], sourcing allocations from `arena`.
+/// As [`run_mlp_resilient`], sourcing allocations from `arena` — the one
+/// MLP body behind all four runners (see [`crate::driver`]).
 ///
 /// # Errors
 ///
@@ -179,15 +183,6 @@ pub fn run_mlp_resilient_in(
     cfg: &MlpConfig,
     fault: Option<Arc<FaultPlan>>,
     policy: RunPolicy,
-    arena: &mut SystemArena,
-) -> pidcomm::Result<ResilientRun> {
-    mlp(cfg, Some((fault, policy)), arena)
-}
-
-/// The one MLP body behind all four runners (see [`crate::driver`]).
-fn mlp(
-    cfg: &MlpConfig,
-    supervision: Supervision,
     arena: &mut SystemArena,
 ) -> pidcomm::Result<ResilientRun> {
     let (p, f) = (cfg.pes, cfg.features);
@@ -326,7 +321,7 @@ fn mlp(
             .map(|c| relu(i32::from_le_bytes(c.try_into().unwrap())))
             .collect::<Vec<i32>>())
     };
-    drive(arena, supervision, setup, body, |result| {
+    drive(arena, fault, policy, setup, body, |result| {
         let (expected, cpu_ns) = cpu_reference(cfg.layers, &x0);
         Verdict {
             mismatched: mismatches(result.as_deref(), &expected),

@@ -8,7 +8,7 @@ use pidcomm_apps::cc::{run_cc, run_cc_in, run_cc_resilient_in, CcConfig};
 use pidcomm_apps::dlrm::{run_dlrm, run_dlrm_in, run_dlrm_resilient_in, DlrmRunConfig};
 use pidcomm_apps::gnn::{run_gnn, run_gnn_in, run_gnn_resilient_in, GnnConfig, GnnVariant};
 use pidcomm_apps::mlp::{run_mlp, run_mlp_in, run_mlp_resilient_in, MlpConfig};
-use pidcomm_apps::AppRun;
+use pidcomm_apps::{AppRun, ResilientRun};
 use pidcomm_data::dlrm::DlrmConfig;
 use pidcomm_data::{rmat, CsrGraph, RmatParams};
 use pim_sim::{DType, DimmGeometry, FaultPlan, SystemArena};
@@ -325,75 +325,89 @@ fn profiles_only_contain_the_expected_primitives() {
     assert!(mlp.profile.primitive_ns(Primitive::ReduceScatter) > 0.0);
 }
 
-/// Runs all five apps at a given host-kernel/engine thread budget,
-/// sourcing systems from `arena` — the pinning harness for the two tests
-/// below.
+/// The five apps' inputs at a given host-kernel/engine thread budget —
+/// what the two runners below feed the plain and the resilient entry
+/// points.
+struct AllApps {
+    graph: CsrGraph,
+    source: u32,
+    mlp: MlpConfig,
+    bfs: BfsConfig,
+    cc: CcConfig,
+    gnn: GnnConfig,
+    dlrm: DlrmRunConfig,
+}
+
+fn all_apps(threads: usize) -> AllApps {
+    let graph = graph();
+    AllApps {
+        source: default_source(&graph),
+        graph,
+        mlp: MlpConfig {
+            threads,
+            features: 512,
+            layers: 3,
+            pes: 64,
+            opt: OptLevel::Full,
+        },
+        bfs: BfsConfig {
+            threads,
+            pes: 64,
+            opt: OptLevel::Full,
+        },
+        cc: CcConfig {
+            threads,
+            pes: 64,
+            opt: OptLevel::Full,
+        },
+        gnn: GnnConfig {
+            threads,
+            pes: 64,
+            feature_dim: 16,
+            layers: 2,
+            variant: GnnVariant::RsAr,
+            opt: OptLevel::Full,
+            dtype: DType::I32,
+        },
+        dlrm: DlrmRunConfig {
+            threads,
+            workload: DlrmConfig {
+                num_tables: 8,
+                rows_per_table: 1 << 10,
+                embedding_dim: 16,
+                batch_size: 1024,
+                seed: 7,
+            },
+            pes: 64,
+            opt: OptLevel::Full,
+        },
+    }
+}
+
+/// Runs all five apps through the plain entry points, sourcing systems
+/// from `arena` — the pinning harness for the two tests below.
 fn run_all_apps(threads: usize, arena: &mut SystemArena) -> Vec<AppRun> {
-    let g = graph();
-    let src = default_source(&g);
+    let a = all_apps(threads);
     vec![
-        run_mlp_in(
-            &MlpConfig {
-                threads,
-                features: 512,
-                layers: 3,
-                pes: 64,
-                opt: OptLevel::Full,
-            },
-            arena,
-        )
-        .unwrap(),
-        run_bfs_in(
-            &BfsConfig {
-                threads,
-                pes: 64,
-                opt: OptLevel::Full,
-            },
-            &g,
-            src,
-            arena,
-        )
-        .unwrap(),
-        run_cc_in(
-            &CcConfig {
-                threads,
-                pes: 64,
-                opt: OptLevel::Full,
-            },
-            &g,
-            arena,
-        )
-        .unwrap(),
-        run_gnn_in(
-            &GnnConfig {
-                threads,
-                pes: 64,
-                feature_dim: 16,
-                layers: 2,
-                variant: GnnVariant::RsAr,
-                opt: OptLevel::Full,
-                dtype: DType::I32,
-            },
-            &g,
-            arena,
-        )
-        .unwrap(),
-        run_dlrm_in(
-            &DlrmRunConfig {
-                threads,
-                workload: DlrmConfig {
-                    num_tables: 8,
-                    rows_per_table: 1 << 10,
-                    embedding_dim: 16,
-                    batch_size: 1024,
-                    seed: 7,
-                },
-                pes: 64,
-                opt: OptLevel::Full,
-            },
-            arena,
-        )
-        .unwrap(),
+        run_mlp_in(&a.mlp, arena).unwrap(),
+        run_bfs_in(&a.bfs, &a.graph, a.source, arena).unwrap(),
+        run_cc_in(&a.cc, &a.graph, arena).unwrap(),
+        run_gnn_in(&a.gnn, &a.graph, arena).unwrap(),
+        run_dlrm_in(&a.dlrm, arena).unwrap(),
+    ]
+}
+
+/// The same five runs through the resilient entry points, with no fault
+/// plan and the default policy.
+fn run_all_apps_resilient(threads: usize, arena: &mut SystemArena) -> Vec<ResilientRun> {
+    let a = all_apps(threads);
+    let policy = RunPolicy::default();
+    vec![
+        run_mlp_resilient_in(&a.mlp, None, policy, arena).unwrap(),
+        run_bfs_resilient_in(&a.bfs, &a.graph, a.source, None, policy, arena).unwrap(),
+        run_cc_resilient_in(&a.cc, &a.graph, None, policy, arena).unwrap(),
+        run_gnn_resilient_in(&a.gnn, &a.graph, None, policy, arena).unwrap(),
+        run_dlrm_resilient_in(&a.dlrm, None, policy, arena).unwrap(),
     ]
 }
 
@@ -428,6 +442,19 @@ fn arena_reuse_between_runs_never_leaks_state() {
                     a == b,
                     "app #{i} diverges on arena pass {pass} at threads={threads}"
                 );
+            }
+            // The plain run is the resilient run with no plan and the
+            // default policy, and that run has nothing to recover from.
+            let resilient = run_all_apps_resilient(threads, &mut arena);
+            for (i, (plain, run)) in runs.iter().zip(&resilient).enumerate() {
+                assert!(*plain == run.run, "app #{i}: the two entry points differ");
+                assert_eq!(run.outcome, RunOutcome::Completed, "app #{i}");
+                assert_eq!(
+                    (run.retries, run.checkpoint_restores, run.backoff_epochs),
+                    (0, 0, 0),
+                    "app #{i}"
+                );
+                assert!(run.quarantined.is_empty(), "app #{i}");
             }
         }
     }

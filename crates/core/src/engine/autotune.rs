@@ -30,6 +30,10 @@ use crate::engine::BufferSpec;
 use crate::error::{Error, Result};
 use crate::hypercube::{DimMask, HypercubeManager, HypercubeShape};
 
+/// Maximum hypercube rank enumerated (the paper's design space uses up to
+/// 3-D shapes; higher ranks grow the frontier combinatorially).
+const MAX_DIMS: usize = 3;
+
 /// What to tune for: one collective over one payload geometry and PE
 /// budget. Construct with [`TuneRequest::new`], then narrow the search
 /// with the builder methods.
@@ -49,9 +53,6 @@ pub struct TuneRequest {
     /// this value are explored — tuning the *layout* of a fixed logical
     /// collective rather than changing its semantics.
     pub group_size: Option<usize>,
-    /// Maximum hypercube rank to enumerate (the paper's design space uses
-    /// up to 3-D shapes; higher ranks grow the frontier combinatorially).
-    pub max_dims: usize,
     /// Thread budget recorded into the winning plan (`0` = auto). Never
     /// affects scoring: cost-only execution ignores it.
     pub threads: usize,
@@ -68,16 +69,8 @@ impl TuneRequest {
             geometry,
             opts: vec![OptLevel::Full],
             group_size: None,
-            max_dims: 3,
             threads: 0,
         }
-    }
-
-    /// Sets the reduction operator.
-    #[must_use]
-    pub fn with_op(mut self, op: ReduceKind) -> Self {
-        self.op = op;
-        self
     }
 
     /// Sets the optimization levels to explore (explored in this order).
@@ -92,13 +85,6 @@ impl TuneRequest {
     #[must_use]
     pub fn with_group_size(mut self, n: usize) -> Self {
         self.group_size = Some(n);
-        self
-    }
-
-    /// Sets the maximum hypercube rank to enumerate.
-    #[must_use]
-    pub fn with_max_dims(mut self, max_dims: usize) -> Self {
-        self.max_dims = max_dims.max(1);
         self
     }
 
@@ -147,10 +133,10 @@ impl TuneReport {
 }
 
 /// Enumerates every legal hypercube shape over `num_pes` nodes with at
-/// most `max_dims` dimensions, in lexicographic order: each non-final
+/// most [`MAX_DIMS`] dimensions, in lexicographic order: each non-final
 /// dimension is a power-of-two factor ≥ 2 (the [`HypercubeShape`]
 /// constraint), the final dimension is whatever remains.
-fn enumerate_shapes(num_pes: usize, max_dims: usize) -> Vec<Vec<usize>> {
+fn enumerate_shapes(num_pes: usize) -> Vec<Vec<usize>> {
     fn rec(rem: usize, slots_left: usize, prefix: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
         // Close the shape here: `rem` becomes the final dimension.
         prefix.push(rem);
@@ -172,7 +158,7 @@ fn enumerate_shapes(num_pes: usize, max_dims: usize) -> Vec<Vec<usize>> {
     }
     let mut out = Vec::new();
     if num_pes > 0 {
-        rec(num_pes, max_dims.max(1), &mut Vec::new(), &mut out);
+        rec(num_pes, MAX_DIMS, &mut Vec::new(), &mut out);
     }
     out
 }
@@ -197,7 +183,7 @@ pub fn autotune(req: &TuneRequest, model: &TimeModel) -> Result<(CollectivePlan,
     let mut skipped = 0usize;
     let mut best: Option<(usize, CollectivePlan, f64)> = None;
 
-    for dims in enumerate_shapes(num_pes, req.max_dims) {
+    for dims in enumerate_shapes(num_pes) {
         let rank = dims.len();
         let Ok(shape) = HypercubeShape::new(dims.clone()) else {
             skipped += 1;
@@ -280,7 +266,7 @@ mod tests {
 
     #[test]
     fn shape_enumeration_is_exhaustive_and_legal() {
-        let shapes = enumerate_shapes(64, 3);
+        let shapes = enumerate_shapes(64);
         // Every shape multiplies back to 64 and non-final dims are
         // powers of two >= 2.
         for dims in &shapes {
@@ -292,7 +278,7 @@ mod tests {
             assert!(HypercubeShape::new(dims.clone()).is_ok(), "{dims:?}");
         }
         // No duplicates, deterministic order.
-        let again = enumerate_shapes(64, 3);
+        let again = enumerate_shapes(64);
         assert_eq!(shapes, again);
         let mut dedup = shapes.clone();
         dedup.sort();
@@ -305,7 +291,7 @@ mod tests {
     #[test]
     fn shape_enumeration_handles_non_power_of_two_tail() {
         // 48 = 16 x 3: the final dimension may be any remainder.
-        for dims in enumerate_shapes(48, 3) {
+        for dims in enumerate_shapes(48) {
             assert_eq!(dims.iter().product::<usize>(), 48);
             for &d in &dims[..dims.len() - 1] {
                 assert!(d.is_power_of_two());

@@ -301,6 +301,15 @@ impl CollectivePlan {
     /// than the plan, [`Error::InvalidHostData`] when `host_in` does not
     /// match the primitive, plus the fault layer's typed errors.
     pub fn run(&self, sys: &mut PimSystem, host_in: Option<&[Vec<u8>]>) -> Result<Execution> {
+        self.check_run(sys, host_in)?;
+        self.dispatch(sys, host_in.map(Rows::Host))
+    }
+
+    /// What [`CollectivePlan::run`] rejects before dispatch — a system of
+    /// another geometry, host buffers that do not match the primitive —
+    /// for the degraded path, which executes the plan without dispatching
+    /// it.
+    pub(crate) fn check_run(&self, sys: &PimSystem, host_in: Option<&[Vec<u8>]>) -> Result<()> {
         self.check_geometry(sys)?;
         validate_host_in(
             self.primitive,
@@ -308,8 +317,7 @@ impl CollectivePlan {
             self.n,
             self.num_groups,
             host_in,
-        )?;
-        self.dispatch(sys, host_in.map(Rows::Host))
+        )
     }
 
     /// The plan's geometry gate: a plan only runs against systems of the
@@ -541,40 +549,30 @@ impl PlanKey {
 /// A point-in-time copy of one [`PlanCache`]'s counters, for scoped
 /// delta accounting: take a [`PlanCache::snapshot`] before a phase, take
 /// another after, and [`PlanCacheStats::delta`] yields exactly that
-/// phase's hits/misses/evictions — immune to other caches (and other
-/// threads' caches) in the process.
+/// phase's hits/misses — immune to other caches (and other threads'
+/// caches) in the process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanCacheStats {
     /// Lookups served by an already-built plan.
     pub hits: u64,
     /// Lookups that had to build (and insert) a plan.
     pub misses: u64,
-    /// Plans evicted by the LRU capacity bound.
-    pub evictions: u64,
     /// Distinct plans pooled at snapshot time.
     pub len: usize,
 }
 
 impl PlanCacheStats {
     /// Counter movement since `earlier` (a previous snapshot of the same
-    /// cache): hits/misses/evictions subtract, `len` stays this
-    /// snapshot's current value.
+    /// cache): hits/misses subtract, `len` stays this snapshot's current
+    /// value.
     #[must_use]
     pub fn delta(&self, earlier: &PlanCacheStats) -> PlanCacheStats {
         PlanCacheStats {
             hits: self.hits - earlier.hits,
             misses: self.misses - earlier.misses,
-            evictions: self.evictions - earlier.evictions,
             len: self.len,
         }
     }
-}
-
-/// One pooled plan plus its recency stamp for LRU eviction.
-struct CacheEntry {
-    plan: Arc<CollectivePlan>,
-    /// Logical timestamp of the last hit or insert (monotone per cache).
-    last_used: u64,
 }
 
 /// A keyed pool of [`CollectivePlan`]s: planning runs at most once per
@@ -582,44 +580,19 @@ struct CacheEntry {
 /// cache. Sweep workers keep one per worker (parked in the
 /// `pim_sim::SystemArena` extension slot between cells), so consecutive
 /// cells and iterations reuse plans with zero rebuild. Purely an execution
-/// cache: a warm plan executes byte-identically to a cold one.
-///
-/// By default the pool is unbounded (right for sweep workers, whose key
-/// population is small and fixed). Multi-tenant deployments should bound
-/// it with [`PlanCache::with_capacity`]: beyond `capacity` plans, the
-/// least-recently-used entry is evicted (counted in
-/// [`PlanCache::evictions`]). Eviction only drops the pooled `Arc` — plans
-/// already handed out stay alive and valid.
+/// cache: a warm plan executes byte-identically to a cold one. The pool is
+/// unbounded — a run's key population is small and fixed.
 #[derive(Default)]
 pub struct PlanCache {
-    plans: HashMap<PlanKey, CacheEntry>,
-    /// `None` = unbounded.
-    capacity: Option<usize>,
-    /// Next logical timestamp.
-    tick: u64,
+    plans: HashMap<PlanKey, Arc<CollectivePlan>>,
     hits: u64,
     misses: u64,
-    evictions: u64,
 }
 
 impl PlanCache {
-    /// An empty, unbounded cache.
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty cache holding at most `capacity` plans (clamped to at
-    /// least 1), evicting the least-recently-used plan beyond that.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            capacity: Some(capacity.max(1)),
-            ..Self::default()
-        }
-    }
-
-    /// The configured capacity bound, `None` when unbounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// Number of lookups served by an already-built plan.
@@ -630,11 +603,6 @@ impl PlanCache {
     /// Number of lookups that had to build (and insert) a plan.
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Number of plans evicted by the LRU capacity bound.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Number of distinct plans currently pooled.
@@ -653,7 +621,6 @@ impl PlanCache {
         PlanCacheStats {
             hits: self.hits,
             misses: self.misses,
-            evictions: self.evictions,
             len: self.plans.len(),
         }
     }
@@ -665,41 +632,13 @@ impl PlanCache {
         key: PlanKey,
         build: impl FnOnce() -> Result<CollectivePlan>,
     ) -> Result<Arc<CollectivePlan>> {
-        if let Some(entry) = self.plans.get_mut(&key) {
-            entry.last_used = self.tick;
-            self.tick += 1;
+        if let Some(plan) = self.plans.get(&key) {
             self.hits += 1;
-            return Ok(Arc::clone(&entry.plan));
+            return Ok(Arc::clone(plan));
         }
         let plan = Arc::new(build()?);
         self.misses += 1;
-        self.plans.insert(
-            key,
-            CacheEntry {
-                plan: Arc::clone(&plan),
-                last_used: self.tick,
-            },
-        );
-        self.tick += 1;
-        if let Some(cap) = self.capacity {
-            // O(len) scan per eviction: capacities are small (the point of
-            // bounding is to stay small), and lookups stay O(1).
-            while self.plans.len() > cap {
-                let lru = self
-                    // simlint: allow(map-iteration, reason = "min_by_key over strictly increasing last_used ticks is order-independent, and the eviction choice never reaches modeled bits")
-                    .plans
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_used)
-                    .map(|(k, _)| k.clone());
-                match lru {
-                    Some(k) => {
-                        self.plans.remove(&k);
-                        self.evictions += 1;
-                    }
-                    None => break,
-                }
-            }
-        }
+        self.plans.insert(key, Arc::clone(&plan));
         Ok(plan)
     }
 }

@@ -197,7 +197,8 @@ impl<'a> Unit<'a> {
     }
 
     /// Graceful degradation: each step recomputes host-side
-    /// ([`degrade_step`]), with the inter-step hooks between them. Step 0
+    /// ([`degrade_step`]) after the validation [`CollectivePlan::run`]
+    /// would have applied, with the inter-step hooks between them. Step 0
     /// of a rooted-send chain rebuilds its original host buffers from the
     /// staged image ([`PreparedScatter::unstage`]).
     fn degrade(
@@ -219,6 +220,7 @@ impl<'a> Unit<'a> {
         let mut host_out = None;
         for k in 0..self.steps() {
             let host_in = if k == 0 { first_in } else { None };
+            self.step(k).check_run(sys, host_in)?;
             let exec = degrade_step(sys, manager, self.step(k), host_in, quarantine)?;
             reports.push(exec.report);
             host_out = exec.host_out;

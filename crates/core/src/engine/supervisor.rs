@@ -28,9 +28,9 @@
 //! so a resilient run's outcome, retry count, quarantine set and modeled
 //! time are reproducible bit-for-bit under a fixed seed.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use pim_sim::{CorruptionEvent, PimSystem, SystemArena};
+use pim_sim::{Checkpoint, CorruptionEvent, PimSystem, SystemArena};
 
 use crate::comm::Communicator;
 use crate::engine::plan::CollectivePlan;
@@ -77,7 +77,10 @@ pub const FAILURE_WEIGHT: u32 = 4;
 /// corruptions are expected rather than fatal.
 #[derive(Debug, Clone)]
 pub struct HealthLedger {
-    pes: Vec<PeHealth>,
+    /// Tallies of the PEs that have a fault history; a clean run keeps
+    /// none and allocates nothing.
+    pes: BTreeMap<u32, PeHealth>,
+    num_pes: usize,
     quarantined: BTreeSet<u32>,
     /// Score at which a PE is quarantined; `0` disables quarantine.
     threshold: u32,
@@ -88,16 +91,18 @@ impl HealthLedger {
     /// (`0` disables quarantine).
     pub(crate) fn new(num_pes: usize, threshold: u32) -> Self {
         Self {
-            pes: vec![PeHealth::default(); num_pes],
+            pes: BTreeMap::new(),
+            num_pes,
             quarantined: BTreeSet::new(),
             threshold,
         }
     }
 
     fn bump(&mut self, pe: u32, f: impl FnOnce(&mut PeHealth)) {
-        let Some(h) = self.pes.get_mut(pe as usize) else {
+        if pe as usize >= self.num_pes {
             return;
-        };
+        }
+        let h = self.pes.entry(pe).or_default();
         f(h);
         if self.threshold > 0 && h.score() >= self.threshold {
             self.quarantined.insert(pe);
@@ -124,7 +129,7 @@ impl HealthLedger {
 
     /// The accumulated tallies for `pe`.
     pub fn health(&self, pe: u32) -> PeHealth {
-        self.pes.get(pe as usize).copied().unwrap_or_default()
+        self.pes.get(&pe).copied().unwrap_or_default()
     }
 
     /// Whether `pe` is quarantined.
@@ -320,9 +325,11 @@ impl Supervisor {
     }
 
     /// Runs one iteration resiliently: snapshots `regions` (the app's
-    /// live MRAM state) into an arena-pooled checkpoint, runs `body`, and
-    /// on a typed fault error rolls the regions back, applies exponential
-    /// epoch backoff and re-runs the body under the run's retry budget.
+    /// live MRAM state) into an arena-pooled checkpoint — when a fault
+    /// plan is attached; without one there is nothing to roll back from
+    /// and no checkpoint is taken — runs `body`, and on a typed fault
+    /// error rolls the regions back, applies exponential epoch backoff and
+    /// re-runs the body under the run's retry budget.
     ///
     /// The body must derive everything it writes from committed host
     /// state plus the checkpointed regions (commit host-side mirrors only
@@ -345,8 +352,14 @@ impl Supervisor {
             self.aborted = Some(RunOutcome::DeadlineExceeded);
             return Ok(Iteration::Abort(RunOutcome::DeadlineExceeded));
         }
-        let mut ckpt = arena.checkpoint();
-        sys.checkpoint_regions(regions, &mut ckpt);
+        // Without a plan no typed fault can arise, so nothing can ask for
+        // the image back: the clean path pays for neither the copy nor
+        // the checkout.
+        let ckpt = sys.fault_plan().is_some().then(|| {
+            let mut ckpt = arena.checkpoint();
+            sys.checkpoint_regions(regions, &mut ckpt);
+            ckpt
+        });
         let result = loop {
             let mut attempt = Attempt {
                 policy: &self.policy,
@@ -368,16 +381,18 @@ impl Supervisor {
             match run {
                 Ok(t) => {
                     self.consecutive = 0;
-                    break Iteration::Done(t);
+                    break Ok(Iteration::Done(t));
                 }
                 Err(err @ (Error::DataCorruption { .. } | Error::PeFailed { .. })) => {
                     self.ledger.record_fault(sys, &err);
                     if self.retries_used >= self.policy.retry_budget {
                         self.aborted = Some(RunOutcome::BudgetExhausted);
-                        break Iteration::Abort(RunOutcome::BudgetExhausted);
+                        break Ok(Iteration::Abort(RunOutcome::BudgetExhausted));
                     }
                     self.retries_used += 1;
-                    sys.restore_regions(&ckpt);
+                    if let Some(ckpt) = &ckpt {
+                        sys.restore_regions(ckpt);
+                    }
                     self.checkpoint_restores += 1;
                     // Discard fault records the failed attempt left
                     // behind; the re-run starts from a clean slate.
@@ -404,21 +419,20 @@ impl Supervisor {
                     // simlint: allow(cost-sheet, reason = "run-level backoff surcharge outside the plan's cost model by design; zero on the fault-free path")
                     sheet.recovery_backoff = u64::from(backoff);
                     // simlint: allow(cost-sheet, reason = "iteration-rollback byte tally outside the plan's cost model by design; zero on the fault-free path")
-                    sheet.recovery_checkpoint_bytes = ckpt.bytes();
+                    sheet.recovery_checkpoint_bytes = ckpt.as_ref().map_or(0, Checkpoint::bytes);
                     sheet.apply(sys);
                     if sys.meter().total() > self.policy.deadline_ns {
                         self.aborted = Some(RunOutcome::DeadlineExceeded);
-                        break Iteration::Abort(RunOutcome::DeadlineExceeded);
+                        break Ok(Iteration::Abort(RunOutcome::DeadlineExceeded));
                     }
                 }
-                Err(err) => {
-                    arena.recycle_checkpoint(ckpt);
-                    return Err(err);
-                }
+                Err(err) => break Err(err),
             }
         };
-        arena.recycle_checkpoint(ckpt);
-        Ok(result)
+        if let Some(ckpt) = ckpt {
+            arena.recycle_checkpoint(ckpt);
+        }
+        result
     }
 }
 

@@ -222,16 +222,74 @@ fn deadline_aborts_after_a_costly_rollback_and_at_the_next_boundary() {
 
 #[test]
 fn non_fault_error_propagates_and_recycles_the_checkpoint() {
+    let not_a_fault = |sys: &mut PimSystem, arena: &mut SystemArena| {
+        let mut sup = Supervisor::new(64, policy());
+        let result = sup.iteration(sys, arena, &[LIVE], |_, _| {
+            Err::<(), _>(Error::InvalidHostData("not a fault".into()))
+        });
+        assert!(matches!(result, Err(Error::InvalidHostData(_))));
+        assert_eq!(sup.retries(), 0, "only typed faults are retried");
+    };
+    // Under a plan (one that never fires) the live window is captured, and
+    // the pooled checkpoint keeps its per-PE buffers.
+    let (mut sys, _) = system(&[u64::MAX]);
+    let mut arena = SystemArena::new();
+    not_a_fault(&mut sys, &mut arena);
+    assert_eq!(arena.checkpoint().bytes(), 64 * LIVE.1 as u64);
+    // No plan, no capture: nothing could ask for the image back.
     let (mut sys, _) = system(&[]);
     let mut arena = SystemArena::new();
-    let mut sup = Supervisor::new(64, policy());
-    let result = sup.iteration(&mut sys, &mut arena, &[LIVE], |_, _| {
-        Err::<(), _>(Error::InvalidHostData("not a fault".into()))
-    });
-    assert!(matches!(result, Err(Error::InvalidHostData(_))));
-    assert_eq!(sup.retries(), 0, "only typed faults are retried");
-    // The pooled checkpoint keeps its per-PE buffers; a fresh one is empty.
-    assert_eq!(arena.checkpoint().bytes(), 64 * LIVE.1 as u64);
+    not_a_fault(&mut sys, &mut arena);
+    assert_eq!(arena.checkpoint().bytes(), 0);
+}
+
+#[test]
+fn up_front_degrade_rejects_what_run_rejects() {
+    let c = comm();
+    let mask: DimMask = "10".parse().unwrap();
+    let scatter = c
+        .plan(
+            Primitive::Scatter,
+            &mask,
+            &BufferSpec::new(0, DST, B),
+            ReduceKind::Sum,
+        )
+        .unwrap();
+    let (mut sys, _) = system(&[]);
+    sys.attach_fault_plan(Arc::new(FaultPlan::new(1).with_failed_pe(3)));
+    let mut arena = SystemArena::new();
+    let mut sup = Supervisor::new(64, RunPolicy::default());
+    // One AllReduce meets the dead PE; the ledger quarantines it, so every
+    // later collective takes the up-front degraded path.
+    let plan = all_reduce(&c);
+    sup.iteration(&mut sys, &mut arena, &[], |sys, at| {
+        at.collective(&c, sys, &plan, None)
+    })
+    .unwrap();
+    assert!(sup.ledger().is_quarantined(3));
+
+    let good = vec![vec![7u8; 8 * B]; 8];
+    let short = vec![vec![7u8; 8 * B - 8]; 8];
+    let mut small = PimSystem::new(DimmGeometry::single_group());
+    let mut scatter_on = |mut other: Option<&mut PimSystem>, host_in: Option<&[Vec<u8>]>| {
+        sup.iteration(&mut sys, &mut arena, &[], |sys, at| {
+            let sys = other.as_deref_mut().unwrap_or(sys);
+            at.collective(&c, sys, &scatter, host_in)
+        })
+    };
+    let missing = scatter_on(None, None);
+    assert!(matches!(missing, Err(Error::InvalidHostData(_))));
+    let wrong_size = scatter_on(None, Some(&short));
+    assert!(matches!(wrong_size, Err(Error::InvalidHostData(_))));
+    let wrong_system = scatter_on(Some(&mut small), Some(&good));
+    assert!(matches!(
+        wrong_system,
+        Err(Error::ShapeSystemMismatch { nodes: 64, pes: 8 })
+    ));
+    let Ok(Iteration::Done(exec)) = scatter_on(None, Some(&good)) else {
+        panic!("a valid scatter degrades around the quarantined PE");
+    };
+    assert!(exec.degraded);
 }
 
 #[test]

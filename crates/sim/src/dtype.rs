@@ -73,11 +73,6 @@ impl DType {
     pub fn is_byte_sized(self) -> bool {
         self.size_bytes() == 1
     }
-
-    /// Whether the type is signed (affects `Min`/`Max` reductions).
-    pub fn is_signed(self) -> bool {
-        matches!(self, DType::I8 | DType::I16 | DType::I32 | DType::I64)
-    }
 }
 
 impl fmt::Display for DType {

@@ -12,10 +12,11 @@
 //! one copy — so the window's landing is the chokepoint of the fault layer
 //! ([`crate::fault`]): an installed
 //! [`crate::fault::FaultCtx`] lets a seeded plan corrupt or drop landing
-//! writes, and write verification read-after-write checks each landing
-//! against its intended FNV digest. Both are decided once, when the window
-//! is resolved, and disabled by default, leaving the hot path a plain
-//! slice copy.
+//! writes, and write verification compares each landing with the bytes it
+//! was meant to land (a landing that differs is named by its intended and
+//! landed FNV digests). Both are decided once, when the window is
+//! resolved, and disabled by default, leaving the hot path a plain slice
+//! copy.
 //!
 //! Resolving — a capacity check, an extent update, a binary search over
 //! the segment store, page materialization on first touch — is what a
@@ -167,9 +168,10 @@ pub type ReadWindow<'a> = Cow<'a, [u8]>;
 /// landing: dropped if the PE is stuck in the current epoch, struck by
 /// whatever [`crate::fault::FaultPlan::write_fault`] schedules for its
 /// `(pe, offset, len)`, and — under verification — read back and compared
-/// by FNV digest, the first mismatch per PE being kept for collection at
-/// the next execute boundary. (Resolving is not landing: a stuck PE's
-/// window still materializes its pages, which then stay zero.)
+/// with the intended bytes, the first mismatch per PE (by FNV digest)
+/// being kept for collection at the next execute boundary. (Resolving is
+/// not landing: a stuck PE's window still materializes its pages, which
+/// then stay zero.)
 #[derive(Debug)]
 pub struct WriteWindow<'a> {
     /// MRAM offset of `data[0]`.
@@ -210,16 +212,17 @@ impl WriteWindow<'_> {
     /// Lands all of `src` at MRAM offset `offset` as one run of
     /// `chunk`-byte pieces, piece `i` being `src[i * chunk..][..chunk]` at
     /// `offset + i * chunk`. On a direct window the run is a single copy
-    /// and `order` is never consumed. A window carrying the fault layer's
-    /// hooks lands the pieces one by one through the checked landing, in
-    /// the order `order` names them — so each keeps the `(pe, offset,
-    /// len)`, and the PE the landing sequence, of the [`WriteWindow::put`]
-    /// loop the run stands for. `order` must name every piece once.
+    /// and `order` is never consumed; a window that only verifies adds one
+    /// compare of the whole run. A window with a fault plan lands the
+    /// pieces one by one through the checked landing, in the order `order`
+    /// names them — so each keeps the `(pe, offset, len)`, and the PE the
+    /// landing sequence, of the [`WriteWindow::put`] loop the run stands
+    /// for. `order` must name every piece once.
     ///
     /// # Panics
     ///
-    /// Panics if `[offset, offset + src.len())` leaves the window or a
-    /// named piece leaves the run.
+    /// Panics if `[offset, offset + src.len())` leaves the window or, where
+    /// the pieces are walked, a named piece leaves the run.
     #[inline]
     pub fn put_run(
         &mut self,
@@ -232,6 +235,15 @@ impl WriteWindow<'_> {
         match &mut self.hooks {
             None => landed.copy_from_slice(src),
             Some(hooks) => {
+                // Verification without a plan: nothing can single a piece
+                // out, so the run lands and is checked whole. The pieces
+                // are walked only to name the one that differs.
+                if hooks.fault.is_none() {
+                    landed.copy_from_slice(src);
+                    if *landed == *src {
+                        return;
+                    }
+                }
                 for at in order.into_iter().map(|i| i * chunk) {
                     let piece = at..at + chunk;
                     hooks.land(&mut landed[piece.clone()], offset + at, &src[piece]);
@@ -284,7 +296,10 @@ impl<'a> Hooks<'a> {
                 None => {}
             }
         }
-        if self.verify {
+        // Read-after-write check: compare what landed with what was meant
+        // to. The digests only name a landing that differs, and equal
+        // bytes have equal digests, so a clean landing never computes them.
+        if self.verify && *landed != *src {
             let expected = fault::fnv1a(src);
             let found = fault::fnv1a(landed);
             if found != expected && self.corruption.is_none() {
@@ -1058,6 +1073,67 @@ mod tests {
         pe.interleave_blocks(20 * PAGE_BYTES, 0, 3, 2, 2);
         assert_eq!(pe.peek(0, 12), vec![0u8; 12]);
         assert_eq!(pe.mram_resident(), PAGE_BYTES);
+    }
+
+    #[test]
+    fn verified_landing_records_exactly_a_digest_mismatch() {
+        use crate::fault::{FaultKind, FaultPlan};
+        use std::sync::Arc;
+
+        let kinds = [
+            None,
+            Some(FaultKind::BitFlip),
+            Some(FaultKind::RowCorrupt),
+            Some(FaultKind::Stuck),
+        ];
+        for len in [8, 24, PAGE_BYTES + 8] {
+            let src: Vec<u8> = (0..len).map(|i| (i * 13 + 5) as u8).collect();
+            for kind in kinds {
+                let plan = kind
+                    .into_iter()
+                    .fold(FaultPlan::new(9), |plan, kind| plan.with_event(kind, 3, 1));
+                assert_eq!(plan.begin_epoch(), 1);
+                let mut pe = Pe::new();
+                // What a stuck PE keeps: the landing is dropped.
+                pe.write(40, &vec![0xEE; len]);
+                pe.set_fault_ctx(Some(FaultCtx::new(3, Arc::new(plan))));
+                pe.set_verify(true);
+                pe.write(40, &src);
+
+                // The definition: an event iff the digests of the intended
+                // bytes and of the bytes actually landed differ.
+                let landed = pe.peek(40, len);
+                assert_eq!(landed != src, kind.is_some(), "{kind:?} at {len} B");
+                let (expected, found) = (fault::fnv1a(&src), fault::fnv1a(&landed));
+                let want = (expected != found).then_some(CorruptionEvent {
+                    pe: 3,
+                    offset: 40,
+                    len,
+                    expected,
+                    found,
+                    epoch: 1,
+                });
+                assert_eq!(want.is_some(), kind.is_some(), "{kind:?} at {len} B");
+                assert_eq!(pe.take_corruption(), want, "{kind:?} at {len} B");
+            }
+        }
+
+        // Verification alone: the run lands as on the direct lane — one
+        // copy, the order never asked for — and records nothing.
+        let src: Vec<u8> = (0..PAGE_BYTES + 8).map(|i| (i * 7 + 1) as u8).collect();
+        let mut direct = Pe::new();
+        let mut verified = Pe::new();
+        verified.set_verify(true);
+        for pe in [&mut direct, &mut verified] {
+            let never = std::iter::from_fn(|| -> Option<usize> { panic!("no piece is walked") });
+            pe.write_window(40, src.len()).put_run(40, &src, 8, never);
+        }
+        assert_eq!(
+            verified.peek(0, 2 * PAGE_BYTES),
+            direct.peek(0, 2 * PAGE_BYTES)
+        );
+        assert_eq!(verified.peek(40, src.len()), src);
+        assert!(verified.take_corruption().is_none());
     }
 
     #[test]

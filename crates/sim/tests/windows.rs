@@ -342,8 +342,12 @@ fn run_before_the_window_rejected() {
 #[test]
 #[should_panic]
 fn hooked_run_rejects_a_piece_outside_the_run() {
+    // Pieces are walked only where a plan can single one out.
     let mut pe = Pe::new();
-    pe.set_verify(true);
+    pe.set_fault_ctx(Some(pim_sim::fault::FaultCtx::new(
+        0,
+        Arc::new(FaultPlan::new(0)),
+    )));
     pe.write_window(0, 64)
         .put_run(0, &[0u8; 32], 8, [0, 1, 2, 4]);
 }
