@@ -23,12 +23,12 @@
 use std::path::Path;
 
 use pidcomm::{
-    BufferSpec, CollectivePlan, Communicator, HypercubeManager, HypercubeShape, OptLevel,
-    Primitive, TuneRequest,
+    topology_all_reduce, BufferSpec, CollectivePlan, Communicator, HypercubeManager,
+    HypercubeShape, OptLevel, Primitive, Topology, TuneRequest,
 };
 use pim_sim::fault::fnv1a;
 use pim_sim::testgen::SplitMix64;
-use pim_sim::{DType, DimmGeometry, ReduceKind, TimeModel};
+use pim_sim::{DType, DimmGeometry, PimSystem, ReduceKind, TimeModel};
 
 use crate::apps;
 use crate::sweep::SweepBudget;
@@ -231,18 +231,32 @@ fn plan(
         .unwrap()
 }
 
-/// Extended fig19 / fig20 / fig22 grids, scored by cost-only plan
+/// Fig. 23a's three AllReduce topologies on fig23's 32×32 cell, then the
+/// extended fig19 / fig20 / fig22 grids, scored by cost-only plan
 /// execution (bit-identical to the functional engine:
 /// `crates/core/tests/cost_only.rs`): PE-count scaling of a 1-D and a 2-D
 /// AllReduce, every ordered 3-D power-of-two shape over 1024 PEs (the
 /// paper's figure plots ten of the 36), and the word width of the
-/// reducing primitives. Every cell communicates along x.
+/// reducing primitives. Every cell communicates along x. The three
+/// topology cells run functionally: the stepped ring and tree have no
+/// cost-only path.
 pub fn design() -> Vec<Pin> {
     use DType::{U16, U32, U64, U8};
     use Primitive::{AllReduce, Reduce, ReduceScatter};
 
     let model = TimeModel::upmem();
     let mut pins = Vec::new();
+    let geom = DimmGeometry::upmem_1024();
+    let manager = HypercubeManager::new(HypercubeShape::new(vec![32, 32]).unwrap(), geom).unwrap();
+    let b = 16 << 10;
+    let (spec, mask) = (BufferSpec::new(0, 2 * b + 64, b), "10".parse().unwrap());
+    for topo in [Topology::Hypercube, Topology::Ring, Topology::Tree] {
+        let mut sys = PimSystem::new(geom);
+        let report =
+            topology_all_reduce(&mut sys, &manager, topo, &mask, &spec, ReduceKind::Sum).unwrap();
+        let key = format!("fig23a/{topo}/{:?}/1024", report.opt);
+        pins.push(Pin::new(key, report.time_ns().to_bits()));
+    }
     let mut cell = |sweep: &str, label: &str, dims: &[usize], bytes: usize, dtype, prim| {
         let pes = dims.iter().product();
         let mask = format!("1{}", "0".repeat(dims.len() - 1));

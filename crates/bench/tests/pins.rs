@@ -1,4 +1,4 @@
-//! The pins that live nowhere else — 10 small app cells, 58 design-space
+//! The pins that live nowhere else — 10 small app cells, 61 design-space
 //! cells, 8 autotuner winners, 22 kernel checksums — checked against the
 //! `BENCH_*.json` files at the repo root. A failing set names every cell
 //! that moved; `cargo test -p pidcomm-bench --test pins <set>` re-runs one

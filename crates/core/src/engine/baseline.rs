@@ -11,13 +11,14 @@
 //! concatenation for AllGather, the transposed image for AlltoAll — and the
 //! push writes each member its share of it, whole or by chunk, one
 //! `Pe::write` per member. Every read of a call finishes before its first
-//! push, so the call sees a snapshot of its sources. The cost sheet charges
-//! the three bottlenecks the paper identifies: host-memory staging,
-//! word-granular modulation and per-byte domain transfer.
+//! push, so the call sees a snapshot of its sources. The plan's cost sheet
+//! ([`charge`]) charges the three bottlenecks the paper identifies:
+//! host-memory staging, word-granular modulation and per-byte domain
+//! transfer.
 //!
 //! Groups touch disjoint PEs, so the host-memory rearrangement of the
 //! groups fans out over the executor; pushes stay in group order, keeping
-//! the cost accounting and final MRAM images identical to serial execution.
+//! the final MRAM images identical to serial execution.
 
 use pim_sim::geometry::BURST_BYTES;
 use pim_sim::pe::ReadWindow;
@@ -32,10 +33,8 @@ use crate::oracle;
 
 /// Records every `CostSheet` charge the baseline execution of `plan`
 /// incurs — the **single source of truth** for the conventional path's
-/// costs, shared by the functional executor ([`run`]) and cost-only
-/// execution. All quantities depend only on the plan's group tables and
-/// spec, never on payload bytes, so the tallies are identical with or
-/// without a functional run.
+/// costs, tallied once when the plan is built. All quantities depend only
+/// on the plan's group tables and spec, never on payload bytes.
 pub(crate) fn charge(sheet: &mut CostSheet, plan: &CollectivePlan) {
     let geom = plan.geometry;
     let groups = plan.groups.as_slice();
@@ -99,11 +98,7 @@ pub(crate) fn charge(sheet: &mut CostSheet, plan: &CollectivePlan) {
 /// Executes the plan's primitive over its pre-enumerated group tables
 /// using the conventional host-memory flow. Returns host-side outputs for
 /// `Reduce`, `None` otherwise.
-pub(crate) fn run(
-    sys: &mut PimSystem,
-    sheet: &mut CostSheet,
-    plan: &CollectivePlan,
-) -> Option<Vec<Vec<u8>>> {
+pub(crate) fn run(sys: &mut PimSystem, plan: &CollectivePlan) -> Option<Vec<Vec<u8>>> {
     let primitive = plan.primitive;
     let (src, dst, b) = (
         plan.spec.src_offset,
@@ -111,8 +106,6 @@ pub(crate) fn run(
         plan.spec.bytes_per_node,
     );
     let (dtype, op) = (plan.spec.dtype, plan.op);
-
-    charge(sheet, plan);
 
     // 1. Pull every member's data (domain transfer is automatic in the
     //    conventional driver) and 2. globally rearrange / reduce it in host
@@ -192,7 +185,7 @@ mod tests {
                 Primitive::AllReduce => oracle::all_reduce(&inputs, op, dtype),
                 _ => oracle::all_gather(&inputs),
             };
-            run(&mut sys, &mut CostSheet::new(geom.channels()), &plan);
+            run(&mut sys, &plan);
             for (&pe, want) in members.iter().zip(&want) {
                 assert_eq!(&sys.pe(pe).peek(8, want.len()), want, "{primitive} {pe}");
             }

@@ -3,11 +3,12 @@
 //!
 //! Validating the [`BufferSpec`] against the group geometry, decomposing
 //! the mask into [`EgCluster`]s, computing the per-cluster rotation and
-//! placement schedules and resolving the thread fan-out depend only on
-//! `(primitive, opt, mask, spec, geometry, op, threads)`, never on the
-//! payload — and iteration-heavy applications (CC/BFS run the identical
-//! `AllReduce` every level until fixed point, MLP per layer, GNN per step,
-//! DLRM per batch) repeat the same key every iteration.
+//! placement schedules, tallying the modeled cost and resolving the thread
+//! fan-out depend only on `(primitive, opt, mask, spec, geometry, op,
+//! threads)`, never on the payload — and iteration-heavy applications
+//! (CC/BFS run the identical `AllReduce` every level until fixed point, MLP
+//! per layer, GNN per step, DLRM per batch) repeat the same key every
+//! iteration.
 //!
 //! [`CollectivePlan`] captures all of it as a first-class, reusable value,
 //! in the style of MPI persistent requests / FFTW plans:
@@ -26,8 +27,12 @@
 //!   extension slot), so consecutive cells and iterations reuse plans with
 //!   zero rebuild.
 //!
-//! Plans are immutable and `Send + Sync`: executing one builds a fresh
-//! private [`CostSheet`] per call, so a warm plan cannot carry state
+//! Cost is a property of the plan: [`CollectivePlan::build`] tallies the
+//! [`CostSheet`] once, and every execution applies that stored sheet to the
+//! system's meter — the executors move bytes and hold no sheet. Cost-only
+//! execution ([`CollectivePlan::cost_only_report`]) applies the same sheet
+//! to a bare meter, so it equals the functional report by construction.
+//! Plans are immutable and `Send + Sync`, so a warm plan cannot carry state
 //! between executions (pinned by `tests/plan_reuse.rs`).
 
 use std::collections::HashMap;
@@ -36,7 +41,7 @@ use std::sync::Arc;
 use pim_sim::domain::LanePerm;
 use pim_sim::dtype::ReduceKind;
 use pim_sim::geometry::{DimmGeometry, EgId, LANES};
-use pim_sim::{Breakdown, Category, PimSystem, TimeModel};
+use pim_sim::{Breakdown, PimSystem, TimeModel};
 
 use crate::config::{OptLevel, Primitive};
 use crate::engine::sheet::CostSheet;
@@ -86,8 +91,9 @@ impl ClusterSched {
 /// `(primitive, opt, mask, spec, geometry, op, threads)` — validated
 /// buffer geometry, the [`EgCluster`] decomposition, the per-cluster
 /// phase-B rotation and placement schedules, the baseline path's
-/// group tables and the resolved thread fan-out — ready to execute any
-/// number of times. See the module docs.
+/// group tables, the modeled cost of one execution and the resolved
+/// thread fan-out — ready to execute any number of times. See the module
+/// docs.
 pub struct CollectivePlan {
     pub(crate) primitive: Primitive,
     pub(crate) opt: OptLevel,
@@ -118,11 +124,13 @@ pub struct CollectivePlan {
     pub(crate) cluster_threads: usize,
     /// Resolved per-group fan-out of the baseline path.
     pub(crate) group_threads: usize,
+    /// What one execution charges, tallied once by `build`.
+    pub(crate) sheet: CostSheet,
 }
 
 impl CollectivePlan {
     /// Plans one collective against `manager`: everything
-    /// payload-independent runs here, once.
+    /// payload-independent runs here, once — the cost sheet included.
     pub(crate) fn build(
         manager: &HypercubeManager,
         opt: OptLevel,
@@ -163,7 +171,7 @@ impl CollectivePlan {
             Vec::new()
         };
 
-        Ok(Self {
+        let mut plan = Self {
             primitive,
             opt,
             op,
@@ -179,7 +187,18 @@ impl CollectivePlan {
             sched,
             groups,
             mask: mask.clone(),
-        })
+            sheet: CostSheet::new(0),
+        };
+        // The charge functions read the finished plan, so its sheet is
+        // tallied last.
+        let mut sheet = CostSheet::new(plan.geometry.channels());
+        if baseline_grouped {
+            baseline::charge(&mut sheet, &plan);
+        } else {
+            streaming::charge(&mut sheet, &plan);
+        }
+        plan.sheet = sheet;
+        Ok(plan)
     }
 
     /// The primitive this plan executes.
@@ -333,14 +352,14 @@ impl CollectivePlan {
     }
 
     /// The execution envelope and the primitive dispatch inside it: fault
-    /// epoch + stuck scan, fresh private [`CostSheet`], the one `match`
-    /// over primitives, cost application, corruption check and report
-    /// assembly. Its two callers differ only in where a rooted send's
-    /// `rows` come from — [`CollectivePlan::run`] passes the host buffers
-    /// it validated (`None` for every other primitive), the prepared tier
-    /// ([`super::prepared`]) the image it validated when staging — so both
-    /// charge and report bit-identically. Either checks the geometry
-    /// first ([`CollectivePlan::check_geometry`]).
+    /// epoch + stuck scan, the one `match` over primitives, application of
+    /// the plan's [`CostSheet`], corruption check and report assembly. Its
+    /// two callers differ only in where a rooted send's `rows` come from —
+    /// [`CollectivePlan::run`] passes the host buffers it validated (`None`
+    /// for every other primitive), the prepared tier ([`super::prepared`])
+    /// the image it validated when staging — so both charge and report
+    /// bit-identically. Either checks the geometry first
+    /// ([`CollectivePlan::check_geometry`]).
     pub(super) fn dispatch(
         &self,
         sys: &mut PimSystem,
@@ -357,37 +376,36 @@ impl CollectivePlan {
             }
         }
 
-        let mut sheet = CostSheet::new(sys.geometry().channels());
         let before = sys.meter();
 
         let host_out = match self.primitive {
             Primitive::Scatter | Primitive::Broadcast => {
                 let rows = rows.expect("callers pass a rooted send its rows");
-                streaming::rooted_send(sys, &mut sheet, self, rows);
+                streaming::rooted_send(sys, self, rows);
                 None
             }
-            Primitive::Gather => Some(streaming::gather(sys, &mut sheet, self)),
-            _ if self.opt == OptLevel::Baseline => baseline::run(sys, &mut sheet, self),
+            Primitive::Gather => Some(streaming::gather(sys, self)),
+            _ if self.opt == OptLevel::Baseline => baseline::run(sys, self),
             Primitive::AlltoAll => {
-                streaming::alltoall(sys, &mut sheet, self);
+                streaming::alltoall(sys, self);
                 None
             }
             Primitive::ReduceScatter => {
-                streaming::reduce_scatter(sys, &mut sheet, self);
+                streaming::reduce_scatter(sys, self);
                 None
             }
             Primitive::AllReduce => {
-                streaming::all_reduce(sys, &mut sheet, self);
+                streaming::all_reduce(sys, self);
                 None
             }
             Primitive::AllGather => {
-                streaming::all_gather(sys, &mut sheet, self);
+                streaming::all_gather(sys, self);
                 None
             }
-            Primitive::Reduce => Some(streaming::reduce(sys, &mut sheet, self)),
+            Primitive::Reduce => Some(streaming::reduce(sys, self)),
         };
 
-        sheet.apply(sys);
+        self.sheet.apply(sys);
 
         // Detection boundary: surface the first verification mismatch as a
         // typed error instead of a silent wrong answer. The attempt's cost
@@ -429,74 +447,15 @@ impl CollectivePlan {
         }
     }
 
-    /// Whether [`CollectivePlan::run`] dispatches this plan to the
-    /// conventional host-memory baseline path (reordering primitives at
-    /// `OptLevel::Baseline`; Scatter/Gather/Broadcast stream at every
-    /// level).
-    fn takes_baseline_path(&self) -> bool {
-        self.opt == OptLevel::Baseline
-            && !matches!(
-                self.primitive,
-                Primitive::Scatter | Primitive::Gather | Primitive::Broadcast
-            )
-    }
-
-    /// Cost-only execution: walks the plan's precomputed cluster
-    /// decomposition (or baseline group tables) and tallies the
-    /// *identical integer* [`CostSheet`] a functional run would produce —
-    /// without touching PE MRAM, host staging, or the fault layer.
-    ///
-    /// Both paths charge through the same per-primitive functions
-    /// (`streaming::charge_cluster` / `baseline::charge`), so the sheets
-    /// are equal by construction; converting the sheet to time with the
-    /// same [`TimeModel`] then yields bit-identical modeled nanoseconds
-    /// (see [`CollectivePlan::cost_only_report`]). Orders of magnitude
-    /// faster than a functional run — this is what the autotuner and the
+    /// The integer [`CostSheet`] every execution of this plan applies,
+    /// tallied once at plan build (`streaming::charge` /
+    /// `baseline::charge`): reading it touches no PE MRAM, host staging or
+    /// fault layer. Converted with a [`TimeModel`] it yields a functional
+    /// run's modeled nanoseconds bit for bit (see
+    /// [`CollectivePlan::cost_only_report`]) — what the autotuner and the
     /// extended design-space sweeps score candidates with.
-    pub fn execute_cost_only(&self) -> CostSheet {
-        let mut sheet = CostSheet::new(self.geometry.channels());
-        if self.takes_baseline_path() {
-            baseline::charge(&mut sheet, self);
-        } else {
-            streaming::charge(&mut sheet, self);
-        }
-        sheet
-    }
-
-    /// Charges everything one execution of this plan puts on a meter —
-    /// the PE-reorder kernel launches (phase A/C) plus the converted
-    /// [`CostSheet`] — replaying the functional path's exact per-category
-    /// charge sequence so the accumulated `Breakdown` is bit-identical to
-    /// `sys.meter().since(&before)` of a functional run on a fresh meter.
-    pub(crate) fn charge_cost_only(&self, meter: &mut Breakdown, model: &TimeModel) {
-        let sheet = self.execute_cost_only();
-        // Replays `PimSystem::charge_pe_reorder`: one kernel launch + the
-        // per-PE MRAM reorder pass. Only the streaming paths of the
-        // reordering primitives run these kernels.
-        let pe_reorder = |meter: &mut Breakdown, bytes: u64| {
-            meter.charge(
-                Category::PeModulation,
-                model.pe_reorder_time(bytes) + model.kernel_launch_ns,
-            );
-        };
-        if !self.takes_baseline_path() {
-            let b = self.spec.bytes_per_node as u64;
-            match self.primitive {
-                // Phase A (pre) and phase C (post) reorder passes.
-                Primitive::AlltoAll | Primitive::AllReduce => {
-                    pe_reorder(meter, b);
-                    pe_reorder(meter, b);
-                }
-                // Pre-reorder only: the result lands in final order.
-                Primitive::ReduceScatter | Primitive::Reduce => pe_reorder(meter, b),
-                // Post-reorder only, over the gathered extent.
-                Primitive::AllGather => {
-                    pe_reorder(meter, (self.n * self.spec.bytes_per_node) as u64)
-                }
-                Primitive::Scatter | Primitive::Gather | Primitive::Broadcast => {}
-            }
-        }
-        sheet.apply_to(meter, model);
+    pub fn execute_cost_only(&self) -> &CostSheet {
+        &self.sheet
     }
 
     /// The [`CommReport`] a functional execution of this plan would
@@ -506,7 +465,7 @@ impl CollectivePlan {
     /// property-tested in `tests/cost_only.rs`.
     pub fn cost_only_report(&self, model: &TimeModel) -> CommReport {
         let mut meter = Breakdown::new();
-        self.charge_cost_only(&mut meter, model);
+        self.sheet.apply_to(&mut meter, model);
         self.report(meter)
     }
 }

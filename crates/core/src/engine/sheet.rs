@@ -1,4 +1,9 @@
 //! Cost accounting for one collective call.
+//!
+//! A [`CostSheet`] is a pure function of the plan: `CollectivePlan::build`
+//! fills it once from the charge functions (`streaming::charge`,
+//! `baseline::charge`), and every execution applies that stored sheet —
+//! no function that moves bytes holds one.
 
 use pim_sim::{Breakdown, Category, PimSystem, TimeModel};
 
@@ -13,6 +18,9 @@ use pim_sim::{Breakdown, Category, PimSystem, TimeModel};
 pub struct CostSheet {
     bulk_bytes: Vec<u64>,
     streamed_bytes: Vec<u64>,
+    /// The PE-side reorder kernel passes, in execution order: the most
+    /// bytes any one PE streams through its WRAM in each.
+    pe_reorders: Vec<u64>,
     /// 64-byte blocks domain-transferred on the host.
     pub dt_blocks: u64,
     /// 64-byte blocks shuffled/permuted in registers.
@@ -57,6 +65,7 @@ impl CostSheet {
         Self {
             bulk_bytes: vec![0; channels],
             streamed_bytes: vec![0; channels],
+            pe_reorders: Vec::new(),
             dt_blocks: 0,
             shuffle_blocks: 0,
             reduce_blocks: 0,
@@ -83,28 +92,10 @@ impl CostSheet {
         self.streamed_bytes[channel] += bytes;
     }
 
-    /// Adds another sheet's tallies into this one. All counters are exact
-    /// integers, so merging per-cluster sheets in a fixed order yields the
-    /// same totals as serial accounting no matter how the clusters were
-    /// scheduled across threads.
-    pub fn merge(&mut self, other: &CostSheet) {
-        for (a, b) in self.bulk_bytes.iter_mut().zip(&other.bulk_bytes) {
-            *a += b;
-        }
-        for (a, b) in self.streamed_bytes.iter_mut().zip(&other.streamed_bytes) {
-            *a += b;
-        }
-        self.dt_blocks += other.dt_blocks;
-        self.shuffle_blocks += other.shuffle_blocks;
-        self.reduce_blocks += other.reduce_blocks;
-        self.stream_bytes += other.stream_bytes;
-        self.scatter_bytes += other.scatter_bytes;
-        self.reduce_mem_bytes += other.reduce_mem_bytes;
-        self.transfer_phases += other.transfer_phases;
-        self.recovery_retries += other.recovery_retries;
-        self.recovery_bytes += other.recovery_bytes;
-        self.recovery_checkpoint_bytes += other.recovery_checkpoint_bytes;
-        self.recovery_backoff += other.recovery_backoff;
+    /// Records one PE-side reorder kernel pass that streams at most
+    /// `max_bytes_per_pe` through each PE's WRAM.
+    pub(crate) fn pe_reorder(&mut self, max_bytes_per_pe: u64) {
+        self.pe_reorders.push(max_bytes_per_pe);
     }
 
     /// Total bus bytes across channels and modes.
@@ -120,6 +111,16 @@ impl CostSheet {
     /// bare `Breakdown`) route through it, so they produce bit-identical
     /// floating-point charges by construction.
     fn charges(&self, model: &TimeModel, mut emit: impl FnMut(Category, f64)) {
+        // Each reorder pass is its own kernel: one launch plus the parallel
+        // reorder time, both PE-side modulation (the paper measured the
+        // launch as a minor ~4.5 % overhead, §VIII-D). Nothing else charges
+        // this category, so these are its whole accumulation sequence.
+        for &bytes in &self.pe_reorders {
+            emit(
+                Category::PeModulation,
+                model.pe_reorder_time(bytes) + model.kernel_launch_ns,
+            );
+        }
         emit(
             Category::PeMemAccess,
             model.bus_time(&self.bulk_bytes) + model.streamed_bus_time(&self.streamed_bytes),
@@ -165,7 +166,7 @@ impl CostSheet {
     }
 
     /// Converts the tallies into time charges on `sys`'s meter.
-    pub fn apply(self, sys: &mut PimSystem) {
+    pub fn apply(&self, sys: &mut PimSystem) {
         let model = sys.model().clone();
         self.charges(&model, |cat, ns| sys.charge(cat, ns));
     }
@@ -194,6 +195,7 @@ mod tests {
         sheet.stream_bytes = 64_000;
         sheet.scatter_bytes = 64_000;
         sheet.transfer_phases = 2;
+        sheet.pe_reorder(64_000);
         assert_eq!(sheet.bus_bytes(), 128_000);
         sheet.apply(&mut sys);
         let m = sys.meter();
@@ -202,6 +204,7 @@ mod tests {
         assert!(m.host_modulation > 0.0);
         assert!(m.host_mem_access > 0.0);
         assert!(m.other > 0.0);
+        assert!(m.pe_modulation > 0.0);
         assert_eq!(m.kernel, 0.0);
     }
 

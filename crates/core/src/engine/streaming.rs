@@ -27,12 +27,11 @@
 //! # Execution engine
 //!
 //! Clusters touch disjoint entangled groups, so each cluster runs as an
-//! independent task: it receives an exclusive [`EgView`] over its PEs and a
-//! private [`CostSheet`], and the tasks fan out over the executor
-//! ([`super::hostkernel`]). Sheets are merged in cluster order afterwards;
-//! since every counter is an exact integer, the merged totals — and hence
-//! the modeled times — are byte-identical to serial execution no matter how
-//! the clusters were scheduled.
+//! independent task with an exclusive [`EgView`] over its PEs, and the
+//! tasks fan out over the executor ([`super::hostkernel`]). The executors
+//! move bytes and nothing else: what the modeled device pays is the plan's
+//! [`CostSheet`], tallied once at plan build by [`charge`], so no schedule
+//! of the clusters can reach a modeled bit.
 //!
 //! Inside a task, the moving primitives (AlltoAll, AllGather) are *resolve
 //! once, stream many*: after phase A the task resolves, once per PE, a read
@@ -72,11 +71,12 @@
 //! `pim_sim::pe`). With no fault plan attached and verification off, none
 //! of these paths change behavior by a single byte or modeled nanosecond.
 
+use std::collections::BTreeSet;
 use std::ops::Range;
 
 use pim_sim::domain::{LanePerm, IDENTITY_PERM};
 use pim_sim::dtype::{fill_identity, reducer, DType};
-use pim_sim::geometry::{BURST_BYTES, LANES};
+use pim_sim::geometry::{DimmGeometry, BURST_BYTES, LANES};
 use pim_sim::pe::WriteWindow;
 use pim_sim::system::EgView;
 use pim_sim::PimSystem;
@@ -86,6 +86,7 @@ use crate::engine::hostkernel::par_pes;
 use crate::engine::plan::{ClusterSched, CollectivePlan};
 use crate::engine::sheet::CostSheet;
 use crate::hypercube::EgCluster;
+use crate::topology::Move;
 
 /// The per-PE pre-permutation of phase A in table form: destination slot
 /// `m_d * l + k` receives the chunk originally at `((k + i_src) % l) + l *
@@ -116,12 +117,11 @@ fn post_perm(i_dst: usize, l: usize, m: usize) -> Vec<usize> {
         .collect()
 }
 
-/// One cluster's execution context: exclusive PE access, private cost
-/// sheet, the plan's precomputed per-cluster schedule, and a slot for
-/// host-side outputs of rooted primitives.
+/// One cluster's execution context: exclusive PE access, the plan's
+/// precomputed per-cluster schedule, and a slot for host-side outputs of
+/// rooted primitives.
 struct ClusterTask<'c, 'v> {
     view: EgView<'v>,
-    sheet: CostSheet,
     cluster: &'c EgCluster,
     sched: &'c ClusterSched,
     /// Index of the cluster in plan order (keys per-cluster prepared
@@ -132,12 +132,10 @@ struct ClusterTask<'c, 'v> {
 }
 
 /// Splits `sys` into per-cluster views, runs `f` over all of the plan's
-/// clusters on up to the plan's resolved thread count, merges the private
-/// sheets in cluster order and returns the host outputs sorted by group
-/// id.
+/// clusters on up to the plan's resolved thread count and returns the host
+/// outputs sorted by group id.
 fn run_clustered(
     sys: &mut PimSystem,
-    sheet: &mut CostSheet,
     plan: &CollectivePlan,
     f: impl Fn(&mut ClusterTask) + Sync,
 ) -> Vec<(usize, Vec<u8>)> {
@@ -157,7 +155,6 @@ fn run_clustered(
             &plan.sched[i]
         }
     };
-    let channels = sys.geometry().channels();
     // The views borrow the plan's per-cluster EG partition (`plan.parts`);
     // what a warm execute still allocates before the fan-out is the view
     // and task vectors themselves, one entry per cluster.
@@ -167,7 +164,6 @@ fn run_clustered(
         .zip(plan.clusters.iter().enumerate())
         .map(|(view, (i, cluster))| ClusterTask {
             view,
-            sheet: CostSheet::new(channels),
             cluster,
             sched: sched_of(i),
             index: i,
@@ -176,11 +172,7 @@ fn run_clustered(
         .collect();
     par_pes(&mut tasks, plan.cluster_threads, |_, task| f(task));
 
-    let mut outs = Vec::new();
-    for task in tasks {
-        sheet.merge(&task.sheet);
-        outs.extend(task.out);
-    }
+    let mut outs: Vec<_> = tasks.into_iter().flat_map(|task| task.out).collect();
     outs.sort_by_key(|(gid, _)| *gid);
     outs
 }
@@ -247,14 +239,11 @@ fn modulate_charges(sheet: &mut CostSheet, primitive: Primitive, opt: OptLevel, 
 /// Records every `CostSheet` charge one cluster of `plan` incurs on the
 /// streaming path — the **single source of truth** for streaming costs.
 ///
-/// The functional executors below call this once per cluster task and move
-/// bytes with no in-loop accounting; the cost-only path
-/// ([`charge`]) calls it for every cluster without touching PE memory.
-/// Both therefore tally the *identical integer* counters: the formulas
-/// here aggregate the model's per-`(m_s, m_d, k)` charges over their loops
-/// (every counter is a `u64`, so summing per-iteration charges in any
-/// grouping is exact), and the one `u64 → f64` conversion happens later,
-/// in [`CostSheet::apply`]/[`CostSheet::apply_to`].
+/// The formulas aggregate the model's per-`(m_s, m_d, k)` charges over the
+/// executors' loops (every counter is a `u64`, so summing per-iteration
+/// charges in any grouping is exact); the one `u64 → f64` conversion
+/// happens when the plan's sheet is applied ([`CostSheet::apply`] /
+/// [`CostSheet::apply_to`]).
 fn charge_cluster(sheet: &mut CostSheet, plan: &CollectivePlan, c: &EgCluster) {
     let p = plan.primitive;
     let (opt, dtype) = (plan.opt, plan.spec.dtype);
@@ -381,31 +370,77 @@ fn charge_cluster(sheet: &mut CostSheet, plan: &CollectivePlan, c: &EgCluster) {
     }
 }
 
-/// Cost-only accounting for the streaming path: tallies onto `sheet`
-/// exactly what the functional executor of `plan` would, cluster by
-/// cluster, without touching PE memory. PE-reorder kernel charges live on
-/// the system meter, not the sheet — the cost-only caller
-/// ([`CollectivePlan::charge_cost_only`]) replays those separately.
+/// The streaming path's whole cost, tallied once when `plan` is built:
+/// the PE-side reorder passes in execution order, every cluster's
+/// [`charge_cluster`] and the one host↔PIM transfer phase.
 pub(crate) fn charge(sheet: &mut CostSheet, plan: &CollectivePlan) {
+    let b = plan.spec.bytes_per_node as u64;
+    match plan.primitive {
+        // Phase A (pre) and phase C (post) reorder passes.
+        Primitive::AlltoAll | Primitive::AllReduce => {
+            sheet.pe_reorder(b);
+            sheet.pe_reorder(b);
+        }
+        // Pre-reorder only: the result lands in final order.
+        Primitive::ReduceScatter | Primitive::Reduce => sheet.pe_reorder(b),
+        // Post-reorder only, over the gathered extent.
+        Primitive::AllGather => sheet.pe_reorder(plan.n as u64 * b),
+        Primitive::Scatter | Primitive::Gather | Primitive::Broadcast => {}
+    }
     for c in &plan.clusters {
         charge_cluster(sheet, plan, c);
     }
     sheet.transfer_phases += 1;
 }
 
+/// The whole cost of a stepped ring / tree AllReduce
+/// ([`crate::topology`]), tallied from its step list before any byte
+/// moves: the scratch-copy staging phase, then per step burst-granular bus
+/// traffic — each (entangled group, side) the step touches moves
+/// `ceil(len / 8)` whole bursts however few of its lanes participate —, one
+/// register shuffle per source burst, one transfer phase, and the
+/// receivers' accumulate kernel as a PE-side pass when the step reduces.
+pub(crate) fn charge_stepped(sheet: &mut CostSheet, geom: &DimmGeometry, steps: &[Vec<Move>]) {
+    sheet.transfer_phases += 1;
+    for moves in steps {
+        let len = moves.first().map_or(0, |mv| mv.len);
+        let mut src_egs = BTreeSet::new();
+        let mut dst_egs = BTreeSet::new();
+        let mut max_reduce_bytes = 0;
+        for mv in moves {
+            debug_assert_eq!(mv.len, len, "uniform step sizes expected");
+            src_egs.insert(geom.group_of(mv.src_pe));
+            dst_egs.insert(geom.group_of(mv.dst_pe));
+            if mv.reduce {
+                max_reduce_bytes = max_reduce_bytes.max(mv.len);
+            }
+        }
+        let bursts_per_eg = len.div_ceil(8) as u64;
+        for &eg in src_egs.iter().chain(&dst_egs) {
+            sheet.streamed(
+                geom.channel_of_group(eg),
+                bursts_per_eg * BURST_BYTES as u64,
+            );
+        }
+        sheet.shuffle_blocks += src_egs.len() as u64 * bursts_per_eg;
+        sheet.transfer_phases += 1;
+        if max_reduce_bytes > 0 {
+            sheet.pe_reorder(max_reduce_bytes as u64);
+        }
+    }
+}
+
 /// AlltoAll (§V-A, Fig. 7d).
-pub(crate) fn alltoall(sys: &mut PimSystem, sheet: &mut CostSheet, plan: &CollectivePlan) {
+pub(crate) fn alltoall(sys: &mut PimSystem, plan: &CollectivePlan) {
     let (src, dst) = (plan.spec.src_offset, plan.spec.dst_offset);
     let bytes_per_node = plan.spec.bytes_per_node;
-    sys.charge_pe_reorder(bytes_per_node as u64);
 
-    run_clustered(sys, sheet, plan, |task| {
+    run_clustered(sys, plan, |task| {
         let c = task.cluster;
         let (l, m) = (c.lane_count, c.eg_count());
         let chunk = bytes_per_node / (l * m);
         let sched = task.sched;
 
-        charge_cluster(&mut task.sheet, plan, c);
         pre_reorder_cluster(task, src, chunk);
 
         // The register read at part m_d, slot k of EG m_s lands in part
@@ -431,8 +466,6 @@ pub(crate) fn alltoall(sys: &mut PimSystem, sheet: &mut CostSheet, plan: &Collec
         }
         // simlint: hot(end)
     });
-    sheet.transfer_phases += 1;
-    sys.charge_pe_reorder(bytes_per_node as u64);
 }
 
 /// Charges `blocks` align-and-reduce steps: for 8-bit element types the
@@ -524,17 +557,15 @@ fn reduce_cluster(task: &mut ClusterTask, plan: &CollectivePlan) -> Vec<Vec<u8>>
 }
 
 /// ReduceScatter (§V-B2, Fig. 8b).
-pub(crate) fn reduce_scatter(sys: &mut PimSystem, sheet: &mut CostSheet, plan: &CollectivePlan) {
+pub(crate) fn reduce_scatter(sys: &mut PimSystem, plan: &CollectivePlan) {
     let dst = plan.spec.dst_offset;
     let bytes_per_node = plan.spec.bytes_per_node;
-    sys.charge_pe_reorder(bytes_per_node as u64);
 
-    run_clustered(sys, sheet, plan, |task| {
+    run_clustered(sys, plan, |task| {
         let c = task.cluster;
         let l = c.lane_count;
         let chunk = bytes_per_node / c.group_size();
 
-        charge_cluster(&mut task.sheet, plan, c);
         let images = reduce_cluster(task, plan);
 
         let (_, mut dsts) = task.view.windows(0..0, dst..dst + chunk);
@@ -546,23 +577,20 @@ pub(crate) fn reduce_scatter(sys: &mut PimSystem, sheet: &mut CostSheet, plan: &
             }
         }
     });
-    sheet.transfer_phases += 1;
 }
 
 /// AllReduce (§V-B3, Fig. 8c): ReduceScatter's reduction phase fused with
 /// AllGather's distribution phase — the reduced registers are scattered to
 /// all PEs without a round-trip through PIM memory.
-pub(crate) fn all_reduce(sys: &mut PimSystem, sheet: &mut CostSheet, plan: &CollectivePlan) {
+pub(crate) fn all_reduce(sys: &mut PimSystem, plan: &CollectivePlan) {
     let dst = plan.spec.dst_offset;
     let bytes_per_node = plan.spec.bytes_per_node;
-    sys.charge_pe_reorder(bytes_per_node as u64);
 
-    run_clustered(sys, sheet, plan, |task| {
+    run_clustered(sys, plan, |task| {
         let c = task.cluster;
         let (l, m) = (c.lane_count, c.eg_count());
         let chunk = bytes_per_node / (l * m);
 
-        charge_cluster(&mut task.sheet, plan, c);
         let images = reduce_cluster(task, plan);
 
         // Distribution phase: the model charges one domain transfer per
@@ -585,20 +613,17 @@ pub(crate) fn all_reduce(sys: &mut PimSystem, sheet: &mut CostSheet, plan: &Coll
         }
         // simlint: hot(end)
     });
-    sheet.transfer_phases += 1;
-    sys.charge_pe_reorder(bytes_per_node as u64);
 }
 
 /// AllGather (§V-B1, Fig. 8a).
-pub(crate) fn all_gather(sys: &mut PimSystem, sheet: &mut CostSheet, plan: &CollectivePlan) {
+pub(crate) fn all_gather(sys: &mut PimSystem, plan: &CollectivePlan) {
     let (src, dst) = (plan.spec.src_offset, plan.spec.dst_offset);
     let chunk = plan.spec.bytes_per_node;
 
-    run_clustered(sys, sheet, plan, |task| {
+    run_clustered(sys, plan, |task| {
         let c = task.cluster;
         let l = c.lane_count;
         let sched = task.sched;
-        charge_cluster(&mut task.sheet, plan, c);
 
         let (srcs, mut dsts) = task
             .view
@@ -620,23 +645,16 @@ pub(crate) fn all_gather(sys: &mut PimSystem, sheet: &mut CostSheet, plan: &Coll
         }
         // simlint: hot(end)
     });
-    sheet.transfer_phases += 1;
-
-    sys.charge_pe_reorder((plan.n * chunk) as u64);
 }
 
 /// Gather (§V-B4: AllGather's read step followed by domain transfer).
 /// Returns host buffers indexed by group id, `N * bytes_per_node` each.
-pub(crate) fn gather(
-    sys: &mut PimSystem,
-    sheet: &mut CostSheet,
-    plan: &CollectivePlan,
-) -> Vec<Vec<u8>> {
+pub(crate) fn gather(sys: &mut PimSystem, plan: &CollectivePlan) -> Vec<Vec<u8>> {
     let src = plan.spec.src_offset;
     let bytes_per_node = plan.spec.bytes_per_node;
     let num_groups = plan.num_groups;
 
-    let outs = run_clustered(sys, sheet, plan, |task| {
+    let outs = run_clustered(sys, plan, |task| {
         let c = task.cluster;
         let (l, m) = (c.lane_count, c.eg_count());
         let mut host: Vec<(usize, Vec<u8>)> = c
@@ -645,7 +663,6 @@ pub(crate) fn gather(
             .map(|g| (g.group_id, vec![0u8; c.group_size() * bytes_per_node]))
             .collect();
         let mut rows = vec![0u8; LANES * bytes_per_node];
-        charge_cluster(&mut task.sheet, plan, c);
         for m_s in 0..m {
             task.view
                 .read_rows_into(m_s, src, bytes_per_node, &mut rows);
@@ -660,31 +677,23 @@ pub(crate) fn gather(
         }
         task.out = host;
     });
-    sheet.transfer_phases += 1;
 
     collect_host_out(outs, num_groups)
 }
 
 /// Reduce (§V-B4: the reduction half of ReduceScatter with the host as
 /// root). Returns per-group reduced vectors of `bytes_per_node` bytes.
-pub(crate) fn reduce(
-    sys: &mut PimSystem,
-    sheet: &mut CostSheet,
-    plan: &CollectivePlan,
-) -> Vec<Vec<u8>> {
+pub(crate) fn reduce(sys: &mut PimSystem, plan: &CollectivePlan) -> Vec<Vec<u8>> {
     let num_groups = plan.num_groups;
-    sys.charge_pe_reorder(plan.spec.bytes_per_node as u64);
 
-    let outs = run_clustered(sys, sheet, plan, |task| {
+    let outs = run_clustered(sys, plan, |task| {
         let c = task.cluster;
-        charge_cluster(&mut task.sheet, plan, c);
         // The reduced vectors already hold word order for every element
         // width (for 8-bit elements this is the free raw-domain
         // reinterpretation of the model: no DT charged).
         let images = reduce_cluster(task, plan);
         task.out = c.groups.iter().map(|g| g.group_id).zip(images).collect();
     });
-    sheet.transfer_phases += 1;
 
     collect_host_out(outs, num_groups)
 }
@@ -753,24 +762,18 @@ fn fill_block(
 /// one domain transfer per block, reused for every destination PE of the
 /// group, no technique applies, already bus-bound (Table II, §VIII-B).
 /// Either lands one row block per destination part ([`row_source`]).
-pub(crate) fn rooted_send(
-    sys: &mut PimSystem,
-    sheet: &mut CostSheet,
-    plan: &CollectivePlan,
-    rows: Rows<'_>,
-) {
+pub(crate) fn rooted_send(sys: &mut PimSystem, plan: &CollectivePlan, rows: Rows<'_>) {
     let dst = plan.spec.dst_offset;
     let b = plan.spec.bytes_per_node;
     let block_len = LANES * b;
 
-    run_clustered(sys, sheet, plan, |task| {
+    run_clustered(sys, plan, |task| {
         let c = task.cluster;
         let last_block = row_blocks(plan, c) - 1;
         let mut scratch = match rows {
             Rows::Host(_) => vec![0u8; block_len],
             Rows::Staged { .. } => Vec::new(),
         };
-        charge_cluster(&mut task.sheet, plan, c);
         // simlint: hot(begin, rooted-send landing)
         for m_d in 0..c.eg_count() {
             // Scatter: part `m_d` lands block `m_d`. Broadcast: its one
@@ -792,7 +795,6 @@ pub(crate) fn rooted_send(
         }
         // simlint: hot(end)
     });
-    sheet.transfer_phases += 1;
 }
 
 /// Total bytes of the row image a prepared execution of `plan` needs.

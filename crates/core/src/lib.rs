@@ -25,18 +25,17 @@
 //! ## Execution engine
 //!
 //! The engine separates *what the modeled device pays* (the cost sheet,
-//! charged from exact operation counts) from *how the simulator computes
-//! the bytes*, which lets the functional side run far faster than a
-//! literal transcription of the hardware flow while keeping buffers and
-//! [`CommReport`]s bit-identical:
+//! tallied from exact operation counts once, when a [`CollectivePlan`] is
+//! built) from *how the simulator computes the bytes*, which lets the
+//! functional side run far faster than a literal transcription of the
+//! hardware flow while keeping buffers and [`CommReport`]s bit-identical:
 //!
 //! * **Cluster parallelism** — the [`hypercube`] planner groups a call
 //!   into clusters of entangled groups that touch disjoint PEs. Each
 //!   cluster executes as an independent task with an exclusive
-//!   [`pim_sim::system::EgView`] and a private cost sheet, fanned out over
-//!   the one executor ([`par_pes_with`]); sheets merge in cluster order, and since every
-//!   counter is an exact integer the totals cannot depend on scheduling.
-//!   [`Communicator::with_threads`] bounds the fan-out (`1` = serial
+//!   [`pim_sim::system::EgView`], fanned out over the one executor
+//!   ([`par_pes_with`]); the tasks only move bytes, so modeled time cannot
+//!   depend on scheduling. [`Communicator::with_threads`] bounds the fan-out (`1` = serial
 //!   reference schedule); `multihost` collectives additionally run one
 //!   worker per host.
 //! * **Host-domain row transport** — instead of materializing 64-byte

@@ -441,10 +441,10 @@ impl MultiHostPlan {
         }
     }
 
-    /// Cost-only execution: replays both local phases of every host
-    /// analytically via [`CollectivePlan::charge_cost_only`] plus the
-    /// analytic link model, producing a [`MultiHostReport`] bit-identical
-    /// to [`MultiHostPlan::execute`] on fresh systems — without moving a
+    /// Cost-only execution: folds the stored cost sheets of both local
+    /// phases of every host ([`CollectivePlan::execute_cost_only`]) plus
+    /// the analytic link model into a [`MultiHostReport`] bit-identical to
+    /// [`MultiHostPlan::execute`] on fresh systems — without moving a
     /// byte. The per-host meter is accumulated exactly as the functional
     /// path does (phase 1 from zero, phase 3 continuing on the same
     /// meter, then the phase-3 delta added back), so even the f64
@@ -453,9 +453,9 @@ impl MultiHostPlan {
         let mut locals = Vec::with_capacity(self.hosts);
         for host in 0..self.hosts {
             let mut meter = Breakdown::new();
-            self.phase1[host].charge_cost_only(&mut meter, model);
+            self.phase1[host].sheet.apply_to(&mut meter, model);
             let p1 = meter;
-            self.phase3[host].charge_cost_only(&mut meter, model);
+            self.phase3[host].sheet.apply_to(&mut meter, model);
             let extra = meter.since(&p1);
             let mut local = p1;
             local += extra;

@@ -15,15 +15,12 @@
 //! the AllReduce result) and charge costs burst-accurately, so the wasted
 //! bandwidth emerges from structure rather than from a fudge factor.
 
-use std::collections::BTreeSet;
-
 use pim_sim::dtype::{reduce_bytes, DType, ReduceKind};
-use pim_sim::geometry::BURST_BYTES;
 use pim_sim::{Category, PimSystem};
 
 use crate::config::{OptLevel, Primitive};
 use crate::engine::sheet::CostSheet;
-use crate::engine::BufferSpec;
+use crate::engine::{streaming, validate_spec, BufferSpec};
 use crate::error::{Error, Result};
 use crate::hypercube::{CommGroup, DimMask, HypercubeManager};
 use crate::report::CommReport;
@@ -84,73 +81,32 @@ enum Stepped {
 
 /// One host-mediated point-to-point move of `len` bytes between two PEs'
 /// MRAMs, accumulated at the receiver if `reduce` is set.
-struct Move {
-    src_pe: pim_sim::PeId,
-    dst_pe: pim_sim::PeId,
-    src_off: usize,
-    dst_off: usize,
-    len: usize,
-    reduce: bool,
+pub(crate) struct Move {
+    pub(crate) src_pe: pim_sim::PeId,
+    pub(crate) dst_pe: pim_sim::PeId,
+    pub(crate) src_off: usize,
+    pub(crate) dst_off: usize,
+    pub(crate) len: usize,
+    pub(crate) reduce: bool,
 }
 
-/// Executes one synchronous step of point-to-point moves and charges its
-/// costs: burst-granular bus traffic (whole entangled groups move even when
-/// only some lanes are useful), one register shuffle per burst, a PE-side
-/// accumulate kernel when reducing, and fixed phase overheads.
-fn run_step(
-    sys: &mut PimSystem,
-    sheet: &mut CostSheet,
-    moves: &[Move],
-    dtype: DType,
-    op: ReduceKind,
-) {
-    let geom = *sys.geometry();
-
-    // Functional data movement.
-    let mut max_reduce_bytes = 0usize;
+/// Executes one synchronous step of point-to-point moves. Its cost is the
+/// step's share of [`streaming::charge_stepped`].
+fn run_step(sys: &mut PimSystem, moves: &[Move], dtype: DType, op: ReduceKind) {
     for mv in moves {
         let data = sys.pe_mut(mv.src_pe).read(mv.src_off, mv.len).to_vec();
         if mv.reduce {
             // simlint: allow(pe-choke-point, reason = "fused reduce landing: the read-modify-write accumulates into dst in place; a Pe::write round-trip would double-buffer every reduce step and the chaos suite covers this path via the post-collective verify pass")
             let dst = sys.pe_mut(mv.dst_pe).slice_mut(mv.dst_off, mv.len);
             reduce_bytes(op, dtype, dst, &data);
-            max_reduce_bytes = max_reduce_bytes.max(mv.len);
         } else {
             sys.pe_mut(mv.dst_pe).write(mv.dst_off, &data);
         }
     }
-
-    // Burst-granular accounting: each (entangled group, side) touched by
-    // this step moves ceil(len/8) whole bursts regardless of how many of
-    // its lanes participate.
-    let mut src_egs: BTreeSet<u32> = BTreeSet::new();
-    let mut dst_egs: BTreeSet<u32> = BTreeSet::new();
-    let len = moves.first().map_or(0, |m| m.len);
-    for mv in moves {
-        debug_assert_eq!(mv.len, len, "uniform step sizes expected");
-        src_egs.insert(geom.group_of(mv.src_pe).0);
-        dst_egs.insert(geom.group_of(mv.dst_pe).0);
-    }
-    let bursts_per_eg = len.div_ceil(8) as u64;
-    for &eg in &src_egs {
-        let ch = geom.channel_of_group(pim_sim::EgId(eg));
-        sheet.streamed(ch, bursts_per_eg * BURST_BYTES as u64);
-    }
-    for &eg in &dst_egs {
-        let ch = geom.channel_of_group(pim_sim::EgId(eg));
-        sheet.streamed(ch, bursts_per_eg * BURST_BYTES as u64);
-    }
-    // Stepped collectives charge per executed step; cost-only replay charges
-    // these same tallies because CollectivePlan captures the step list itself.
-    sheet.shuffle_blocks += src_egs.len() as u64 * bursts_per_eg; // simlint: allow(cost-sheet, reason = "per-step charge captured by the plan; cost-only replay mirrors it")
-    sheet.transfer_phases += 1;
-
-    // Receiver-side accumulation runs on the PEs in parallel.
-    if max_reduce_bytes > 0 {
-        sys.charge_pe_reorder(max_reduce_bytes as u64);
-    }
 }
 
+/// The stepped AllReduce: validate, build the step list, derive its cost
+/// sheet, then move the bytes.
 fn stepped_all_reduce(
     sys: &mut PimSystem,
     manager: &HypercubeManager,
@@ -160,23 +116,28 @@ fn stepped_all_reduce(
     kind: Stepped,
 ) -> Result<CommReport> {
     let n = mask.group_size(manager.shape())?;
-    let b = spec.bytes_per_node;
-    if b == 0 || !b.is_multiple_of(8 * n) {
-        return Err(Error::InvalidBuffer(format!(
-            "stepped AllReduce needs bytes_per_node divisible by 8 x group size ({}); got {b}",
-            8 * n
-        )));
-    }
+    validate_spec(Primitive::AllReduce, spec, n)?;
     if !n.is_power_of_two() {
         return Err(Error::InvalidBuffer(format!(
             "ring/tree AllReduce needs a power-of-two group size; got {n}"
         )));
     }
+    if manager.geometry() != sys.geometry() {
+        return Err(Error::ShapeSystemMismatch {
+            nodes: manager.num_nodes(),
+            pes: sys.geometry().num_pes(),
+        });
+    }
+    let b = spec.bytes_per_node;
     let groups = manager.groups(mask)?;
-    let num_groups = groups.len();
-    let before = sys.meter();
+    let steps = match kind {
+        Stepped::Ring => ring_steps(&groups, spec, n),
+        Stepped::Tree => tree_steps(&groups, spec, n),
+    };
     let mut sheet = CostSheet::new(sys.geometry().channels());
+    streaming::charge_stepped(&mut sheet, sys.geometry(), &steps);
 
+    let before = sys.meter();
     // Work in a scratch copy at dst so the source buffer survives.
     for g in &groups {
         for &pe in &g.members {
@@ -184,15 +145,16 @@ fn stepped_all_reduce(
             sys.pe_mut(pe).write(spec.dst_offset, &data);
         }
     }
-    // simlint: allow(cost-sheet, reason = "the scratch-copy staging phase is part of the stepped-collective schedule the plan captures, so cost-only replay charges it identically")
-    sheet.transfer_phases += 1;
-
-    match kind {
-        Stepped::Ring => ring_steps(sys, &mut sheet, &groups, spec, op, n),
-        Stepped::Tree => tree_steps(sys, &mut sheet, &groups, spec, op, n),
+    for moves in &steps {
+        run_step(sys, moves, spec.dtype, op);
     }
-
+    if let Stepped::Tree = kind {
+        // The extra PE-side arithmetic shows up as kernel pressure on the
+        // critical path; charge the final sync.
+        sys.charge(Category::Other, sys.model().transfer_setup_ns);
+    }
     sheet.apply(sys);
+
     let breakdown = sys.meter().since(&before);
     let p = manager.num_nodes() as u64;
     Ok(CommReport {
@@ -202,80 +164,57 @@ fn stepped_all_reduce(
         bytes_in: p * b as u64,
         bytes_out: p * b as u64,
         group_size: n,
-        num_groups,
+        num_groups: groups.len(),
     })
 }
 
 /// Classic ring AllReduce: N-1 reduce-scatter steps, then N-1 all-gather
 /// steps, each moving one `b/N` chunk per PE to its ring successor.
-fn ring_steps(
-    sys: &mut PimSystem,
-    sheet: &mut CostSheet,
-    groups: &[CommGroup],
-    spec: &BufferSpec,
-    op: ReduceKind,
-    n: usize,
-) {
-    let b = spec.bytes_per_node;
-    let c = b / n;
+fn ring_steps(groups: &[CommGroup], spec: &BufferSpec, n: usize) -> Vec<Vec<Move>> {
+    let c = spec.bytes_per_node / n;
     let dst = spec.dst_offset;
-
-    // Reduce-scatter phase: at step t, rank r sends chunk (r - t) mod n.
-    for t in 0..n - 1 {
-        let mut moves = Vec::new();
-        for g in groups {
-            for (r, &pe) in g.members.iter().enumerate() {
-                let chunk = (r + n - (t % n)) % n;
-                let next = g.members[(r + 1) % n];
-                moves.push(Move {
-                    src_pe: pe,
-                    dst_pe: next,
-                    src_off: dst + chunk * c,
-                    dst_off: dst + chunk * c,
-                    len: c,
-                    reduce: true,
-                });
+    // Reduce-scatter phase: at step t, rank r sends chunk (r - t) mod n,
+    // accumulated at the receiver. All-gather phase: at step t, rank r
+    // sends chunk (r + 1 - t) mod n, overwriting.
+    let phase = |shift: usize, reduce: bool| {
+        (0..n - 1).map(move |t| {
+            let mut moves = Vec::new();
+            for g in groups {
+                for (r, &pe) in g.members.iter().enumerate() {
+                    let chunk = (r + shift + n - (t % n)) % n;
+                    moves.push(Move {
+                        src_pe: pe,
+                        dst_pe: g.members[(r + 1) % n],
+                        src_off: dst + chunk * c,
+                        dst_off: dst + chunk * c,
+                        len: c,
+                        reduce,
+                    });
+                }
             }
-        }
-        run_step(sys, sheet, &moves, spec.dtype, op);
-    }
-
-    // All-gather phase: at step t, rank r sends chunk (r + 1 - t) mod n.
-    for t in 0..n - 1 {
-        let mut moves = Vec::new();
-        for g in groups {
-            for (r, &pe) in g.members.iter().enumerate() {
-                let chunk = (r + 1 + n - (t % n)) % n;
-                let next = g.members[(r + 1) % n];
-                moves.push(Move {
-                    src_pe: pe,
-                    dst_pe: next,
-                    src_off: dst + chunk * c,
-                    dst_off: dst + chunk * c,
-                    len: c,
-                    reduce: false,
-                });
-            }
-        }
-        run_step(sys, sheet, &moves, spec.dtype, op);
-    }
+            moves
+        })
+    };
+    phase(0, true).chain(phase(1, false)).collect()
 }
 
 /// Binary-tree AllReduce: log2(N) reduction levels toward rank 0 (full
 /// vectors), then log2(N) broadcast levels back down. Upper levels involve
 /// ever fewer lanes per entangled group, wasting bus bandwidth — the
 /// effect behind the paper's 7.89× tree slowdown.
-fn tree_steps(
-    sys: &mut PimSystem,
-    sheet: &mut CostSheet,
-    groups: &[CommGroup],
-    spec: &BufferSpec,
-    op: ReduceKind,
-    n: usize,
-) {
+fn tree_steps(groups: &[CommGroup], spec: &BufferSpec, n: usize) -> Vec<Vec<Move>> {
     let b = spec.bytes_per_node;
     let dst = spec.dst_offset;
     let levels = n.trailing_zeros() as usize;
+    let whole = |src_pe, dst_pe, reduce| Move {
+        src_pe,
+        dst_pe,
+        src_off: dst,
+        dst_off: dst,
+        len: b,
+        reduce,
+    };
+    let mut steps = Vec::new();
 
     // Reduction up: at level l (stride s = 2^l), ranks r ≡ s (mod 2s) send
     // their whole buffer to r - s, which accumulates.
@@ -285,18 +224,11 @@ fn tree_steps(
         for g in groups {
             for (r, &pe) in g.members.iter().enumerate() {
                 if r % (2 * s) == s {
-                    moves.push(Move {
-                        src_pe: pe,
-                        dst_pe: g.members[r - s],
-                        src_off: dst,
-                        dst_off: dst,
-                        len: b,
-                        reduce: true,
-                    });
+                    moves.push(whole(pe, g.members[r - s], true));
                 }
             }
         }
-        run_step(sys, sheet, &moves, spec.dtype, op);
+        steps.push(moves);
     }
 
     // Broadcast down: reverse order.
@@ -306,23 +238,13 @@ fn tree_steps(
         for g in groups {
             for (r, &pe) in g.members.iter().enumerate() {
                 if r % (2 * s) == 0 && r + s < n {
-                    moves.push(Move {
-                        src_pe: pe,
-                        dst_pe: g.members[r + s],
-                        src_off: dst,
-                        dst_off: dst,
-                        len: b,
-                        reduce: false,
-                    });
+                    moves.push(whole(pe, g.members[r + s], false));
                 }
             }
         }
-        run_step(sys, sheet, &moves, spec.dtype, op);
+        steps.push(moves);
     }
-
-    // The extra PE-side arithmetic shows up as kernel pressure on the
-    // critical path; charge the final sync.
-    sys.charge(Category::Other, sys.model().transfer_setup_ns);
+    steps
 }
 
 #[cfg(test)]
@@ -457,18 +379,44 @@ mod tests {
         assert!(times[1] < times[2], "ring {} < tree {}", times[1], times[2]);
     }
 
+    /// Ring and tree reject what `Communicator::all_reduce` rejects — a
+    /// destination past the bank end, overlapping regions, a system of
+    /// another geometry — plus a group size that is not a power of two, as
+    /// typed errors before any byte moves.
     #[test]
     fn non_power_of_two_rejected() {
-        let (mut sys, manager) = setup(&[8, 2, 3], DimmGeometry::new(3, 1, 2));
-        let err = topology_all_reduce(
-            &mut sys,
-            &manager,
-            Topology::Ring,
-            &"001".parse().unwrap(),
-            &BufferSpec::new(0, 1024, 24),
-            ReduceKind::Sum,
-        )
-        .unwrap_err();
-        assert!(matches!(err, Error::InvalidBuffer(_)));
+        use pim_sim::pe::MRAM_CAPACITY;
+
+        let (rank, odd) = (DimmGeometry::single_rank(), DimmGeometry::new(3, 1, 2));
+        for topo in [Topology::Ring, Topology::Tree] {
+            let reject = |dims: &[usize], geom, sys_geom, mask: &str, dst, b| {
+                let (_, manager) = setup(dims, geom);
+                let mut sys = PimSystem::new(sys_geom);
+                let mask = mask.parse().unwrap();
+                let spec = BufferSpec::new(0, dst, b);
+                let err =
+                    topology_all_reduce(&mut sys, &manager, topo, &mask, &spec, ReduceKind::Sum)
+                        .unwrap_err();
+                assert_eq!(sys.total_mram_used(), 0, "{topo}: bytes moved before {err}");
+                err
+            };
+            for (row, dst) in [("past bank end", MRAM_CAPACITY - 32), ("overlap", 32)] {
+                let err = reject(&[8, 8], rank, rank, "10", dst, 64);
+                assert!(
+                    matches!(err, Error::InvalidBuffer(_)),
+                    "{topo} {row}: {err}"
+                );
+            }
+            let err = reject(&[8, 2, 3], odd, odd, "001", 1024, 24);
+            assert!(
+                matches!(err, Error::InvalidBuffer(_)),
+                "{topo} non-power-of-two: {err}"
+            );
+            let err = reject(&[8, 8], rank, DimmGeometry::single_group(), "10", 1024, 64);
+            assert!(
+                matches!(err, Error::ShapeSystemMismatch { .. }),
+                "{topo} other geometry: {err}"
+            );
+        }
     }
 }

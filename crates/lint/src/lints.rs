@@ -3,8 +3,9 @@
 //! Each lint guards a contract the test suites can only probe pointwise:
 //!
 //! * [`Lint::CostSheet`] — every `CostSheet`/`mpi_ns` field mutation goes
-//!   through the charge helpers, so cost-only execution cannot drift from
-//!   functional runs (PR 7's bit-identical guarantee).
+//!   through the charge functions a plan's sheet is tallied by, so modeled
+//!   cost stays a property of the plan (PR 7's cost-only ≡ functional
+//!   guarantee, by construction since PR 25).
 //! * [`Lint::PeChokePoint`] — no raw `slice_mut` writes to PE MRAM
 //!   outside `pe.rs` and no MRAM window resolved outside `pe.rs` /
 //!   `system.rs`, so the fault layer's single-hook claim (PR 6) stays
@@ -72,17 +73,21 @@ impl Lint {
                 "\
 cost-sheet: CostSheet and mpi_ns fields may only be mutated inside
 crates/core/src/engine/{sheet.rs,streaming.rs,baseline.rs} — the charge
-helpers both the functional and the cost-only execution paths share.
+functions (`streaming::charge`, `baseline::charge`,
+`streaming::charge_stepped`) that compute a sheet from a plan or a step
+list before any byte moves.
 
-Contract (PR 7): `CollectivePlan::execute_cost_only` replays the exact
-integer tallies a functional run produces, so modeled times are
-bit-identical by construction. A field bump anywhere else is invisible to
-the cost-only path and silently splits the two.
+Contract (PR 7, PR 25): cost is a property of the plan.
+`CollectivePlan::build` tallies the sheet once; every execution applies
+that stored sheet, cost-only execution applies it to a bare meter, and no
+function that moves bytes holds a sheet. A field bump anywhere else is a
+charge the plan does not know about and splits functional from cost-only
+time.
 
-Any other charge site (the verified-execution recovery counters, the
-multi-host per-step charges) must carry
-`// simlint: allow(cost-sheet, reason = \"...\")` explaining why the
-cost-only path cannot miss it."
+Only charges that depend on the fault schedule rather than the plan (the
+recovery counters in engine/{recovery,supervisor}.rs) may sit elsewhere,
+and each must carry `// simlint: allow(cost-sheet, reason = \"...\")`
+explaining why the plan cannot know it."
             }
             Lint::PeChokePoint => {
                 "\
@@ -431,7 +436,7 @@ fn policy_for(path: &str) -> Policy {
     let ends = |s: &str| path.ends_with(s);
     let contains = |s: &str| path.contains(s);
     Policy {
-        // The three charge-helper homes are the only places CostSheet
+        // The three charge-function homes are the only places CostSheet
         // fields may move without a reasoned allow.
         cost_sheet: !(ends("crates/core/src/engine/sheet.rs")
             || ends("crates/core/src/engine/streaming.rs")
@@ -446,11 +451,11 @@ fn policy_for(path: &str) -> Policy {
 }
 
 /// `CostSheet` tally fields plus the multi-host `mpi_ns` charge — the
-/// full set of counters whose mutation sites the cost-only replay must
-/// mirror exactly.
-const SHEET_FIELDS: [&str; 14] = [
+/// full set of counters only the charge functions may move.
+const SHEET_FIELDS: [&str; 15] = [
     "bulk_bytes",
     "streamed_bytes",
+    "pe_reorders",
     "dt_blocks",
     "shuffle_blocks",
     "reduce_blocks",
@@ -662,8 +667,8 @@ fn run_lints(
                             &toks[i + 1],
                             format!(
                                 "direct mutation of cost field `{field}` outside the engine \
-                                 charge helpers (sheet.rs/streaming.rs/baseline.rs); route the \
-                                 charge through a helper the cost-only path replays"
+                                 charge functions (sheet.rs/streaming.rs/baseline.rs); tally it \
+                                 where the plan's sheet is computed"
                             ),
                         );
                     }

@@ -347,15 +347,6 @@ impl PimSystem {
         self.charge(Category::Kernel, max_pe_ns);
     }
 
-    /// Charges a PE-side reorder kernel that streams at most `max_bytes_per_pe`
-    /// through each PE's WRAM: launch overhead plus parallel reorder time,
-    /// both attributed to PE-side modulation (the paper measured its launch
-    /// cost as a minor ~4.5 % overhead, §VIII-D).
-    pub fn charge_pe_reorder(&mut self, max_bytes_per_pe: u64) {
-        let t = self.model.pe_reorder_time(max_bytes_per_pe) + self.model.kernel_launch_ns;
-        self.charge(Category::PeModulation, t);
-    }
-
     /// Total MRAM bytes in use across all PEs (for memory accounting in
     /// tests and benches).
     pub fn total_mram_used(&self) -> usize {
