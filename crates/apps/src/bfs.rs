@@ -98,7 +98,7 @@ pub fn run_bfs(cfg: &BfsConfig, graph: &CsrGraph, source: u32) -> pidcomm::Resul
     run_bfs_in(cfg, graph, source, &mut SystemArena::new())
 }
 
-/// As [`run_bfs`], but sourcing the `PimSystem` and staging buffers from
+/// As [`run_bfs`], but sourcing the `PimSystem` and collective plans from
 /// `arena` (and returning them to it), so repeated runs — e.g. consecutive
 /// sweep cells on one worker — reuse allocations. Results are
 /// byte-identical to [`run_bfs`].
@@ -232,7 +232,11 @@ pub fn run_bfs_resilient_in(
         // executes directly — the direct path assembles rows through a
         // cache-hot per-cluster scratch as it writes, which beats
         // materializing a prepared image that would execute only once.
-        let mut adj_host = run.arena.bytes(p * slice_bytes);
+        // Padding to the largest partition makes a skewed graph's image
+        // mostly zeros: a lazily zeroed allocation written only where the
+        // CSR bytes go maps no memory for them, and neither does MRAM for
+        // the zero tails of the rows (`Pe::write`).
+        let mut adj_host = vec![0u8; p * slice_bytes];
         par_chunks(&mut adj_host, slice_bytes, cfg.threads, |pe, chunk| {
             let mut off = 0;
             let lo = pe * per_pe;
@@ -250,7 +254,7 @@ pub fn run_bfs_resilient_in(
         let scattered = run.step(&[], |sys, at| {
             at.collective(sys, &scatter_plan, Some(core::slice::from_ref(&adj_host)))
         });
-        run.arena.recycle_bytes(adj_host);
+        drop(adj_host);
         run.profile.record(&scattered?.report);
 
         // Host-side mirrors of the distributed state (each PE holds the

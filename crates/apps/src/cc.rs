@@ -122,10 +122,9 @@ pub fn run_cc(cfg: &CcConfig, graph: &CsrGraph) -> pidcomm::Result<AppRun> {
     run_cc_in(cfg, graph, &mut SystemArena::new())
 }
 
-/// As [`run_cc`], but sourcing the `PimSystem`, staging buffers and
-/// collective plans from `arena` (and returning them to it), so repeated
-/// runs — e.g. consecutive sweep cells on one worker — reuse allocations
-/// *and* plans. Results are byte-identical to [`run_cc`].
+/// As [`run_cc`], but sourcing the `PimSystem` and collective plans from
+/// `arena` (and returning them to it), so repeated runs — e.g.
+/// consecutive sweep cells on one worker — reuse allocations *and* plans. Results are byte-identical to [`run_cc`].
 ///
 /// # Frontier-sparse expansion
 ///
@@ -263,11 +262,14 @@ pub fn run_cc_resilient_in(
         // Setup: scatter the adjacency slices — a one-shot send, executed
         // directly (CC's per-iteration win is the label staging
         // elimination below, not a prepared image that would run once).
-        let adj_host = run.arena.bytes(p * slice_bytes);
+        // The kernels read the host graph, so the image carries only the
+        // payload's size: a lazily zeroed allocation that is never written
+        // maps no memory, and its all-zero rows materialize no MRAM.
+        let adj_host = vec![0u8; p * slice_bytes];
         let scattered = run.step(&[], |sys, at| {
             at.collective(sys, &scatter_plan, Some(core::slice::from_ref(&adj_host)))
         });
-        run.arena.recycle_bytes(adj_host);
+        drop(adj_host);
         run.profile.record(&scattered?.report);
 
         let mut labels: Vec<u32> = (0..n as u32).collect();

@@ -377,8 +377,10 @@ pub fn run_dlrm_resilient_in(
     let body = |run: &mut Run<'_>| {
         // ---- Host staging: raw batch shards (sample indices). -----------
         let shard = bs / p;
-        let shard_bytes = (shard * t * 8).next_multiple_of(8);
-        let mut batch_host = run.arena.bytes(p * shard_bytes);
+        // One 8-byte index per sample and table fills every shard to its
+        // last byte, so the recycled image needs no clear.
+        let shard_bytes = shard * t * 8;
+        let mut batch_host = run.arena.raw_bytes(p * shard_bytes);
         par_chunks(&mut batch_host, shard_bytes, cfg.threads, |pe, chunk| {
             for si in 0..shard {
                 let s = pe * shard + si;

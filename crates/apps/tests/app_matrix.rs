@@ -11,6 +11,7 @@ use pidcomm_apps::mlp::{run_mlp, run_mlp_in, run_mlp_resilient_in, MlpConfig};
 use pidcomm_apps::{AppRun, ResilientRun};
 use pidcomm_data::dlrm::DlrmConfig;
 use pidcomm_data::{rmat, CsrGraph, RmatParams};
+use pim_sim::pe::PAGE_BYTES;
 use pim_sim::{DType, DimmGeometry, FaultPlan, SystemArena};
 use std::sync::Arc;
 
@@ -639,6 +640,68 @@ fn bad_graph_app_configs_are_typed_errors_that_leave_the_arena_alone() {
         }
         assert_eq!(format!("{arena:?}"), pools, "{what} touched the arena");
     }
+}
+
+/// BFS and CC scatter every PE's adjacency partition padded to the largest
+/// one; on a skewed graph that image is mostly zeros, and the padding must
+/// not become MRAM. Measured on the system both runs leave in the arena.
+#[test]
+fn graph_apps_keep_the_adjacency_padding_out_of_mram() {
+    const PES: usize = 64;
+    let g = rmat(13, 16, RmatParams::skewed(7)).to_undirected();
+    let (n, per_pe) = (g.num_vertices(), g.num_vertices().div_ceil(PES));
+    let parts: Vec<usize> = (0..PES)
+        .map(|pe| {
+            let owned = pe * per_pe..((pe + 1) * per_pe).min(n);
+            owned.map(|v| 4 + 4 * g.degree(v as u32)).sum()
+        })
+        .collect();
+    // The apps' `slice_bytes`.
+    let slice = parts.iter().max().unwrap().next_multiple_of(8);
+    let mean = parts.iter().sum::<usize>() / PES;
+    assert!(slice >= 8 * mean, "skew: largest {slice} B, mean {mean} B");
+
+    let mut arena = SystemArena::new();
+    let (threads, opt) = (1, OptLevel::Full);
+    let bfs = BfsConfig {
+        pes: PES,
+        opt,
+        threads,
+    };
+    assert!(
+        run_bfs_in(&bfs, &g, default_source(&g), &mut arena)
+            .unwrap()
+            .validated
+    );
+    let cc = CcConfig {
+        pes: PES,
+        opt,
+        threads,
+    };
+    assert!(run_cc_in(&cc, &g, &mut arena).unwrap().validated);
+
+    let sys = arena.system(DimmGeometry::try_with_pes(PES).unwrap());
+    let pes = || sys.geometry().pes().map(|pe| sys.pe(pe));
+    // Pages held inside the padded region `[0, slice)`: the CSR prefixes,
+    // plus the page the bitmaps and labels after it share with its end.
+    let held: usize = pes()
+        .map(|pe| {
+            let pages = (0..slice).step_by(PAGE_BYTES);
+            pages
+                .filter(|&at| pe.try_slice(at, PAGE_BYTES).is_some())
+                .count()
+                * PAGE_BYTES
+        })
+        .sum();
+    let padded = PES * slice;
+    assert!(held < padded / 4, "{held} B of a {padded} B padded region");
+    // Everything both runs keep — CC's label arrays included — is less
+    // than the padding alone would be.
+    let resident: usize = pes().map(|pe| pe.mram_resident()).sum();
+    assert!(
+        resident < padded,
+        "{resident} B resident, {padded} B padded"
+    );
 }
 
 /// Bad DLRM / GNN configs likewise — each was an `assert!` (or, at 128

@@ -26,9 +26,10 @@
 //! allocations*, zeroed in place.
 //!
 //! Arena lifecycle per cell: `arena.system(geom)` hands out an all-zero
-//! reset system (pool hit) or builds a fresh one (miss); `arena.bytes(n)`
-//! does the same for staging buffers; the app recycles both before
-//! returning. A checkout is indistinguishable from a fresh allocation —
+//! reset system (pool hit) or builds a fresh one (miss);
+//! `arena.raw_bytes(n)` does the same for staging images the app
+//! overwrites in full; the app recycles both before returning. A system
+//! checkout is indistinguishable from a fresh allocation —
 //! every read observes zeros, the meter is empty — so two consecutive
 //! cells on one worker can never observe each other's state, and results
 //! stay byte-identical to the fresh-allocation path at every worker count

@@ -21,14 +21,12 @@
 //! * [`SystemArena::recycle`] returns a system to the pool. Skipping it
 //!   (e.g. on an error path) is safe — the system just drops and the next
 //!   checkout pays a fresh allocation.
-//! * [`SystemArena::bytes`] / [`SystemArena::recycle_bytes`] do the same
-//!   for plain `Vec<u8>` staging buffers: `bytes(len)` is observationally
-//!   `vec![0u8; len]`, reusing the largest recycled capacity.
-//!   [`SystemArena::raw_bytes`] draws on the same pool without the clear
-//!   (contents unspecified) for fully-overwritten images — the prepared
-//!   tier's staged rows (`PreparedScatter::stage_in` checks one out,
-//!   `retire` returns it), so iteration-heavy sweeps re-stage into one
-//!   allocation across cells.
+//! * [`SystemArena::raw_bytes`] / [`SystemArena::recycle_bytes`] do the
+//!   same for plain `Vec<u8>` staging images that are overwritten in full
+//!   (contents unspecified, the largest recycled capacity reused) — the
+//!   prepared tier's staged rows (`PreparedScatter::stage_in` checks one
+//!   out, `retire` returns it), so iteration-heavy sweeps re-stage into
+//!   one allocation across cells.
 //! * [`SystemArena::byte_set`] / [`SystemArena::recycle_byte_set`] pool
 //!   the remaining per-cell buffer class, the GNN's per-group scatter
 //!   payloads (`Vec<Vec<u8>>`). A checkout is observationally fresh —
@@ -91,31 +89,14 @@ impl SystemArena {
         self.systems.push(sys);
     }
 
-    /// Checks out a zero-filled buffer of exactly `len` bytes, reusing the
-    /// largest recycled allocation when one exists.
-    pub fn bytes(&mut self, len: usize) -> Vec<u8> {
-        let mut buf = match self
-            .buffers
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, b)| b.capacity())
-        {
-            Some((i, _)) => self.buffers.swap_remove(i),
-            None => Vec::new(),
-        };
-        buf.clear();
-        buf.resize(len, 0);
-        buf
-    }
-
-    /// As [`SystemArena::bytes`], but the contents are unspecified
+    /// Checks out a buffer of exactly `len` bytes, reusing the largest
+    /// recycled allocation when one exists, with contents unspecified
     /// (recycled bytes are handed back as-is): the checkout for callers
-    /// that overwrite every byte before reading any — the prepared tier's
-    /// staged row images. Skipping the clear matters there: the image can
-    /// run to hundreds of megabytes, and [`SystemArena::bytes`] would
-    /// memset all of it only for the staging pass to overwrite it again.
-    /// A fresh checkout allocates with `vec![0u8; len]` (lazily zeroed
-    /// pages), so first-touch cost is paid once, by the writer.
+    /// that overwrite every byte before reading any. Such an image can run
+    /// to hundreds of megabytes, and a clear would memset all of it only
+    /// for the writer to overwrite it. A fresh checkout allocates with
+    /// `vec![0u8; len]` (lazily zeroed pages), so first-touch cost is paid
+    /// once, by the writer.
     pub fn raw_bytes(&mut self, len: usize) -> Vec<u8> {
         match self
             .buffers
@@ -276,21 +257,5 @@ mod tests {
         assert_eq!(arena.take_extension::<CacheA>(), CacheA(vec![1, 2, 3]));
         // Taken slots are gone.
         assert_eq!(arena.take_extension::<CacheB>(), CacheB::default());
-    }
-
-    #[test]
-    fn bytes_are_observationally_fresh_zero_vectors() {
-        let mut arena = SystemArena::new();
-        let mut b = arena.bytes(1024);
-        assert_eq!(b, vec![0u8; 1024]);
-        b.fill(0x77);
-        let cap = b.capacity();
-        arena.recycle_bytes(b);
-        let b = arena.bytes(512);
-        assert_eq!(b, vec![0u8; 512]);
-        assert_eq!(b.capacity(), cap, "recycled capacity is reused");
-        arena.recycle_bytes(b);
-        let b = arena.bytes(2048);
-        assert_eq!(b, vec![0u8; 2048]);
     }
 }

@@ -24,6 +24,13 @@
 //! resolves once per PE ([`Pe::window_pair`]: a [`ReadWindow`] over the source
 //! region, a [`WriteWindow`] over the disjoint destination region) and
 //! streams every chunk between the resolved slices.
+//!
+//! Residency follows the data, not the extent: a window materializes its
+//! whole destination when it is resolved, while a one-row landing
+//! ([`Pe::write`]) materializes only the pages its non-zero bytes reach —
+//! a scatter of rows padded to a uniform size keeps the padding out of
+//! memory. Never-materialized MRAM reads as zeros, so the two are
+//! indistinguishable to every reader; only [`Pe::mram_resident`] tells.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -82,7 +89,9 @@ impl Segment {
 /// simulating 1024 PEs costs memory proportional to the pages actually
 /// used — and sparse access patterns (DLRM embedding tables) never pay for
 /// zeroing the untouched space in between. Reads of never-written regions
-/// observe zeros, like freshly initialized DRAM in the functional model.
+/// observe zeros, like freshly initialized DRAM in the functional model —
+/// which is also why a one-row landing's zero tail needs no pages (see
+/// [`Pe::write`]).
 ///
 /// Accesses that stay inside one materialized segment borrow it directly
 /// (the contiguous-extent fast path: dense streaming loops still get
@@ -112,12 +121,15 @@ pub struct Pe {
     corruption: Option<Box<CorruptionEvent>>,
 }
 
+/// Returns the end of the access `[offset, offset + len)` after checking
+/// it stays inside the bank — an end past `usize::MAX` included, which an
+/// unchecked add would wrap back into it.
 #[inline]
-fn check_capacity(end: usize) {
-    assert!(
-        end <= MRAM_CAPACITY,
-        "MRAM access at {end} exceeds 64 MiB bank"
-    );
+fn check_capacity(offset: usize, len: usize) -> usize {
+    match offset.checked_add(len) {
+        Some(end) if end <= MRAM_CAPACITY => end,
+        _ => panic!("MRAM access of {len} B at {offset} exceeds 64 MiB bank"),
+    }
 }
 
 /// Index of the segment containing `[offset, offset + len)` in full, if
@@ -328,8 +340,10 @@ impl Pe {
         self.extent
     }
 
-    /// Number of MRAM bytes actually materialized (allocated pages). For a
-    /// sparse access pattern this is far below [`Pe::mram_used`].
+    /// Number of MRAM bytes actually materialized (allocated pages): the
+    /// pages of every resolved window and read, and of the non-zero bytes
+    /// of every one-row landing. For a sparse access pattern — or rows
+    /// padded with zeros — this is far below [`Pe::mram_used`].
     pub fn mram_resident(&self) -> usize {
         self.segs.iter().map(|s| s.data.len()).sum()
     }
@@ -359,9 +373,8 @@ impl Pe {
     /// segment per page.
     fn ensure_span(&mut self, offset: usize, len: usize) -> usize {
         debug_assert!(len > 0);
-        check_capacity(offset + len);
         let p0 = offset & !(PAGE_BYTES - 1);
-        let p1 = (offset + len).next_multiple_of(PAGE_BYTES);
+        let p1 = check_capacity(offset, len).next_multiple_of(PAGE_BYTES);
 
         // First segment overlapping or ending exactly at p0 (adjacency).
         let i = self.segs.partition_point(|s| s.end() < p0);
@@ -415,8 +428,7 @@ impl Pe {
 
     /// Reads `len` bytes at `offset`.
     pub fn read(&mut self, offset: usize, len: usize) -> &[u8] {
-        check_capacity(offset + len);
-        self.extent = self.extent.max(offset + len);
+        self.extent = self.extent.max(check_capacity(offset, len));
         if len == 0 {
             return &[];
         }
@@ -440,7 +452,7 @@ impl Pe {
     ///
     /// Panics if the access would exceed [`MRAM_CAPACITY`].
     pub fn peek_into(&self, offset: usize, dst: &mut [u8]) {
-        check_capacity(offset + dst.len());
+        check_capacity(offset, dst.len());
         peek_segs(&self.segs, offset, dst);
     }
 
@@ -456,7 +468,12 @@ impl Pe {
     /// Borrows `len` bytes at `offset` if the region is already
     /// materialized in one segment, `None` otherwise. Zero-copy fast path
     /// for readers that can fall back to [`Pe::peek_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region would exceed [`MRAM_CAPACITY`].
     pub fn try_slice(&self, offset: usize, len: usize) -> Option<&[u8]> {
+        check_capacity(offset, len);
         let i = seg_covering(&self.segs, offset, len)?;
         Some(self.segs[i].span(offset..offset + len))
     }
@@ -478,9 +495,37 @@ impl Pe {
     /// lands `src` through it — the landing point of every host-mediated
     /// transport that is not already streaming through a longer-lived
     /// window (burst lanes, row transfers, host scatters).
+    ///
+    /// A row no one segment covers yet, with no fault plan attached, lands
+    /// only its non-zero prefix: its zero tail is zero-filled where pages
+    /// exist and left unmaterialized (reading as zeros) elsewhere. Bytes,
+    /// extent and verification are those of the whole row; only
+    /// [`Pe::mram_resident`] is smaller. A fault plan draws by the
+    /// landing's `(pe, offset, len)`, so under one the whole row lands.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region would exceed [`MRAM_CAPACITY`].
     #[inline]
     pub fn write(&mut self, offset: usize, src: &[u8]) {
-        self.write_window(offset, src.len()).put(offset, src);
+        let end = check_capacity(offset, src.len());
+        if self.fault.is_some() || seg_covering(&self.segs, offset, src.len()).is_some() {
+            self.write_window(offset, src.len()).put(offset, src);
+            return;
+        }
+        // Skip the zero tail 64 bytes at a time (an OR fold vectorizes, a
+        // byte search does not), then to the byte.
+        let zero = |c: &[u8]| c.iter().fold(0, |a, &b| a | b) == 0;
+        let zeros = 64 * src.rchunks(64).take_while(|c| zero(c)).count();
+        let head = &src[..src.len().saturating_sub(zeros)];
+        let live = head.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+        self.extent = self.extent.max(end);
+        self.write_window(offset, live).put(offset, &src[..live]);
+        let lo = offset + live;
+        let first = self.segs.partition_point(|s| s.end() <= lo);
+        for s in self.segs[first..].iter_mut().take_while(|s| s.start < end) {
+            s.span_mut(lo.max(s.start)..end.min(s.end())).fill(0);
+        }
     }
 
     /// Resolves a [`WriteWindow`] over `[offset, offset + len)`:
@@ -493,8 +538,7 @@ impl Pe {
     /// Panics if the region would exceed [`MRAM_CAPACITY`].
     #[inline]
     pub fn write_window(&mut self, offset: usize, len: usize) -> WriteWindow<'_> {
-        check_capacity(offset + len);
-        self.extent = self.extent.max(offset + len);
+        self.extent = self.extent.max(check_capacity(offset, len));
         let i = (len > 0).then(|| self.ensure_span(offset, len));
         let data = i.map(|i| self.segs[i].span_mut(offset..offset + len));
         WriteWindow {
@@ -522,7 +566,8 @@ impl Pe {
             src.is_empty() || dst.is_empty() || src.end <= dst.start || dst.end <= src.start,
             "MRAM windows {src:?} and {dst:?} overlap"
         );
-        check_capacity(src.end.max(dst.end));
+        check_capacity(src.start, src.len());
+        check_capacity(dst.start, dst.len());
         self.extent = self.extent.max(src.end).max(dst.end);
         let di = (!dst.is_empty()).then(|| self.ensure_span(dst.start, dst.len()));
         let Pe {
@@ -650,8 +695,7 @@ impl Pe {
 
     /// Mutable view of `len` bytes at `offset`.
     pub fn slice_mut(&mut self, offset: usize, len: usize) -> &mut [u8] {
-        check_capacity(offset + len);
-        self.extent = self.extent.max(offset + len);
+        self.extent = self.extent.max(check_capacity(offset, len));
         if len == 0 {
             return &mut [];
         }
@@ -692,8 +736,7 @@ impl Pe {
         #[cfg(debug_assertions)]
         Self::check_permutation(perm, count);
         let len = block * count;
-        check_capacity(offset + len);
-        self.extent = self.extent.max(offset + len);
+        self.extent = self.extent.max(check_capacity(offset, len));
         if len == 0 {
             return;
         }
@@ -1023,6 +1066,107 @@ mod tests {
     fn mram_capacity_enforced() {
         let mut pe = Pe::new();
         pe.write(MRAM_CAPACITY, &[1]);
+    }
+
+    #[test]
+    fn accesses_whose_end_overflows_panic_as_out_of_bank() {
+        // An unchecked `offset + len` wraps to a small end here and passes.
+        const AT: usize = usize::MAX - 2;
+        type Access = fn(&mut Pe);
+        let cases: [(&str, Access); 11] = [
+            ("read", |pe| _ = pe.read(AT, 4)),
+            ("peek_into", |pe| pe.peek_into(AT, &mut [0; 4])),
+            ("try_slice", |pe| _ = pe.try_slice(AT, 4)),
+            ("read_window", |pe| _ = pe.read_window(AT, 4)),
+            ("write", |pe| pe.write(AT, &[1, 2, 3, 4])),
+            ("write_window", |pe| _ = pe.write_window(AT, 4)),
+            ("window_pair src", |pe| _ = pe.window_pair(AT..AT, 0..8)),
+            ("window_pair dst", |pe| _ = pe.window_pair(0..8, AT..AT)),
+            ("slice_mut", |pe| _ = pe.slice_mut(AT, 4)),
+            ("permute_blocks", |pe| pe.permute_blocks(AT, 2, 2, &[1, 0])),
+            ("rotate_parts", |pe| pe.rotate_parts(AT, 2, 2, 2, 1)),
+        ];
+        for (name, access) in cases {
+            let mut pe = Pe::new();
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| access(&mut pe)))
+                .expect_err(name);
+            let msg = panic.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("exceeds 64 MiB bank"), "{name}: {msg:?}");
+            assert_eq!((pe.mram_used(), pe.mram_resident()), (0, 0), "{name}");
+        }
+    }
+
+    /// A row of `len` bytes whose first `live` bytes are non-zero.
+    fn padded_row(live: usize, len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| if i < live { i as u8 | 1 } else { 0 })
+            .collect()
+    }
+
+    #[test]
+    fn a_zero_tail_over_fresh_mram_materializes_nothing() {
+        // The prefix reaches into the row's second page; the tail spans two
+        // more pages that stay unmaterialized yet read as the row says.
+        let row = padded_row(PAGE_BYTES + 8, 3 * PAGE_BYTES);
+        let mut pe = Pe::new();
+        pe.write(64, &row);
+        assert_eq!(pe.mram_used(), 64 + 3 * PAGE_BYTES);
+        assert_eq!(pe.mram_resident(), 2 * PAGE_BYTES);
+        assert_eq!(pe.peek(64, row.len()), row);
+
+        // All zeros: nothing at all, however long the row.
+        let mut pe = Pe::new();
+        pe.write(PAGE_BYTES, &[0; 3 * PAGE_BYTES]);
+        assert_eq!((pe.mram_used(), pe.mram_resident()), (4 * PAGE_BYTES, 0));
+        assert_eq!(pe.peek(0, 5 * PAGE_BYTES), vec![0; 5 * PAGE_BYTES]);
+    }
+
+    #[test]
+    fn a_zero_tail_over_stale_pages_zeroes_them() {
+        // Stale non-zero bytes on page 0 and on an island at page 3, which
+        // the row's tail covers in part; no one segment covers the row.
+        let mut pe = Pe::new();
+        pe.write(0, &[0xEE; PAGE_BYTES]);
+        pe.write(3 * PAGE_BYTES, &[0xEE; 64]);
+        let row = padded_row(8, 3 * PAGE_BYTES + 8);
+        pe.write(16, &row);
+        assert_eq!(pe.peek(16, row.len()), row);
+        // Around the row the stale bytes stay, and no page was added.
+        assert_eq!(pe.peek(0, 16), vec![0xEE; 16]);
+        assert_eq!(pe.peek(3 * PAGE_BYTES + 24, 40), vec![0xEE; 40]);
+        assert_eq!(pe.mram_resident(), 2 * PAGE_BYTES);
+    }
+
+    #[test]
+    fn a_faulted_landing_materializes_and_draws_the_whole_row() {
+        use crate::fault::{FaultKind, FaultPlan};
+        use std::sync::Arc;
+
+        // Under a fault plan `write` is the whole-row window: the two agree
+        // in every byte, page and recorded event, and a fault may strike
+        // the zero tail.
+        let row = padded_row(16, 2 * PAGE_BYTES);
+        for kind in [FaultKind::BitFlip, FaultKind::RowCorrupt, FaultKind::Stuck] {
+            let plan = Arc::new(FaultPlan::new(5).with_event(kind, 1, 1));
+            plan.begin_epoch();
+            let [mut write, mut window] = [(); 2].map(|()| {
+                let mut pe = Pe::new();
+                pe.set_fault_ctx(Some(FaultCtx::new(1, Arc::clone(&plan))));
+                pe.set_verify(true);
+                pe
+            });
+            write.write(8, &row);
+            window.write_window(8, row.len()).put(8, &row);
+            assert_eq!(write.mram_resident(), 3 * PAGE_BYTES, "{kind:?}");
+            assert_eq!(write.mram_resident(), window.mram_resident(), "{kind:?}");
+            assert_eq!(
+                write.peek(0, 3 * PAGE_BYTES),
+                window.peek(0, 3 * PAGE_BYTES)
+            );
+            let event = write.take_corruption();
+            assert!(event.is_some(), "{kind:?}");
+            assert_eq!(event, window.take_corruption(), "{kind:?}");
+        }
     }
 
     #[test]
