@@ -7,8 +7,8 @@
 //! is bounded by the remaining budget so the two layers compose.
 
 use pidcomm::{
-    topology_all_reduce, BufferSpec, Communicator, DimMask, HypercubeManager, HypercubeShape,
-    LinkModel, MultiHost, MultiHostReport, Topology,
+    BufferSpec, Communicator, DimMask, HypercubeManager, HypercubeShape, LinkModel, MultiHost,
+    MultiHostReport, Topology,
 };
 use pidcomm_bench::header;
 use pidcomm_bench::sweep::{self, threads_flag, SweepBudget};
@@ -24,15 +24,9 @@ fn topology_cell(topo: Topology) -> pidcomm::CommReport {
     for pe in geom.pes() {
         sys.pe_mut(pe).write(0, &vec![3u8; b]);
     }
-    topology_all_reduce(
-        &mut sys,
-        &manager,
-        topo,
-        &mask,
-        &BufferSpec::new(0, 2 * b + 64, b),
-        ReduceKind::Sum,
-    )
-    .unwrap()
+    let spec = BufferSpec::new(0, 2 * b + 64, b);
+    let plan = topo.plan(&manager, &mask, &spec, ReduceKind::Sum).unwrap();
+    plan.run(&mut sys, None).unwrap().report
 }
 
 fn multihost_cell(hosts: usize, engine_threads: usize) -> (MultiHostReport, MultiHostReport) {

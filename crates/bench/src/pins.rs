@@ -23,12 +23,12 @@
 use std::path::Path;
 
 use pidcomm::{
-    topology_all_reduce, BufferSpec, CollectivePlan, Communicator, HypercubeManager,
-    HypercubeShape, OptLevel, Primitive, Topology, TuneRequest,
+    BufferSpec, CollectivePlan, Communicator, HypercubeManager, HypercubeShape, OptLevel,
+    Primitive, Topology, TuneRequest,
 };
 use pim_sim::fault::fnv1a;
 use pim_sim::testgen::SplitMix64;
-use pim_sim::{DType, DimmGeometry, PimSystem, ReduceKind, TimeModel};
+use pim_sim::{DType, DimmGeometry, ReduceKind, TimeModel};
 
 use crate::apps;
 use crate::sweep::SweepBudget;
@@ -237,9 +237,7 @@ fn plan(
 /// `crates/core/tests/cost_only.rs`): PE-count scaling of a 1-D and a 2-D
 /// AllReduce, every ordered 3-D power-of-two shape over 1024 PEs (the
 /// paper's figure plots ten of the 36), and the word width of the
-/// reducing primitives. Every cell communicates along x. The three
-/// topology cells run functionally: the stepped ring and tree have no
-/// cost-only path.
+/// reducing primitives. Every cell communicates along x.
 pub fn design() -> Vec<Pin> {
     use DType::{U16, U32, U64, U8};
     use Primitive::{AllReduce, Reduce, ReduceScatter};
@@ -251,9 +249,8 @@ pub fn design() -> Vec<Pin> {
     let b = 16 << 10;
     let (spec, mask) = (BufferSpec::new(0, 2 * b + 64, b), "10".parse().unwrap());
     for topo in [Topology::Hypercube, Topology::Ring, Topology::Tree] {
-        let mut sys = PimSystem::new(geom);
-        let report =
-            topology_all_reduce(&mut sys, &manager, topo, &mask, &spec, ReduceKind::Sum).unwrap();
+        let plan = topo.plan(&manager, &mask, &spec, ReduceKind::Sum).unwrap();
+        let report = plan.cost_only_report(&model);
         let key = format!("fig23a/{topo}/{:?}/1024", report.opt);
         pins.push(Pin::new(key, report.time_ns().to_bits()));
     }

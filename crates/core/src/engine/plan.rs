@@ -87,13 +87,25 @@ impl ClusterSched {
     }
 }
 
+/// One host-mediated point-to-point move of `len` bytes between two PEs'
+/// MRAMs, accumulated at the receiver if `reduce` is set.
+pub(crate) struct Move {
+    pub(crate) src_pe: pim_sim::PeId,
+    pub(crate) dst_pe: pim_sim::PeId,
+    pub(crate) src_off: usize,
+    pub(crate) dst_off: usize,
+    pub(crate) len: usize,
+    pub(crate) reduce: bool,
+}
+
 /// A fully planned collective: everything that follows from
 /// `(primitive, opt, mask, spec, geometry, op, threads)` — validated
 /// buffer geometry, the [`EgCluster`] decomposition, the per-cluster
 /// phase-B rotation and placement schedules, the baseline path's
 /// group tables, the modeled cost of one execution and the resolved
-/// thread fan-out — ready to execute any number of times. See the module
-/// docs.
+/// thread fan-out — ready to execute any number of times. A ring / tree
+/// AllReduce plan ([`crate::Topology::plan`]) holds its step list instead.
+/// See the module docs.
 pub struct CollectivePlan {
     pub(crate) primitive: Primitive,
     pub(crate) opt: OptLevel,
@@ -126,6 +138,8 @@ pub struct CollectivePlan {
     pub(crate) group_threads: usize,
     /// What one execution charges, tallied once by `build`.
     pub(crate) sheet: CostSheet,
+    /// A stepped plan's synchronous steps; empty for hypercube plans.
+    pub(crate) steps: Vec<Vec<Move>>,
 }
 
 impl CollectivePlan {
@@ -188,6 +202,7 @@ impl CollectivePlan {
             groups,
             mask: mask.clone(),
             sheet: CostSheet::new(0),
+            steps: Vec::new(),
         };
         // The charge functions read the finished plan, so its sheet is
         // tallied last.
@@ -199,6 +214,51 @@ impl CollectivePlan {
         }
         plan.sheet = sheet;
         Ok(plan)
+    }
+
+    /// Plans a ring / tree AllReduce ([`crate::topology`]): the spec
+    /// validated as by `build`, a power-of-two group, the step list — the
+    /// staging phase (no moves), then `schedule`'s steps — and its
+    /// [`streaming::charge_stepped`] sheet. Reports [`OptLevel::Full`].
+    pub(crate) fn stepped(
+        manager: &HypercubeManager,
+        mask: &DimMask,
+        spec: &BufferSpec,
+        op: ReduceKind,
+        schedule: fn(&[CommGroup], &BufferSpec, usize) -> Vec<Vec<Move>>,
+    ) -> Result<Self> {
+        let n = mask.group_size(manager.shape())?;
+        validate_spec(Primitive::AllReduce, spec, n)?;
+        if !n.is_power_of_two() {
+            return Err(Error::InvalidBuffer(format!(
+                "ring/tree AllReduce needs a power-of-two group size; got {n}"
+            )));
+        }
+        let groups = manager.groups(mask)?;
+        let mut steps = vec![Vec::new()];
+        steps.extend(schedule(&groups, spec, n));
+        let geometry = *manager.geometry();
+        let mut sheet = CostSheet::new(geometry.channels());
+        streaming::charge_stepped(&mut sheet, &geometry, &steps);
+        Ok(Self {
+            primitive: Primitive::AllReduce,
+            opt: OptLevel::Full,
+            op,
+            spec: *spec,
+            geometry,
+            num_nodes: manager.num_nodes(),
+            n,
+            num_groups: groups.len(),
+            clusters: Vec::new(),
+            parts: Vec::new(),
+            sched: Vec::new(),
+            groups: Vec::new(),
+            mask: mask.clone(),
+            cluster_threads: 1,
+            group_threads: 1,
+            sheet,
+            steps,
+        })
     }
 
     /// The primitive this plan executes.
@@ -385,6 +445,10 @@ impl CollectivePlan {
                 None
             }
             Primitive::Gather => Some(streaming::gather(sys, self)),
+            Primitive::AllReduce if !self.steps.is_empty() => {
+                crate::topology::run_steps(sys, self);
+                None
+            }
             _ if self.opt == OptLevel::Baseline => baseline::run(sys, self),
             Primitive::AlltoAll => {
                 streaming::alltoall(sys, self);
@@ -449,11 +513,11 @@ impl CollectivePlan {
 
     /// The integer [`CostSheet`] every execution of this plan applies,
     /// tallied once at plan build (`streaming::charge` /
-    /// `baseline::charge`): reading it touches no PE MRAM, host staging or
-    /// fault layer. Converted with a [`TimeModel`] it yields a functional
-    /// run's modeled nanoseconds bit for bit (see
-    /// [`CollectivePlan::cost_only_report`]) — what the autotuner and the
-    /// extended design-space sweeps score candidates with.
+    /// `baseline::charge` / `streaming::charge_stepped`): reading it
+    /// touches no PE MRAM, host staging or fault layer. Converted with a
+    /// [`TimeModel`] it yields a functional run's modeled nanoseconds bit
+    /// for bit (see [`CollectivePlan::cost_only_report`]) — what the
+    /// autotuner and the extended design-space sweeps score candidates with.
     pub fn execute_cost_only(&self) -> &CostSheet {
         &self.sheet
     }

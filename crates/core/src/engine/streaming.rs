@@ -83,10 +83,9 @@ use pim_sim::PimSystem;
 
 use crate::config::{OptLevel, Primitive, Technique};
 use crate::engine::hostkernel::par_pes;
-use crate::engine::plan::{ClusterSched, CollectivePlan};
+use crate::engine::plan::{ClusterSched, CollectivePlan, Move};
 use crate::engine::sheet::CostSheet;
 use crate::hypercube::EgCluster;
-use crate::topology::Move;
 
 /// The per-PE pre-permutation of phase A in table form: destination slot
 /// `m_d * l + k` receives the chunk originally at `((k + i_src) % l) + l *
@@ -394,14 +393,15 @@ pub(crate) fn charge(sheet: &mut CostSheet, plan: &CollectivePlan) {
 }
 
 /// The whole cost of a stepped ring / tree AllReduce
-/// ([`crate::topology`]), tallied from its step list before any byte
-/// moves: the scratch-copy staging phase, then per step burst-granular bus
-/// traffic — each (entangled group, side) the step touches moves
+/// ([`crate::topology`]), tallied from its step list when
+/// [`CollectivePlan::stepped`] builds the plan: per step burst-granular
+/// bus traffic — each (entangled group, side) the step touches moves
 /// `ceil(len / 8)` whole bursts however few of its lanes participate —, one
 /// register shuffle per source burst, one transfer phase, and the
-/// receivers' accumulate kernel as a PE-side pass when the step reduces.
+/// receivers' accumulate kernel as a PE-side pass when the step reduces. A
+/// step with no moves (the staging phase, the tree's closing sync) is one
+/// bare transfer phase.
 pub(crate) fn charge_stepped(sheet: &mut CostSheet, geom: &DimmGeometry, steps: &[Vec<Move>]) {
-    sheet.transfer_phases += 1;
     for moves in steps {
         let len = moves.first().map_or(0, |mv| mv.len);
         let mut src_egs = BTreeSet::new();

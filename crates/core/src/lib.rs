@@ -64,9 +64,10 @@
 //!   number of times, MPI-persistent-request style;
 //!   [`Communicator::plan_cached`] pools plans in a keyed [`PlanCache`].
 //!   Every way of executing — the one-shot methods, the plan's `execute*`
-//!   wrappers, fused steps, verified execution, the multi-host phases —
-//!   ends in [`CollectivePlan::run`], and warm re-execution is
-//!   byte-identical to cold planning (`tests/plan_reuse.rs`).
+//!   wrappers, fused steps, verified execution, the multi-host phases, the
+//!   ring and tree [`Topology`] schedules — ends in [`CollectivePlan::run`],
+//!   and warm re-execution is byte-identical to cold planning
+//!   (`tests/plan_reuse.rs`).
 //! * **Prepared & fused execution** — a [`PreparedScatter`] validates
 //!   and row-stages a rooted send's host payload once (arena-pooled
 //!   image) and hands the image to the same dispatch in place of host
@@ -130,7 +131,7 @@ pub use error::{Error, Result};
 pub use hypercube::{DimMask, HypercubeManager, HypercubeShape};
 pub use multihost::{LinkModel, MultiHost, MultiHostPlan, MultiHostReport};
 pub use report::CommReport;
-pub use topology::{topology_all_reduce, Topology};
+pub use topology::Topology;
 
 // Re-export the substrate types that appear in this crate's public API.
 pub use pim_sim::{DType, ReduceKind};

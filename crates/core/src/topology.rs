@@ -11,21 +11,27 @@
 //!   step in which only a subset of lanes carries useful data (the tree's
 //!   upper levels) wastes the corresponding fraction of bandwidth.
 //!
-//! The implementations here are functionally complete (they produce exactly
-//! the AllReduce result) and charge costs burst-accurately, so the wasted
-//! bandwidth emerges from structure rather than from a fudge factor.
+//! Ring and tree are step schedules of [`CollectivePlan`]:
+//! [`Topology::plan`] builds the step list and tallies its cost sheet once,
+//! and the plan runs through the same [`CollectivePlan::run`] as every
+//! collective — one fault epoch per run, every landing through `Pe::write`,
+//! detected corruption surfaced as a typed error, retry and degrade under
+//! [`crate::Communicator::execute_verified`], and a cost-only report equal
+//! to the functional one. They produce exactly the AllReduce result and
+//! charge costs burst-accurately, so the wasted bandwidth emerges from
+//! structure rather than from a fudge factor.
 
-use pim_sim::dtype::{reduce_bytes, DType, ReduceKind};
-use pim_sim::{Category, PimSystem};
+use pim_sim::dtype::{reduce_bytes, ReduceKind};
+use pim_sim::PimSystem;
 
-use crate::config::{OptLevel, Primitive};
-use crate::engine::sheet::CostSheet;
-use crate::engine::{streaming, validate_spec, BufferSpec};
-use crate::error::{Error, Result};
+use crate::comm::Communicator;
+use crate::config::Primitive;
+use crate::engine::plan::{CollectivePlan, Move};
+use crate::engine::BufferSpec;
+use crate::error::Result;
 use crate::hypercube::{CommGroup, DimMask, HypercubeManager};
-use crate::report::CommReport;
 
-/// Which algorithmic topology to use for [`topology_all_reduce`].
+/// An AllReduce topology; [`Topology::plan`] plans AllReduce with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Topology {
     /// PID-Comm's native single-phase hypercube AllReduce.
@@ -48,124 +54,59 @@ impl std::fmt::Display for Topology {
     }
 }
 
-/// Runs AllReduce with the chosen topology and returns the report.
-///
-/// All variants leave every member PE with the element-wise reduction of
-/// the group's `bytes_per_node`-byte buffers at `dst_offset`.
-///
-/// # Errors
-///
-/// Same validation as [`crate::Communicator::all_reduce`]; ring and tree
-/// additionally require the group size to be a power of two.
-pub fn topology_all_reduce(
-    sys: &mut PimSystem,
-    manager: &HypercubeManager,
-    topology: Topology,
-    mask: &DimMask,
-    spec: &BufferSpec,
-    op: ReduceKind,
-) -> Result<CommReport> {
-    match topology {
-        Topology::Hypercube => {
-            crate::comm::Communicator::new(manager.clone()).all_reduce(sys, mask, spec, op)
-        }
-        Topology::Ring => stepped_all_reduce(sys, manager, mask, spec, op, Stepped::Ring),
-        Topology::Tree => stepped_all_reduce(sys, manager, mask, spec, op, Stepped::Tree),
+impl Topology {
+    /// Plans AllReduce with this topology. Every variant's plan leaves each
+    /// member PE with the element-wise reduction of the group's
+    /// `bytes_per_node`-byte buffers at `dst_offset`; execute it with
+    /// [`CollectivePlan::run`] or score it with
+    /// [`CollectivePlan::cost_only_report`].
+    ///
+    /// # Errors
+    ///
+    /// Same validation as [`Communicator::plan`]; ring and tree
+    /// additionally require the group size to be a power of two.
+    pub fn plan(
+        self,
+        manager: &HypercubeManager,
+        mask: &DimMask,
+        spec: &BufferSpec,
+        op: ReduceKind,
+    ) -> Result<CollectivePlan> {
+        let schedule = match self {
+            Topology::Hypercube => {
+                let comm = Communicator::new(manager.clone());
+                return comm.plan(Primitive::AllReduce, mask, spec, op);
+            }
+            Topology::Ring => ring_steps,
+            Topology::Tree => tree_steps,
+        };
+        CollectivePlan::stepped(manager, mask, spec, op, schedule)
     }
 }
 
-enum Stepped {
-    Ring,
-    Tree,
-}
-
-/// One host-mediated point-to-point move of `len` bytes between two PEs'
-/// MRAMs, accumulated at the receiver if `reduce` is set.
-pub(crate) struct Move {
-    pub(crate) src_pe: pim_sim::PeId,
-    pub(crate) dst_pe: pim_sim::PeId,
-    pub(crate) src_off: usize,
-    pub(crate) dst_off: usize,
-    pub(crate) len: usize,
-    pub(crate) reduce: bool,
-}
-
-/// Executes one synchronous step of point-to-point moves. Its cost is the
-/// step's share of [`streaming::charge_stepped`].
-fn run_step(sys: &mut PimSystem, moves: &[Move], dtype: DType, op: ReduceKind) {
-    for mv in moves {
+/// Executes a stepped plan: every PE first copies its source to its
+/// destination (the scratch the steps work in, so the source survives),
+/// then the steps' moves run in order. A reducing move folds the sender's
+/// chunk into the receiver's and lands the result; every landing goes
+/// through `Pe::write`, where fault injection and verification live. The
+/// cost is the plan's sheet, applied by the dispatch.
+pub(crate) fn run_steps(sys: &mut PimSystem, plan: &CollectivePlan) {
+    let (src, b) = (plan.spec.src_offset, plan.spec.bytes_per_node);
+    for pe in plan.geometry.pes() {
+        let data = sys.pe_mut(pe).read(src, b).to_vec();
+        sys.pe_mut(pe).write(plan.spec.dst_offset, &data);
+    }
+    for mv in plan.steps.iter().flatten() {
         let data = sys.pe_mut(mv.src_pe).read(mv.src_off, mv.len).to_vec();
-        if mv.reduce {
-            // simlint: allow(pe-choke-point, reason = "fused reduce landing: the read-modify-write accumulates into dst in place; a Pe::write round-trip would double-buffer every reduce step and the chaos suite covers this path via the post-collective verify pass")
-            let dst = sys.pe_mut(mv.dst_pe).slice_mut(mv.dst_off, mv.len);
-            reduce_bytes(op, dtype, dst, &data);
+        let row = if mv.reduce {
+            let mut acc = sys.pe_mut(mv.dst_pe).read(mv.dst_off, mv.len).to_vec();
+            reduce_bytes(plan.op, plan.spec.dtype, &mut acc, &data);
+            acc
         } else {
-            sys.pe_mut(mv.dst_pe).write(mv.dst_off, &data);
-        }
+            data
+        };
+        sys.pe_mut(mv.dst_pe).write(mv.dst_off, &row);
     }
-}
-
-/// The stepped AllReduce: validate, build the step list, derive its cost
-/// sheet, then move the bytes.
-fn stepped_all_reduce(
-    sys: &mut PimSystem,
-    manager: &HypercubeManager,
-    mask: &DimMask,
-    spec: &BufferSpec,
-    op: ReduceKind,
-    kind: Stepped,
-) -> Result<CommReport> {
-    let n = mask.group_size(manager.shape())?;
-    validate_spec(Primitive::AllReduce, spec, n)?;
-    if !n.is_power_of_two() {
-        return Err(Error::InvalidBuffer(format!(
-            "ring/tree AllReduce needs a power-of-two group size; got {n}"
-        )));
-    }
-    if manager.geometry() != sys.geometry() {
-        return Err(Error::ShapeSystemMismatch {
-            nodes: manager.num_nodes(),
-            pes: sys.geometry().num_pes(),
-        });
-    }
-    let b = spec.bytes_per_node;
-    let groups = manager.groups(mask)?;
-    let steps = match kind {
-        Stepped::Ring => ring_steps(&groups, spec, n),
-        Stepped::Tree => tree_steps(&groups, spec, n),
-    };
-    let mut sheet = CostSheet::new(sys.geometry().channels());
-    streaming::charge_stepped(&mut sheet, sys.geometry(), &steps);
-
-    let before = sys.meter();
-    // Work in a scratch copy at dst so the source buffer survives.
-    for g in &groups {
-        for &pe in &g.members {
-            let data = sys.pe_mut(pe).read(spec.src_offset, b).to_vec();
-            sys.pe_mut(pe).write(spec.dst_offset, &data);
-        }
-    }
-    for moves in &steps {
-        run_step(sys, moves, spec.dtype, op);
-    }
-    if let Stepped::Tree = kind {
-        // The extra PE-side arithmetic shows up as kernel pressure on the
-        // critical path; charge the final sync.
-        sys.charge(Category::Other, sys.model().transfer_setup_ns);
-    }
-    sheet.apply(sys);
-
-    let breakdown = sys.meter().since(&before);
-    let p = manager.num_nodes() as u64;
-    Ok(CommReport {
-        primitive: Primitive::AllReduce,
-        opt: OptLevel::Full,
-        breakdown,
-        bytes_in: p * b as u64,
-        bytes_out: p * b as u64,
-        group_size: n,
-        num_groups: groups.len(),
-    })
 }
 
 /// Classic ring AllReduce: N-1 reduce-scatter steps, then N-1 all-gather
@@ -199,9 +140,10 @@ fn ring_steps(groups: &[CommGroup], spec: &BufferSpec, n: usize) -> Vec<Vec<Move
 }
 
 /// Binary-tree AllReduce: log2(N) reduction levels toward rank 0 (full
-/// vectors), then log2(N) broadcast levels back down. Upper levels involve
-/// ever fewer lanes per entangled group, wasting bus bandwidth — the
-/// effect behind the paper's 7.89× tree slowdown.
+/// vectors), then log2(N) broadcast levels back down, then a closing sync
+/// (a step with no moves). Upper levels involve ever fewer lanes per
+/// entangled group, wasting bus bandwidth — the effect behind the paper's
+/// 7.89× tree slowdown.
 fn tree_steps(groups: &[CommGroup], spec: &BufferSpec, n: usize) -> Vec<Vec<Move>> {
     let b = spec.bytes_per_node;
     let dst = spec.dst_offset;
@@ -244,15 +186,20 @@ fn tree_steps(groups: &[CommGroup], spec: &BufferSpec, n: usize) -> Vec<Vec<Move
         }
         steps.push(moves);
     }
+    // The extra PE-side arithmetic shows up as a final sync on the
+    // critical path.
+    steps.push(Vec::new());
     steps
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
     use crate::hypercube::HypercubeShape;
     use crate::oracle;
-    use pim_sim::DimmGeometry;
+    use crate::report::CommReport;
+    use pim_sim::{DType, DimmGeometry};
 
     fn setup(dims: &[usize], geom: DimmGeometry) -> (PimSystem, HypercubeManager) {
         let manager =
@@ -267,6 +214,18 @@ mod tests {
                 .collect();
             sys.pe_mut(pe).write(0, &data);
         }
+    }
+
+    /// Plans a Sum AllReduce with `topo` and runs it on `sys`.
+    fn all_reduce(
+        sys: &mut PimSystem,
+        manager: &HypercubeManager,
+        topo: Topology,
+        mask: &DimMask,
+        spec: &BufferSpec,
+    ) -> Result<CommReport> {
+        let plan = topo.plan(manager, mask, spec, ReduceKind::Sum)?;
+        plan.run(sys, None).map(|e| e.report)
     }
 
     fn check_allreduce(
@@ -297,15 +256,8 @@ mod tests {
         let mask: DimMask = "10".parse().unwrap();
         let b = 64;
         fill(&mut sys, b);
-        let report = topology_all_reduce(
-            &mut sys,
-            &manager,
-            Topology::Ring,
-            &mask,
-            &BufferSpec::new(0, 1024, b),
-            ReduceKind::Sum,
-        )
-        .unwrap();
+        let spec = BufferSpec::new(0, 1024, b);
+        let report = all_reduce(&mut sys, &manager, Topology::Ring, &mask, &spec).unwrap();
         check_allreduce(&mut sys, &manager, &mask, b, 1024);
         assert!(report.time_ns() > 0.0);
     }
@@ -316,15 +268,8 @@ mod tests {
         let mask: DimMask = "10".parse().unwrap();
         let b = 64;
         fill(&mut sys, b);
-        topology_all_reduce(
-            &mut sys,
-            &manager,
-            Topology::Tree,
-            &mask,
-            &BufferSpec::new(0, 1024, b),
-            ReduceKind::Sum,
-        )
-        .unwrap();
+        let spec = BufferSpec::new(0, 1024, b);
+        all_reduce(&mut sys, &manager, Topology::Tree, &mask, &spec).unwrap();
         check_allreduce(&mut sys, &manager, &mask, b, 1024);
     }
 
@@ -335,15 +280,8 @@ mod tests {
         let b = 128;
         for topo in [Topology::Ring, Topology::Tree] {
             fill(&mut sys, b);
-            topology_all_reduce(
-                &mut sys,
-                &manager,
-                topo,
-                &mask,
-                &BufferSpec::new(0, 4096, b),
-                ReduceKind::Sum,
-            )
-            .unwrap();
+            let spec = BufferSpec::new(0, 4096, b);
+            all_reduce(&mut sys, &manager, topo, &mask, &spec).unwrap();
             check_allreduce(&mut sys, &manager, &mask, b, 4096);
         }
     }
@@ -359,15 +297,8 @@ mod tests {
         let mut times = Vec::new();
         for topo in [Topology::Hypercube, Topology::Ring, Topology::Tree] {
             fill(&mut sys, b);
-            let report = topology_all_reduce(
-                &mut sys,
-                &manager,
-                topo,
-                &mask,
-                &BufferSpec::new(0, 65536, b),
-                ReduceKind::Sum,
-            )
-            .unwrap();
+            let spec = BufferSpec::new(0, 65536, b);
+            let report = all_reduce(&mut sys, &manager, topo, &mask, &spec).unwrap();
             times.push(report.time_ns());
         }
         assert!(
@@ -379,44 +310,41 @@ mod tests {
         assert!(times[1] < times[2], "ring {} < tree {}", times[1], times[2]);
     }
 
-    /// Ring and tree reject what `Communicator::all_reduce` rejects — a
-    /// destination past the bank end, overlapping regions, a system of
-    /// another geometry — plus a group size that is not a power of two, as
-    /// typed errors before any byte moves.
+    /// Ring and tree plans reject what `Communicator::plan` rejects — a
+    /// destination past the bank end, overlapping regions — plus a group
+    /// size that is not a power of two, as typed errors at plan build; a
+    /// system of another geometry fails at `run`, before any byte moves.
     #[test]
     fn non_power_of_two_rejected() {
         use pim_sim::pe::MRAM_CAPACITY;
 
         let (rank, odd) = (DimmGeometry::single_rank(), DimmGeometry::new(3, 1, 2));
         for topo in [Topology::Ring, Topology::Tree] {
-            let reject = |dims: &[usize], geom, sys_geom, mask: &str, dst, b| {
+            let plan = |dims: &[usize], geom, mask: &str, dst, b| {
                 let (_, manager) = setup(dims, geom);
-                let mut sys = PimSystem::new(sys_geom);
-                let mask = mask.parse().unwrap();
                 let spec = BufferSpec::new(0, dst, b);
-                let err =
-                    topology_all_reduce(&mut sys, &manager, topo, &mask, &spec, ReduceKind::Sum)
-                        .unwrap_err();
-                assert_eq!(sys.total_mram_used(), 0, "{topo}: bytes moved before {err}");
-                err
+                topo.plan(&manager, &mask.parse().unwrap(), &spec, ReduceKind::Sum)
             };
-            for (row, dst) in [("past bank end", MRAM_CAPACITY - 32), ("overlap", 32)] {
-                let err = reject(&[8, 8], rank, rank, "10", dst, 64);
+            let rejected = |row: &str, planned: Result<CollectivePlan>| {
+                let err = planned.err().expect("plan build must fail");
                 assert!(
                     matches!(err, Error::InvalidBuffer(_)),
                     "{topo} {row}: {err}"
                 );
+            };
+            for (row, dst) in [("past bank end", MRAM_CAPACITY - 32), ("overlap", 32)] {
+                rejected(row, plan(&[8, 8], rank, "10", dst, 64));
             }
-            let err = reject(&[8, 2, 3], odd, odd, "001", 1024, 24);
-            assert!(
-                matches!(err, Error::InvalidBuffer(_)),
-                "{topo} non-power-of-two: {err}"
-            );
-            let err = reject(&[8, 8], rank, DimmGeometry::single_group(), "10", 1024, 64);
+            rejected("non-power-of-two", plan(&[8, 2, 3], odd, "001", 1024, 24));
+
+            let mut sys = PimSystem::new(DimmGeometry::single_group());
+            let planned = plan(&[8, 8], rank, "10", 1024, 64).unwrap();
+            let err = planned.run(&mut sys, None).unwrap_err();
             assert!(
                 matches!(err, Error::ShapeSystemMismatch { .. }),
                 "{topo} other geometry: {err}"
             );
+            assert_eq!(sys.total_mram_used(), 0, "{topo}: bytes moved before {err}");
         }
     }
 }

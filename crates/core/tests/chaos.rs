@@ -13,6 +13,10 @@
 //!    returns the bit-exact clean result or a typed error — never a wrong
 //!    answer, never a panic.
 //!
+//! Every per-collective guarantee also covers the ring and tree AllReduce
+//! schedules (`cases`): they are plans like any other collective, so a
+//! fault on them is caught by the same dispatch.
+//!
 //! The `app_storms` module lifts the same guarantees to whole application
 //! runs through the run-level supervisor (`run_*_resilient`): zero-fault
 //! bit-identity with the plain runners, deterministic typed outcomes
@@ -20,8 +24,8 @@
 //! deadline) where a persistent PE failure used to be a fatal error.
 
 use pidcomm::{
-    BufferSpec, Communicator, DimMask, Error, HypercubeManager, HypercubeShape, OptLevel,
-    Primitive, RecoveryPolicy, ReduceKind,
+    BufferSpec, CollectivePlan, Communicator, DimMask, Error, HypercubeManager, HypercubeShape,
+    OptLevel, Primitive, RecoveryPolicy, ReduceKind, Topology,
 };
 use pim_sim::{DimmGeometry, FaultKind, FaultPlan, PimSystem};
 use std::sync::Arc;
@@ -77,41 +81,46 @@ fn host_in(prim: Primitive) -> Option<Vec<Vec<u8>>> {
     }
 }
 
-/// Clean reference execution through the ordinary plan-execute methods.
-fn run_clean(
-    c: &Communicator,
-    sys: &mut PimSystem,
-    prim: Primitive,
-    mask: &DimMask,
-) -> (pidcomm::CommReport, Option<Vec<Vec<u8>>>) {
-    let plan = c.plan(prim, mask, &spec(), ReduceKind::Sum).unwrap();
-    let hin = host_in(prim);
-    match prim {
-        Primitive::Scatter | Primitive::Broadcast => (
-            plan.execute_with_host(sys, hin.as_ref().unwrap()).unwrap(),
-            None,
-        ),
-        Primitive::Gather | Primitive::Reduce => {
-            let (r, out) = plan.execute_to_host(sys).unwrap();
-            (r, Some(out))
+/// The plans every per-collective guarantee covers, named: the eight
+/// primitives at `c`'s level, then — at `Full`, the level they always run
+/// at — the ring and tree AllReduce schedules.
+fn cases(c: &Communicator) -> Vec<(String, CollectivePlan)> {
+    let mask: DimMask = "10".parse().unwrap();
+    let mut cases: Vec<_> = Primitive::ALL
+        .into_iter()
+        .map(|p| {
+            let plan = c.plan(p, &mask, &spec(), ReduceKind::Sum).unwrap();
+            (p.to_string(), plan)
+        })
+        .collect();
+    if c.opt() == OptLevel::Full {
+        for topo in [Topology::Ring, Topology::Tree] {
+            let plan = topo.plan(c.manager(), &mask, &spec(), ReduceKind::Sum);
+            cases.push((topo.to_string(), plan.unwrap()));
         }
-        _ => (plan.execute(sys).unwrap(), None),
     }
+    cases
+}
+
+/// Clean reference execution of `plan`: no fault plan, no verification.
+fn run_clean(
+    sys: &mut PimSystem,
+    plan: &CollectivePlan,
+) -> (pidcomm::CommReport, Option<Vec<Vec<u8>>>) {
+    let exec = plan.run(sys, host_in(plan.primitive()).as_deref()).unwrap();
+    (exec.report, exec.host_out)
 }
 
 #[test]
 fn zero_fault_verified_execution_is_bit_identical() {
-    let mask: DimMask = "10".parse().unwrap();
     for opt in [OptLevel::Baseline, OptLevel::InRegister, OptLevel::Full] {
-        for prim in Primitive::ALL {
-            let c = comm(opt);
-
+        let c = comm(opt);
+        for (name, plan) in cases(&c) {
             let mut clean_sys = fresh_filled();
-            let (clean_report, clean_host) = run_clean(&c, &mut clean_sys, prim, &mask);
+            let (clean_report, clean_host) = run_clean(&mut clean_sys, &plan);
 
             let mut ver_sys = fresh_filled();
-            let plan = c.plan(prim, &mask, &spec(), ReduceKind::Sum).unwrap();
-            let hin = host_in(prim);
+            let hin = host_in(plan.primitive());
             let ver = c
                 .execute_verified(
                     &mut ver_sys,
@@ -121,14 +130,14 @@ fn zero_fault_verified_execution_is_bit_identical() {
                 )
                 .unwrap();
 
-            assert_eq!(ver.retries, 0, "{prim} {opt:?}");
-            assert!(!ver.degraded, "{prim} {opt:?}");
-            assert_eq!(ver.report, clean_report, "{prim} {opt:?}: modeled bits");
-            assert_eq!(ver.host_out, clean_host, "{prim} {opt:?}: host output");
+            assert_eq!(ver.retries, 0, "{name} {opt:?}");
+            assert!(!ver.degraded, "{name} {opt:?}");
+            assert_eq!(ver.report, clean_report, "{name} {opt:?}: modeled bits");
+            assert_eq!(ver.host_out, clean_host, "{name} {opt:?}: host output");
             assert_eq!(
                 snapshot(&ver_sys),
                 snapshot(&clean_sys),
-                "{prim} {opt:?}: PE bytes"
+                "{name} {opt:?}: PE bytes"
             );
         }
     }
@@ -136,12 +145,10 @@ fn zero_fault_verified_execution_is_bit_identical() {
 
 #[test]
 fn transient_fault_is_retried_to_the_exact_clean_result() {
-    let mask: DimMask = "10".parse().unwrap();
-    for prim in Primitive::ALL {
-        let c = comm(OptLevel::Full);
-
+    let c = comm(OptLevel::Full);
+    for (name, plan) in cases(&c) {
         let mut clean_sys = fresh_filled();
-        let (clean_report, clean_host) = run_clean(&c, &mut clean_sys, prim, &mask);
+        let (clean_report, clean_host) = run_clean(&mut clean_sys, &plan);
 
         // A bit flip on PE 2's transport writes during epoch 1 (the first
         // attempt); epoch 2 (the retry) is fault-free.
@@ -151,8 +158,7 @@ fn transient_fault_is_retried_to_the_exact_clean_result() {
             2,
             1,
         )));
-        let plan = c.plan(prim, &mask, &spec(), ReduceKind::Sum).unwrap();
-        let hin = host_in(prim);
+        let hin = host_in(plan.primitive());
         let ver = c
             .execute_verified(
                 &mut ver_sys,
@@ -165,22 +171,22 @@ fn transient_fault_is_retried_to_the_exact_clean_result() {
         // Host-rooted receives (Gather, Reduce) move data PE→host only:
         // the collective never writes PE MRAM, so a transport write fault
         // is *provably harmless* — no retry, clean result. Every other
-        // primitive lands bytes on PE 2 and must detect-and-retry.
-        let writes_pes = !matches!(prim, Primitive::Gather | Primitive::Reduce);
+        // collective lands bytes on PE 2 and must detect-and-retry.
+        let writes_pes = !matches!(plan.primitive(), Primitive::Gather | Primitive::Reduce);
         let want_retries = u32::from(writes_pes);
         assert_eq!(
             ver.retries, want_retries,
-            "{prim}: detected-or-harmless retry count"
+            "{name}: detected-or-harmless retry count"
         );
-        assert!(!ver.degraded, "{prim}");
-        assert_eq!(ver.host_out, clean_host, "{prim}: host output");
+        assert!(!ver.degraded, "{name}");
+        assert_eq!(ver.host_out, clean_host, "{name}: host output");
         ver_sys.detach_fault_plan();
-        assert_eq!(snapshot(&ver_sys), snapshot(&clean_sys), "{prim}: PE bytes");
+        assert_eq!(snapshot(&ver_sys), snapshot(&clean_sys), "{name}: PE bytes");
         if writes_pes {
             // The failed attempt plus the retry resync are on the meter.
             assert!(
                 ver.report.time_ns() > clean_report.time_ns(),
-                "{prim}: recovery must be visible in modeled time \
+                "{name}: recovery must be visible in modeled time \
                  ({} vs clean {})",
                 ver.report.time_ns(),
                 clean_report.time_ns()
@@ -188,9 +194,53 @@ fn transient_fault_is_retried_to_the_exact_clean_result() {
         } else {
             assert_eq!(
                 ver.report, clean_report,
-                "{prim}: harmless fault leaves modeled time untouched"
+                "{name}: harmless fault leaves modeled time untouched"
             );
         }
+    }
+}
+
+/// A stepped plan is one fault epoch like every collective, and a fault
+/// on it is caught: under a dense bit-flip storm with verification on,
+/// each ring / tree run consumes exactly one epoch and either returns the
+/// clean run's bytes or a typed detection error, leaving no corruption
+/// record behind for the next collective to report as its own.
+#[test]
+fn stepped_plans_never_pass_a_fault_silently() {
+    let c = comm(OptLevel::Full);
+    let mask: DimMask = "10".parse().unwrap();
+    for topo in [Topology::Ring, Topology::Tree] {
+        let plan = topo
+            .plan(c.manager(), &mask, &spec(), ReduceKind::Sum)
+            .unwrap();
+        let mut clean_sys = fresh_filled();
+        run_clean(&mut clean_sys, &plan);
+        let want = snapshot(&clean_sys);
+        let (mut caught, mut clean) = (0u32, 0u32);
+        for seed in 1..=20u64 {
+            let fp = Arc::new(FaultPlan::new(seed).with_bit_flip_period(8));
+            let mut sys = fresh_filled();
+            sys.attach_fault_plan(fp.clone());
+            sys.set_verify_writes(true);
+            let epoch = fp.epoch();
+            let result = plan.run(&mut sys, None);
+            assert_eq!(fp.epoch(), epoch + 1, "{topo} seed {seed}: fault epoch");
+            assert!(
+                sys.take_corruption().is_none(),
+                "{topo} seed {seed}: corruption record left pending"
+            );
+            match result {
+                Ok(_) => {
+                    sys.detach_fault_plan();
+                    assert_eq!(snapshot(&sys), want, "{topo} seed {seed}: PE bytes");
+                    clean += 1;
+                }
+                Err(Error::DataCorruption { .. } | Error::PeFailed { .. }) => caught += 1,
+                Err(other) => panic!("{topo} seed {seed}: unexpected error {other:?}"),
+            }
+        }
+        eprintln!("{topo}: {caught} caught, {clean} clean");
+        assert!(caught > 0, "{topo}: the storm never hit a landing");
     }
 }
 
@@ -222,18 +272,15 @@ fn transient_fault_with_no_retry_budget_surfaces_typed_error() {
 
 #[test]
 fn persistent_pe_failure_degrades_to_correct_surviving_results() {
-    let mask: DimMask = "10".parse().unwrap();
     let dead: u32 = 12;
-    for prim in Primitive::ALL {
-        let c = comm(OptLevel::Full);
-
+    let c = comm(OptLevel::Full);
+    for (name, plan) in cases(&c) {
         let mut clean_sys = fresh_filled();
-        let (_, clean_host) = run_clean(&c, &mut clean_sys, prim, &mask);
+        let (_, clean_host) = run_clean(&mut clean_sys, &plan);
 
         let mut ver_sys = fresh_filled();
         ver_sys.attach_fault_plan(Arc::new(FaultPlan::new(11).with_failed_pe(dead)));
-        let plan = c.plan(prim, &mask, &spec(), ReduceKind::Sum).unwrap();
-        let hin = host_in(prim);
+        let hin = host_in(plan.primitive());
         let ver = c
             .execute_verified(
                 &mut ver_sys,
@@ -243,11 +290,11 @@ fn persistent_pe_failure_degrades_to_correct_surviving_results() {
             )
             .unwrap();
 
-        assert!(ver.degraded, "{prim}: must degrade around the dead PE");
-        assert_eq!(ver.retries, 0, "{prim}: persistent failure never retries");
+        assert!(ver.degraded, "{name}: must degrade around the dead PE");
+        assert_eq!(ver.retries, 0, "{name}: persistent failure never retries");
         // Host-rooted receive outputs are computed from still-readable
         // banks, so they match the clean run exactly.
-        assert_eq!(ver.host_out, clean_host, "{prim}: host output");
+        assert_eq!(ver.host_out, clean_host, "{name}: host output");
         // Every surviving PE's *destination* region holds the exact clean
         // result (the source region legitimately differs: the clean run's
         // phase A pre-rotated it in place, the degraded run never
@@ -260,14 +307,14 @@ fn persistent_pe_failure_degrades_to_correct_surviving_results() {
             assert_eq!(
                 ver_sys.pe(pe).peek(DST, N * B),
                 clean_sys.pe(pe).peek(DST, N * B),
-                "{prim}: surviving PE {pe:?} destination"
+                "{name}: surviving PE {pe:?} destination"
             );
         }
         // Degraded recompute is visible in modeled time via the recovery
         // byte counter (host-modulation charge).
         assert!(
             ver.report.breakdown.host_modulation > 0.0,
-            "{prim}: degraded recompute must be charged"
+            "{name}: degraded recompute must be charged"
         );
     }
 }
@@ -301,11 +348,12 @@ fn seeded_chaos_never_corrupts_silently() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(0xC0FFEE);
-    let mask: DimMask = "10".parse().unwrap();
     let policy = RecoveryPolicy {
         max_retries: 3,
         degrade: true,
     };
+    let c = comm(OptLevel::Full);
+    let cases = cases(&c);
 
     let mut recovered = 0u32;
     let mut detected = 0u32;
@@ -316,11 +364,9 @@ fn seeded_chaos_never_corrupts_silently() {
         // Sparse-to-dense storms: small periods fault nearly every epoch,
         // large ones only occasionally.
         for (flip_p, row_p) in [(1 << 14, 0), (0, 1 << 15), (1 << 10, 1 << 11)] {
-            for prim in Primitive::ALL {
-                let c = comm(OptLevel::Full);
-
+            for (name, plan) in &cases {
                 let mut clean_sys = fresh_filled();
-                let (_, clean_host) = run_clean(&c, &mut clean_sys, prim, &mask);
+                let (_, clean_host) = run_clean(&mut clean_sys, plan);
                 let want = snapshot(&clean_sys);
 
                 let mut fp = FaultPlan::new(seed ^ (flip_p << 1) ^ row_p);
@@ -332,14 +378,13 @@ fn seeded_chaos_never_corrupts_silently() {
                 }
                 let mut sys = fresh_filled();
                 sys.attach_fault_plan(Arc::new(fp));
-                let plan = c.plan(prim, &mask, &spec(), ReduceKind::Sum).unwrap();
-                let hin = host_in(prim);
-                match c.execute_verified(&mut sys, &plan, hin.as_deref(), &policy) {
+                let hin = host_in(plan.primitive());
+                match c.execute_verified(&mut sys, plan, hin.as_deref(), &policy) {
                     Ok(ver) => {
-                        assert!(!ver.degraded, "{prim} seed {seed}: no PE ever dies here");
-                        assert_eq!(ver.host_out, clean_host, "{prim} seed {seed}");
+                        assert!(!ver.degraded, "{name} seed {seed}: no PE ever dies here");
+                        assert_eq!(ver.host_out, clean_host, "{name} seed {seed}");
                         sys.detach_fault_plan();
-                        assert_eq!(snapshot(&sys), want, "{prim} seed {seed}: PE bytes");
+                        assert_eq!(snapshot(&sys), want, "{name} seed {seed}: PE bytes");
                         if ver.retries > 0 {
                             recovered += 1;
                         } else {
@@ -349,7 +394,7 @@ fn seeded_chaos_never_corrupts_silently() {
                     Err(Error::DataCorruption { .. }) | Err(Error::PeFailed { .. }) => {
                         detected += 1;
                     }
-                    Err(other) => panic!("{prim} seed {seed}: unexpected error {other:?}"),
+                    Err(other) => panic!("{name} seed {seed}: unexpected error {other:?}"),
                 }
             }
         }
@@ -372,16 +417,14 @@ fn seeded_chaos_never_corrupts_silently() {
 /// rollback no longer snapshots — survive the failed attempt untouched.
 #[test]
 fn recovery_rollback_is_scoped_to_plan_regions() {
-    let mask: DimMask = "10".parse().unwrap();
     // A sentinel window beyond every primitive's destination extent
     // (AllGather writes the largest: N * B bytes at DST).
     let sentinel_off = DST + N * B;
     let sentinel = |pe: u32| -> Vec<u8> { (0..64u32).map(|i| (pe + i * 3) as u8).collect() };
-    for prim in Primitive::ALL {
-        let c = comm(OptLevel::Full);
-
+    let c = comm(OptLevel::Full);
+    for (name, plan) in cases(&c) {
         let mut clean_sys = fresh_filled();
-        let (_, clean_host) = run_clean(&c, &mut clean_sys, prim, &mask);
+        let (_, clean_host) = run_clean(&mut clean_sys, &plan);
 
         let mut sys = fresh_filled();
         for pe in sys.geometry().pes() {
@@ -392,24 +435,23 @@ fn recovery_rollback_is_scoped_to_plan_regions() {
             2,
             1,
         )));
-        let plan = c.plan(prim, &mask, &spec(), ReduceKind::Sum).unwrap();
-        let hin = host_in(prim);
+        let hin = host_in(plan.primitive());
         let ver = c
             .execute_verified(&mut sys, &plan, hin.as_deref(), &RecoveryPolicy::default())
             .unwrap();
-        assert!(!ver.degraded, "{prim}");
-        assert_eq!(ver.host_out, clean_host, "{prim}: retried result drifts");
+        assert!(!ver.degraded, "{name}");
+        assert_eq!(ver.host_out, clean_host, "{name}: retried result drifts");
         sys.detach_fault_plan();
         for pe in sys.geometry().pes() {
             assert_eq!(
                 sys.pe(pe).peek(sentinel_off, 64),
                 sentinel(pe.0),
-                "{prim}: bytes outside the plan's regions disturbed by rollback"
+                "{name}: bytes outside the plan's regions disturbed by rollback"
             );
             assert_eq!(
                 sys.pe(pe).peek(DST, N * B),
                 clean_sys.pe(pe).peek(DST, N * B),
-                "{prim}: destination bytes diverge from the clean run"
+                "{name}: destination bytes diverge from the clean run"
             );
         }
     }
@@ -421,8 +463,11 @@ fn recovery_rollback_is_scoped_to_plan_regions() {
 fn transiently_stuck_pe_is_caught_before_dispatch() {
     let mask: DimMask = "10".parse().unwrap();
     let c = comm(OptLevel::Full);
+    let plan = c
+        .plan(Primitive::AlltoAll, &mask, &spec(), ReduceKind::Sum)
+        .unwrap();
     let mut clean_sys = fresh_filled();
-    let (_, _) = run_clean(&c, &mut clean_sys, Primitive::AlltoAll, &mask);
+    run_clean(&mut clean_sys, &plan);
     let want = snapshot(&clean_sys);
 
     // An explicit one-epoch stall on PE 9: attempt 1 fails pre-dispatch,
@@ -433,9 +478,6 @@ fn transiently_stuck_pe_is_caught_before_dispatch() {
         9,
         1,
     )));
-    let plan = c
-        .plan(Primitive::AlltoAll, &mask, &spec(), ReduceKind::Sum)
-        .unwrap();
     let ver = c
         .execute_verified(&mut sys, &plan, None, &RecoveryPolicy::default())
         .unwrap();

@@ -9,7 +9,7 @@
 
 use pidcomm::{
     autotune, BufferSpec, Communicator, DimMask, HypercubeManager, HypercubeShape, LinkModel,
-    MultiHost, OptLevel, Primitive, ReduceKind, TuneRequest,
+    MultiHost, OptLevel, Primitive, ReduceKind, Topology, TuneRequest,
 };
 use pim_sim::{Breakdown, DType, DimmGeometry, PimSystem, SystemArena, TimeModel};
 
@@ -151,6 +151,47 @@ fn cost_only_matches_functional_bits() {
                     assert_eq!(cost.num_groups, functional.num_groups, "{ctx}");
                     arena.recycle(sys);
                 }
+            }
+        }
+    }
+}
+
+/// Ring and tree plans score like every plan: on two masks of an 8x8 cube
+/// and on multi-EG groups of a 16x4 one, at a byte and a word element
+/// type, the cost-only report equals the functional report bit for bit.
+/// A warm stepped plan carries no state: a second run on the same system
+/// lands the same bytes and reports the same bits.
+#[test]
+fn stepped_cost_only_matches_functional_bits() {
+    let geom = DimmGeometry::single_rank();
+    let model = TimeModel::upmem();
+    let b = 512;
+    for (dims, mask) in [(vec![8, 8], "10"), (vec![8, 8], "01"), (vec![16, 4], "10")] {
+        let manager =
+            HypercubeManager::new(HypercubeShape::new(dims.clone()).unwrap(), geom).unwrap();
+        let mask = DimMask::parse(mask).unwrap();
+        for dtype in [DType::U8, DType::U64] {
+            let spec = BufferSpec::new(0, DST, b).with_dtype(dtype);
+            for topo in [Topology::Ring, Topology::Tree] {
+                let ctx = format!("{topo} {dtype} dims={dims:?} mask={mask}");
+                let plan = topo.plan(&manager, &mask, &spec, ReduceKind::Sum).unwrap();
+                let cost = plan.cost_only_report(&model);
+
+                let mut sys = PimSystem::new(geom);
+                fill_src(&mut sys, b);
+                let image = |sys: &PimSystem| -> Vec<Vec<u8>> {
+                    geom.pes().map(|pe| sys.pe(pe).peek(0, DST + b)).collect()
+                };
+                let first = plan.run(&mut sys, None).unwrap().report;
+                assert_bits_eq(&cost.breakdown, &first.breakdown, &ctx);
+                assert_eq!(cost, first, "{ctx}");
+                let landed = image(&sys);
+
+                sys.take_meter();
+                let warm = plan.run(&mut sys, None).unwrap().report;
+                assert_bits_eq(&warm.breakdown, &first.breakdown, &format!("{ctx} warm"));
+                assert_eq!(warm, first, "{ctx} warm");
+                assert_eq!(image(&sys), landed, "{ctx}: warm run moves other bytes");
             }
         }
     }

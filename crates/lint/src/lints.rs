@@ -74,11 +74,12 @@ impl Lint {
 cost-sheet: CostSheet and mpi_ns fields may only be mutated inside
 crates/core/src/engine/{sheet.rs,streaming.rs,baseline.rs} — the charge
 functions (`streaming::charge`, `baseline::charge`,
-`streaming::charge_stepped`) that compute a sheet from a plan or a step
-list before any byte moves.
+`streaming::charge_stepped`) that compute a sheet from a plan or a ring /
+tree step list before any byte moves.
 
 Contract (PR 7, PR 25): cost is a property of the plan.
-`CollectivePlan::build` tallies the sheet once; every execution applies
+`CollectivePlan::build` (and `CollectivePlan::stepped`, for ring and tree)
+tallies the sheet once; every execution applies
 that stored sheet, cost-only execution applies it to a bare meter, and no
 function that moves bytes holds a sheet. A field bump anywhere else is a
 charge the plan does not know about and splits functional from cost-only

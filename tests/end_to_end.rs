@@ -3,8 +3,8 @@
 //! exercised through public APIs only.
 
 use pidcomm::{
-    topology_all_reduce, BufferSpec, Communicator, DimMask, HypercubeManager, HypercubeShape,
-    LinkModel, MultiHost, OptLevel, Primitive, Topology,
+    BufferSpec, Communicator, DimMask, HypercubeManager, HypercubeShape, LinkModel, MultiHost,
+    OptLevel, Primitive, Topology,
 };
 use pidcomm_apps::bfs::{default_source, run_bfs, BfsConfig};
 use pidcomm_apps::cc::{run_cc, CcConfig};
@@ -170,15 +170,9 @@ fn topologies_agree_with_hypercube_result() {
                 .collect();
             sys.pe_mut(pe).write(0, &data);
         }
-        topology_all_reduce(
-            &mut sys,
-            &manager,
-            topo,
-            &mask,
-            &BufferSpec::new(0, 1024, b),
-            ReduceKind::Sum,
-        )
-        .unwrap();
+        let spec = BufferSpec::new(0, 1024, b);
+        let plan = topo.plan(&manager, &mask, &spec, ReduceKind::Sum).unwrap();
+        plan.run(&mut sys, None).unwrap();
         let snapshot: Vec<u8> = geom
             .pes()
             .flat_map(|pe| sys.pe_mut(pe).read(1024, b).to_vec())
