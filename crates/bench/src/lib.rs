@@ -1,34 +1,32 @@
 //! # pidcomm-bench — figure/table regeneration harness
 //!
-//! One binary per table/figure of the paper's evaluation (§VIII). This
-//! library is the cell core they share: [`run_primitive`] for one
-//! collective, [`apps`] for the application cases and their sweep, the
-//! [`sweep`] pool — and [`pins`], the deterministic sweeps whose bit
-//! patterns `cargo test` checks against the `BENCH_*.json` files at the
-//! repo root. Pins are tests; host time is measured by the `benchmark/`
-//! package and nowhere in this crate's library.
+//! The `figures` binary prints the paper's evaluation (§VIII), one
+//! function per table or figure. This library is the cell core they
+//! share: [`run_primitive`] for one collective, [`apps`] for the
+//! application cases and their sweep, the [`sweep`] pool — and [`pins`],
+//! the deterministic sweeps whose bit patterns `cargo test` checks against
+//! the `BENCH_*.json` files at the repo root. Pins are tests; host time is
+//! measured by the `benchmark/` package and nowhere in this crate's
+//! library.
 //!
 //! # Threading model
 //!
-//! The harness composes two independent layers of parallelism, both pure
-//! execution knobs (results are byte-identical at every setting):
+//! One level fans out per run, and every setting is a pure execution knob
+//! (results are byte-identical at each):
 //!
-//! 1. **Sweep level** ([`sweep`]): the app-sweep binaries (fig13 / fig15 /
-//!    fig21 / fig23) run their independent `AppCase` × `OptLevel` ×
-//!    PE-count cells on a work-stealing pool — workers pull cell indices
-//!    from one shared queue, results land in per-cell slots so output
-//!    order never depends on scheduling.
-//! 2. **Engine level**: inside each run, every app passes a
-//!    `Communicator::with_threads` bound down to `pidcomm`'s
-//!    cluster-parallel engine (each cluster gets a disjoint `EgView`).
+//! - **A sweep** ([`apps::run_app_sweep`], fig23's cells): the pool owns
+//!   every thread. Its workers pull cell indices from one shared queue,
+//!   results land in per-cell slots so output order never depends on
+//!   scheduling, and each cell runs serial inside it (`threads = 1` for
+//!   its collectives and host kernels). `figures --threads N` (`0` = auto
+//!   from `PIDCOMM_THREADS` or the available parallelism) sets the pool
+//!   size and nothing else; `tests/app_sweep_determinism.rs` pins every
+//!   pool size to the one-worker schedule.
+//! - **A stand-alone run** ([`apps::AppCase::run`], fig04 / fig22): the
+//!   run keeps `pidcomm`'s cluster-parallel engine and host-kernel fan-out
+//!   at the auto bound.
 //!
-//! A machine budget (the figure binaries' `--threads N`, `0` = auto from
-//! `PIDCOMM_THREADS` or the available parallelism) is split by [`sweep::SweepBudget`] so
-//! `workers × engine_threads` never exceeds it: the outer level is filled
-//! first (whole-app cells scale better than cluster fan-out), and the
-//! remainder goes to the engine. The serial reference schedule
-//! ([`sweep::SweepBudget::serial`]) is one worker with a serial engine;
-//! `tests/app_sweep_determinism.rs` pins every other budget to it.
+//! The primitive figures run nothing: a cell is a plan's cost-only report.
 
 // The harness never takes unsafe shortcuts; any future unsafe fast path
 // belongs in pim_sim, under simlint's unsafe-audit lint.
@@ -38,7 +36,7 @@ use pidcomm::{
     BufferSpec, CommReport, Communicator, DimMask, HypercubeManager, HypercubeShape, OptLevel,
     Primitive,
 };
-use pim_sim::{DType, DimmGeometry, PimSystem, ReduceKind, TimeModel};
+use pim_sim::{DType, DimmGeometry, ReduceKind, TimeModel};
 
 pub mod pins;
 pub mod sweep;
@@ -57,9 +55,6 @@ pub struct PrimSetup {
     pub bytes_per_node: usize,
     /// Element type.
     pub dtype: DType,
-    /// Timing model (defaults to the UPMEM calibration; extensions swap in
-    /// projected hardware).
-    pub model: TimeModel,
 }
 
 impl PrimSetup {
@@ -71,7 +66,6 @@ impl PrimSetup {
             mask: "10".into(),
             bytes_per_node,
             dtype: DType::U64,
-            model: TimeModel::upmem(),
         }
     }
 
@@ -83,81 +77,52 @@ impl PrimSetup {
             mask: "1".into(),
             bytes_per_node,
             dtype: DType::U64,
-            model: TimeModel::upmem(),
         }
     }
 
-    fn group_size(&self) -> usize {
+    /// The communicator, mask and spec of one `prim` cell at `opt`:
+    /// `bytes_per_node` is interpreted per primitive so total volume stays
+    /// comparable across primitives (the paper's "larger side"
+    /// normalization) — AA/RS/AR/Reduce send it whole, AG and the rooted
+    /// primitives `bytes_per_node / N` (at least 8) per node.
+    fn cell(&self, prim: Primitive, opt: OptLevel) -> (Communicator, DimMask, BufferSpec) {
         let shape = HypercubeShape::new(self.dims.clone()).unwrap();
         let mask: DimMask = self.mask.parse().unwrap();
-        mask.group_size(&shape).unwrap()
+        let b = self.bytes_per_node;
+        let bytes = match prim {
+            Primitive::AlltoAll
+            | Primitive::ReduceScatter
+            | Primitive::AllReduce
+            | Primitive::Reduce => b,
+            _ => (b / mask.group_size(&shape).unwrap())
+                .max(8)
+                .next_multiple_of(8),
+        };
+        let dst = 2 * b.next_multiple_of(64) + 64;
+        let spec = BufferSpec::new(0, dst, bytes).with_dtype(self.dtype);
+        let manager = HypercubeManager::new(shape, self.geom).unwrap();
+        let comm = Communicator::new(manager).with_opt(opt).with_threads(1);
+        (comm, mask, spec)
     }
 }
 
-/// Runs one primitive at one optimization level and returns its report.
-///
-/// Buffers are filled deterministically; `bytes_per_node` is interpreted
-/// per primitive so total volume stays comparable across primitives (the
-/// paper's "larger side" normalization).
+/// The report of one primitive at one optimization level: the plan's
+/// cost-only report under the UPMEM calibration, bit-identical to what a
+/// functional run on a fresh system reports (`core/tests/cost_only.rs`).
 ///
 /// # Panics
 ///
 /// Panics on configuration errors (this is a harness, not a library API).
 pub fn run_primitive(setup: &PrimSetup, prim: Primitive, opt: OptLevel) -> CommReport {
-    let shape = HypercubeShape::new(setup.dims.clone()).unwrap();
-    let mask: DimMask = setup.mask.parse().unwrap();
-    let n = setup.group_size();
-    let b = setup.bytes_per_node;
-    let manager = HypercubeManager::new(shape, setup.geom).unwrap();
-    let comm = Communicator::new(manager).with_opt(opt);
-    let groups = comm.manager().groups(&mask).unwrap().len();
-    let small = (b / n).max(8).next_multiple_of(8);
-    let dst = 2 * b.next_multiple_of(64) + 64;
-    let spec = BufferSpec::new(0, dst, b).with_dtype(setup.dtype);
-    let small_spec = BufferSpec::new(0, dst, small).with_dtype(setup.dtype);
-
-    let mut sys = PimSystem::with_model(setup.geom, setup.model.clone());
-    for pe in setup.geom.pes() {
-        let fill: Vec<u8> = (0..b)
-            .map(|i| ((pe.0 as usize + i * 13) % 251) as u8)
-            .collect();
-        sys.pe_mut(pe).write(0, &fill);
-    }
-    match prim {
-        Primitive::AlltoAll => comm.all_to_all(&mut sys, &mask, &spec).unwrap(),
-        Primitive::ReduceScatter => comm
-            .reduce_scatter(&mut sys, &mask, &spec, ReduceKind::Sum)
-            .unwrap(),
-        Primitive::AllReduce => comm
-            .all_reduce(&mut sys, &mask, &spec, ReduceKind::Sum)
-            .unwrap(),
-        Primitive::AllGather => comm.all_gather(&mut sys, &mask, &small_spec).unwrap(),
-        Primitive::Scatter => {
-            let host: Vec<Vec<u8>> = vec![vec![0x5Au8; n * small]; groups];
-            comm.scatter(&mut sys, &mask, &small_spec, &host).unwrap()
-        }
-        Primitive::Gather => comm.gather(&mut sys, &mask, &small_spec).unwrap().0,
-        Primitive::Reduce => {
-            comm.reduce(&mut sys, &mask, &spec, ReduceKind::Sum)
-                .unwrap()
-                .0
-        }
-        Primitive::Broadcast => {
-            let host: Vec<Vec<u8>> = vec![vec![0xA5u8; small]; groups];
-            comm.broadcast(&mut sys, &mask, &small_spec, &host).unwrap()
-        }
-    }
+    let (comm, mask, spec) = setup.cell(prim, opt);
+    let plan = comm.plan(prim, &mask, &spec, ReduceKind::Sum).unwrap();
+    plan.cost_only_report(&TimeModel::upmem())
 }
 
 /// Geometric mean of a slice.
 pub fn geomean(values: &[f64]) -> f64 {
     let ln: f64 = values.iter().map(|v| v.ln()).sum();
     (ln / values.len() as f64).exp()
-}
-
-/// Formats a GB/s value.
-pub fn gbps(report: &CommReport) -> f64 {
-    report.throughput_gbps()
 }
 
 /// Prints a standard figure header.
@@ -171,6 +136,7 @@ pub fn header(fig: &str, what: &str, paper_shape: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_sim::{Category, PimSystem};
 
     #[test]
     fn geomean_basic() {
@@ -178,6 +144,8 @@ mod tests {
         assert!((geomean(&[5.0]) - 5.0).abs() < 1e-9);
     }
 
+    /// The cost-only cell equals a functional one-shot of the same spec
+    /// on a fresh system, bit for bit, for every primitive at every level.
     #[test]
     fn run_primitive_works_for_all_eight() {
         let setup = PrimSetup {
@@ -186,19 +154,50 @@ mod tests {
             mask: "10".into(),
             bytes_per_node: 8 * 8 * 8,
             dtype: DType::U64,
-            model: TimeModel::upmem(),
         };
-        for prim in Primitive::ALL {
-            let report = run_primitive(&setup, prim, OptLevel::Full);
-            assert!(report.time_ns() > 0.0, "{prim}");
-            assert!(report.throughput_gbps() > 0.0, "{prim}");
+        let bits = |r: &CommReport| {
+            let times = Category::ALL.map(|c| r.breakdown.get(c).to_bits());
+            (times, r.bytes_in, r.bytes_out)
+        };
+        for opt in OptLevel::ALL {
+            for prim in Primitive::ALL {
+                let report = run_primitive(&setup, prim, opt);
+                assert!(report.time_ns() > 0.0, "{prim}");
+                assert!(report.throughput_gbps() > 0.0, "{prim}");
+
+                let (comm, mask, spec) = setup.cell(prim, opt);
+                let mut sys = PimSystem::new(setup.geom);
+                for pe in setup.geom.pes() {
+                    sys.pe_mut(pe)
+                        .write(0, &vec![pe.0 as u8 | 1; setup.bytes_per_node]);
+                }
+                let groups = comm.manager().groups(&mask).unwrap().len();
+                let host = |len| vec![vec![0x5Au8; len]; groups];
+                let (b, n) = (
+                    spec.bytes_per_node,
+                    mask.group_size(comm.manager().shape()).unwrap(),
+                );
+                let sum = ReduceKind::Sum;
+                let functional = match prim {
+                    Primitive::AlltoAll => comm.all_to_all(&mut sys, &mask, &spec),
+                    Primitive::ReduceScatter => comm.reduce_scatter(&mut sys, &mask, &spec, sum),
+                    Primitive::AllReduce => comm.all_reduce(&mut sys, &mask, &spec, sum),
+                    Primitive::AllGather => comm.all_gather(&mut sys, &mask, &spec),
+                    Primitive::Scatter => comm.scatter(&mut sys, &mask, &spec, &host(n * b)),
+                    Primitive::Gather => comm.gather(&mut sys, &mask, &spec).map(|r| r.0),
+                    Primitive::Reduce => comm.reduce(&mut sys, &mask, &spec, sum).map(|r| r.0),
+                    Primitive::Broadcast => comm.broadcast(&mut sys, &mask, &spec, &host(b)),
+                };
+                let functional = functional.unwrap();
+                assert_eq!(bits(&report), bits(&functional), "{prim} {opt:?}");
+            }
         }
     }
 }
 
 /// Standard scaled application configurations (Table III), used by the
 /// Fig. 4 / 13 / 15 / 21 regenerators. Returns `(label, dataset, run)`
-/// closures so binaries can pick subsets.
+/// closures so figures can pick subsets.
 pub mod apps {
     use pidcomm::OptLevel;
     use pidcomm_apps::bfs::{default_source, run_bfs_in, BfsConfig};
@@ -211,7 +210,7 @@ pub mod apps {
     use pidcomm_data::{rmat, CsrGraph, RmatParams};
     use pim_sim::{DType, SystemArena};
 
-    use crate::sweep::{self, SweepBudget};
+    use crate::sweep;
 
     use std::sync::LazyLock;
 
@@ -551,21 +550,20 @@ pub mod apps {
         pub opt: OptLevel,
     }
 
-    /// Runs every cell over `cases` on the work-stealing sweep pool and
-    /// returns the [`AppRun`]s in cell order. `budget.workers` cells run
-    /// concurrently, each with `budget.engine_threads` of cluster and
-    /// host-kernel fan-out; [`SweepBudget::serial`] is the serial
-    /// reference schedule, and every budget produces byte-identical
-    /// results.
+    /// Runs every cell over `cases` on a pool of `workers` (`0` = auto,
+    /// `1` = the serial reference schedule) and returns the [`AppRun`]s in
+    /// cell order. The pool owns every thread: each cell runs serial
+    /// inside it (`threads = 1`), and every pool size produces
+    /// byte-identical results.
     ///
     /// Each worker owns a private [`SystemArena`], so consecutive cells
     /// on one worker reuse the same `PimSystem` allocation and scatter
     /// staging buffers instead of rebuilding them from scratch (see the
     /// [`sweep`] module docs for the lifecycle).
-    pub fn run_app_sweep(cases: &[AppCase], cells: &[AppCell], budget: SweepBudget) -> Vec<AppRun> {
-        sweep::run_cells_with(cells.len(), budget.workers, SystemArena::new, |arena, i| {
+    pub fn run_app_sweep(cases: &[AppCase], cells: &[AppCell], workers: usize) -> Vec<AppRun> {
+        sweep::run_cells_with(cells.len(), workers, SystemArena::new, |arena, i| {
             let c = &cells[i];
-            cases[c.case].run_in(c.pes, c.opt, budget.engine_threads, arena)
+            cases[c.case].run_in(c.pes, c.opt, 1, arena)
         })
     }
 

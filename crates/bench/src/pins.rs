@@ -1,9 +1,8 @@
-//! Pins are tests: the four deterministic sweeps whose bit patterns are
+//! Pins are tests: the three deterministic sweeps whose bit patterns are
 //! committed at the repo root and checked by `cargo test -p pidcomm-bench
 //! --test pins` — the small app sweep (`BENCH_apps_small.json`), the
-//! design-space grids (`BENCH_design.json`), the plan autotuner
-//! (`BENCH_autotune.json`) and the typed-lane kernel outputs
-//! (`BENCH_kernels.json`).
+//! design-space grids (`BENCH_design.json`) and the typed-lane kernel
+//! outputs (`BENCH_kernels.json`).
 //!
 //! A [`Pin`] is a cell key and 64 bits: `f64::to_bits` of a modeled time
 //! in nanoseconds, or an FNV-1a checksum of a kernel's output. Each sweep
@@ -22,16 +21,12 @@
 
 use std::path::Path;
 
-use pidcomm::{
-    BufferSpec, CollectivePlan, Communicator, HypercubeManager, HypercubeShape, OptLevel,
-    Primitive, Topology, TuneRequest,
-};
+use pidcomm::{BufferSpec, HypercubeManager, HypercubeShape, OptLevel, Primitive, Topology};
 use pim_sim::fault::fnv1a;
 use pim_sim::testgen::SplitMix64;
 use pim_sim::{DType, DimmGeometry, ReduceKind, TimeModel};
 
-use crate::apps;
-use crate::sweep::SweepBudget;
+use crate::{apps, run_primitive, PrimSetup};
 
 /// One pinned cell: its identity and the bit pattern it must keep.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -191,7 +186,7 @@ pub fn check(committed: &Path, computed: &Path, cells: &[Pin]) -> Result<(), Str
 pub fn apps_small() -> Vec<Pin> {
     let cases = apps::small_cases();
     let cells = apps::base_vs_full_cells(cases.len(), 64);
-    let runs = apps::run_app_sweep(&cases, &cells, SweepBudget::serial());
+    let runs = apps::run_app_sweep(&cases, &cells, 1);
     let pin = |(cell, run): (&apps::AppCell, &pidcomm_apps::AppRun)| {
         let case = &cases[cell.case];
         let key = format!("{}/{}/{:?}/{}", case.app, case.dataset, cell.opt, cell.pes);
@@ -204,37 +199,11 @@ pub fn apps_small() -> Vec<Pin> {
     cells.iter().zip(&runs).map(pin).collect()
 }
 
-/// Payload of a fig20-style cell: 32 elements of 8 B per member along x.
-fn fig20_bytes(x: usize) -> usize {
-    (8 * x * 32).max(4096)
-}
-
-/// `8x64x2` for `[8, 64, 2]`.
-fn shape_label(dims: &[usize]) -> String {
-    let dims: Vec<String> = dims.iter().map(usize::to_string).collect();
-    dims.join("x")
-}
-
-/// A Full-level plan of `prim` on the serial engine.
-fn plan(
-    geom: DimmGeometry,
-    dims: &[usize],
-    mask: &str,
-    spec: BufferSpec,
-    prim: Primitive,
-) -> CollectivePlan {
-    let manager = HypercubeManager::new(HypercubeShape::new(dims.to_vec()).unwrap(), geom).unwrap();
-    Communicator::new(manager)
-        .with_opt(OptLevel::Full)
-        .with_threads(1)
-        .plan(prim, &mask.parse().unwrap(), &spec, ReduceKind::Sum)
-        .unwrap()
-}
-
 /// Fig. 23a's three AllReduce topologies on fig23's 32×32 cell, then the
 /// extended fig19 / fig20 / fig22 grids, scored by cost-only plan
 /// execution (bit-identical to the functional engine:
-/// `crates/core/tests/cost_only.rs`): PE-count scaling of a 1-D and a 2-D
+/// `crates/core/tests/cost_only.rs`) — the grids through the figures' own
+/// cell core, [`run_primitive`] at Full: PE-count scaling of a 1-D and a 2-D
 /// AllReduce, every ordered 3-D power-of-two shape over 1024 PEs (the
 /// paper's figure plots ten of the 36), and the word width of the
 /// reducing primitives. Every cell communicates along x.
@@ -254,17 +223,18 @@ pub fn design() -> Vec<Pin> {
         let key = format!("fig23a/{topo}/{:?}/1024", report.opt);
         pins.push(Pin::new(key, report.time_ns().to_bits()));
     }
-    let mut cell = |sweep: &str, label: &str, dims: &[usize], bytes: usize, dtype, prim| {
+    let mut cell = |sweep: &str, label: &str, dims: &[usize], bytes_per_node, dtype, prim| {
         let pes = dims.iter().product();
-        let mask = format!("1{}", "0".repeat(dims.len() - 1));
-        // Destination window clear of every primitive's source extent
-        // (AR/RS/Reduce read [0, bytes)).
-        let dst = 2 * bytes.next_multiple_of(64) + 64;
-        let spec = BufferSpec::new(0, dst, bytes).with_dtype(dtype);
-        let plan = plan(DimmGeometry::with_pes(pes), dims, &mask, spec, prim);
-        let ns = plan.cost_only_report(&model).time_ns();
-        let key = format!("{sweep}/{label}/{:?}/{pes}", plan.opt());
-        pins.push(Pin::new(key, ns.to_bits()));
+        let setup = PrimSetup {
+            geom: DimmGeometry::with_pes(pes),
+            dims: dims.to_vec(),
+            mask: format!("1{}", "0".repeat(dims.len() - 1)),
+            bytes_per_node,
+            dtype,
+        };
+        let report = run_primitive(&setup, prim, OptLevel::Full);
+        let key = format!("{sweep}/{label}/{:?}/{pes}", report.opt);
+        pins.push(Pin::new(key, report.time_ns().to_bits()));
     };
     for pes in [64usize, 128, 256, 512, 1024] {
         cell("fig19x-1D", "AR", &[pes], 64 << 10, U64, AllReduce);
@@ -274,8 +244,10 @@ pub fn design() -> Vec<Pin> {
     for ax in 1u32..=8 {
         for ay in 1u32..=(9 - ax) {
             let dims = [1usize << ax, 1 << ay, 1 << (10 - ax - ay)];
-            let bytes = fig20_bytes(dims[0]);
-            cell("fig20x", &shape_label(&dims), &dims, bytes, U64, AllReduce);
+            // 32 elements of 8 B per member along x.
+            let bytes = (8 * dims[0] * 32).max(4096);
+            let label = format!("{}x{}x{}", dims[0], dims[1], dims[2]);
+            cell("fig20x", &label, &dims, bytes, U64, AllReduce);
         }
     }
     for prim in [ReduceScatter, AllReduce, Reduce] {
@@ -283,59 +255,6 @@ pub fn design() -> Vec<Pin> {
             let label = format!("{}/{dtype}", prim.abbrev());
             cell("fig22x", &label, &[32, 32], 8 << 10, dtype, prim);
         }
-    }
-    pins
-}
-
-/// The analytic plan autotuner against the five applications' dominant
-/// collectives at their 1024-PE default shapes (see `crates/apps`) and
-/// three fig20 defaults; pins the tuned winner's modeled time.
-///
-/// # Panics
-///
-/// Panics if a tuned plan models slower than the default shape it was
-/// offered as an alternative to.
-pub fn autotune() -> Vec<Pin> {
-    use DType::{I32, U32, U64, U8};
-    use Primitive::{AllReduce, AlltoAll, ReduceScatter};
-
-    let geom = DimmGeometry::upmem_1024();
-    let model = TimeModel::upmem();
-    let mut pins = Vec::new();
-    let mut tune = |app: &str, dataset: &str, prim, bytes: usize, dtype, dims: &[usize], mask| {
-        let dst = bytes.next_multiple_of(64).max(64 << 10);
-        let spec = BufferSpec::new(0, dst, bytes).with_dtype(dtype);
-        let default = plan(geom, dims, mask, spec, prim).cost_only_report(&model);
-        let (_, report) = pidcomm::autotune(&TuneRequest::new(prim, spec, geom), &model).unwrap();
-        let (best, default_ns) = (report.best(), default.time_ns());
-        assert!(
-            best.modeled_ns <= default_ns,
-            "{app}/{dataset}: tuned plan ({} ns) lost to the default shape ({default_ns} ns)",
-            best.modeled_ns
-        );
-        let key = format!("{app}/{dataset}/{:?}/1024", best.opt);
-        pins.push(Pin::new(key, best.modeled_ns.to_bits()));
-    };
-    for (app, prim, bytes, dtype, dims, mask) in [
-        ("MLP", ReduceScatter, 16 << 10, I32, &[1024][..], "1"),
-        ("DLRM", AlltoAll, 4096, I32, &[8, 16, 8], "010"),
-        ("GNN RS&AR", ReduceScatter, 8192, I32, &[32, 32], "10"),
-        ("BFS", AllReduce, 8192, U8, &[1024], "1"),
-        ("CC", AllReduce, 8192, U32, &[1024], "1"),
-    ] {
-        tune(app, &format!("{prim:?}"), prim, bytes, dtype, dims, mask);
-    }
-    for dims in [[8, 64, 2], [128, 4, 2], [64, 4, 4]] {
-        let bytes = fig20_bytes(dims[0]);
-        tune(
-            "fig20",
-            &shape_label(&dims),
-            AllReduce,
-            bytes,
-            U64,
-            &dims,
-            "100",
-        );
     }
     pins
 }

@@ -35,78 +35,18 @@
 //! stay byte-identical to the fresh-allocation path at every worker count
 //! (pinned by `tests/app_sweep_determinism.rs`).
 //!
-//! # Host-kernel threads
+//! # One thread level
 //!
-//! The cells' engine budget (`SweepBudget::engine_threads`) also bounds
-//! the apps' *host-kernel* fan-out (`pidcomm::par_pes`): inside a cell,
-//! per-PE functional loops run on the same thread allowance as the
-//! cluster fan-out, so `workers × engine_threads ≤ budget` keeps holding
-//! with host kernels parallelized.
-
-pub use pidcomm::auto_threads;
-
-/// Extracts a `--threads N` flag from the process arguments (`0` or absent
-/// = auto). Shared by the figure binaries. A malformed value is a usage
-/// error: the process exits with a clear message and status 2 rather than
-/// a panic backtrace.
-pub fn threads_flag() -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--threads" {
-            let v = args.next().unwrap_or_else(|| {
-                eprintln!("error: --threads needs a number");
-                std::process::exit(2);
-            });
-            return v.parse().unwrap_or_else(|_| {
-                eprintln!("error: --threads needs a number, got {v:?}");
-                std::process::exit(2);
-            });
-        }
-    }
-    0
-}
-
-/// A machine thread budget split between the sweep pool (`workers`
-/// concurrent cells) and each cell's collective engine
-/// (`engine_threads` of cluster fan-out per run), so the two layers of
-/// parallelism compose instead of oversubscribing: their product never
-/// exceeds the budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepBudget {
-    /// Concurrent sweep workers.
-    pub workers: usize,
-    /// `Communicator::with_threads` bound for every run inside the sweep.
-    pub engine_threads: usize,
-}
-
-impl SweepBudget {
-    /// Splits `total` threads (`0` = auto) over `cells` cells, favoring
-    /// the outer sweep level: independent whole-app runs scale better
-    /// than cluster fan-out inside one collective. Leftover budget goes
-    /// to the engine (`total / workers`, at least 1).
-    pub fn split(total: usize, cells: usize) -> Self {
-        let total = if total == 0 { auto_threads() } else { total };
-        let workers = total.clamp(1, cells.max(1));
-        Self {
-            workers,
-            engine_threads: (total / workers).max(1),
-        }
-    }
-
-    /// The fully serial reference schedule: one worker, serial engine.
-    pub fn serial() -> Self {
-        Self {
-            workers: 1,
-            engine_threads: 1,
-        }
-    }
-}
+//! The pool owns every thread of a sweep: its cells run serial inside it
+//! (the app sweep passes `threads = 1` to every run), so `workers` is the
+//! whole fan-out and no second level multiplies it.
 
 /// Runs `f(0..cells)` on up to `workers` scoped threads pulling from a
 /// shared queue, and returns the results in cell order.
 ///
-/// With `workers <= 1` the cells run on the caller's thread in order —
-/// the serial reference path.
+/// `workers` follows the executor convention: `0` = auto
+/// (`pidcomm::auto_threads`), and `1` runs the cells on the caller's
+/// thread in order — the serial reference path.
 ///
 /// # Panics
 ///
@@ -127,7 +67,7 @@ where
 ///
 /// The state must not let one cell's *results* depend on which cells ran
 /// before it on the same worker; an arena qualifies because a checkout is
-/// observationally a fresh allocation. With `workers <= 1` a single state
+/// observationally a fresh allocation. With `workers == 1` a single state
 /// value serves every cell on the caller's thread, in order — the serial
 /// reference path, which therefore exercises maximal state reuse.
 ///
@@ -146,9 +86,9 @@ where
     F: Fn(&mut S, usize) -> T + Sync,
 {
     // The cells are the executor's items; their state is its per-worker
-    // scratch. (`0` means auto to the executor, one worker here.)
+    // scratch.
     let mut cells = vec![(); cells];
-    pidcomm::par_pes_with(&mut cells, workers.max(1), init, |state, i, ()| f(state, i))
+    pidcomm::par_pes_with(&mut cells, workers, init, |state, i, ()| f(state, i))
 }
 
 #[cfg(test)]
@@ -263,22 +203,5 @@ mod tests {
         }))
         .expect_err("must re-panic");
         assert!(pidcomm::panic_message(caught.as_ref()).contains("die mid-update"));
-    }
-
-    #[test]
-    fn budget_split_never_oversubscribes() {
-        for total in [1usize, 2, 3, 7, 16, 64] {
-            for cells in [1usize, 2, 12, 100] {
-                let b = SweepBudget::split(total, cells);
-                assert!(b.workers >= 1 && b.engine_threads >= 1);
-                assert!(
-                    b.workers * b.engine_threads <= total.max(1),
-                    "{total}/{cells}"
-                );
-                assert!(b.workers <= cells.max(1));
-            }
-        }
-        assert_eq!(SweepBudget::serial().workers, 1);
-        assert_eq!(SweepBudget::serial().engine_threads, 1);
     }
 }

@@ -1,33 +1,31 @@
 //! The work-stealing sweep pool, the apps' engine threading, the
 //! host-kernel executor (`pidcomm::par_pes`) and the per-worker system
-//! arena are pure execution knobs: every budget, host-kernel thread count
-//! and arena-reuse pattern must produce `AppProfile`s, modeled CPU times
+//! arena are pure execution knobs: every pool size, thread count and
+//! arena-reuse pattern must produce `AppProfile`s, modeled CPU times
 //! and validation results byte-identical to the serial fresh-allocation
 //! reference schedule — the one `tests/pins.rs` pins bit for bit
 //! (`BENCH_apps_small.json`), so every schedule here is pinned with it.
 
 use pidcomm::{OptLevel, PlanCache};
 use pidcomm_bench::apps;
-use pidcomm_bench::sweep::SweepBudget;
 use pim_sim::SystemArena;
 
 #[test]
 fn app_sweep_matches_serial_at_every_thread_count() {
     let cases = apps::small_cases();
     let cells = apps::base_vs_full_cells(cases.len(), 64);
-    let reference = apps::run_app_sweep(&cases, &cells, SweepBudget::serial());
+    let reference = apps::run_app_sweep(&cases, &cells, 1);
     assert!(
         reference.iter().all(|r| r.validated),
         "every app must validate against its CPU reference"
     );
-    for total in [0usize, 2, 4] {
-        let budget = SweepBudget::split(total, cells.len());
-        let runs = apps::run_app_sweep(&cases, &cells, budget);
+    for workers in [0usize, 2, 4] {
+        let runs = apps::run_app_sweep(&cases, &cells, workers);
         assert_eq!(runs.len(), reference.len());
         for ((cell, serial), parallel) in cells.iter().zip(&reference).zip(&runs) {
             assert!(
                 serial == parallel,
-                "{} {} {:?} diverges from serial at threads={total}",
+                "{} {} {:?} diverges from serial at workers={workers}",
                 cases[cell.case].app,
                 cases[cell.case].dataset,
                 cell.opt

@@ -1,11 +1,12 @@
 //! The pins that live nowhere else — 10 small app cells, 61 design-space
-//! cells, 8 autotuner winners, 22 kernel checksums — checked against the
+//! cells, 22 kernel checksums — checked against the
 //! `BENCH_*.json` files at the repo root. A failing set names every cell
 //! that moved; `cargo test -p pidcomm-bench --test pins <set>` re-runs one
 //! set alone, and each run leaves what it computed under
 //! `CARGO_TARGET_TMPDIR` (`target/tmp/`), so re-blessing an intended
 //! change is copying that file over the committed one.
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use pidcomm_bench::pins::{self, Pin};
@@ -36,9 +37,23 @@ fn design() {
     assert_pins("BENCH_design.json", &pins::design());
 }
 
+/// The model is layout-neutral at a fixed group size: every fig20x shape
+/// with the same extent `x` along the communicating dimension scores the
+/// same bits, however the other 1024 / x PEs are arranged.
 #[test]
-fn autotune() {
-    assert_pins("BENCH_autotune.json", &pins::autotune());
+fn design_is_layout_neutral_at_a_fixed_group_size() {
+    let mut by_x: BTreeMap<String, u64> = BTreeMap::new();
+    let mut shapes = 0;
+    for pin in pins::design() {
+        let Some(shape) = pin.key.strip_prefix("fig20x/") else {
+            continue;
+        };
+        shapes += 1;
+        let x = shape.split('x').next().unwrap().to_string();
+        let bits = *by_x.entry(x).or_insert(pin.bits);
+        assert_eq!(bits, pin.bits, "{} scores other bits than its x", pin.key);
+    }
+    assert_eq!((shapes, by_x.len()), (36, 8), "{by_x:?}");
 }
 
 #[test]

@@ -16,8 +16,8 @@
 //! * **Budget**: callers pass the `threads` knob of
 //!   [`crate::Communicator::with_threads`] (`0` = auto via
 //!   [`super::parallel::auto_threads`], `1` = the serial reference path),
-//!   so sweep-level, engine-level and host-kernel parallelism split one
-//!   machine budget instead of oversubscribing it.
+//!   and one level fans out per run: a sweep's cells and concurrently
+//!   running hosts do their own work serial, so no two levels multiply.
 //! * **Determinism**: workers pull items from one shared queue (items may
 //!   differ tenfold in length — sweep cells do), every item gets exclusive
 //!   `&mut` access to itself, and every per-item result lands in a

@@ -6,7 +6,6 @@
 //! [`plan::CollectivePlan::run`] is the payload-dependent half — the one
 //! entry every way of executing a collective ends in.
 
-pub mod autotune;
 pub(crate) mod baseline;
 pub mod hostkernel;
 pub(crate) mod parallel;

@@ -4,9 +4,9 @@
 /// The machine's automatic thread budget: the `PIDCOMM_THREADS`
 /// environment variable if set, otherwise the available parallelism.
 ///
-/// Exported (as `pidcomm::auto_threads`) so every layer that splits this
-/// budget — the engine's cluster fan-out, the multi-host fan-out and the
-/// benchmark sweep pool — resolves it by one set of rules.
+/// Exported (as `pidcomm::auto_threads`) so every layer that fans out —
+/// the engine's cluster fan-out, the multi-host fan-out and the figure
+/// harness's sweep pool — resolves it by one set of rules.
 pub fn auto_threads() -> usize {
     std::env::var("PIDCOMM_THREADS")
         .ok()

@@ -517,7 +517,7 @@ impl CollectivePlan {
     /// touches no PE MRAM, host staging or fault layer. Converted with a
     /// [`TimeModel`] it yields a functional run's modeled nanoseconds bit
     /// for bit (see [`CollectivePlan::cost_only_report`]) — what the
-    /// autotuner and the extended design-space sweeps score candidates with.
+    /// figure harness and the design-space pins read.
     pub fn execute_cost_only(&self) -> &CostSheet {
         &self.sheet
     }

@@ -36,8 +36,8 @@
 //!   [`pim_sim::system::EgView`], fanned out over the one executor
 //!   ([`par_pes_with`]); the tasks only move bytes, so modeled time cannot
 //!   depend on scheduling. [`Communicator::with_threads`] bounds the fan-out (`1` = serial
-//!   reference schedule); `multihost` collectives additionally run one
-//!   worker per host.
+//!   reference schedule); `multihost` collectives run one worker per host,
+//!   and hosts that run concurrently plan their local collectives serial.
 //! * **Host-domain row transport** — instead of materializing 64-byte
 //!   raw-order bursts one at a time, the streaming loops move whole chunks
 //!   as per-lane *rows* (the host-domain view of a burst run). The fusion
@@ -119,7 +119,6 @@ pub mod topology;
 
 pub use comm::Communicator;
 pub use config::{technique_applies, OptLevel, Primitive, Technique};
-pub use engine::autotune::{autotune, TuneCandidate, TuneReport, TuneRequest};
 pub use engine::hostkernel::{panic_message, par_chunks, par_pes, par_pes_with};
 pub use engine::parallel::auto_threads;
 pub use engine::plan::{CollectivePlan, PlanCache, PlanCacheStats};

@@ -146,8 +146,8 @@ impl MultiHost {
     }
 
     /// Plans one hierarchical collective across all hosts: resolves the
-    /// host-level thread schedule once (including the inner auto-budget
-    /// division of concurrently running hosts), builds the per-host inner
+    /// host-level thread schedule once (concurrently running hosts get
+    /// serial inner plans), builds the per-host inner
     /// [`CollectivePlan`]s for both local phases, and captures the shared
     /// group tables. The returned [`MultiHostPlan`] executes any number of
     /// times; the one-shot methods below are plan-then-execute.
@@ -247,29 +247,23 @@ impl MultiHost {
             )));
         }
 
-        // The host-level schedule: an explicit bound on every host caps
-        // the host fan-out at the largest bound, any host on auto keeps it
-        // automatic; hosts left on auto get their inner cluster budget
-        // divided by the number of concurrently running hosts so `H` hosts
-        // cannot oversubscribe an `N`-core box `H`-fold. Purely an
-        // execution-schedule knob — results and reports are byte-identical
-        // at every setting.
+        // One level fans out: an explicit bound on every host caps the
+        // host fan-out at the largest bound, any host on auto keeps it
+        // automatic. Hosts that run concurrently plan their local
+        // collectives serial; a serial host loop leaves each host its
+        // communicator's own bound. Purely an execution-schedule knob —
+        // results and reports are byte-identical at every setting.
         let requested = if self.comms.iter().any(|c| c.threads() == 0) {
             0
         } else {
             self.comms.iter().map(|c| c.threads()).max().unwrap_or(1)
         };
         let host_threads = parallel::effective_threads(requested, h);
-        let inner_auto = (parallel::auto_threads() / host_threads.max(1)).max(1);
         let collect = |prim: Primitive, spec: &BufferSpec| -> Result<Vec<CollectivePlan>> {
             self.comms
                 .iter()
                 .map(|c| {
-                    let threads = if host_threads > 1 && c.threads() == 0 {
-                        inner_auto
-                    } else {
-                        c.threads()
-                    };
+                    let threads = if host_threads > 1 { 1 } else { c.threads() };
                     CollectivePlan::build(c.manager(), c.opt(), prim, mask, spec, op, threads)
                 })
                 .collect()
@@ -594,13 +588,13 @@ mod tests {
     use crate::hypercube::{HypercubeManager, HypercubeShape};
     use pim_sim::{DType, DimmGeometry};
 
-    fn ensemble(hosts: usize) -> (MultiHost, Vec<PimSystem>, DimMask) {
+    fn ensemble(hosts: usize, threads: usize) -> (MultiHost, Vec<PimSystem>, DimMask) {
         let geom = DimmGeometry::single_rank(); // 64 PEs per host
         let comms: Vec<Communicator> = (0..hosts)
             .map(|_| {
                 let m =
                     HypercubeManager::new(HypercubeShape::new(vec![8, 8]).unwrap(), geom).unwrap();
-                Communicator::new(m)
+                Communicator::new(m).with_threads(threads)
             })
             .collect();
         let systems: Vec<PimSystem> = (0..hosts).map(|_| PimSystem::new(geom)).collect();
@@ -644,7 +638,7 @@ mod tests {
 
     #[test]
     fn multi_host_all_reduce_reduces_globally() {
-        let (mh, mut systems, mask) = ensemble(3);
+        let (mh, mut systems, mask) = ensemble(3, 0);
         let b = 64;
         fill(&mut systems, b);
 
@@ -685,7 +679,7 @@ mod tests {
     #[test]
     fn multi_host_alltoall_matches_global_oracle() {
         let hosts = 2;
-        let (mh, mut systems, mask) = ensemble(hosts);
+        let (mh, mut systems, mask) = ensemble(hosts, 0);
         let n = 8;
         let b = 8 * n * hosts; // one 8-byte word per global destination
         fill(&mut systems, b);
@@ -720,7 +714,7 @@ mod tests {
 
     #[test]
     fn single_host_has_no_mpi_cost() {
-        let (mh, mut systems, mask) = ensemble(1);
+        let (mh, mut systems, mask) = ensemble(1, 0);
         let b = 64;
         fill(&mut systems, b);
         let report = mh
@@ -738,7 +732,7 @@ mod tests {
     fn alltoall_mpi_cost_exceeds_allreduce_mpi_cost() {
         // AllReduce ships reduced data (1/N of input); AlltoAll ships the
         // (H-1)/H fraction of everything (§IX-A).
-        let (mh, mut systems, mask) = ensemble(4);
+        let (mh, mut systems, mask) = ensemble(4, 0);
         let n = 8;
         let b = 8 * n * 4;
         fill(&mut systems, b);
@@ -765,7 +759,7 @@ mod tests {
     #[test]
     fn multi_host_reduce_scatter_chunks_globally() {
         let hosts = 2;
-        let (mh, mut systems, mask) = ensemble(hosts);
+        let (mh, mut systems, mask) = ensemble(hosts, 0);
         let n = 8;
         let b = 8 * n * hosts; // one 8-byte chunk per global rank
         fill(&mut systems, b);
@@ -806,7 +800,7 @@ mod tests {
     #[test]
     fn multi_host_all_gather_concatenates_globally() {
         let hosts = 2;
-        let (mh, mut systems, mask) = ensemble(hosts);
+        let (mh, mut systems, mask) = ensemble(hosts, 0);
         let n = 8;
         let b = 16;
         fill(&mut systems, b);
@@ -840,7 +834,7 @@ mod tests {
     #[test]
     fn reduced_primitives_ship_less_mpi_data_than_allgather() {
         // §IX-A: RS sends data after reduction, AG before duplication.
-        let (mh, mut systems, mask) = ensemble(4);
+        let (mh, mut systems, mask) = ensemble(4, 0);
         let n = 8;
         let b = 8 * n * 4;
         fill(&mut systems, b);
@@ -861,14 +855,16 @@ mod tests {
 
     /// The one body, over every hierarchy and host count: one error
     /// variant for the one divisibility rule, the functional report equal
-    /// to the analytic one bit for bit, and a plan that carries nothing
-    /// from one execution into the next.
+    /// to the analytic one bit for bit, a plan that carries nothing from
+    /// one execution into the next, and one level of fan-out — hosts that
+    /// run concurrently plan serial local collectives, a serial host loop
+    /// leaves each host its own bound.
     #[test]
     fn every_hierarchy_at_every_host_count() {
         let n = 8;
         let dst = 4096;
-        for hosts in [1usize, 2, 4] {
-            let (mh, mut systems, mask) = ensemble(hosts);
+        for (hosts, threads) in [(1, 4), (2, 2), (4, 3), (4, 0)] {
+            let (mh, mut systems, mask) = ensemble(hosts, threads);
             // (primitive, bytes per node, a size the rule rejects, bytes landed per PE)
             let per_rank = 8 * n * hosts;
             for (prim, b, bad_b, landed) in [
@@ -877,7 +873,7 @@ mod tests {
                 (Primitive::ReduceScatter, per_rank, 4 * n * hosts, 8),
                 (Primitive::AllGather, 16, 4, 16 * n * hosts),
             ] {
-                let what = format!("{prim} x {hosts}");
+                let what = format!("{prim} x {hosts} at threads={threads}");
                 let plan = |b| mh.plan(prim, &mask, &BufferSpec::new(0, dst, b), ReduceKind::Sum);
                 assert!(
                     matches!(plan(bad_b), Err(Error::InvalidBuffer(_))),
@@ -885,7 +881,14 @@ mod tests {
                 );
                 let plan = plan(b).unwrap();
                 let analytic = plan.execute_cost_only(&TimeModel::upmem());
-
+                let want = |items| match plan.host_threads {
+                    1 => parallel::effective_threads(threads, items),
+                    _ => 1,
+                };
+                for p in plan.phase1.iter().chain(&plan.phase3) {
+                    let want = (want(p.clusters.len()), want(p.groups.len()));
+                    assert_eq!((p.cluster_threads, p.group_threads), want, "{what}");
+                }
                 let mut run = || {
                     systems.iter_mut().for_each(PimSystem::reset);
                     fill(&mut systems, b);
@@ -910,7 +913,7 @@ mod tests {
 
     #[test]
     fn mismatched_system_count_rejected() {
-        let (mh, mut systems, mask) = ensemble(2);
+        let (mh, mut systems, mask) = ensemble(2, 0);
         systems.pop();
         let err = mh
             .all_reduce(

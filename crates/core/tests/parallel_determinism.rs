@@ -8,7 +8,7 @@
 
 use pidcomm::hypercube::HypercubeManager;
 use pidcomm::{BufferSpec, CommReport, Communicator, DimMask, HypercubeShape};
-use pim_sim::{DType, DimmGeometry, PimSystem, ReduceKind};
+use pim_sim::{Category, DType, DimmGeometry, PimSystem, ReduceKind};
 
 use pim_sim::testgen::{fill_byte, SplitMix64};
 
@@ -112,15 +112,17 @@ fn parallel_engine_is_deterministic_and_matches_serial() {
     }
 }
 
+/// Three hosts at explicit bounds {2, 3} and at auto — the schedules where
+/// hosts run concurrently and plan serial inner collectives — land the
+/// bytes and report the bits of the serial reference, run after run.
 #[test]
 fn multihost_parallel_hosts_are_deterministic() {
     let geom = DimmGeometry::single_rank();
-    let mk = || {
-        Communicator::new(
-            HypercubeManager::new(HypercubeShape::new(vec![8, 8]).unwrap(), geom).unwrap(),
-        )
-    };
-    let run = || {
+    let run = |threads: usize| {
+        let mk = || {
+            let shape = HypercubeShape::new(vec![8, 8]).unwrap();
+            Communicator::new(HypercubeManager::new(shape, geom).unwrap()).with_threads(threads)
+        };
         let mh =
             pidcomm::MultiHost::new(vec![mk(), mk(), mk()], pidcomm::LinkModel::ethernet_10g())
                 .unwrap();
@@ -136,15 +138,21 @@ fn multihost_parallel_hosts_are_deterministic() {
                 ReduceKind::Sum,
             )
             .unwrap();
+        let local = Category::ALL.map(|c| report.local.get(c).to_bits());
+        let bits = (local, report.mpi_ns.to_bits());
         let images: Vec<Vec<u8>> = systems
             .iter()
             .flat_map(|s| geom.pes().map(|pe| s.pe(pe).peek(1024, 64)))
             .collect();
-        (report, images)
+        (bits, images)
     };
-    let (rep_a, img_a) = run();
-    let (rep_b, img_b) = run();
-    assert_eq!(rep_a.local, rep_b.local);
-    assert_eq!(rep_a.mpi_ns, rep_b.mpi_ns);
-    assert_eq!(img_a, img_b);
+    let (serial_bits, serial_images) = run(1);
+    for threads in [2, 3, 0, 0] {
+        let (bits, images) = run(threads);
+        assert_eq!(bits, serial_bits, "threads={threads}: report bits");
+        assert!(
+            images == serial_images,
+            "threads={threads}: destination images"
+        );
+    }
 }
