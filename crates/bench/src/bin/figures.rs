@@ -5,19 +5,18 @@
 //! ```
 //!
 //! prints the named ones in the order given. The primitive figures (14, 16
-//! to 20) read cost-only plan reports; the application figures and fig23
-//! simulate. `--threads N` (`0` or absent = auto) sizes the sweep pool of
-//! fig13 / fig15 / fig21 / fig23, whose cells run serial inside it; the
-//! printed numbers are byte-identical at every setting.
+//! to 20) and fig23b read cost-only plan reports; the application figures
+//! and fig23a simulate. `--threads N` (`0` or absent = auto) sizes the
+//! sweep pool of fig13 / fig15 / fig21 / fig23a, whose cells run serial
+//! inside it; the printed numbers are byte-identical at every setting.
 
 use pidcomm::{
-    technique_applies, BufferSpec, CommReport, Communicator, DimMask, HypercubeManager,
-    HypercubeShape, LinkModel, MultiHost, MultiHostReport, OptLevel, Primitive, Technique,
-    Topology,
+    technique_applies, BufferSpec, CommReport, DimMask, HypercubeManager, HypercubeShape, OptLevel,
+    Primitive, Technique, Topology,
 };
 use pidcomm_apps::gnn::{run_gnn, GnnConfig, GnnVariant};
 use pidcomm_bench::apps::{self, AppCell};
-use pidcomm_bench::{geomean, header, run_primitive, sweep, PrimSetup};
+use pidcomm_bench::{geomean, header, multihost_cell, run_primitive, sweep, PrimSetup};
 use pim_sim::{DType, DimmGeometry, PimSystem, ReduceKind};
 
 /// A figure's name and its function, which takes the sweep pool size.
@@ -609,63 +608,12 @@ fn topology_cell(topo: Topology) -> CommReport {
     plan.run(&mut sys, None).unwrap().report
 }
 
-/// One fig23b cell: a functional multi-host AllReduce and AlltoAll over
-/// `hosts` hosts of 256 PEs, serial inside the sweep pool.
-fn multihost_cell(hosts: usize) -> (MultiHostReport, MultiHostReport) {
-    let per_host = DimmGeometry::upmem_256();
-    let mk = || {
-        let m =
-            HypercubeManager::new(HypercubeShape::new(vec![16, 16]).unwrap(), per_host).unwrap();
-        Communicator::new(m).with_threads(1)
-    };
-    let mh = MultiHost::new(
-        (0..hosts).map(|_| mk()).collect(),
-        LinkModel::ethernet_10g(),
-    )
-    .unwrap();
-    let mask: DimMask = "10".parse().unwrap();
-    let systems = |fill: u8, b: usize| -> Vec<PimSystem> {
-        let mut systems: Vec<PimSystem> = (0..hosts).map(|_| PimSystem::new(per_host)).collect();
-        for sys in systems.iter_mut() {
-            for pe in per_host.pes() {
-                sys.pe_mut(pe).write(0, &vec![fill; b]);
-            }
-        }
-        systems
-    };
-
-    // AllReduce: 8 KiB per PE.
-    let b_ar = 16 * 512;
-    let spec = BufferSpec::new(0, 2 * b_ar + 64, b_ar);
-    let ar = mh.all_reduce(&mut systems(1, b_ar), &mask, &spec, ReduceKind::Sum);
-
-    // AlltoAll: chunked across hosts x group.
-    let b_aa = 8 * 16 * hosts * 8;
-    let spec = BufferSpec::new(0, 2 * b_aa + 64, b_aa);
-    let aa = mh.all_to_all(&mut systems(2, b_aa), &mask, &spec);
-    (ar.unwrap(), aa.unwrap())
-}
-
-/// Fig. 23: (a) hypercube vs ring vs tree AllReduce; (b) multi-host
-/// AllReduce and AlltoAll with 1/2/4 hosts. The six cells share one pool.
+/// Fig. 23: (a) hypercube vs ring vs tree AllReduce, functional, the
+/// three cells in one pool; (b) multi-host AllReduce and AlltoAll with
+/// 1/2/4 hosts, cost-only.
 fn fig23(workers: usize) {
     const TOPOLOGIES: [Topology; 3] = [Topology::Hypercube, Topology::Ring, Topology::Tree];
-    const HOSTS: [usize; 3] = [1, 2, 4];
-    enum Cell {
-        Topo(CommReport),
-        Hosts(MultiHostReport, MultiHostReport),
-    }
-    let results = sweep::run_cells(
-        TOPOLOGIES.len() + HOSTS.len(),
-        workers,
-        |i| match TOPOLOGIES.get(i) {
-            Some(&topo) => Cell::Topo(topology_cell(topo)),
-            None => {
-                let (ar, aa) = multihost_cell(HOSTS[i - TOPOLOGIES.len()]);
-                Cell::Hosts(ar, aa)
-            }
-        },
-    );
+    let reports = sweep::run_cells(TOPOLOGIES.len(), workers, |i| topology_cell(TOPOLOGIES[i]));
 
     header(
         "Fig. 23a",
@@ -673,10 +621,7 @@ fn fig23(workers: usize) {
         "tree up to 7.89x and ring up to 2.05x slower than the hypercube",
     );
     let mut hyper_t = 0.0;
-    for (topo, cell) in TOPOLOGIES.iter().zip(&results) {
-        let Cell::Topo(report) = cell else {
-            unreachable!()
-        };
+    for (topo, report) in TOPOLOGIES.iter().zip(&reports) {
         if *topo == Topology::Hypercube {
             hyper_t = report.time_ns();
         }
@@ -699,10 +644,8 @@ fn fig23(workers: usize) {
         "{:<6} {:>12} {:>12} {:>12} {:>12}",
         "hosts", "AR local ms", "AR mpi ms", "AA local ms", "AA mpi ms"
     );
-    for (hosts, cell) in HOSTS.iter().zip(&results[TOPOLOGIES.len()..]) {
-        let Cell::Hosts(ar, aa) = cell else {
-            unreachable!()
-        };
+    for hosts in [1, 2, 4] {
+        let (ar, aa) = multihost_cell(hosts);
         println!(
             "{hosts:<6} {:>12.3} {:>12.3} {:>12.3} {:>12.3}",
             ar.local.total() / 1e6,

@@ -14,7 +14,7 @@
 //! One level fans out per run, and every setting is a pure execution knob
 //! (results are byte-identical at each):
 //!
-//! - **A sweep** ([`apps::run_app_sweep`], fig23's cells): the pool owns
+//! - **A sweep** ([`apps::run_app_sweep`], fig23a's cells): the pool owns
 //!   every thread. Its workers pull cell indices from one shared queue,
 //!   results land in per-cell slots so output order never depends on
 //!   scheduling, and each cell runs serial inside it (`threads = 1` for
@@ -26,15 +26,16 @@
 //!   run keeps `pidcomm`'s cluster-parallel engine and host-kernel fan-out
 //!   at the auto bound.
 //!
-//! The primitive figures run nothing: a cell is a plan's cost-only report.
+//! The primitive figures and fig23b run nothing: a cell is a plan's
+//! cost-only report.
 
 // The harness never takes unsafe shortcuts; any future unsafe fast path
 // belongs in pim_sim, under simlint's unsafe-audit lint.
 #![forbid(unsafe_code)]
 
 use pidcomm::{
-    BufferSpec, CommReport, Communicator, DimMask, HypercubeManager, HypercubeShape, OptLevel,
-    Primitive,
+    BufferSpec, CommReport, Communicator, DimMask, HypercubeManager, HypercubeShape, LinkModel,
+    MultiHost, MultiHostReport, OptLevel, Primitive,
 };
 use pim_sim::{DType, DimmGeometry, ReduceKind, TimeModel};
 
@@ -117,6 +118,35 @@ pub fn run_primitive(setup: &PrimSetup, prim: Primitive, opt: OptLevel) -> CommR
     let (comm, mask, spec) = setup.cell(prim, opt);
     let plan = comm.plan(prim, &mask, &spec, ReduceKind::Sum).unwrap();
     plan.cost_only_report(&TimeModel::upmem())
+}
+
+/// One fig23b cell: the hierarchical AllReduce (8 KiB per PE) and
+/// AlltoAll (one 8-byte word per global rank) over `hosts` hosts of 256
+/// PEs, each a 16x16 cube communicating along x — the plans' cost-only
+/// reports, bit-identical to functional runs on fresh systems
+/// (`core/tests/cost_only.rs`).
+///
+/// # Panics
+///
+/// Panics on configuration errors (this is a harness, not a library API).
+pub fn multihost_cell(hosts: usize) -> (MultiHostReport, MultiHostReport) {
+    let per_host = DimmGeometry::upmem_256();
+    let mk = || {
+        let shape = HypercubeShape::new(vec![16, 16]).unwrap();
+        Communicator::new(HypercubeManager::new(shape, per_host).unwrap()).with_threads(1)
+    };
+    let comms = (0..hosts).map(|_| mk()).collect();
+    let mh = MultiHost::new(comms, LinkModel::ethernet_10g()).unwrap();
+    let mask: DimMask = "10".parse().unwrap();
+    let report = |prim, b: usize| {
+        let spec = BufferSpec::new(0, 2 * b + 64, b);
+        let plan = mh.plan(prim, &mask, &spec, ReduceKind::Sum).unwrap();
+        plan.execute_cost_only(&TimeModel::upmem())
+    };
+    (
+        report(Primitive::AllReduce, 16 * 512),
+        report(Primitive::AlltoAll, 8 * 16 * hosts * 8),
+    )
 }
 
 /// Geometric mean of a slice.

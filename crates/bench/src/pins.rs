@@ -26,7 +26,7 @@ use pim_sim::fault::fnv1a;
 use pim_sim::testgen::SplitMix64;
 use pim_sim::{DType, DimmGeometry, ReduceKind, TimeModel};
 
-use crate::{apps, run_primitive, PrimSetup};
+use crate::{apps, multihost_cell, run_primitive, PrimSetup};
 
 /// One pinned cell: its identity and the bit pattern it must keep.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,13 +200,15 @@ pub fn apps_small() -> Vec<Pin> {
 }
 
 /// Fig. 23a's three AllReduce topologies on fig23's 32×32 cell, then the
-/// extended fig19 / fig20 / fig22 grids, scored by cost-only plan
-/// execution (bit-identical to the functional engine:
-/// `crates/core/tests/cost_only.rs`) — the grids through the figures' own
-/// cell core, [`run_primitive`] at Full: PE-count scaling of a 1-D and a 2-D
-/// AllReduce, every ordered 3-D power-of-two shape over 1024 PEs (the
-/// paper's figure plots ten of the 36), and the word width of the
-/// reducing primitives. Every cell communicates along x.
+/// extended fig19 / fig20 / fig22 grids, then fig23b's multi-host cells,
+/// scored by cost-only plan execution (bit-identical to the functional
+/// engine: `crates/core/tests/cost_only.rs`) — the grids through the
+/// figures' own cell core, [`run_primitive`] at Full: PE-count scaling of
+/// a 1-D and a 2-D AllReduce, every ordered 3-D power-of-two shape over
+/// 1024 PEs (the paper's figure plots ten of the 36), and the word width
+/// of the reducing primitives; fig23b through [`multihost_cell`], the
+/// local and the link time of AllReduce and AlltoAll at 1, 2 and 4 hosts.
+/// Every cell communicates along x.
 pub fn design() -> Vec<Pin> {
     use DType::{U16, U32, U64, U8};
     use Primitive::{AllReduce, Reduce, ReduceScatter};
@@ -254,6 +256,14 @@ pub fn design() -> Vec<Pin> {
         for dtype in [U8, U16, U32, U64] {
             let label = format!("{}/{dtype}", prim.abbrev());
             cell("fig22x", &label, &[32, 32], 8 << 10, dtype, prim);
+        }
+    }
+    for hosts in [1, 2, 4] {
+        let (ar, aa) = multihost_cell(hosts);
+        for (prim, report) in [("AR", ar), ("AA", aa)] {
+            let key = |part| format!("fig23b/{prim}/{hosts}/{part}");
+            pins.push(Pin::new(key("local"), report.local.total().to_bits()));
+            pins.push(Pin::new(key("mpi"), report.mpi_ns.to_bits()));
         }
     }
     pins

@@ -10,6 +10,12 @@
 //! the link (1/P of the input), while AlltoAll must ship the `(H-1)/H`
 //! fraction destined to other hosts, which is why its multi-host overhead
 //! grows with host count while AllReduce's stays negligible.
+//!
+//! [`MultiHost::plan`] is the one way in; [`MultiHostPlan::execute`] is
+//! one data path. Phase 2 takes its answer from what phase 1 returned or
+//! landed — the reduced vectors, or the bytes the local AlltoAll /
+//! AllGather left in every host's MRAM — so a wrong or faulted phase-1
+//! landing reaches the result (or is caught by write verification).
 
 use pim_sim::dtype::{reduce_bytes, ReduceKind};
 use pim_sim::{Breakdown, PimSystem, TimeModel};
@@ -21,7 +27,6 @@ use crate::engine::plan::CollectivePlan;
 use crate::engine::{parallel, BufferSpec, Execution};
 use crate::error::{Error, Result};
 use crate::hypercube::{CommGroup, DimMask};
-use crate::oracle;
 
 /// Runs `f(host, system)` once per host on the executor's worker threads
 /// (hosts own disjoint [`PimSystem`]s, mirroring the independent processes
@@ -145,15 +150,33 @@ impl MultiHost {
         self.comms.len()
     }
 
-    /// Plans one hierarchical collective across all hosts: resolves the
-    /// host-level thread schedule once (concurrently running hosts get
-    /// serial inner plans), builds the per-host inner
-    /// [`CollectivePlan`]s for both local phases, and captures the shared
-    /// group tables. The returned [`MultiHostPlan`] executes any number of
-    /// times; the one-shot methods below are plan-then-execute.
+    /// Plans one hierarchical collective across all hosts (§IX-A): a local
+    /// collective on every host, an inter-host exchange over the link, and
+    /// a local rooted send of what each host is owed. Ranks are global:
+    /// host `h`, local rank `r` is global rank `h * N + r`. The four
+    /// hierarchies:
     ///
-    /// Supported primitives: `AllReduce`, `AlltoAll`, `ReduceScatter`,
-    /// `AllGather` (the hierarchical collectives of §IX-A).
+    /// - `AllReduce`: local Reduce, the reduced vectors cross the link,
+    ///   local Broadcast. Every PE of every host ends with the global
+    ///   element-wise reduction at `spec.dst_offset`.
+    /// - `AlltoAll`: a local AlltoAll groups data by destination, the
+    ///   `(H-1)/H` cross-host fraction crosses the link, a local Scatter
+    ///   places the incoming chunks. `spec.bytes_per_node` covers `H × N`
+    ///   chunks.
+    /// - `ReduceScatter`: local Reduce, the reduced vectors cross the
+    ///   link, a local Scatter of each host's chunk range. Global rank
+    ///   `h * N + r` receives chunk `h * N + r` of the global reduction
+    ///   (`H × N` chunks; "data are sent after reduction").
+    /// - `AllGather`: a local AllGather into a scratch window past the
+    ///   destination, the per-host concatenations cross the link *before*
+    ///   duplication, a local Broadcast of the global concatenation
+    ///   ordered by global rank.
+    ///
+    /// Planning resolves the host-level thread schedule once (concurrently
+    /// running hosts get serial inner plans), builds the per-host inner
+    /// [`CollectivePlan`]s for both local phases, and captures the shared
+    /// group table. The returned [`MultiHostPlan`] executes any number of
+    /// times.
     ///
     /// # Errors
     ///
@@ -172,7 +195,6 @@ impl MultiHost {
         let b = spec.bytes_per_node;
         let manager = self.comms[0].manager();
         let n = mask.group_size(manager.shape())?;
-        let num_groups = manager.num_nodes() / n;
 
         // Phase 3 always lands host data at the caller's destination.
         let landing = |bytes_per_node| BufferSpec {
@@ -277,96 +299,10 @@ impl MultiHost {
             hosts: h,
             host_threads,
             n,
-            num_groups,
-            // Only the moving hierarchies walk the group member tables
-            // (for their host-side snapshot); the reducing ones just count
-            // groups.
-            groups: if matches!(primitive, Primitive::AlltoAll | Primitive::AllGather) {
-                manager.groups(mask)?
-            } else {
-                Vec::new()
-            },
+            groups: manager.groups(mask)?,
             phase1: collect(prim1, &spec1)?,
             phase3: collect(prim3, &spec3)?,
         })
-    }
-
-    /// Hierarchical AllReduce across all hosts (§IX-A): local Reduce to
-    /// each host's root, an inter-host exchange of the (small) reduced
-    /// vectors, then local Broadcast. Every PE of every host ends with the
-    /// global element-wise reduction at `spec.dst_offset`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates local collective validation errors; `systems.len()` must
-    /// equal the host count.
-    pub fn all_reduce(
-        &self,
-        systems: &mut [PimSystem],
-        mask: &DimMask,
-        spec: &BufferSpec,
-        op: ReduceKind,
-    ) -> Result<MultiHostReport> {
-        self.plan(Primitive::AllReduce, mask, spec, op)?
-            .execute(systems)
-    }
-
-    /// Hierarchical AlltoAll across all hosts: a local AlltoAll groups data
-    /// by destination, the `(H-1)/H` cross-host fraction travels over the
-    /// link, and a local Scatter places the incoming chunks. Node ranks are
-    /// global: host `h`, local rank `r` is global rank `h * N + r`, and
-    /// `spec.bytes_per_node` covers `H × N` chunks.
-    ///
-    /// # Errors
-    ///
-    /// Propagates local collective validation errors.
-    pub fn all_to_all(
-        &self,
-        systems: &mut [PimSystem],
-        mask: &DimMask,
-        spec: &BufferSpec,
-    ) -> Result<MultiHostReport> {
-        self.plan(Primitive::AlltoAll, mask, spec, ReduceKind::Sum)?
-            .execute(systems)
-    }
-
-    /// Hierarchical ReduceScatter across all hosts: local Reduce per host,
-    /// an inter-host exchange of the reduced vectors, then a local Scatter
-    /// of each host's chunk range. Global rank `h * N + r` receives chunk
-    /// `h * N + r` of the globally reduced vector; `spec.bytes_per_node`
-    /// covers `H × N` chunks (§IX-A: "similar trends persist in
-    /// ReduceScatter whose data are sent after reduction").
-    ///
-    /// # Errors
-    ///
-    /// Propagates local collective validation errors.
-    pub fn reduce_scatter(
-        &self,
-        systems: &mut [PimSystem],
-        mask: &DimMask,
-        spec: &BufferSpec,
-        op: ReduceKind,
-    ) -> Result<MultiHostReport> {
-        self.plan(Primitive::ReduceScatter, mask, spec, op)?
-            .execute(systems)
-    }
-
-    /// Hierarchical AllGather across all hosts: local AllGather, an
-    /// inter-host exchange of the per-host concatenations (data crosses
-    /// the link *before* duplication, §IX-A), then a local Broadcast of
-    /// the global concatenation ordered by global rank.
-    ///
-    /// # Errors
-    ///
-    /// Propagates local collective validation errors.
-    pub fn all_gather(
-        &self,
-        systems: &mut [PimSystem],
-        mask: &DimMask,
-        spec: &BufferSpec,
-    ) -> Result<MultiHostReport> {
-        self.plan(Primitive::AllGather, mask, spec, ReduceKind::Sum)?
-            .execute(systems)
     }
 }
 
@@ -383,9 +319,9 @@ pub struct MultiHostPlan {
     host_threads: usize,
     /// Local communication group size `N`.
     n: usize,
-    num_groups: usize,
-    /// The per-host group tables (identical on every host — all hosts
-    /// share one hypercube shape), captured once.
+    /// The per-host group table (identical on every host — all hosts
+    /// share one hypercube shape), captured once; AlltoAll and AllGather
+    /// read phase 1's landings through it.
     groups: Vec<CommGroup>,
     /// Per-host plans of the first local phase.
     phase1: Vec<CollectivePlan>,
@@ -409,26 +345,20 @@ impl MultiHostPlan {
     /// the **single source of truth** shared by [`MultiHostPlan::execute`]
     /// and [`MultiHostPlan::execute_cost_only`].
     fn mpi_ns(&self) -> f64 {
-        let h = self.hosts;
-        let b = self.spec.bytes_per_node;
-        let n = self.n;
+        let (h, n, b) = (self.hosts, self.n, self.spec.bytes_per_node);
+        let num_groups = self.groups.len();
         match self.primitive {
             // Reduced vectors cross twice (reduce-scatter + all-gather ring).
-            Primitive::AllReduce => self
-                .link
-                .collective_time(h, (self.num_groups * b) as u64, 2.0),
+            Primitive::AllReduce => self.link.collective_time(h, (num_groups * b) as u64, 2.0),
             // The (H-1)/H cross-host fraction of each host's share.
             Primitive::AlltoAll => {
-                let total_bytes = (self.num_groups * n * h * b) as u64;
+                let total_bytes = (num_groups * n * h * b) as u64;
                 self.link.collective_time(h, total_bytes / h as u64, 1.0)
             }
-            Primitive::ReduceScatter => {
-                self.link
-                    .collective_time(h, (self.num_groups * b) as u64, 1.0)
-            }
+            Primitive::ReduceScatter => self.link.collective_time(h, (num_groups * b) as u64, 1.0),
             // Per-host concatenations cross once, before duplication.
             Primitive::AllGather => {
-                let total = (self.num_groups * h * n * b) as u64;
+                let total = (num_groups * h * n * b) as u64;
                 self.link.collective_time(h, total, 1.0)
             }
             _ => unreachable!("plan() only builds hierarchical primitives"),
@@ -478,32 +408,16 @@ impl MultiHostPlan {
                 self.hosts
             )));
         }
-        let (src, b) = (self.spec.src_offset, self.spec.bytes_per_node);
-
-        // Snapshot, `[group][global rank]` (AlltoAll / AllGather; `groups`
-        // is empty otherwise): the moving hierarchies compute their global
-        // result host-side over the union of all hosts' groups, from the
-        // sources as they were before the local phase rearranges them.
-        let snapshot: Vec<Vec<Vec<u8>>> = self
-            .groups
-            .iter()
-            .map(|g| {
-                let ranks = systems
-                    .iter()
-                    .flat_map(|sys| g.members.iter().map(move |&pe| sys.pe(pe).peek(src, b)));
-                ranks.collect()
-            })
-            .collect();
-
         // Phase 1: the first local collective on every host (hosts really
         // run in parallel, one worker thread each).
         let phase1 = par_hosts(self.host_threads, systems, |host, sys| {
             self.phase1[host].run(sys, None)
         })?;
 
-        // Phase 2: the inter-host exchange; its time is analytic
+        // Phase 2: the inter-host exchange, read from what phase 1
+        // returned or landed; its time is analytic
         // ([`MultiHostPlan::mpi_ns`]).
-        let inputs = self.phase2(&phase1, &snapshot);
+        let inputs = self.phase2(&phase1, systems);
 
         // Phase 3: every host lands its share — or the one set all hosts
         // share — with a local rooted send.
@@ -528,11 +442,12 @@ impl MultiHostPlan {
     }
 
     /// Phase 2, functionally: turns what phase 1 left — the per-host
-    /// reduced vectors, or the snapshot — into phase 3's host input, one
-    /// buffer per group. Returns one such set per host, or a single set
-    /// where every host lands the same bytes (AllReduce, AllGather).
-    fn phase2(&self, phase1: &[Execution], snapshot: &[Vec<Vec<u8>>]) -> Vec<Vec<Vec<u8>>> {
-        let (h, n) = (self.hosts, self.n);
+    /// reduced vectors, or the bytes it landed in every host's MRAM — into
+    /// phase 3's host input, one buffer per group. Returns one such set
+    /// per host, or a single set where every host lands the same bytes
+    /// (AllReduce, AllGather).
+    fn phase2(&self, phase1: &[Execution], systems: &[PimSystem]) -> Vec<Vec<Vec<u8>>> {
+        let (h, n, b) = (self.hosts, self.n, self.spec.bytes_per_node);
         match self.primitive {
             Primitive::AllReduce | Primitive::ReduceScatter => {
                 // The hosts' reduced vectors, reduced across hosts.
@@ -549,24 +464,47 @@ impl MultiHostPlan {
                     return vec![global];
                 }
                 // Host `host` scatters the chunks of its own ranks.
-                let share = self.spec.bytes_per_node / h;
+                let share = b / h;
                 let mine = |host: usize| host * share..(host + 1) * share;
                 (0..h)
                     .map(|host| global.iter().map(|g| g[mine(host)].to_vec()).collect())
                     .collect()
             }
-            // The global concatenation, ordered by global rank.
-            Primitive::AllGather => vec![snapshot.iter().map(|ranks| ranks.concat()).collect()],
+            // Every member holds its host's concatenation: one member's
+            // window per host, in host order, is the global concatenation
+            // ordered by global rank.
+            Primitive::AllGather => {
+                let scratch = self.phase1[0].spec.dst_offset;
+                let gather = |g: &CommGroup| {
+                    let window = |sys: &PimSystem| sys.pe(g.members[0]).peek(scratch, n * b);
+                    systems.iter().flat_map(window).collect()
+                };
+                vec![self.groups.iter().map(gather).collect()]
+            }
             Primitive::AlltoAll => {
-                // The global AlltoAll oracle runs once per group; every
-                // host scatters its own rank range of the shared result.
-                let global: Vec<Vec<Vec<u8>>> = snapshot
-                    .iter()
-                    .map(|ranks| oracle::alltoall(ranks))
-                    .collect();
-                let mine = |host: usize| host * n..(host + 1) * n;
+                // The local AlltoAll permuted within each host, so the `c`
+                // bytes global source `(host, i)` owes global rank `g` sit
+                // at that host's local rank `g / H`, offset
+                // `i·H·c + (g % H)·c`. Host `to` scatters what its own
+                // global ranks are owed, each from every source in rank order.
+                let c = b / (h * n);
+                let input = |to: usize, group: &CommGroup| {
+                    let mut input = vec![0u8; n * b];
+                    let mut chunks = input.chunks_exact_mut(c);
+                    for g in to * n..(to + 1) * n {
+                        let holder = group.members[g / h];
+                        for sys in systems {
+                            for i in 0..n {
+                                let at = self.spec.dst_offset + i * h * c + (g % h) * c;
+                                let chunk = chunks.next().expect("n·b = H·N chunks per rank");
+                                sys.pe(holder).peek_into(at, chunk);
+                            }
+                        }
+                    }
+                    input
+                };
                 (0..h)
-                    .map(|host| global.iter().map(|out| out[mine(host)].concat()).collect())
+                    .map(|to| self.groups.iter().map(|g| input(to, g)).collect())
                     .collect()
             }
             _ => unreachable!("plan() only builds hierarchical primitives"),
@@ -586,7 +524,10 @@ fn slowest(locals: &[Breakdown]) -> Breakdown {
 mod tests {
     use super::*;
     use crate::hypercube::{HypercubeManager, HypercubeShape};
-    use pim_sim::{DType, DimmGeometry};
+    use pim_sim::DimmGeometry;
+
+    /// Local group size of [`ensemble`]'s `"10"` mask on its 8x8 cube.
+    const N: usize = 8;
 
     fn ensemble(hosts: usize, threads: usize) -> (MultiHost, Vec<PimSystem>, DimMask) {
         let geom = DimmGeometry::single_rank(); // 64 PEs per host
@@ -602,14 +543,50 @@ mod tests {
         (mh, systems, "10".parse().unwrap())
     }
 
+    /// Byte `i` of PE `pe`'s source on host `host`, as [`fill`] writes it.
+    fn source(host: usize, pe: usize, i: usize) -> u8 {
+        ((host * 19 + pe * 7 + i) % 113) as u8
+    }
+
     fn fill(systems: &mut [PimSystem], bytes: usize) {
         for (h, sys) in systems.iter_mut().enumerate() {
             for pe in sys.geometry().pes() {
-                let data: Vec<u8> = (0..bytes)
-                    .map(|i| ((h * 19 + pe.0 as usize * 7 + i) % 113) as u8)
-                    .collect();
+                let data: Vec<u8> = (0..bytes).map(|i| source(h, pe.0 as usize, i)).collect();
                 sys.pe_mut(pe).write(0, &data);
             }
+        }
+    }
+
+    /// What PE `pe` of host `host` holds at the destination after `prim`
+    /// (u64 sums) over `hosts` [`fill`]ed hosts of `b` source bytes, as
+    /// plain index arithmetic: the `"10"` groups are the rows of the 8x8
+    /// cube, so PE `pe` is local rank `pe % N` of group `pe / N`, and
+    /// global rank `s` of that group is PE `group·N + s % N` of host
+    /// `s / N`.
+    fn expected(prim: Primitive, hosts: usize, b: usize, host: usize, pe: usize) -> Vec<u8> {
+        let (group, global) = (pe / N, host * N + pe % N);
+        let byte = move |s: usize, i: usize| source(s / N, group * N + s % N, i);
+        let word = move |s: usize, w: usize| {
+            u64::from_le_bytes(std::array::from_fn(|k| byte(s, 8 * w + k)))
+        };
+        let sum = |w: usize| {
+            let total = (0..hosts * N).fold(0u64, |acc, s| acc.wrapping_add(word(s, w)));
+            total.to_le_bytes()
+        };
+        let c = b / (hosts * N);
+        let ranks = 0..hosts * N;
+        match prim {
+            Primitive::AllReduce => (0..b / 8).flat_map(sum).collect(),
+            Primitive::AlltoAll => ranks
+                .flat_map(|s| (0..c).map(move |i| byte(s, global * c + i)))
+                .collect(),
+            Primitive::ReduceScatter => (global * c / 8..(global + 1) * c / 8)
+                .flat_map(sum)
+                .collect(),
+            Primitive::AllGather => ranks
+                .flat_map(|s| (0..b).map(move |i| byte(s, i)))
+                .collect(),
+            _ => unreachable!("not a hierarchy"),
         }
     }
 
@@ -636,242 +613,63 @@ mod tests {
         }
     }
 
-    #[test]
-    fn multi_host_all_reduce_reduces_globally() {
-        let (mh, mut systems, mask) = ensemble(3, 0);
-        let b = 64;
-        fill(&mut systems, b);
-
-        // Expected: per group id, reduce over the group members of all hosts.
-        let groups = mh.comms[0].manager().groups(&mask).unwrap();
-        let mut expected: Vec<Vec<u8>> = Vec::new();
-        for g in &groups {
-            let mut inputs = Vec::new();
-            for sys in systems.iter_mut() {
-                for &pe in &g.members {
-                    inputs.push(sys.pe_mut(pe).read(0, b).to_vec());
-                }
-            }
-            expected.push(oracle::reduce(&inputs, ReduceKind::Sum, DType::U64));
-        }
-
-        let report = mh
-            .all_reduce(
-                &mut systems,
-                &mask,
-                &BufferSpec::new(0, 1024, b),
-                ReduceKind::Sum,
-            )
-            .unwrap();
-        assert_eq!(report.hosts, 3);
-        assert!(report.mpi_ns > 0.0);
-
-        for sys in systems.iter_mut() {
-            for (g, want) in groups.iter().zip(&expected) {
-                for &pe in &g.members {
-                    let got = sys.pe_mut(pe).read(1024, b).to_vec();
-                    assert_eq!(&got, want, "host result for {pe}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn multi_host_alltoall_matches_global_oracle() {
-        let hosts = 2;
-        let (mh, mut systems, mask) = ensemble(hosts, 0);
-        let n = 8;
-        let b = 8 * n * hosts; // one 8-byte word per global destination
-        fill(&mut systems, b);
-
-        // Capture expected global result.
-        let groups = mh.comms[0].manager().groups(&mask).unwrap();
-        let mut expected: Vec<Vec<Vec<u8>>> = Vec::new(); // [group][global rank]
-        for g in &groups {
-            let mut inputs = Vec::new();
-            for sys in systems.iter_mut() {
-                for &pe in &g.members {
-                    inputs.push(sys.pe_mut(pe).read(0, b).to_vec());
-                }
-            }
-            expected.push(oracle::alltoall(&inputs));
-        }
-
-        let report = mh
-            .all_to_all(&mut systems, &mask, &BufferSpec::new(0, 4096, b))
-            .unwrap();
-        assert!(report.mpi_ns > 0.0);
-
-        for (h, sys) in systems.iter_mut().enumerate() {
-            for (g, want) in groups.iter().zip(&expected) {
-                for (r, &pe) in g.members.iter().enumerate() {
-                    let got = sys.pe_mut(pe).read(4096, b).to_vec();
-                    assert_eq!(&got, &want[h * n + r], "host {h} {pe}");
-                }
-            }
-        }
+    /// Link time of `prim` over `hosts` hosts at `b` bytes per node, read
+    /// from the plan alone.
+    fn mpi_ns(hosts: usize, prim: Primitive, b: usize) -> f64 {
+        let (mh, _, mask) = ensemble(hosts, 0);
+        let spec = BufferSpec::new(0, 8192, b);
+        let plan = mh.plan(prim, &mask, &spec, ReduceKind::Sum).unwrap();
+        plan.execute_cost_only(&TimeModel::upmem()).mpi_ns
     }
 
     #[test]
     fn single_host_has_no_mpi_cost() {
-        let (mh, mut systems, mask) = ensemble(1, 0);
-        let b = 64;
-        fill(&mut systems, b);
-        let report = mh
-            .all_reduce(
-                &mut systems,
-                &mask,
-                &BufferSpec::new(0, 1024, b),
-                ReduceKind::Sum,
-            )
-            .unwrap();
-        assert_eq!(report.mpi_ns, 0.0);
+        assert_eq!(mpi_ns(1, Primitive::AllReduce, 64), 0.0);
     }
 
     #[test]
     fn alltoall_mpi_cost_exceeds_allreduce_mpi_cost() {
         // AllReduce ships reduced data (1/N of input); AlltoAll ships the
         // (H-1)/H fraction of everything (§IX-A).
-        let (mh, mut systems, mask) = ensemble(4, 0);
-        let n = 8;
-        let b = 8 * n * 4;
-        fill(&mut systems, b);
-        let ar = mh
-            .all_reduce(
-                &mut systems,
-                &mask,
-                &BufferSpec::new(0, 8192, b),
-                ReduceKind::Sum,
-            )
-            .unwrap();
-        fill(&mut systems, b);
-        let aa = mh
-            .all_to_all(&mut systems, &mask, &BufferSpec::new(0, 16384, b))
-            .unwrap();
-        assert!(
-            aa.mpi_ns > ar.mpi_ns,
-            "AA {} vs AR {}",
-            aa.mpi_ns,
-            ar.mpi_ns
+        let b = 8 * N * 4;
+        let (ar, aa) = (
+            mpi_ns(4, Primitive::AllReduce, b),
+            mpi_ns(4, Primitive::AlltoAll, b),
         );
-    }
-
-    #[test]
-    fn multi_host_reduce_scatter_chunks_globally() {
-        let hosts = 2;
-        let (mh, mut systems, mask) = ensemble(hosts, 0);
-        let n = 8;
-        let b = 8 * n * hosts; // one 8-byte chunk per global rank
-        fill(&mut systems, b);
-
-        // Expected: global rank h*n + r gets chunk h*n + r of the global sum.
-        let groups = mh.comms[0].manager().groups(&mask).unwrap();
-        let mut expected: Vec<Vec<Vec<u8>>> = Vec::new(); // [group][global rank]
-        for g in &groups {
-            let mut inputs = Vec::new();
-            for sys in systems.iter_mut() {
-                for &pe in &g.members {
-                    inputs.push(sys.pe_mut(pe).read(0, b).to_vec());
-                }
-            }
-            expected.push(oracle::reduce_scatter(&inputs, ReduceKind::Sum, DType::U64));
-        }
-
-        let report = mh
-            .reduce_scatter(
-                &mut systems,
-                &mask,
-                &BufferSpec::new(0, 4096, b),
-                ReduceKind::Sum,
-            )
-            .unwrap();
-        assert!(report.mpi_ns > 0.0);
-        let chunk = b / (n * hosts);
-        for (h, sys) in systems.iter_mut().enumerate() {
-            for (g, want) in groups.iter().zip(&expected) {
-                for (r, &pe) in g.members.iter().enumerate() {
-                    let got = sys.pe_mut(pe).read(4096, chunk).to_vec();
-                    assert_eq!(&got, &want[h * n + r], "host {h} {pe}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn multi_host_all_gather_concatenates_globally() {
-        let hosts = 2;
-        let (mh, mut systems, mask) = ensemble(hosts, 0);
-        let n = 8;
-        let b = 16;
-        fill(&mut systems, b);
-
-        let groups = mh.comms[0].manager().groups(&mask).unwrap();
-        let mut expected: Vec<Vec<u8>> = Vec::new(); // [group] global concat
-        for g in &groups {
-            let mut cat = Vec::new();
-            for sys in systems.iter_mut() {
-                for &pe in &g.members {
-                    cat.extend(sys.pe_mut(pe).read(0, b).to_vec());
-                }
-            }
-            expected.push(cat);
-        }
-
-        let report = mh
-            .all_gather(&mut systems, &mask, &BufferSpec::new(0, 4096, b))
-            .unwrap();
-        assert!(report.mpi_ns > 0.0);
-        for sys in systems.iter_mut() {
-            for (g, want) in groups.iter().zip(&expected) {
-                for &pe in &g.members {
-                    let got = sys.pe_mut(pe).read(4096, hosts * n * b).to_vec();
-                    assert_eq!(&got, want, "{pe}");
-                }
-            }
-        }
+        assert!(aa > ar, "AA {aa} vs AR {ar}");
     }
 
     #[test]
     fn reduced_primitives_ship_less_mpi_data_than_allgather() {
         // §IX-A: RS sends data after reduction, AG before duplication.
-        let (mh, mut systems, mask) = ensemble(4, 0);
-        let n = 8;
-        let b = 8 * n * 4;
-        fill(&mut systems, b);
-        let rs = mh
-            .reduce_scatter(
-                &mut systems,
-                &mask,
-                &BufferSpec::new(0, 8192, b),
-                ReduceKind::Sum,
-            )
-            .unwrap();
-        fill(&mut systems, 16);
-        let ag = mh
-            .all_gather(&mut systems, &mask, &BufferSpec::new(0, 8192, 16))
-            .unwrap();
-        assert!(rs.mpi_ns > 0.0 && ag.mpi_ns > 0.0);
+        let b = 8 * N * 4;
+        let (rs, ag) = (
+            mpi_ns(4, Primitive::ReduceScatter, b),
+            mpi_ns(4, Primitive::AllGather, b),
+        );
+        assert!(rs < ag, "RS {rs} vs AG {ag}");
     }
 
-    /// The one body, over every hierarchy and host count: one error
+    /// The one body, over every hierarchy and host count: the landed
+    /// bytes equal [`expected`] on every PE of every host, one error
     /// variant for the one divisibility rule, the functional report equal
-    /// to the analytic one bit for bit, a plan that carries nothing from
-    /// one execution into the next, and one level of fan-out — hosts that
-    /// run concurrently plan serial local collectives, a serial host loop
-    /// leaves each host its own bound.
+    /// to the analytic one bit for bit (with link time exactly when there
+    /// is a link), a plan that carries nothing from one execution into
+    /// the next, and one level of fan-out — hosts that run concurrently
+    /// plan serial local collectives, a serial host loop leaves each host
+    /// its own bound.
     #[test]
     fn every_hierarchy_at_every_host_count() {
-        let n = 8;
         let dst = 4096;
         for (hosts, threads) in [(1, 4), (2, 2), (4, 3), (4, 0)] {
             let (mh, mut systems, mask) = ensemble(hosts, threads);
             // (primitive, bytes per node, a size the rule rejects, bytes landed per PE)
-            let per_rank = 8 * n * hosts;
+            let per_rank = 8 * N * hosts;
             for (prim, b, bad_b, landed) in [
-                (Primitive::AllReduce, per_rank, 4 * n, per_rank),
-                (Primitive::AlltoAll, per_rank, 4 * n * hosts, per_rank),
-                (Primitive::ReduceScatter, per_rank, 4 * n * hosts, 8),
-                (Primitive::AllGather, 16, 4, 16 * n * hosts),
+                (Primitive::AllReduce, per_rank, 4 * N, per_rank),
+                (Primitive::AlltoAll, per_rank, 4 * N * hosts, per_rank),
+                (Primitive::ReduceScatter, per_rank, 4 * N * hosts, 8),
+                (Primitive::AllGather, 16, 4, 16 * N * hosts),
             ] {
                 let what = format!("{prim} x {hosts} at threads={threads}");
                 let plan = |b| mh.plan(prim, &mask, &BufferSpec::new(0, dst, b), ReduceKind::Sum);
@@ -900,6 +698,11 @@ mod tests {
                     (report, image)
                 };
                 let (first, second) = (run(), run());
+                for (i, got) in first.1.iter().enumerate() {
+                    let (host, pe) = (i / 64, i % 64);
+                    let want = expected(prim, hosts, b, host, pe);
+                    assert_eq!(got, &want, "{what}: host {host} PE {pe}");
+                }
                 assert_eq!(first, second, "{what}: second execute");
                 assert_eq!(first.0, analytic, "{what}: cost-only");
                 assert_eq!(
@@ -907,6 +710,8 @@ mod tests {
                     analytic.time_ns().to_bits(),
                     "{what}"
                 );
+                assert_eq!(first.0.hosts, hosts, "{what}");
+                assert_eq!(first.0.mpi_ns > 0.0, hosts > 1, "{what}: link time");
             }
         }
     }
@@ -915,14 +720,9 @@ mod tests {
     fn mismatched_system_count_rejected() {
         let (mh, mut systems, mask) = ensemble(2, 0);
         systems.pop();
-        let err = mh
-            .all_reduce(
-                &mut systems,
-                &mask,
-                &BufferSpec::new(0, 1024, 64),
-                ReduceKind::Sum,
-            )
-            .unwrap_err();
+        let spec = BufferSpec::new(0, 1024, 64);
+        let plan = mh.plan(Primitive::AllReduce, &mask, &spec, ReduceKind::Sum);
+        let err = plan.unwrap().execute(&mut systems).unwrap_err();
         assert!(matches!(err, Error::InvalidHostData(_)));
     }
 

@@ -17,6 +17,11 @@
 //! schedules (`cases`): they are plans like any other collective, so a
 //! fault on them is caught by the same dispatch.
 //!
+//! The `multi_host` module holds the four hierarchical collectives to the
+//! same guarantees with a fault plan on one host, and shows that phase 2
+//! reads what phase 1 landed: a fault on a phase-1 landing reaches the
+//! answer, or is caught.
+//!
 //! The `app_storms` module lifts the same guarantees to whole application
 //! runs through the run-level supervisor (`run_*_resilient`): zero-fault
 //! bit-identity with the plain runners, deterministic typed outcomes
@@ -485,6 +490,195 @@ fn transiently_stuck_pe_is_caught_before_dispatch() {
     assert!(!ver.degraded);
     sys.detach_fault_plan();
     assert_eq!(snapshot(&sys), want);
+}
+
+// ---- multi-host: two hosts of 64 PEs, a fault plan on one ------------
+
+mod multi_host {
+    use super::{comm, spec, B, DST, N};
+    use pidcomm::{Error, LinkModel, MultiHost, MultiHostPlan, MultiHostReport};
+    use pidcomm::{OptLevel, Primitive, ReduceKind};
+    use pim_sim::{Category, DimmGeometry, FaultKind, FaultPlan, PimSystem};
+    use std::sync::Arc;
+
+    const HOSTS: usize = 2;
+
+    /// One plan per hierarchy over two hosts, `B` bytes per node (a
+    /// multiple of 8 × hosts × group size).
+    fn plans() -> Vec<(Primitive, MultiHostPlan)> {
+        let comms = (0..HOSTS).map(|_| comm(OptLevel::Full)).collect();
+        let mh = MultiHost::new(comms, LinkModel::ethernet_10g()).unwrap();
+        let mask = "10".parse().unwrap();
+        [
+            Primitive::AllReduce,
+            Primitive::AlltoAll,
+            Primitive::ReduceScatter,
+            Primitive::AllGather,
+        ]
+        .into_iter()
+        .map(|p| (p, mh.plan(p, &mask, &spec(), ReduceKind::Sum).unwrap()))
+        .collect()
+    }
+
+    /// Two hosts whose sources differ per host and per PE.
+    fn hosts() -> Vec<PimSystem> {
+        let geom = DimmGeometry::single_rank();
+        (0..HOSTS)
+            .map(|h| {
+                let mut sys = PimSystem::new(geom);
+                for pe in geom.pes() {
+                    let fill: Vec<u8> = (0..B)
+                        .map(|i| ((h * 97 + pe.0 as usize * 31 + i * 7) % 251) as u8)
+                        .collect();
+                    sys.pe_mut(pe).write(0, &fill);
+                }
+                sys
+            })
+            .collect()
+    }
+
+    /// Every host's destination window, as wide as AllGather's result.
+    fn image(systems: &[PimSystem]) -> Vec<Vec<u8>> {
+        let len = HOSTS * N * B;
+        systems
+            .iter()
+            .flat_map(|sys| {
+                sys.geometry()
+                    .pes()
+                    .map(move |pe| sys.pe(pe).peek(DST, len))
+            })
+            .collect()
+    }
+
+    fn bits(r: &MultiHostReport) -> ([u64; Category::ALL.len()], u64) {
+        let local = Category::ALL.map(|c| r.local.get(c).to_bits());
+        (local, r.mpi_ns.to_bits())
+    }
+
+    /// Report and destination image of a run with no fault plan.
+    fn clean(plan: &MultiHostPlan) -> (MultiHostReport, Vec<Vec<u8>>) {
+        let mut systems = hosts();
+        let report = plan.execute(&mut systems).unwrap();
+        (report, image(&systems))
+    }
+
+    /// A fault plan that never fires, with verification on every host,
+    /// changes neither the report bits nor a destination byte; each host
+    /// spends one epoch per phase.
+    #[test]
+    fn zero_fault_verified_multi_host_is_bit_identical() {
+        for (prim, plan) in plans() {
+            let want = clean(&plan);
+            let mut systems = hosts();
+            let fps: Vec<Arc<FaultPlan>> = (0..HOSTS)
+                .map(|h| Arc::new(FaultPlan::new(h as u64 + 1)))
+                .collect();
+            for (sys, fp) in systems.iter_mut().zip(&fps) {
+                sys.attach_fault_plan(fp.clone());
+                sys.set_verify_writes(true);
+            }
+            let report = plan.execute(&mut systems).unwrap();
+            assert_eq!(bits(&report), bits(&want.0), "{prim}: report bits");
+            for sys in &mut systems {
+                sys.detach_fault_plan();
+            }
+            assert!(image(&systems) == want.1, "{prim}: destination bytes");
+            for (h, fp) in fps.iter().enumerate() {
+                assert_eq!(fp.epoch(), 2, "{prim}: host {h} epochs");
+            }
+        }
+    }
+
+    /// Seeded storms on host 0, verification on: every run ends in the
+    /// clean bytes or a typed detection error, and each phase that ran
+    /// took exactly one of host 0's epochs.
+    #[test]
+    fn seeded_storms_on_one_host_never_pass_silently() {
+        let base: u64 = std::env::var("PIDCOMM_CHAOS_SEED")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0xC0FFEE);
+        let (mut caught, mut passed) = (0u32, 0u32);
+        for (prim, plan) in plans() {
+            let want = clean(&plan).1;
+            for round in 0..3u64 {
+                let seed = base.wrapping_add(round.wrapping_mul(0x9E3779B97F4A7C15));
+                for (flip_p, row_p) in [(256, 0), (0, 1 << 10), (1 << 12, 1 << 12)] {
+                    let fp = Arc::new(
+                        FaultPlan::new(seed ^ (flip_p << 1) ^ row_p)
+                            .with_bit_flip_period(flip_p)
+                            .with_row_corrupt_period(row_p),
+                    );
+                    let mut systems = hosts();
+                    systems[0].attach_fault_plan(fp.clone());
+                    systems[0].set_verify_writes(true);
+                    let what = format!("{prim} seed {seed} periods {flip_p}/{row_p}");
+                    match plan.execute(&mut systems) {
+                        Ok(_) => {
+                            assert_eq!(fp.epoch(), 2, "{what}: epochs");
+                            systems[0].detach_fault_plan();
+                            assert!(image(&systems) == want, "{what}: silent wrong answer");
+                            passed += 1;
+                        }
+                        Err(
+                            Error::DataCorruption { epoch, .. } | Error::PeFailed { epoch, .. },
+                        ) => {
+                            assert_eq!(fp.epoch(), epoch, "{what}: epochs");
+                            caught += 1;
+                        }
+                        Err(other) => panic!("{what}: unexpected error {other:?}"),
+                    }
+                }
+            }
+        }
+        eprintln!("multi-host: {caught} caught, {passed} clean");
+        if std::env::var("PIDCOMM_CHAOS_SEED").is_err() {
+            assert!(caught > 0, "the storms never hit a landing");
+            assert!(passed > 0, "every storm hit a landing: periods too dense");
+        }
+    }
+
+    /// A bit flip on host 0's first PE in epoch 1 hits a phase-1 landing:
+    /// the local AlltoAll's destination, or the gathered window AllGather
+    /// reads. Phase 2 reads those bytes, so with verification off the
+    /// result differs from the clean one, and with it on the run is
+    /// refused.
+    #[test]
+    fn a_phase_one_landing_fault_reaches_the_result_or_is_caught() {
+        for (prim, plan) in plans() {
+            if !matches!(prim, Primitive::AlltoAll | Primitive::AllGather) {
+                continue;
+            }
+            let want = clean(&plan).1;
+            for verify in [false, true] {
+                let mut systems = hosts();
+                let fp = FaultPlan::new(7).with_event(FaultKind::BitFlip, 0, 1);
+                systems[0].attach_fault_plan(Arc::new(fp));
+                systems[0].set_verify_writes(verify);
+                let result = plan.execute(&mut systems);
+                if verify {
+                    assert!(
+                        matches!(
+                            result,
+                            Err(Error::DataCorruption {
+                                pe: 0,
+                                epoch: 1,
+                                ..
+                            })
+                        ),
+                        "{prim}: expected DataCorruption on PE 0 in epoch 1, got {result:?}"
+                    );
+                    continue;
+                }
+                result.unwrap();
+                systems[0].detach_fault_plan();
+                assert!(
+                    image(&systems) != want,
+                    "{prim}: a flipped phase-1 landing left the result untouched"
+                );
+            }
+        }
+    }
 }
 
 // ---- run-level resilience: full application storms -------------------

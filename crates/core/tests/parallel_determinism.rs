@@ -7,7 +7,7 @@
 //! no proptest), so failures reproduce exactly.
 
 use pidcomm::hypercube::HypercubeManager;
-use pidcomm::{BufferSpec, CommReport, Communicator, DimMask, HypercubeShape};
+use pidcomm::{BufferSpec, CommReport, Communicator, DimMask, HypercubeShape, Primitive};
 use pim_sim::{Category, DType, DimmGeometry, PimSystem, ReduceKind};
 
 use pim_sim::testgen::{fill_byte, SplitMix64};
@@ -130,14 +130,14 @@ fn multihost_parallel_hosts_are_deterministic() {
         for (h, sys) in systems.iter_mut().enumerate() {
             fill(sys, 64, h as u64 + 1);
         }
-        let report = mh
-            .all_reduce(
-                &mut systems,
-                &"10".parse().unwrap(),
-                &BufferSpec::new(0, 1024, 64),
-                ReduceKind::Sum,
-            )
-            .unwrap();
+        let spec = BufferSpec::new(0, 1024, 64);
+        let plan = mh.plan(
+            Primitive::AllReduce,
+            &"10".parse().unwrap(),
+            &spec,
+            ReduceKind::Sum,
+        );
+        let report = plan.unwrap().execute(&mut systems).unwrap();
         let local = Category::ALL.map(|c| report.local.get(c).to_bits());
         let bits = (local, report.mpi_ns.to_bits());
         let images: Vec<Vec<u8>> = systems

@@ -341,8 +341,10 @@ fn plan_cache_snapshot_deltas_scope_a_workload() {
     assert_eq!(delta.len, 2, "delta.len reports current occupancy");
 }
 
+/// A multi-host plan carries nothing between executions: every round of
+/// one reused plan equals a fresh plan's first execution, report and MRAM.
 #[test]
-fn warm_multihost_plan_matches_one_shot_calls() {
+fn reused_multihost_plan_rounds_match_a_fresh_plans_first_execution() {
     use pidcomm::{LinkModel, MultiHost};
 
     let geom = DimmGeometry::single_rank();
@@ -372,10 +374,12 @@ fn warm_multihost_plan_matches_one_shot_calls() {
     let b = 64;
     let spec = BufferSpec::new(0, 1024, b).with_dtype(DType::U64);
 
+    let plan = || {
+        mh.plan(Primitive::AllReduce, &mask, &spec, ReduceKind::Sum)
+            .unwrap()
+    };
     let mut systems = mk_systems(b);
-    let reference = mh
-        .all_reduce(&mut systems, &mask, &spec, ReduceKind::Sum)
-        .unwrap();
+    let reference = plan().execute(&mut systems).unwrap();
     let ref_mram: Vec<Vec<Vec<u8>>> = systems
         .iter()
         .map(|s| {
@@ -386,9 +390,7 @@ fn warm_multihost_plan_matches_one_shot_calls() {
         })
         .collect();
 
-    let plan = mh
-        .plan(Primitive::AllReduce, &mask, &spec, ReduceKind::Sum)
-        .unwrap();
+    let plan = plan();
     for round in 0..3 {
         let mut systems = mk_systems(b);
         let report = plan.execute(&mut systems).unwrap();

@@ -199,14 +199,14 @@ fn multi_host_extends_single_host_results() {
             sys.pe_mut(pe).write(0, &[(h as u8 + 1); 64]);
         }
     }
-    let report = mh
-        .all_reduce(
-            &mut systems,
-            &"10".parse().unwrap(),
-            &BufferSpec::new(0, 1024, b),
-            ReduceKind::Sum,
-        )
-        .unwrap();
+    let spec = BufferSpec::new(0, 1024, b);
+    let plan = mh.plan(
+        Primitive::AllReduce,
+        &"10".parse().unwrap(),
+        &spec,
+        ReduceKind::Sum,
+    );
+    let report = plan.unwrap().execute(&mut systems).unwrap();
     assert_eq!(report.hosts, 2);
     // Sum across 8 members per host on 2 hosts: 8*1 + 8*2 = 24 per byte
     // ... elementwise u64 sums of 0x0101..: check one word.
