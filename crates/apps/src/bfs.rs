@@ -34,9 +34,8 @@ pub struct BfsConfig {
     pub opt: OptLevel,
     /// Engine thread budget for the app's collectives: `0` = auto,
     /// `1` = the serial reference schedule. Purely an execution knob —
-    /// profiles and results are byte-identical at every setting — and the
-    /// sweep harness uses it to split a machine budget between concurrent
-    /// app runs and per-run cluster fan-out.
+    /// profiles and results are byte-identical at every setting. The
+    /// sweep harness passes `1`: its pool owns every thread.
     pub threads: usize,
 }
 
@@ -252,7 +251,7 @@ pub fn run_bfs_resilient_in(
             }
         });
         let scattered = run.step(&[], |sys, at| {
-            at.collective(sys, &scatter_plan, Some(core::slice::from_ref(&adj_host)))
+            at.collective(sys, &scatter_plan, Some(&core::slice::from_ref(&adj_host)))
         });
         drop(adj_host);
         run.profile.record(&scattered?.report);

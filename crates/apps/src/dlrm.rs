@@ -44,9 +44,8 @@ pub struct DlrmRunConfig {
     pub opt: OptLevel,
     /// Engine thread budget for the app's collectives: `0` = auto,
     /// `1` = the serial reference schedule. Purely an execution knob —
-    /// profiles and results are byte-identical at every setting — and the
-    /// sweep harness uses it to split a machine budget between concurrent
-    /// app runs and per-run cluster fan-out.
+    /// profiles and results are byte-identical at every setting. The
+    /// sweep harness passes `1`: its pool owns every thread.
     pub threads: usize,
 }
 
@@ -459,7 +458,11 @@ pub fn run_dlrm_resilient_in(
         // Setup: the batch scatter, a one-shot send restaged from the
         // host buffer.
         let scattered = run.step(&[], |sys, at| {
-            at.collective(sys, &scatter_plan, Some(core::slice::from_ref(&batch_host)))
+            at.collective(
+                sys,
+                &scatter_plan,
+                Some(&core::slice::from_ref(&batch_host)),
+            )
         });
         run.arena.recycle_bytes(batch_host);
         run.profile.record(&scattered?.report);

@@ -24,8 +24,8 @@ use std::sync::Arc;
 use pidcomm::engine::supervisor::{Attempt, Iteration, Supervisor};
 use pidcomm::engine::Execution;
 use pidcomm::{
-    CollectivePlan, CommReport, Communicator, FusedPlan, HypercubeManager, HypercubeShape,
-    OptLevel, PlanCache, RunPolicy,
+    CollectivePlan, CommReport, Communicator, FusedPlan, HostRows, HypercubeManager,
+    HypercubeShape, OptLevel, PlanCache, RunPolicy,
 };
 use pim_sim::{DimmGeometry, FaultPlan, PeId, PimSystem, SystemArena};
 
@@ -148,13 +148,13 @@ pub(crate) struct Step<'s, 'a> {
 }
 
 impl Step<'_, '_> {
-    /// Executes one collective (`host_in` for Scatter/Broadcast;
-    /// `host_out` comes back for Gather/Reduce).
+    /// Executes one collective (`host_in`, a row source, for
+    /// Scatter/Broadcast; `host_out` comes back for Gather/Reduce).
     pub(crate) fn collective(
         &mut self,
         sys: &mut PimSystem,
         plan: &CollectivePlan,
-        host_in: Option<&[Vec<u8>]>,
+        host_in: Option<&dyn HostRows>,
     ) -> pidcomm::Result<Execution> {
         let exec = self.attempt.collective(self.comm, sys, plan, host_in)?;
         Ok(Execution {

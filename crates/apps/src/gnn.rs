@@ -66,9 +66,8 @@ pub struct GnnConfig {
     pub dtype: DType,
     /// Engine thread budget for the app's collectives: `0` = auto,
     /// `1` = the serial reference schedule. Purely an execution knob —
-    /// profiles and results are byte-identical at every setting — and the
-    /// sweep harness uses it to split a machine budget between concurrent
-    /// app runs and per-run cluster fan-out.
+    /// profiles and results are byte-identical at every setting. The
+    /// sweep harness passes `1`: its pool owns every thread.
     pub threads: usize,
 }
 

@@ -10,22 +10,23 @@
 //! ReduceScatter plan is built once for the whole stack (pooled in the
 //! worker's arena plan cache) and re-executed each layer.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use pidcomm::{
-    par_chunks, par_pes, par_pes_with, BufferSpec, DimMask, Error, OptLevel, Primitive, RunPolicy,
+    par_pes, par_pes_with, BufferSpec, DimMask, Error, HostRows, OptLevel, Primitive, RunPolicy,
 };
 use pidcomm_data::MatI32;
-use pim_sim::{kernels, DType, DimmGeometry, FaultPlan, ReduceKind, SystemArena};
+use pim_sim::{kernels, DType, FaultPlan, ReduceKind, SystemArena};
 
 use crate::cost::{pe_kernel_ns, CpuModel};
-use crate::driver::{drive, mismatches, validated, Run, Setup, Verdict};
+use crate::driver::{drive, geometry, mismatches, validated, Run, Setup, Verdict};
 use crate::profile::AppProfile;
 use crate::{AppRun, ResilientRun};
 
 /// MLP configuration. The weight matrices are a pure function of
-/// `(features, layer)` and are never materialized: the scatter image is
-/// generated in place in PE order and the CPU reference regenerates rows.
+/// `(features, layer)` and are never materialized: the scatter generates
+/// them row by row ([`WeightRows`]) and the CPU reference regenerates rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MlpConfig {
     /// Feature width `f` (the paper uses 16k and 32k; scaled presets use
@@ -39,9 +40,8 @@ pub struct MlpConfig {
     pub opt: OptLevel,
     /// Engine thread budget for the app's collectives: `0` = auto,
     /// `1` = the serial reference schedule. Purely an execution knob —
-    /// profiles and results are byte-identical at every setting — and the
-    /// sweep harness uses it to split a machine budget between concurrent
-    /// app runs and per-run cluster fan-out.
+    /// profiles and results are byte-identical at every setting. The
+    /// sweep harness passes `1`: its pool owns every thread.
     pub threads: usize,
 }
 
@@ -107,17 +107,33 @@ fn cpu_reference(layers: usize, x0: &[i32]) -> (Vec<i32>, f64) {
     (x, time)
 }
 
-/// Fills the weight scatter image: PE `p`'s slot holds, per layer, its
-/// columns `[p*cols, (p+1)*cols)` as contiguous `f`-length little-endian
-/// lanes, each generated in place — no matrix, no transpose. The slots
-/// tile the image and the lanes tile a slot, so every byte is written.
-fn stage_weights(image: &mut [u8], f: usize, cols: usize, layers: usize, threads: usize) {
-    par_chunks(image, layers * cols * f * 4, threads, |dst_pe, slot| {
-        for (k, lane) in slot.chunks_exact_mut(f * 4).enumerate() {
-            let c = dst_pe * cols + k % cols;
-            MatI32::random_col_le(f, W_BOUND, w_seed(k / cols), c, lane);
+/// The weight scatter's row source (one group: the 1-D hypercube): rank
+/// `r`'s row holds PE `r`'s columns `[r*cols, (r+1)*cols)` of every layer
+/// as `f`-length little-endian lanes, layer-major. The send asks for whole
+/// rank rows, so whole lanes, each generated straight into its block.
+struct WeightRows {
+    f: usize,
+    cols: usize,
+    layers: usize,
+}
+
+impl HostRows for WeightRows {
+    fn groups(&self) -> usize {
+        1
+    }
+
+    fn group_len(&self, _: usize) -> usize {
+        self.layers * self.f * self.f * 4
+    }
+
+    fn fill(&self, _: usize, range: Range<usize>, dst: &mut [u8]) {
+        let (lane, lanes_per_row) = (self.f * 4, self.layers * self.cols);
+        for (k, out) in (range.start / lane..).zip(dst.chunks_exact_mut(lane)) {
+            let (pe, slot) = (k / lanes_per_row, k % lanes_per_row);
+            let c = pe * self.cols + slot % self.cols;
+            MatI32::random_col_le(self.f, W_BOUND, w_seed(slot / self.cols), c, out);
         }
-    });
+    }
 }
 
 /// Runs the MLP benchmark and validates the PIM result against the CPU
@@ -185,8 +201,8 @@ pub fn run_mlp_resilient_in(
     policy: RunPolicy,
     arena: &mut SystemArena,
 ) -> pidcomm::Result<ResilientRun> {
-    let (p, f) = (cfg.pes, cfg.features);
-    if p == 0 || f == 0 || cfg.layers == 0 || f % p != 0 || (f * 4) % (8 * p) != 0 {
+    let (p, f, layers) = (cfg.pes, cfg.features, cfg.layers);
+    if p == 0 || f == 0 || layers == 0 || f % p != 0 || (f * 4) % (8 * p) != 0 {
         let want = "positive features/layers/pes, features % pes == 0, 4*features % (8*pes) == 0";
         return Err(Error::InvalidBuffer(format!("MLP needs {want}: {cfg:?}")));
     }
@@ -201,10 +217,10 @@ pub fn run_mlp_resilient_in(
     let partial_off = slice_bytes.next_multiple_of(64);
     let out_off = partial_off + partial_bytes.next_multiple_of(64);
     let w_off = out_off + slice_bytes.next_multiple_of(64);
-    let w_slice_bytes = cfg.layers * f * cols * 4;
+    let w_slice_bytes = layers * f * cols * 4;
 
     let setup = Setup {
-        geom: DimmGeometry::with_pes(p),
+        geom: geometry("MLP", p)?,
         dims: vec![p],
         opt: cfg.opt,
         threads: cfg.threads,
@@ -232,26 +248,20 @@ pub fn run_mlp_resilient_in(
 
         // Setup: scatter the initial activation slices and the weight
         // column slices (all layers at once): PE p receives columns
-        // [p*cols, (p+1)*cols) of every W_l. Both sends restage everything
-        // from host buffers, so a re-run needs no checkpointed MRAM state.
+        // [p*cols, (p+1)*cols) of every W_l. Both sends read everything
+        // from the host side, so a re-run needs no checkpointed MRAM state.
         let host_x: Vec<Vec<u8>> = vec![x0.iter().flat_map(|v| v.to_le_bytes()).collect()];
-        // Unspecified contents are safe here: `stage_weights` overwrites
-        // every byte of the image before the scatter reads any.
-        let mut w_host = run.arena.raw_bytes(p * w_slice_bytes);
-        stage_weights(&mut w_host, f, cols, cfg.layers, cfg.threads);
+        let weights = WeightRows { f, cols, layers };
         let scattered = run.step(&[], |sys, at| {
             let x = at.collective(sys, &x_scatter_plan, Some(&host_x))?;
-            let w = at.collective(sys, &w_scatter_plan, Some(core::slice::from_ref(&w_host)))?;
+            let w = at.collective(sys, &w_scatter_plan, Some(&weights))?;
             Ok([x.report, w.report])
-        });
-        // The image is dead once the setup step is over (a retry happens
-        // inside it); hand it back before the layers run, aborted or not.
-        run.arena.recycle_bytes(w_host);
-        for report in &scattered? {
+        })?;
+        for report in &scattered {
             run.profile.record(report);
         }
 
-        for l in 0..cfg.layers {
+        for l in 0..layers {
             // The live state at a layer boundary is the activation slice
             // (everything else is rewritten from it or read-only).
             let (kernel, report) = run.step(&[(SLICE, slice_bytes)], |sys, at| {
@@ -322,7 +332,7 @@ pub fn run_mlp_resilient_in(
             .collect::<Vec<i32>>())
     };
     drive(arena, fault, policy, setup, body, |result| {
-        let (expected, cpu_ns) = cpu_reference(cfg.layers, &x0);
+        let (expected, cpu_ns) = cpu_reference(layers, &x0);
         Verdict {
             mismatched: mismatches(result.as_deref(), &expected),
             cpu_ns,
@@ -399,12 +409,17 @@ mod tests {
         for (f, p) in [(64, 64), (96, 8), (512, 64)] {
             let cols = f / p;
             let expected = stage_weights_by_elements(f, cols, layers);
-            for threads in [1, 2, 0] {
-                // Stale contents, as `raw_bytes` may hand back.
-                let mut image = vec![0xA5u8; expected.len()];
-                stage_weights(&mut image, f, cols, layers, threads);
-                assert!(image == expected, "f {f} P {p} threads {threads}");
+            let weights = WeightRows { f, cols, layers };
+            assert_eq!(weights.group_len(0), expected.len(), "f {f} P {p}");
+            let row = expected.len() / p;
+            let mut image = Vec::new();
+            for r in 0..p {
+                // Stale contents, as a recycled send block holds.
+                let mut block = vec![0xA5u8; row];
+                weights.fill(0, r * row..(r + 1) * row, &mut block);
+                image.extend_from_slice(&block);
             }
+            assert!(image == expected, "f {f} P {p}");
         }
     }
 

@@ -562,12 +562,25 @@ fn bad_mlp_configs_are_typed_errors_that_leave_the_arena_alone() {
             features: 64,
             ..good
         },
+        // The MLP's own checks pass, but no geometry has these PE counts:
+        // 12 is no multiple of 8, 320 does not factor.
+        MlpConfig {
+            pes: 12,
+            features: 96,
+            ..good
+        },
+        MlpConfig {
+            pes: 320,
+            features: 640,
+            ..good
+        },
     ];
     for cfg in bad {
         let err = run_mlp_in(&cfg, &mut arena).unwrap_err();
         assert!(matches!(err, pidcomm::Error::InvalidBuffer(_)), "{err}");
         let policy = RunPolicy::default();
-        assert!(run_mlp_resilient_in(&cfg, None, policy, &mut arena).is_err());
+        let err = run_mlp_resilient_in(&cfg, None, policy, &mut arena).unwrap_err();
+        assert!(matches!(err, pidcomm::Error::InvalidBuffer(_)), "{err}");
         assert_eq!(format!("{arena:?}"), pools, "{cfg:?} touched the arena");
     }
 }

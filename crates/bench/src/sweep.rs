@@ -27,8 +27,9 @@
 //!
 //! Arena lifecycle per cell: `arena.system(geom)` hands out an all-zero
 //! reset system (pool hit) or builds a fresh one (miss);
-//! `arena.raw_bytes(n)` does the same for staging images the app
-//! overwrites in full; the app recycles both before returning. A system
+//! `arena.raw_bytes(n)` does the same for DLRM's batch image, the one
+//! staging image an app overwrites in full (the prepared tier takes the
+//! same pool); the app recycles both before returning. A system
 //! checkout is indistinguishable from a fresh allocation —
 //! every read observes zeros, the meter is empty — so two consecutive
 //! cells on one worker can never observe each other's state, and results

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use pim_sim::dtype::ReduceKind;
-use pim_sim::{PimSystem, SystemArena};
+use pim_sim::{Checkpoint, PimSystem, SystemArena};
 
 use crate::config::{OptLevel, Primitive};
 use crate::engine::plan::{CollectivePlan, PlanCache, PlanKey};
@@ -11,7 +11,7 @@ use crate::engine::prepared::{FusedPlan, PreparedScatter};
 use crate::engine::recovery::{
     self, FusedVerifiedExecution, RecoveryPolicy, Unit, VerifiedExecution,
 };
-use crate::engine::BufferSpec;
+use crate::engine::{BufferSpec, HostRows};
 use crate::error::{Error, Result};
 use crate::hypercube::{DimMask, HypercubeManager};
 use crate::report::CommReport;
@@ -193,9 +193,13 @@ impl Communicator {
         host_in: Option<&[Vec<u8>]>,
         policy: &RecoveryPolicy,
     ) -> Result<VerifiedExecution> {
+        let host_in = host_in.as_ref().map(|h| h as &dyn HostRows);
         let unit = Unit::Plan { plan, host_in };
-        recovery::run_verified(sys, &self.manager, &unit, policy, None, |_, _| Ok(()))
-            .map(FusedVerifiedExecution::into_single)
+        let rollback = &mut Checkpoint::new();
+        recovery::run_verified(sys, &self.manager, &unit, policy, rollback, None, |_, _| {
+            Ok(())
+        })
+        .map(FusedVerifiedExecution::into_single)
     }
 
     /// Stages a rooted send's host payload for repeat execution: the
@@ -280,7 +284,8 @@ impl Communicator {
         hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
     ) -> Result<FusedVerifiedExecution> {
         let unit = Unit::chain(fused, staged)?;
-        recovery::run_verified(sys, &self.manager, &unit, policy, None, hook)
+        let rollback = &mut Checkpoint::new();
+        recovery::run_verified(sys, &self.manager, &unit, policy, rollback, None, hook)
     }
 
     /// A plan only prepares/fuses on the communicator whose geometry it

@@ -16,6 +16,8 @@ pub mod sheet;
 pub(crate) mod streaming;
 pub mod supervisor;
 
+use std::ops::Range;
+
 use pim_sim::dtype::DType;
 use pim_sim::pe::MRAM_CAPACITY;
 
@@ -56,6 +58,53 @@ impl BufferSpec {
     pub fn with_dtype(mut self, dtype: DType) -> Self {
         self.dtype = dtype;
         self
+    }
+}
+
+/// A rooted send's host input (Scatter, Broadcast): one byte buffer per
+/// communication group, read a row at a time. The send asks for exactly
+/// the bytes it is about to land — one rank's `bytes_per_node` for
+/// Scatter, the whole buffer for Broadcast — so a source that generates
+/// its rows on request never holds the payload at once. Buffers the
+/// caller already holds (`Vec<Vec<u8>>`, `&[Vec<u8>]`) are sources that
+/// copy.
+pub trait HostRows: Sync {
+    /// Number of group buffers.
+    fn groups(&self) -> usize;
+
+    /// Byte length of group `group`'s buffer.
+    fn group_len(&self, group: usize) -> usize;
+
+    /// Writes bytes `range` of group `group`'s buffer into `dst`, which
+    /// is exactly `range.len()` bytes long and may hold anything before.
+    fn fill(&self, group: usize, range: Range<usize>, dst: &mut [u8]);
+}
+
+impl HostRows for &[Vec<u8>] {
+    fn groups(&self) -> usize {
+        self.len()
+    }
+
+    fn group_len(&self, group: usize) -> usize {
+        self[group].len()
+    }
+
+    fn fill(&self, group: usize, range: Range<usize>, dst: &mut [u8]) {
+        dst.copy_from_slice(&self[group][range]);
+    }
+}
+
+impl HostRows for Vec<Vec<u8>> {
+    fn groups(&self) -> usize {
+        self.as_slice().groups()
+    }
+
+    fn group_len(&self, group: usize) -> usize {
+        self.as_slice().group_len(group)
+    }
+
+    fn fill(&self, group: usize, range: Range<usize>, dst: &mut [u8]) {
+        self.as_slice().fill(group, range, dst);
     }
 }
 
@@ -153,7 +202,7 @@ pub(crate) fn validate_spec(primitive: Primitive, spec: &BufferSpec, n: usize) -
 /// [`Error::InvalidBuffer`] when it does not end inside the bank. An
 /// extent of no bytes is not accessed, so its offset is not checked (the
 /// spec's unused side may hold anything).
-fn bank_extent(what: &str, offset: usize, len: usize) -> Result<std::ops::Range<usize>> {
+fn bank_extent(what: &str, offset: usize, len: usize) -> Result<Range<usize>> {
     if len == 0 {
         return Ok(offset..offset);
     }
@@ -172,17 +221,17 @@ pub(crate) fn validate_host_in(
     b: usize,
     n: usize,
     num_groups: usize,
-    host_in: Option<&[Vec<u8>]>,
+    host_in: Option<&dyn HostRows>,
 ) -> Result<()> {
     match primitive {
         Primitive::Scatter | Primitive::Broadcast => {
             let host_in = host_in.ok_or_else(|| {
                 Error::InvalidHostData(format!("{primitive} requires host input buffers"))
             })?;
-            if host_in.len() != num_groups {
+            if host_in.groups() != num_groups {
                 return Err(Error::InvalidHostData(format!(
                     "expected {num_groups} host buffers (one per group), got {}",
-                    host_in.len()
+                    host_in.groups()
                 )));
             }
             let expect = if primitive == Primitive::Scatter {
@@ -190,11 +239,11 @@ pub(crate) fn validate_host_in(
             } else {
                 b
             };
-            for (i, buf) in host_in.iter().enumerate() {
-                if buf.len() != expect {
+            for i in 0..num_groups {
+                let len = host_in.group_len(i);
+                if len != expect {
                     return Err(Error::InvalidHostData(format!(
-                        "host buffer {i} has {} bytes, expected {expect}",
-                        buf.len()
+                        "host buffer {i} has {len} bytes, expected {expect}"
                     )));
                 }
             }

@@ -48,7 +48,7 @@ use crate::engine::sheet::CostSheet;
 use crate::engine::streaming::Rows;
 use crate::engine::{
     baseline, buffer_extents, logical_volumes, parallel, streaming, validate_host_in,
-    validate_spec, BufferSpec, Execution,
+    validate_spec, BufferSpec, Execution, HostRows,
 };
 use crate::error::{Error, Result};
 use crate::hypercube::{build_clusters, CommGroup, DimMask, EgCluster, HypercubeManager};
@@ -380,15 +380,25 @@ impl CollectivePlan {
     /// than the plan, [`Error::InvalidHostData`] when `host_in` does not
     /// match the primitive, plus the fault layer's typed errors.
     pub fn run(&self, sys: &mut PimSystem, host_in: Option<&[Vec<u8>]>) -> Result<Execution> {
+        self.run_rows(sys, host_in.as_ref().map(|h| h as &dyn HostRows))
+    }
+
+    /// [`CollectivePlan::run`] over a rooted send's row source: what the
+    /// slice entries and the verified tier all end in.
+    pub(crate) fn run_rows(
+        &self,
+        sys: &mut PimSystem,
+        host_in: Option<&dyn HostRows>,
+    ) -> Result<Execution> {
         self.check_run(sys, host_in)?;
         self.dispatch(sys, host_in.map(Rows::Host))
     }
 
     /// What [`CollectivePlan::run`] rejects before dispatch — a system of
-    /// another geometry, host buffers that do not match the primitive —
+    /// another geometry, a row source that does not match the primitive —
     /// for the degraded path, which executes the plan without dispatching
     /// it.
-    pub(crate) fn check_run(&self, sys: &PimSystem, host_in: Option<&[Vec<u8>]>) -> Result<()> {
+    pub(crate) fn check_run(&self, sys: &PimSystem, host_in: Option<&dyn HostRows>) -> Result<()> {
         self.check_geometry(sys)?;
         validate_host_in(
             self.primitive,
@@ -415,7 +425,7 @@ impl CollectivePlan {
     /// epoch + stuck scan, the one `match` over primitives, application of
     /// the plan's [`CostSheet`], corruption check and report assembly. Its
     /// two callers differ only in where a rooted send's `rows` come from —
-    /// [`CollectivePlan::run`] passes the host buffers it validated (`None`
+    /// [`CollectivePlan::run`] passes the row source it validated (`None`
     /// for every other primitive), the prepared tier ([`super::prepared`])
     /// the image it validated when staging — so both charge and report
     /// bit-identically. Either checks the geometry first

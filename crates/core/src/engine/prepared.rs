@@ -80,7 +80,7 @@ impl PreparedScatter {
             plan.spec.bytes_per_node,
             plan.n,
             plan.num_groups,
-            Some(host_in),
+            Some(&host_in),
         )
     }
 
@@ -94,7 +94,7 @@ impl PreparedScatter {
     pub fn stage(plan: Arc<CollectivePlan>, host_in: &[Vec<u8>]) -> Result<Self> {
         Self::validate(&plan, host_in)?;
         let mut rows = vec![0u8; streaming::staged_len(&plan)];
-        let offsets = streaming::stage_rows(&plan, host_in, &mut rows);
+        let offsets = streaming::stage_rows(&plan, &host_in, &mut rows);
         Ok(Self {
             plan,
             rows,
@@ -117,7 +117,7 @@ impl PreparedScatter {
     ) -> Result<Self> {
         Self::validate(&plan, host_in)?;
         let mut rows = arena.raw_bytes(streaming::staged_len(&plan));
-        let offsets = streaming::stage_rows(&plan, host_in, &mut rows);
+        let offsets = streaming::stage_rows(&plan, &host_in, &mut rows);
         Ok(Self {
             plan,
             rows,
@@ -134,7 +134,7 @@ impl PreparedScatter {
     /// As [`PreparedScatter::stage`]; on error the image is unchanged.
     pub fn restage(&mut self, host_in: &[Vec<u8>]) -> Result<()> {
         Self::validate(&self.plan, host_in)?;
-        self.offsets = streaming::stage_rows(&self.plan, host_in, &mut self.rows);
+        self.offsets = streaming::stage_rows(&self.plan, &host_in, &mut self.rows);
         Ok(())
     }
 

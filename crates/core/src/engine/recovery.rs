@@ -50,8 +50,9 @@ use crate::config::Primitive;
 use crate::engine::plan::CollectivePlan;
 use crate::engine::prepared::{FusedExecution, FusedPlan, PreparedScatter};
 use crate::engine::sheet::CostSheet;
+use crate::engine::streaming::rank_row;
 use crate::engine::supervisor::HealthLedger;
-use crate::engine::{logical_volumes, Execution};
+use crate::engine::{logical_volumes, Execution, HostRows};
 use crate::error::{Error, Result};
 use crate::hypercube::HypercubeManager;
 use crate::oracle;
@@ -135,7 +136,7 @@ pub(crate) enum Unit<'a> {
     /// One collective — a one-step unit.
     Plan {
         plan: &'a CollectivePlan,
-        host_in: Option<&'a [Vec<u8>]>,
+        host_in: Option<&'a dyn HostRows>,
     },
     /// A fused chain; retried and rolled back as a whole.
     Chain {
@@ -171,14 +172,13 @@ impl<'a> Unit<'a> {
     /// windows only (source extent — phase-A reordering is destructive in
     /// place — plus destination extent); for a chain the merged region
     /// list, so a fault in step *k* rolls back steps `0..k`'s landings
-    /// and the hooks' intermediate writes in one restore.
-    fn capture(&self, sys: &PimSystem) -> Checkpoint {
-        let mut ckpt = Checkpoint::new();
+    /// and the hooks' intermediate writes in one restore. `ckpt`'s buffers
+    /// are reused, so a caller that keeps it allocates nothing per unit.
+    fn capture(&self, sys: &PimSystem, ckpt: &mut Checkpoint) {
         match self {
-            Unit::Plan { plan, .. } => sys.checkpoint_regions(&plan.touched_regions(), &mut ckpt),
-            Unit::Chain { fused, .. } => sys.checkpoint_regions(fused.regions(), &mut ckpt),
+            Unit::Plan { plan, .. } => sys.checkpoint_regions(&plan.touched_regions(), ckpt),
+            Unit::Chain { fused, .. } => sys.checkpoint_regions(fused.regions(), ckpt),
         }
-        ckpt
     }
 
     /// One ordinary (non-degraded) pass over every step.
@@ -188,10 +188,12 @@ impl<'a> Unit<'a> {
         hook: &mut impl FnMut(usize, &mut PimSystem) -> Result<()>,
     ) -> Result<FusedExecution> {
         match *self {
-            Unit::Plan { plan, host_in } => plan.run(sys, host_in).map(|exec| FusedExecution {
-                reports: vec![exec.report],
-                host_out: exec.host_out,
-            }),
+            Unit::Plan { plan, host_in } => {
+                plan.run_rows(sys, host_in).map(|exec| FusedExecution {
+                    reports: vec![exec.report],
+                    host_out: exec.host_out,
+                })
+            }
             Unit::Chain { fused, staged } => fused.execute_with(sys, staged, hook),
         }
     }
@@ -213,7 +215,7 @@ impl<'a> Unit<'a> {
             Unit::Plan { host_in, .. } => host_in,
             Unit::Chain { staged, .. } => {
                 unstaged = staged.map(PreparedScatter::unstage);
-                unstaged.as_deref()
+                unstaged.as_ref().map(|h| h as &dyn HostRows)
             }
         };
         let mut reports = Vec::with_capacity(self.steps());
@@ -276,17 +278,22 @@ fn finish(
 /// state plus covered regions). With no fault plan attached this is
 /// byte- and modeled-bit-identical to the unverified execution, and the
 /// rollback image is not even captured — the clean path never pays for
-/// the copy.
+/// the copy. The image is captured into `rollback`, whose buffers the
+/// caller may keep for the next unit.
 pub(crate) fn run_verified(
     sys: &mut PimSystem,
     manager: &HypercubeManager,
     unit: &Unit<'_>,
     policy: &RecoveryPolicy,
+    rollback: &mut Checkpoint,
     mut ledger: Option<&mut HealthLedger>,
     mut hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
 ) -> Result<FusedVerifiedExecution> {
     verifying(sys, |sys, before| {
-        let snapshot = sys.fault_plan().is_some().then(|| unit.capture(sys));
+        let snapshot = sys.fault_plan().is_some().then(|| {
+            unit.capture(sys, rollback);
+            &*rollback
+        });
         let mut retries = 0u32;
         loop {
             let err = match unit.run(sys, &mut hook) {
@@ -313,7 +320,7 @@ pub(crate) fn run_verified(
             // PE that dies mid-chain leaves landings behind
             // (`tests/prepared.rs`). The restore is unconditional so that
             // degradation never depends on *where* a failure was noticed.
-            if let Some(img) = &snapshot {
+            if let Some(img) = snapshot {
                 sys.restore_regions(img);
             }
             if persistent {
@@ -367,7 +374,8 @@ fn is_stuck(fault: Option<&FaultPlan>, pe: pim_sim::PeId) -> bool {
 }
 
 /// Degraded execution of one collective: the host recomputes its
-/// semantics directly from the members' MRAM (the oracle reference path),
+/// semantics directly from the members' MRAM (the oracle reference path;
+/// a rooted send instead reads each member's row of its host source),
 /// landing results on every non-stuck PE — additionally skipping PEs the
 /// given ledger (if any) has quarantined. The moved bytes are charged to
 /// the [`CostSheet`] recovery counter at word-granular host-modulation
@@ -376,7 +384,7 @@ fn degrade_step(
     sys: &mut PimSystem,
     manager: &HypercubeManager,
     plan: &CollectivePlan,
-    host_in: Option<&[Vec<u8>]>,
+    host_in: Option<&dyn HostRows>,
     quarantine: Option<&HealthLedger>,
 ) -> Result<Execution> {
     let before = sys.meter();
@@ -418,8 +426,21 @@ fn degrade_step(
             Primitive::ReduceScatter => oracle::reduce_scatter(&ins, op, dtype),
             Primitive::AllReduce => oracle::all_reduce(&ins, op, dtype),
             Primitive::AllGather => oracle::all_gather(&ins),
-            Primitive::Scatter => oracle::scatter(&host_in.unwrap()[g], n),
-            Primitive::Broadcast => oracle::broadcast(&host_in.unwrap()[g], n),
+            Primitive::Scatter | Primitive::Broadcast => {
+                // Each surviving member's row, read from the source the
+                // way the send reads it ([`rank_row`]) — one row at a
+                // time, never the whole group buffer.
+                let rows = host_in.expect("check_run passed the rooted send its rows");
+                let mut row = vec![0u8; b];
+                for (rank, &pe) in group.members.iter().enumerate() {
+                    if !skip(pe) {
+                        rows.fill(g, rank_row(plan, rank), &mut row);
+                        sys.pe_mut(pe).write(dst, &row);
+                        moved += b as u64;
+                    }
+                }
+                Vec::new()
+            }
             Primitive::Gather => {
                 host_out.as_mut().unwrap().push(oracle::gather(&ins));
                 Vec::new()

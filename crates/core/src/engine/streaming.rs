@@ -85,6 +85,7 @@ use crate::config::{OptLevel, Primitive, Technique};
 use crate::engine::hostkernel::par_pes;
 use crate::engine::plan::{ClusterSched, CollectivePlan, Move};
 use crate::engine::sheet::CostSheet;
+use crate::engine::HostRows;
 use crate::hypercube::EgCluster;
 
 /// The per-PE pre-permutation of phase A in table form: destination slot
@@ -701,10 +702,11 @@ pub(crate) fn reduce(sys: &mut PimSystem, plan: &CollectivePlan) -> Vec<Vec<u8>>
 /// Where a rooted send takes its rows from.
 #[derive(Clone, Copy)]
 pub(crate) enum Rows<'a> {
-    /// Per-group host buffers indexed by group id; the executor assembles
-    /// one `LANES * bytes_per_node` block at a time, so a send never holds
-    /// a second copy of its payload.
-    Host(&'a [Vec<u8>]),
+    /// The per-group host row source, indexed by group id; the executor
+    /// asks it for one rank row at a time into one `LANES *
+    /// bytes_per_node` block, so neither the send nor a generating source
+    /// ever holds the whole payload.
+    Host(&'a dyn HostRows),
     /// A row image assembled by [`stage_rows`], with the base offset of
     /// each cluster's blocks in plan order.
     Staged {
@@ -714,16 +716,14 @@ pub(crate) enum Rows<'a> {
 }
 
 /// The rooted-send row layout: the bytes of its group's host buffer that
-/// lane rank `i` of destination part `m_d` receives — rank `i + l * m_d`'s
-/// `bytes_per_node` for Scatter (buffers are laid out by destination
-/// rank), the whole buffer for Broadcast.
-fn row_source(plan: &CollectivePlan, c: &EgCluster, i: usize, m_d: usize) -> Range<usize> {
+/// group rank `rank` receives — its own `bytes_per_node` for Scatter
+/// (buffers are laid out by destination rank), the whole buffer for
+/// Broadcast. Lane rank `i` of destination part `m_d` is rank `i + l *
+/// m_d`.
+pub(crate) fn rank_row(plan: &CollectivePlan, rank: usize) -> Range<usize> {
     let b = plan.spec.bytes_per_node;
     match plan.primitive {
-        Primitive::Scatter => {
-            let rank = i + c.lane_count * m_d;
-            rank * b..(rank + 1) * b
-        }
+        Primitive::Scatter => rank * b..(rank + 1) * b,
         _ => 0..b,
     }
 }
@@ -738,21 +738,21 @@ fn row_blocks(plan: &CollectivePlan, c: &EgCluster) -> usize {
 }
 
 /// Assembles row block `block` of cluster `c` into `rows` (`LANES *
-/// bytes_per_node` bytes, lane-major): one memcpy per lane. A cluster's
-/// packed groups own all eight lanes between them (`build_clusters`), so
-/// every byte of `rows` is overwritten.
+/// bytes_per_node` bytes, lane-major): one rank row requested per lane. A
+/// cluster's packed groups own all eight lanes between them
+/// (`build_clusters`), so every byte of `rows` is overwritten.
 fn fill_block(
     plan: &CollectivePlan,
     c: &EgCluster,
     block: usize,
-    host_in: &[Vec<u8>],
+    host_in: &dyn HostRows,
     rows: &mut [u8],
 ) {
     let b = plan.spec.bytes_per_node;
     for g in &c.groups {
-        let src = &host_in[g.group_id];
         for (i, &lane) in g.lanes.iter().enumerate() {
-            rows[lane * b..(lane + 1) * b].copy_from_slice(&src[row_source(plan, c, i, block)]);
+            let range = rank_row(plan, i + c.lane_count * block);
+            host_in.fill(g.group_id, range, &mut rows[lane * b..(lane + 1) * b]);
         }
     }
 }
@@ -761,7 +761,7 @@ fn fill_block(
 /// write-back half of ReduceScatter; Broadcast is the native driver path —
 /// one domain transfer per block, reused for every destination PE of the
 /// group, no technique applies, already bus-bound (Table II, §VIII-B).
-/// Either lands one row block per destination part ([`row_source`]).
+/// Either lands one row block per destination part ([`rank_row`]).
 pub(crate) fn rooted_send(sys: &mut PimSystem, plan: &CollectivePlan, rows: Rows<'_>) {
     let dst = plan.spec.dst_offset;
     let b = plan.spec.bytes_per_node;
@@ -809,7 +809,11 @@ pub(crate) fn staged_len(plan: &CollectivePlan) -> usize {
 /// front to back, exactly as the per-call path fills its scratch block,
 /// and fully overwritten — recycled arena buffers and `restage` over a
 /// previous payload need no clear first.
-pub(crate) fn stage_rows(plan: &CollectivePlan, host_in: &[Vec<u8>], buf: &mut [u8]) -> Vec<usize> {
+pub(crate) fn stage_rows(
+    plan: &CollectivePlan,
+    host_in: &dyn HostRows,
+    buf: &mut [u8],
+) -> Vec<usize> {
     let block_len = LANES * plan.spec.bytes_per_node;
     let mut offsets = Vec::with_capacity(plan.clusters.len());
     let mut base = 0usize;
@@ -826,10 +830,10 @@ pub(crate) fn stage_rows(plan: &CollectivePlan, host_in: &[Vec<u8>], buf: &mut [
 /// Rebuilds the per-group host buffers from a prepared row image — the
 /// exact inverse of [`stage_rows`] (staging is a pure byte permutation,
 /// so no information is lost; every lane of a Broadcast group carries the
-/// same bytes). Only the degraded-recompute path uses this (the oracle
-/// needs the original rank-ordered buffers), which is what lets
-/// [`super::prepared::PreparedScatter`] drop `host_in` after staging
-/// instead of retaining a second copy.
+/// same bytes). Only the degraded-recompute path uses this (it reads each
+/// member's rank row from the original rank-ordered buffers), which is
+/// what lets [`super::prepared::PreparedScatter`] drop `host_in` after
+/// staging instead of retaining a second copy.
 pub(crate) fn unstage_rows(
     plan: &CollectivePlan,
     staged: &[u8],
@@ -846,7 +850,7 @@ pub(crate) fn unstage_rows(
             let rows = &staged[base + block * LANES * b..];
             for g in &c.groups {
                 for (i, &lane) in g.lanes.iter().enumerate() {
-                    host[g.group_id][row_source(plan, c, i, block)]
+                    host[g.group_id][rank_row(plan, i + c.lane_count * block)]
                         .copy_from_slice(&rows[lane * b..(lane + 1) * b]);
                 }
             }

@@ -39,6 +39,7 @@ use crate::engine::recovery::{
     self, FusedVerifiedExecution, RecoveryPolicy, Unit, VerifiedExecution,
 };
 use crate::engine::sheet::CostSheet;
+use crate::engine::HostRows;
 use crate::error::{Error, Result};
 
 /// Per-PE fault tallies accumulated by the [`HealthLedger`].
@@ -353,13 +354,20 @@ impl Supervisor {
             return Ok(Iteration::Abort(RunOutcome::DeadlineExceeded));
         }
         // Without a plan no typed fault can arise, so nothing can ask for
-        // the image back: the clean path pays for neither the copy nor
-        // the checkout.
-        let ckpt = sys.fault_plan().is_some().then(|| {
+        // an image back: the clean path pays for neither the copy nor the
+        // checkouts. The second checkout is the image each collective's
+        // recovery tier captures into, pooled like this one.
+        let faulty = sys.fault_plan().is_some();
+        let ckpt = faulty.then(|| {
             let mut ckpt = arena.checkpoint();
             sys.checkpoint_regions(regions, &mut ckpt);
             ckpt
         });
+        let mut rollback = if faulty {
+            arena.checkpoint()
+        } else {
+            Checkpoint::new()
+        };
         let result = loop {
             let mut attempt = Attempt {
                 policy: &self.policy,
@@ -367,6 +375,7 @@ impl Supervisor {
                 retries_used: &mut self.retries_used,
                 degraded: &mut self.degraded,
                 events: &mut self.events,
+                rollback: &mut rollback,
             };
             let run = body(sys, &mut attempt).and_then(|t| {
                 // Surface residual corruption from the body's own staging
@@ -429,6 +438,11 @@ impl Supervisor {
                 Err(err) => break Err(err),
             }
         };
+        // Returned in reverse checkout order, so each keeps its role (and
+        // its capacity) in the next iteration.
+        if faulty {
+            arena.recycle_checkpoint(rollback);
+        }
         if let Some(ckpt) = ckpt {
             arena.recycle_checkpoint(ckpt);
         }
@@ -446,6 +460,7 @@ pub struct Attempt<'a> {
     retries_used: &'a mut u32,
     degraded: &'a mut bool,
     events: &'a mut Vec<CorruptionEvent>,
+    rollback: &'a mut Checkpoint,
 }
 
 impl Attempt<'_> {
@@ -453,7 +468,9 @@ impl Attempt<'_> {
     /// quarantine: plans whose groups include a quarantined PE degrade up
     /// front instead of burning retries rediscovering it; otherwise the
     /// plan runs under the per-collective recovery policy, clamped to the
-    /// run's remaining retry budget.
+    /// run's remaining retry budget. `host_in` is a rooted send's row
+    /// source (`Some` exactly for Scatter and Broadcast): the send, a
+    /// retry and a degraded landing each read it one row at a time.
     ///
     /// # Errors
     ///
@@ -465,7 +482,7 @@ impl Attempt<'_> {
         comm: &Communicator,
         sys: &mut PimSystem,
         plan: &CollectivePlan,
-        host_in: Option<&[Vec<u8>]>,
+        host_in: Option<&dyn HostRows>,
     ) -> Result<VerifiedExecution> {
         self.run(comm, sys, &Unit::Plan { plan, host_in }, |_, _| Ok(()))
             .map(FusedVerifiedExecution::into_single)
@@ -533,8 +550,15 @@ impl Attempt<'_> {
                 .min(self.policy.retry_budget.saturating_sub(*self.retries_used)),
             degrade: self.policy.plan_attempt.degrade,
         };
-        let exec =
-            recovery::run_verified(sys, comm.manager(), unit, &attempt, Some(self.ledger), hook)?;
+        let exec = recovery::run_verified(
+            sys,
+            comm.manager(),
+            unit,
+            &attempt,
+            self.rollback,
+            Some(self.ledger),
+            hook,
+        )?;
         *self.retries_used += exec.retries;
         *self.degraded |= exec.degraded;
         Ok(exec)

@@ -125,7 +125,7 @@ pub use engine::plan::{CollectivePlan, PlanCache, PlanCacheStats};
 pub use engine::prepared::{FusedExecution, FusedPlan, PreparedScatter};
 pub use engine::recovery::{FusedVerifiedExecution, RecoveryPolicy, VerifiedExecution};
 pub use engine::supervisor::{RunOutcome, RunPolicy};
-pub use engine::BufferSpec;
+pub use engine::{BufferSpec, HostRows};
 pub use error::{Error, Result};
 pub use hypercube::{DimMask, HypercubeManager, HypercubeShape};
 pub use multihost::{LinkModel, MultiHost, MultiHostPlan, MultiHostReport};

@@ -6,14 +6,18 @@
 //! executes against per-call `execute_with_host`, fused chains against the
 //! same plans issued separately, and the verified/chaos tier against the
 //! clean result — across all 8 primitives, 3 optimization levels and
-//! fresh/recycled arenas.
+//! fresh/recycled arenas. A rooted send's row source (`HostRows`) is held
+//! to the same standard: a generating source lands what its materialized
+//! twin lands, asking for each rank row once.
 
+use pidcomm::engine::supervisor::{Iteration, Supervisor};
 use pidcomm::{
-    BufferSpec, CollectivePlan, Communicator, DimMask, Error, HypercubeManager, HypercubeShape,
-    OptLevel, Primitive, RecoveryPolicy, ReduceKind,
+    BufferSpec, CollectivePlan, Communicator, DimMask, Error, HostRows, HypercubeManager,
+    HypercubeShape, OptLevel, Primitive, RecoveryPolicy, ReduceKind, RunPolicy, VerifiedExecution,
 };
 use pim_sim::{DimmGeometry, FaultKind, FaultPlan, PimSystem, SystemArena};
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
 
 const B: usize = 512;
 const N: usize = 8;
@@ -508,4 +512,246 @@ fn degrade_starts_from_the_entry_state_for_plans_and_chains() {
         snapshot(&sys) == reference_mram,
         "mid-chain degrade must recompute from the chain-entry state"
     );
+}
+
+// ---- Row sources: a rooted send's host input is read a row at a time. ----
+
+/// Byte `i` of group `g`'s generated buffer.
+fn generated_byte(g: usize, i: usize) -> u8 {
+    ((g * 131 + i * 7 + i / 251) % 253) as u8
+}
+
+/// A row source that generates every byte it is asked for and holds none.
+struct Generated {
+    groups: usize,
+    len: usize,
+}
+
+impl Generated {
+    /// The same bytes, held: the source's copying twin.
+    fn materialize(&self) -> Vec<Vec<u8>> {
+        (0..self.groups)
+            .map(|g| (0..self.len).map(|i| generated_byte(g, i)).collect())
+            .collect()
+    }
+}
+
+impl HostRows for Generated {
+    fn groups(&self) -> usize {
+        self.groups
+    }
+
+    fn group_len(&self, _: usize) -> usize {
+        self.len
+    }
+
+    fn fill(&self, group: usize, range: Range<usize>, dst: &mut [u8]) {
+        for (d, i) in dst.iter_mut().zip(range) {
+            *d = generated_byte(group, i);
+        }
+    }
+}
+
+/// A generated source that records every request it serves.
+struct Counting {
+    inner: Generated,
+    requests: Mutex<Vec<(usize, Range<usize>)>>,
+}
+
+impl HostRows for Counting {
+    fn groups(&self) -> usize {
+        self.inner.groups()
+    }
+
+    fn group_len(&self, group: usize) -> usize {
+        self.inner.group_len(group)
+    }
+
+    fn fill(&self, group: usize, range: Range<usize>, dst: &mut [u8]) {
+        self.requests.lock().unwrap().push((group, range.clone()));
+        self.inner.fill(group, range, dst);
+    }
+}
+
+/// A 64-PE 4x4x4 hypercube: `"100"` is 16 groups of 4, `"011"` 4 groups of
+/// 16.
+fn cube(opt: OptLevel, threads: usize) -> Communicator {
+    let geom = DimmGeometry::single_rank();
+    let manager = HypercubeManager::new(HypercubeShape::new(vec![4, 4, 4]).unwrap(), geom).unwrap();
+    Communicator::new(manager)
+        .with_opt(opt)
+        .with_threads(threads)
+}
+
+/// The generated payload of a rooted send planned by `plan`.
+fn generated_for(plan: &CollectivePlan) -> Generated {
+    let b = plan.spec().bytes_per_node;
+    Generated {
+        groups: plan.num_groups(),
+        len: match plan.primitive() {
+            Primitive::Scatter => plan.group_size() * b,
+            _ => b,
+        },
+    }
+}
+
+/// Runs `plan` over the row source `rows` through a supervised attempt —
+/// the entry the apps use — on `sys`.
+fn run_rows(
+    c: &Communicator,
+    sys: &mut PimSystem,
+    plan: &CollectivePlan,
+    rows: &dyn HostRows,
+) -> pidcomm::Result<VerifiedExecution> {
+    let mut arena = SystemArena::new();
+    let mut sup = Supervisor::new(sys.geometry().num_pes(), RunPolicy::default());
+    match sup.iteration(sys, &mut arena, &[], |sys, at| {
+        at.collective(c, sys, plan, Some(rows))
+    })? {
+        Iteration::Done(exec) => Ok(exec),
+        Iteration::Abort(outcome) => panic!("a one-collective run aborted: {outcome:?}"),
+    }
+}
+
+/// A generating row source and its materialized twin land the same MRAM
+/// bytes with the same report bits — clean, and degraded around a dead PE
+/// through the verified tier.
+#[test]
+fn a_row_source_is_the_payload() {
+    for opt in [OptLevel::Baseline, OptLevel::Full] {
+        for prim in [Primitive::Scatter, Primitive::Broadcast] {
+            for mask in ["100", "011"] {
+                for threads in [1, 2] {
+                    let c = cube(opt, threads);
+                    let mask: DimMask = mask.parse().unwrap();
+                    let plan = c
+                        .plan(prim, &mask, &BufferSpec::new(0, O1, B), ReduceKind::Sum)
+                        .unwrap();
+                    let source = generated_for(&plan);
+                    let twin = source.materialize();
+                    let at = format!("{prim} {opt:?} mask {mask} threads {threads}");
+
+                    let mut arena = SystemArena::new();
+                    let mut sys = fresh_filled(&mut arena);
+                    let want = plan.execute_with_host(&mut sys, &twin).unwrap();
+                    let want_mram = snapshot(&sys);
+                    let mut sys = fresh_filled(&mut arena);
+                    let got = run_rows(&c, &mut sys, &plan, &source).unwrap();
+                    assert!(!got.degraded, "{at}");
+                    assert!(got.report == want, "{at}: report diverges");
+                    assert!(snapshot(&sys) == want_mram, "{at}: MRAM diverges");
+
+                    // PE 5 dead: both sides degrade and land every other
+                    // member's row.
+                    let dead = || Arc::new(FaultPlan::new(3).with_failed_pe(5));
+                    let mut sys = fresh_filled(&mut arena);
+                    sys.attach_fault_plan(dead());
+                    let policy = RecoveryPolicy::default();
+                    let want = c
+                        .execute_verified(&mut sys, &plan, Some(&twin), &policy)
+                        .unwrap();
+                    assert!(want.degraded, "{at}");
+                    let want_mram = snapshot(&sys);
+                    let mut sys = fresh_filled(&mut arena);
+                    sys.attach_fault_plan(dead());
+                    let got = run_rows(&c, &mut sys, &plan, &source).unwrap();
+                    assert!(got.degraded, "{at}");
+                    assert!(got.report == want.report, "{at}: degraded report diverges");
+                    assert!(snapshot(&sys) == want_mram, "{at}: degraded MRAM diverges");
+                }
+            }
+        }
+    }
+}
+
+/// What the send asks a row source for — the property a generating
+/// source's memory rests on: a clean Scatter requests every `(group, rank
+/// row)` exactly once and never a range across two rows; a Broadcast
+/// requests only `0..b`.
+#[test]
+fn a_send_requests_each_rank_row_once() {
+    for opt in [OptLevel::Baseline, OptLevel::Full] {
+        for mask in ["100", "011"] {
+            for threads in [1, 2] {
+                let c = cube(opt, threads);
+                let mask: DimMask = mask.parse().unwrap();
+                let at = format!("{opt:?} mask {mask} threads {threads}");
+                for prim in [Primitive::Scatter, Primitive::Broadcast] {
+                    let plan = c
+                        .plan(prim, &mask, &BufferSpec::new(0, O1, B), ReduceKind::Sum)
+                        .unwrap();
+                    let source = Counting {
+                        inner: generated_for(&plan),
+                        requests: Mutex::new(Vec::new()),
+                    };
+                    let mut sys = PimSystem::new(DimmGeometry::single_rank());
+                    run_rows(&c, &mut sys, &plan, &source).unwrap();
+                    let mut requests = source.requests.into_inner().unwrap();
+                    assert!(!requests.is_empty(), "{prim} {at}");
+                    if prim == Primitive::Broadcast {
+                        assert!(
+                            requests.iter().all(|(_, r)| *r == (0..B)),
+                            "{prim} {at}: {requests:?}"
+                        );
+                        continue;
+                    }
+                    for (g, r) in &requests {
+                        assert!(
+                            r.len() == B && r.start % B == 0,
+                            "{prim} {at}: group {g} asked {r:?}, not one rank row"
+                        );
+                    }
+                    requests.sort_by_key(|(g, r)| (*g, r.start));
+                    let every_row: Vec<(usize, Range<usize>)> = (0..plan.num_groups())
+                        .flat_map(|g| (0..plan.group_size()).map(move |r| (g, r * B..(r + 1) * B)))
+                        .collect();
+                    assert_eq!(requests, every_row, "{prim} {at}");
+                }
+            }
+        }
+    }
+}
+
+/// A row source of the wrong shape is a typed error before any PE is
+/// written, through the supervised attempt and through `run`'s slices.
+#[test]
+fn a_bad_row_source_is_a_typed_error() {
+    let c = cube(OptLevel::Full, 1);
+    let mask: DimMask = "100".parse().unwrap();
+    for prim in [Primitive::Scatter, Primitive::Broadcast] {
+        let plan = c
+            .plan(prim, &mask, &BufferSpec::new(0, O1, B), ReduceKind::Sum)
+            .unwrap();
+        let good = generated_for(&plan);
+        let too_few = Generated {
+            groups: good.groups - 1,
+            len: good.len,
+        };
+        let too_short = Generated {
+            groups: good.groups,
+            len: good.len - 8,
+        };
+        let mut one_short = good.materialize();
+        one_short[3].truncate(good.len - 8);
+        let sources: [(&str, &dyn HostRows); 3] = [
+            ("wrong group count", &too_few),
+            ("wrong lengths", &too_short),
+            ("one group short", &one_short),
+        ];
+        for (what, source) in sources {
+            let mut sys = PimSystem::new(DimmGeometry::single_rank());
+            let err = run_rows(&c, &mut sys, &plan, source).unwrap_err();
+            assert!(
+                matches!(err, Error::InvalidHostData(_)),
+                "{prim} {what}: {err}"
+            );
+            assert_eq!(sys.total_mram_used(), 0, "{prim} {what}");
+        }
+        for bad in [too_few.materialize(), one_short.clone()] {
+            let mut sys = PimSystem::new(DimmGeometry::single_rank());
+            let err = plan.run(&mut sys, Some(&bad)).unwrap_err();
+            assert!(matches!(err, Error::InvalidHostData(_)), "{prim}: {err}");
+            assert_eq!(sys.total_mram_used(), 0, "{prim}");
+        }
+    }
 }

@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use pidcomm::engine::supervisor::{Iteration, Supervisor};
 use pidcomm::{
-    BufferSpec, CollectivePlan, Communicator, DimMask, Error, HypercubeManager, HypercubeShape,
-    Primitive, ReduceKind, RunOutcome, RunPolicy,
+    BufferSpec, CollectivePlan, Communicator, DimMask, Error, HostRows, HypercubeManager,
+    HypercubeShape, Primitive, ReduceKind, RunOutcome, RunPolicy,
 };
 use pim_sim::{DimmGeometry, FaultKind, FaultPlan, PimSystem, SystemArena};
 
@@ -271,7 +271,7 @@ fn up_front_degrade_rejects_what_run_rejects() {
     let good = vec![vec![7u8; 8 * B]; 8];
     let short = vec![vec![7u8; 8 * B - 8]; 8];
     let mut small = PimSystem::new(DimmGeometry::single_group());
-    let mut scatter_on = |mut other: Option<&mut PimSystem>, host_in: Option<&[Vec<u8>]>| {
+    let mut scatter_on = |mut other: Option<&mut PimSystem>, host_in: Option<&dyn HostRows>| {
         sup.iteration(&mut sys, &mut arena, &[], |sys, at| {
             let sys = other.as_deref_mut().unwrap_or(sys);
             at.collective(&c, sys, &scatter, host_in)

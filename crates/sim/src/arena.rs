@@ -23,10 +23,11 @@
 //!   checkout pays a fresh allocation.
 //! * [`SystemArena::raw_bytes`] / [`SystemArena::recycle_bytes`] do the
 //!   same for plain `Vec<u8>` staging images that are overwritten in full
-//!   (contents unspecified, the largest recycled capacity reused) — the
-//!   prepared tier's staged rows (`PreparedScatter::stage_in` checks one
-//!   out, `retire` returns it), so iteration-heavy sweeps re-stage into
-//!   one allocation across cells.
+//!   (contents unspecified, the largest recycled capacity reused): DLRM's
+//!   batch image, and the prepared tier's staged rows
+//!   (`PreparedScatter::stage_in` checks one out, `retire` returns it),
+//!   so iteration-heavy sweeps re-stage into one allocation across cells.
+//!   The MLP's weights take none: its scatter generates them row by row.
 //! * [`SystemArena::byte_set`] / [`SystemArena::recycle_byte_set`] pool
 //!   the remaining per-cell buffer class, the GNN's per-group scatter
 //!   payloads (`Vec<Vec<u8>>`). A checkout is observationally fresh —
@@ -92,9 +93,9 @@ impl SystemArena {
     /// Checks out a buffer of exactly `len` bytes, reusing the largest
     /// recycled allocation when one exists, with contents unspecified
     /// (recycled bytes are handed back as-is): the checkout for callers
-    /// that overwrite every byte before reading any. Such an image can run
-    /// to hundreds of megabytes, and a clear would memset all of it only
-    /// for the writer to overwrite it. A fresh checkout allocates with
+    /// that overwrite every byte before reading any. Such an image can be
+    /// large, and a clear would memset all of it only for the writer to
+    /// overwrite it. A fresh checkout allocates with
     /// `vec![0u8; len]` (lazily zeroed pages), so first-touch cost is paid
     /// once, by the writer.
     pub fn raw_bytes(&mut self, len: usize) -> Vec<u8> {
