@@ -87,7 +87,8 @@ fn w_seed(l: usize) -> u64 {
 
 /// CPU reference: `x <- relu(W_l x)` per layer, wrapping arithmetic. It
 /// regenerates each weight row from the formula and takes a contiguous
-/// dot product, so it depends on neither PE memory nor the staged image.
+/// dot product, so it depends on neither PE memory nor the scatter's row
+/// source.
 fn cpu_reference(layers: usize, x0: &[i32]) -> (Vec<i32>, f64) {
     let cpu = CpuModel::xeon_5215();
     let f = x0.len();
@@ -109,8 +110,10 @@ fn cpu_reference(layers: usize, x0: &[i32]) -> (Vec<i32>, f64) {
 
 /// The weight scatter's row source (one group: the 1-D hypercube): rank
 /// `r`'s row holds PE `r`'s columns `[r*cols, (r+1)*cols)` of every layer
-/// as `f`-length little-endian lanes, layer-major. The send asks for whole
-/// rank rows, so whole lanes, each generated straight into its block.
+/// as `f`-length little-endian lanes, layer-major. A lane the requested
+/// range covers whole is generated straight into `dst` (the send asks for
+/// whole rank rows, so every lane is); a lane it cuts is generated into a
+/// one-lane scratch buffer and only the requested bytes are copied.
 struct WeightRows {
     f: usize,
     cols: usize,
@@ -128,10 +131,25 @@ impl HostRows for WeightRows {
 
     fn fill(&self, _: usize, range: Range<usize>, dst: &mut [u8]) {
         let (lane, lanes_per_row) = (self.f * 4, self.layers * self.cols);
-        for (k, out) in (range.start / lane..).zip(dst.chunks_exact_mut(lane)) {
+        let column = |k: usize, out: &mut [u8]| {
             let (pe, slot) = (k / lanes_per_row, k % lanes_per_row);
             let c = pe * self.cols + slot % self.cols;
             MatI32::random_col_le(self.f, W_BOUND, w_seed(slot / self.cols), c, out);
+        };
+        let mut cut = Vec::new();
+        let mut at = range.start;
+        while at < range.end {
+            let (k, skip) = (at / lane, at % lane);
+            let n = (lane - skip).min(range.end - at);
+            let out = &mut dst[at - range.start..][..n];
+            if n == lane {
+                column(k, out);
+            } else {
+                cut.resize(lane, 0);
+                column(k, &mut cut);
+                out.copy_from_slice(&cut[skip..skip + n]);
+            }
+            at += n;
         }
     }
 }
@@ -420,6 +438,32 @@ mod tests {
                 image.extend_from_slice(&block);
             }
             assert!(image == expected, "f {f} P {p}");
+        }
+    }
+
+    #[test]
+    fn any_byte_range_equals_the_same_bytes_of_a_whole_fill() {
+        let (f, p, layers) = (64, 8, 2);
+        let weights = WeightRows {
+            f,
+            cols: f / p,
+            layers,
+        };
+        let total = weights.group_len(0);
+        let mut whole = vec![0xA5u8; total];
+        weights.fill(0, 0..total, &mut whole);
+        // Lane boundaries (every 256 B), rank rows (every 4 KiB), and
+        // starts and lengths that cut a lane or fit inside one.
+        let starts = [0, 1, 3, 4, 100, 255, 256, 257, 511, 4095, 4096, 4099];
+        let lens = [
+            0, 1, 2, 3, 4, 5, 200, 255, 256, 257, 300, 512, 767, 4096, 5000,
+        ];
+        for start in starts.into_iter().chain([total - 300, total - 1]) {
+            for len in lens.into_iter().filter(|&len| start + len <= total) {
+                let mut got = vec![0xA5u8; len];
+                weights.fill(0, start..start + len, &mut got);
+                assert!(got == whole[start..start + len], "({start}, {len})");
+            }
         }
     }
 

@@ -12,22 +12,46 @@ pub struct MatI32 {
     data: Vec<i32>,
 }
 
-/// The one definition of [`MatI32::random`]'s entry formula: the entries
-/// at flat row-major indices `start, start + stride, …` (unbounded).
-fn random_entries(bound: i32, seed: u64, start: usize, stride: usize) -> impl Iterator<Item = i32> {
+/// The one definition of [`MatI32::random`]'s entry formula: hands `put`
+/// each destination of `out` in turn with the entry at flat row-major
+/// index `start + k·stride` for the `k`-th destination.
+///
+/// The hash's input is `index·C1`, and `(start + k·stride)·C1 ≡ start·C1 +
+/// k·(stride·C1) (mod 2^64)`, so the index product is walked with one add
+/// per entry and the hash's own multiply is the only one left.
+fn random_walk<D>(
+    bound: i32,
+    seed: u64,
+    start: usize,
+    stride: usize,
+    out: impl IntoIterator<Item = D>,
+    mut put: impl FnMut(D, i32),
+) {
+    const C1: u64 = 0x9e3779b97f4a7c15;
+    const C2: u64 = 0xbf58476d1ce4e5b9;
     assert!(bound > 0, "bound must be positive");
-    let m = 2 * bound;
-    let pow2 = m & (m - 1) == 0;
-    (0usize..).map(move |k| {
-        let x = ((start + k * stride) as u64)
-            .wrapping_mul(0x9e3779b97f4a7c15)
-            .wrapping_add(seed.rotate_left(17))
-            ^ seed;
-        let raw = ((x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9) >> 33) as i32;
-        // `raw` is a non-negative 31-bit value, so `rem_euclid(m)` is
-        // `% m`, and a mask where `m` is a power of two.
-        (if pow2 { raw & (m - 1) } else { raw % m }) - bound
-    })
+    let mut acc = (start as u64)
+        .wrapping_mul(C1)
+        .wrapping_add(seed.rotate_left(17));
+    let step = (stride as u64).wrapping_mul(C1);
+    let mut raw = || {
+        let x = acc ^ seed;
+        acc = acc.wrapping_add(step);
+        ((x ^ (x >> 30)).wrapping_mul(C2) >> 33) as u32
+    };
+    // `2 * bound` overflows `i32` from `bound = 2^30`; in `u32` it cannot.
+    let m = 2 * bound as u32;
+    // `raw()` is below 2^31, so `rem_euclid(m)` is `% m`, a mask where `m`
+    // is a power of two, and either minus `bound` fits `i32`.
+    if m.is_power_of_two() {
+        for d in out {
+            put(d, (raw() & (m - 1)) as i32 - bound);
+        }
+    } else {
+        for d in out {
+            put(d, (raw() % m) as i32 - bound);
+        }
+    }
 }
 
 impl MatI32 {
@@ -45,16 +69,15 @@ impl MatI32 {
     /// row-major index, so [`MatI32::random_row`] and
     /// [`MatI32::random_col_le`] regenerate any part of it on demand.
     pub fn random(rows: usize, cols: usize, bound: i32, seed: u64) -> Self {
-        let entries = random_entries(bound, seed, 0, 1);
-        let data = entries.take(rows * cols).collect();
+        let mut data = vec![0; rows * cols];
+        random_walk(bound, seed, 0, 1, &mut data, |d, v| *d = v);
         Self { rows, cols, data }
     }
 
     /// Writes row `r` of `random(_, out.len(), bound, seed)` into `out`
     /// without building the matrix.
     pub fn random_row(bound: i32, seed: u64, r: usize, out: &mut [i32]) {
-        let entries = random_entries(bound, seed, r * out.len(), 1);
-        out.iter_mut().zip(entries).for_each(|(d, v)| *d = v);
+        random_walk(bound, seed, r * out.len(), 1, out, |d, v| *d = v);
     }
 
     /// Writes column `c` of `random(out.len() / 4, cols, bound, seed)` into
@@ -62,9 +85,10 @@ impl MatI32 {
     /// if `out.len()` is not a multiple of 4.
     pub fn random_col_le(cols: usize, bound: i32, seed: u64, c: usize, out: &mut [u8]) {
         assert_eq!(out.len() % 4, 0, "column bytes hold whole i32 entries");
-        let entries = random_entries(bound, seed, c, cols);
-        let lanes = out.chunks_exact_mut(4).zip(entries);
-        lanes.for_each(|(d, v)| d.copy_from_slice(&v.to_le_bytes()));
+        let lanes = out.chunks_exact_mut(4);
+        random_walk(bound, seed, c, cols, lanes, |d, v| {
+            d.copy_from_slice(&v.to_le_bytes())
+        });
     }
 
     /// Number of rows.
@@ -212,6 +236,80 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The entry formula in closed form, from its constants alone: the
+    /// walk must equal it at any index, however often `·C1` wraps.
+    fn entry(i: u64, bound: i32, seed: u64) -> i32 {
+        let x = i
+            .wrapping_mul(0x9e3779b97f4a7c15)
+            .wrapping_add(seed.rotate_left(17))
+            ^ seed;
+        let raw = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9) >> 33;
+        (raw % (2 * bound as u64)) as i32 - bound
+    }
+
+    #[test]
+    fn the_walk_equals_the_formula_far_from_the_origin() {
+        for bound in [1, 3, 4, 100, (1 << 30) - 1] {
+            for seed in [0, 0x9a77, u64::MAX - 5] {
+                let m = MatI32::random(7, 9, bound, seed);
+                for (i, &v) in m.as_slice().iter().enumerate() {
+                    assert_eq!(v, entry(i as u64, bound, seed), "random [{i}]");
+                }
+                // Row 2^21 of a 4096-wide matrix starts at index 2^33.
+                for (width, r) in [(4096, 1 << 21), (4097, (1 << 21) + 1), (3, 1 << 40)] {
+                    let mut row = vec![0i32; width];
+                    MatI32::random_row(bound, seed, r, &mut row);
+                    for (c, &v) in row.iter().enumerate() {
+                        let i = (r * width + c) as u64;
+                        assert_eq!(v, entry(i, bound, seed), "row {r} of width {width}");
+                    }
+                }
+                // Strides 1, even, odd and above 2^32; the 2^21-wide
+                // column reaches past index 2^32 itself.
+                let strides = [1, 4096, 12345, 1 << 21, (1 << 32) + 7, (1 << 33) + 2];
+                for cols in strides {
+                    let rows = if cols == 1 << 21 { 4096 } else { 300 };
+                    let mut col = vec![0u8; rows * 4];
+                    for c in [0, cols / 2, cols - 1] {
+                        MatI32::random_col_le(cols, bound, seed, c, &mut col);
+                        for (r, le) in col.chunks_exact(4).enumerate() {
+                            let v = i32::from_le_bytes(le.try_into().unwrap());
+                            let i = (r * cols + c) as u64;
+                            assert_eq!(v, entry(i, bound, seed), "({r}, {c}) of {cols} cols");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `2 * bound` does not fit `i32` from `bound = 2^30`: every positive
+    /// bound still gives entries in `[-bound, bound)`, in both profiles.
+    #[test]
+    fn bounds_at_the_top_of_i32_stay_in_range() {
+        for bound in [(1 << 30) - 1, 1 << 30, i32::MAX] {
+            let m = MatI32::random(64, 64, bound, 7);
+            assert!(m.as_slice().iter().all(|&v| (-bound..bound).contains(&v)));
+        }
+        // Literal entries taken before the modulus was widened.
+        assert_eq!(
+            MatI32::random(2, 4, (1 << 30) - 1, 7).as_slice(),
+            [
+                -776944575, 311625984, 569832219, -984427342, -91712828, -757541271, 535640444,
+                -939404707
+            ]
+        );
+        let mut row = [0i32; 8];
+        MatI32::random_row((1 << 30) - 1, 7, 1 << 30, &mut row);
+        assert_eq!(
+            row,
+            [
+                -462574720, 999201553, 886745132, -198653363, -609564289, -590096377, 292239245,
+                70618664
+            ]
+        );
     }
 
     #[test]
