@@ -232,10 +232,10 @@ pub(crate) fn drive<T>(
     let output = body(&mut run);
 
     // No early return between the checkouts above and this point: the
-    // pooled system goes back fault-detached and verify-off, and the plan
-    // cache goes back warm, whether the body succeeded, failed or aborted.
+    // system and the warm plan cache go back to the arena whether the
+    // body succeeded, failed or aborted.
     let Run {
-        mut sys,
+        sys,
         arena,
         plans,
         profile,
@@ -243,8 +243,6 @@ pub(crate) fn drive<T>(
         ..
     } = run;
     let modeled_ns = sys.meter().total();
-    sys.detach_fault_plan();
-    sys.set_verify_writes(false);
     arena.recycle(sys);
     arena.put_extension(plans);
 

@@ -6,15 +6,19 @@
 //! lot — so a sweep over dozens of cells spends a measurable slice of its
 //! serial wall on the allocator. A [`SystemArena`] closes that gap: each
 //! sweep worker owns one arena, returns its system and buffers when a cell
-//! finishes, and the next cell on that worker checks them out again,
-//! zeroed in place instead of reallocated.
+//! finishes, and the next cell on that worker checks them out again
+//! instead of reallocating them. A checked-out system's pages are marked
+//! stale, not zero-filled: they read as zeros, and the next cell zeroes
+//! only the pages it touches, so a checkout costs what the next cell uses,
+//! not what the largest cell before it left resident.
 //!
 //! # Lifecycle and determinism contract
 //!
 //! * [`SystemArena::system`] returns a pooled system with *matching
 //!   geometry* after [`PimSystem::reset`] — functionally indistinguishable
-//!   from `PimSystem::new(geom)` (all reads observe zeros, meter empty) —
-//!   or builds a fresh one on a pool miss. Pooled systems keep their
+//!   from `PimSystem::new(geom)` (all reads observe zeros, no fault plan,
+//!   verification off, meter empty) — or builds a fresh one on a pool
+//!   miss. Pooled systems keep their
 //!   [`crate::TimeModel`]; the arena is meant for homogeneous sweeps where
 //!   every cell uses the default calibration, and callers with custom
 //!   models should build those systems directly.
@@ -85,7 +89,8 @@ impl SystemArena {
         }
     }
 
-    /// Returns a system to the pool for the next checkout.
+    /// Returns a system to the pool for the next checkout, in whatever
+    /// state it is in: the checkout resets it.
     pub fn recycle(&mut self, sys: PimSystem) {
         self.systems.push(sys);
     }
@@ -210,6 +215,31 @@ mod tests {
         assert_eq!(sys.pe(PeId(5)).peek(128, 256), vec![0u8; 256]);
         // The recycled PE kept its materialized pages (the whole point).
         assert!(sys.pe(PeId(5)).mram_resident() > 0);
+    }
+
+    #[test]
+    fn checkout_after_recycle_drops_the_fault_plan_and_verification() {
+        use crate::fault::FaultPlan;
+        use std::sync::Arc;
+
+        let geom = DimmGeometry::single_rank();
+        let mut arena = SystemArena::new();
+        let mut sys = arena.system(geom);
+        let plan = Arc::new(FaultPlan::new(3).with_failed_pe(5));
+        plan.begin_epoch();
+        sys.attach_fault_plan(plan);
+        sys.set_verify_writes(true);
+        sys.pe_mut(PeId(5)).write(0, &[0xAB; 64]);
+        assert_eq!(sys.pe(PeId(5)).peek(0, 64), vec![0; 64], "PE 5 is stuck");
+        // Recycled with the storm still attached, as any caller may.
+        arena.recycle(sys);
+
+        let mut sys = arena.system(geom);
+        assert!(sys.fault_plan().is_none(), "checkout kept the fault plan");
+        assert!(!sys.verify_writes(), "checkout kept verification on");
+        sys.pe_mut(PeId(5)).write(0, &[0xAB; 64]);
+        assert_eq!(sys.pe(PeId(5)).peek(0, 64), vec![0xAB; 64]);
+        assert!(sys.pe_mut(PeId(5)).take_corruption().is_none());
     }
 
     #[test]

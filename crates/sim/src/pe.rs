@@ -31,6 +31,8 @@
 //! a scatter of rows padded to a uniform size keeps the padding out of
 //! memory. Never-materialized MRAM reads as zeros, so the two are
 //! indistinguishable to every reader; only [`Pe::mram_resident`] tells.
+//! A reset keeps every page but marks it stale, and a stale page reads as
+//! zeros too until a run touches it (see [`Pe`]).
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -46,8 +48,9 @@ pub const WRAM_BYTES: usize = 64 * 1024;
 pub const MRAM_CAPACITY: usize = 64 * 1024 * 1024;
 
 /// Allocation granule of the paged MRAM backing store: the rounding unit
-/// of zero-on-first-touch materialization. Power of two, [`MRAM_CAPACITY`]
-/// is a multiple of it, and it is deliberately small — segments are
+/// of zero-on-first-touch materialization and of stale marks. Power of
+/// two, [`MRAM_CAPACITY`] is a multiple of it, and it is deliberately
+/// small — segments are
 /// variable-length *runs* of pages, so a dense span still materializes as
 /// one contiguous segment no matter the page size, while a small granule
 /// keeps sparse islands (DLRM embedding shards, small ReduceScatter
@@ -61,10 +64,29 @@ pub const PAGE_BYTES: usize = 4 * 1024;
 /// everything it touches into one segment, so dense streaming converges on
 /// a single extent while sparse access patterns keep small isolated
 /// islands.
+///
+/// A page may be *stale*: allocated, but holding bytes of an earlier run
+/// (or of a zero tail) that must read as zeros. Readers see a stale page
+/// as zeros without touching it; a mutable access zeroes the stale pages
+/// it reaches first, and a landing that overwrites a whole page just
+/// claims it.
 #[derive(Debug, Clone)]
 struct Segment {
     start: usize,
     data: Vec<u8>,
+    /// One bit per page, set while the page is stale; empty when no page
+    /// is, which keeps the check on a fresh segment one branch.
+    stale: Vec<u64>,
+}
+
+/// The words of a page bitmap that the pages `p` fall in, each with the
+/// mask of the bits of `p` in it.
+fn page_words(p: Range<usize>) -> impl Iterator<Item = (usize, u64)> {
+    (p.start / 64..p.end.div_ceil(64)).map(move |w| {
+        let lo = p.start.max(w * 64) - w * 64;
+        let hi = p.end.min(w * 64 + 64) - w * 64;
+        (w, (u64::MAX >> (64 - hi)) & (u64::MAX << lo))
+    })
 }
 
 impl Segment {
@@ -80,6 +102,117 @@ impl Segment {
     fn span_mut(&mut self, r: Range<usize>) -> &mut [u8] {
         &mut self.data[r.start - self.start..r.end - self.start]
     }
+
+    /// Indices of the pages MRAM range `r` reaches.
+    fn pages(&self, r: Range<usize>) -> Range<usize> {
+        if r.is_empty() {
+            return 0..0;
+        }
+        (r.start - self.start) / PAGE_BYTES..(r.end - self.start).div_ceil(PAGE_BYTES)
+    }
+
+    /// Splits MRAM range `r` into the pages it covers whole and its bytes
+    /// on the (at most two) pages it cuts.
+    fn split(&self, r: Range<usize>) -> (Range<usize>, [Range<usize>; 2]) {
+        let first = (r.start - self.start).div_ceil(PAGE_BYTES);
+        let last = ((r.end - self.start) / PAGE_BYTES).max(first);
+        let lo = self.start + first * PAGE_BYTES;
+        let hi = self.start + last * PAGE_BYTES;
+        (
+            first..last,
+            [r.start..lo.min(r.end), hi.max(r.start)..r.end],
+        )
+    }
+
+    /// Whether any page `r` reaches is stale.
+    #[inline]
+    fn any_stale(&self, r: Range<usize>) -> bool {
+        !self.stale.is_empty()
+            && page_words(self.pages(r)).any(|(w, mask)| self.stale[w] & mask != 0)
+    }
+
+    fn is_stale(&self, page: usize) -> bool {
+        self.stale
+            .get(page / 64)
+            .is_some_and(|w| w & (1 << (page % 64)) != 0)
+    }
+
+    /// Marks `pages` stale, or unmarks them without zeroing them.
+    fn mark(&mut self, pages: Range<usize>, stale: bool) {
+        if stale {
+            let words = (self.data.len() / PAGE_BYTES).div_ceil(64);
+            self.stale.resize(words, 0);
+            for (w, mask) in page_words(pages) {
+                self.stale[w] |= mask;
+            }
+        } else if !self.stale.is_empty() {
+            for (w, mask) in page_words(pages) {
+                self.stale[w] &= !mask;
+            }
+            if self.stale.iter().all(|&w| w == 0) {
+                self.stale.clear();
+            }
+        }
+    }
+
+    /// Zeroes the stale pages MRAM range `r` reaches and unmarks them: what
+    /// a mutable access does before it hands out the bytes.
+    #[inline]
+    fn freshen(&mut self, r: Range<usize>) {
+        if self.any_stale(r.clone()) {
+            let pages = self.pages(r);
+            for p in pages.clone() {
+                if self.is_stale(p) {
+                    self.data[p * PAGE_BYTES..][..PAGE_BYTES].fill(0);
+                }
+            }
+            self.mark(pages, false);
+        }
+    }
+
+    /// Unmarks the pages MRAM range `r` covers whole without zeroing them,
+    /// for a landing that overwrites all of `r`. The pages it cuts stay
+    /// marked, for the landing's window to freshen.
+    #[inline]
+    fn claim(&mut self, r: Range<usize>) {
+        if !self.stale.is_empty() && !r.is_empty() {
+            self.mark(self.split(r).0, false);
+        }
+    }
+
+    /// Makes MRAM range `r` read as zeros: the pages inside it are marked
+    /// stale, its bytes on a page it cuts are zero-filled (unless the page
+    /// is stale already).
+    fn zero(&mut self, r: Range<usize>) {
+        let (inner, cuts) = self.split(r);
+        for cut in cuts {
+            if !cut.is_empty() && !self.is_stale((cut.start - self.start) / PAGE_BYTES) {
+                self.span_mut(cut).fill(0);
+            }
+        }
+        if !inner.is_empty() {
+            self.mark(inner, true);
+        }
+    }
+
+    /// Copies MRAM range `r` into `dst`, zeros for the stale pages.
+    fn copy_out(&self, r: Range<usize>, dst: &mut [u8]) {
+        if !self.any_stale(r.clone()) {
+            dst.copy_from_slice(self.span(r));
+            return;
+        }
+        let mut at = r.start;
+        while at < r.end {
+            let hi = ((at | (PAGE_BYTES - 1)) + 1).min(r.end);
+            let out = &mut dst[at - r.start..hi - r.start];
+            if self.is_stale((at - self.start) / PAGE_BYTES) {
+                out.fill(0);
+            } else {
+                out.copy_from_slice(self.span(at..hi));
+            }
+            at = hi;
+        }
+    }
 }
 
 /// One processing element and its bank.
@@ -92,6 +225,16 @@ impl Segment {
 /// observe zeros, like freshly initialized DRAM in the functional model —
 /// which is also why a one-row landing's zero tail needs no pages (see
 /// [`Pe::write`]).
+///
+/// A materialized page can also be *stale*: [`Pe::reset`] marks every
+/// page so, and a zero tail marks the whole pages it covers. A stale page
+/// reads as zeros, exactly like an unmaterialized one, through every
+/// `&self` reader ([`Pe::peek_into`], [`Pe::read_window`], the source of
+/// [`Pe::window_pair`]; [`Pe::try_slice`] declines it). Every mutable
+/// access zeroes the stale pages it reaches before handing out bytes, and
+/// a direct-lane [`Pe::write`] claims the pages its row covers whole
+/// without zeroing them, so zeroing costs what a run touches, not what
+/// the PE has ever held.
 ///
 /// Accesses that stay inside one materialized segment borrow it directly
 /// (the contiguous-extent fast path: dense streaming loops still get
@@ -146,11 +289,11 @@ fn seg_covering(segs: &[Segment], offset: usize, len: usize) -> Option<usize> {
 }
 
 /// Copies the bytes at `offset` into `dst`, reading zeros wherever no
-/// segment is materialized.
+/// segment is materialized or a page is stale.
 fn peek_segs(segs: &[Segment], offset: usize, dst: &mut [u8]) {
     let end = offset + dst.len();
     if let Some(i) = seg_covering(segs, offset, dst.len()) {
-        dst.copy_from_slice(segs[i].span(offset..end));
+        segs[i].copy_out(offset..end, dst);
         return;
     }
     dst.fill(0);
@@ -159,15 +302,15 @@ fn peek_segs(segs: &[Segment], offset: usize, dst: &mut [u8]) {
         let s = &segs[i];
         let lo = s.start.max(offset);
         let hi = s.end().min(end);
-        dst[lo - offset..hi - offset].copy_from_slice(s.span(lo..hi));
+        s.copy_out(lo..hi, &mut dst[lo - offset..hi - offset]);
         i += 1;
     }
 }
 
 /// A resolved read-only view of one MRAM region: the materialized bytes
-/// themselves when one segment covers the region, otherwise a zero-extended
-/// snapshot (nothing is materialized by reading). Index 0 is the region's
-/// first byte.
+/// themselves when one segment covers the region and no page of it is
+/// stale, otherwise a zero-extended snapshot (nothing is materialized or
+/// freshened by reading). Index 0 is the region's first byte.
 pub type ReadWindow<'a> = Cow<'a, [u8]>;
 
 /// A resolved mutable window over one MRAM region of one PE — capacity
@@ -343,24 +486,31 @@ impl Pe {
     /// Number of MRAM bytes actually materialized (allocated pages): the
     /// pages of every resolved window and read, and of the non-zero bytes
     /// of every one-row landing. For a sparse access pattern — or rows
-    /// padded with zeros — this is far below [`Pe::mram_used`].
+    /// padded with zeros — this is far below [`Pe::mram_used`]. Stale
+    /// pages count: they stay allocated, and a reset keeps every page.
     pub fn mram_resident(&self) -> usize {
         self.segs.iter().map(|s| s.data.len()).sum()
     }
 
     /// Returns the PE to the freshly-initialized all-zero state while
-    /// keeping its allocations — materialized segments are zero-filled in
-    /// place and the reorder scratch keeps its capacity — so a pooled PE
-    /// can be reused across runs without allocator traffic (the
-    /// [`crate::arena::SystemArena`] path). Functionally indistinguishable
-    /// from [`Pe::new`]: every subsequent read observes zeros and
-    /// [`Pe::mram_used`] restarts at 0. Only [`Pe::mram_resident`] betrays
-    /// the recycling, which no modeled cost depends on.
+    /// keeping its allocations, so a pooled PE can be reused across runs
+    /// without allocator traffic (the [`crate::arena::SystemArena`] path).
+    /// Nothing is zero-filled: every materialized page is marked stale —
+    /// one bit per page — and reads as zeros until the next run touches
+    /// it, so a reset costs a bit per page and the next run pays to zero
+    /// only the pages it reaches. The fault plan and verification are
+    /// dropped and the reorder scratch keeps its capacity. Functionally
+    /// indistinguishable from [`Pe::new`]: every subsequent read observes
+    /// zeros and [`Pe::mram_used`] restarts at 0. Only
+    /// [`Pe::mram_resident`] betrays the recycling, which no modeled cost
+    /// depends on.
     pub fn reset(&mut self) {
         for s in &mut self.segs {
-            s.data.fill(0);
+            s.mark(0..s.data.len() / PAGE_BYTES, true);
         }
         self.extent = 0;
+        self.fault = None;
+        self.verify = false;
         self.corruption = None;
     }
 
@@ -370,7 +520,9 @@ impl Pe {
     /// abuts*: folding in adjacent segments is what lets sequential
     /// streaming — even when individual writes land exactly on page
     /// boundaries — converge to one contiguous segment instead of one
-    /// segment per page.
+    /// segment per page. A folded segment's stale pages fold in as zeros;
+    /// the segment grown in place keeps its marks, and the caller freshens
+    /// or claims what it is about to touch.
     fn ensure_span(&mut self, offset: usize, len: usize) -> usize {
         debug_assert!(len > 0);
         let p0 = offset & !(PAGE_BYTES - 1);
@@ -402,9 +554,16 @@ impl Pe {
             // fold in the rest.
             let seg = &mut self.segs[i];
             seg.data.resize(new_end - new_start, 0);
+            if !seg.stale.is_empty() {
+                seg.stale
+                    .resize((seg.data.len() / PAGE_BYTES).div_ceil(64), 0);
+            }
             for s in self.segs.drain(i + 1..k).collect::<Vec<_>>() {
                 let at = s.start - new_start;
-                self.segs[i].data[at..at + s.data.len()].copy_from_slice(&s.data);
+                s.copy_out(
+                    s.start..s.end(),
+                    &mut self.segs[i].data[at..at + s.data.len()],
+                );
             }
         } else {
             // Fresh segment: exact-sized, no reserve-hint capacity — a
@@ -413,28 +572,31 @@ impl Pe {
             let mut data = vec![0u8; new_end - new_start];
             for s in self.segs.drain(i..k) {
                 let at = s.start - new_start;
-                data[at..at + s.data.len()].copy_from_slice(&s.data);
+                s.copy_out(s.start..s.end(), &mut data[at..at + s.data.len()]);
             }
             self.segs.insert(
                 i,
                 Segment {
                     start: new_start,
                     data,
+                    stale: Vec::new(),
                 },
             );
         }
         i
     }
 
-    /// Reads `len` bytes at `offset`.
+    /// Reads `len` bytes at `offset`, materializing their pages (stale
+    /// ones zeroed) so the bytes can be borrowed.
     pub fn read(&mut self, offset: usize, len: usize) -> &[u8] {
         self.extent = self.extent.max(check_capacity(offset, len));
         if len == 0 {
             return &[];
         }
         let i = self.ensure_span(offset, len);
-        let s = &self.segs[i];
-        &s.data[offset - s.start..offset - s.start + len]
+        let s = &mut self.segs[i];
+        s.freshen(offset..offset + len);
+        s.span(offset..offset + len)
     }
 
     /// Copies `len` bytes at `offset` into `dst`.
@@ -466,16 +628,17 @@ impl Pe {
     }
 
     /// Borrows `len` bytes at `offset` if the region is already
-    /// materialized in one segment, `None` otherwise. Zero-copy fast path
-    /// for readers that can fall back to [`Pe::peek_into`].
+    /// materialized in one segment and reaches no stale page, `None`
+    /// otherwise. Zero-copy fast path for readers that can fall back to
+    /// [`Pe::peek_into`].
     ///
     /// # Panics
     ///
     /// Panics if the region would exceed [`MRAM_CAPACITY`].
     pub fn try_slice(&self, offset: usize, len: usize) -> Option<&[u8]> {
         check_capacity(offset, len);
-        let i = seg_covering(&self.segs, offset, len)?;
-        Some(self.segs[i].span(offset..offset + len))
+        let s = &self.segs[seg_covering(&self.segs, offset, len)?];
+        (!s.any_stale(offset..offset + len)).then(|| s.span(offset..offset + len))
     }
 
     /// Resolves a [`ReadWindow`] over `[offset, offset + len)` without
@@ -496,12 +659,17 @@ impl Pe {
     /// transport that is not already streaming through a longer-lived
     /// window (burst lanes, row transfers, host scatters).
     ///
-    /// A row no one segment covers yet, with no fault plan attached, lands
-    /// only its non-zero prefix: its zero tail is zero-filled where pages
-    /// exist and left unmaterialized (reading as zeros) elsewhere. Bytes,
-    /// extent and verification are those of the whole row; only
-    /// [`Pe::mram_resident`] is smaller. A fault plan draws by the
-    /// landing's `(pe, offset, len)`, so under one the whole row lands.
+    /// With no fault plan attached the row overwrites everything it
+    /// covers, so the stale pages it covers whole are claimed without
+    /// being zeroed. A row no one segment covers yet lands only its
+    /// non-zero prefix: its zero tail is left unmaterialized (reading as
+    /// zeros) where no pages exist, and where they do, the pages it covers
+    /// whole are marked stale and only the bytes on the pages it cuts are
+    /// zero-filled. Bytes, extent and verification are those of the whole
+    /// row; only [`Pe::mram_resident`] is smaller. A fault plan draws by
+    /// the landing's `(pe, offset, len)`, so under one the whole row lands
+    /// — through a window that zeroes what it covers first, since a stuck
+    /// PE drops the landing.
     ///
     /// # Panics
     ///
@@ -509,7 +677,12 @@ impl Pe {
     #[inline]
     pub fn write(&mut self, offset: usize, src: &[u8]) {
         let end = check_capacity(offset, src.len());
-        if self.fault.is_some() || seg_covering(&self.segs, offset, src.len()).is_some() {
+        if self.fault.is_some() {
+            self.write_window(offset, src.len()).put(offset, src);
+            return;
+        }
+        if let Some(i) = seg_covering(&self.segs, offset, src.len()) {
+            self.segs[i].claim(offset..end);
             self.write_window(offset, src.len()).put(offset, src);
             return;
         }
@@ -520,18 +693,23 @@ impl Pe {
         let head = &src[..src.len().saturating_sub(zeros)];
         let live = head.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
         self.extent = self.extent.max(end);
+        if live > 0 {
+            let i = self.ensure_span(offset, live);
+            self.segs[i].claim(offset..offset + live);
+        }
         self.write_window(offset, live).put(offset, &src[..live]);
         let lo = offset + live;
         let first = self.segs.partition_point(|s| s.end() <= lo);
         for s in self.segs[first..].iter_mut().take_while(|s| s.start < end) {
-            s.span_mut(lo.max(s.start)..end.min(s.end())).fill(0);
+            s.zero(lo.max(s.start)..end.min(s.end()));
         }
     }
 
     /// Resolves a [`WriteWindow`] over `[offset, offset + len)`:
-    /// materializes its pages (zero-filled on first touch) and records the
-    /// extent, like [`Pe::slice_mut`], but hands out the region behind the
-    /// fault layer's hooks instead of as raw bytes.
+    /// materializes its pages (zero-filled on first touch, stale pages
+    /// zeroed) and records the extent, like [`Pe::slice_mut`], but hands
+    /// out the region behind the fault layer's hooks instead of as raw
+    /// bytes.
     ///
     /// # Panics
     ///
@@ -540,7 +718,11 @@ impl Pe {
     pub fn write_window(&mut self, offset: usize, len: usize) -> WriteWindow<'_> {
         self.extent = self.extent.max(check_capacity(offset, len));
         let i = (len > 0).then(|| self.ensure_span(offset, len));
-        let data = i.map(|i| self.segs[i].span_mut(offset..offset + len));
+        let data = i.map(|i| {
+            let s = &mut self.segs[i];
+            s.freshen(offset..offset + len);
+            s.span_mut(offset..offset + len)
+        });
         WriteWindow {
             start: offset,
             data: data.unwrap_or_default(),
@@ -550,9 +732,9 @@ impl Pe {
 
     /// Resolves a [`ReadWindow`] over `src` and a [`WriteWindow`] over
     /// `dst` in one step, so a PE can be source and destination of the
-    /// same streaming loop. The destination is materialized and both
-    /// regions count towards [`Pe::mram_used`]; the source is never
-    /// materialized (see [`Pe::read_window`]).
+    /// same streaming loop. The destination is materialized (its stale
+    /// pages zeroed) and both regions count towards [`Pe::mram_used`]; the
+    /// source is never materialized (see [`Pe::read_window`]).
     ///
     /// # Panics
     ///
@@ -577,7 +759,11 @@ impl Pe {
             corruption,
             ..
         } = self;
-        let si = seg_covering(segs, src.start, src.len());
+        if let Some(i) = di {
+            segs[i].freshen(dst.clone());
+        }
+        let si =
+            seg_covering(segs, src.start, src.len()).filter(|&j| !segs[j].any_stale(src.clone()));
         let (read, data): (ReadWindow, &mut [u8]) = match (si, di) {
             (None, _) => {
                 let mut staged = vec![0u8; src.len()];
@@ -693,7 +879,7 @@ impl Pe {
         }
     }
 
-    /// Mutable view of `len` bytes at `offset`.
+    /// Mutable view of `len` bytes at `offset`, its stale pages zeroed.
     pub fn slice_mut(&mut self, offset: usize, len: usize) -> &mut [u8] {
         self.extent = self.extent.max(check_capacity(offset, len));
         if len == 0 {
@@ -701,8 +887,8 @@ impl Pe {
         }
         let i = self.ensure_span(offset, len);
         let s = &mut self.segs[i];
-        let at = offset - s.start;
-        &mut s.data[at..at + len]
+        s.freshen(offset..offset + len);
+        s.span_mut(offset..offset + len)
     }
 
     /// Debug-only validity check: `perm` must be a permutation of
@@ -743,8 +929,8 @@ impl Pe {
         let i = self.ensure_span(offset, len);
         let Pe { segs, scratch, .. } = self;
         let s = &mut segs[i];
-        let at = offset - s.start;
-        let region = &mut s.data[at..at + len];
+        s.freshen(offset..offset + len);
+        let region = s.span_mut(offset..offset + len);
         scratch.clear();
         scratch.extend_from_slice(region);
         for (dst, &src) in perm.iter().enumerate() {

@@ -166,15 +166,20 @@ impl PimSystem {
     }
 
     /// Returns the system to its post-construction state — every PE
-    /// all-zero ([`Pe::reset`]), the meter cleared — while keeping all
-    /// allocations for reuse. Geometry and time model are unchanged. This
-    /// is what lets a [`crate::arena::SystemArena`] hand the same
-    /// allocation to consecutive benchmark cells with results
-    /// byte-identical to a freshly built system.
+    /// reading all-zero ([`Pe::reset`] marks its pages stale, zeroing
+    /// none), no fault plan attached, write verification off, the meter
+    /// cleared — while keeping all allocations for reuse. Geometry and
+    /// time model are unchanged. This is what lets a
+    /// [`crate::arena::SystemArena`] hand the same allocation to
+    /// consecutive benchmark cells with results byte-identical to a
+    /// freshly built system, at a cost that does not grow with what the
+    /// system has held.
     pub fn reset(&mut self) {
         for pe in &mut self.pes {
             pe.reset();
         }
+        self.fault = None;
+        self.verify = false;
         self.meter = Breakdown::new();
     }
 

@@ -1,0 +1,378 @@
+//! Generated differential test of `Pe` against a flat reference: seeded
+//! sequences of every MRAM operation run on two PEs and on two plain
+//! `Vec<u8>` models, and after every operation the PEs' bytes and
+//! `mram_used` must equal the models'. In the model a reset is a zero
+//! fill, so the test holds the paged store's lazy zeroing — a reset marks
+//! pages stale, a mutable access zeroes what it reaches, a whole-page
+//! landing claims — to the flat semantics.
+//!
+//! Offsets sit on, one byte either side of, and across page boundaries,
+//! and on islands far apart that later accesses merge; after a reset
+//! every page is stale, so unaligned accesses cut stale pages.
+//!
+//! `PIDCOMM_CHAOS_SEED` overrides the base seed.
+
+use std::sync::Arc;
+
+use pim_sim::fault::{FaultCtx, FaultPlan};
+use pim_sim::pe::{Pe, PAGE_BYTES};
+use pim_sim::testgen::SplitMix64;
+
+/// Pages the models span: room for islands several pages apart.
+const PAGES: usize = 40;
+const SPAN: usize = PAGES * PAGE_BYTES;
+const OPS: usize = 400;
+
+fn base_seed() -> u64 {
+    std::env::var("PIDCOMM_CHAOS_SEED")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0x5EED)
+}
+
+/// One PE and its flat reference.
+struct Twin {
+    pe: Pe,
+    model: Vec<u8>,
+    used: usize,
+}
+
+impl Twin {
+    fn new() -> Self {
+        Twin {
+            pe: Pe::new(),
+            model: vec![0; SPAN],
+            used: 0,
+        }
+    }
+
+    fn touch(&mut self, r: std::ops::Range<usize>) {
+        self.used = self.used.max(r.end);
+    }
+
+    fn check(&self, what: &str) {
+        assert_eq!(self.pe.mram_used(), self.used, "{what}: mram_used");
+        same(what, 0, &self.pe.peek(0, SPAN), &self.model);
+    }
+}
+
+/// Asserts that the bytes read at MRAM offset `at` are the model's,
+/// naming the first that is not.
+fn same(what: &str, at: usize, got: &[u8], want: &[u8]) {
+    if got == want {
+        return;
+    }
+    let i = (0..got.len())
+        .find(|&i| got[i] != want[i])
+        .unwrap_or(got.len());
+    let byte = at + i;
+    panic!(
+        "{what}: byte {byte} (page {}, +{}) reads {:?}, model {:?}",
+        byte / PAGE_BYTES,
+        byte % PAGE_BYTES,
+        got.get(i),
+        want.get(i)
+    );
+}
+
+/// A draw of offsets and lengths biased to the page structure.
+struct Gen(SplitMix64);
+
+impl Gen {
+    fn below(&mut self, n: usize) -> usize {
+        (self.0.next_u64() % n as u64) as usize
+    }
+
+    fn len(&mut self) -> usize {
+        match self.below(6) {
+            0 => 1 + self.below(16),
+            1 => PAGE_BYTES - 1 + self.below(3),
+            2 => 2 * PAGE_BYTES + self.below(3) * PAGE_BYTES / 2,
+            3 => 8 * (1 + self.below(64)),
+            _ => 1 + self.below(4 * PAGE_BYTES),
+        }
+    }
+
+    /// An offset at which `len` bytes fit in the models: on a page
+    /// boundary, one byte either side of it, or anywhere; the page is one
+    /// of three islands far apart or any page.
+    fn offset(&mut self, len: usize) -> usize {
+        let page = match self.below(4) {
+            0 => 1,
+            1 => 14,
+            2 => 30,
+            _ => self.below(PAGES),
+        };
+        let at = match self.below(4) {
+            0 => page * PAGE_BYTES,
+            1 => (page * PAGE_BYTES).saturating_sub(1),
+            2 => page * PAGE_BYTES + 1,
+            _ => page * PAGE_BYTES + self.below(PAGE_BYTES),
+        };
+        at.min(SPAN - len)
+    }
+
+    /// Two disjoint ranges of `len` bytes.
+    fn disjoint(&mut self, len: usize) -> (usize, usize) {
+        loop {
+            let (a, b) = (self.offset(len), self.offset(len));
+            if a + len <= b || b + len <= a {
+                return (a, b);
+            }
+        }
+    }
+
+    /// A row of `len` bytes: dense, zero-tailed, or all zeros.
+    fn row(&mut self, len: usize) -> Vec<u8> {
+        let mut row = self.0.bytes(len);
+        let live = match self.below(3) {
+            0 => len,
+            1 => self.below(len + 1),
+            _ => 0,
+        };
+        row[live..].fill(0);
+        row
+    }
+
+    /// A block size for the reorder kernels.
+    fn pick_block(&mut self) -> usize {
+        self.0.pick(&[1, 8, 24, 64, 520, PAGE_BYTES])
+    }
+
+    fn perm(&mut self, n: usize) -> Vec<usize> {
+        let mut p: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            p.swap(i, self.below(i + 1));
+        }
+        p
+    }
+}
+
+/// Runs one random operation on `pes[0]` (reading `pes[1]` where it
+/// takes a second PE) and the same operation on the models. Returns its
+/// name.
+fn step(g: &mut Gen, pes: &mut [Twin; 2]) -> &'static str {
+    let [t, other] = pes;
+    match g.below(17) {
+        0 | 1 => {
+            let len = g.len();
+            let at = g.offset(len);
+            let row = g.row(len);
+            t.pe.write(at, &row);
+            t.model[at..at + len].copy_from_slice(&row);
+            t.touch(at..at + len);
+            "write"
+        }
+        2 => {
+            // A window over a region, a few partial puts inside it.
+            let len = g.len();
+            let at = g.offset(len);
+            let mut w = t.pe.write_window(at, len);
+            for _ in 0..1 + g.below(3) {
+                let n = 1 + g.below(len);
+                let o = at + g.below(len - n + 1);
+                let bytes = g.0.bytes(n);
+                w.put(o, &bytes);
+                t.model[o..o + n].copy_from_slice(&bytes);
+            }
+            t.touch(at..at + len);
+            "write_window + put"
+        }
+        3 => {
+            let chunk = 8;
+            let pieces = 1 + g.below(2 * PAGE_BYTES / chunk);
+            let len = pieces * chunk + g.below(2) * PAGE_BYTES;
+            let at = g.offset(len);
+            let run_at = at + g.below(len - pieces * chunk + 1);
+            let bytes = g.0.bytes(pieces * chunk);
+            let order = g.perm(pieces);
+            t.pe.write_window(at, len)
+                .put_run(run_at, &bytes, chunk, order);
+            t.model[run_at..run_at + bytes.len()].copy_from_slice(&bytes);
+            t.touch(at..at + len);
+            "write_window + put_run"
+        }
+        4 => {
+            let len = g.len();
+            let (src, dst) = g.disjoint(len);
+            let (read, mut write) = t.pe.window_pair(src..src + len, dst..dst + len);
+            write.put(dst, &read);
+            t.model.copy_within(src..src + len, dst);
+            t.touch(src..src + len);
+            t.touch(dst..dst + len);
+            "window_pair"
+        }
+        5 => {
+            let len = g.len();
+            let at = g.offset(len);
+            let n = 1 + g.below(len);
+            let o = g.below(len - n + 1);
+            let bytes = g.0.bytes(n);
+            t.pe.slice_mut(at, len)[o..o + n].copy_from_slice(&bytes);
+            t.model[at + o..at + o + n].copy_from_slice(&bytes);
+            t.touch(at..at + len);
+            "slice_mut"
+        }
+        6 => {
+            let block = g.pick_block();
+            let count = 1 + g.below(3 * PAGE_BYTES / block);
+            let at = g.offset(block * count);
+            let perm = g.perm(count);
+            t.pe.permute_blocks(at, block, count, &perm);
+            let old = t.model[at..at + block * count].to_vec();
+            for (d, &s) in perm.iter().enumerate() {
+                t.model[at + d * block..][..block].copy_from_slice(&old[s * block..][..block]);
+            }
+            t.touch(at..at + block * count);
+            "permute_blocks"
+        }
+        7 => {
+            let block = g.pick_block();
+            let part = 1 + g.below(8);
+            let count = part * (1 + g.below(2 * PAGE_BYTES / (block * part) + 1));
+            let rot = g.below(part);
+            let at = g.offset(block * count);
+            t.pe.rotate_parts(at, block, part, count, rot);
+            for p in t.model[at..at + block * count].chunks_exact_mut(part * block) {
+                p.rotate_left(rot * block);
+            }
+            t.touch(at..at + block * count);
+            "rotate_parts"
+        }
+        8 => {
+            let (blocks, rows, row_bytes) = (1 + g.below(4), 1 + g.below(8), 1 + g.below(600));
+            let len = blocks * rows * row_bytes;
+            let (src, dst) = g.disjoint(len);
+            t.pe.interleave_blocks(src, dst, blocks, rows, row_bytes);
+            let old = t.model[src..src + len].to_vec();
+            for r in 0..rows {
+                for b in 0..blocks {
+                    let from = b * rows * row_bytes + r * row_bytes;
+                    let to = dst + r * blocks * row_bytes + b * row_bytes;
+                    t.model[to..to + row_bytes].copy_from_slice(&old[from..from + row_bytes]);
+                }
+            }
+            t.touch(src..src + len);
+            t.touch(dst..dst + len);
+            "interleave_blocks"
+        }
+        9 => {
+            let len = g.len();
+            let (src, dst) = g.disjoint(len);
+            t.pe.copy_within_region(src, dst, len);
+            t.model.copy_within(src..src + len, dst);
+            t.touch(src..src + len);
+            t.touch(dst..dst + len);
+            "copy_within_region"
+        }
+        10 => {
+            let len = g.len();
+            let (src, dst) = (g.offset(len), g.offset(len));
+            t.pe.copy_from(dst, &other.pe, src, len);
+            t.model[dst..dst + len].copy_from_slice(&other.model[src..src + len]);
+            t.touch(dst..dst + len);
+            "copy_from"
+        }
+        11 => {
+            let len = g.len();
+            let at = g.offset(len);
+            let want = &t.model[at..at + len];
+            same("peek", at, &t.pe.peek(at, len), want);
+            if let Some(s) = t.pe.try_slice(at, len) {
+                same("try_slice", at, s, want);
+            }
+            same("read_window", at, &t.pe.read_window(at, len), want);
+            "peek / try_slice / read_window"
+        }
+        12 | 13 => {
+            let len = g.len();
+            let at = g.offset(len);
+            same("read", at, t.pe.read(at, len), &t.model[at..at + len]);
+            t.touch(at..at + len);
+            "read"
+        }
+        14 => {
+            t.pe.reset();
+            t.model.fill(0);
+            t.used = 0;
+            "reset"
+        }
+        _ => {
+            // Swap the roles, so both PEs take every operation.
+            std::mem::swap(t, other);
+            "swap"
+        }
+    }
+}
+
+#[test]
+fn pe_matches_a_flat_model_under_generated_operations() {
+    let base = base_seed();
+    for seed in base..base + 8 {
+        let mut g = Gen(SplitMix64::new(seed));
+        let mut pes = [Twin::new(), Twin::new()];
+        for i in 0..OPS {
+            let what = step(&mut g, &mut pes);
+            for (p, t) in pes.iter().enumerate() {
+                t.check(&format!("seed {seed} op {i} ({what}), PE {p}"));
+            }
+        }
+    }
+}
+
+#[test]
+fn a_stuck_landing_over_stale_pages_reads_zeros() {
+    let base = base_seed();
+    let mut g = Gen(SplitMix64::new(base));
+    for _ in 0..64 {
+        let len = g.len();
+        let at = g.offset(len);
+        // Old bytes over the region and around it, then a reset: every
+        // page the landing reaches is stale.
+        let mut pe = Pe::new();
+        pe.write(0, &vec![0xEE; SPAN]);
+        pe.reset();
+        let plan = Arc::new(FaultPlan::new(base).with_failed_pe(2));
+        plan.begin_epoch();
+        pe.set_fault_ctx(Some(FaultCtx::new(2, plan)));
+        pe.set_verify(true);
+        let row: Vec<u8> = g.0.bytes(len).iter().map(|b| b | 1).collect();
+        if g.below(2) == 0 {
+            pe.write(at, &row);
+        } else {
+            pe.write_window(at, len).put(at, &row);
+        }
+        same(
+            &format!("{len} B at {at}"),
+            0,
+            &pe.peek(0, SPAN),
+            &[0; SPAN],
+        );
+        assert_eq!(pe.mram_used(), at + len);
+        let event = pe.take_corruption().expect("a dropped landing is detected");
+        assert_eq!((event.offset, event.len), (at, len));
+    }
+}
+
+#[test]
+fn a_segment_grown_past_a_bitmap_word_keeps_its_marks() {
+    // One stale page, then a landing that grows its segment in place to
+    // 66 pages, past the 64 pages one bitmap word holds; its last page is
+    // cut, so it is freshened, not claimed.
+    let mut pe = Pe::new();
+    pe.write(0, &[0xEE; PAGE_BYTES]);
+    pe.reset();
+    let row = vec![0x5A; 64 * PAGE_BYTES + 8];
+    pe.write(PAGE_BYTES, &row);
+    assert_eq!(pe.mram_resident(), 66 * PAGE_BYTES, "one segment, grown");
+    same("page 0", 0, &pe.peek(0, PAGE_BYTES), &[0; PAGE_BYTES]);
+    same("the row", PAGE_BYTES, &pe.peek(PAGE_BYTES, row.len()), &row);
+    let tail = 65 * PAGE_BYTES + 8;
+    same(
+        "its cut page",
+        tail,
+        &pe.peek(tail, PAGE_BYTES - 8),
+        &[0; PAGE_BYTES - 8],
+    );
+    assert!(pe.try_slice(PAGE_BYTES, row.len()).is_some());
+}
