@@ -146,8 +146,9 @@ fn tile_shapes_match(opt: OptLevel, parts: &[usize]) {
                 // The engine resolves windows, which materialize their whole
                 // destination; the reference lands rows one by one, which
                 // materialize only the pages their non-zero bytes reach. So
-                // every page the reference holds, the engine holds too.
-                let held = |pe: &Pe, page| pe.try_slice(page, PAGE_BYTES).is_some();
+                // every page the reference holds, the engine holds too —
+                // stale pages (a zero tail's) included.
+                let held = |pe: &Pe, page| pe.mram_resident_in(page, PAGE_BYTES) > 0;
                 for pe in geom.pes() {
                     let (a, r) = (sys.pe(pe), reference.pe(pe));
                     assert_eq!(a.mram_used(), r.mram_used(), "{what}: {pe} mram_used");

@@ -77,6 +77,9 @@ struct Segment {
     /// One bit per page, set while the page is stale; empty when no page
     /// is, which keeps the check on a fresh segment one branch.
     stale: Vec<u64>,
+    /// How many bits of `stale` are set, so unmarking knows when the
+    /// bitmap empties without scanning it.
+    stale_pages: usize,
 }
 
 /// The words of a page bitmap that the pages `p` fall in, each with the
@@ -139,17 +142,22 @@ impl Segment {
 
     /// Marks `pages` stale, or unmarks them without zeroing them.
     fn mark(&mut self, pages: Range<usize>, stale: bool) {
+        if pages.is_empty() {
+            return;
+        }
         if stale {
             let words = (self.data.len() / PAGE_BYTES).div_ceil(64);
             self.stale.resize(words, 0);
             for (w, mask) in page_words(pages) {
+                self.stale_pages += (mask & !self.stale[w]).count_ones() as usize;
                 self.stale[w] |= mask;
             }
         } else if !self.stale.is_empty() {
             for (w, mask) in page_words(pages) {
+                self.stale_pages -= (mask & self.stale[w]).count_ones() as usize;
                 self.stale[w] &= !mask;
             }
-            if self.stale.iter().all(|&w| w == 0) {
+            if self.stale_pages == 0 {
                 self.stale.clear();
             }
         }
@@ -190,9 +198,7 @@ impl Segment {
                 self.span_mut(cut).fill(0);
             }
         }
-        if !inner.is_empty() {
-            self.mark(inner, true);
-        }
+        self.mark(inner, true);
     }
 
     /// Copies MRAM range `r` into `dst`, zeros for the stale pages.
@@ -492,6 +498,22 @@ impl Pe {
         self.segs.iter().map(|s| s.data.len()).sum()
     }
 
+    /// The bytes of `[offset, offset + len)` that [`Pe::mram_resident`]
+    /// counts: materialized ones, stale or not. Unlike
+    /// [`Pe::try_slice`], which declines a stale page, a reset does not
+    /// change it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region would exceed [`MRAM_CAPACITY`].
+    pub fn mram_resident_in(&self, offset: usize, len: usize) -> usize {
+        let end = check_capacity(offset, len);
+        self.segs
+            .iter()
+            .map(|s| s.end().min(end).saturating_sub(s.start.max(offset)))
+            .sum()
+    }
+
     /// Returns the PE to the freshly-initialized all-zero state while
     /// keeping its allocations, so a pooled PE can be reused across runs
     /// without allocator traffic (the [`crate::arena::SystemArena`] path).
@@ -580,6 +602,7 @@ impl Pe {
                     start: new_start,
                     data,
                     stale: Vec::new(),
+                    stale_pages: 0,
                 },
             );
         }
@@ -1298,7 +1321,12 @@ mod tests {
         pe.write(64, &row);
         assert_eq!(pe.mram_used(), 64 + 3 * PAGE_BYTES);
         assert_eq!(pe.mram_resident(), 2 * PAGE_BYTES);
+        assert_eq!(pe.mram_resident_in(PAGE_BYTES, 2 * PAGE_BYTES), PAGE_BYTES);
         assert_eq!(pe.peek(64, row.len()), row);
+        // A reset keeps the pages, which still count, though stale.
+        pe.reset();
+        assert!(pe.try_slice(0, PAGE_BYTES).is_none());
+        assert_eq!(pe.mram_resident_in(8, 3 * PAGE_BYTES), 2 * PAGE_BYTES - 8);
 
         // All zeros: nothing at all, however long the row.
         let mut pe = Pe::new();
