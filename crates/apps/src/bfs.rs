@@ -16,10 +16,11 @@
 
 use std::sync::Arc;
 
-use pidcomm::{par_chunks, par_pes_with, BufferSpec, DimMask, OptLevel, Primitive, RunPolicy};
+use pidcomm::{par_pes_with, BufferSpec, DimMask, OptLevel, Primitive, RunPolicy};
 use pidcomm_data::CsrGraph;
 use pim_sim::{kernels, DType, FaultPlan, ReduceKind, SystemArena};
 
+use crate::adjacency::{self, AdjacencyRows};
 use crate::cost::{pe_kernel_ns, CpuModel};
 use crate::driver::{drive, geometry, mismatches, validated, Run, Setup, Verdict};
 use crate::profile::AppProfile;
@@ -68,9 +69,11 @@ fn cpu_reference(graph: &CsrGraph, source: u32) -> (Vec<u32>, f64) {
     (dist, time)
 }
 
-/// Dataset-scale compensation for kernel charges (see EXPERIMENTS.md):
-/// the harness graphs are far below LiveJournal scale, and per-level
-/// expansion work shrinks faster than the visited-bitmap traffic.
+/// Dataset-scale compensation for kernel charges: the harness graphs are
+/// far below LiveJournal scale, and per-level expansion work shrinks
+/// faster than the visited-bitmap traffic. The factor dates from the
+/// first commit and no fit of it was ever recorded; deriving it from the
+/// paper's anchors is ROADMAP item 3.
 const KERNEL_SCALE: f64 = 4.0;
 
 /// Picks a well-connected source (the max-out-degree vertex).
@@ -176,19 +179,7 @@ pub fn run_bfs_resilient_in(
     let bitmap_bytes = n.div_ceil(8).next_multiple_of(8 * p);
     // Adjacency partitions: PE p gets the CSR rows of its owned vertex
     // range, padded to a uniform size.
-    let slice_bytes = {
-        let max_bytes = (0..p)
-            .map(|pe| {
-                let lo = pe * per_pe;
-                let hi = ((pe + 1) * per_pe).min(n);
-                (lo..hi)
-                    .map(|v| 4 + 4 * graph.degree(v as u32))
-                    .sum::<usize>()
-            })
-            .max()
-            .unwrap_or(0);
-        max_bytes.next_multiple_of(8).max(8)
-    };
+    let slice_bytes = adjacency::row_bytes(graph, p);
     let bitmap_src = slice_bytes.next_multiple_of(64);
     let bitmap_dst = bitmap_src + bitmap_bytes.next_multiple_of(64);
     let dist_bytes = (per_pe * 4).next_multiple_of(8);
@@ -228,32 +219,18 @@ pub fn run_bfs_resilient_in(
         )?;
 
         // Setup: scatter the adjacency partitions. A one-shot send, so it
-        // executes directly — the direct path assembles rows through a
-        // cache-hot per-cluster scratch as it writes, which beats
-        // materializing a prepared image that would execute only once.
-        // Padding to the largest partition makes a skewed graph's image
-        // mostly zeros: a lazily zeroed allocation written only where the
-        // CSR bytes go maps no memory for them, and neither does MRAM for
-        // the zero tails of the rows (`Pe::write`).
-        let mut adj_host = vec![0u8; p * slice_bytes];
-        par_chunks(&mut adj_host, slice_bytes, cfg.threads, |pe, chunk| {
-            let mut off = 0;
-            let lo = pe * per_pe;
-            let hi = ((pe + 1) * per_pe).min(n);
-            for v in lo..hi {
-                let nbrs = graph.neighbors(v as u32);
-                chunk[off..off + 4].copy_from_slice(&(nbrs.len() as u32).to_le_bytes());
-                off += 4;
-                for &t in nbrs {
-                    chunk[off..off + 4].copy_from_slice(&t.to_le_bytes());
-                    off += 4;
-                }
-            }
-        });
+        // executes directly, encoding each PE's row into the send's block
+        // as it lands. Padding to the largest partition makes a skewed
+        // graph's rows mostly zeros: no padded image is built, and MRAM
+        // materializes none of the rows' zero tails (`Pe::write`).
+        let rows = AdjacencyRows {
+            graph,
+            pes: p,
+            row_bytes: slice_bytes,
+        };
         let scattered = run.step(&[], |sys, at| {
-            at.collective(sys, &scatter_plan, Some(&core::slice::from_ref(&adj_host)))
+            at.collective(sys, &scatter_plan, Some(&rows))
         });
-        drop(adj_host);
         run.profile.record(&scattered?.report);
 
         // Host-side mirrors of the distributed state (each PE holds the

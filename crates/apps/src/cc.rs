@@ -21,6 +21,7 @@ use pidcomm::{par_pes, BufferSpec, DimMask, OptLevel, Primitive, RunPolicy};
 use pidcomm_data::CsrGraph;
 use pim_sim::{kernels, DType, FaultPlan, ReduceKind, SystemArena};
 
+use crate::adjacency::{self, ZeroRows};
 use crate::cost::{pe_kernel_ns, CpuModel};
 use crate::driver::{drive, geometry, mismatches, validated, Run, Setup, Verdict};
 use crate::profile::AppProfile;
@@ -91,9 +92,10 @@ fn cpu_reference(graph: &CsrGraph) -> (Vec<u32>, f64) {
     (labels, time)
 }
 
-/// Dataset-scale compensation for kernel charges (see EXPERIMENTS.md),
-/// analogous to BFS but smaller: CC is the paper's most
-/// communication-dominated benchmark.
+/// Dataset-scale compensation for kernel charges, analogous to BFS but
+/// smaller: CC is the paper's most communication-dominated benchmark. The
+/// factor dates from the first commit and no fit of it was ever
+/// recorded; deriving it from the paper's anchors is ROADMAP item 3.
 const KERNEL_SCALE: f64 = 1.5;
 
 /// Number of distinct components in a label array.
@@ -212,19 +214,7 @@ pub fn run_cc_resilient_in(
     // is filled with u32::MAX, the Min identity.
     let label_bytes = (n * 4).next_multiple_of(8 * p);
     // Adjacency slices (same layout as BFS).
-    let slice_bytes = {
-        let max_bytes = (0..p)
-            .map(|pe| {
-                let lo = pe * per_pe;
-                let hi = ((pe + 1) * per_pe).min(n);
-                (lo..hi)
-                    .map(|v| 4 + 4 * graph.degree(v as u32))
-                    .sum::<usize>()
-            })
-            .max()
-            .unwrap_or(0);
-        max_bytes.next_multiple_of(8).max(8)
-    };
+    let slice_bytes = adjacency::row_bytes(&graph, p);
     let src_off = slice_bytes.next_multiple_of(64);
     let dst_off = src_off + label_bytes.next_multiple_of(64);
 
@@ -261,14 +251,14 @@ pub fn run_cc_resilient_in(
         // Setup: scatter the adjacency slices — a one-shot send, executed
         // directly (CC's per-iteration win is the label staging
         // elimination below, not a prepared image that would run once).
-        // The kernels read the host graph, so the image carries only the
-        // payload's size: a lazily zeroed allocation that is never written
-        // maps no memory, and its all-zero rows materialize no MRAM.
-        let adj_host = vec![0u8; p * slice_bytes];
+        // The kernels read the host graph, so the send carries only the
+        // payload's size: zero rows, which materialize no MRAM.
+        let rows = ZeroRows {
+            len: p * slice_bytes,
+        };
         let scattered = run.step(&[], |sys, at| {
-            at.collective(sys, &scatter_plan, Some(&core::slice::from_ref(&adj_host)))
+            at.collective(sys, &scatter_plan, Some(&rows))
         });
-        drop(adj_host);
         run.profile.record(&scattered?.report);
 
         let mut labels: Vec<u32> = (0..n as u32).collect();

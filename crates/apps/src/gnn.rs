@@ -88,8 +88,9 @@ fn mat_from_bytes(rows: usize, cols: usize, bytes: &[u8], dtype: DType) -> MatI3
 /// Dataset-scale compensation for kernel charges: the harness graphs and
 /// feature dims are ~10x below PubMed/Reddit scale, and PE compute shrinks
 /// superlinearly (f^2 combination) while communication shrinks linearly in
-/// f. This factor restores the paper's kernel-to-communication ratio
-/// (Fig. 13); see EXPERIMENTS.md.
+/// f. This factor is meant to restore the paper's kernel-to-communication
+/// ratio (Fig. 13); it dates from the first commit and no fit of it was
+/// ever recorded. Deriving it from the paper's anchors is ROADMAP item 3.
 const KERNEL_SCALE: f64 = 6.0;
 
 /// The side of a square `p`-PE grid, if `p` is a perfect square.

@@ -25,6 +25,7 @@
 // fast path belongs in pim_sim, under simlint's unsafe-audit lint.
 #![forbid(unsafe_code)]
 
+mod adjacency;
 pub mod bfs;
 pub mod cc;
 pub mod cost;

@@ -9,9 +9,13 @@
 //! materialized), the host-memory pass produces **one** flat result per
 //! group — the reduced vector for AllReduce / ReduceScatter / Reduce, the
 //! concatenation for AllGather, the transposed image for AlltoAll — and the
-//! push writes each member its share of it, whole or by chunk, one
-//! `Pe::write` per member. Every read of a call finishes before its first
-//! push, so the call sees a snapshot of its sources. The plan's cost sheet
+//! push writes each member its share of it, one `Pe::write` per member. A
+//! reducing pull folds each member into the result as it resolves it. Where
+//! every member's share is the whole result (AllReduce, AllGather) the push
+//! lands it as one image the members share
+//! ([`pim_sim::pe::Pe::write_shared`], one row each where a fault plan
+//! watches). Every read of a call finishes before its first push, so the
+//! call sees a snapshot of its sources. The plan's cost sheet
 //! ([`charge`]) charges the three bottlenecks the paper identifies:
 //! host-memory staging, word-granular modulation and per-byte domain
 //! transfer.
@@ -20,8 +24,11 @@
 //! groups fans out over the executor; pushes stay in group order, keeping
 //! the final MRAM images identical to serial execution.
 
+use std::sync::Arc;
+
+use pim_sim::dtype::{fill_identity, reduce_bytes};
 use pim_sim::geometry::BURST_BYTES;
-use pim_sim::pe::ReadWindow;
+use pim_sim::pe::Landing;
 use pim_sim::PimSystem;
 
 use crate::config::Primitive;
@@ -110,29 +117,46 @@ pub(crate) fn run(sys: &mut PimSystem, plan: &CollectivePlan) -> Option<Vec<Vec<
     // 1. Pull every member's data (domain transfer is automatic in the
     //    conventional driver) and 2. globally rearrange / reduce it in host
     //    memory — pure computation on shared borrows, one task and one
-    //    flat result per group.
+    //    flat result per group. A reducing pull folds each member as it
+    //    resolves it, so a source that cannot be borrowed costs one owned
+    //    copy at a time, not one per member.
     let pes = &*sys;
     let mut groups: Vec<_> = plan.groups.iter().collect();
     let results = par_pes(&mut groups, plan.group_threads, |_, group| {
         let pull = |&pe| pes.pe(pe).read_window(src, b);
-        let inputs: Vec<ReadWindow> = group.members.iter().map(pull).collect();
+        let pulled = || group.members.iter().map(pull).collect::<Vec<_>>();
         match primitive {
-            Primitive::AlltoAll => oracle::alltoall_image(&inputs),
-            Primitive::AllGather => oracle::gather(&inputs),
-            _ => oracle::reduce(&inputs, op, dtype),
+            Primitive::AlltoAll => oracle::alltoall_image(&pulled()),
+            Primitive::AllGather => oracle::gather(&pulled()),
+            _ => {
+                let mut acc = vec![0u8; b];
+                fill_identity(op, dtype, &mut acc);
+                for pe in &group.members {
+                    reduce_bytes(op, dtype, &mut acc, &pull(pe));
+                }
+                acc
+            }
         }
     });
 
     // 3. Push results back (domain transfer again), in group order: every
-    //    member gets its chunk of the group's result, or all of it where
-    //    the result is one member's output.
+    //    member gets its chunk of the group's result, or — where every
+    //    member's output is the whole result (AllReduce, AllGather) — a
+    //    replica of it, which the members share (`Pe::write_shared`).
     if primitive == Primitive::Reduce {
         return Some(results);
     }
     let out_size = buffer_extents(primitive, b, plan.n).1;
-    for (group, result) in groups.iter().zip(&results) {
-        for (&pe, out) in group.members.iter().zip(result.chunks(out_size).cycle()) {
-            sys.pe_mut(pe).write(dst, out);
+    for (group, result) in groups.iter().zip(results) {
+        if result.len() == out_size {
+            let image = Arc::from(result);
+            for &pe in &group.members {
+                sys.pe_mut(pe).write_shared(dst, &image, Landing::Row);
+            }
+        } else {
+            for (&pe, out) in group.members.iter().zip(result.chunks(out_size)) {
+                sys.pe_mut(pe).write(dst, out);
+            }
         }
     }
     None

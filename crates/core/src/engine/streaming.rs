@@ -47,9 +47,13 @@
 //! folding it while it is hot, and leaves one reduced vector per group in
 //! rank order. That vector *is* Reduce's host output; ReduceScatter lands
 //! each member its chunk of it; AllReduce lands all of it on every member
-//! as one run ([`pim_sim::pe::WriteWindow::put_run`]). No region is walked
-//! twice and nothing is moved in pieces smaller than the model's registers
-//! unless the fault layer is watching them.
+//! as one shared image ([`pim_sim::pe::Pe::write_shared`]): each member's
+//! pages read the group's one `Arc`, and nothing is copied but the bytes
+//! on the two pages the destination cuts. No region is walked twice and
+//! nothing is moved in pieces smaller than the model's registers unless
+//! the fault layer is watching them — under a fault plan the image lands
+//! as the register run it stands for
+//! ([`pim_sim::pe::WriteWindow::put_run`]).
 //!
 //! Every function here executes a [`CollectivePlan`]: the per-cluster
 //! rotation and final-slot schedules ([`ClusterSched`]) and the resolved
@@ -61,7 +65,8 @@
 //! The streaming loops need no fault hooks of their own: every byte they
 //! land goes through [`pim_sim::pe::WriteWindow::put`] (or `put_run`) on the
 //! destination PE — directly in phase B, via [`pim_sim::pe::Pe::write`] in
-//! the rooted primitives' row writes — which is where [`pim_sim::FaultPlan`]
+//! the rooted primitives' row writes, via `Pe::write_shared`'s window in
+//! AllReduce's fan-out — which is where [`pim_sim::FaultPlan`]
 //! injection and read-after-write verification live; a window resolved
 //! while either is active lands each chunk checked, with the chunk's own
 //! `(pe, offset, len)` — a run as the registers it stands for, in their
@@ -73,11 +78,12 @@
 
 use std::collections::BTreeSet;
 use std::ops::Range;
+use std::sync::Arc;
 
 use pim_sim::domain::{LanePerm, IDENTITY_PERM};
 use pim_sim::dtype::{fill_identity, reducer, DType};
 use pim_sim::geometry::{DimmGeometry, BURST_BYTES, LANES};
-use pim_sim::pe::WriteWindow;
+use pim_sim::pe::{Landing, WriteWindow};
 use pim_sim::system::EgView;
 use pim_sim::PimSystem;
 
@@ -592,23 +598,31 @@ pub(crate) fn all_reduce(sys: &mut PimSystem, plan: &CollectivePlan) {
         let (l, m) = (c.lane_count, c.eg_count());
         let chunk = bytes_per_node / (l * m);
 
-        let images = reduce_cluster(task, plan);
+        let images: Vec<Arc<[u8]>> = reduce_cluster(task, plan)
+            .into_iter()
+            .map(Arc::from)
+            .collect();
 
         // Distribution phase: the model charges one domain transfer per
         // reduced register and one shuffle per written register (see
         // charge_cluster) — the reference flow rotates in the store loop.
         // Functionally every member ends up with its group's whole vector
-        // in rank order, so it lands as one run; where the fault layer
-        // watches, as the registers the model counts: lane rank `i`
-        // receives slot `(i - k) % l` of every part with rotation `k`.
-        let (_, mut dsts) = task.view.windows(0..0, dst..dst + bytes_per_node);
+        // in rank order, so every member shares the one image; where the
+        // fault layer watches, it lands as the registers the model counts:
+        // lane rank `i` receives slot `(i - k) % l` of every part with
+        // rotation `k`.
         // simlint: hot(begin, allreduce distribution fan-out)
-        for to in dsts.chunks_exact_mut(LANES) {
+        for m_d in 0..m {
             for (g, image) in c.groups.iter().zip(&images) {
                 for (i, &lane) in g.lanes.iter().enumerate() {
-                    let registers =
-                        (0..m).flat_map(|m_v| (0..l).map(move |k| m_v * l + (i + l - k) % l));
-                    to[lane].put_run(dst, image, chunk, registers);
+                    let order = |j: usize| j / l * l + (i + l - j % l) % l;
+                    let landing = Landing::Run {
+                        chunk,
+                        order: &order,
+                    };
+                    task.view
+                        .pe_mut(m_d, lane)
+                        .write_shared(dst, image, landing);
                 }
             }
         }

@@ -33,9 +33,15 @@
 //! indistinguishable to every reader; only [`Pe::mram_resident`] tells.
 //! A reset keeps every page but marks it stale, and a stale page reads as
 //! zeros too until a run touches it (see [`Pe`]).
+//!
+//! A result replicated to many PEs — an AllReduce's reduced vector — need
+//! not be copied to each: [`Pe::write_shared`] lands it as pages that read
+//! a shared image, one `Arc` per PE, on the direct lane. A fault plan keeps
+//! it a copy, landed exactly as the window or row it stands for.
 
 use std::borrow::Cow;
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::fault::{self, CorruptionEvent, FaultCtx, WriteFault};
 use crate::geometry::LANE_BYTES;
@@ -65,11 +71,18 @@ pub const PAGE_BYTES: usize = 4 * 1024;
 /// a single extent while sparse access patterns keep small isolated
 /// islands.
 ///
-/// A page may be *stale*: allocated, but holding bytes of an earlier run
-/// (or of a zero tail) that must read as zeros. Readers see a stale page
-/// as zeros without touching it; a mutable access zeroes the stale pages
-/// it reaches first, and a landing that overwrites a whole page just
-/// claims it.
+/// A page is in one of three states:
+/// - *owned*: it holds its bytes in `data`;
+/// - *stale*: allocated, but holding bytes of an earlier run (or of a zero
+///   tail) that must read as zeros;
+/// - *shared*: it reads as a page of a result image that every PE the
+///   result was replicated to holds one `Arc` of ([`Pe::write_shared`]);
+///   its bytes in `data` mean nothing.
+///
+/// Readers see a stale page as zeros and a shared page as its image's
+/// bytes without touching either; a mutable access first makes the pages
+/// it reaches owned — zeroing a stale page, copying a shared one — and a
+/// landing that overwrites a whole page just claims it.
 #[derive(Debug, Clone)]
 struct Segment {
     start: usize,
@@ -80,6 +93,46 @@ struct Segment {
     /// How many bits of `stale` are set, so unmarking knows when the
     /// bitmap empties without scanning it.
     stale_pages: usize,
+    /// The shared pages; `None` while there are none. Most segments never
+    /// hold a shared page, and boxed they pay one word for it, not three.
+    shared: Option<Box<Shared>>,
+}
+
+/// A segment's shared pages: runs sorted by page and disjoint, no page of
+/// a run stale.
+#[derive(Debug, Clone, Default)]
+struct Shared {
+    runs: Vec<Share>,
+}
+
+/// A run of a segment's pages that read as consecutive bytes of `image`.
+#[derive(Debug, Clone)]
+struct Share {
+    /// Indices of the pages in the segment.
+    pages: Range<usize>,
+    image: Arc<[u8]>,
+    /// Image offset of the run's first byte.
+    at: usize,
+}
+
+impl Share {
+    /// The image bytes of segment-relative byte range `r`, which must lie
+    /// in the run's pages.
+    fn bytes(&self, r: Range<usize>) -> &[u8] {
+        &self.image[self.at + r.start - self.pages.start * PAGE_BYTES..][..r.len()]
+    }
+}
+
+/// The shared runs of a segment's `shared` field.
+fn runs(shared: &Option<Box<Shared>>) -> &[Share] {
+    shared.as_ref().map_or(&[], |s| &s.runs)
+}
+
+/// The run of `shared` that holds every page of `pages`.
+fn run_over(shared: &Option<Box<Shared>>, pages: Range<usize>) -> Option<&Share> {
+    runs(shared)
+        .iter()
+        .find(|s| s.pages.start <= pages.start && pages.end <= s.pages.end)
 }
 
 /// The words of a page bitmap that the pages `p` fall in, each with the
@@ -90,6 +143,48 @@ fn page_words(p: Range<usize>) -> impl Iterator<Item = (usize, u64)> {
         let hi = p.end.min(w * 64 + 64) - w * 64;
         (w, (u64::MAX >> (64 - hi)) & (u64::MAX << lo))
     })
+}
+
+impl Shared {
+    /// Drops `pages` from the runs: a run inside them goes, a run they cut
+    /// keeps what lies outside them.
+    fn unshare(&mut self, pages: &Range<usize>) {
+        let mut tail = None;
+        self.runs.retain_mut(|s| {
+            if s.pages.end <= pages.start || pages.end <= s.pages.start {
+                return true;
+            }
+            if pages.end < s.pages.end {
+                let at = s.at + (pages.end - s.pages.start) * PAGE_BYTES;
+                let rest = pages.end..s.pages.end;
+                if s.pages.start >= pages.start {
+                    (s.pages, s.at) = (rest, at);
+                    return true;
+                }
+                let image = Arc::clone(&s.image);
+                tail = Some(Share {
+                    pages: rest,
+                    image,
+                    at,
+                });
+            }
+            s.pages.end = s.pages.end.min(pages.start);
+            !s.pages.is_empty()
+        });
+        if let Some(t) = tail {
+            self.insert(t);
+        }
+    }
+
+    /// Inserts `run` in page order. The runs grow one at a time: a segment
+    /// holds one or two, and spare capacity on every PE is memory.
+    fn insert(&mut self, run: Share) {
+        let i = self
+            .runs
+            .partition_point(|s| s.pages.start < run.pages.start);
+        self.runs.reserve_exact(1);
+        self.runs.insert(i, run);
+    }
 }
 
 impl Segment {
@@ -127,11 +222,24 @@ impl Segment {
         )
     }
 
-    /// Whether any page `r` reaches is stale.
+    /// Whether any page `r` reaches is stale or shared.
     #[inline]
-    fn any_stale(&self, r: Range<usize>) -> bool {
-        !self.stale.is_empty()
-            && page_words(self.pages(r)).any(|(w, mask)| self.stale[w] & mask != 0)
+    fn any_unowned(&self, r: Range<usize>) -> bool {
+        if self.stale.is_empty() && self.shared.is_none() {
+            return false;
+        }
+        let pages = self.pages(r);
+        (!self.stale.is_empty()
+            && page_words(pages.clone()).any(|(w, mask)| self.stale[w] & mask != 0))
+            || self.any_shared(&pages)
+    }
+
+    /// Whether any of `pages` is shared.
+    #[inline]
+    fn any_shared(&self, pages: &Range<usize>) -> bool {
+        runs(&self.shared)
+            .iter()
+            .any(|s| s.pages.start < pages.end && pages.start < s.pages.end)
     }
 
     fn is_stale(&self, page: usize) -> bool {
@@ -140,10 +248,17 @@ impl Segment {
             .is_some_and(|w| w & (1 << (page % 64)) != 0)
     }
 
-    /// Marks `pages` stale, or unmarks them without zeroing them.
+    /// Marks `pages` stale, or owned without touching their bytes; either
+    /// way they stop being shared.
     fn mark(&mut self, pages: Range<usize>, stale: bool) {
         if pages.is_empty() {
             return;
+        }
+        if let Some(shared) = &mut self.shared {
+            shared.unshare(&pages);
+            if shared.runs.is_empty() {
+                self.shared = None;
+            }
         }
         if stale {
             let words = (self.data.len() / PAGE_BYTES).div_ceil(64);
@@ -163,47 +278,81 @@ impl Segment {
         }
     }
 
-    /// Zeroes the stale pages MRAM range `r` reaches and unmarks them: what
-    /// a mutable access does before it hands out the bytes.
+    /// Makes the pages MRAM range `r` reaches owned — a stale page zeroed,
+    /// a shared one copied from its image: what a mutable access does
+    /// before it hands out the bytes.
     #[inline]
     fn freshen(&mut self, r: Range<usize>) {
-        if self.any_stale(r.clone()) {
+        if self.any_unowned(r.clone()) {
             let pages = self.pages(r);
             for p in pages.clone() {
+                let page = p * PAGE_BYTES..(p + 1) * PAGE_BYTES;
                 if self.is_stale(p) {
-                    self.data[p * PAGE_BYTES..][..PAGE_BYTES].fill(0);
+                    self.data[page].fill(0);
+                } else if let Some(s) = run_over(&self.shared, p..p + 1) {
+                    self.data[page.clone()].copy_from_slice(s.bytes(page));
                 }
             }
             self.mark(pages, false);
         }
     }
 
-    /// Unmarks the pages MRAM range `r` covers whole without zeroing them,
-    /// for a landing that overwrites all of `r`. The pages it cuts stay
-    /// marked, for the landing's window to freshen.
+    /// Makes the pages MRAM range `r` covers whole owned without touching
+    /// them, for a landing that overwrites all of `r`. The pages it cuts
+    /// keep their state, for the landing's window to freshen.
     #[inline]
     fn claim(&mut self, r: Range<usize>) {
-        if !self.stale.is_empty() && !r.is_empty() {
+        if (!self.stale.is_empty() || self.shared.is_some()) && !r.is_empty() {
             self.mark(self.split(r).0, false);
         }
     }
 
     /// Makes MRAM range `r` read as zeros: the pages inside it are marked
     /// stale, its bytes on a page it cuts are zero-filled (unless the page
-    /// is stale already).
+    /// is stale already; a shared one is made owned first).
     fn zero(&mut self, r: Range<usize>) {
         let (inner, cuts) = self.split(r);
         for cut in cuts {
             if !cut.is_empty() && !self.is_stale((cut.start - self.start) / PAGE_BYTES) {
+                self.freshen(cut.clone());
                 self.span_mut(cut).fill(0);
             }
         }
         self.mark(inner, true);
     }
 
-    /// Copies MRAM range `r` into `dst`, zeros for the stale pages.
+    /// Makes MRAM range `r` read as `image`, whose first byte lands at
+    /// `r.start`: the pages inside `r` become one shared run (whatever
+    /// they were), its bytes on a page it cuts are copied.
+    fn share(&mut self, r: Range<usize>, image: &Arc<[u8]>) {
+        let (inner, cuts) = self.split(r.clone());
+        for cut in cuts {
+            if !cut.is_empty() {
+                self.freshen(cut.clone());
+                let from = &image[cut.start - r.start..cut.end - r.start];
+                self.span_mut(cut).copy_from_slice(from);
+            }
+        }
+        if inner.is_empty() {
+            return;
+        }
+        // Taken out while the pages are marked owned, so replacing a run
+        // does not free the box only to allocate it again.
+        let mut shared = self.shared.take().unwrap_or_default();
+        shared.unshare(&inner);
+        self.mark(inner.clone(), false);
+        shared.insert(Share {
+            at: self.start + inner.start * PAGE_BYTES - r.start,
+            pages: inner,
+            image: Arc::clone(image),
+        });
+        self.shared = Some(shared);
+    }
+
+    /// Copies MRAM range `r` into `dst`: zeros for the stale pages, the
+    /// image's bytes for the shared ones.
     fn copy_out(&self, r: Range<usize>, dst: &mut [u8]) {
-        if !self.any_stale(r.clone()) {
+        if !self.any_unowned(r.clone()) {
             dst.copy_from_slice(self.span(r));
             return;
         }
@@ -211,12 +360,47 @@ impl Segment {
         while at < r.end {
             let hi = ((at | (PAGE_BYTES - 1)) + 1).min(r.end);
             let out = &mut dst[at - r.start..hi - r.start];
-            if self.is_stale((at - self.start) / PAGE_BYTES) {
+            let page = (at - self.start) / PAGE_BYTES;
+            if self.is_stale(page) {
                 out.fill(0);
+            } else if let Some(s) = run_over(&self.shared, page..page + 1) {
+                out.copy_from_slice(s.bytes(at - self.start..hi - self.start));
             } else {
                 out.copy_from_slice(self.span(at..hi));
             }
             at = hi;
+        }
+    }
+
+    /// Borrows MRAM range `r`: the segment's own bytes when no page `r`
+    /// reaches is stale or shared, the image's when `r` lies inside one
+    /// shared run, `None` otherwise.
+    #[inline]
+    fn borrow(&self, r: Range<usize>) -> Option<&[u8]> {
+        if !self.any_unowned(r.clone()) {
+            return Some(self.span(r));
+        }
+        let s = run_over(&self.shared, self.pages(r.clone()))?;
+        Some(s.bytes(r.start - self.start..r.end - self.start))
+    }
+
+    /// Borrows MRAM range `src` (which [`Segment::borrow`] must lend) and
+    /// the disjoint range `dst` mutably.
+    #[inline]
+    fn borrow_pair(&mut self, src: Range<usize>, dst: Range<usize>) -> (&[u8], &mut [u8]) {
+        let s = src.start - self.start..src.end - self.start;
+        let d = dst.start - self.start..dst.end - self.start;
+        if self.any_unowned(src.clone()) {
+            let pages = self.pages(src);
+            let run = run_over(&self.shared, pages).expect("a source the segment lends");
+            return (run.bytes(s), &mut self.data[d]);
+        }
+        if s.end <= d.start {
+            let (lo, hi) = self.data.split_at_mut(d.start);
+            (&lo[s], &mut hi[..d.len()])
+        } else {
+            let (lo, hi) = self.data.split_at_mut(s.start);
+            (&hi[..s.len()], &mut lo[d])
         }
     }
 }
@@ -241,6 +425,17 @@ impl Segment {
 /// a direct-lane [`Pe::write`] claims the pages its row covers whole
 /// without zeroing them, so zeroing costs what a run touches, not what
 /// the PE has ever held.
+///
+/// A materialized page can be *shared* instead: a direct-lane
+/// [`Pe::write_shared`] points the pages its image covers whole at the
+/// image. A shared page reads as the image's bytes through every `&self`
+/// reader; [`Pe::try_slice`], [`Pe::read_window`] and the source of
+/// [`Pe::window_pair`] borrow the image itself where the range lies in
+/// one shared run, and copy otherwise, as they do over stale pages. A
+/// mutable access copies the shared pages it reaches into the segment, a
+/// landing that covers a whole page or a reset drops its share, and a
+/// merge folds shared pages in as their bytes. The pages stay allocated
+/// and count towards [`Pe::mram_resident`], so residency is the copy's.
 ///
 /// Accesses that stay inside one materialized segment borrow it directly
 /// (the contiguous-extent fast path: dense streaming loops still get
@@ -477,6 +672,23 @@ impl<'a> Hooks<'a> {
     }
 }
 
+/// How [`Pe::write_shared`] lands a replicated image where the fault layer
+/// watches it, and what it materializes on either lane.
+#[derive(Clone, Copy)]
+pub enum Landing<'a> {
+    /// One row, as [`Pe::write`] lands it: the pages of its zero tail stay
+    /// unmaterialized, and under a fault plan the row is one checked
+    /// landing.
+    Row,
+    /// A run through a window over the whole region, which materializes
+    /// it whole: under a fault plan its `chunk`-byte pieces land one by
+    /// one, piece `order(j)` as the `j`-th ([`WriteWindow::put_run`]).
+    Run {
+        chunk: usize,
+        order: &'a dyn Fn(usize) -> usize,
+    },
+}
+
 impl Pe {
     /// Creates a PE with empty (all-zero) MRAM.
     pub fn new() -> Self {
@@ -603,6 +815,7 @@ impl Pe {
                     data,
                     stale: Vec::new(),
                     stale_pages: 0,
+                    shared: None,
                 },
             );
         }
@@ -660,8 +873,7 @@ impl Pe {
     /// Panics if the region would exceed [`MRAM_CAPACITY`].
     pub fn try_slice(&self, offset: usize, len: usize) -> Option<&[u8]> {
         check_capacity(offset, len);
-        let s = &self.segs[seg_covering(&self.segs, offset, len)?];
-        (!s.any_stale(offset..offset + len)).then(|| s.span(offset..offset + len))
+        self.segs[seg_covering(&self.segs, offset, len)?].borrow(offset..offset + len)
     }
 
     /// Resolves a [`ReadWindow`] over `[offset, offset + len)` without
@@ -709,22 +921,93 @@ impl Pe {
             self.write_window(offset, src.len()).put(offset, src);
             return;
         }
-        // Skip the zero tail 64 bytes at a time (an OR fold vectorizes, a
-        // byte search does not), then to the byte.
-        let zero = |c: &[u8]| c.iter().fold(0, |a, &b| a | b) == 0;
-        let zeros = 64 * src.rchunks(64).take_while(|c| zero(c)).count();
-        let head = &src[..src.len().saturating_sub(zeros)];
-        let live = head.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
         self.extent = self.extent.max(end);
-        if live > 0 {
-            let i = self.ensure_span(offset, live);
+        let (live, seg) = self.row_prefix(offset, src);
+        if let Some(i) = seg {
             self.segs[i].claim(offset..offset + live);
         }
         self.write_window(offset, live).put(offset, &src[..live]);
-        let lo = offset + live;
-        let first = self.segs.partition_point(|s| s.end() <= lo);
-        for s in self.segs[first..].iter_mut().take_while(|s| s.start < end) {
-            s.zero(lo.max(s.start)..end.min(s.end()));
+        self.zero_tail(offset + live..end);
+    }
+
+    /// Lands `image` at `offset` as one replica of a result that other PEs
+    /// receive too — an AllReduce's reduced vector. On the direct lane the
+    /// pages the image covers whole share it (one `Arc` per PE, no copy)
+    /// and only its bytes on the pages it cuts are copied. Under a fault
+    /// plan it lands the pieces `landing` names, through the window or the
+    /// row [`Pe::write`] the copy it stands for would take, so every draw
+    /// and every recorded event is that copy's.
+    ///
+    /// Extent and residency are the copy's on either lane: a
+    /// [`Landing::Run`] materializes its whole region, like the window it
+    /// stands for; a [`Landing::Row`] follows [`Pe::write`]'s zero-tail
+    /// rule. Verification alone keeps the direct lane: with no fault plan
+    /// nothing can strike a landing, and a shared page reads the intended
+    /// bytes by construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region would exceed [`MRAM_CAPACITY`] or, for a run,
+    /// its chunk does not divide the image.
+    pub fn write_shared(&mut self, offset: usize, image: &Arc<[u8]>, landing: Landing<'_>) {
+        let end = check_capacity(offset, image.len());
+        if self.fault.is_some() {
+            match landing {
+                Landing::Row => self.write(offset, image),
+                Landing::Run { chunk, order } => {
+                    assert!(image.len().is_multiple_of(chunk), "pieces tile the image");
+                    let pieces = (0..image.len() / chunk).map(order);
+                    self.write_window(offset, image.len())
+                        .put_run(offset, image, chunk, pieces);
+                }
+            }
+            return;
+        }
+        let covering = match landing {
+            // A run materializes its whole region, like its window.
+            Landing::Run { .. } => {
+                (!image.is_empty()).then(|| self.ensure_span(offset, end - offset))
+            }
+            Landing::Row => seg_covering(&self.segs, offset, image.len()),
+        };
+        let (live, seg) = match covering {
+            Some(i) => (image.len(), Some(i)),
+            None => self.row_prefix(offset, image),
+        };
+        self.extent = self.extent.max(end);
+        if let Some(i) = seg {
+            self.segs[i].share(offset..offset + live, image);
+        }
+        self.zero_tail(offset + live..end);
+    }
+
+    /// The direct-lane residency of a one-row landing of `row` at `offset`
+    /// that no one segment covers: materializes the row's non-zero prefix
+    /// and returns its length and the segment that holds it (none, and no
+    /// segment, for an all-zero row).
+    fn row_prefix(&mut self, offset: usize, row: &[u8]) -> (usize, Option<usize>) {
+        // Skip the zero tail 64 bytes at a time (an OR fold vectorizes, a
+        // byte search does not), then to the byte.
+        let zero = |c: &[u8]| c.iter().fold(0, |a, &b| a | b) == 0;
+        let zeros = 64 * row.rchunks(64).take_while(|c| zero(c)).count();
+        let head = &row[..row.len().saturating_sub(zeros)];
+        let live = head.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+        (live, (live > 0).then(|| self.ensure_span(offset, live)))
+    }
+
+    /// Makes a row's zero tail `r` read as zeros without materializing
+    /// anything: the pages it covers whole are marked stale, its bytes on
+    /// the pages it cuts are zero-filled.
+    fn zero_tail(&mut self, r: Range<usize>) {
+        if r.is_empty() {
+            return;
+        }
+        let first = self.segs.partition_point(|s| s.end() <= r.start);
+        for s in self.segs[first..]
+            .iter_mut()
+            .take_while(|s| s.start < r.end)
+        {
+            s.zero(r.start.max(s.start)..r.end.min(s.end()));
         }
     }
 
@@ -785,8 +1068,9 @@ impl Pe {
         if let Some(i) = di {
             segs[i].freshen(dst.clone());
         }
-        let si =
-            seg_covering(segs, src.start, src.len()).filter(|&j| !segs[j].any_stale(src.clone()));
+        let si = seg_covering(segs, src.start, src.len()).filter(|&j| {
+            !segs[j].any_unowned(src.clone()) || segs[j].borrow(src.clone()).is_some()
+        });
         let (read, data): (ReadWindow, &mut [u8]) = match (si, di) {
             (None, _) => {
                 let mut staged = vec![0u8; src.len()];
@@ -794,32 +1078,24 @@ impl Pe {
                 let data = di.map(|i| segs[i].span_mut(dst.clone()));
                 (Cow::Owned(staged), data.unwrap_or_default())
             }
-            (Some(j), None) => (Cow::Borrowed(segs[j].span(src)), &mut []),
+            (Some(j), None) => (
+                Cow::Borrowed(segs[j].borrow(src).unwrap_or_default()),
+                &mut [],
+            ),
             // One segment holds both regions: split it between them.
             (Some(j), Some(i)) if i == j => {
-                let s = &mut segs[i];
-                let base = s.start;
-                if src.end <= dst.start {
-                    let (lo, hi) = s.data.split_at_mut(dst.start - base);
-                    (
-                        Cow::Borrowed(&lo[src.start - base..src.end - base]),
-                        &mut hi[..dst.len()],
-                    )
-                } else {
-                    let (lo, hi) = s.data.split_at_mut(src.start - base);
-                    (
-                        Cow::Borrowed(&hi[..src.len()]),
-                        &mut lo[dst.start - base..dst.end - base],
-                    )
-                }
+                let (read, data) = segs[i].borrow_pair(src, dst.clone());
+                (Cow::Borrowed(read), data)
             }
             (Some(j), Some(i)) => {
                 let (lo, hi) = segs.split_at_mut(i.max(j));
-                if j < i {
-                    (Cow::Borrowed(lo[j].span(src)), hi[0].span_mut(dst.clone()))
+                let (from, to) = if j < i {
+                    (&lo[j], &mut hi[0])
                 } else {
-                    (Cow::Borrowed(hi[0].span(src)), lo[i].span_mut(dst.clone()))
-                }
+                    (&hi[0], &mut lo[i])
+                };
+                let read = from.borrow(src).unwrap_or_default();
+                (Cow::Borrowed(read), to.span_mut(dst.clone()))
             }
         };
         let write = WriteWindow {

@@ -8,14 +8,17 @@
 //!
 //! Offsets sit on, one byte either side of, and across page boundaries,
 //! and on islands far apart that later accesses merge; after a reset
-//! every page is stale, so unaligned accesses cut stale pages.
+//! every page is stale, so unaligned accesses cut stale pages. A shared
+//! landing (`Pe::write_shared`) leaves pages that read as an image held
+//! outside the PE; every reader and mutator above then meets them, and a
+//! later landing at the same place replaces the run.
 //!
 //! `PIDCOMM_CHAOS_SEED` overrides the base seed.
 
 use std::sync::Arc;
 
 use pim_sim::fault::{FaultCtx, FaultPlan};
-use pim_sim::pe::{Pe, PAGE_BYTES};
+use pim_sim::pe::{Landing, Pe, PAGE_BYTES};
 use pim_sim::testgen::SplitMix64;
 
 /// Pages the models span: room for islands several pages apart.
@@ -35,6 +38,8 @@ struct Twin {
     pe: Pe,
     model: Vec<u8>,
     used: usize,
+    /// Where the last shared landing went, to land a new image over it.
+    shared: Option<(usize, usize)>,
 }
 
 impl Twin {
@@ -43,6 +48,7 @@ impl Twin {
             pe: Pe::new(),
             model: vec![0; SPAN],
             used: 0,
+            shared: None,
         }
     }
 
@@ -153,7 +159,7 @@ impl Gen {
 /// name.
 fn step(g: &mut Gen, pes: &mut [Twin; 2]) -> &'static str {
     let [t, other] = pes;
-    match g.below(17) {
+    match g.below(19) {
         0 | 1 => {
             let len = g.len();
             let at = g.offset(len);
@@ -291,6 +297,32 @@ fn step(g: &mut Gen, pes: &mut [Twin; 2]) -> &'static str {
             t.touch(at..at + len);
             "read"
         }
+        15 | 16 => {
+            // A new image, as a row or as a run of 8-byte pieces; over the
+            // last shared landing half of the time.
+            let (at, len) = match t.shared {
+                Some(last) if g.below(2) == 0 => last,
+                _ => {
+                    let len = 8 * g.len().div_ceil(8);
+                    (g.offset(len), len)
+                }
+            };
+            let image: Arc<[u8]> = g.row(len).into();
+            let order = |j: usize| j;
+            let landing = if g.below(2) == 0 {
+                Landing::Row
+            } else {
+                Landing::Run {
+                    chunk: 8,
+                    order: &order,
+                }
+            };
+            t.pe.write_shared(at, &image, landing);
+            t.model[at..at + len].copy_from_slice(&image);
+            t.touch(at..at + len);
+            t.shared = Some((at, len));
+            "write_shared"
+        }
         14 => {
             t.pe.reset();
             t.model.fill(0);
@@ -375,4 +407,53 @@ fn a_segment_grown_past_a_bitmap_word_keeps_its_marks() {
         &[0; PAGE_BYTES - 8],
     );
     assert!(pe.try_slice(PAGE_BYTES, row.len()).is_some());
+}
+
+#[test]
+fn a_merge_folds_shared_pages_as_their_image() {
+    // A shared run on an island behind another segment, then a read that
+    // spans both: from inside the first segment it grows that segment in
+    // place, from before it it builds a fresh one; either way the island
+    // folds in as the image's bytes.
+    let image: Arc<[u8]> = (0..3 * PAGE_BYTES).map(|i| (i % 251) as u8 | 1).collect();
+    let at = 8 * PAGE_BYTES + 8;
+    for (first, from) in [(0, 0), (2 * PAGE_BYTES, PAGE_BYTES)] {
+        let mut pe = Pe::new();
+        let mut model = vec![0u8; SPAN];
+        pe.write(first, &[0xEE; 8]);
+        model[first..first + 8].fill(0xEE);
+        pe.write_shared(at, &image, Landing::Row);
+        model[at..at + image.len()].copy_from_slice(&image);
+        let len = 12 * PAGE_BYTES - from;
+        let what = format!("read from {from} over a segment at {first}");
+        same(&what, from, pe.read(from, len), &model[from..from + len]);
+        same(&what, 0, &pe.peek(0, SPAN), &model);
+        assert_eq!(Arc::strong_count(&image), 1, "{what}: folded, not shared");
+    }
+}
+
+#[test]
+fn an_access_inside_a_shared_run_keeps_both_ends_shared() {
+    // Four shared pages, then a write into the middle one of them: by a
+    // mutable view of a few bytes (the page is copied) or by a row over
+    // the whole page (the page is claimed). Either cuts the run in two,
+    // and both ends must still read as the image.
+    let image: Arc<[u8]> = (0..4 * PAGE_BYTES).map(|i| (i % 253) as u8 | 1).collect();
+    let at = 2 * PAGE_BYTES;
+    for (what, row) in [("a few bytes", 8), ("a whole page", PAGE_BYTES)] {
+        let mut pe = Pe::new();
+        let mut model = vec![0u8; SPAN];
+        pe.write_shared(at, &image, Landing::Row);
+        model[at..at + image.len()].copy_from_slice(&image);
+        let mid = at + PAGE_BYTES;
+        if row == PAGE_BYTES {
+            pe.write(mid, &[0xEE; PAGE_BYTES]);
+        } else {
+            pe.slice_mut(mid + 100, row).fill(0xEE);
+        }
+        let mid = if row == PAGE_BYTES { mid } else { mid + 100 };
+        model[mid..mid + row].fill(0xEE);
+        same(what, 0, &pe.peek(0, SPAN), &model);
+        assert!(Arc::strong_count(&image) > 1, "{what}: both ends shared");
+    }
 }

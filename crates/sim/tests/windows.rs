@@ -9,7 +9,7 @@ use pim_sim::domain::IDENTITY_PERM;
 use pim_sim::dtype::{reduce_bytes, reducer};
 use pim_sim::geometry::{EgId, LANES};
 use pim_sim::kernels;
-use pim_sim::pe::{Pe, MRAM_CAPACITY, PAGE_BYTES};
+use pim_sim::pe::{Landing, Pe, MRAM_CAPACITY, PAGE_BYTES};
 use pim_sim::testgen::SplitMix64;
 use pim_sim::{CorruptionEvent, DType, DimmGeometry, FaultPlan, PimSystem, ReduceKind};
 
@@ -302,6 +302,114 @@ fn run_on_a_hooked_window_lands_piece_by_piece_in_the_order_given() {
         }
     }
     assert!(order_mattered > 0, "every first event was the lowest piece");
+}
+
+/// Lands `image` at `base` on `shared` through [`Pe::write_shared`] and on
+/// `copy` as the copy it stands for — the register run through a window
+/// over the region, or the one-row write — and checks the two PEs agree
+/// in bytes, extent, residency and first recorded event.
+fn shared_equals_copy(shared: &mut Pe, copy: &mut Pe, base: usize, image: &Arc<[u8]>, run: bool) {
+    let (l, chunk, rank) = (4, 512, 1);
+    let order = |j: usize| j / l * l + (rank + l - j % l) % l;
+    if run {
+        shared.write_shared(
+            base,
+            image,
+            Landing::Run {
+                chunk,
+                order: &order,
+            },
+        );
+        let parts = image.len() / (l * chunk);
+        copy.write_window(base, image.len()).put_run(
+            base,
+            image,
+            chunk,
+            descending_from(rank, l, parts),
+        );
+    } else {
+        shared.write_shared(base, image, Landing::Row);
+        copy.write(base, image);
+    }
+    let what = if run { "run" } else { "row" };
+    let span = base + image.len() + PAGE_BYTES;
+    assert_eq!(shared.peek(0, span), copy.peek(0, span), "{what}");
+    assert_eq!(shared.mram_used(), copy.mram_used(), "{what}");
+    assert_eq!(shared.mram_resident(), copy.mram_resident(), "{what}");
+    assert_eq!(shared.take_corruption(), copy.take_corruption(), "{what}");
+}
+
+/// A replicated image: three pages of bytes and a zero tail, so a landing
+/// off the page grid covers two pages whole and cuts two.
+fn replica() -> Arc<[u8]> {
+    (0..4 * PAGE_BYTES)
+        .map(|i| {
+            if i < 3 * PAGE_BYTES {
+                (i * 7 + 1) as u8
+            } else {
+                0
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn a_shared_landing_under_a_fault_plan_is_the_copy_it_stands_for() {
+    let image = replica();
+    let mut struck = 0;
+    for seed in CI_SEEDS {
+        for verify in [false, true] {
+            for run in [false, true] {
+                let mut sys = PimSystem::new(DimmGeometry::single_group());
+                for pe in sys.pes_mut() {
+                    pe.write(PAGE_BYTES, &[0xEE; 2 * PAGE_BYTES]);
+                    pe.reset();
+                }
+                let plan = Arc::new(
+                    FaultPlan::new(seed)
+                        .with_bit_flip_period(3)
+                        .with_row_corrupt_period(5),
+                );
+                sys.attach_fault_plan(plan.clone());
+                sys.set_verify_writes(verify);
+                let mut twin = sys.clone();
+                plan.begin_epoch();
+                for (lane, (pe, other)) in sys.pes_mut().iter_mut().zip(twin.pes_mut()).enumerate()
+                {
+                    let base = PAGE_BYTES + 8 + 8 * lane;
+                    shared_equals_copy(pe, other, base, &image, run);
+                    struck += usize::from(pe.peek(base, image.len()) != *image);
+                }
+                // A fault plan keeps every landing a copy: nothing shares.
+                assert_eq!(Arc::strong_count(&image), 1, "seed {seed}");
+            }
+        }
+    }
+    assert!(struck > 0, "the periods never struck a landing");
+}
+
+#[test]
+fn verification_alone_shares_and_records_nothing() {
+    let image = replica();
+    for run in [false, true] {
+        for base in [PAGE_BYTES + 8, 2 * PAGE_BYTES] {
+            let [mut shared, mut copy] = [(); 2].map(|()| {
+                let mut pe = Pe::new();
+                pe.write(0, &[0xEE; 6 * PAGE_BYTES]);
+                pe.reset();
+                pe.set_verify(true);
+                pe
+            });
+            shared_equals_copy(&mut shared, &mut copy, base, &image, run);
+            assert_eq!(Arc::strong_count(&image), 2, "one PE shares the image");
+            // The pages the landing covers whole are borrowed from it.
+            let page = base.next_multiple_of(PAGE_BYTES);
+            let lent = shared
+                .try_slice(page, PAGE_BYTES)
+                .expect("a shared page lends");
+            assert_eq!(lent.as_ptr(), image[page - base..].as_ptr());
+        }
+    }
 }
 
 #[test]
