@@ -697,7 +697,7 @@ fn graph_apps_keep_the_adjacency_padding_out_of_mram() {
     let pes = || sys.geometry().pes().map(|pe| sys.pe(pe));
     // Pages held inside the padded region `[0, slice)`: the CSR prefixes,
     // plus the page the bitmaps and labels after it share with its end.
-    // The checkout marked them stale; they still count as held.
+    // The checkout put them in runs of zeros; they still count as held.
     let held: usize = pes()
         .map(|pe| pe.mram_resident_in(0, slice.next_multiple_of(PAGE_BYTES)))
         .sum();

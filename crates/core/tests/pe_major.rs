@@ -147,7 +147,7 @@ fn tile_shapes_match(opt: OptLevel, parts: &[usize]) {
                 // destination; the reference lands rows one by one, which
                 // materialize only the pages their non-zero bytes reach. So
                 // every page the reference holds, the engine holds too —
-                // stale pages (a zero tail's) included.
+                // pages in a zero tail's run of zeros included.
                 let held = |pe: &Pe, page| pe.mram_resident_in(page, PAGE_BYTES) > 0;
                 for pe in geom.pes() {
                     let (a, r) = (sys.pe(pe), reference.pe(pe));

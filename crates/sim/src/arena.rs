@@ -7,9 +7,9 @@
 //! serial wall on the allocator. A [`SystemArena`] closes that gap: each
 //! sweep worker owns one arena, returns its system and buffers when a cell
 //! finishes, and the next cell on that worker checks them out again
-//! instead of reallocating them. A checked-out system's pages are marked
-//! stale, not zero-filled: they read as zeros, and the next cell zeroes
-//! only the pages it touches, so a checkout costs what the next cell uses,
+//! instead of reallocating them. A checked-out system's pages are put in
+//! runs of zeros, not zero-filled: they read as zeros, and the next cell
+//! zeroes only the pages it touches, so a checkout costs what the next cell uses,
 //! not what the largest cell before it left resident.
 //!
 //! # Lifecycle and determinism contract

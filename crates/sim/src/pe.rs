@@ -31,13 +31,14 @@
 //! a scatter of rows padded to a uniform size keeps the padding out of
 //! memory. Never-materialized MRAM reads as zeros, so the two are
 //! indistinguishable to every reader; only [`Pe::mram_resident`] tells.
-//! A reset keeps every page but marks it stale, and a stale page reads as
-//! zeros too until a run touches it (see [`Pe`]).
 //!
-//! A result replicated to many PEs — an AllReduce's reduced vector — need
-//! not be copied to each: [`Pe::write_shared`] lands it as pages that read
-//! a shared image, one `Arc` per PE, on the direct lane. A fault plan keeps
-//! it a copy, landed exactly as the window or row it stands for.
+//! One rule keeps bytes from being copied that need not be: a
+//! materialized page is the segment's own unless a run covers it, and then
+//! it reads as the run's source — zeros (a reset, a zero tail) or a page
+//! of a result image replicated to many PEs ([`Pe::write_shared`]: an
+//! AllReduce's reduced vector, one `Arc` per PE). A fault plan keeps a
+//! replicated landing a copy, landed exactly as the window or row it
+//! stands for.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -54,7 +55,7 @@ pub const WRAM_BYTES: usize = 64 * 1024;
 pub const MRAM_CAPACITY: usize = 64 * 1024 * 1024;
 
 /// Allocation granule of the paged MRAM backing store: the rounding unit
-/// of zero-on-first-touch materialization and of stale marks. Power of
+/// of zero-on-first-touch materialization and of page runs. Power of
 /// two, [`MRAM_CAPACITY`] is a multiple of it, and it is deliberately
 /// small — segments are
 /// variable-length *runs* of pages, so a dense span still materializes as
@@ -71,119 +72,45 @@ pub const PAGE_BYTES: usize = 4 * 1024;
 /// a single extent while sparse access patterns keep small isolated
 /// islands.
 ///
-/// A page is in one of three states:
-/// - *owned*: it holds its bytes in `data`;
-/// - *stale*: allocated, but holding bytes of an earlier run (or of a zero
-///   tail) that must read as zeros;
-/// - *shared*: it reads as a page of a result image that every PE the
-///   result was replicated to holds one `Arc` of ([`Pe::write_shared`]);
-///   its bytes in `data` mean nothing.
-///
-/// Readers see a stale page as zeros and a shared page as its image's
-/// bytes without touching either; a mutable access first makes the pages
-/// it reaches owned — zeroing a stale page, copying a shared one — and a
-/// landing that overwrites a whole page just claims it.
+/// A page is owned — its bytes are `data`'s — unless one of `runs` covers
+/// it; then it reads as the run's source, and its bytes in `data` mean
+/// nothing. Readers see a run's pages without touching them; a mutable
+/// access first owns the pages it reaches, copying each run's source in,
+/// and a landing that overwrites a whole page owns it without a copy.
 #[derive(Debug, Clone)]
 struct Segment {
     start: usize,
     data: Vec<u8>,
-    /// One bit per page, set while the page is stale; empty when no page
-    /// is, which keeps the check on a fresh segment one branch.
-    stale: Vec<u64>,
-    /// How many bits of `stale` are set, so unmarking knows when the
-    /// bitmap empties without scanning it.
-    stale_pages: usize,
-    /// The shared pages; `None` while there are none. Most segments never
-    /// hold a shared page, and boxed they pay one word for it, not three.
-    shared: Option<Box<Shared>>,
+    /// The pages that are not owned: sorted by page, disjoint, and grown
+    /// one at a time — a segment holds one or two, and spare capacity on
+    /// every PE is memory.
+    runs: Vec<Run>,
 }
 
-/// A segment's shared pages: runs sorted by page and disjoint, no page of
-/// a run stale.
-#[derive(Debug, Clone, Default)]
-struct Shared {
-    runs: Vec<Share>,
-}
-
-/// A run of a segment's pages that read as consecutive bytes of `image`.
+/// A run of a segment's pages that read as their source, not as `data`.
 #[derive(Debug, Clone)]
-struct Share {
+struct Run {
     /// Indices of the pages in the segment.
     pages: Range<usize>,
-    image: Arc<[u8]>,
-    /// Image offset of the run's first byte.
-    at: usize,
+    /// The image the pages read as consecutive bytes of, with the image
+    /// offset of the run's first byte; `None` reads as zeros.
+    image: Option<(Arc<[u8]>, usize)>,
 }
 
-impl Share {
+impl Run {
     /// The image bytes of segment-relative byte range `r`, which must lie
-    /// in the run's pages.
-    fn bytes(&self, r: Range<usize>) -> &[u8] {
-        &self.image[self.at + r.start - self.pages.start * PAGE_BYTES..][..r.len()]
+    /// in the run's pages; `None` for a run of zeros.
+    fn bytes(&self, r: Range<usize>) -> Option<&[u8]> {
+        let (image, at) = self.image.as_ref()?;
+        Some(&image[at + r.start - self.pages.start * PAGE_BYTES..][..r.len()])
     }
-}
 
-/// The shared runs of a segment's `shared` field.
-fn runs(shared: &Option<Box<Shared>>) -> &[Share] {
-    shared.as_ref().map_or(&[], |s| &s.runs)
-}
-
-/// The run of `shared` that holds every page of `pages`.
-fn run_over(shared: &Option<Box<Shared>>, pages: Range<usize>) -> Option<&Share> {
-    runs(shared)
-        .iter()
-        .find(|s| s.pages.start <= pages.start && pages.end <= s.pages.end)
-}
-
-/// The words of a page bitmap that the pages `p` fall in, each with the
-/// mask of the bits of `p` in it.
-fn page_words(p: Range<usize>) -> impl Iterator<Item = (usize, u64)> {
-    (p.start / 64..p.end.div_ceil(64)).map(move |w| {
-        let lo = p.start.max(w * 64) - w * 64;
-        let hi = p.end.min(w * 64 + 64) - w * 64;
-        (w, (u64::MAX >> (64 - hi)) & (u64::MAX << lo))
-    })
-}
-
-impl Shared {
-    /// Drops `pages` from the runs: a run inside them goes, a run they cut
-    /// keeps what lies outside them.
-    fn unshare(&mut self, pages: &Range<usize>) {
-        let mut tail = None;
-        self.runs.retain_mut(|s| {
-            if s.pages.end <= pages.start || pages.end <= s.pages.start {
-                return true;
-            }
-            if pages.end < s.pages.end {
-                let at = s.at + (pages.end - s.pages.start) * PAGE_BYTES;
-                let rest = pages.end..s.pages.end;
-                if s.pages.start >= pages.start {
-                    (s.pages, s.at) = (rest, at);
-                    return true;
-                }
-                let image = Arc::clone(&s.image);
-                tail = Some(Share {
-                    pages: rest,
-                    image,
-                    at,
-                });
-            }
-            s.pages.end = s.pages.end.min(pages.start);
-            !s.pages.is_empty()
-        });
-        if let Some(t) = tail {
-            self.insert(t);
+    /// Copies the source of segment-relative byte range `r` into `dst`.
+    fn copy(&self, r: Range<usize>, dst: &mut [u8]) {
+        match self.bytes(r) {
+            Some(bytes) => dst.copy_from_slice(bytes),
+            None => dst.fill(0),
         }
-    }
-
-    /// Inserts `run` in page order. The runs grow one at a time: a segment
-    /// holds one or two, and spare capacity on every PE is memory.
-    fn insert(&mut self, run: Share) {
-        let i = self
-            .runs
-            .partition_point(|s| s.pages.start < run.pages.start);
-        self.runs.reserve_exact(1);
-        self.runs.insert(i, run);
     }
 }
 
@@ -222,79 +149,71 @@ impl Segment {
         )
     }
 
-    /// Whether any page `r` reaches is stale or shared.
+    /// Makes every page read as zeros: one run of zeros over them all.
+    /// Kept out of line: inlined, it grows [`Pe::reset`]'s loop enough to
+    /// double the cost of resetting a PE that holds no segment.
+    #[inline(never)]
+    fn reset(&mut self) {
+        let pages = 0..self.data.len() / PAGE_BYTES;
+        self.runs.clear();
+        self.runs.reserve_exact(1);
+        self.runs.push(Run { pages, image: None });
+    }
+
+    /// Indices of the runs over any of `pages`.
     #[inline]
-    fn any_unowned(&self, r: Range<usize>) -> bool {
-        if self.stale.is_empty() && self.shared.is_none() {
-            return false;
-        }
-        let pages = self.pages(r);
-        (!self.stale.is_empty()
-            && page_words(pages.clone()).any(|(w, mask)| self.stale[w] & mask != 0))
-            || self.any_shared(&pages)
+    fn reached(&self, pages: &Range<usize>) -> Range<usize> {
+        let i = self
+            .runs
+            .partition_point(|run| run.pages.end <= pages.start);
+        i..i + self.runs[i..].partition_point(|run| run.pages.start < pages.end)
     }
 
-    /// Whether any of `pages` is shared.
-    #[inline]
-    fn any_shared(&self, pages: &Range<usize>) -> bool {
-        runs(&self.shared)
-            .iter()
-            .any(|s| s.pages.start < pages.end && pages.start < s.pages.end)
+    /// Makes `pages` owned without touching their bytes: drops the runs
+    /// inside them and keeps what lies outside them of a run they cut.
+    /// Returns the index a run over `pages` would take.
+    fn own(&mut self, pages: Range<usize>) -> usize {
+        let reached = self.reached(&pages);
+        if reached.is_empty() || pages.is_empty() {
+            return reached.start;
+        }
+        let last = &self.runs[reached.end - 1];
+        let tail = (pages.end < last.pages.end).then(|| {
+            let skip = (pages.end - last.pages.start) * PAGE_BYTES;
+            let image = last.image.clone().map(|(image, at)| (image, at + skip));
+            Run {
+                pages: pages.end..last.pages.end,
+                image,
+            }
+        });
+        let head = &mut self.runs[reached.start];
+        let at = reached.start + usize::from(head.pages.start < pages.start);
+        if head.pages.start < pages.start {
+            head.pages.end = pages.start;
+        }
+        self.runs.drain(at..reached.end);
+        if let Some(tail) = tail {
+            self.runs.reserve_exact(1);
+            self.runs.insert(at, tail);
+        }
+        at
     }
 
-    fn is_stale(&self, page: usize) -> bool {
-        self.stale
-            .get(page / 64)
-            .is_some_and(|w| w & (1 << (page % 64)) != 0)
-    }
-
-    /// Marks `pages` stale, or owned without touching their bytes; either
-    /// way they stop being shared.
-    fn mark(&mut self, pages: Range<usize>, stale: bool) {
-        if pages.is_empty() {
-            return;
-        }
-        if let Some(shared) = &mut self.shared {
-            shared.unshare(&pages);
-            if shared.runs.is_empty() {
-                self.shared = None;
-            }
-        }
-        if stale {
-            let words = (self.data.len() / PAGE_BYTES).div_ceil(64);
-            self.stale.resize(words, 0);
-            for (w, mask) in page_words(pages) {
-                self.stale_pages += (mask & !self.stale[w]).count_ones() as usize;
-                self.stale[w] |= mask;
-            }
-        } else if !self.stale.is_empty() {
-            for (w, mask) in page_words(pages) {
-                self.stale_pages -= (mask & self.stale[w]).count_ones() as usize;
-                self.stale[w] &= !mask;
-            }
-            if self.stale_pages == 0 {
-                self.stale.clear();
-            }
-        }
-    }
-
-    /// Makes the pages MRAM range `r` reaches owned — a stale page zeroed,
-    /// a shared one copied from its image: what a mutable access does
-    /// before it hands out the bytes.
+    /// Makes the pages MRAM range `r` reaches owned, copying each run's
+    /// source in: what a mutable access does before it hands out bytes.
     #[inline]
     fn freshen(&mut self, r: Range<usize>) {
-        if self.any_unowned(r.clone()) {
-            let pages = self.pages(r);
-            for p in pages.clone() {
-                let page = p * PAGE_BYTES..(p + 1) * PAGE_BYTES;
-                if self.is_stale(p) {
-                    self.data[page].fill(0);
-                } else if let Some(s) = run_over(&self.shared, p..p + 1) {
-                    self.data[page.clone()].copy_from_slice(s.bytes(page));
-                }
-            }
-            self.mark(pages, false);
+        let pages = self.pages(r);
+        let reached = self.reached(&pages);
+        if reached.is_empty() {
+            return;
         }
+        for run in &self.runs[reached] {
+            let p = run.pages.start.max(pages.start)..run.pages.end.min(pages.end);
+            let b = p.start * PAGE_BYTES..p.end * PAGE_BYTES;
+            run.copy(b.clone(), &mut self.data[b]);
+        }
+        self.own(pages);
     }
 
     /// Makes the pages MRAM range `r` covers whole owned without touching
@@ -302,86 +221,67 @@ impl Segment {
     /// keep their state, for the landing's window to freshen.
     #[inline]
     fn claim(&mut self, r: Range<usize>) {
-        if (!self.stale.is_empty() || self.shared.is_some()) && !r.is_empty() {
-            self.mark(self.split(r).0, false);
-        }
-    }
-
-    /// Makes MRAM range `r` read as zeros: the pages inside it are marked
-    /// stale, its bytes on a page it cuts are zero-filled (unless the page
-    /// is stale already; a shared one is made owned first).
-    fn zero(&mut self, r: Range<usize>) {
-        let (inner, cuts) = self.split(r);
-        for cut in cuts {
-            if !cut.is_empty() && !self.is_stale((cut.start - self.start) / PAGE_BYTES) {
-                self.freshen(cut.clone());
-                self.span_mut(cut).fill(0);
-            }
-        }
-        self.mark(inner, true);
+        self.own(self.split(r).0);
     }
 
     /// Makes MRAM range `r` read as `image`, whose first byte lands at
-    /// `r.start`: the pages inside `r` become one shared run (whatever
-    /// they were), its bytes on a page it cuts are copied.
-    fn share(&mut self, r: Range<usize>, image: &Arc<[u8]>) {
+    /// `r.start`, or as zeros for `None`: the pages inside `r` become one
+    /// run of it, whatever they were; its bytes on a page it cuts are
+    /// written.
+    fn land(&mut self, r: Range<usize>, image: Option<&Arc<[u8]>>) {
         let (inner, cuts) = self.split(r.clone());
-        for cut in cuts {
-            if !cut.is_empty() {
-                self.freshen(cut.clone());
-                let from = &image[cut.start - r.start..cut.end - r.start];
-                self.span_mut(cut).copy_from_slice(from);
+        for cut in cuts.into_iter().filter(|cut| !cut.is_empty()) {
+            self.freshen(cut.clone());
+            let from = cut.start - r.start..cut.end - r.start;
+            match image {
+                Some(image) => self.span_mut(cut).copy_from_slice(&image[from]),
+                None => self.span_mut(cut).fill(0),
             }
         }
         if inner.is_empty() {
             return;
         }
-        // Taken out while the pages are marked owned, so replacing a run
-        // does not free the box only to allocate it again.
-        let mut shared = self.shared.take().unwrap_or_default();
-        shared.unshare(&inner);
-        self.mark(inner.clone(), false);
-        shared.insert(Share {
-            at: self.start + inner.start * PAGE_BYTES - r.start,
-            pages: inner,
-            image: Arc::clone(image),
-        });
-        self.shared = Some(shared);
+        let at = self.start + inner.start * PAGE_BYTES - r.start;
+        let image = image.map(|image| (Arc::clone(image), at));
+        let i = self.own(inner.clone());
+        self.runs.reserve_exact(1);
+        self.runs.insert(
+            i,
+            Run {
+                pages: inner,
+                image,
+            },
+        );
     }
 
-    /// Copies MRAM range `r` into `dst`: zeros for the stale pages, the
-    /// image's bytes for the shared ones.
+    /// Copies MRAM range `r` into `dst`, each run's pages as its source.
     fn copy_out(&self, r: Range<usize>, dst: &mut [u8]) {
-        if !self.any_unowned(r.clone()) {
-            dst.copy_from_slice(self.span(r));
-            return;
-        }
         let mut at = r.start;
-        while at < r.end {
-            let hi = ((at | (PAGE_BYTES - 1)) + 1).min(r.end);
-            let out = &mut dst[at - r.start..hi - r.start];
-            let page = (at - self.start) / PAGE_BYTES;
-            if self.is_stale(page) {
-                out.fill(0);
-            } else if let Some(s) = run_over(&self.shared, page..page + 1) {
-                out.copy_from_slice(s.bytes(at - self.start..hi - self.start));
-            } else {
-                out.copy_from_slice(self.span(at..hi));
-            }
+        for run in &self.runs[self.reached(&self.pages(r.clone()))] {
+            let lo = (self.start + run.pages.start * PAGE_BYTES).max(r.start);
+            let hi = (self.start + run.pages.end * PAGE_BYTES).min(r.end);
+            dst[at - r.start..lo - r.start].copy_from_slice(self.span(at..lo));
+            run.copy(
+                lo - self.start..hi - self.start,
+                &mut dst[lo - r.start..hi - r.start],
+            );
             at = hi;
         }
+        dst[at - r.start..].copy_from_slice(self.span(at..r.end));
     }
 
-    /// Borrows MRAM range `r`: the segment's own bytes when no page `r`
-    /// reaches is stale or shared, the image's when `r` lies inside one
-    /// shared run, `None` otherwise.
+    /// Borrows MRAM range `r`: the segment's own bytes when no run reaches
+    /// it, the image's when `r` lies inside one image run, `None`
+    /// otherwise.
     #[inline]
     fn borrow(&self, r: Range<usize>) -> Option<&[u8]> {
-        if !self.any_unowned(r.clone()) {
-            return Some(self.span(r));
+        let pages = self.pages(r.clone());
+        let rel = r.start - self.start..r.end - self.start;
+        match &self.runs[self.reached(&pages)] {
+            [] => Some(&self.data[rel]),
+            [run] if run.pages.start <= pages.start && pages.end <= run.pages.end => run.bytes(rel),
+            _ => None,
         }
-        let s = run_over(&self.shared, self.pages(r.clone()))?;
-        Some(s.bytes(r.start - self.start..r.end - self.start))
     }
 
     /// Borrows MRAM range `src` (which [`Segment::borrow`] must lend) and
@@ -390,10 +290,9 @@ impl Segment {
     fn borrow_pair(&mut self, src: Range<usize>, dst: Range<usize>) -> (&[u8], &mut [u8]) {
         let s = src.start - self.start..src.end - self.start;
         let d = dst.start - self.start..dst.end - self.start;
-        if self.any_unowned(src.clone()) {
-            let pages = self.pages(src);
-            let run = run_over(&self.shared, pages).expect("a source the segment lends");
-            return (run.bytes(s), &mut self.data[d]);
+        if let Some(run) = self.runs[self.reached(&self.pages(src))].first() {
+            let read = run.bytes(s).expect("a source the segment lends");
+            return (read, &mut self.data[d]);
         }
         if s.end <= d.start {
             let (lo, hi) = self.data.split_at_mut(d.start);
@@ -416,26 +315,19 @@ impl Segment {
 /// which is also why a one-row landing's zero tail needs no pages (see
 /// [`Pe::write`]).
 ///
-/// A materialized page can also be *stale*: [`Pe::reset`] marks every
-/// page so, and a zero tail marks the whole pages it covers. A stale page
-/// reads as zeros, exactly like an unmaterialized one, through every
-/// `&self` reader ([`Pe::peek_into`], [`Pe::read_window`], the source of
-/// [`Pe::window_pair`]; [`Pe::try_slice`] declines it). Every mutable
-/// access zeroes the stale pages it reaches before handing out bytes, and
-/// a direct-lane [`Pe::write`] claims the pages its row covers whole
-/// without zeroing them, so zeroing costs what a run touches, not what
-/// the PE has ever held.
-///
-/// A materialized page can be *shared* instead: a direct-lane
-/// [`Pe::write_shared`] points the pages its image covers whole at the
-/// image. A shared page reads as the image's bytes through every `&self`
-/// reader; [`Pe::try_slice`], [`Pe::read_window`] and the source of
-/// [`Pe::window_pair`] borrow the image itself where the range lies in
-/// one shared run, and copy otherwise, as they do over stale pages. A
-/// mutable access copies the shared pages it reaches into the segment, a
-/// landing that covers a whole page or a reset drops its share, and a
-/// merge folds shared pages in as their bytes. The pages stay allocated
-/// and count towards [`Pe::mram_resident`], so residency is the copy's.
+/// A materialized page is the segment's own unless a run covers it, and
+/// then it reads as the run's source: zeros ([`Pe::reset`] puts every page
+/// in one such run, a zero tail the pages it covers whole) or a page of a
+/// result image (a direct-lane [`Pe::write_shared`]). Every `&self` reader
+/// sees the source without touching the page; [`Pe::try_slice`],
+/// [`Pe::read_window`] and the source of [`Pe::window_pair`] borrow the
+/// image itself where the range lies in one image run, and copy
+/// otherwise. Every mutable access owns the pages it reaches, copying
+/// their source in, and a direct-lane [`Pe::write`] owns the pages its
+/// row covers whole without a copy — so a reset costs what the next run
+/// touches, not what the PE has ever held. A merge folds a run in as its
+/// bytes. Run pages stay allocated and count towards
+/// [`Pe::mram_resident`], so residency is the copy's.
 ///
 /// Accesses that stay inside one materialized segment borrow it directly
 /// (the contiguous-extent fast path: dense streaming loops still get
@@ -446,7 +338,7 @@ impl Segment {
 /// steady-state collectives run without per-call heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct Pe {
-    /// Materialized page runs, sorted by `start`, non-overlapping.
+    /// Materialized segments, sorted by `start`, non-overlapping.
     segs: Vec<Segment>,
     /// High-water mark of bytes touched through the growing accessors —
     /// the seed's `mram.len()` semantics, now decoupled from allocation.
@@ -490,7 +382,7 @@ fn seg_covering(segs: &[Segment], offset: usize, len: usize) -> Option<usize> {
 }
 
 /// Copies the bytes at `offset` into `dst`, reading zeros wherever no
-/// segment is materialized or a page is stale.
+/// segment is materialized and each run's source over the run's pages.
 fn peek_segs(segs: &[Segment], offset: usize, dst: &mut [u8]) {
     let end = offset + dst.len();
     if let Some(i) = seg_covering(segs, offset, dst.len()) {
@@ -508,10 +400,10 @@ fn peek_segs(segs: &[Segment], offset: usize, dst: &mut [u8]) {
     }
 }
 
-/// A resolved read-only view of one MRAM region: the materialized bytes
-/// themselves when one segment covers the region and no page of it is
-/// stale, otherwise a zero-extended snapshot (nothing is materialized or
-/// freshened by reading). Index 0 is the region's first byte.
+/// A resolved read-only view of one MRAM region: borrowed where
+/// [`Pe::try_slice`] lends the region, otherwise a zero-extended snapshot
+/// (nothing is materialized or owned by reading). Index 0 is the region's
+/// first byte.
 pub type ReadWindow<'a> = Cow<'a, [u8]>;
 
 /// A resolved mutable window over one MRAM region of one PE — capacity
@@ -704,16 +596,17 @@ impl Pe {
     /// Number of MRAM bytes actually materialized (allocated pages): the
     /// pages of every resolved window and read, and of the non-zero bytes
     /// of every one-row landing. For a sparse access pattern — or rows
-    /// padded with zeros — this is far below [`Pe::mram_used`]. Stale
-    /// pages count: they stay allocated, and a reset keeps every page.
+    /// padded with zeros — this is far below [`Pe::mram_used`]. Pages
+    /// that are not owned count: they stay allocated, and a reset keeps
+    /// every page.
     pub fn mram_resident(&self) -> usize {
         self.segs.iter().map(|s| s.data.len()).sum()
     }
 
     /// The bytes of `[offset, offset + len)` that [`Pe::mram_resident`]
-    /// counts: materialized ones, stale or not. Unlike
-    /// [`Pe::try_slice`], which declines a stale page, a reset does not
-    /// change it.
+    /// counts: materialized ones, owned or not. Unlike
+    /// [`Pe::try_slice`], which declines a page that reads as zeros, a
+    /// reset does not change it.
     ///
     /// # Panics
     ///
@@ -729,18 +622,17 @@ impl Pe {
     /// Returns the PE to the freshly-initialized all-zero state while
     /// keeping its allocations, so a pooled PE can be reused across runs
     /// without allocator traffic (the [`crate::arena::SystemArena`] path).
-    /// Nothing is zero-filled: every materialized page is marked stale —
-    /// one bit per page — and reads as zeros until the next run touches
-    /// it, so a reset costs a bit per page and the next run pays to zero
-    /// only the pages it reaches. The fault plan and verification are
-    /// dropped and the reorder scratch keeps its capacity. Functionally
-    /// indistinguishable from [`Pe::new`]: every subsequent read observes
-    /// zeros and [`Pe::mram_used`] restarts at 0. Only
-    /// [`Pe::mram_resident`] betrays the recycling, which no modeled cost
-    /// depends on.
+    /// Nothing is zero-filled: each segment's pages become one run of
+    /// zeros until the next run touches them, so a reset costs a run per
+    /// segment and the next run pays to zero only the pages it reaches.
+    /// The fault plan and verification are dropped and the reorder
+    /// scratch keeps its capacity. Functionally indistinguishable from
+    /// [`Pe::new`]: every subsequent read observes zeros and
+    /// [`Pe::mram_used`] restarts at 0. Only [`Pe::mram_resident`] betrays
+    /// the recycling, which no modeled cost depends on.
     pub fn reset(&mut self) {
         for s in &mut self.segs {
-            s.mark(0..s.data.len() / PAGE_BYTES, true);
+            s.reset();
         }
         self.extent = 0;
         self.fault = None;
@@ -754,8 +646,8 @@ impl Pe {
     /// abuts*: folding in adjacent segments is what lets sequential
     /// streaming — even when individual writes land exactly on page
     /// boundaries — converge to one contiguous segment instead of one
-    /// segment per page. A folded segment's stale pages fold in as zeros;
-    /// the segment grown in place keeps its marks, and the caller freshens
+    /// segment per page. A folded segment's runs fold in as their bytes;
+    /// the segment grown in place keeps its runs, and the caller freshens
     /// or claims what it is about to touch.
     fn ensure_span(&mut self, offset: usize, len: usize) -> usize {
         debug_assert!(len > 0);
@@ -788,10 +680,6 @@ impl Pe {
             // fold in the rest.
             let seg = &mut self.segs[i];
             seg.data.resize(new_end - new_start, 0);
-            if !seg.stale.is_empty() {
-                seg.stale
-                    .resize((seg.data.len() / PAGE_BYTES).div_ceil(64), 0);
-            }
             for s in self.segs.drain(i + 1..k).collect::<Vec<_>>() {
                 let at = s.start - new_start;
                 s.copy_out(
@@ -813,17 +701,15 @@ impl Pe {
                 Segment {
                     start: new_start,
                     data,
-                    stale: Vec::new(),
-                    stale_pages: 0,
-                    shared: None,
+                    runs: Vec::new(),
                 },
             );
         }
         i
     }
 
-    /// Reads `len` bytes at `offset`, materializing their pages (stale
-    /// ones zeroed) so the bytes can be borrowed.
+    /// Reads `len` bytes at `offset`, materializing and owning their pages
+    /// so the bytes can be borrowed.
     pub fn read(&mut self, offset: usize, len: usize) -> &[u8] {
         self.extent = self.extent.max(check_capacity(offset, len));
         if len == 0 {
@@ -864,7 +750,8 @@ impl Pe {
     }
 
     /// Borrows `len` bytes at `offset` if the region is already
-    /// materialized in one segment and reaches no stale page, `None`
+    /// materialized in one segment and either reaches no run (the
+    /// segment's bytes) or lies inside one image run (the image's), `None`
     /// otherwise. Zero-copy fast path for readers that can fall back to
     /// [`Pe::peek_into`].
     ///
@@ -895,13 +782,13 @@ impl Pe {
     /// window (burst lanes, row transfers, host scatters).
     ///
     /// With no fault plan attached the row overwrites everything it
-    /// covers, so the stale pages it covers whole are claimed without
-    /// being zeroed. A row no one segment covers yet lands only its
-    /// non-zero prefix: its zero tail is left unmaterialized (reading as
-    /// zeros) where no pages exist, and where they do, the pages it covers
-    /// whole are marked stale and only the bytes on the pages it cuts are
-    /// zero-filled. Bytes, extent and verification are those of the whole
-    /// row; only [`Pe::mram_resident`] is smaller. A fault plan draws by
+    /// covers, so the pages it covers whole are owned without a copy. A
+    /// row no one segment covers yet lands only its non-zero prefix: its
+    /// zero tail is left unmaterialized (reading as zeros) where no pages
+    /// exist, and where they do, the pages it covers whole become a run of
+    /// zeros and only the bytes on the pages it cuts are zero-filled.
+    /// Bytes, extent and verification are those of the whole row; only
+    /// [`Pe::mram_resident`] is smaller. A fault plan draws by
     /// the landing's `(pe, offset, len)`, so under one the whole row lands
     /// — through a window that zeroes what it covers first, since a stuck
     /// PE drops the landing.
@@ -976,7 +863,7 @@ impl Pe {
         };
         self.extent = self.extent.max(end);
         if let Some(i) = seg {
-            self.segs[i].share(offset..offset + live, image);
+            self.segs[i].land(offset..offset + live, Some(image));
         }
         self.zero_tail(offset + live..end);
     }
@@ -996,8 +883,8 @@ impl Pe {
     }
 
     /// Makes a row's zero tail `r` read as zeros without materializing
-    /// anything: the pages it covers whole are marked stale, its bytes on
-    /// the pages it cuts are zero-filled.
+    /// anything: the pages it covers whole become a run of zeros, its
+    /// bytes on the pages it cuts are zero-filled.
     fn zero_tail(&mut self, r: Range<usize>) {
         if r.is_empty() {
             return;
@@ -1007,15 +894,14 @@ impl Pe {
             .iter_mut()
             .take_while(|s| s.start < r.end)
         {
-            s.zero(r.start.max(s.start)..r.end.min(s.end()));
+            s.land(r.start.max(s.start)..r.end.min(s.end()), None);
         }
     }
 
     /// Resolves a [`WriteWindow`] over `[offset, offset + len)`:
-    /// materializes its pages (zero-filled on first touch, stale pages
-    /// zeroed) and records the extent, like [`Pe::slice_mut`], but hands
-    /// out the region behind the fault layer's hooks instead of as raw
-    /// bytes.
+    /// materializes and owns its pages (zero-filled on first touch) and
+    /// records the extent, like [`Pe::slice_mut`], but hands out the
+    /// region behind the fault layer's hooks instead of as raw bytes.
     ///
     /// # Panics
     ///
@@ -1038,9 +924,9 @@ impl Pe {
 
     /// Resolves a [`ReadWindow`] over `src` and a [`WriteWindow`] over
     /// `dst` in one step, so a PE can be source and destination of the
-    /// same streaming loop. The destination is materialized (its stale
-    /// pages zeroed) and both regions count towards [`Pe::mram_used`]; the
-    /// source is never materialized (see [`Pe::read_window`]).
+    /// same streaming loop. The destination is materialized and owned, and
+    /// both regions count towards [`Pe::mram_used`]; the source is never
+    /// materialized (see [`Pe::read_window`]).
     ///
     /// # Panics
     ///
@@ -1068,9 +954,8 @@ impl Pe {
         if let Some(i) = di {
             segs[i].freshen(dst.clone());
         }
-        let si = seg_covering(segs, src.start, src.len()).filter(|&j| {
-            !segs[j].any_unowned(src.clone()) || segs[j].borrow(src.clone()).is_some()
-        });
+        let si = seg_covering(segs, src.start, src.len())
+            .filter(|&j| segs[j].borrow(src.clone()).is_some());
         let (read, data): (ReadWindow, &mut [u8]) = match (si, di) {
             (None, _) => {
                 let mut staged = vec![0u8; src.len()];
@@ -1139,8 +1024,10 @@ impl Pe {
     /// the transport fault scope like the reorder kernels. The regions must
     /// not overlap; nothing between them is materialized.
     pub fn copy_within_region(&mut self, src_offset: usize, dst_offset: usize, len: usize) {
-        let (src, dst) =
-            self.window_pair(src_offset..src_offset + len, dst_offset..dst_offset + len);
+        let (src, dst) = self.window_pair(
+            src_offset..check_capacity(src_offset, len),
+            dst_offset..check_capacity(dst_offset, len),
+        );
         dst.data.copy_from_slice(&src);
     }
 
@@ -1160,10 +1047,16 @@ impl Pe {
         rows: usize,
         row_bytes: usize,
     ) {
-        let (block, pitch) = (rows * row_bytes, blocks * row_bytes);
-        let len = blocks * block;
-        let (src, dst) =
-            self.window_pair(src_offset..src_offset + len, dst_offset..dst_offset + len);
+        // Saturated, an overflowing length is refused as out of the bank.
+        let (block, pitch) = (
+            rows.saturating_mul(row_bytes),
+            blocks.saturating_mul(row_bytes),
+        );
+        let len = blocks.saturating_mul(block);
+        let (src, dst) = self.window_pair(
+            src_offset..check_capacity(src_offset, len),
+            dst_offset..check_capacity(dst_offset, len),
+        );
         for b in 0..blocks {
             crate::kernels::copy_rows(
                 dst.data,
@@ -1178,7 +1071,7 @@ impl Pe {
         }
     }
 
-    /// Mutable view of `len` bytes at `offset`, its stale pages zeroed.
+    /// Mutable view of `len` bytes at `offset`, its pages owned.
     pub fn slice_mut(&mut self, offset: usize, len: usize) -> &mut [u8] {
         self.extent = self.extent.max(check_capacity(offset, len));
         if len == 0 {
@@ -1220,7 +1113,7 @@ impl Pe {
         assert_eq!(perm.len(), count, "permutation length mismatch");
         #[cfg(debug_assertions)]
         Self::check_permutation(perm, count);
-        let len = block * count;
+        let len = block.saturating_mul(count);
         self.extent = self.extent.max(check_capacity(offset, len));
         if len == 0 {
             return;
@@ -1279,16 +1172,6 @@ impl Pe {
     pub fn read_u32s(&mut self, offset: usize, dst: &mut [u32]) {
         let src = self.read(offset, dst.len() * 4);
         crate::kernels::decode_u32(src, dst);
-    }
-
-    /// Encodes `src` as little-endian `u32`s starting at `offset`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the access would exceed [`MRAM_CAPACITY`].
-    pub fn write_u32s(&mut self, offset: usize, src: &[u32]) {
-        let dst = self.slice_mut(offset, src.len() * 4);
-        crate::kernels::encode_u32(src, dst);
     }
 
     /// Sign-extending decode of `dst.len()` elements of width
@@ -1353,7 +1236,7 @@ impl Pe {
             "rotation {rot} out of range for parts of {part}"
         );
         rotate_parts_in(
-            self.slice_mut(offset, block * count),
+            self.slice_mut(offset, block.saturating_mul(count)),
             part * block,
             rot * block,
         );
@@ -1555,10 +1438,11 @@ mod tests {
 
     #[test]
     fn accesses_whose_end_overflows_panic_as_out_of_bank() {
-        // An unchecked `offset + len` wraps to a small end here and passes.
+        // An unchecked `offset + len` (or a length's product) wraps to a
+        // small value here and passes.
         const AT: usize = usize::MAX - 2;
         type Access = fn(&mut Pe);
-        let cases: [(&str, Access); 11] = [
+        let cases: [(&str, Access); 15] = [
             ("read", |pe| _ = pe.read(AT, 4)),
             ("peek_into", |pe| pe.peek_into(AT, &mut [0; 4])),
             ("try_slice", |pe| _ = pe.try_slice(AT, 4)),
@@ -1570,6 +1454,17 @@ mod tests {
             ("slice_mut", |pe| _ = pe.slice_mut(AT, 4)),
             ("permute_blocks", |pe| pe.permute_blocks(AT, 2, 2, &[1, 0])),
             ("rotate_parts", |pe| pe.rotate_parts(AT, 2, 2, 2, 1)),
+            ("copy_within_region", |pe| pe.copy_within_region(AT, 0, 4)),
+            // Lengths whose product overflows: wrapped, they read 0 B.
+            ("rotate_parts len", |pe| {
+                pe.rotate_parts(0, 1 << 33, 2, 1 << 31, 1)
+            }),
+            ("permute_blocks len", |pe| {
+                pe.permute_blocks(0, 1 << 62, 4, &[1, 0, 3, 2])
+            }),
+            ("interleave_blocks len", |pe| {
+                pe.interleave_blocks(0, 1 << 20, 1 << 32, 1 << 32, 1)
+            }),
         ];
         for (name, access) in cases {
             let mut pe = Pe::new();
@@ -1599,7 +1494,7 @@ mod tests {
         assert_eq!(pe.mram_resident(), 2 * PAGE_BYTES);
         assert_eq!(pe.mram_resident_in(PAGE_BYTES, 2 * PAGE_BYTES), PAGE_BYTES);
         assert_eq!(pe.peek(64, row.len()), row);
-        // A reset keeps the pages, which still count, though stale.
+        // A reset keeps the pages, which still count, though not owned.
         pe.reset();
         assert!(pe.try_slice(0, PAGE_BYTES).is_none());
         assert_eq!(pe.mram_resident_in(8, 3 * PAGE_BYTES), 2 * PAGE_BYTES - 8);
@@ -1613,7 +1508,7 @@ mod tests {
 
     #[test]
     fn a_zero_tail_over_stale_pages_zeroes_them() {
-        // Stale non-zero bytes on page 0 and on an island at page 3, which
+        // Old non-zero bytes on page 0 and on an island at page 3, which
         // the row's tail covers in part; no one segment covers the row.
         let mut pe = Pe::new();
         pe.write(0, &[0xEE; PAGE_BYTES]);
@@ -1621,7 +1516,7 @@ mod tests {
         let row = padded_row(8, 3 * PAGE_BYTES + 8);
         pe.write(16, &row);
         assert_eq!(pe.peek(16, row.len()), row);
-        // Around the row the stale bytes stay, and no page was added.
+        // Around the row the old bytes stay, and no page was added.
         assert_eq!(pe.peek(0, 16), vec![0xEE; 16]);
         assert_eq!(pe.peek(3 * PAGE_BYTES + 24, 40), vec![0xEE; 40]);
         assert_eq!(pe.mram_resident(), 2 * PAGE_BYTES);
@@ -1768,6 +1663,46 @@ mod tests {
         );
         assert_eq!(verified.peek(40, src.len()), src);
         assert!(verified.take_corruption().is_none());
+    }
+
+    #[test]
+    fn runs_stay_sorted_and_grow_one_at_a_time() {
+        let mut pe = Pe::new();
+        pe.write(0, &[1; 8 * PAGE_BYTES]);
+        pe.reset();
+        let runs = |pe: &Pe| -> Vec<(Range<usize>, bool, usize)> {
+            let s = &pe.segs[0];
+            (s.runs.iter())
+                .map(|r| (r.pages.clone(), r.image.is_some(), s.runs.capacity()))
+                .collect()
+        };
+        assert_eq!(runs(&pe), [(0..8, false, 1)]);
+        // A few bytes on page 3 own it: the zero run splits in two.
+        pe.write(3 * PAGE_BYTES + 8, &[1; 8]);
+        assert_eq!(runs(&pe), [(0..3, false, 2), (4..8, false, 2)]);
+        // An image over pages 5-6 cuts the second run around itself.
+        let image: Arc<[u8]> = vec![7; 2 * PAGE_BYTES].into();
+        pe.write_shared(5 * PAGE_BYTES, &image, Landing::Row);
+        let want = [(0..3, false), (4..5, false), (5..7, true), (7..8, false)];
+        assert_eq!(runs(&pe), want.map(|(p, i)| (p, i, 4)));
+        assert_eq!(size_of::<Segment>(), 7 * size_of::<usize>());
+    }
+
+    #[test]
+    fn try_slice_lends_an_image_run_itself_and_declines_zeros() {
+        let mut pe = Pe::new();
+        pe.write(0, &[1; 4 * PAGE_BYTES]);
+        let image: Arc<[u8]> = (0..2 * PAGE_BYTES).map(|i| i as u8 | 1).collect();
+        pe.write_shared(PAGE_BYTES, &image, Landing::Row);
+        let lent = pe
+            .try_slice(PAGE_BYTES + 8, PAGE_BYTES)
+            .expect("inside one run");
+        assert!(std::ptr::eq(lent, &image[8..PAGE_BYTES + 8]));
+        // Across the run's end: no one source holds the range.
+        assert!(pe.try_slice(2 * PAGE_BYTES, 2 * PAGE_BYTES).is_none());
+        pe.reset();
+        assert!(pe.try_slice(PAGE_BYTES, 8).is_none());
+        assert_eq!(&*pe.read_window(PAGE_BYTES, 8), &[0; 8]);
     }
 
     #[test]

@@ -166,9 +166,9 @@ impl PimSystem {
     }
 
     /// Returns the system to its post-construction state — every PE
-    /// reading all-zero ([`Pe::reset`] marks its pages stale, zeroing
-    /// none), no fault plan attached, write verification off, the meter
-    /// cleared — while keeping all allocations for reuse. Geometry and
+    /// reading all-zero ([`Pe::reset`] puts its pages in runs of zeros,
+    /// zeroing none), no fault plan attached, write verification off, the
+    /// meter cleared — while keeping all allocations for reuse. Geometry and
     /// time model are unchanged. This is what lets a
     /// [`crate::arena::SystemArena`] hand the same allocation to
     /// consecutive benchmark cells with results byte-identical to a

@@ -295,7 +295,7 @@ fn pe_typed_views_roundtrip_across_page_boundaries() {
 
             let uvals = u32s(&mut g, n);
             let mut pe = Pe::new();
-            pe.write_u32s(offset, &uvals);
+            kernels::encode_u32(&uvals, pe.slice_mut(offset, n * 4));
             let mut back = vec![0u32; n];
             pe.read_u32s(offset, &mut back);
             assert_eq!(back, uvals, "u32 roundtrip at {offset} x{n}");

@@ -2,16 +2,21 @@
 //! sequences of every MRAM operation run on two PEs and on two plain
 //! `Vec<u8>` models, and after every operation the PEs' bytes and
 //! `mram_used` must equal the models'. In the model a reset is a zero
-//! fill, so the test holds the paged store's lazy zeroing — a reset marks
-//! pages stale, a mutable access zeroes what it reaches, a whole-page
-//! landing claims — to the flat semantics.
+//! fill, so the test holds the paged store's page runs — a reset puts
+//! every page in a run of zeros, a mutable access copies in the source of
+//! what it reaches, a whole-page landing owns it without a copy — to the
+//! flat semantics.
 //!
 //! Offsets sit on, one byte either side of, and across page boundaries,
-//! and on islands far apart that later accesses merge; after a reset
-//! every page is stale, so unaligned accesses cut stale pages. A shared
-//! landing (`Pe::write_shared`) leaves pages that read as an image held
-//! outside the PE; every reader and mutator above then meets them, and a
-//! later landing at the same place replaces the run.
+//! and on islands far apart that later accesses merge, so every operation
+//! meets sparse islands and the segments they merge into alike; after a
+//! reset every page reads as zeros, so unaligned accesses cut zero runs. A
+//! shared landing (`Pe::write_shared`) leaves pages that read as an image
+//! held outside the PE; every reader and mutator above then meets them,
+//! and a later landing at the same place replaces the run.
+//!
+//! The flat model cannot see residency; `paged_mram.rs` holds what the
+//! paged store must materialize.
 //!
 //! `PIDCOMM_CHAOS_SEED` overrides the base seed.
 
@@ -360,7 +365,7 @@ fn a_stuck_landing_over_stale_pages_reads_zeros() {
         let len = g.len();
         let at = g.offset(len);
         // Old bytes over the region and around it, then a reset: every
-        // page the landing reaches is stale.
+        // page the landing reaches is in a run of zeros.
         let mut pe = Pe::new();
         pe.write(0, &vec![0xEE; SPAN]);
         pe.reset();
@@ -388,9 +393,9 @@ fn a_stuck_landing_over_stale_pages_reads_zeros() {
 
 #[test]
 fn a_segment_grown_past_a_bitmap_word_keeps_its_marks() {
-    // One stale page, then a landing that grows its segment in place to
-    // 66 pages, past the 64 pages one bitmap word holds; its last page is
-    // cut, so it is freshened, not claimed.
+    // One page in a run of zeros, then a landing that grows its segment in
+    // place to 66 pages, past the 64 pages one 64-bit word of page bits
+    // would hold; its last page is cut, so it is freshened, not claimed.
     let mut pe = Pe::new();
     pe.write(0, &[0xEE; PAGE_BYTES]);
     pe.reset();

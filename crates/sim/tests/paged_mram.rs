@@ -5,6 +5,9 @@
 //! window was pre-materialized into one contiguous segment, replaying the
 //! same operations on both.
 //!
+//! `mram_model.rs` checks every operation's bytes against a flat model;
+//! this file holds what that model cannot see: which pages are held.
+//!
 //! Inputs come from the shared seeded generator, so failures reproduce
 //! exactly.
 
@@ -21,7 +24,7 @@ const BASE: usize = 3 * PAGE_BYTES;
 fn twins(islands: &[(usize, Vec<u8>)]) -> (Pe, Pe) {
     let mut sparse = Pe::new();
     let mut dense = Pe::new();
-    dense.write(BASE, &vec![0u8; WINDOW]); // one segment covering the window
+    dense.slice_mut(BASE, WINDOW); // one segment covering the window
     for (offset, data) in islands {
         sparse.write(*offset, data);
         dense.write(*offset, data);
@@ -149,4 +152,22 @@ fn growth_keeps_extent_and_residency_consistent() {
     }
     assert_eq!(pe.mram_resident(), end.next_multiple_of(PAGE_BYTES));
     assert!(pe.try_slice(0, end).is_some(), "one contiguous segment");
+}
+
+#[test]
+fn a_far_region_stays_unmaterialized() {
+    // Islands near the start of the bank; its last pages read as zeros
+    // through every reader that does not grow, and stay unheld.
+    let mut g = SplitMix64::new(0xfa7);
+    let mut pe = Pe::new();
+    for (offset, data) in random_islands(&mut g, 8) {
+        pe.write(offset, &data);
+    }
+    let (far, len) = (MRAM_CAPACITY - 2 * PAGE_BYTES, 2 * PAGE_BYTES);
+    assert_eq!(pe.peek(far, len), vec![0; len]);
+    assert_eq!(&*pe.read_window(far, len), &vec![0; len][..]);
+    let mut other = Pe::new();
+    other.copy_from(0, &pe, far, len);
+    assert_eq!(pe.mram_resident_in(far, len), 0);
+    assert!(pe.mram_resident() <= WINDOW);
 }
