@@ -19,6 +19,7 @@ use std::sync::Arc;
 
 use pidcomm::{par_pes, BufferSpec, DimMask, OptLevel, Primitive, RunPolicy};
 use pidcomm_data::CsrGraph;
+use pim_sim::pe::Landing;
 use pim_sim::{kernels, DType, FaultPlan, ReduceKind, SystemArena};
 
 use crate::adjacency::{self, ZeroRows};
@@ -285,20 +286,23 @@ pub fn run_cc_resilient_in(
 
             proto.fill(0xFF);
             kernels::encode_u32(&labels, &mut proto[..n * 4]);
+            let image: Arc<[u8]> = proto.as_slice().into();
 
             let (kernel, report) = run.step(&[], |sys, at| {
-                // PE kernel: the shared prototype lands in MRAM directly
-                // from the host mirror, then each PE lowers only its owned
-                // *dirty* vertices' labels in place — the per-worker
-                // staging copy of the whole array is gone (clean vertices
-                // keep their prototype value, which the full scan would
-                // reproduce). One host-kernel work item per PE; labels and
-                // the dirty set are shared read-only.
+                // PE kernel: every PE lands the one prototype image as a
+                // replica it shares (`Pe::write_shared`: its whole pages
+                // read the image, and under a fault plan it is the row
+                // `Pe::write` lands), then lowers only its owned *dirty*
+                // vertices' labels in place, which owns just the pages
+                // they touch (clean vertices keep their prototype value,
+                // which the full scan would reproduce). One host-kernel
+                // work item per PE; labels, the dirty set and the image
+                // are shared read-only.
                 let kernels = par_pes(sys.pes_mut(), cfg.threads, |pid, pe| {
                     // simlint: hot(begin, cc label lowering)
                     let lo = pid * per_pe;
                     let hi = ((pid + 1) * per_pe).min(n);
-                    pe.write(src_off, &proto);
+                    pe.write_shared(src_off, &image, Landing::Row);
                     for v in lo..hi {
                         if !dirty[v] {
                             continue;

@@ -4,13 +4,16 @@
 //! all data is pulled to the host (with automatic domain transfer),
 //! globally rearranged/reduced *in host memory*, domain-transferred again
 //! and pushed back. Functionally it executes the oracle semantics
-//! ([`crate::oracle`]) on borrowed windows of PE memory: the pull resolves a
-//! [`pim_sim::pe::ReadWindow`] per member (nothing is copied, nothing
-//! materialized), the host-memory pass produces **one** flat result per
-//! group — the reduced vector for AllReduce / ReduceScatter / Reduce, the
-//! concatenation for AllGather, the transposed image for AlltoAll — and the
-//! push writes each member its share of it, one `Pe::write` per member. A
-//! reducing pull folds each member into the result as it resolves it. Where
+//! ([`crate::oracle`]) on borrowed PE memory, materializing nothing: a
+//! reducing pull folds each member's region into the group's result as the
+//! pieces its PE lends ([`pim_sim::pe::Pe::pieces`], through
+//! [`super::fold`]), so nothing is copied, and an idempotent operator
+//! folds a page the members share once; the moving primitives resolve a
+//! [`pim_sim::pe::ReadWindow`] per member. The host-memory pass produces
+//! **one** flat result per group — the reduced vector for AllReduce /
+//! ReduceScatter / Reduce, the concatenation for AllGather, the transposed
+//! image for AlltoAll — and the push writes each member its share of it,
+//! one `Pe::write` per member. Where
 //! every member's share is the whole result (AllReduce, AllGather) the push
 //! lands it as one image the members share
 //! ([`pim_sim::pe::Pe::write_shared`], one row each where a fault plan
@@ -26,13 +29,14 @@
 
 use std::sync::Arc;
 
-use pim_sim::dtype::{fill_identity, reduce_bytes};
+use pim_sim::dtype::fill_identity;
 use pim_sim::geometry::BURST_BYTES;
 use pim_sim::pe::Landing;
 use pim_sim::PimSystem;
 
 use crate::config::Primitive;
 use crate::engine::buffer_extents;
+use crate::engine::fold::Fold;
 use crate::engine::hostkernel::par_pes;
 use crate::engine::plan::CollectivePlan;
 use crate::engine::sheet::CostSheet;
@@ -117,9 +121,8 @@ pub(crate) fn run(sys: &mut PimSystem, plan: &CollectivePlan) -> Option<Vec<Vec<
     // 1. Pull every member's data (domain transfer is automatic in the
     //    conventional driver) and 2. globally rearrange / reduce it in host
     //    memory — pure computation on shared borrows, one task and one
-    //    flat result per group. A reducing pull folds each member as it
-    //    resolves it, so a source that cannot be borrowed costs one owned
-    //    copy at a time, not one per member.
+    //    flat result per group. A reducing pull folds each member's pieces
+    //    as it reads them, so no source is copied.
     let pes = &*sys;
     let mut groups: Vec<_> = plan.groups.iter().collect();
     let results = par_pes(&mut groups, plan.group_threads, |_, group| {
@@ -131,8 +134,9 @@ pub(crate) fn run(sys: &mut PimSystem, plan: &CollectivePlan) -> Option<Vec<Vec<
             _ => {
                 let mut acc = vec![0u8; b];
                 fill_identity(op, dtype, &mut acc);
-                for pe in &group.members {
-                    reduce_bytes(op, dtype, &mut acc, &pull(pe));
+                let mut fold = Fold::new(op, dtype);
+                for &pe in &group.members {
+                    fold.fold(&mut acc, pes.pe(pe), src);
                 }
                 acc
             }

@@ -7,6 +7,7 @@
 //! entry every way of executing a collective ends in.
 
 pub(crate) mod baseline;
+pub(crate) mod fold;
 pub mod hostkernel;
 pub(crate) mod parallel;
 pub mod plan;

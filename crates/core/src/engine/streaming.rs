@@ -45,7 +45,11 @@
 //! every PE once*: one PE-major pass ([`reduce_cluster`]) walks the source
 //! regions tile by tile, rotating each PE's stretch (phase A, fused) and
 //! folding it while it is hot, and leaves one reduced vector per group in
-//! rank order. That vector *is* Reduce's host output; ReduceScatter lands
+//! rank order. A source that PEs share stays shared through both steps:
+//! the rotation turns its pages into pages of one rotated image per lane
+//! rank, and the fold ([`super::fold`]) takes each PE's stretch as its
+//! pieces, so an idempotent operator folds a page its lane-mates share
+//! once. That vector *is* Reduce's host output; ReduceScatter lands
 //! each member its chunk of it; AllReduce lands all of it on every member
 //! as one shared image ([`pim_sim::pe::Pe::write_shared`]): each member's
 //! pages read the group's one `Arc`, and nothing is copied but the bytes
@@ -83,11 +87,12 @@ use std::sync::Arc;
 use pim_sim::domain::{LanePerm, IDENTITY_PERM};
 use pim_sim::dtype::{fill_identity, reducer, DType};
 use pim_sim::geometry::{DimmGeometry, BURST_BYTES, LANES};
-use pim_sim::pe::{Landing, WriteWindow};
+use pim_sim::pe::{Landing, Rotations, WriteWindow};
 use pim_sim::system::EgView;
 use pim_sim::PimSystem;
 
 use crate::config::{OptLevel, Primitive, Technique};
+use crate::engine::fold::Fold;
 use crate::engine::hostkernel::par_pes;
 use crate::engine::plan::{ClusterSched, CollectivePlan, Move};
 use crate::engine::sheet::CostSheet;
@@ -188,12 +193,18 @@ fn run_clustered(
 fn pre_reorder_cluster(task: &mut ClusterTask, offset: usize, chunk: usize) {
     let c = task.cluster;
     let (l, m) = (c.lane_count, c.eg_count());
+    let mut rotations = Rotations::default();
     for g in &c.groups {
         for (i_src, &lane) in g.lanes.iter().enumerate() {
             for slot in 0..m {
-                task.view
-                    .pe_mut(slot, lane)
-                    .rotate_parts(offset, chunk, l, l * m, i_src);
+                task.view.pe_mut(slot, lane).rotate_parts(
+                    offset,
+                    chunk,
+                    l,
+                    l * m,
+                    i_src,
+                    &mut rotations,
+                );
             }
         }
     }
@@ -512,7 +523,11 @@ const TILE_BYTES: usize = 64 * 1024;
 /// tile every source PE is visited once — its parts are rotated by its lane
 /// rank (phase A, exactly [`pim_sim::pe::Pe::rotate_parts`] over the whole
 /// region once all tiles are done) and the still-hot tile is folded
-/// *vertically* into its lane's sum, one long kernel call. Each lane sum is
+/// *vertically* into its lane's sum: the lane's first PE copied in, the
+/// others folded piece by piece ([`Fold`]). The pass keeps one memo of
+/// rotated images ([`Rotations`]), so the lane-mates of a shared source
+/// lend the same rotated pages, and an idempotent operator folds those
+/// once per lane. Each lane sum is
 /// then aligned: slot `k` of a part rotated by `i` belongs to lane rank
 /// `(k + i) % l`, so the part folds into the group's vector as two runs —
 /// the host-domain form of aligning every burst with the rotation before
@@ -534,6 +549,8 @@ fn reduce_cluster(task: &mut ClusterTask, plan: &CollectivePlan) -> Vec<Vec<u8>>
         fill_identity(op, dtype, image);
     }
     let mut sum = vec![0u8; tile.min(b)];
+    let mut fold = Fold::new(op, dtype);
+    let mut rotations = Rotations::default();
     // simlint: hot(begin, PE-major reduction)
     for t0 in (0..b).step_by(tile) {
         let len = tile.min(b - t0);
@@ -542,12 +559,11 @@ fn reduce_cluster(task: &mut ClusterTask, plan: &CollectivePlan) -> Vec<Vec<u8>>
             for (i, &lane) in g.lanes.iter().enumerate() {
                 for m_s in 0..m {
                     let pe = task.view.pe_mut(m_s, lane);
-                    pe.rotate_parts(src + t0, chunk, l, len / chunk, i);
-                    let hot = pe.read_window(src + t0, len);
+                    pe.rotate_parts(src + t0, chunk, l, len / chunk, i, &mut rotations);
                     if m_s == 0 {
-                        sum.copy_from_slice(&hot);
+                        fold.copy(sum, pe, src + t0);
                     } else {
-                        kernel(sum, &hot);
+                        fold.fold(sum, pe, src + t0);
                     }
                 }
                 let cut = (l - i) * chunk;
@@ -991,7 +1007,7 @@ mod tests {
                     for (i, &lane) in g.lanes.iter().enumerate() {
                         let mut pe = Pe::new();
                         pe.write(0, &image);
-                        pe.rotate_parts(0, 1, l, l * m, i);
+                        pe.rotate_parts(0, 1, l, l * m, i, &mut Default::default());
                         let pre: Vec<u8> = pre_perm(i, l, m).iter().map(|&s| s as u8).collect();
                         assert_eq!(pe.peek(0, l * m), pre, "{mask} pre i={i}");
                         // post[final] = arrival  <=>  final_slot[arrival] = final.

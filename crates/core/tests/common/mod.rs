@@ -4,6 +4,9 @@
 #![allow(dead_code)] // each suite uses its own subset
 #![allow(clippy::needless_range_loop)] // loop indices drive offset math
 
+use std::ops::Range;
+use std::sync::Arc;
+
 use pidcomm::hypercube::EgCluster;
 use pidcomm::{
     oracle, BufferSpec, Communicator, DimMask, HypercubeManager, HypercubeShape, OptLevel,
@@ -12,9 +15,9 @@ use pidcomm::{
 use pim_sim::domain::{LanePerm, IDENTITY_PERM};
 use pim_sim::dtype::fill_identity;
 use pim_sim::geometry::LANES;
-use pim_sim::pe::PAGE_BYTES;
+use pim_sim::pe::{Landing, Rotations, PAGE_BYTES};
 use pim_sim::testgen::fill_byte;
-use pim_sim::{DimmGeometry, PimSystem, ReduceKind};
+use pim_sim::{DimmGeometry, PeId, PimSystem, ReduceKind};
 
 /// The seed bases CI's chaos smoke runs under.
 pub const CI_SEEDS: [u64; 3] = [1, 77, 3_405_691_582];
@@ -52,6 +55,39 @@ pub fn fill(sys: &mut PimSystem, offset: usize, len: usize, salt: u64) {
         let cut = (pe.0 as usize * 7) % 2048;
         sys.pe_mut(pe).write(offset, &pattern[cut..cut + len]);
     }
+}
+
+/// Lands `image` at `offset` on every PE, either as one replica they all
+/// share (`Pe::write_shared` of one row, as CC lands its label prototype)
+/// or as a plain `Pe::write` of the same bytes.
+pub fn land_replicas(sys: &mut PimSystem, offset: usize, image: &Arc<[u8]>, shared: bool) {
+    for pe in sys.geometry().pes() {
+        let pe = sys.pe_mut(pe);
+        if shared {
+            pe.write_shared(offset, image, Landing::Row);
+        } else {
+            pe.write(offset, image);
+        }
+    }
+}
+
+/// A few small writes over `[offset, offset + len)` after a replicated
+/// landing, as CC's PEs lower their own labels: every third PE writes 8
+/// salted bytes at an odd offset. Returns the MRAM range each PE wrote.
+pub fn edit(
+    sys: &mut PimSystem,
+    offset: usize,
+    len: usize,
+    salt: u64,
+) -> Vec<(PeId, Range<usize>)> {
+    let mut edits = Vec::new();
+    for pe in sys.geometry().pes().filter(|pe| pe.0 % 3 == 1) {
+        let at = (offset + (pe.0 as usize * 1237 + salt as usize) % (len - 8)) | 1;
+        let bytes: Vec<u8> = (0..8).map(|i| fill_byte(salt, pe.0 as u64, i)).collect();
+        sys.pe_mut(pe).write(at, &bytes);
+        edits.push((pe, at..at + 8));
+    }
+    edits
 }
 
 /// Bytes of the pages `[offset, offset + len)` touches.
@@ -161,8 +197,14 @@ pub fn per_call_reference(
                 rank[lane] = i;
                 if prim != Primitive::AllGather {
                     for slot in 0..m {
-                        view.pe_mut(slot, lane)
-                            .rotate_parts(src, chunk, l, l * m, i);
+                        view.pe_mut(slot, lane).rotate_parts(
+                            src,
+                            chunk,
+                            l,
+                            l * m,
+                            i,
+                            &mut Rotations::default(),
+                        );
                     }
                 }
             }

@@ -10,16 +10,33 @@
 //! storms, for the corrupted images and the first `CorruptionEvent`. The
 //! Baseline engine's borrowed pull is held to the same oracle and, over
 //! never-written sources, to "materializes nothing".
+//!
+//! Sources that PEs share are held to the same sources copied: every
+//! reducing primitive at both engines, over every operator and width,
+//! runs once over sources landed as one replicated image plus a few
+//! per-PE edits (how CC lands its label prototype) and once over the same
+//! bytes written plainly, and the two systems must agree in every byte,
+//! host output, extent and held page — at an element-unaligned offset, with
+//! a tile boundary inside a page, over an earlier AllReduce's shared result
+//! and over runs of zeros after a reset. What is shared must stay shared
+//! where nothing touched it: lane-mates (the same rotation) lend the same
+//! image bytes for every page far from an edit, a cut page or a tile
+//! boundary. `PIDCOMM_CHAOS_SEED` salts the bytes.
 
 mod common;
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use common::{communicator, extents, fill, per_call_reference, run_and_check, Call, CI_SEEDS};
+use common::{
+    communicator, edit, extents, fill, land_replicas, per_call_reference, run_and_check, Call,
+    CI_SEEDS,
+};
 use pidcomm::hypercube::build_clusters;
 use pidcomm::{BufferSpec, DimMask, Error, OptLevel, Primitive};
+use pim_sim::geometry::LANES;
 use pim_sim::pe::{Pe, PAGE_BYTES};
-use pim_sim::{DType, DimmGeometry, FaultPlan, PimSystem, ReduceKind};
+use pim_sim::{DType, DimmGeometry, FaultPlan, PeId, PimSystem, ReduceKind};
 
 const REDUCING: [Primitive; 3] = [
     Primitive::ReduceScatter,
@@ -326,5 +343,253 @@ fn overlapping_regions_are_refused_at_every_level_and_abutting_ones_see_a_snapsh
                 run_and_check(&communicator(dims, geom, opt), &mut sys, &cell, &what);
             }
         }
+    }
+}
+
+/// How a case of the shared-equals-copied suite lands its sources.
+#[derive(Clone, Copy)]
+enum Sources {
+    /// One replicated image over the region, then per-PE edits.
+    Replicated,
+    /// An earlier AllReduce's result, then per-PE edits.
+    AllReduced,
+    /// A replicated image over the middle of the region after a reset,
+    /// the rest in runs of zeros, then per-PE edits.
+    OverZeros,
+}
+
+/// `(what, source offset, bytes per PE of an n-PE group, sources)`.
+type Case = (&'static str, usize, fn(usize) -> usize, Sources);
+
+const SHARED_CASES: [Case; 4] = [
+    // 20482 cuts an element of every width above two bytes at each page
+    // boundary inside the region.
+    (
+        "an unaligned offset",
+        20482,
+        |n| 1536 * n,
+        Sources::Replicated,
+    ),
+    // About 80 KiB per PE: the engine's 64 KiB tile ends inside a page.
+    (
+        "a tile boundary inside a page",
+        4104,
+        |n| (80 * 1024 / n).next_multiple_of(8) * n,
+        Sources::Replicated,
+    ),
+    (
+        "an earlier AllReduce's result",
+        20482,
+        |n| 1536 * n,
+        Sources::AllReduced,
+    ),
+    (
+        "runs of zeros after a reset",
+        8200,
+        |n| 1536 * n,
+        Sources::OverZeros,
+    ),
+];
+
+fn chaos_seed() -> u64 {
+    std::env::var("PIDCOMM_CHAOS_SEED")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(CI_SEEDS[0])
+}
+
+/// Lands a case's sources on `sys` — shared or written plainly, the same
+/// bytes either way — and returns the MRAM ranges each PE owns by its own
+/// write, where the sharing ends.
+fn land_sources(
+    sys: &mut PimSystem,
+    comm: &pidcomm::Communicator,
+    mask: &DimMask,
+    (src, b, sources): (usize, usize, Sources),
+    salt: u64,
+    shared: bool,
+) -> Vec<(Option<PeId>, Range<usize>)> {
+    let image = |len| -> Arc<[u8]> {
+        (0..len)
+            .map(|i| pim_sim::testgen::fill_byte(salt, 0, i))
+            .collect()
+    };
+    // Where every PE's landing cuts the page grid.
+    let mut cuts = vec![(None, src..src + 1), (None, src + b - 1..src + b)];
+    match sources {
+        Sources::Replicated => land_replicas(sys, src, &image(b), shared),
+        Sources::AllReduced => {
+            let from = 1 << 20;
+            fill(sys, from, b, salt);
+            let spec = BufferSpec::new(from, src, b).with_dtype(DType::U32);
+            let plan = comm
+                .plan(Primitive::AllReduce, mask, &spec, ReduceKind::Max)
+                .unwrap();
+            plan.run(sys, None).unwrap();
+            if !shared {
+                for pe in sys.geometry().pes() {
+                    let bytes = sys.pe(pe).peek(src, b);
+                    sys.pe_mut(pe).write(src, &bytes);
+                }
+            }
+        }
+        Sources::OverZeros => {
+            fill(sys, 0, src + 2 * b, salt ^ 1);
+            sys.reset();
+            let at = src + b / 4 + 3;
+            land_replicas(sys, at, &image(b / 2), shared);
+            cuts.extend([(None, at..at + 1), (None, at + b / 2 - 1..at + b / 2)]);
+        }
+    }
+    let edits = edit(sys, src, b, salt);
+    cuts.extend(edits.into_iter().map(|(pe, r)| (Some(pe), r)));
+    cuts
+}
+
+/// Asserts that lane-mates — members of one group that `opt` rotates
+/// alike — lend the same bytes, by `try_slice` pointer, for every whole
+/// page of the source region farther than a part and a page from any
+/// place where sharing ends for either of them. Returns (shared pages,
+/// whole pages) over all PEs.
+fn assert_sharing_survives(
+    sys: &PimSystem,
+    comm: &pidcomm::Communicator,
+    mask: &DimMask,
+    opt: OptLevel,
+    (src, b): (usize, usize),
+    cuts: &[(Option<PeId>, Range<usize>)],
+    what: &str,
+) -> (usize, usize) {
+    let geom = *sys.geometry();
+    let groups = comm.manager().groups(mask).unwrap();
+    let l = build_clusters(comm.manager(), mask).unwrap()[0].lane_count;
+    let span = l * (b / groups[0].members.len());
+    // Full rotates a 64 KiB tile of whole parts at a time; a page that a
+    // tile boundary cuts is owned like a cut page.
+    let tile = (64 * 1024 / span).max(1) * span;
+    let mut ends: Vec<(Option<PeId>, Range<usize>)> = cuts.to_vec();
+    if opt == OptLevel::Full {
+        ends.extend(
+            (tile..b)
+                .step_by(tile)
+                .map(|t| (None, src + t..src + t + 1)),
+        );
+    }
+    let page = |p: usize, pe: PeId| {
+        let lo = p * PAGE_BYTES;
+        let far = ends
+            .iter()
+            .filter(|(who, _)| who.is_none_or(|w| w == pe))
+            .all(|(_, r)| {
+                r.end + span + PAGE_BYTES <= lo || r.start >= lo + PAGE_BYTES + span + PAGE_BYTES
+            });
+        (
+            far,
+            sys.pe(pe).try_slice(lo, PAGE_BYTES).map(<[u8]>::as_ptr),
+        )
+    };
+    let whole = src.div_ceil(PAGE_BYTES)..(src + b) / PAGE_BYTES;
+    let (mut shared, mut pages) = (0, 0);
+    // Lane-mates: the members `opt` rotates alike — all of them under
+    // Baseline, which does not rotate. Each is held to the next one round
+    // its class.
+    let class_of = |x: PeId| match opt {
+        OptLevel::Baseline => 0,
+        _ => geom.lane_of(x),
+    };
+    for g in &groups {
+        for lane in 0..LANES {
+            let class: Vec<PeId> = (g.members.iter().copied())
+                .filter(|&x| class_of(x) == lane)
+                .collect();
+            for (k, &x) in class.iter().enumerate() {
+                let y = class[(k + 1) % class.len()];
+                for p in whole.clone() {
+                    pages += 1;
+                    let ((far_x, at_x), (far_y, at_y)) = (page(p, x), page(p, y));
+                    if x != y && far_x && far_y {
+                        assert_eq!(at_x, at_y, "{what}: {x} and {y} unshared page {p}");
+                    }
+                    shared += usize::from(x != y && at_x.is_some() && at_x == at_y);
+                }
+            }
+        }
+    }
+    (shared, pages)
+}
+
+#[test]
+fn shared_sources_equal_copied_ones_and_stay_shared() {
+    let geom = geometry();
+    let seed = chaos_seed();
+    let grid: Vec<(ReduceKind, DType)> = ReduceKind::ALL
+        .into_iter()
+        .flat_map(|op| WIDTHS.map(|dtype| (op, dtype)))
+        .collect();
+    for (case, (what, src, bytes, sources)) in SHARED_CASES.into_iter().enumerate() {
+        let (mut shared_pages, mut pages, mut cell_no) = (0, 0, 0);
+        for (dims, mask_str, _) in SHAPES {
+            let mask: DimMask = mask_str.parse().unwrap();
+            let (_, n) = lanes_of(dims, &mask);
+            let b = bytes(n);
+            let dst = src + b + 12;
+            for opt in [OptLevel::Baseline, OptLevel::Full] {
+                let comm = communicator(dims, geom, opt);
+                for (p, prim) in REDUCING.into_iter().enumerate() {
+                    let salt = seed ^ (case * 8 + p) as u64;
+                    let [shared, copied] = [true, false].map(|share| {
+                        let mut sys = PimSystem::new(geom);
+                        let cuts =
+                            land_sources(&mut sys, &comm, &mask, (src, b, sources), salt, share);
+                        (sys, cuts)
+                    });
+                    // The first case runs every operator and width; the
+                    // others one pair per cell, in turn, to stay quick in
+                    // an unoptimized build.
+                    cell_no += 1;
+                    let pairs = match case {
+                        0 => &grid[..],
+                        _ => std::slice::from_ref(&grid[cell_no * 5 % grid.len()]),
+                    };
+                    for &(op, dtype) in pairs {
+                        let cell =
+                            format!("{what}: {dims:?}/{mask_str} {opt:?} {prim} {op} {dtype}");
+                        let spec = BufferSpec::new(src, dst, b).with_dtype(dtype);
+                        let plan = comm.plan(prim, &mask, &spec, op).unwrap();
+                        let [mut a, mut c] = [&shared.0, &copied.0].map(PimSystem::clone);
+                        let out = plan.run(&mut a, None).unwrap().host_out;
+                        assert!(
+                            out == plan.run(&mut c, None).unwrap().host_out,
+                            "{cell}: host output"
+                        );
+                        let (_, dst_len) = extents(prim, b, n);
+                        for pe in geom.pes() {
+                            let (a, c) = (a.pe(pe), c.pe(pe));
+                            assert!(a.peek(src, b) == c.peek(src, b), "{cell}: {pe} source");
+                            let dst_bytes = |pe: &Pe| pe.peek(dst, dst_len);
+                            assert!(dst_bytes(a) == dst_bytes(c), "{cell}: {pe} destination");
+                            let held = |pe: &Pe| (pe.mram_used(), pe.mram_resident());
+                            assert_eq!(held(a), held(c), "{cell}: {pe} extent, residency");
+                        }
+                        let (s, all) = assert_sharing_survives(
+                            &a,
+                            &comm,
+                            &mask,
+                            opt,
+                            (src, b),
+                            &shared.1,
+                            &cell,
+                        );
+                        shared_pages += s;
+                        pages += all;
+                    }
+                }
+            }
+        }
+        println!(
+            "{what}: {shared_pages} of {pages} whole source pages shared with a lane-mate ({:.0} %)",
+            100.0 * shared_pages as f64 / pages as f64
+        );
+        assert!(shared_pages > 0, "{what}: nothing stayed shared");
     }
 }

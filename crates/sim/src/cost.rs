@@ -243,7 +243,8 @@ impl TimeModel {
     /// Gold 5215, 4 channels of DDR4-2400 UPMEM DIMMs). Absolute rates are
     /// *effective* values fitted so the primitive throughputs and
     /// improvement factors of Figures 14, 16 and 17 are reproduced in
-    /// shape; see EXPERIMENTS.md for the fit.
+    /// shape. The fit has no recorded derivation; ROADMAP item 3 (a
+    /// fidelity ledger, the calibration written down as code) holds it.
     pub fn upmem() -> Self {
         Self {
             channel_bw: 19.2,

@@ -123,6 +123,17 @@ impl ReduceKind {
         ReduceKind::And,
         ReduceKind::Xor,
     ];
+
+    /// Whether folding the same operand twice equals folding it once —
+    /// `op(op(a, x), x) == op(a, x)` for every `a` and `x` — so that a
+    /// fold may skip bytes it has already folded: `Min`, `Max`, `And` and
+    /// `Or`, never `Sum` or `Xor`.
+    pub fn is_idempotent(self) -> bool {
+        matches!(
+            self,
+            ReduceKind::Min | ReduceKind::Max | ReduceKind::And | ReduceKind::Or
+        )
+    }
 }
 
 impl fmt::Display for ReduceKind {
@@ -413,6 +424,25 @@ mod tests {
                     reduce_bytes(op, dt, &mut acc, &src);
                     assert_eq!(acc, expect, "{op} {dt} x{elems}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn idempotent_exactly_where_folding_twice_is_folding_once() {
+        use crate::testgen::SplitMix64;
+        let mut g = SplitMix64::new(0x1de);
+        for op in ReduceKind::ALL {
+            for dt in DType::ALL {
+                let twice_is_once = (0..64).all(|_| {
+                    let (acc, x) = (g.bytes(64), g.bytes(64));
+                    let mut once = acc.clone();
+                    reduce_bytes(op, dt, &mut once, &x);
+                    let mut twice = once.clone();
+                    reduce_bytes(op, dt, &mut twice, &x);
+                    twice == once
+                });
+                assert_eq!(op.is_idempotent(), twice_is_once, "{op} {dt}");
             }
         }
     }

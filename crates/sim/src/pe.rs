@@ -35,10 +35,18 @@
 //! One rule keeps bytes from being copied that need not be: a
 //! materialized page is the segment's own unless a run covers it, and then
 //! it reads as the run's source — zeros (a reset, a zero tail) or a page
-//! of a result image replicated to many PEs ([`Pe::write_shared`]: an
-//! AllReduce's reduced vector, one `Arc` per PE). A fault plan keeps a
-//! replicated landing a copy, landed exactly as the window or row it
-//! stands for.
+//! of an image replicated to many PEs ([`Pe::write_shared`]: an
+//! AllReduce's reduced vector, an app's prototype, one `Arc` per PE), or of
+//! that image rotated: phase A's part rotation ([`Pe::rotate_parts`])
+//! turns a page whose every touching part lies in one image run into a
+//! page of the image rotated, built once per pass ([`Rotations`]), so PEs
+//! that shared an image before the rotation share its rotation after it.
+//! A fault plan keeps a replicated landing a copy, landed exactly as the
+//! window or row it stands for.
+//!
+//! Readers that fold many PEs' regions take them as [`Pe::pieces`]: the
+//! PE's own bytes, zeros, or image bytes together with the image, so a
+//! fold can tell bytes that many PEs share from bytes of their own.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -243,31 +251,162 @@ impl Segment {
         }
         let at = self.start + inner.start * PAGE_BYTES - r.start;
         let image = image.map(|image| (Arc::clone(image), at));
-        let i = self.own(inner.clone());
-        self.runs.reserve_exact(1);
-        self.runs.insert(
-            i,
-            Run {
-                pages: inner,
-                image,
-            },
-        );
+        self.share(Run {
+            pages: inner,
+            image,
+        });
     }
 
-    /// Copies MRAM range `r` into `dst`, each run's pages as its source.
-    fn copy_out(&self, r: Range<usize>, dst: &mut [u8]) {
+    /// Makes `run`'s pages read as its source, whatever they were.
+    fn share(&mut self, run: Run) {
+        let i = self.own(run.pages.clone());
+        self.runs.reserve_exact(1);
+        self.runs.insert(i, run);
+    }
+
+    /// Lends MRAM range `r` to `f` in order, as the owned stretches
+    /// between the runs it reaches and each run's source over its pages.
+    fn pieces<'s>(&'s self, r: Range<usize>, f: &mut impl FnMut(Piece<'s>)) {
         let mut at = r.start;
         for run in &self.runs[self.reached(&self.pages(r.clone()))] {
             let lo = (self.start + run.pages.start * PAGE_BYTES).max(r.start);
             let hi = (self.start + run.pages.end * PAGE_BYTES).min(r.end);
-            dst[at - r.start..lo - r.start].copy_from_slice(self.span(at..lo));
-            run.copy(
-                lo - self.start..hi - self.start,
-                &mut dst[lo - r.start..hi - r.start],
-            );
+            if at < lo {
+                f(Piece::Owned(self.span(at..lo)));
+            }
+            f(match &run.image {
+                Some((image, off)) => Piece::Image {
+                    image,
+                    at: off + lo - self.start - run.pages.start * PAGE_BYTES,
+                    len: hi - lo,
+                },
+                None => Piece::Zeros(hi - lo),
+            });
             at = hi;
         }
-        dst[at - r.start..].copy_from_slice(self.span(at..r.end));
+        if at < r.end {
+            f(Piece::Owned(self.span(at..r.end)));
+        }
+    }
+
+    /// Copies MRAM range `r` into `dst`, each run's pages as its source.
+    fn copy_out(&self, r: Range<usize>, dst: &mut [u8]) {
+        let mut at = 0;
+        self.pieces(r, &mut |piece| {
+            piece.copy_to(&mut dst[at..at + piece.len()]);
+            at += piece.len();
+        });
+    }
+
+    /// Rotates every `span`-byte part of MRAM range `r` (whole parts,
+    /// inside the segment) left by `cut` bytes, keeping shared what can
+    /// stay shared: a page whose every touching part lies inside one image
+    /// run becomes a page of the image rotated, which `rotations` builds
+    /// once, and every other page is owned and rotated in place. A part
+    /// that lies in an image run and reaches an owned page lands its bytes
+    /// there from the rotated image.
+    fn rotate(&mut self, r: Range<usize>, span: usize, cut: usize, rotations: &mut Rotations) {
+        let pages = self.pages(r.clone());
+        let reached = self.reached(&pages);
+        if reached.is_empty() {
+            rotate_parts_in(self.span_mut(r), span, cut);
+            return;
+        }
+        let rel = r.start - self.start..r.end - self.start;
+        // Right to left, so that a run is read before the pages around it
+        // are owned and the indices of the runs still to visit hold.
+        let mut right: Option<Run> = None;
+        let mut hi = pages.end;
+        for j in reached.rev() {
+            let Some(kept) = self.kept(j, rel.clone(), span, cut, rotations) else {
+                continue;
+            };
+            self.rotate_owned(
+                kept.pages.end..hi,
+                rel.clone(),
+                span,
+                cut,
+                [Some(&kept), right.as_ref()],
+            );
+            hi = kept.pages.start;
+            if let Some(run) = right.replace(kept) {
+                self.share(run);
+            }
+        }
+        self.rotate_owned(pages.start..hi, rel, span, cut, [None, right.as_ref()]);
+        if let Some(run) = right {
+            self.share(run);
+        }
+    }
+
+    /// The pages of run `j` that a rotation of the parts of segment range
+    /// `rel` keeps shared — those whose every touching part lies inside
+    /// the run — as a run of its image rotated; `None` if there are none
+    /// or the run reads as zeros.
+    fn kept(
+        &self,
+        j: usize,
+        rel: Range<usize>,
+        span: usize,
+        cut: usize,
+        rotations: &mut Rotations,
+    ) -> Option<Run> {
+        let run = &self.runs[j];
+        let (image, at) = run.image.as_ref()?;
+        let (lo, hi) = (run.pages.start * PAGE_BYTES, run.pages.end * PAGE_BYTES);
+        // The first part that starts in the run and the end of the last
+        // part that ends in it.
+        let from = rel.start.max(lo);
+        let from = from + (span - (from - rel.start) % span) % span;
+        let to = rel.end.min(hi);
+        let to = to - (to - rel.start) % span;
+        let pages = from.div_ceil(PAGE_BYTES)..to / PAGE_BYTES;
+        if pages.is_empty() {
+            return None;
+        }
+        let rotated = rotations.get(image, (at + from - lo) % span, span, cut);
+        let at = at + pages.start * PAGE_BYTES - lo;
+        Some(Run {
+            pages,
+            image: Some((rotated, at)),
+        })
+    }
+
+    /// Owns `pages` and rotates the parts of segment range `rel` on them:
+    /// in place where a part lies on them whole, and from the rotated
+    /// image of the kept run beside them (`beside`: left, right) where a
+    /// part reaches past them.
+    fn rotate_owned(
+        &mut self,
+        pages: Range<usize>,
+        rel: Range<usize>,
+        span: usize,
+        cut: usize,
+        beside: [Option<&Run>; 2],
+    ) {
+        let u = (pages.start * PAGE_BYTES).max(rel.start);
+        let v = (pages.end * PAGE_BYTES).min(rel.end);
+        if u >= v {
+            return;
+        }
+        self.freshen(self.start + u..self.start + v);
+        let first = rel.start + (u - rel.start).div_ceil(span) * span;
+        let last = rel.start + (v - rel.start) / span * span;
+        let mut from_kept = |side: usize, b: Range<usize>| {
+            if b.is_empty() {
+                return;
+            }
+            let kept = beside[side].expect("a part reaching past owned pages lies in a kept run");
+            kept.copy(b.clone(), &mut self.data[b]);
+        };
+        if first > last {
+            // One part holds all of them and reaches past them on the left.
+            from_kept(0, u..v);
+            return;
+        }
+        from_kept(0, u..first);
+        from_kept(1, last..v);
+        rotate_parts_in(&mut self.data[first..last], span, cut);
     }
 
     /// Borrows MRAM range `r`: the segment's own bytes when no run reaches
@@ -318,8 +457,10 @@ impl Segment {
 /// A materialized page is the segment's own unless a run covers it, and
 /// then it reads as the run's source: zeros ([`Pe::reset`] puts every page
 /// in one such run, a zero tail the pages it covers whole) or a page of a
-/// result image (a direct-lane [`Pe::write_shared`]). Every `&self` reader
-/// sees the source without touching the page; [`Pe::try_slice`],
+/// result image (a direct-lane [`Pe::write_shared`], or its rotation by
+/// [`Pe::rotate_parts`]). Every `&self` reader
+/// sees the source without touching the page; [`Pe::pieces`] lends it as
+/// it is, and [`Pe::try_slice`],
 /// [`Pe::read_window`] and the source of [`Pe::window_pair`] borrow the
 /// image itself where the range lies in one image run, and copy
 /// otherwise. Every mutable access owns the pages it reaches, copying
@@ -381,22 +522,128 @@ fn seg_covering(segs: &[Segment], offset: usize, len: usize) -> Option<usize> {
     }
 }
 
+/// Lends MRAM range `r` to `f` in order: zeros wherever no segment is
+/// materialized, and each segment's pieces where one is.
+fn pieces_of<'s>(segs: &'s [Segment], r: Range<usize>, mut f: impl FnMut(Piece<'s>)) {
+    let mut at = r.start;
+    for s in segs[segs.partition_point(|s| s.end() <= r.start)..]
+        .iter()
+        .take_while(|s| s.start < r.end)
+    {
+        if at < s.start {
+            f(Piece::Zeros(s.start - at));
+            at = s.start;
+        }
+        let hi = s.end().min(r.end);
+        s.pieces(at..hi, &mut f);
+        at = hi;
+    }
+    if at < r.end {
+        f(Piece::Zeros(r.end - at));
+    }
+}
+
 /// Copies the bytes at `offset` into `dst`, reading zeros wherever no
 /// segment is materialized and each run's source over the run's pages.
 fn peek_segs(segs: &[Segment], offset: usize, dst: &mut [u8]) {
-    let end = offset + dst.len();
-    if let Some(i) = seg_covering(segs, offset, dst.len()) {
-        segs[i].copy_out(offset..end, dst);
-        return;
+    let mut at = 0;
+    pieces_of(segs, offset..offset + dst.len(), |piece| {
+        piece.copy_to(&mut dst[at..at + piece.len()]);
+        at += piece.len();
+    });
+}
+
+/// One stretch of an MRAM region as [`Pe::pieces`] lends it.
+#[derive(Debug, Clone, Copy)]
+pub enum Piece<'a> {
+    /// Bytes the PE holds itself.
+    Owned(&'a [u8]),
+    /// This many bytes that read as zeros: never written, reset, or a zero
+    /// tail.
+    Zeros(usize),
+    /// Bytes `image[at..at + len]` of an image the PE shares.
+    Image {
+        image: &'a Arc<[u8]>,
+        at: usize,
+        len: usize,
+    },
+}
+
+impl Piece<'_> {
+    /// Number of bytes the piece stands for.
+    pub fn len(&self) -> usize {
+        match *self {
+            Piece::Owned(bytes) => bytes.len(),
+            Piece::Zeros(len) | Piece::Image { len, .. } => len,
+        }
     }
-    dst.fill(0);
-    let mut i = segs.partition_point(|s| s.end() <= offset);
-    while i < segs.len() && segs[i].start < end {
-        let s = &segs[i];
-        let lo = s.start.max(offset);
-        let hi = s.end().min(end);
-        s.copy_out(lo..hi, &mut dst[lo - offset..hi - offset]);
-        i += 1;
+
+    /// Whether the piece stands for no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The piece's bytes; `None` for zeros.
+    pub fn bytes(&self) -> Option<&[u8]> {
+        match *self {
+            Piece::Owned(bytes) => Some(bytes),
+            Piece::Zeros(_) => None,
+            Piece::Image { image, at, len } => Some(&image[at..at + len]),
+        }
+    }
+
+    /// Copies the piece's bytes into `dst`, which is as long.
+    pub fn copy_to(&self, dst: &mut [u8]) {
+        match self.bytes() {
+            Some(bytes) => dst.copy_from_slice(bytes),
+            None => dst.fill(0),
+        }
+    }
+}
+
+/// The rotated images a phase-A pass builds, so that every PE whose region
+/// shares an image, rotated alike, shares the one rotated image: one per
+/// image, part phase (the image offset of a part's first byte, modulo the
+/// part), part length and cut. Each image is held, so a key never outlives
+/// what it names.
+#[derive(Debug, Default)]
+pub struct Rotations {
+    built: Vec<Rotated>,
+}
+
+#[derive(Debug)]
+struct Rotated {
+    source: Arc<[u8]>,
+    phase: usize,
+    span: usize,
+    cut: usize,
+    image: Arc<[u8]>,
+}
+
+impl Rotations {
+    /// `source` with every `span`-byte part from image offset `phase` on
+    /// rotated left by `cut` bytes (the bytes outside whole parts as they
+    /// are), built on first use.
+    fn get(&mut self, source: &Arc<[u8]>, phase: usize, span: usize, cut: usize) -> Arc<[u8]> {
+        let key = |r: &&Rotated| {
+            Arc::ptr_eq(&r.source, source) && (r.phase, r.span, r.cut) == (phase, span, cut)
+        };
+        if let Some(r) = self.built.iter().find(key) {
+            return Arc::clone(&r.image);
+        }
+        let mut image = source.to_vec();
+        let parts = &mut image[phase.min(source.len())..];
+        let whole = parts.len() / span * span;
+        rotate_parts_in(&mut parts[..whole], span, cut);
+        let image: Arc<[u8]> = image.into();
+        self.built.push(Rotated {
+            source: Arc::clone(source),
+            phase,
+            span,
+            cut,
+            image: Arc::clone(&image),
+        });
+        image
     }
 }
 
@@ -1202,10 +1449,11 @@ impl Pe {
 
     /// Local rotation kernel: rotates `count` blocks of `block` bytes left
     /// by `rot` slots (the block at slot `(d + rot) % count` moves to slot
-    /// `d`) — [`Pe::rotate_parts`] with a single part.
+    /// `d`) — [`Pe::rotate_parts`] with a single part and a fresh memo.
     pub fn rotate_blocks(&mut self, offset: usize, block: usize, count: usize, rot: usize) {
         if count > 0 {
-            self.rotate_parts(offset, block, count, count, rot % count);
+            let rotations = &mut Rotations::default();
+            self.rotate_parts(offset, block, count, count, rot % count, rotations);
         }
     }
 
@@ -1216,9 +1464,18 @@ impl Pe {
     /// the collective engine's phase-A reorder (`part` = lane count, `rot`
     /// = the PE's lane rank), without the table.
     ///
+    /// The region is materialized like a mutable view, but what is shared
+    /// stays shared: a whole page whose every touching part lies inside
+    /// one image run becomes a page of the image rotated — the rotation
+    /// `rotations` holds for it, built on first use, so the PEs of a pass
+    /// that share an image and rotate it alike share its one rotation.
+    /// Every other page is owned and rotated in place. A rotation by 0
+    /// owns nothing.
+    ///
     /// # Panics
     ///
-    /// Panics if `part` does not divide `count` or `rot >= part`.
+    /// Panics if `part` does not divide `count`, `rot >= part`, or the
+    /// region would exceed [`MRAM_CAPACITY`].
     pub fn rotate_parts(
         &mut self,
         offset: usize,
@@ -1226,6 +1483,7 @@ impl Pe {
         part: usize,
         count: usize,
         rot: usize,
+        rotations: &mut Rotations,
     ) {
         assert!(
             part > 0 && count.is_multiple_of(part),
@@ -1235,11 +1493,28 @@ impl Pe {
             rot < part,
             "rotation {rot} out of range for parts of {part}"
         );
-        rotate_parts_in(
-            self.slice_mut(offset, block.saturating_mul(count)),
-            part * block,
-            rot * block,
-        );
+        let len = block.saturating_mul(count);
+        self.extent = self.extent.max(check_capacity(offset, len));
+        if len == 0 {
+            return;
+        }
+        let i = self.ensure_span(offset, len);
+        if rot > 0 {
+            self.segs[i].rotate(offset..offset + len, part * block, rot * block, rotations);
+        }
+    }
+
+    /// Lends `[offset, offset + len)` to `f` as consecutive pieces, in
+    /// order and without materializing anything: the PE's own bytes,
+    /// zeros, or the bytes of an image it shares, with the image. A region
+    /// inside one segment that no run reaches is one piece.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region would exceed [`MRAM_CAPACITY`].
+    pub fn pieces<'s>(&'s self, offset: usize, len: usize, f: impl FnMut(Piece<'s>)) {
+        let end = check_capacity(offset, len);
+        pieces_of(&self.segs, offset..end, f);
     }
 }
 
@@ -1453,11 +1728,13 @@ mod tests {
             ("window_pair dst", |pe| _ = pe.window_pair(0..8, AT..AT)),
             ("slice_mut", |pe| _ = pe.slice_mut(AT, 4)),
             ("permute_blocks", |pe| pe.permute_blocks(AT, 2, 2, &[1, 0])),
-            ("rotate_parts", |pe| pe.rotate_parts(AT, 2, 2, 2, 1)),
+            ("rotate_parts", |pe| {
+                pe.rotate_parts(AT, 2, 2, 2, 1, &mut Rotations::default())
+            }),
             ("copy_within_region", |pe| pe.copy_within_region(AT, 0, 4)),
             // Lengths whose product overflows: wrapped, they read 0 B.
             ("rotate_parts len", |pe| {
-                pe.rotate_parts(0, 1 << 33, 2, 1 << 31, 1)
+                pe.rotate_parts(0, 1 << 33, 2, 1 << 31, 1, &mut Rotations::default())
             }),
             ("permute_blocks len", |pe| {
                 pe.permute_blocks(0, 1 << 62, 4, &[1, 0, 3, 2])

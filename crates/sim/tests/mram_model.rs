@@ -15,6 +15,16 @@
 //! held outside the PE; every reader and mutator above then meets them,
 //! and a later landing at the same place replaces the run.
 //!
+//! A part rotation keeps shared what can stay shared — a page whose every
+//! touching part lies in one image run becomes a page of the image
+//! rotated — so the rotations draw on one `Rotations` memo kept across the
+//! whole sequence (as a phase-A pass keeps one across its PEs), and
+//! landings reuse an image at new offsets, so one image meets the memo at
+//! several part phases. A rotation by 0 must leave every page lending what
+//! it lent. A piece read must lend, piece by piece, the model's bytes, and
+//! each piece the very bytes `try_slice` lends for its range: the PE's
+//! own, the image's, or none for zeros.
+//!
 //! The flat model cannot see residency; `paged_mram.rs` holds what the
 //! paged store must materialize.
 //!
@@ -23,7 +33,7 @@
 use std::sync::Arc;
 
 use pim_sim::fault::{FaultCtx, FaultPlan};
-use pim_sim::pe::{Landing, Pe, PAGE_BYTES};
+use pim_sim::pe::{Landing, Pe, Piece, Rotations, PAGE_BYTES};
 use pim_sim::testgen::SplitMix64;
 
 /// Pages the models span: room for islands several pages apart.
@@ -43,8 +53,18 @@ struct Twin {
     pe: Pe,
     model: Vec<u8>,
     used: usize,
-    /// Where the last shared landing went, to land a new image over it.
+    /// Where the last shared landing went, to land a new image over it
+    /// or rotate its pages.
     shared: Option<(usize, usize)>,
+}
+
+/// What the operations of one sequence share besides the two PEs.
+#[derive(Default)]
+struct Kept {
+    /// The memo every rotation of the sequence draws on.
+    rotations: Rotations,
+    /// The last image landed on either PE, to land again elsewhere.
+    image: Option<Arc<[u8]>>,
 }
 
 impl Twin {
@@ -159,12 +179,19 @@ impl Gen {
     }
 }
 
+/// The pointer each page of `[at, at + len)` lends through `try_slice`.
+fn lent(pe: &Pe, at: usize, len: usize) -> Vec<Option<*const u8>> {
+    (at / PAGE_BYTES..(at + len).div_ceil(PAGE_BYTES))
+        .map(|p| pe.try_slice(p * PAGE_BYTES, PAGE_BYTES).map(<[u8]>::as_ptr))
+        .collect()
+}
+
 /// Runs one random operation on `pes[0]` (reading `pes[1]` where it
 /// takes a second PE) and the same operation on the models. Returns its
 /// name.
-fn step(g: &mut Gen, pes: &mut [Twin; 2]) -> &'static str {
+fn step(g: &mut Gen, pes: &mut [Twin; 2], kept: &mut Kept) -> &'static str {
     let [t, other] = pes;
-    match g.below(19) {
+    match g.below(22) {
         0 | 1 => {
             let len = g.len();
             let at = g.offset(len);
@@ -237,17 +264,53 @@ fn step(g: &mut Gen, pes: &mut [Twin; 2]) -> &'static str {
             t.touch(at..at + block * count);
             "permute_blocks"
         }
-        7 => {
-            let block = g.pick_block();
-            let part = 1 + g.below(8);
-            let count = part * (1 + g.below(2 * PAGE_BYTES / (block * part) + 1));
+        7 | 18 | 19 => {
+            // Two times in three from the first half of the last shared
+            // landing, after a small write inside it (as a PE lowers its own
+            // labels), in one part shape, so that one image meets the memo
+            // at several part phases.
+            let over = t.shared.filter(|_| g.below(3) > 0);
+            let (block, part) = match over {
+                Some(_) => (8, 3),
+                None => (g.pick_block(), 1 + g.below(8)),
+            };
+            let parts = match over {
+                Some(_) => 4 * PAGE_BYTES,
+                None => 2 * PAGE_BYTES + block * part,
+            } / (block * part);
+            let count = part * (1 + g.below(parts));
             let rot = g.below(part);
-            let at = g.offset(block * count);
-            t.pe.rotate_parts(at, block, part, count, rot);
-            for p in t.model[at..at + block * count].chunks_exact_mut(part * block) {
+            let len = block * count;
+            let at = match over {
+                Some((at, n)) => {
+                    let n_edit = 1 + g.below(8);
+                    let bytes = g.0.bytes(n_edit);
+                    let edit = (at + g.below(n)).min(SPAN - bytes.len());
+                    t.pe.write(edit, &bytes);
+                    t.model[edit..edit + bytes.len()].copy_from_slice(&bytes);
+                    t.touch(edit..edit + bytes.len());
+                    (at.saturating_sub(g.below(64)) + g.below(n / 2 + 1)).min(SPAN - len)
+                }
+                None => g.offset(len),
+            };
+            let fresh = &mut Rotations::default();
+            let rotations = if g.below(4) == 0 {
+                fresh
+            } else {
+                &mut kept.rotations
+            };
+            t.pe.rotate_parts(at, block, part, count, rot, rotations);
+            if rot == 0 {
+                // Materialized now: a rotation by 0 owns and replaces
+                // nothing.
+                let before = lent(&t.pe, at, len);
+                t.pe.rotate_parts(at, block, part, count, rot, rotations);
+                assert_eq!(lent(&t.pe, at, len), before, "a rotation by 0 moved a page");
+            }
+            for p in t.model[at..at + len].chunks_exact_mut(part * block) {
                 p.rotate_left(rot * block);
             }
-            t.touch(at..at + block * count);
+            t.touch(at..at + len);
             "rotate_parts"
         }
         8 => {
@@ -304,15 +367,20 @@ fn step(g: &mut Gen, pes: &mut [Twin; 2]) -> &'static str {
         }
         15 | 16 => {
             // A new image, as a row or as a run of 8-byte pieces; over the
-            // last shared landing half of the time.
-            let (at, len) = match t.shared {
-                Some(last) if g.below(2) == 0 => last,
+            // last shared landing a third of the time, and a third of the
+            // time the last image again, at a new offset.
+            let (at, image) = match (g.below(3), &t.shared, &kept.image) {
+                (0, Some((at, len)), _) => (*at, g.row(*len).into()),
+                (1, _, Some(image)) => (g.offset(image.len()), Arc::clone(image)),
                 _ => {
-                    let len = 8 * g.len().div_ceil(8);
-                    (g.offset(len), len)
+                    // Half of them a few pages longer, so that whole pages
+                    // share the image.
+                    let len = 8 * (g.len() + g.below(2) * 2 * PAGE_BYTES).div_ceil(8);
+                    (g.offset(len), g.row(len).into())
                 }
             };
-            let image: Arc<[u8]> = g.row(len).into();
+            let len = image.len();
+            kept.image = Some(Arc::clone(&image));
             let order = |j: usize| j;
             let landing = if g.below(2) == 0 {
                 Landing::Row
@@ -327,6 +395,48 @@ fn step(g: &mut Gen, pes: &mut [Twin; 2]) -> &'static str {
             t.touch(at..at + len);
             t.shared = Some((at, len));
             "write_shared"
+        }
+        17 => {
+            // The pieces cover the range in order, each the model's bytes
+            // and the very bytes `try_slice` lends for it.
+            let len = g.len();
+            let at = g.offset(len);
+            let mut got = Vec::with_capacity(len);
+            t.pe.pieces(at, len, |piece| {
+                let o = at + got.len();
+                let lends = t.pe.try_slice(o, piece.len()).map(<[u8]>::as_ptr);
+                let shared = matches!(piece, Piece::Image { .. });
+                let what = format!("{} B piece at {o} (an image's: {shared})", piece.len());
+                assert_eq!(piece.bytes().map(<[u8]>::as_ptr), lends, "{what}");
+                got.resize(got.len() + piece.len(), 0);
+                let n = got.len();
+                piece.copy_to(&mut got[n - piece.len()..]);
+            });
+            same("pieces", at, &got, &t.model[at..at + len]);
+            "pieces"
+        }
+        20 => {
+            // A phase-A pass over a replicated image: one image lands on
+            // both PEs, and each rotates the parts of a region that starts
+            // at a different part phase of it, with the kept memo.
+            let len = 8 * (2 * PAGE_BYTES + g.below(3 * PAGE_BYTES)).div_ceil(8);
+            let image: Arc<[u8]> = g.0.bytes(len).into();
+            let (block, part, rot) = (8, 3, 1 + g.below(2));
+            for twin in [&mut *t, &mut *other] {
+                let at = g.offset(len);
+                twin.pe.write_shared(at, &image, Landing::Row);
+                twin.model[at..at + len].copy_from_slice(&image);
+                let start = at + g.below(64);
+                let count = part * ((at + len - start) / (block * part));
+                twin.pe
+                    .rotate_parts(start, block, part, count, rot, &mut kept.rotations);
+                for p in twin.model[start..start + block * count].chunks_exact_mut(part * block) {
+                    p.rotate_left(rot * block);
+                }
+                twin.touch(at..at + len);
+                twin.shared = Some((at, len));
+            }
+            "replicated landing + rotate_parts"
         }
         14 => {
             t.pe.reset();
@@ -348,8 +458,9 @@ fn pe_matches_a_flat_model_under_generated_operations() {
     for seed in base..base + 8 {
         let mut g = Gen(SplitMix64::new(seed));
         let mut pes = [Twin::new(), Twin::new()];
+        let mut kept = Kept::default();
         for i in 0..OPS {
-            let what = step(&mut g, &mut pes);
+            let what = step(&mut g, &mut pes, &mut kept);
             for (p, t) in pes.iter().enumerate() {
                 t.check(&format!("seed {seed} op {i} ({what}), PE {p}"));
             }

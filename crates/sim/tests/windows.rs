@@ -9,7 +9,7 @@ use pim_sim::domain::IDENTITY_PERM;
 use pim_sim::dtype::{reduce_bytes, reducer};
 use pim_sim::geometry::{EgId, LANES};
 use pim_sim::kernels;
-use pim_sim::pe::{Landing, Pe, MRAM_CAPACITY, PAGE_BYTES};
+use pim_sim::pe::{Landing, Pe, Rotations, MRAM_CAPACITY, PAGE_BYTES};
 use pim_sim::testgen::SplitMix64;
 use pim_sim::{CorruptionEvent, DType, DimmGeometry, FaultPlan, PimSystem, ReduceKind};
 
@@ -501,7 +501,7 @@ fn rotate_parts_is_permute_blocks_with_the_rotation_table() {
             let mut b = Pe::new();
             a.write(4104, &data);
             b.write(4104, &data);
-            a.rotate_parts(4104, block, part, count, rot);
+            a.rotate_parts(4104, block, part, count, rot, &mut Rotations::default());
             let perm: Vec<usize> = (0..count)
                 .map(|j| (j % part + rot) % part + (j / part) * part)
                 .collect();
@@ -519,13 +519,13 @@ fn rotate_parts_is_permute_blocks_with_the_rotation_table() {
 #[test]
 #[should_panic(expected = "out of range")]
 fn rotate_parts_rejects_a_rotation_as_long_as_the_part() {
-    Pe::new().rotate_parts(0, 8, 4, 8, 4);
+    Pe::new().rotate_parts(0, 8, 4, 8, 4, &mut Rotations::default());
 }
 
 #[test]
 #[should_panic(expected = "tile")]
 fn rotate_parts_rejects_parts_that_do_not_tile() {
-    Pe::new().rotate_parts(0, 8, 3, 8, 1);
+    Pe::new().rotate_parts(0, 8, 3, 8, 1, &mut Rotations::default());
 }
 
 /// The sequence `Pe::interleave_blocks` replaced in the GNN: borrow the
