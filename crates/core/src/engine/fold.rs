@@ -33,8 +33,9 @@ pub(crate) struct Fold {
     kernel: ReduceFn,
     width: usize,
     idempotent: bool,
-    /// Images folded into the accumulator, one per key. Empty until an
-    /// image piece is met, so a fold of owned bytes allocates nothing.
+    /// Images folded into the accumulator since it last started over, one
+    /// per key. Empty until an image piece is met, so a fold of owned
+    /// bytes allocates nothing.
     seen: Vec<Seen>,
 }
 
@@ -60,9 +61,7 @@ impl Fold {
     /// Copies the `acc.len()` bytes of `pe` at `offset` into `acc`: the
     /// accumulator starts over from one member.
     pub(crate) fn copy(&mut self, acc: &mut [u8], pe: &Pe, offset: usize) {
-        for seen in &mut self.seen {
-            seen.folded.clear();
-        }
+        self.seen.clear();
         let w = self.width;
         let mut pos = 0;
         pe.pieces(offset, acc.len(), |piece| {

@@ -518,78 +518,92 @@ fn assert_sharing_survives(
     (shared, pages)
 }
 
-#[test]
-fn shared_sources_equal_copied_ones_and_stay_shared() {
+/// Runs case `case` of [`SHARED_CASES`]: every reducing primitive on both
+/// engines over every shape, on sources landed shared and written plainly,
+/// which must end alike; prints the shared fraction.
+fn shared_sources_equal_copied_ones_and_stay_shared(case: usize) {
     let geom = geometry();
     let seed = chaos_seed();
     let grid: Vec<(ReduceKind, DType)> = ReduceKind::ALL
         .into_iter()
         .flat_map(|op| WIDTHS.map(|dtype| (op, dtype)))
         .collect();
-    for (case, (what, src, bytes, sources)) in SHARED_CASES.into_iter().enumerate() {
-        let (mut shared_pages, mut pages, mut cell_no) = (0, 0, 0);
-        for (dims, mask_str, _) in SHAPES {
-            let mask: DimMask = mask_str.parse().unwrap();
-            let (_, n) = lanes_of(dims, &mask);
-            let b = bytes(n);
-            let dst = src + b + 12;
-            for opt in [OptLevel::Baseline, OptLevel::Full] {
-                let comm = communicator(dims, geom, opt);
-                for (p, prim) in REDUCING.into_iter().enumerate() {
-                    let salt = seed ^ (case * 8 + p) as u64;
-                    let [shared, copied] = [true, false].map(|share| {
-                        let mut sys = PimSystem::new(geom);
-                        let cuts =
-                            land_sources(&mut sys, &comm, &mask, (src, b, sources), salt, share);
-                        (sys, cuts)
-                    });
-                    // The first case runs every operator and width; the
-                    // others one pair per cell, in turn, to stay quick in
-                    // an unoptimized build.
-                    cell_no += 1;
-                    let pairs = match case {
-                        0 => &grid[..],
-                        _ => std::slice::from_ref(&grid[cell_no * 5 % grid.len()]),
-                    };
-                    for &(op, dtype) in pairs {
-                        let cell =
-                            format!("{what}: {dims:?}/{mask_str} {opt:?} {prim} {op} {dtype}");
-                        let spec = BufferSpec::new(src, dst, b).with_dtype(dtype);
-                        let plan = comm.plan(prim, &mask, &spec, op).unwrap();
-                        let [mut a, mut c] = [&shared.0, &copied.0].map(PimSystem::clone);
-                        let out = plan.run(&mut a, None).unwrap().host_out;
-                        assert!(
-                            out == plan.run(&mut c, None).unwrap().host_out,
-                            "{cell}: host output"
-                        );
-                        let (_, dst_len) = extents(prim, b, n);
-                        for pe in geom.pes() {
-                            let (a, c) = (a.pe(pe), c.pe(pe));
-                            assert!(a.peek(src, b) == c.peek(src, b), "{cell}: {pe} source");
-                            let dst_bytes = |pe: &Pe| pe.peek(dst, dst_len);
-                            assert!(dst_bytes(a) == dst_bytes(c), "{cell}: {pe} destination");
-                            let held = |pe: &Pe| (pe.mram_used(), pe.mram_resident());
-                            assert_eq!(held(a), held(c), "{cell}: {pe} extent, residency");
-                        }
-                        let (s, all) = assert_sharing_survives(
-                            &a,
-                            &comm,
-                            &mask,
-                            opt,
-                            (src, b),
-                            &shared.1,
-                            &cell,
-                        );
-                        shared_pages += s;
-                        pages += all;
+    let (what, src, bytes, sources) = SHARED_CASES[case];
+    let (mut shared_pages, mut pages, mut cell_no) = (0, 0, 0);
+    for (dims, mask_str, _) in SHAPES {
+        let mask: DimMask = mask_str.parse().unwrap();
+        let (_, n) = lanes_of(dims, &mask);
+        let b = bytes(n);
+        let dst = src + b + 12;
+        for opt in [OptLevel::Baseline, OptLevel::Full] {
+            let comm = communicator(dims, geom, opt);
+            for (p, prim) in REDUCING.into_iter().enumerate() {
+                let salt = seed ^ (case * 8 + p) as u64;
+                let [shared, copied] = [true, false].map(|share| {
+                    let mut sys = PimSystem::new(geom);
+                    let cuts = land_sources(&mut sys, &comm, &mask, (src, b, sources), salt, share);
+                    (sys, cuts)
+                });
+                // The unaligned offset and the AllReduce's result —
+                // the source whose pages every member shares, where
+                // skipping matters most — run every operator and
+                // width; the others one pair per cell, in turn, to
+                // stay quick in an unoptimized build.
+                cell_no += 1;
+                let pairs = match (case, sources) {
+                    (0, _) | (_, Sources::AllReduced) => &grid[..],
+                    _ => std::slice::from_ref(&grid[cell_no * 5 % grid.len()]),
+                };
+                for &(op, dtype) in pairs {
+                    let cell = format!("{what}: {dims:?}/{mask_str} {opt:?} {prim} {op} {dtype}");
+                    let spec = BufferSpec::new(src, dst, b).with_dtype(dtype);
+                    let plan = comm.plan(prim, &mask, &spec, op).unwrap();
+                    let [mut a, mut c] = [&shared.0, &copied.0].map(PimSystem::clone);
+                    let out = plan.run(&mut a, None).unwrap().host_out;
+                    assert!(
+                        out == plan.run(&mut c, None).unwrap().host_out,
+                        "{cell}: host output"
+                    );
+                    let (_, dst_len) = extents(prim, b, n);
+                    for pe in geom.pes() {
+                        let (a, c) = (a.pe(pe), c.pe(pe));
+                        assert!(a.peek(src, b) == c.peek(src, b), "{cell}: {pe} source");
+                        let dst_bytes = |pe: &Pe| pe.peek(dst, dst_len);
+                        assert!(dst_bytes(a) == dst_bytes(c), "{cell}: {pe} destination");
+                        let held = |pe: &Pe| (pe.mram_used(), pe.mram_resident());
+                        assert_eq!(held(a), held(c), "{cell}: {pe} extent, residency");
                     }
+                    let (s, all) =
+                        assert_sharing_survives(&a, &comm, &mask, opt, (src, b), &shared.1, &cell);
+                    shared_pages += s;
+                    pages += all;
                 }
             }
         }
-        println!(
-            "{what}: {shared_pages} of {pages} whole source pages shared with a lane-mate ({:.0} %)",
-            100.0 * shared_pages as f64 / pages as f64
-        );
-        assert!(shared_pages > 0, "{what}: nothing stayed shared");
     }
+    println!(
+        "{what}: {shared_pages} of {pages} whole source pages shared with a lane-mate ({:.0} %)",
+        100.0 * shared_pages as f64 / pages as f64
+    );
+    assert!(shared_pages > 0, "{what}: nothing stayed shared");
+}
+
+#[test]
+fn shared_sources_at_an_unaligned_offset() {
+    shared_sources_equal_copied_ones_and_stay_shared(0);
+}
+
+#[test]
+fn shared_sources_cut_by_a_tile_boundary_inside_a_page() {
+    shared_sources_equal_copied_ones_and_stay_shared(1);
+}
+
+#[test]
+fn shared_sources_from_an_earlier_allreduce() {
+    shared_sources_equal_copied_ones_and_stay_shared(2);
+}
+
+#[test]
+fn shared_sources_over_zeros_after_a_reset() {
+    shared_sources_equal_copied_ones_and_stay_shared(3);
 }

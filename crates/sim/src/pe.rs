@@ -107,7 +107,10 @@ struct Run {
 
 impl Run {
     /// The image bytes of segment-relative byte range `r`, which must lie
-    /// in the run's pages; `None` for a run of zeros.
+    /// in the run's image — past the run's pages is allowed: a phase-A
+    /// rotation lands a part that reaches an owned page beside a kept run
+    /// from the kept run's rotated image, which the part lies in whole.
+    /// `None` for a run of zeros.
     fn bytes(&self, r: Range<usize>) -> Option<&[u8]> {
         let (image, at) = self.image.as_ref()?;
         Some(&image[at + r.start - self.pages.start * PAGE_BYTES..][..r.len()])
@@ -308,10 +311,6 @@ impl Segment {
     fn rotate(&mut self, r: Range<usize>, span: usize, cut: usize, rotations: &mut Rotations) {
         let pages = self.pages(r.clone());
         let reached = self.reached(&pages);
-        if reached.is_empty() {
-            rotate_parts_in(self.span_mut(r), span, cut);
-            return;
-        }
         let rel = r.start - self.start..r.end - self.start;
         // Right to left, so that a run is read before the pages around it
         // are owned and the indices of the runs still to visit hold.
