@@ -3,22 +3,16 @@
 //! This is the UPMEM-SDK / SimplePIM-style flow the paper compares against:
 //! all data is pulled to the host (with automatic domain transfer),
 //! globally rearranged/reduced *in host memory*, domain-transferred again
-//! and pushed back. Functionally it executes the oracle semantics
-//! ([`crate::oracle`]) on borrowed PE memory, materializing nothing: a
-//! reducing pull folds each member's region into the group's result as the
-//! pieces its PE lends ([`pim_sim::pe::Pe::pieces`], through
-//! [`super::fold`]), so nothing is copied, and an idempotent operator
-//! folds a page the members share once; the moving primitives resolve a
-//! [`pim_sim::pe::ReadWindow`] per member. The host-memory pass produces
-//! **one** flat result per group — the reduced vector for AllReduce /
-//! ReduceScatter / Reduce, the concatenation for AllGather, the transposed
-//! image for AlltoAll — and the push writes each member its share of it,
-//! one `Pe::write` per member. Where
-//! every member's share is the whole result (AllReduce, AllGather) the push
-//! lands it as one image the members share
-//! ([`pim_sim::pe::Pe::write_shared`], one row each where a fault plan
-//! watches). Every read of a call finishes before its first push, so the
-//! call sees a snapshot of its sources. The plan's cost sheet
+//! and pushed back. The engine computes its own results, on borrowed PE
+//! memory: [`group_result`] makes one flat result per group — a reducing
+//! pull folds the pieces each PE lends ([`pim_sim::pe::Pe::pieces`],
+//! through [`super::fold`]), so nothing is copied and an idempotent
+//! operator folds a page the members share once — and [`push`] lands each
+//! member its share, as one image the members share
+//! ([`pim_sim::pe::Pe::write_shared`]) where the share is the whole result.
+//! Every read of a call finishes before its first push, so the call sees a
+//! snapshot of its sources. Degraded execution ([`super::recovery`]) is the
+//! same two functions over the surviving PEs. The plan's cost sheet
 //! ([`charge`]) charges the three bottlenecks the paper identifies:
 //! host-memory staging, word-granular modulation and per-byte domain
 //! transfer.
@@ -32,7 +26,7 @@ use std::sync::Arc;
 use pim_sim::dtype::fill_identity;
 use pim_sim::geometry::BURST_BYTES;
 use pim_sim::pe::Landing;
-use pim_sim::PimSystem;
+use pim_sim::{PeId, PimSystem};
 
 use crate::config::Primitive;
 use crate::engine::buffer_extents;
@@ -40,7 +34,6 @@ use crate::engine::fold::Fold;
 use crate::engine::hostkernel::par_pes;
 use crate::engine::plan::CollectivePlan;
 use crate::engine::sheet::CostSheet;
-use crate::oracle;
 
 /// Records every `CostSheet` charge the baseline execution of `plan`
 /// incurs — the **single source of truth** for the conventional path's
@@ -110,65 +103,94 @@ pub(crate) fn charge(sheet: &mut CostSheet, plan: &CollectivePlan) {
 /// using the conventional host-memory flow. Returns host-side outputs for
 /// `Reduce`, `None` otherwise.
 pub(crate) fn run(sys: &mut PimSystem, plan: &CollectivePlan) -> Option<Vec<Vec<u8>>> {
-    let primitive = plan.primitive;
-    let (src, dst, b) = (
-        plan.spec.src_offset,
-        plan.spec.dst_offset,
-        plan.spec.bytes_per_node,
-    );
-    let (dtype, op) = (plan.spec.dtype, plan.op);
-
     // 1. Pull every member's data (domain transfer is automatic in the
     //    conventional driver) and 2. globally rearrange / reduce it in host
     //    memory — pure computation on shared borrows, one task and one
-    //    flat result per group. A reducing pull folds each member's pieces
-    //    as it reads them, so no source is copied.
+    //    flat result per group.
     let pes = &*sys;
     let mut groups: Vec<_> = plan.groups.iter().collect();
     let results = par_pes(&mut groups, plan.group_threads, |_, group| {
-        let pull = |&pe| pes.pe(pe).read_window(src, b);
-        let pulled = || group.members.iter().map(pull).collect::<Vec<_>>();
-        match primitive {
-            Primitive::AlltoAll => oracle::alltoall_image(&pulled()),
-            Primitive::AllGather => oracle::gather(&pulled()),
-            _ => {
-                let mut acc = vec![0u8; b];
-                fill_identity(op, dtype, &mut acc);
-                let mut fold = Fold::new(op, dtype);
-                for &pe in &group.members {
-                    fold.fold(&mut acc, pes.pe(pe), src);
-                }
-                acc
-            }
-        }
+        group_result(pes, plan, &group.members)
     });
 
-    // 3. Push results back (domain transfer again), in group order: every
-    //    member gets its chunk of the group's result, or — where every
-    //    member's output is the whole result (AllReduce, AllGather) — a
-    //    replica of it, which the members share (`Pe::write_shared`).
-    if primitive == Primitive::Reduce {
+    // 3. Push results back (domain transfer again), in group order.
+    if plan.primitive == Primitive::Reduce {
         return Some(results);
     }
-    let out_size = buffer_extents(primitive, b, plan.n).1;
     for (group, result) in groups.iter().zip(results) {
-        if result.len() == out_size {
-            let image = Arc::from(result);
-            for &pe in &group.members {
-                sys.pe_mut(pe).write_shared(dst, &image, Landing::Row);
-            }
-        } else {
-            for (&pe, out) in group.members.iter().zip(result.chunks(out_size)) {
-                sys.pe_mut(pe).write(dst, out);
-            }
-        }
+        push(sys, plan, &group.members, &result, |_| false);
     }
     None
+}
+
+/// A group's flat result, computed in host memory from its members'
+/// sources: the AlltoAll chunk transpose, the concatenation (a transpose of
+/// one chunk) for AllGather and Gather, the fold of every member into an
+/// identity-filled accumulator for the reducing primitives.
+pub(crate) fn group_result(sys: &PimSystem, plan: &CollectivePlan, members: &[PeId]) -> Vec<u8> {
+    let (src, b) = (plan.spec.src_offset, plan.spec.bytes_per_node);
+    if plan.primitive.is_reducing() {
+        let (op, dtype) = (plan.op, plan.spec.dtype);
+        let mut acc = vec![0u8; b];
+        fill_identity(op, dtype, &mut acc);
+        let mut fold = Fold::new(op, dtype);
+        for &pe in members {
+            fold.fold(&mut acc, sys.pe(pe), src);
+        }
+        return acc;
+    }
+    // Chunk `d` of every source, in rank order, is member `d`'s output.
+    let n = members.len();
+    let chunks = if plan.primitive == Primitive::AlltoAll {
+        n
+    } else {
+        1
+    };
+    let c = b / chunks;
+    let pulled: Vec<_> = members
+        .iter()
+        .map(|&pe| sys.pe(pe).read_window(src, b))
+        .collect();
+    let mut image = Vec::with_capacity(n * b);
+    for d in 0..chunks {
+        for window in &pulled {
+            image.extend_from_slice(&window[d * c..(d + 1) * c]);
+        }
+    }
+    image
+}
+
+/// Lands each member of a group but those `skip` names, in member order,
+/// its chunk of `result` — or, where every member's output is the whole
+/// result (AllReduce, AllGather), a replica the members share
+/// (`Pe::write_shared`). Returns the bytes it landed.
+pub(crate) fn push(
+    sys: &mut PimSystem,
+    plan: &CollectivePlan,
+    members: &[PeId],
+    result: &[u8],
+    skip: impl Fn(PeId) -> bool,
+) -> u64 {
+    let dst = plan.spec.dst_offset;
+    let out_size = buffer_extents(plan.primitive, plan.spec.bytes_per_node, members.len()).1;
+    let whole = (result.len() == out_size).then(|| Arc::<[u8]>::from(result));
+    let mut landed = 0;
+    for (rank, &pe) in members.iter().enumerate().filter(|&(_, &pe)| !skip(pe)) {
+        match &whole {
+            Some(image) => sys.pe_mut(pe).write_shared(dst, image, Landing::Row),
+            None => sys
+                .pe_mut(pe)
+                .write(dst, &result[rank * out_size..][..out_size]),
+        }
+        landed += out_size as u64;
+    }
+    landed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use crate::{BufferSpec, Communicator, DimMask, HypercubeManager, HypercubeShape, OptLevel};
     use pim_sim::{DimmGeometry, ReduceKind};
 

@@ -486,13 +486,7 @@ impl CollectivePlan {
         // stays on the meter — a failed execution did real work, and the
         // verified retry loop reports it as recovery time.
         if let Some(ev) = sys.take_corruption() {
-            return Err(Error::DataCorruption {
-                pe: ev.pe,
-                offset: ev.offset,
-                expected: ev.expected,
-                found: ev.found,
-                epoch: ev.epoch,
-            });
+            return Err(Error::from(&ev));
         }
 
         Ok(Execution {
@@ -502,7 +496,7 @@ impl CollectivePlan {
     }
 
     /// The report of one execution whose modeled time is `breakdown`.
-    fn report(&self, breakdown: Breakdown) -> CommReport {
+    pub(super) fn report(&self, breakdown: Breakdown) -> CommReport {
         let (bytes_in, bytes_out) = logical_volumes(
             self.primitive,
             self.spec.bytes_per_node,

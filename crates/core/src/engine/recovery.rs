@@ -22,8 +22,8 @@
 //!    attempt's full modeled cost (already on the meter) plus a fixed
 //!    resynchronization setup (the [`CostSheet`] recovery counter).
 //! 3. **Degrade**: a *persistently* failed PE cannot be retried around.
-//!    The collective still completes: the host re-computes the semantics
-//!    directly (the [`crate::oracle`] reference path) from the members'
+//!    The collective still completes: the host runs the Baseline engine's
+//!    host-memory flow ([`crate::engine::baseline`]) over the members'
 //!    still-readable MRAM, lands results on the surviving PEs, and charges
 //!    the recomputation at word-granular host-modulation cost — degraded
 //!    execution is visible in modeled time, never hidden. The dead PE's
@@ -44,18 +44,18 @@
 //! detected fault, and PEs it has quarantined degrade up front via
 //! [`run_degraded`] instead of burning retries rediscovering them.
 
-use pim_sim::{Breakdown, Checkpoint, FaultPlan, PimSystem};
+use pim_sim::{Breakdown, Checkpoint, PeId, PimSystem};
 
 use crate::config::Primitive;
+use crate::engine::baseline;
 use crate::engine::plan::CollectivePlan;
 use crate::engine::prepared::{FusedExecution, FusedPlan, PreparedScatter};
 use crate::engine::sheet::CostSheet;
 use crate::engine::streaming::rank_row;
 use crate::engine::supervisor::HealthLedger;
-use crate::engine::{logical_volumes, Execution, HostRows};
+use crate::engine::{Execution, HostRows};
 use crate::error::{Error, Result};
 use crate::hypercube::HypercubeManager;
-use crate::oracle;
 use crate::report::CommReport;
 
 /// How [`crate::Communicator::execute_verified`] responds to detected
@@ -313,8 +313,8 @@ pub(crate) fn run_verified(
             }
             // Roll the failed attempt back — phase A destroyed the
             // sources, and a mid-chain fault leaves earlier steps
-            // committed — so the re-run (or the oracle) sees the entry
-            // state. Under a fixed fault plan a persistent failure
+            // committed — so the re-run (or the degraded flow) sees the
+            // entry state. Under a fixed fault plan a persistent failure
             // surfaces at step 0's pre-dispatch scan, before the attempt
             // wrote anything, and the restore rewrites identical bytes; a
             // PE that dies mid-chain leaves landings behind
@@ -368,18 +368,12 @@ pub(crate) fn is_persistent(sys: &PimSystem, err: &Error) -> bool {
     }
 }
 
-/// Whether `pe` is stuck under the attached fault plan (if any).
-fn is_stuck(fault: Option<&FaultPlan>, pe: pim_sim::PeId) -> bool {
-    fault.is_some_and(|fp| fp.pe_stuck(pe.index() as u32))
-}
-
-/// Degraded execution of one collective: the host recomputes its
-/// semantics directly from the members' MRAM (the oracle reference path;
-/// a rooted send instead reads each member's row of its host source),
-/// landing results on every non-stuck PE — additionally skipping PEs the
-/// given ledger (if any) has quarantined. The moved bytes are charged to
-/// the [`CostSheet`] recovery counter at word-granular host-modulation
-/// cost.
+/// Degraded execution of one collective: the Baseline host flow
+/// ([`baseline::group_result`], then [`baseline::push`]) over every
+/// member's source — a dead DPU's bank is still host-readable — landing
+/// on the PEs neither stuck nor quarantined by `quarantine`; a rooted send
+/// lands each of them its host row instead. The moved bytes are charged to
+/// the [`CostSheet`] recovery counter at word-granular host-modulation cost.
 fn degrade_step(
     sys: &mut PimSystem,
     manager: &HypercubeManager,
@@ -388,110 +382,54 @@ fn degrade_step(
     quarantine: Option<&HealthLedger>,
 ) -> Result<Execution> {
     let before = sys.meter();
-    let groups = manager.groups(&plan.mask)?;
-    let b = plan.spec.bytes_per_node;
-    let n = plan.n;
-    let src = plan.spec.src_offset;
-    let dst = plan.spec.dst_offset;
-    let (op, dtype) = (plan.op, plan.spec.dtype);
+    let (b, dst) = (plan.spec.bytes_per_node, plan.spec.dst_offset);
     let fault = sys.fault_plan().cloned();
-    let fault = fault.as_deref();
-    let skip = |pe: pim_sim::PeId| {
-        is_stuck(fault, pe)
-            || quarantine.is_some_and(|ledger| ledger.is_quarantined(pe.index() as u32))
+    // A stuck PE's writes would be dropped anyway, and a quarantined PE's
+    // transport is known-bad: skipping both keeps verification records clean.
+    let skip = |pe: PeId| {
+        let flat = pe.index() as u32;
+        fault.as_deref().is_some_and(|fp| fp.pe_stuck(flat))
+            || quarantine.is_some_and(|ledger| ledger.is_quarantined(flat))
     };
 
     let mut moved: u64 = 0;
-    let mut host_out: Option<Vec<Vec<u8>>> =
+    let mut host_out =
         matches!(plan.primitive, Primitive::Gather | Primitive::Reduce).then(Vec::new);
-
-    for (g, group) in groups.iter().enumerate() {
-        // Inputs: the reading primitives peek every member's source
-        // region — a dead DPU's bank is still host-readable.
-        let ins: Vec<Vec<u8>> =
-            if matches!(plan.primitive, Primitive::Scatter | Primitive::Broadcast) {
-                Vec::new()
-            } else {
-                moved += (group.members.len() * b) as u64;
-                group
-                    .members
-                    .iter()
-                    .map(|&pe| sys.pe(pe).peek(src, b))
-                    .collect()
-            };
-
-        // Per-member outputs landing at `dst`, or host-side outputs.
-        let outs: Vec<Vec<u8>> = match plan.primitive {
-            Primitive::AlltoAll => oracle::alltoall(&ins),
-            Primitive::ReduceScatter => oracle::reduce_scatter(&ins, op, dtype),
-            Primitive::AllReduce => oracle::all_reduce(&ins, op, dtype),
-            Primitive::AllGather => oracle::all_gather(&ins),
-            Primitive::Scatter | Primitive::Broadcast => {
-                // Each surviving member's row, read from the source the
-                // way the send reads it ([`rank_row`]) — one row at a
-                // time, never the whole group buffer.
-                let rows = host_in.expect("check_run passed the rooted send its rows");
-                let mut row = vec![0u8; b];
-                for (rank, &pe) in group.members.iter().enumerate() {
-                    if !skip(pe) {
-                        rows.fill(g, rank_row(plan, rank), &mut row);
-                        sys.pe_mut(pe).write(dst, &row);
-                        moved += b as u64;
-                    }
+    for (g, group) in manager.groups(&plan.mask)?.iter().enumerate() {
+        if matches!(plan.primitive, Primitive::Scatter | Primitive::Broadcast) {
+            // Each surviving member's row, read from the source the way
+            // the send reads it ([`rank_row`]) — one row at a time, never
+            // the whole group buffer.
+            let rows = host_in.expect("check_run passed the rooted send its rows");
+            let mut row = vec![0u8; b];
+            for (rank, &pe) in group.members.iter().enumerate() {
+                if !skip(pe) {
+                    rows.fill(g, rank_row(plan, rank), &mut row);
+                    sys.pe_mut(pe).write(dst, &row);
+                    moved += b as u64;
                 }
-                Vec::new()
             }
-            Primitive::Gather => {
-                host_out.as_mut().unwrap().push(oracle::gather(&ins));
-                Vec::new()
-            }
-            Primitive::Reduce => {
-                host_out
-                    .as_mut()
-                    .unwrap()
-                    .push(oracle::reduce(&ins, op, dtype));
-                Vec::new()
-            }
-        };
-        for (&pe, out) in group.members.iter().zip(&outs) {
-            // The dead PE receives nothing — its writes would be dropped
-            // anyway; skipping keeps verification records clean.
-            if skip(pe) {
-                continue;
-            }
-            sys.pe_mut(pe).write(dst, out);
-            moved += out.len() as u64;
+            continue;
+        }
+        let result = baseline::group_result(sys, plan, &group.members);
+        moved += (group.members.len() * b) as u64;
+        match host_out.as_mut() {
+            Some(out) => out.push(result),
+            None => moved += baseline::push(sys, plan, &group.members, &result, skip),
         }
     }
 
     // Degraded landings still run verified: a fault plan that also
     // corrupts healthy PEs' writes is detected, not absorbed.
     if let Some(ev) = sys.take_corruption() {
-        return Err(Error::DataCorruption {
-            pe: ev.pe,
-            offset: ev.offset,
-            expected: ev.expected,
-            found: ev.found,
-            epoch: ev.epoch,
-        });
+        return Err(Error::from(&ev));
     }
 
     let mut sheet = CostSheet::new(sys.geometry().channels());
     sheet.recovery_bytes = moved; // simlint: allow(cost-sheet, reason = "verified-execution readback tally outside the plan's cost model by design; cost-only execution models the unverified run")
     sheet.apply(sys);
-
-    let (bytes_in, bytes_out) =
-        logical_volumes(plan.primitive, b, n, plan.num_nodes, plan.num_groups);
     Ok(Execution {
-        report: CommReport {
-            primitive: plan.primitive,
-            opt: plan.opt,
-            breakdown: sys.meter().since(&before),
-            bytes_in,
-            bytes_out,
-            group_size: n,
-            num_groups: plan.num_groups,
-        },
+        report: plan.report(sys.meter().since(&before)),
         host_out,
     })
 }

@@ -527,20 +527,11 @@ impl Attempt<'_> {
         if let Some(err) = residual_fault(sys, self.ledger, self.events) {
             return Err(err);
         }
-        // Quarantine: a unit touching a known-bad PE degrades up front.
+        // Quarantine: a unit touching a known-bad PE degrades up front —
+        // and every collective touches every PE of the system.
         if self.ledger.any_quarantined() {
-            for k in 0..unit.steps() {
-                let groups = comm.manager().groups(&unit.step(k).mask)?;
-                let hit = groups.iter().any(|g| {
-                    g.members
-                        .iter()
-                        .any(|&pe| self.ledger.is_quarantined(pe.index() as u32))
-                });
-                if hit {
-                    *self.degraded = true;
-                    return recovery::run_degraded(sys, comm.manager(), unit, self.ledger, hook);
-                }
-            }
+            *self.degraded = true;
+            return recovery::run_degraded(sys, comm.manager(), unit, self.ledger, hook);
         }
         let attempt = RecoveryPolicy {
             max_retries: self
@@ -583,13 +574,7 @@ fn residual_fault(
     let err = events
         .iter()
         .find(|ev| !ledger.is_quarantined(ev.pe))
-        .map(|ev| Error::DataCorruption {
-            pe: ev.pe,
-            offset: ev.offset,
-            expected: ev.expected,
-            found: ev.found,
-            epoch: ev.epoch,
-        });
+        .map(Error::from);
     events.clear();
     err
 }

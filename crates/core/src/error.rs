@@ -2,6 +2,8 @@
 
 use core::fmt;
 
+use pim_sim::CorruptionEvent;
+
 /// Errors returned by PID-Comm operations.
 ///
 /// Non-exhaustive: the fault-tolerant execution layer grows new variants
@@ -86,6 +88,19 @@ impl fmt::Display for Error {
 }
 
 impl std::error::Error for Error {}
+
+/// A write verification mismatch, surfaced as the typed error.
+impl From<&CorruptionEvent> for Error {
+    fn from(ev: &CorruptionEvent) -> Self {
+        Error::DataCorruption {
+            pe: ev.pe,
+            offset: ev.offset,
+            expected: ev.expected,
+            found: ev.found,
+            epoch: ev.epoch,
+        }
+    }
+}
 
 /// Result alias used throughout the crate.
 pub type Result<T> = core::result::Result<T, Error>;

@@ -1,16 +1,14 @@
-//! Functional reference semantics for the eight collectives.
+//! Functional reference semantics for the eight collectives: what the test
+//! suites and the benchmark check both engines against, and nothing else —
+//! no library code calls it (simlint's `library-oracle` lint).
 //!
-//! These are deliberately naive, obviously-correct implementations on plain
-//! byte slices; the engine's byte-accurate streaming paths are tested
-//! against them, and the baseline (host-memory) path executes them directly
-//! on borrowed views of PE memory — which is faithful, since the
-//! conventional flow really does rearrange all data in host memory. Inputs
-//! are anything that derefs to bytes (`Vec<u8>` in the tests, resolved
-//! `ReadWindow`s in the engine); what a group produces is one flat buffer
-//! ([`alltoall_image`], [`reduce`], [`gather`]), and the per-node functions
-//! cut or repeat it.
+//! These are deliberately naive, obviously-correct implementations on byte
+//! slices (anything that derefs to bytes) that share no code with the
+//! engines: the element-wise fold is plain per-type arithmetic, not
+//! `pim_sim`'s reduction kernels, so a fault in those kernels shows as a
+//! mismatch instead of passing on both sides.
 
-use pim_sim::dtype::{fill_identity, reduce_bytes, DType, ReduceKind};
+use pim_sim::dtype::{DType, ReduceKind};
 
 /// The common length of `inputs`.
 fn node_len(inputs: &[impl AsRef<[u8]>]) -> usize {
@@ -22,24 +20,6 @@ fn node_len(inputs: &[impl AsRef<[u8]>]) -> usize {
     b
 }
 
-/// AlltoAll as one buffer: the outputs of [`alltoall`] back to back.
-///
-/// # Panics
-///
-/// As [`alltoall`].
-pub fn alltoall_image(inputs: &[impl AsRef<[u8]>]) -> Vec<u8> {
-    let (n, b) = (inputs.len(), node_len(inputs));
-    assert_eq!(b % n, 0, "input not divisible into {n} chunks");
-    let c = b / n;
-    let mut image = Vec::with_capacity(n * b);
-    for d in 0..n {
-        for src in inputs {
-            image.extend_from_slice(&src.as_ref()[d * c..(d + 1) * c]);
-        }
-    }
-    image
-}
-
 /// AlltoAll: `out[d]` is the concatenation over sources `s` of chunk `d`
 /// of `inputs[s]`.
 ///
@@ -48,8 +28,18 @@ pub fn alltoall_image(inputs: &[impl AsRef<[u8]>]) -> Vec<u8> {
 /// Panics if inputs have unequal lengths or are not divisible into
 /// `inputs.len()` chunks.
 pub fn alltoall(inputs: &[impl AsRef<[u8]>]) -> Vec<Vec<u8>> {
-    let image = alltoall_image(inputs);
-    image.chunks(node_len(inputs)).map(<[u8]>::to_vec).collect()
+    let (n, b) = (inputs.len(), node_len(inputs));
+    assert_eq!(b % n, 0, "input not divisible into {n} chunks");
+    let c = b / n;
+    (0..n)
+        .map(|d| {
+            let mut out = Vec::with_capacity(b);
+            for src in inputs {
+                out.extend_from_slice(&src.as_ref()[d * c..(d + 1) * c]);
+            }
+            out
+        })
+        .collect()
 }
 
 /// ReduceScatter: `out[d]` is the element-wise reduction over sources of
@@ -108,14 +98,52 @@ pub fn gather(inputs: &[impl AsRef<[u8]>]) -> Vec<u8> {
 ///
 /// # Panics
 ///
-/// Panics on ragged inputs.
+/// Panics on ragged inputs or inputs that are not whole elements.
 pub fn reduce(inputs: &[impl AsRef<[u8]>], op: ReduceKind, dtype: DType) -> Vec<u8> {
-    let mut acc = vec![0u8; node_len(inputs)];
-    fill_identity(op, dtype, &mut acc);
-    for src in inputs {
-        reduce_bytes(op, dtype, &mut acc, src.as_ref());
+    assert!(
+        node_len(inputs).is_multiple_of(dtype.size_bytes()),
+        "not whole elements"
+    );
+    let mut acc = inputs[0].as_ref().to_vec();
+    for src in &inputs[1..] {
+        fold(op, dtype, &mut acc, src.as_ref());
     }
     acc
+}
+
+/// `acc[i] = op(acc[i], src[i])` over little-endian elements of `dtype`;
+/// `Sum` wraps.
+fn fold(op: ReduceKind, dtype: DType, acc: &mut [u8], src: &[u8]) {
+    macro_rules! typed {
+        ($ty:ty) => {{
+            fn zip(acc: &mut [u8], src: &[u8], f: impl Fn($ty, $ty) -> $ty) {
+                let w = std::mem::size_of::<$ty>();
+                let word = |b: &[u8]| <$ty>::from_le_bytes(b.try_into().expect("a whole element"));
+                for (a, s) in acc.chunks_exact_mut(w).zip(src.chunks_exact(w)) {
+                    let v = f(word(a), word(s));
+                    a.copy_from_slice(&v.to_le_bytes());
+                }
+            }
+            match op {
+                ReduceKind::Sum => zip(acc, src, <$ty>::wrapping_add),
+                ReduceKind::Min => zip(acc, src, <$ty>::min),
+                ReduceKind::Max => zip(acc, src, <$ty>::max),
+                ReduceKind::Or => zip(acc, src, |x, y| x | y),
+                ReduceKind::And => zip(acc, src, |x, y| x & y),
+                ReduceKind::Xor => zip(acc, src, |x, y| x ^ y),
+            }
+        }};
+    }
+    match dtype {
+        DType::U8 => typed!(u8),
+        DType::I8 => typed!(i8),
+        DType::U16 => typed!(u16),
+        DType::I16 => typed!(i16),
+        DType::U32 => typed!(u32),
+        DType::I32 => typed!(i32),
+        DType::U64 => typed!(u64),
+        DType::I64 => typed!(i64),
+    }
 }
 
 /// Broadcast: every node receives a copy of `host`.
@@ -201,6 +229,19 @@ mod tests {
     fn reduce_min() {
         let inputs = vec![u32v(&[5, 9]), u32v(&[3, 12])];
         assert_eq!(reduce(&inputs, ReduceKind::Min, DType::U32), u32v(&[3, 9]));
+    }
+
+    #[test]
+    fn reduce_respects_sign_and_wraps() {
+        // The i16 elements [-1, i16::MAX] and [1, 1].
+        let inputs = [[0xff, 0xff, 0xff, 0x7f], [1, 0, 1, 0]];
+        for (op, want) in [
+            (ReduceKind::Max, [1, 0, 0xff, 0x7f]),
+            (ReduceKind::Min, [0xff, 0xff, 1, 0]),
+            (ReduceKind::Sum, [0, 0, 0, 0x80]),
+        ] {
+            assert_eq!(reduce(&inputs, op, DType::I16), want, "{op}");
+        }
     }
 
     #[test]

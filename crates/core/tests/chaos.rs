@@ -32,7 +32,7 @@ use pidcomm::{
     BufferSpec, CollectivePlan, Communicator, DimMask, Error, HypercubeManager, HypercubeShape,
     OptLevel, Primitive, RecoveryPolicy, ReduceKind, Topology,
 };
-use pim_sim::{DimmGeometry, FaultKind, FaultPlan, PimSystem};
+use pim_sim::{DType, DimmGeometry, FaultKind, FaultPlan, PimSystem};
 use std::sync::Arc;
 
 const B: usize = 256;
@@ -90,17 +90,22 @@ fn host_in(prim: Primitive) -> Option<Vec<Vec<u8>>> {
 /// primitives at `c`'s level, then — at `Full`, the level they always run
 /// at — the ring and tree AllReduce schedules.
 fn cases(c: &Communicator) -> Vec<(String, CollectivePlan)> {
+    cases_of(c, ReduceKind::Sum, &spec())
+}
+
+/// [`cases`] reducing with `op` over `spec`.
+fn cases_of(c: &Communicator, op: ReduceKind, spec: &BufferSpec) -> Vec<(String, CollectivePlan)> {
     let mask: DimMask = "10".parse().unwrap();
     let mut cases: Vec<_> = Primitive::ALL
         .into_iter()
         .map(|p| {
-            let plan = c.plan(p, &mask, &spec(), ReduceKind::Sum).unwrap();
+            let plan = c.plan(p, &mask, spec, op).unwrap();
             (p.to_string(), plan)
         })
         .collect();
     if c.opt() == OptLevel::Full {
         for topo in [Topology::Ring, Topology::Tree] {
-            let plan = topo.plan(c.manager(), &mask, &spec(), ReduceKind::Sum);
+            let plan = topo.plan(c.manager(), &mask, spec, op);
             cases.push((topo.to_string(), plan.unwrap()));
         }
     }
@@ -275,53 +280,109 @@ fn transient_fault_with_no_retry_budget_surfaces_typed_error() {
     }
 }
 
+/// The modeled total of each degraded case below, as `f64` bits: the
+/// degraded charge is the bytes the host moves (every member's source read,
+/// plus every result landed on a survivor), the same at every level.
+const DEGRADED_TOTAL_BITS: &[(&str, u64)] = &[
+    ("AllGather i16 max", 0x40c95b6db6db6db7),
+    ("AllGather u64 sum", 0x40c95b6db6db6db7),
+    ("AllReduce i16 max", 0x40a6adb6db6db6dc),
+    ("AllReduce u64 sum", 0x40a6adb6db6db6dc),
+    ("AlltoAll i16 max", 0x40a6adb6db6db6dc),
+    ("AlltoAll u64 sum", 0x40a6adb6db6db6dc),
+    ("Broadcast i16 max", 0x4096800000000000),
+    ("Broadcast u64 sum", 0x4096800000000000),
+    ("Gather i16 max", 0x4096db6db6db6db7),
+    ("Gather u64 sum", 0x4096db6db6db6db7),
+    ("Reduce i16 max", 0x4096db6db6db6db7),
+    ("Reduce u64 sum", 0x4096db6db6db6db7),
+    ("ReduceScatter i16 max", 0x4099ab6db6db6db7),
+    ("ReduceScatter u64 sum", 0x4099ab6db6db6db7),
+    ("Scatter i16 max", 0x4096800000000000),
+    ("Scatter u64 sum", 0x4096800000000000),
+    ("ring i16 max", 0x40a6adb6db6db6dc),
+    ("ring u64 sum", 0x40a6adb6db6db6dc),
+    ("tree i16 max", 0x40a6adb6db6db6dc),
+    ("tree u64 sum", 0x40a6adb6db6db6dc),
+];
+
 #[test]
 fn persistent_pe_failure_degrades_to_correct_surviving_results() {
     let dead: u32 = 12;
-    let c = comm(OptLevel::Full);
-    for (name, plan) in cases(&c) {
-        let mut clean_sys = fresh_filled();
-        let (_, clean_host) = run_clean(&mut clean_sys, &plan);
+    let specs = [
+        ("u64 sum", ReduceKind::Sum, spec()),
+        ("i16 max", ReduceKind::Max, spec().with_dtype(DType::I16)),
+    ];
+    let mut totals = std::collections::BTreeMap::new();
+    for opt in [OptLevel::Baseline, OptLevel::Full] {
+        let c = comm(opt);
+        for (label, op, spec) in &specs {
+            for (name, plan) in cases_of(&c, *op, spec) {
+                let name = format!("{name} {label}");
+                let mut clean_sys = fresh_filled();
+                let (_, clean_host) = run_clean(&mut clean_sys, &plan);
 
-        let mut ver_sys = fresh_filled();
-        ver_sys.attach_fault_plan(Arc::new(FaultPlan::new(11).with_failed_pe(dead)));
-        let hin = host_in(plan.primitive());
-        let ver = c
-            .execute_verified(
-                &mut ver_sys,
-                &plan,
-                hin.as_deref(),
-                &RecoveryPolicy::default(),
-            )
-            .unwrap();
+                let mut ver_sys = fresh_filled();
+                ver_sys.attach_fault_plan(Arc::new(FaultPlan::new(11).with_failed_pe(dead)));
+                let hin = host_in(plan.primitive());
+                let ver = c
+                    .execute_verified(
+                        &mut ver_sys,
+                        &plan,
+                        hin.as_deref(),
+                        &RecoveryPolicy::default(),
+                    )
+                    .unwrap();
 
-        assert!(ver.degraded, "{name}: must degrade around the dead PE");
-        assert_eq!(ver.retries, 0, "{name}: persistent failure never retries");
-        // Host-rooted receive outputs are computed from still-readable
-        // banks, so they match the clean run exactly.
-        assert_eq!(ver.host_out, clean_host, "{name}: host output");
-        // Every surviving PE's *destination* region holds the exact clean
-        // result (the source region legitimately differs: the clean run's
-        // phase A pre-rotated it in place, the degraded run never
-        // dispatched). The dead PE's destination stays untouched.
-        ver_sys.detach_fault_plan();
-        for pe in ver_sys.geometry().pes() {
-            if pe.0 == dead {
-                continue;
+                assert!(
+                    ver.degraded,
+                    "{name} {opt:?}: must degrade around the dead PE"
+                );
+                assert_eq!(
+                    ver.retries, 0,
+                    "{name} {opt:?}: persistent failure never retries"
+                );
+                // Host-rooted receive outputs are computed from still-readable
+                // banks, so they match the clean run exactly.
+                assert_eq!(ver.host_out, clean_host, "{name} {opt:?}: host output");
+                // Every surviving PE's *destination* region holds the exact
+                // clean result (the source region legitimately differs: the
+                // clean run's phase A pre-rotated it in place, the degraded
+                // run never dispatched). The dead PE's destination stays
+                // untouched.
+                ver_sys.detach_fault_plan();
+                for pe in ver_sys.geometry().pes() {
+                    let dst = ver_sys.pe(pe).peek(DST, N * B);
+                    if pe.0 == dead {
+                        assert_eq!(dst, vec![0; N * B], "{name} {opt:?}: dead PE landed");
+                    } else {
+                        assert_eq!(
+                            dst,
+                            clean_sys.pe(pe).peek(DST, N * B),
+                            "{name} {opt:?}: surviving PE {pe:?} destination"
+                        );
+                    }
+                }
+                // Degraded recompute is visible in modeled time via the
+                // recovery byte counter (host-modulation charge), and the
+                // charge depends on the bytes moved, not on the level.
+                assert!(
+                    ver.report.breakdown.host_modulation > 0.0,
+                    "{name} {opt:?}: degraded recompute must be charged"
+                );
+                let bits = ver.report.breakdown.total().to_bits();
+                if let Some(&other) = totals.get(&name) {
+                    assert_eq!(bits, other, "{name}: Baseline and Full degrade alike");
+                }
+                totals.insert(name, bits);
             }
-            assert_eq!(
-                ver_sys.pe(pe).peek(DST, N * B),
-                clean_sys.pe(pe).peek(DST, N * B),
-                "{name}: surviving PE {pe:?} destination"
-            );
         }
-        // Degraded recompute is visible in modeled time via the recovery
-        // byte counter (host-modulation charge).
-        assert!(
-            ver.report.breakdown.host_modulation > 0.0,
-            "{name}: degraded recompute must be charged"
-        );
     }
+    let pinned: std::collections::BTreeMap<_, _> = DEGRADED_TOTAL_BITS
+        .iter()
+        .map(|&(name, bits)| (name.to_string(), bits))
+        .collect();
+    assert_eq!(totals, pinned, "degraded modeled totals");
 }
 
 #[test]

@@ -6,7 +6,8 @@
 //! `syn`; the workspace takes no external dependencies) and pattern-
 //! matches the token stream against the repo's written contracts —
 //! cost-sheet discipline, the PE-write choke point, determinism hygiene,
-//! hot-loop allocation freedom, and the unsafe audit. See
+//! hot-loop allocation freedom, the unsafe audit, and a library that never
+//! calls its own test reference. See
 //! [`lints::Lint::explain`] for each contract, or run
 //! `simlint --explain <lint>`.
 //!

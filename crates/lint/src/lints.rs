@@ -17,6 +17,9 @@
 //!   regions (PR 4's allocation-free contract).
 //! * [`Lint::UnsafeAudit`] — every `unsafe` carries a `// SAFETY:`
 //!   comment and appears in the committed allowlist.
+//! * [`Lint::LibraryOracle`] — no library code outside `oracle.rs` names
+//!   the `oracle` module, so the reference the suites check against is
+//!   never what produced the result.
 //!
 //! Suppression is only possible through an explicit, reasoned
 //! `// simlint: allow(<lint>, reason = "...")` directive on the offending
@@ -36,17 +39,19 @@ pub enum Lint {
     MapIteration,
     HotAlloc,
     UnsafeAudit,
+    LibraryOracle,
     Directive,
 }
 
 impl Lint {
-    pub const ALL: [Lint; 6] = [
+    pub const ALL: [Lint; 7] = [
         Lint::CostSheet,
         Lint::PeChokePoint,
         Lint::WallClock,
         Lint::MapIteration,
         Lint::HotAlloc,
         Lint::UnsafeAudit,
+        Lint::LibraryOracle,
     ];
 
     pub fn name(self) -> &'static str {
@@ -57,6 +62,7 @@ impl Lint {
             Lint::MapIteration => "map-iteration",
             Lint::HotAlloc => "hot-alloc",
             Lint::UnsafeAudit => "unsafe-audit",
+            Lint::LibraryOracle => "library-oracle",
             Lint::Directive => "directive",
         }
     }
@@ -160,6 +166,24 @@ The workspace currently has zero unsafe blocks and
 designated home for any future unsafe lane-decode fast path, and this
 lint makes each one a reviewed, documented, counted event — the audit
 trail the nightly Miri/TSan lane builds on."
+            }
+            Lint::LibraryOracle => {
+                "\
+library-oracle: no path in crates/{core,apps}/src outside
+crates/core/src/oracle.rs may name the `oracle` module (an `oracle`
+segment next to `::`, as in `crate::oracle` or `oracle::gather`).
+`#[cfg(test)]` modules are exempt.
+
+Contract: `pidcomm::oracle` is the reference the test suites and the
+benchmark hold both engines to. A library path that computes its result
+by calling it — as the Baseline engine's AlltoAll and AllGather and the
+degraded path once did — is equal to the reference by construction, and
+a fault in it can never show. The Baseline engine computes its own group
+results (`baseline::group_result`), and degraded execution is that same
+flow over the survivors.
+
+Fix: compute the result in the engine. There is no reason to allow this;
+an allow here would hide exactly what the lint exists to show."
             }
             Lint::Directive => {
                 "\
@@ -431,6 +455,7 @@ struct Policy {
     pe_window: bool,
     wall_clock: bool,
     map_iteration: bool,
+    library_oracle: bool,
 }
 
 fn policy_for(path: &str) -> Policy {
@@ -448,6 +473,8 @@ fn policy_for(path: &str) -> Policy {
             .iter()
             .any(|c| contains(&format!("crates/{c}/src"))),
         map_iteration: contains("crates/core/src") || contains("crates/sim/src"),
+        library_oracle: (contains("crates/core/src") || contains("crates/apps/src"))
+            && !ends("crates/core/src/oracle.rs"),
     }
 }
 
@@ -826,6 +853,20 @@ fn run_lints(
                     ),
                 );
             }
+        }
+
+        // L6 library-oracle: an `oracle` path segment.
+        if policy.library_oracle
+            && ident_at(toks, i) == Some("oracle")
+            && (path_sep_at(toks, i + 1) || (i >= 2 && path_sep_at(toks, i - 2)))
+        {
+            push(
+                Lint::LibraryOracle,
+                t,
+                "library code names the `oracle` module; the reference the suites check \
+                 against must not produce the result — compute it in the engine"
+                    .to_string(),
+            );
         }
 
         i += 1;

@@ -141,6 +141,53 @@ fn l5_unsafe_audit_bad_and_good() {
 }
 
 #[test]
+fn l6_library_oracle_bad_and_good() {
+    assert_eq!(
+        errors_of("bad/crates/core/src/engine/reference.rs"),
+        vec![(Lint::LibraryOracle, 3, 12)]
+    );
+    // The good fixture's test module imports the reference: exempt.
+    assert_eq!(
+        errors_of("good/crates/core/src/engine/reference.rs"),
+        vec![]
+    );
+    // Either side of the `::` counts; the module itself, other crates and
+    // a bare `oracle` binding do not.
+    for (path, src, flagged) in [
+        ("crates/apps/src/cc.rs", "use pidcomm::oracle;", true),
+        (
+            "crates/core/src/comm.rs",
+            "fn f() { oracle::reduce(x, op, t); }",
+            true,
+        ),
+        (
+            "crates/core/src/oracle.rs",
+            "fn f() { crate::oracle::gather(x); }",
+            false,
+        ),
+        (
+            "crates/bench/src/pins.rs",
+            "fn f() { oracle::gather(x); }",
+            false,
+        ),
+        ("crates/core/src/lib.rs", "pub mod oracle;", false),
+        (
+            "crates/core/src/comm.rs",
+            "fn f(oracle: u8) -> u8 { oracle }",
+            false,
+        ),
+    ] {
+        let out = lint_source(path, src, &UnsafeAllowlist::default());
+        assert_eq!(
+            !out.diags.is_empty(),
+            flagged,
+            "{path}: {src}: {:?}",
+            out.diags
+        );
+    }
+}
+
+#[test]
 fn allow_directive_suppresses_counts_and_reports() {
     let src = "pub fn f(sheet: &mut CostSheet) {\n    // simlint: allow(cost-sheet, reason = \"fixture\")\n    sheet.dt_blocks += 1;\n}\n";
     let out = lint_source(
@@ -286,6 +333,7 @@ fn cli_exit_codes_and_spans() {
         ("bad/crates/core/src/engine/order.rs", ":10:29"),
         ("bad/crates/sim/src/hotpath.rs", ":4:19"),
         ("bad/crates/sim/src/rawlane.rs", ":3:5"),
+        ("bad/crates/core/src/engine/reference.rs", ":3:12"),
     ] {
         let path = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("tests/fixtures")
