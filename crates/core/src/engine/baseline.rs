@@ -4,11 +4,11 @@
 //! all data is pulled to the host (with automatic domain transfer),
 //! globally rearranged/reduced *in host memory*, domain-transferred again
 //! and pushed back. The engine computes its own results, on borrowed PE
-//! memory: [`group_result`] makes one flat result per group — a reducing
-//! pull folds the pieces each PE lends ([`pim_sim::pe::Pe::pieces`],
-//! through [`super::fold`]), so nothing is copied and an idempotent
-//! operator folds a page the members share once — and [`push`] lands each
-//! member its share, as one image the members share
+//! memory: [`group_result`] makes each group's result — a reducing pull
+//! folds the pieces each PE lends ([`pim_sim::pe::Pe::pieces`], through
+//! [`super::fold`]), so nothing is copied and an idempotent operator folds
+//! a page the members share once — and [`push`] lands each member its
+//! share, as one image the members share
 //! ([`pim_sim::pe::Pe::write_shared`]) where the share is the whole result.
 //! Every read of a call finishes before its first push, so the call sees a
 //! snapshot of its sources. Degraded execution ([`super::recovery`]) is the
@@ -106,7 +106,7 @@ pub(crate) fn run(sys: &mut PimSystem, plan: &CollectivePlan) -> Option<Vec<Vec<
     // 1. Pull every member's data (domain transfer is automatic in the
     //    conventional driver) and 2. globally rearrange / reduce it in host
     //    memory — pure computation on shared borrows, one task and one
-    //    flat result per group.
+    //    result per group.
     let pes = &*sys;
     let mut groups: Vec<_> = plan.groups.iter().collect();
     let results = par_pes(&mut groups, plan.group_threads, |_, group| {
@@ -115,19 +115,28 @@ pub(crate) fn run(sys: &mut PimSystem, plan: &CollectivePlan) -> Option<Vec<Vec<
 
     // 3. Push results back (domain transfer again), in group order.
     if plan.primitive == Primitive::Reduce {
-        return Some(results);
+        return Some(results.into_iter().flatten().collect());
     }
-    for (group, result) in groups.iter().zip(results) {
-        push(sys, plan, &group.members, &result, |_| false);
+    for (group, rows) in groups.iter().zip(results) {
+        push(sys, plan, &group.members, rows, |_| false);
     }
     None
 }
 
-/// A group's flat result, computed in host memory from its members'
-/// sources: the AlltoAll chunk transpose, the concatenation (a transpose of
-/// one chunk) for AllGather and Gather, the fold of every member into an
-/// identity-filled accumulator for the reducing primitives.
-pub(crate) fn group_result(sys: &PimSystem, plan: &CollectivePlan, members: &[PeId]) -> Vec<u8> {
+/// A group's result, computed in host memory from its members' sources,
+/// as rows. AlltoAll's is one row per member, in rank order: row `d` is
+/// chunk `d` of every source (the chunk transpose). Every other
+/// primitive's is one row: the concatenation of the sources (AllGather,
+/// Gather) or the fold of every member into an identity-filled accumulator
+/// (the reducing primitives). AlltoAll keeps rows apart because no member
+/// needs its whole `n * b` transpose, and one image that large (8 MiB on a
+/// 1024-PE group) lands wherever the allocator's mmap threshold has
+/// drifted to, which made the process's peak RSS a coin flip.
+pub(crate) fn group_result(
+    sys: &PimSystem,
+    plan: &CollectivePlan,
+    members: &[PeId],
+) -> Vec<Vec<u8>> {
     let (src, b) = (plan.spec.src_offset, plan.spec.bytes_per_node);
     if plan.primitive.is_reducing() {
         let (op, dtype) = (plan.op, plan.spec.dtype);
@@ -137,50 +146,58 @@ pub(crate) fn group_result(sys: &PimSystem, plan: &CollectivePlan, members: &[Pe
         for &pe in members {
             fold.fold(&mut acc, sys.pe(pe), src);
         }
-        return acc;
+        return vec![acc];
     }
-    // Chunk `d` of every source, in rank order, is member `d`'s output.
     let n = members.len();
-    let chunks = if plan.primitive == Primitive::AlltoAll {
-        n
-    } else {
-        1
-    };
-    let c = b / chunks;
     let pulled: Vec<_> = members
         .iter()
         .map(|&pe| sys.pe(pe).read_window(src, b))
         .collect();
-    let mut image = Vec::with_capacity(n * b);
-    for d in 0..chunks {
-        for window in &pulled {
-            image.extend_from_slice(&window[d * c..(d + 1) * c]);
-        }
+    if plan.primitive != Primitive::AlltoAll {
+        return vec![pulled.concat()];
     }
-    image
+    let c = b / n;
+    (0..n)
+        .map(|d| {
+            let mut row = Vec::with_capacity(b);
+            for window in &pulled {
+                row.extend_from_slice(&window[d * c..(d + 1) * c]);
+            }
+            row
+        })
+        .collect()
 }
 
 /// Lands each member of a group but those `skip` names, in member order,
-/// its chunk of `result` — or, where every member's output is the whole
-/// result (AllReduce, AllGather), a replica the members share
-/// (`Pe::write_shared`). Returns the bytes it landed.
+/// its share of `rows` ([`group_result`]): its own row where there is one
+/// per member (AlltoAll), otherwise its slice of the one row
+/// (ReduceScatter) — or, where every member's output is that whole row
+/// (AllReduce, AllGather), a replica the members share
+/// (`Pe::write_shared`). A member's own row is freed as soon as it has
+/// landed, so the heap can hand its bytes to whatever the next landings
+/// allocate: freed only after the last landing, a 1024-member group's rows
+/// left a hole below those allocations that stayed resident and raised
+/// DLRM's peak RSS. Returns the bytes it landed.
 pub(crate) fn push(
     sys: &mut PimSystem,
     plan: &CollectivePlan,
     members: &[PeId],
-    result: &[u8],
+    mut rows: Vec<Vec<u8>>,
     skip: impl Fn(PeId) -> bool,
 ) -> u64 {
     let dst = plan.spec.dst_offset;
     let out_size = buffer_extents(plan.primitive, plan.spec.bytes_per_node, members.len()).1;
-    let whole = (result.len() == out_size).then(|| Arc::<[u8]>::from(result));
+    let whole = match &rows[..] {
+        [row] if row.len() == out_size => Some(Arc::<[u8]>::from(&row[..])),
+        _ => None,
+    };
     let mut landed = 0;
     for (rank, &pe) in members.iter().enumerate().filter(|&(_, &pe)| !skip(pe)) {
-        match &whole {
-            Some(image) => sys.pe_mut(pe).write_shared(dst, image, Landing::Row),
-            None => sys
-                .pe_mut(pe)
-                .write(dst, &result[rank * out_size..][..out_size]),
+        let pe = sys.pe_mut(pe);
+        match (&whole, &mut rows[..]) {
+            (Some(image), _) => pe.write_shared(dst, image, Landing::Row),
+            (None, [row]) => pe.write(dst, &row[rank * out_size..][..out_size]),
+            (None, rows) => pe.write(dst, &std::mem::take(&mut rows[rank])),
         }
         landed += out_size as u64;
     }

@@ -411,11 +411,11 @@ fn degrade_step(
             }
             continue;
         }
-        let result = baseline::group_result(sys, plan, &group.members);
+        let rows = baseline::group_result(sys, plan, &group.members);
         moved += (group.members.len() * b) as u64;
         match host_out.as_mut() {
-            Some(out) => out.push(result),
-            None => moved += baseline::push(sys, plan, &group.members, &result, skip),
+            Some(out) => out.extend(rows),
+            None => moved += baseline::push(sys, plan, &group.members, rows, skip),
         }
     }
 

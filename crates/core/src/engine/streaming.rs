@@ -33,13 +33,13 @@
 //! [`CostSheet`], tallied once at plan build by [`charge`], so no schedule
 //! of the clusters can reach a modeled bit.
 //!
-//! Inside a task, the moving primitives (AlltoAll, AllGather) are *resolve
-//! once, stream many*: after phase A the task resolves, once per PE, a read
-//! window over the source region and a write window over the destination
-//! region ([`EgView::windows`] — one capacity check, one segment lookup, one
-//! extent update each), and the `(m_s, m_d, k)` loops then move chunks
-//! between the resolved slices. The same loops serve every chunk size: a
-//! PE's region is resolved once whether a chunk is 8 bytes or 8 KiB.
+//! Inside a task, AlltoAll is *resolve once, stream many*: after phase A
+//! the task resolves, once per PE, a read window over the source region
+//! and a write window over the destination region ([`EgView::windows`] —
+//! one capacity check, one segment lookup, one extent update each), and
+//! the `(m_s, m_d, k)` loops then move chunks between the resolved slices.
+//! The same loops serve every chunk size: a PE's region is resolved once
+//! whether a chunk is 8 bytes or 8 KiB.
 //!
 //! The reducing primitives (ReduceScatter, AllReduce, Reduce) are *stream
 //! every PE once*: one PE-major pass ([`reduce_cluster`]) walks the source
@@ -53,11 +53,15 @@
 //! each member its chunk of it; AllReduce lands all of it on every member
 //! as one shared image ([`pim_sim::pe::Pe::write_shared`]): each member's
 //! pages read the group's one `Arc`, and nothing is copied but the bytes
-//! on the two pages the destination cuts. No region is walked twice and
-//! nothing is moved in pieces smaller than the model's registers unless
-//! the fault layer is watching them — under a fault plan the image lands
-//! as the register run it stands for
-//! ([`pim_sim::pe::WriteWindow::put_run`]).
+//! on the two pages the destination cuts. AllGather's result is replicated
+//! too — every member ends with its group's sources in rank order — so it
+//! lands the same way: one image per group, built from one read of each
+//! source ([`pim_sim::pe::Pe::read_window`]), shared by every member. No
+//! region is walked twice and nothing is moved in pieces smaller than the
+//! model's registers unless the fault layer is watching them — under a
+//! fault plan an image lands as the register run it stands for
+//! ([`pim_sim::pe::WriteWindow::put_run`]), each PE taking its pieces in
+//! the order the register loop would land them.
 //!
 //! Every function here executes a [`CollectivePlan`]: the per-cluster
 //! rotation and final-slot schedules ([`ClusterSched`]) and the resolved
@@ -70,11 +74,11 @@
 //! land goes through [`pim_sim::pe::WriteWindow::put`] (or `put_run`) on the
 //! destination PE — directly in phase B, via [`pim_sim::pe::Pe::write`] in
 //! the rooted primitives' row writes, via `Pe::write_shared`'s window in
-//! AllReduce's fan-out — which is where [`pim_sim::FaultPlan`]
-//! injection and read-after-write verification live; a window resolved
-//! while either is active lands each chunk checked, with the chunk's own
-//! `(pe, offset, len)` — a run as the registers it stands for, in their
-//! order. Phase-A reordering
+//! AllReduce's and AllGather's fan-out — which is where
+//! [`pim_sim::FaultPlan`] injection and read-after-write verification
+//! live; a window resolved while either is active lands each chunk
+//! checked, with the chunk's own `(pe, offset, len)` — a run as the
+//! registers it stands for, in their order. Phase-A reordering
 //! ([`pim_sim::pe::Pe::rotate_parts`]) and the typed in-place views are
 //! PE-local *compute*, deliberately outside the transport fault scope (see
 //! `pim_sim::pe`). With no fault plan attached and verification off, none
@@ -623,59 +627,72 @@ pub(crate) fn all_reduce(sys: &mut PimSystem, plan: &CollectivePlan) {
         // reduced register and one shuffle per written register (see
         // charge_cluster) — the reference flow rotates in the store loop.
         // Functionally every member ends up with its group's whole vector
-        // in rank order, so every member shares the one image; where the
-        // fault layer watches, it lands as the registers the model counts:
-        // lane rank `i` receives slot `(i - k) % l` of every part with
-        // rotation `k`.
-        // simlint: hot(begin, allreduce distribution fan-out)
-        for m_d in 0..m {
-            for (g, image) in c.groups.iter().zip(&images) {
-                for (i, &lane) in g.lanes.iter().enumerate() {
-                    let order = |j: usize| j / l * l + (i + l - j % l) % l;
-                    let landing = Landing::Run {
-                        chunk,
-                        order: &order,
-                    };
-                    task.view
-                        .pe_mut(m_d, lane)
-                        .write_shared(dst, image, landing);
-                }
-            }
-        }
-        // simlint: hot(end)
+        // in rank order.
+        land_replicated(task, dst, chunk, &images);
     });
 }
 
-/// AllGather (§V-B1, Fig. 8a).
+/// AllGather (§V-B1, Fig. 8a): every member of a group ends with the
+/// group's sources concatenated in rank order, so each group's result is
+/// built once, from one read of each source, and lands on every member as
+/// one shared image, as AllReduce's does.
 pub(crate) fn all_gather(sys: &mut PimSystem, plan: &CollectivePlan) {
     let (src, dst) = (plan.spec.src_offset, plan.spec.dst_offset);
     let chunk = plan.spec.bytes_per_node;
 
     run_clustered(sys, plan, |task| {
         let c = task.cluster;
-        let l = c.lane_count;
-        let sched = task.sched;
+        let (l, m) = (c.lane_count, c.eg_count());
 
-        let (srcs, mut dsts) = task
-            .view
-            .windows(src..src + chunk, dst..dst + plan.n * chunk);
-        // simlint: hot(begin, allgather phase B)
-        for (m_s, from) in srcs.chunks_exact(LANES).enumerate() {
-            for to in dsts.chunks_exact_mut(LANES) {
-                for k in 0..l {
-                    land_register(
-                        to,
-                        dst + m_s * l * chunk,
-                        &sched.final_slot[k],
-                        chunk,
-                        &sched.rotations[k],
-                        |s| &from[s][..],
-                    );
+        // Rank `i + l * m_s` is lane rank `i` of EG `m_s`.
+        let images: Vec<Arc<[u8]>> = c
+            .groups
+            .iter()
+            .map(|g| {
+                let mut image = Vec::with_capacity(l * m * chunk);
+                for m_s in 0..m {
+                    for &lane in &g.lanes {
+                        let pe = task.view.pe_mut(m_s, lane);
+                        image.extend_from_slice(&pe.read_window(src, chunk));
+                    }
                 }
+                Arc::from(image)
+            })
+            .collect();
+
+        // The model charges one read burst per source part and a modulated
+        // write per (k, m_d) destination (see charge_cluster).
+        land_replicated(task, dst, chunk, &images);
+    });
+}
+
+/// Lands each packed group's image — a result every member receives
+/// whole — on every member as one shared image
+/// ([`pim_sim::pe::Pe::write_shared`]). Where the fault layer watches, an
+/// image lands as the registers the model counts, in the order the
+/// register loop would land them: the PE at lane `d` takes, part by part
+/// and rotation `k` by rotation, the `chunk`-byte piece at its final slot
+/// `final_slot[k][d]` — slot `(i - k) % l` for lane rank `i`.
+fn land_replicated(task: &mut ClusterTask, dst: usize, chunk: usize, images: &[Arc<[u8]>]) {
+    let c = task.cluster;
+    let (l, m) = (c.lane_count, c.eg_count());
+    let final_slot = &task.sched.final_slot;
+    // simlint: hot(begin, replicated fan-out)
+    for m_d in 0..m {
+        for (g, image) in c.groups.iter().zip(images) {
+            for &lane in &g.lanes {
+                let order = |j: usize| j / l * l + final_slot[j % l][lane];
+                let landing = Landing::Run {
+                    chunk,
+                    order: &order,
+                };
+                task.view
+                    .pe_mut(m_d, lane)
+                    .write_shared(dst, image, landing);
             }
         }
-        // simlint: hot(end)
-    });
+    }
+    // simlint: hot(end)
 }
 
 /// Gather (§V-B4: AllGather's read step followed by domain transfer).

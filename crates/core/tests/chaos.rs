@@ -32,7 +32,8 @@ use pidcomm::{
     BufferSpec, CollectivePlan, Communicator, DimMask, Error, HypercubeManager, HypercubeShape,
     OptLevel, Primitive, RecoveryPolicy, ReduceKind, Topology,
 };
-use pim_sim::{DType, DimmGeometry, FaultKind, FaultPlan, PimSystem};
+use pim_sim::fault::fnv1a;
+use pim_sim::{DType, DimmGeometry, FaultKind, FaultPlan, PeId, PimSystem};
 use std::sync::Arc;
 
 const B: usize = 256;
@@ -551,6 +552,93 @@ fn transiently_stuck_pe_is_caught_before_dispatch() {
     assert!(!ver.degraded);
     sys.detach_fault_plan();
     assert_eq!(snapshot(&sys), want);
+}
+
+/// Runs a Full AllGather over `mask` under `faults` with verification on
+/// and returns where it was first caught: the lowest struck PE and the
+/// offset of the first of its landings that a fault struck. Also checks
+/// that the struck landing is one whole `B`-byte piece: the error's
+/// digests are of the bytes meant for, and found at, that offset.
+fn allgather_first_strike(mask_str: &str, faults: FaultPlan) -> (u32, usize) {
+    let mask: DimMask = mask_str.parse().unwrap();
+    let plan = comm(OptLevel::Full)
+        .plan(Primitive::AllGather, &mask, &spec(), ReduceKind::Sum)
+        .unwrap();
+    let mut clean = fresh_filled();
+    run_clean(&mut clean, &plan);
+    let mut sys = fresh_filled();
+    sys.attach_fault_plan(Arc::new(faults));
+    sys.set_verify_writes(true);
+    match plan.run(&mut sys, None) {
+        Err(Error::DataCorruption {
+            pe,
+            offset,
+            expected,
+            found,
+            epoch,
+        }) => {
+            assert_eq!(epoch, 1, "{mask_str}");
+            let digest = |s: &PimSystem| fnv1a(&s.pe(PeId(pe)).peek(offset, B));
+            assert_eq!(
+                (expected, found),
+                (digest(&clean), digest(&sys)),
+                "{mask_str}: PE {pe} at {offset}"
+            );
+            (pe, offset)
+        }
+        other => panic!("{mask_str}: expected DataCorruption, got {other:?}"),
+    }
+}
+
+/// Where a Full AllGather is first caught on a PE every landing of which a
+/// fault strikes: `(mask, pe, offset)`. A PE takes its `B`-byte pieces in
+/// the order of the register loop its landing stands for — source part by
+/// source part, and inside a part rotation by rotation, each piece at its
+/// final slot — so the first struck piece is the first that loop lands on
+/// the PE, which is rarely the piece at the region's start. One group per
+/// EG (`10`) and one group over the whole rank (`11`, eight parts).
+const ALLGATHER_FIRST_STRIKES: &[(&str, u32, usize)] = &[
+    ("10", 0, 8192),
+    ("10", 3, 8960),
+    ("10", 13, 9472),
+    ("10", 62, 9728),
+    ("11", 1, 8448),
+    ("11", 5, 9472),
+    ("11", 18, 8704),
+    ("11", 43, 8960),
+    ("11", 63, 9984),
+];
+
+/// As [`ALLGATHER_FIRST_STRIKES`], under seeded bit-flip storms over the
+/// whole rank (`11`, 64 pieces per PE) that strike about one landing in
+/// eight: `(seed, pe, offset)`. The first struck piece is then the first
+/// of the struck ones in landing order, so these pin that order beyond its
+/// first piece.
+const ALLGATHER_STORM_STRIKES: &[(u64, u32, usize)] = &[
+    (1, 0, 8960),
+    (2, 0, 8960),
+    (3, 0, 10496),
+    (4, 0, 9984),
+    (5, 0, 9728),
+    (6, 0, 11008),
+];
+
+#[test]
+fn full_allgather_is_first_caught_where_its_register_order_lands_first() {
+    for &(mask_str, pe, offset) in ALLGATHER_FIRST_STRIKES {
+        let strike = FaultPlan::new(7).with_event(FaultKind::BitFlip, pe, 1);
+        let got = allgather_first_strike(mask_str, strike);
+        assert_eq!(
+            got,
+            (pe, offset),
+            "{mask_str}: every landing on PE {pe} struck"
+        );
+    }
+    for &(seed, pe, offset) in ALLGATHER_STORM_STRIKES {
+        let storm = FaultPlan::new(seed).with_bit_flip_period(8);
+        let got = allgather_first_strike("11", storm);
+        assert_eq!(got, (pe, offset), "storm seed {seed}");
+    }
 }
 
 // ---- multi-host: two hosts of 64 PEs, a fault plan on one ------------

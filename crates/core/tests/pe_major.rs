@@ -22,6 +22,10 @@
 //! where nothing touched it: lane-mates (the same rotation) lend the same
 //! image bytes for every page far from an edit, a cut page or a tile
 //! boundary. `PIDCOMM_CHAOS_SEED` salts the bytes.
+//!
+//! The Full AllGather shares its result the same way: every member's
+//! destination pages are pieces of its group's one image, and a write to
+//! one member leaves its lane-mates' bytes alone.
 
 mod common;
 
@@ -35,7 +39,7 @@ use common::{
 use pidcomm::hypercube::build_clusters;
 use pidcomm::{BufferSpec, DimMask, Error, OptLevel, Primitive};
 use pim_sim::geometry::LANES;
-use pim_sim::pe::{Pe, PAGE_BYTES};
+use pim_sim::pe::{Pe, Piece, PAGE_BYTES};
 use pim_sim::{DType, DimmGeometry, FaultPlan, PeId, PimSystem, ReduceKind};
 
 const REDUCING: [Primitive; 3] = [
@@ -606,4 +610,88 @@ fn shared_sources_from_an_earlier_allreduce() {
 #[test]
 fn shared_sources_over_zeros_after_a_reset() {
     shared_sources_equal_copied_ones_and_stay_shared(3);
+}
+
+/// A clean Full AllGather lands its group's result once: every member's
+/// destination pages are pieces of the group's one image (`Arc::ptr_eq`),
+/// each at its own offset in the image, and no two groups share one —
+/// apart from the two pages the destination cuts, which members own. A
+/// write to one member's destination then leaves its lane-mates' bytes as
+/// they were. Sources at 4104 bytes per member, so pieces straddle pages,
+/// and a destination off the page grid. `PIDCOMM_CHAOS_SEED` salts the
+/// bytes.
+#[test]
+fn shared_sources_gathered_by_a_full_allgather_land_one_image_per_group() {
+    let geom = geometry();
+    let seed = chaos_seed();
+    let (src, dst, b) = (8, 3 * PAGE_BYTES + 8, 4104);
+    for (shape, (dims, mask_str, _)) in SHAPES.into_iter().enumerate() {
+        let mask: DimMask = mask_str.parse().unwrap();
+        let comm = communicator(dims, geom, OptLevel::Full);
+        let groups = comm.manager().groups(&mask).unwrap();
+        let len = b * groups[0].members.len();
+        let whole = dst.next_multiple_of(PAGE_BYTES)..(dst + len) / PAGE_BYTES * PAGE_BYTES;
+        let what = format!("{dims:?}/{mask_str}");
+        let mut sys = PimSystem::new(geom);
+        fill(&mut sys, src, b, seed ^ shape as u64);
+        let spec = BufferSpec::new(src, dst, b);
+        let cell = call(Primitive::AllGather, &mask, spec, ReduceKind::Sum);
+        run_and_check(&comm, &mut sys, &cell, &what);
+
+        let mut images: Vec<Arc<[u8]>> = Vec::new();
+        for g in &groups {
+            let mut image: Option<Arc<[u8]>> = None;
+            for &pe in &g.members {
+                let (mut at, mut shared) = (dst, 0);
+                sys.pe(pe).pieces(dst, len, |piece| {
+                    match piece {
+                        Piece::Image {
+                            image: i,
+                            at: from,
+                            len,
+                        } => {
+                            assert_eq!(from, at - dst, "{what}: {pe} image offset");
+                            let first = image.get_or_insert_with(|| Arc::clone(i));
+                            assert!(Arc::ptr_eq(first, i), "{what}: {pe} another image");
+                            shared += len;
+                        }
+                        other => {
+                            let end = at + other.len();
+                            let cut = end <= whole.start || at >= whole.end;
+                            assert!(cut, "{what}: {pe} owns {at}..{end}");
+                        }
+                    }
+                    at += piece.len();
+                });
+                assert_eq!(shared, whole.len(), "{what}: {pe} shared bytes");
+            }
+            let image = image.expect("a group shares its image");
+            assert!(
+                images.iter().all(|other| !Arc::ptr_eq(other, &image)),
+                "{what}: group {} shares another group's image",
+                g.id
+            );
+            images.push(image);
+
+            // One member writes into the middle of its destination.
+            let before: Vec<Vec<u8>> = g
+                .members
+                .iter()
+                .map(|&pe| sys.pe(pe).peek(dst, len))
+                .collect();
+            let at = whole.start + 100;
+            let edit = [0xa5u8; 16];
+            sys.pe_mut(g.members[0]).write(at, &edit);
+            for (k, (&pe, was)) in g.members.iter().zip(&before).enumerate() {
+                let mut want = was.clone();
+                if k == 0 {
+                    want[at - dst..][..edit.len()].copy_from_slice(&edit);
+                }
+                assert!(
+                    sys.pe(pe).peek(dst, len) == want,
+                    "{what}: {pe} after the edit"
+                );
+            }
+        }
+    }
 }

@@ -1064,9 +1064,10 @@ impl Pe {
     }
 
     /// Lands `image` at `offset` as one replica of a result that other PEs
-    /// receive too — an AllReduce's reduced vector. On the direct lane the
-    /// pages the image covers whole share it (one `Arc` per PE, no copy)
-    /// and only its bytes on the pages it cuts are copied. Under a fault
+    /// receive too — an AllReduce's reduced vector, an AllGather's
+    /// concatenation. On the direct lane the pages the image covers whole
+    /// share it (one `Arc` per PE, no copy) and only its bytes on the
+    /// pages it cuts are copied. Under a fault
     /// plan it lands the pieces `landing` names, through the window or the
     /// row [`Pe::write`] the copy it stands for would take, so every draw
     /// and every recorded event is that copy's.
