@@ -108,14 +108,10 @@ impl Run<'_> {
         mut body: impl FnMut(&mut PimSystem, &mut Step<'_, '_>) -> pidcomm::Result<T>,
     ) -> Result<T, Stop> {
         let Run {
-            sys,
-            arena,
-            comm,
-            sup,
-            ..
+            sys, arena, sup, ..
         } = self;
         let outcome = sup.iteration(sys, arena, regions, |sys, attempt| {
-            body(sys, &mut Step { comm, attempt })
+            body(sys, &mut Step { attempt })
         })?;
         match outcome {
             Iteration::Done(value) => Ok(value),
@@ -143,7 +139,6 @@ impl Run<'_> {
 /// Per-attempt handle of a step body: issues the step's collectives
 /// through the run's [`Attempt`].
 pub(crate) struct Step<'s, 'a> {
-    comm: &'s Communicator,
     attempt: &'s mut Attempt<'a>,
 }
 
@@ -156,7 +151,7 @@ impl Step<'_, '_> {
         plan: &CollectivePlan,
         host_in: Option<&dyn HostRows>,
     ) -> pidcomm::Result<Execution> {
-        let exec = self.attempt.collective(self.comm, sys, plan, host_in)?;
+        let exec = self.attempt.collective(sys, plan, host_in)?;
         Ok(Execution {
             report: exec.report,
             host_out: exec.host_out,
@@ -173,10 +168,7 @@ impl Step<'_, '_> {
         fused: &FusedPlan,
         hook: impl FnMut(usize, &mut PimSystem) -> pidcomm::Result<()>,
     ) -> pidcomm::Result<Vec<CommReport>> {
-        Ok(self
-            .attempt
-            .fused(self.comm, sys, fused, None, hook)?
-            .reports)
+        Ok(self.attempt.fused(sys, fused, None, hook)?.reports)
     }
 
     /// The PE to read a replicated result back from: the first one the

@@ -12,7 +12,7 @@ use crate::engine::recovery::{
     self, FusedVerifiedExecution, RecoveryPolicy, Unit, VerifiedExecution,
 };
 use crate::engine::{BufferSpec, HostRows};
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::hypercube::{DimMask, HypercubeManager};
 use crate::report::CommReport;
 
@@ -196,10 +196,8 @@ impl Communicator {
         let host_in = host_in.as_ref().map(|h| h as &dyn HostRows);
         let unit = Unit::Plan { plan, host_in };
         let rollback = &mut Checkpoint::new();
-        recovery::run_verified(sys, &self.manager, &unit, policy, rollback, None, |_, _| {
-            Ok(())
-        })
-        .map(FusedVerifiedExecution::into_single)
+        recovery::run_verified(sys, &unit, policy, rollback, None, |_, _| Ok(()))
+            .map(FusedVerifiedExecution::into_single)
     }
 
     /// Stages a rooted send's host payload for repeat execution: the
@@ -215,7 +213,7 @@ impl Communicator {
     ///
     /// # Errors
     ///
-    /// [`Error::ShapeSystemMismatch`] when the plan was built for a
+    /// [`crate::Error::ShapeSystemMismatch`] when the plan was built for a
     /// different geometry than this communicator, plus
     /// [`PreparedScatter::stage`]'s validation errors.
     pub fn prepare(
@@ -223,7 +221,7 @@ impl Communicator {
         plan: Arc<CollectivePlan>,
         host_in: &[Vec<u8>],
     ) -> Result<PreparedScatter> {
-        self.check_plan_geometry(&plan)?;
+        plan.check_geometry(self.manager.geometry())?;
         PreparedScatter::stage(plan, host_in)
     }
 
@@ -238,7 +236,7 @@ impl Communicator {
         host_in: &[Vec<u8>],
         arena: &mut SystemArena,
     ) -> Result<PreparedScatter> {
-        self.check_plan_geometry(&plan)?;
+        plan.check_geometry(self.manager.geometry())?;
         PreparedScatter::stage_in(plan, host_in, arena)
     }
 
@@ -250,7 +248,7 @@ impl Communicator {
     ///
     /// # Errors
     ///
-    /// [`Error::ShapeSystemMismatch`] on any geometry mismatch, plus the
+    /// [`crate::Error::ShapeSystemMismatch`] on any geometry mismatch, plus the
     /// fusion-contract errors of [`FusedPlan::new`].
     pub fn fuse(
         &self,
@@ -258,7 +256,7 @@ impl Communicator {
         extra_regions: &[(usize, usize)],
     ) -> Result<FusedPlan> {
         for step in &steps {
-            self.check_plan_geometry(step)?;
+            step.check_geometry(self.manager.geometry())?;
         }
         FusedPlan::with_regions(steps, extra_regions)
     }
@@ -285,19 +283,7 @@ impl Communicator {
     ) -> Result<FusedVerifiedExecution> {
         let unit = Unit::chain(fused, staged)?;
         let rollback = &mut Checkpoint::new();
-        recovery::run_verified(sys, &self.manager, &unit, policy, rollback, None, hook)
-    }
-
-    /// A plan only prepares/fuses on the communicator whose geometry it
-    /// was built for.
-    fn check_plan_geometry(&self, plan: &CollectivePlan) -> Result<()> {
-        if plan.geometry != *self.manager.geometry() {
-            return Err(Error::ShapeSystemMismatch {
-                nodes: plan.num_nodes,
-                pes: self.manager.geometry().num_pes(),
-            });
-        }
-        Ok(())
+        recovery::run_verified(sys, &unit, policy, rollback, None, hook)
     }
 
     /// AlltoAll: each node's buffer holds one chunk per group member; node

@@ -1,11 +1,12 @@
 //! Persistent collective plans: the plan half of the engine's
 //! plan-once / execute-many split.
 //!
-//! Validating the [`BufferSpec`] against the group geometry, decomposing
-//! the mask into [`EgCluster`]s, computing the per-cluster rotation and
-//! placement schedules, tallying the modeled cost and resolving the thread
-//! fan-out depend only on `(primitive, opt, mask, spec, geometry, op,
-//! threads)`, never on the payload — and iteration-heavy applications
+//! Validating the [`BufferSpec`] against the group geometry, enumerating
+//! the communication groups the mask fixes and clustering them into
+//! [`EgCluster`]s, computing the per-cluster rotation and placement
+//! schedules, tallying the modeled cost and resolving the thread fan-out
+//! depend only on `(primitive, opt, mask, spec, geometry, op, threads)`,
+//! never on the payload — and iteration-heavy applications
 //! (CC/BFS run the identical `AllReduce` every level until fixed point, MLP
 //! per layer, GNN per step, DLRM per batch) repeat the same key every
 //! iteration.
@@ -34,6 +35,11 @@
 //! to a bare meter, so it equals the functional report by construction.
 //! Plans are immutable and `Send + Sync`, so a warm plan cannot carry state
 //! between executions (pinned by `tests/plan_reuse.rs`).
+//!
+//! A plan holds its groups, so nothing after build needs the
+//! [`HypercubeManager`]: the baseline path and degraded execution
+//! ([`super::recovery`]) both run over the plan's own group table, whichever
+//! communicator executes it.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -51,7 +57,9 @@ use crate::engine::{
     validate_spec, BufferSpec, Execution, HostRows,
 };
 use crate::error::{Error, Result};
-use crate::hypercube::{build_clusters, CommGroup, DimMask, EgCluster, HypercubeManager};
+use crate::hypercube::{
+    build_clusters_from_groups, CommGroup, DimMask, EgCluster, HypercubeManager,
+};
 use crate::report::CommReport;
 
 /// Precomputed phase-B schedule of one cluster: the per-slot lane
@@ -100,24 +108,23 @@ pub(crate) struct Move {
 
 /// A fully planned collective: everything that follows from
 /// `(primitive, opt, mask, spec, geometry, op, threads)` — validated
-/// buffer geometry, the [`EgCluster`] decomposition, the per-cluster
-/// phase-B rotation and placement schedules, the baseline path's
-/// group tables, the modeled cost of one execution and the resolved
-/// thread fan-out — ready to execute any number of times. A ring / tree
-/// AllReduce plan ([`crate::Topology::plan`]) holds its step list instead.
-/// See the module docs.
+/// buffer geometry, the communication groups, their [`EgCluster`]
+/// decomposition, the per-cluster phase-B rotation and placement
+/// schedules, the modeled cost of one execution and the resolved thread
+/// fan-out — ready to execute any number of times. A ring / tree
+/// AllReduce plan ([`crate::Topology::plan`]) holds its groups and its
+/// step list instead of clusters. See the module docs.
 pub struct CollectivePlan {
     pub(crate) primitive: Primitive,
     pub(crate) opt: OptLevel,
     pub(crate) op: ReduceKind,
     pub(crate) spec: BufferSpec,
     pub(crate) geometry: DimmGeometry,
-    /// Hypercube node count (equals the PE count).
-    pub(crate) num_nodes: usize,
     /// Communication group size `N`.
     pub(crate) n: usize,
-    /// Number of simultaneous groups.
-    pub(crate) num_groups: usize,
+    /// The communication groups the mask fixes, in group-id order: what
+    /// the baseline host-memory path and degraded execution run over.
+    pub(crate) groups: Vec<CommGroup>,
     /// The entangled-group decomposition the streaming engine runs over.
     pub(crate) clusters: Vec<EgCluster>,
     /// Per-cluster EG partition, parallel to `clusters`: what the views of
@@ -125,13 +132,6 @@ pub struct CollectivePlan {
     pub(crate) parts: Vec<Vec<EgId>>,
     /// Per-cluster phase-B schedules, parallel to `clusters`.
     pub(crate) sched: Vec<ClusterSched>,
-    /// Group tables for the baseline host-memory path (empty when the plan
-    /// never takes it).
-    pub(crate) groups: Vec<CommGroup>,
-    /// The dimension mask the plan was built for — kept so the verified
-    /// execution path can re-derive group membership for host-side
-    /// recompute during graceful degradation.
-    pub(crate) mask: DimMask,
     /// Resolved cluster-level fan-out (auto already applied).
     pub(crate) cluster_threads: usize,
     /// Resolved per-group fan-out of the baseline path.
@@ -155,16 +155,15 @@ impl CollectivePlan {
         threads: usize,
     ) -> Result<Self> {
         let n = mask.group_size(manager.shape())?;
-        let num_groups = manager.num_nodes() / n;
         validate_spec(primitive, spec, n)?;
 
-        let clusters = build_clusters(manager, mask)?;
+        let groups = manager.groups(mask)?;
+        let clusters = build_clusters_from_groups(manager.geometry(), &groups)?;
 
         // Only the streaming paths of the reordering primitives read the
-        // schedules; the baseline host-memory path instead runs per
-        // communication group, so each plan carries exactly the derived
-        // state its execution reads (Scatter/Gather/Broadcast need
-        // neither).
+        // schedules; the baseline host-memory path instead runs over the
+        // groups, so a plan carries schedules only where its execution
+        // reads them (Scatter/Gather/Broadcast never do).
         let reordering = matches!(
             primitive,
             Primitive::AlltoAll
@@ -179,11 +178,6 @@ impl CollectivePlan {
         } else {
             Vec::new()
         };
-        let groups = if baseline_grouped {
-            manager.groups(mask)?
-        } else {
-            Vec::new()
-        };
 
         let mut plan = Self {
             primitive,
@@ -191,16 +185,13 @@ impl CollectivePlan {
             op,
             spec: *spec,
             geometry: *manager.geometry(),
-            num_nodes: manager.num_nodes(),
             n,
-            num_groups,
             cluster_threads: parallel::effective_threads(threads, clusters.len()),
             group_threads: parallel::effective_threads(threads, groups.len()),
             parts: clusters.iter().map(|c| c.egs.clone()).collect(),
             clusters,
             sched,
             groups,
-            mask: mask.clone(),
             sheet: CostSheet::new(0),
             steps: Vec::new(),
         };
@@ -246,14 +237,11 @@ impl CollectivePlan {
             op,
             spec: *spec,
             geometry,
-            num_nodes: manager.num_nodes(),
             n,
-            num_groups: groups.len(),
+            groups,
             clusters: Vec::new(),
             parts: Vec::new(),
             sched: Vec::new(),
-            groups: Vec::new(),
-            mask: mask.clone(),
             cluster_threads: 1,
             group_threads: 1,
             sheet,
@@ -283,7 +271,7 @@ impl CollectivePlan {
 
     /// Number of simultaneous communication groups.
     pub fn num_groups(&self) -> usize {
-        self.num_groups
+        self.groups.len()
     }
 
     /// The per-PE MRAM windows a run of this plan may write or
@@ -399,23 +387,23 @@ impl CollectivePlan {
     /// for the degraded path, which executes the plan without dispatching
     /// it.
     pub(crate) fn check_run(&self, sys: &PimSystem, host_in: Option<&dyn HostRows>) -> Result<()> {
-        self.check_geometry(sys)?;
+        self.check_geometry(sys.geometry())?;
         validate_host_in(
             self.primitive,
             self.spec.bytes_per_node,
             self.n,
-            self.num_groups,
+            self.num_groups(),
             host_in,
         )
     }
 
-    /// The plan's geometry gate: a plan only runs against systems of the
-    /// geometry it was built for.
-    pub(crate) fn check_geometry(&self, sys: &PimSystem) -> Result<()> {
-        if self.geometry != *sys.geometry() {
+    /// The plan's geometry gate: a plan only runs on, prepares for or
+    /// fuses with what has the geometry it was built for.
+    pub(crate) fn check_geometry(&self, geometry: &DimmGeometry) -> Result<()> {
+        if self.geometry != *geometry {
             return Err(Error::ShapeSystemMismatch {
-                nodes: self.num_nodes,
-                pes: sys.geometry().num_pes(),
+                nodes: self.geometry.num_pes(),
+                pes: geometry.num_pes(),
             });
         }
         Ok(())
@@ -437,11 +425,11 @@ impl CollectivePlan {
     ) -> Result<Execution> {
         // Fault-layer execute boundary: each execution is one epoch, and a
         // stuck PE fails the collective up front — every PE participates in
-        // every collective (`num_groups × n == num_nodes`), so a dead DPU
+        // every collective (`num_groups × n == num_pes`), so a dead DPU
         // can never be silently skipped by dispatch.
         if let Some(fp) = sys.fault_plan() {
             let epoch = fp.begin_epoch();
-            if let Some(pe) = (0..self.num_nodes as u32).find(|&pe| fp.pe_stuck(pe)) {
+            if let Some(pe) = (0..self.geometry.num_pes() as u32).find(|&pe| fp.pe_stuck(pe)) {
                 return Err(Error::PeFailed { pe, epoch });
             }
         }
@@ -501,8 +489,8 @@ impl CollectivePlan {
             self.primitive,
             self.spec.bytes_per_node,
             self.n,
-            self.num_nodes,
-            self.num_groups,
+            self.geometry.num_pes(),
+            self.num_groups(),
         );
         CommReport {
             primitive: self.primitive,
@@ -511,7 +499,7 @@ impl CollectivePlan {
             bytes_in,
             bytes_out,
             group_size: self.n,
-            num_groups: self.num_groups,
+            num_groups: self.num_groups(),
         }
     }
 

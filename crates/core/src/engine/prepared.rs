@@ -79,7 +79,7 @@ impl PreparedScatter {
             plan.primitive,
             plan.spec.bytes_per_node,
             plan.n,
-            plan.num_groups,
+            plan.num_groups(),
             Some(&host_in),
         )
     }
@@ -159,7 +159,7 @@ impl PreparedScatter {
     /// Internal execute returning the full [`Execution`] (fused steps
     /// and the recovery tier share it).
     pub(crate) fn run(&self, sys: &mut PimSystem) -> Result<Execution> {
-        self.plan.check_geometry(sys)?;
+        self.plan.check_geometry(sys.geometry())?;
         let rows = Rows::Staged {
             image: &self.rows,
             offsets: &self.offsets,
@@ -245,14 +245,8 @@ impl FusedPlan {
                 steps.len()
             )));
         }
-        let geometry = steps[0].geometry;
         for step in &steps[1..] {
-            if step.geometry != geometry {
-                return Err(Error::ShapeSystemMismatch {
-                    nodes: steps[0].num_nodes,
-                    pes: step.geometry.num_pes(),
-                });
-            }
+            steps[0].check_geometry(&step.geometry)?;
         }
         let last = steps.len() - 1;
         for (k, step) in steps.iter().enumerate() {

@@ -55,7 +55,6 @@ use crate::engine::streaming::rank_row;
 use crate::engine::supervisor::HealthLedger;
 use crate::engine::{Execution, HostRows};
 use crate::error::{Error, Result};
-use crate::hypercube::HypercubeManager;
 use crate::report::CommReport;
 
 /// How [`crate::Communicator::execute_verified`] responds to detected
@@ -206,7 +205,6 @@ impl<'a> Unit<'a> {
     fn degrade(
         &self,
         sys: &mut PimSystem,
-        manager: &HypercubeManager,
         quarantine: Option<&HealthLedger>,
         hook: &mut impl FnMut(usize, &mut PimSystem) -> Result<()>,
     ) -> Result<FusedExecution> {
@@ -223,7 +221,7 @@ impl<'a> Unit<'a> {
         for k in 0..self.steps() {
             let host_in = if k == 0 { first_in } else { None };
             self.step(k).check_run(sys, host_in)?;
-            let exec = degrade_step(sys, manager, self.step(k), host_in, quarantine)?;
+            let exec = degrade_step(sys, self.step(k), host_in, quarantine)?;
             reports.push(exec.report);
             host_out = exec.host_out;
             if k + 1 < self.steps() {
@@ -282,7 +280,6 @@ fn finish(
 /// caller may keep for the next unit.
 pub(crate) fn run_verified(
     sys: &mut PimSystem,
-    manager: &HypercubeManager,
     unit: &Unit<'_>,
     policy: &RecoveryPolicy,
     rollback: &mut Checkpoint,
@@ -324,7 +321,7 @@ pub(crate) fn run_verified(
                 sys.restore_regions(img);
             }
             if persistent {
-                let exec = unit.degrade(sys, manager, ledger.as_deref(), &mut hook)?;
+                let exec = unit.degrade(sys, ledger.as_deref(), &mut hook)?;
                 return Ok(finish(sys, before, exec, retries, true));
             }
             retries += 1;
@@ -348,13 +345,12 @@ pub(crate) fn run_verified(
 /// what the ledger already knows).
 pub(crate) fn run_degraded(
     sys: &mut PimSystem,
-    manager: &HypercubeManager,
     unit: &Unit<'_>,
     ledger: &HealthLedger,
     mut hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
 ) -> Result<FusedVerifiedExecution> {
     verifying(sys, |sys, before| {
-        let exec = unit.degrade(sys, manager, Some(ledger), &mut hook)?;
+        let exec = unit.degrade(sys, Some(ledger), &mut hook)?;
         Ok(finish(sys, before, exec, 0, true))
     })
 }
@@ -372,11 +368,13 @@ pub(crate) fn is_persistent(sys: &PimSystem, err: &Error) -> bool {
 /// ([`baseline::group_result`], then [`baseline::push`]) over every
 /// member's source — a dead DPU's bank is still host-readable — landing
 /// on the PEs neither stuck nor quarantined by `quarantine`; a rooted send
-/// lands each of them its host row instead. The moved bytes are charged to
-/// the [`CostSheet`] recovery counter at word-granular host-modulation cost.
+/// lands each of them its host row instead. Membership is the plan's own
+/// group table, fixed at build, so a plan degrades to the same bytes
+/// whichever communicator of its geometry executes it. The moved bytes are
+/// charged to the [`CostSheet`] recovery counter at word-granular
+/// host-modulation cost.
 fn degrade_step(
     sys: &mut PimSystem,
-    manager: &HypercubeManager,
     plan: &CollectivePlan,
     host_in: Option<&dyn HostRows>,
     quarantine: Option<&HealthLedger>,
@@ -395,7 +393,7 @@ fn degrade_step(
     let mut moved: u64 = 0;
     let mut host_out =
         matches!(plan.primitive, Primitive::Gather | Primitive::Reduce).then(Vec::new);
-    for (g, group) in manager.groups(&plan.mask)?.iter().enumerate() {
+    for (g, group) in plan.groups.iter().enumerate() {
         if matches!(plan.primitive, Primitive::Scatter | Primitive::Broadcast) {
             // Each surviving member's row, read from the source the way
             // the send reads it ([`rank_row`]) — one row at a time, never

@@ -700,7 +700,7 @@ fn land_replicated(task: &mut ClusterTask, dst: usize, chunk: usize, images: &[A
 pub(crate) fn gather(sys: &mut PimSystem, plan: &CollectivePlan) -> Vec<Vec<u8>> {
     let src = plan.spec.src_offset;
     let bytes_per_node = plan.spec.bytes_per_node;
-    let num_groups = plan.num_groups;
+    let num_groups = plan.num_groups();
 
     let outs = run_clustered(sys, plan, |task| {
         let c = task.cluster;
@@ -732,7 +732,7 @@ pub(crate) fn gather(sys: &mut PimSystem, plan: &CollectivePlan) -> Vec<Vec<u8>>
 /// Reduce (§V-B4: the reduction half of ReduceScatter with the host as
 /// root). Returns per-group reduced vectors of `bytes_per_node` bytes.
 pub(crate) fn reduce(sys: &mut PimSystem, plan: &CollectivePlan) -> Vec<Vec<u8>> {
-    let num_groups = plan.num_groups;
+    let num_groups = plan.num_groups();
 
     let outs = run_clustered(sys, plan, |task| {
         let c = task.cluster;
@@ -891,7 +891,7 @@ pub(crate) fn unstage_rows(
         Primitive::Scatter => plan.n * b,
         _ => b,
     };
-    let mut host: Vec<Vec<u8>> = vec![vec![0u8; per_group]; plan.num_groups];
+    let mut host: Vec<Vec<u8>> = vec![vec![0u8; per_group]; plan.num_groups()];
     for (c, &base) in plan.clusters.iter().zip(offsets) {
         for block in 0..row_blocks(plan, c) {
             let rows = &staged[base + block * LANES * b..];

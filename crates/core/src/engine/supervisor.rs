@@ -32,7 +32,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use pim_sim::{Checkpoint, CorruptionEvent, PimSystem, SystemArena};
 
-use crate::comm::Communicator;
 use crate::engine::plan::CollectivePlan;
 use crate::engine::prepared::{FusedPlan, PreparedScatter};
 use crate::engine::recovery::{
@@ -479,12 +478,11 @@ impl Attempt<'_> {
     /// error from the plan itself.
     pub fn collective(
         &mut self,
-        comm: &Communicator,
         sys: &mut PimSystem,
         plan: &CollectivePlan,
         host_in: Option<&dyn HostRows>,
     ) -> Result<VerifiedExecution> {
-        self.run(comm, sys, &Unit::Plan { plan, host_in }, |_, _| Ok(()))
+        self.run(sys, &Unit::Plan { plan, host_in }, |_, _| Ok(()))
             .map(FusedVerifiedExecution::into_single)
     }
 
@@ -502,20 +500,18 @@ impl Attempt<'_> {
     /// (staged input mismatch).
     pub fn fused(
         &mut self,
-        comm: &Communicator,
         sys: &mut PimSystem,
         fused: &FusedPlan,
         staged: Option<&PreparedScatter>,
         hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
     ) -> Result<FusedVerifiedExecution> {
-        self.run(comm, sys, &Unit::chain(fused, staged)?, hook)
+        self.run(sys, &Unit::chain(fused, staged)?, hook)
     }
 
     /// The one quarantine-check + budget-clamp routine behind both entry
     /// points (a single plan is a one-step unit).
     fn run(
         &mut self,
-        comm: &Communicator,
         sys: &mut PimSystem,
         unit: &Unit<'_>,
         hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
@@ -531,7 +527,7 @@ impl Attempt<'_> {
         // and every collective touches every PE of the system.
         if self.ledger.any_quarantined() {
             *self.degraded = true;
-            return recovery::run_degraded(sys, comm.manager(), unit, self.ledger, hook);
+            return recovery::run_degraded(sys, unit, self.ledger, hook);
         }
         let attempt = RecoveryPolicy {
             max_retries: self
@@ -541,15 +537,8 @@ impl Attempt<'_> {
                 .min(self.policy.retry_budget.saturating_sub(*self.retries_used)),
             degrade: self.policy.plan_attempt.degrade,
         };
-        let exec = recovery::run_verified(
-            sys,
-            comm.manager(),
-            unit,
-            &attempt,
-            self.rollback,
-            Some(self.ledger),
-            hook,
-        )?;
+        let exec =
+            recovery::run_verified(sys, unit, &attempt, self.rollback, Some(self.ledger), hook)?;
         *self.retries_used += exec.retries;
         *self.degraded |= exec.degraded;
         Ok(exec)

@@ -174,9 +174,8 @@ impl MultiHost {
     ///
     /// Planning resolves the host-level thread schedule once (concurrently
     /// running hosts get serial inner plans), builds the per-host inner
-    /// [`CollectivePlan`]s for both local phases, and captures the shared
-    /// group table. The returned [`MultiHostPlan`] executes any number of
-    /// times.
+    /// [`CollectivePlan`]s for both local phases. The returned
+    /// [`MultiHostPlan`] executes any number of times.
     ///
     /// # Errors
     ///
@@ -193,8 +192,7 @@ impl MultiHost {
     ) -> Result<MultiHostPlan> {
         let h = self.hosts();
         let b = spec.bytes_per_node;
-        let manager = self.comms[0].manager();
-        let n = mask.group_size(manager.shape())?;
+        let n = mask.group_size(self.comms[0].manager().shape())?;
 
         // Phase 3 always lands host data at the caller's destination.
         let landing = |bytes_per_node| BufferSpec {
@@ -299,16 +297,15 @@ impl MultiHost {
             hosts: h,
             host_threads,
             n,
-            groups: manager.groups(mask)?,
             phase1: collect(prim1, &spec1)?,
             phase3: collect(prim3, &spec3)?,
         })
     }
 }
 
-/// A planned hierarchical collective: the host-level schedule, the shared
-/// group tables and one inner [`CollectivePlan`] per host per local phase,
-/// reusable across any number of executions (see [`MultiHost::plan`]).
+/// A planned hierarchical collective: the host-level schedule and one
+/// inner [`CollectivePlan`] per host per local phase, reusable across any
+/// number of executions (see [`MultiHost::plan`]).
 pub struct MultiHostPlan {
     primitive: Primitive,
     spec: BufferSpec,
@@ -319,11 +316,9 @@ pub struct MultiHostPlan {
     host_threads: usize,
     /// Local communication group size `N`.
     n: usize,
-    /// The per-host group table (identical on every host — all hosts
-    /// share one hypercube shape), captured once; AlltoAll and AllGather
-    /// read phase 1's landings through it.
-    groups: Vec<CommGroup>,
-    /// Per-host plans of the first local phase.
+    /// Per-host plans of the first local phase. All hosts share one
+    /// hypercube shape, so host 0's group table is every host's; AlltoAll
+    /// and AllGather read phase 1's landings through it.
     phase1: Vec<CollectivePlan>,
     /// Per-host plans of the closing local phase.
     phase3: Vec<CollectivePlan>,
@@ -346,7 +341,7 @@ impl MultiHostPlan {
     /// and [`MultiHostPlan::execute_cost_only`].
     fn mpi_ns(&self) -> f64 {
         let (h, n, b) = (self.hosts, self.n, self.spec.bytes_per_node);
-        let num_groups = self.groups.len();
+        let num_groups = self.phase1[0].num_groups();
         match self.primitive {
             // Reduced vectors cross twice (reduce-scatter + all-gather ring).
             Primitive::AllReduce => self.link.collective_time(h, (num_groups * b) as u64, 2.0),
@@ -479,7 +474,7 @@ impl MultiHostPlan {
                     let window = |sys: &PimSystem| sys.pe(g.members[0]).peek(scratch, n * b);
                     systems.iter().flat_map(window).collect()
                 };
-                vec![self.groups.iter().map(gather).collect()]
+                vec![self.phase1[0].groups.iter().map(gather).collect()]
             }
             Primitive::AlltoAll => {
                 // The local AlltoAll permuted within each host, so the `c`
@@ -504,7 +499,7 @@ impl MultiHostPlan {
                     input
                 };
                 (0..h)
-                    .map(|to| self.groups.iter().map(|g| input(to, g)).collect())
+                    .map(|to| self.phase1[0].groups.iter().map(|g| input(to, g)).collect())
                     .collect()
             }
             _ => unreachable!("plan() only builds hierarchical primitives"),

@@ -386,6 +386,49 @@ fn persistent_pe_failure_degrades_to_correct_surviving_results() {
     assert_eq!(totals, pinned, "degraded modeled totals");
 }
 
+/// A plan degrades over the groups it was built with, whichever
+/// communicator executes it: an `[8, 8]` plan run verified through a
+/// `[4, 16]` communicator of the same 64 PEs — where mask `"10"` fixes
+/// other groups — lands the clean run's bytes on every surviving PE, and a
+/// rooted receive returns the clean run's host output.
+#[test]
+fn a_plan_degrades_over_its_own_groups_through_any_communicator() {
+    let dead: u32 = 12;
+    let mask: DimMask = "10".parse().unwrap();
+    let shape = HypercubeShape::new(vec![4, 16]).unwrap();
+    let other =
+        Communicator::new(HypercubeManager::new(shape, DimmGeometry::single_rank()).unwrap())
+            .with_threads(1);
+    for opt in [OptLevel::Baseline, OptLevel::Full] {
+        let other = other.clone().with_opt(opt);
+        for prim in [Primitive::AllReduce, Primitive::AlltoAll, Primitive::Gather] {
+            let plan = comm(opt)
+                .plan(prim, &mask, &spec(), ReduceKind::Sum)
+                .unwrap();
+            let mut clean_sys = fresh_filled();
+            let (_, clean_host) = run_clean(&mut clean_sys, &plan);
+
+            let mut ver_sys = fresh_filled();
+            ver_sys.attach_fault_plan(Arc::new(FaultPlan::new(11).with_failed_pe(dead)));
+            let ver = other
+                .execute_verified(&mut ver_sys, &plan, None, &RecoveryPolicy::default())
+                .unwrap();
+            assert!(
+                ver.degraded,
+                "{prim} {opt:?}: must degrade around the dead PE"
+            );
+            assert_eq!(ver.host_out, clean_host, "{prim} {opt:?}: host output");
+            ver_sys.detach_fault_plan();
+            for pe in ver_sys.geometry().pes().filter(|pe| pe.0 != dead) {
+                assert!(
+                    ver_sys.pe(pe).peek(DST, N * B) == clean_sys.pe(pe).peek(DST, N * B),
+                    "{prim} {opt:?}: surviving PE {pe:?} destination"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn persistent_failure_with_degradation_disabled_surfaces_pe_failed() {
     let mask: DimMask = "10".parse().unwrap();

@@ -598,7 +598,6 @@ fn generated_for(plan: &CollectivePlan) -> Generated {
 /// Runs `plan` over the row source `rows` through a supervised attempt —
 /// the entry the apps use — on `sys`.
 fn run_rows(
-    c: &Communicator,
     sys: &mut PimSystem,
     plan: &CollectivePlan,
     rows: &dyn HostRows,
@@ -606,7 +605,7 @@ fn run_rows(
     let mut arena = SystemArena::new();
     let mut sup = Supervisor::new(sys.geometry().num_pes(), RunPolicy::default());
     match sup.iteration(sys, &mut arena, &[], |sys, at| {
-        at.collective(c, sys, plan, Some(rows))
+        at.collective(sys, plan, Some(rows))
     })? {
         Iteration::Done(exec) => Ok(exec),
         Iteration::Abort(outcome) => panic!("a one-collective run aborted: {outcome:?}"),
@@ -636,7 +635,7 @@ fn a_row_source_is_the_payload() {
                     let want = plan.execute_with_host(&mut sys, &twin).unwrap();
                     let want_mram = snapshot(&sys);
                     let mut sys = fresh_filled(&mut arena);
-                    let got = run_rows(&c, &mut sys, &plan, &source).unwrap();
+                    let got = run_rows(&mut sys, &plan, &source).unwrap();
                     assert!(!got.degraded, "{at}");
                     assert!(got.report == want, "{at}: report diverges");
                     assert!(snapshot(&sys) == want_mram, "{at}: MRAM diverges");
@@ -654,7 +653,7 @@ fn a_row_source_is_the_payload() {
                     let want_mram = snapshot(&sys);
                     let mut sys = fresh_filled(&mut arena);
                     sys.attach_fault_plan(dead());
-                    let got = run_rows(&c, &mut sys, &plan, &source).unwrap();
+                    let got = run_rows(&mut sys, &plan, &source).unwrap();
                     assert!(got.degraded, "{at}");
                     assert!(got.report == want.report, "{at}: degraded report diverges");
                     assert!(snapshot(&sys) == want_mram, "{at}: degraded MRAM diverges");
@@ -685,7 +684,7 @@ fn a_send_requests_each_rank_row_once() {
                         requests: Mutex::new(Vec::new()),
                     };
                     let mut sys = PimSystem::new(DimmGeometry::single_rank());
-                    run_rows(&c, &mut sys, &plan, &source).unwrap();
+                    run_rows(&mut sys, &plan, &source).unwrap();
                     let mut requests = source.requests.into_inner().unwrap();
                     assert!(!requests.is_empty(), "{prim} {at}");
                     if prim == Primitive::Broadcast {
@@ -740,7 +739,7 @@ fn a_bad_row_source_is_a_typed_error() {
         ];
         for (what, source) in sources {
             let mut sys = PimSystem::new(DimmGeometry::single_rank());
-            let err = run_rows(&c, &mut sys, &plan, source).unwrap_err();
+            let err = run_rows(&mut sys, &plan, source).unwrap_err();
             assert!(
                 matches!(err, Error::InvalidHostData(_)),
                 "{prim} {what}: {err}"

@@ -111,7 +111,7 @@ fn typed_fault_restores_the_checkpoint_and_replays_the_body() {
             for pe in sys.geometry().pes() {
                 sys.pe_mut(pe).write(LIVE.0, &[calls; 64]);
             }
-            at.collective(&c, sys, &plan, None)
+            at.collective(sys, &plan, None)
         })
         .unwrap();
     let Iteration::Done(exec) = outcome else {
@@ -149,7 +149,7 @@ fn backoff_doubles_from_the_base_up_to_the_cap() {
     let mut sup = Supervisor::new(64, policy());
     let outcome = sup
         .iteration(&mut sys, &mut arena, &[], |sys, at| {
-            at.collective(&c, sys, &plan, None)
+            at.collective(sys, &plan, None)
         })
         .unwrap();
     assert!(matches!(outcome, Iteration::Done(_)), "{outcome:?}");
@@ -168,7 +168,7 @@ fn exhausted_retry_budget_aborts_with_a_typed_outcome() {
     let mut sup = Supervisor::new(64, policy().with_retry_budget(2));
     let outcome = sup
         .iteration(&mut sys, &mut arena, &[], |sys, at| {
-            at.collective(&c, sys, &plan, None)
+            at.collective(sys, &plan, None)
         })
         .unwrap();
     assert!(
@@ -195,7 +195,7 @@ fn deadline_aborts_after_a_costly_rollback_and_at_the_next_boundary() {
     let mut step = |sup: &mut Supervisor, sys: &mut PimSystem| {
         sup.iteration(sys, &mut arena, &[], |sys, at| {
             calls += 1;
-            at.collective(&c, sys, &plan, None)
+            at.collective(sys, &plan, None)
         })
         .unwrap()
     };
@@ -263,7 +263,7 @@ fn up_front_degrade_rejects_what_run_rejects() {
     // later collective takes the up-front degraded path.
     let plan = all_reduce(&c);
     sup.iteration(&mut sys, &mut arena, &[], |sys, at| {
-        at.collective(&c, sys, &plan, None)
+        at.collective(sys, &plan, None)
     })
     .unwrap();
     assert!(sup.ledger().is_quarantined(3));
@@ -274,7 +274,7 @@ fn up_front_degrade_rejects_what_run_rejects() {
     let mut scatter_on = |mut other: Option<&mut PimSystem>, host_in: Option<&dyn HostRows>| {
         sup.iteration(&mut sys, &mut arena, &[], |sys, at| {
             let sys = other.as_deref_mut().unwrap_or(sys);
-            at.collective(&c, sys, &scatter, host_in)
+            at.collective(sys, &scatter, host_in)
         })
     };
     let missing = scatter_on(None, None);
@@ -304,7 +304,7 @@ fn no_fault_plan_means_no_recovery_and_identical_modeled_bits() {
     let mut sup = Supervisor::new(64, RunPolicy::default());
     let outcome = sup
         .iteration(&mut sys, &mut arena, &[LIVE], |sys, at| {
-            at.collective(&c, sys, &plan, None)
+            at.collective(sys, &plan, None)
         })
         .unwrap();
     let Iteration::Done(exec) = outcome else {
