@@ -8,7 +8,8 @@
 //! `run_x` / `run_x_in` are `run_x_resilient_in` with no fault plan and
 //! the default policy, plus the assertion that the output matches the CPU
 //! reference. With no plan attached nothing can fail, so that run is the
-//! plain run: verification is one compare per landing, no checkpoint is
+//! plain run: every landing takes the direct lane (verification belongs
+//! to the fault plan and has nothing to compare), no checkpoint is
 //! copied, each step's closure runs exactly once, and profile, outputs
 //! and modeled bits are those of the bare [`CollectivePlan::run`] calls.
 //!

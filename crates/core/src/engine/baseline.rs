@@ -10,16 +10,21 @@
 //! a page the members share once — and [`push`] lands each member its
 //! share, as one image the members share
 //! ([`pim_sim::pe::Pe::write_shared`]) where the share is the whole result.
-//! Every read of a call finishes before its first push, so the call sees a
-//! snapshot of its sources. Degraded execution ([`super::recovery`]) is the
-//! same two functions over the surviving PEs. The plan's cost sheet
-//! ([`charge`]) charges the three bottlenecks the paper identifies:
-//! host-memory staging, word-granular modulation and per-byte domain
-//! transfer.
+//! An AlltoAll has no one result: [`alltoall`] transposes a group's chunks
+//! one batch of destination ranks at a time, in one buffer it reuses, and
+//! lands each batch before it reads the next. Plan validation keeps every
+//! source region apart from every destination region, so a landing never
+//! reaches a byte a later read takes, and every call sees a snapshot of its
+//! sources. Degraded execution ([`super::recovery`]) is the same functions
+//! over the surviving PEs. The plan's cost sheet ([`charge`]) charges the
+//! three bottlenecks the paper identifies: host-memory staging,
+//! word-granular modulation and per-byte domain transfer.
 //!
 //! Groups touch disjoint PEs, so the host-memory rearrangement of the
 //! groups fans out over the executor; pushes stay in group order, keeping
-//! the final MRAM images identical to serial execution.
+//! the final MRAM images identical to serial execution. AlltoAll's batches,
+//! which interleave reads and landings, run group by group on the calling
+//! thread.
 
 use std::sync::Arc;
 
@@ -103,6 +108,13 @@ pub(crate) fn charge(sheet: &mut CostSheet, plan: &CollectivePlan) {
 /// using the conventional host-memory flow. Returns host-side outputs for
 /// `Reduce`, `None` otherwise.
 pub(crate) fn run(sys: &mut PimSystem, plan: &CollectivePlan) -> Option<Vec<Vec<u8>>> {
+    if plan.primitive == Primitive::AlltoAll {
+        let mut batch = Vec::new();
+        for group in &plan.groups {
+            alltoall(sys, plan, &group.members, |_| false, &mut batch);
+        }
+        return None;
+    }
     // 1. Pull every member's data (domain transfer is automatic in the
     //    conventional driver) and 2. globally rearrange / reduce it in host
     //    memory — pure computation on shared borrows, one task and one
@@ -115,28 +127,20 @@ pub(crate) fn run(sys: &mut PimSystem, plan: &CollectivePlan) -> Option<Vec<Vec<
 
     // 3. Push results back (domain transfer again), in group order.
     if plan.primitive == Primitive::Reduce {
-        return Some(results.into_iter().flatten().collect());
+        return Some(results);
     }
-    for (group, rows) in groups.iter().zip(results) {
-        push(sys, plan, &group.members, rows, |_| false);
+    for (group, row) in groups.iter().zip(results) {
+        push(sys, plan, &group.members, &row, |_| false);
     }
     None
 }
 
-/// A group's result, computed in host memory from its members' sources,
-/// as rows. AlltoAll's is one row per member, in rank order: row `d` is
-/// chunk `d` of every source (the chunk transpose). Every other
-/// primitive's is one row: the concatenation of the sources (AllGather,
-/// Gather) or the fold of every member into an identity-filled accumulator
-/// (the reducing primitives). AlltoAll keeps rows apart because no member
-/// needs its whole `n * b` transpose, and one image that large (8 MiB on a
-/// 1024-PE group) lands wherever the allocator's mmap threshold has
-/// drifted to, which made the process's peak RSS a coin flip.
-pub(crate) fn group_result(
-    sys: &PimSystem,
-    plan: &CollectivePlan,
-    members: &[PeId],
-) -> Vec<Vec<u8>> {
+/// A group's result, computed in host memory from its members' sources:
+/// the concatenation of the sources (AllGather, Gather) or the fold of
+/// every member into an identity-filled accumulator (the reducing
+/// primitives). AlltoAll's is never built whole ([`alltoall`]).
+pub(crate) fn group_result(sys: &PimSystem, plan: &CollectivePlan, members: &[PeId]) -> Vec<u8> {
+    debug_assert_ne!(plan.primitive, Primitive::AlltoAll);
     let (src, b) = (plan.spec.src_offset, plan.spec.bytes_per_node);
     if plan.primitive.is_reducing() {
         let (op, dtype) = (plan.op, plan.spec.dtype);
@@ -146,61 +150,90 @@ pub(crate) fn group_result(
         for &pe in members {
             fold.fold(&mut acc, sys.pe(pe), src);
         }
-        return vec![acc];
+        return acc;
     }
-    let n = members.len();
-    let pulled: Vec<_> = members
-        .iter()
-        .map(|&pe| sys.pe(pe).read_window(src, b))
-        .collect();
-    if plan.primitive != Primitive::AlltoAll {
-        return vec![pulled.concat()];
+    let mut row = Vec::with_capacity(members.len() * b);
+    for &pe in members {
+        row.extend_from_slice(&sys.pe(pe).read_window(src, b));
     }
-    let c = b / n;
-    (0..n)
-        .map(|d| {
-            let mut row = Vec::with_capacity(b);
-            for window in &pulled {
-                row.extend_from_slice(&window[d * c..(d + 1) * c]);
-            }
-            row
-        })
-        .collect()
+    row
 }
 
 /// Lands each member of a group but those `skip` names, in member order,
-/// its share of `rows` ([`group_result`]): its own row where there is one
-/// per member (AlltoAll), otherwise its slice of the one row
-/// (ReduceScatter) — or, where every member's output is that whole row
-/// (AllReduce, AllGather), a replica the members share
-/// (`Pe::write_shared`). A member's own row is freed as soon as it has
-/// landed, so the heap can hand its bytes to whatever the next landings
-/// allocate: freed only after the last landing, a 1024-member group's rows
-/// left a hole below those allocations that stayed resident and raised
-/// DLRM's peak RSS. Returns the bytes it landed.
+/// its share of the group's result `row` ([`group_result`]): its slice
+/// (ReduceScatter) or — where every member's output is the whole row
+/// (AllReduce, AllGather) — a replica the members share
+/// (`Pe::write_shared`). Returns the bytes it landed.
 pub(crate) fn push(
     sys: &mut PimSystem,
     plan: &CollectivePlan,
     members: &[PeId],
-    mut rows: Vec<Vec<u8>>,
+    row: &[u8],
     skip: impl Fn(PeId) -> bool,
 ) -> u64 {
     let dst = plan.spec.dst_offset;
     let out_size = buffer_extents(plan.primitive, plan.spec.bytes_per_node, members.len()).1;
-    let whole = match &rows[..] {
-        [row] if row.len() == out_size => Some(Arc::<[u8]>::from(&row[..])),
-        _ => None,
-    };
+    let whole = (row.len() == out_size).then(|| Arc::<[u8]>::from(row));
     let mut landed = 0;
     for (rank, &pe) in members.iter().enumerate().filter(|&(_, &pe)| !skip(pe)) {
         let pe = sys.pe_mut(pe);
-        match (&whole, &mut rows[..]) {
-            (Some(image), _) => pe.write_shared(dst, image, Landing::Row),
-            (None, [row]) => pe.write(dst, &row[rank * out_size..][..out_size]),
-            (None, rows) => pe.write(dst, &std::mem::take(&mut rows[rank])),
+        match &whole {
+            Some(image) => pe.write_shared(dst, image, Landing::Row),
+            None => pe.write(dst, &row[rank * out_size..][..out_size]),
         }
         landed += out_size as u64;
     }
+    landed
+}
+
+/// Bytes of destination rows one AlltoAll batch transposes: the batch
+/// buffer, and the stretch of every source it reads at once, stay small and
+/// cache-resident whatever the group's `n * b` (32 MiB on DLRM's 1024-PE
+/// group).
+const BATCH_BYTES: usize = 1 << 20;
+
+/// A group's AlltoAll: destination rank `d`'s row is chunk `d` of every
+/// member's source, in rank order. Works through the ranks in batches of
+/// [`BATCH_BYTES`] worth of rows: every member lends one window over its
+/// chunks for the batch, the batch's rows are assembled in `batch` (reused
+/// across batches, and by the caller across groups), and each row lands
+/// with `Pe::write` on its member, in member order, but on the members
+/// `skip` names. Returns the bytes it landed.
+pub(crate) fn alltoall(
+    sys: &mut PimSystem,
+    plan: &CollectivePlan,
+    members: &[PeId],
+    skip: impl Fn(PeId) -> bool,
+    batch: &mut Vec<u8>,
+) -> u64 {
+    let (src, dst, b) = (
+        plan.spec.src_offset,
+        plan.spec.dst_offset,
+        plan.spec.bytes_per_node,
+    );
+    let n = members.len();
+    let c = b / n;
+    let rows = (BATCH_BYTES / b).clamp(1, n);
+    batch.resize(rows * b, 0);
+    let mut landed = 0;
+    // simlint: hot(begin, baseline AlltoAll batches)
+    for r0 in (0..n).step_by(rows) {
+        let ranks = &members[r0..(r0 + rows).min(n)];
+        let batch = &mut batch[..ranks.len() * b];
+        for (m, &pe) in members.iter().enumerate() {
+            let window = sys.pe(pe).read_window(src + r0 * c, ranks.len() * c);
+            for (row, chunk) in batch.chunks_exact_mut(b).zip(window.chunks_exact(c)) {
+                row[m * c..][..c].copy_from_slice(chunk);
+            }
+        }
+        for (row, &pe) in batch.chunks_exact(b).zip(ranks) {
+            if !skip(pe) {
+                sys.pe_mut(pe).write(dst, row);
+                landed += b as u64;
+            }
+        }
+    }
+    // simlint: hot(end)
     landed
 }
 
@@ -213,7 +246,10 @@ mod tests {
 
     /// Plan validation refuses overlapping regions, so no caller gets
     /// here; the flow itself would still see a snapshot of its sources,
-    /// because no push starts before the last read has ended.
+    /// because no landing starts before the last read it depends on has
+    /// ended: a group result is read whole before its push, and this
+    /// AlltoAll (`n * b` = 1 KiB) fits one batch, whose reads all end
+    /// before its first landing.
     #[test]
     fn overlapping_regions_would_still_see_a_snapshot() {
         let geom = DimmGeometry::single_group();

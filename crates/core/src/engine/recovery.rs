@@ -365,7 +365,8 @@ pub(crate) fn is_persistent(sys: &PimSystem, err: &Error) -> bool {
 }
 
 /// Degraded execution of one collective: the Baseline host flow
-/// ([`baseline::group_result`], then [`baseline::push`]) over every
+/// ([`baseline::group_result`], then [`baseline::push`]; AlltoAll's
+/// [`baseline::alltoall`]) over every
 /// member's source — a dead DPU's bank is still host-readable — landing
 /// on the PEs neither stuck nor quarantined by `quarantine`; a rooted send
 /// lands each of them its host row instead. Membership is the plan's own
@@ -393,6 +394,7 @@ fn degrade_step(
     let mut moved: u64 = 0;
     let mut host_out =
         matches!(plan.primitive, Primitive::Gather | Primitive::Reduce).then(Vec::new);
+    let mut batch = Vec::new();
     for (g, group) in plan.groups.iter().enumerate() {
         if matches!(plan.primitive, Primitive::Scatter | Primitive::Broadcast) {
             // Each surviving member's row, read from the source the way
@@ -409,11 +411,15 @@ fn degrade_step(
             }
             continue;
         }
-        let rows = baseline::group_result(sys, plan, &group.members);
         moved += (group.members.len() * b) as u64;
+        if plan.primitive == Primitive::AlltoAll {
+            moved += baseline::alltoall(sys, plan, &group.members, skip, &mut batch);
+            continue;
+        }
+        let row = baseline::group_result(sys, plan, &group.members);
         match host_out.as_mut() {
-            Some(out) => out.extend(rows),
-            None => moved += baseline::push(sys, plan, &group.members, rows, skip),
+            Some(out) => out.push(row),
+            None => moved += baseline::push(sys, plan, &group.members, &row, skip),
         }
     }
 

@@ -76,13 +76,15 @@
 //! the rooted primitives' row writes, via `Pe::write_shared`'s window in
 //! AllReduce's and AllGather's fan-out — which is where
 //! [`pim_sim::FaultPlan`] injection and read-after-write verification
-//! live; a window resolved while either is active lands each chunk
+//! live; a window resolved while a plan is attached lands each chunk
 //! checked, with the chunk's own `(pe, offset, len)` — a run as the
-//! registers it stands for, in their order. Phase-A reordering
-//! ([`pim_sim::pe::Pe::rotate_parts`]) and the typed in-place views are
-//! PE-local *compute*, deliberately outside the transport fault scope (see
-//! `pim_sim::pe`). With no fault plan attached and verification off, none
-//! of these paths change behavior by a single byte or modeled nanosecond.
+//! registers it stands for, in their order. Verification belongs to the
+//! plan: with none attached every window is the direct lane, verified or
+//! not. Phase-A reordering ([`pim_sim::pe::Pe::rotate_parts`]) and the
+//! typed in-place views are PE-local *compute*, deliberately outside the
+//! transport fault scope (see `pim_sim::pe`). With no fault plan attached,
+//! none of these paths change behavior by a single byte or modeled
+//! nanosecond.
 
 use std::collections::BTreeSet;
 use std::ops::Range;

@@ -684,6 +684,92 @@ fn full_allgather_is_first_caught_where_its_register_order_lands_first() {
     }
 }
 
+/// Runs a Baseline AlltoAll over `mask` under `faults` with verification
+/// on and returns where it was first caught: the lowest struck PE, the
+/// offset of its struck landing and the digest of the bytes that landing
+/// was meant to carry. Each member takes its whole row as one landing, so
+/// the error's digests are of the `B` bytes meant for, and found at, the
+/// destination — the clean run's and the faulted run's.
+fn baseline_alltoall_first_strike(mask_str: &str, faults: FaultPlan) -> (u32, usize, u64) {
+    let mask: DimMask = mask_str.parse().unwrap();
+    let plan = comm(OptLevel::Baseline)
+        .plan(Primitive::AlltoAll, &mask, &spec(), ReduceKind::Sum)
+        .unwrap();
+    let mut clean = fresh_filled();
+    run_clean(&mut clean, &plan);
+    let mut sys = fresh_filled();
+    sys.attach_fault_plan(Arc::new(faults));
+    sys.set_verify_writes(true);
+    match plan.run(&mut sys, None) {
+        Err(Error::DataCorruption {
+            pe,
+            offset,
+            expected,
+            found,
+            epoch,
+        }) => {
+            assert_eq!((offset, epoch), (DST, 1), "{mask_str}: PE {pe}");
+            let digest = |s: &PimSystem| fnv1a(&s.pe(PeId(pe)).peek(DST, B));
+            assert_eq!(
+                (expected, found),
+                (digest(&clean), digest(&sys)),
+                "{mask_str}: PE {pe}"
+            );
+            (pe, offset, expected)
+        }
+        other => panic!("{mask_str}: expected DataCorruption, got {other:?}"),
+    }
+}
+
+/// Where a Baseline AlltoAll is first caught on a PE whose landing a
+/// fault strikes: `(mask, pe, offset, digest of the row meant for it)`.
+/// The row a member takes is chunk `rank` of every member of its group, in
+/// member order; the digest pins which row landed where. Every member
+/// takes exactly one landing per call and every draw is pure in
+/// `(pe, epoch, offset, len)`, so the order the members are visited in
+/// cannot move an event: what a landing-order slip can move is which row a
+/// member's one landing carries. Groups along either dimension (`10`,
+/// `01`).
+const BASELINE_ALLTOALL_FIRST_STRIKES: &[(&str, u32, usize, u64)] = &[
+    ("10", 0, DST, 0xe0b9_e636_b7c5_2751),
+    ("10", 13, DST, 0xde10_3817_c5eb_6b81),
+    ("10", 40, DST, 0x6598_c09f_6fda_2dcf),
+    ("01", 5, DST, 0x72bc_0ec4_8ed6_b54c),
+    ("01", 27, DST, 0xa144_0f4d_149d_9417),
+    ("01", 62, DST, 0x9180_e55a_4215_e62c),
+];
+
+/// As [`BASELINE_ALLTOALL_FIRST_STRIKES`], under seeded bit-flip storms over
+/// groups along the second dimension (`01`) that strike about one landing
+/// in eight: `(seed, pe, offset, digest)`. The first caught PE is the
+/// lowest struck one, and its digest pins the row it was meant to take.
+const BASELINE_ALLTOALL_STORM_STRIKES: &[(u64, u32, usize, u64)] = &[
+    (1, 2, DST, 0x4539_ecab_0f1c_9aaa),
+    (2, 4, DST, 0x2ee9_96c4_d70e_2150),
+    (3, 7, DST, 0x8ccc_6ed0_9f94_0749),
+    (4, 20, DST, 0xdad2_98b7_a961_bd29),
+    (5, 6, DST, 0x4fe6_d5af_e786_88bd),
+    (6, 5, DST, 0x72bc_0ec4_8ed6_b54c),
+];
+
+#[test]
+fn baseline_alltoall_is_first_caught_on_the_row_each_member_takes() {
+    for &(mask_str, pe, offset, digest) in BASELINE_ALLTOALL_FIRST_STRIKES {
+        let strike = FaultPlan::new(7).with_event(FaultKind::BitFlip, pe, 1);
+        let got = baseline_alltoall_first_strike(mask_str, strike);
+        assert_eq!(
+            got,
+            (pe, offset, digest),
+            "{mask_str}: PE {pe}'s landing struck"
+        );
+    }
+    for &(seed, pe, offset, digest) in BASELINE_ALLTOALL_STORM_STRIKES {
+        let storm = FaultPlan::new(seed).with_bit_flip_period(8);
+        let got = baseline_alltoall_first_strike("01", storm);
+        assert_eq!(got, (pe, offset, digest), "storm seed {seed}");
+    }
+}
+
 // ---- multi-host: two hosts of 64 PEs, a fault plan on one ------------
 
 mod multi_host {

@@ -9,7 +9,9 @@
 //! and for materializing every page the reference does; and, under seeded
 //! storms, for the corrupted images and the first `CorruptionEvent`. The
 //! Baseline engine's borrowed pull is held to the same oracle and, over
-//! never-written sources, to "materializes nothing".
+//! never-written sources, to "materializes nothing"; its AlltoAll, which
+//! transposes a batch of ranks at a time, to the oracle over several
+//! batches.
 //!
 //! Sources that PEs share are held to the same sources copied: every
 //! reducing primitive at both engines, over every operator and width,
@@ -326,7 +328,7 @@ fn overlapping_regions_are_refused_at_every_level_and_abutting_ones_see_a_snapsh
     let b = 64 * n;
     for opt in LEVELS {
         let comm = communicator(dims, geom, opt);
-        for prim in REDUCING[..2].iter().copied() {
+        for prim in [Primitive::AlltoAll, REDUCING[0], REDUCING[1]] {
             let (_, dst_len) = extents(prim, b, n);
             // One word into the source from either side.
             for dst in [4104 + b - 8, 4104 + 8 - dst_len] {
@@ -337,8 +339,8 @@ fn overlapping_regions_are_refused_at_every_level_and_abutting_ones_see_a_snapsh
                     "{opt:?} {prim} dst {dst}: {err:?}"
                 );
             }
-            // Abutting on either side, all in one segment: every push
-            // lands after every read.
+            // Abutting on either side, all in one segment: no landing
+            // reaches a byte a read takes.
             for dst in [4104 + b, 4104 - dst_len] {
                 let mut sys = PimSystem::new(geom);
                 fill(&mut sys, 0, 4104 + 2 * b + 64, dst as u64);
@@ -346,6 +348,37 @@ fn overlapping_regions_are_refused_at_every_level_and_abutting_ones_see_a_snapsh
                 let what = format!("{opt:?} {prim} abutting at {dst}");
                 run_and_check(&communicator(dims, geom, opt), &mut sys, &cell, &what);
             }
+        }
+    }
+}
+
+/// The Baseline AlltoAll transposes a batch of destination ranks at a
+/// time and lands it before reading the next. Over a group whose `n * b`
+/// spans three batches (the last one ragged), with the destination abutting
+/// the source on either side in one segment, every member's row is still
+/// the oracle's.
+#[test]
+fn a_baseline_alltoall_over_several_batches_at_abutting_regions_equals_the_oracle() {
+    let geom = geometry();
+    for (dims, mask_str, _) in &SHAPES[..2] {
+        let mask: DimMask = mask_str.parse().unwrap();
+        let (_, n) = lanes_of(dims, &mask);
+        let b = ((5 << 19) / n).next_multiple_of(8 * n);
+        assert!(n * b > 2 << 20, "{dims:?}/{mask_str}: {n} x {b} B");
+        let src = 4104 + b;
+        for dst in [src + b, src - b] {
+            let mut sys = PimSystem::new(geom);
+            fill(&mut sys, 0, src + 2 * b + 64, dst as u64);
+            let cell = Call {
+                prim: Primitive::AlltoAll,
+                mask: &mask,
+                spec: BufferSpec::new(src, dst, b),
+                op: ReduceKind::Sum,
+                host_in: &[],
+            };
+            let what = format!("{dims:?}/{mask_str} {b} B abutting at {dst}");
+            let comm = communicator(dims, geom, OptLevel::Baseline);
+            run_and_check(&comm, &mut sys, &cell, &what);
         }
     }
 }

@@ -31,15 +31,16 @@
 //!
 //! # Detection
 //!
-//! Detection is read-after-write verification: with verification enabled
-//! (see `PimSystem::set_verify_writes`), every transport write reads the
-//! landed bytes back and compares them with the intended ones; a landing
-//! that differs is named by the FNV-1a digests of both, and the first per
-//! PE whose digests differ is recorded as a [`CorruptionEvent`] and
-//! surfaced at the execute boundary. Verification never touches the cost
-//! meter, so enabling it leaves modeled times bit-identical; with no fault
-//! plan attached every landing compares equal and the data path is
-//! byte-identical to the unverified one.
+//! Detection is read-after-write verification: with a plan attached and
+//! verification enabled (see `PimSystem::set_verify_writes`), every
+//! transport write reads the landed bytes back and compares them with the
+//! intended ones; a landing that differs is named by the FNV-1a digests of
+//! both, and the first per PE whose digests differ is recorded as a
+//! [`CorruptionEvent`] and surfaced at the execute boundary. Verification
+//! never touches the cost meter, so enabling it leaves modeled times
+//! bit-identical. It belongs to the plan: with none attached nothing can
+//! strike a landing, so every landing takes the direct lane, verified or
+//! not, and compares nothing.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};

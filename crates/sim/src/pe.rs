@@ -12,11 +12,11 @@
 //! one copy — so the window's landing is the chokepoint of the fault layer
 //! ([`crate::fault`]): an installed
 //! [`crate::fault::FaultCtx`] lets a seeded plan corrupt or drop landing
-//! writes, and write verification compares each landing with the bytes it
-//! was meant to land (a landing that differs is named by its intended and
-//! landed FNV digests). Both are decided once, when the window is
-//! resolved, and disabled by default, leaving the hot path a plain slice
-//! copy.
+//! writes, and under a plan write verification compares each landing with
+//! the bytes it was meant to land (a landing that differs is named by its
+//! intended and landed FNV digests). The hooks are decided once, when the
+//! window is resolved: with no plan attached, verified or not, the hot path
+//! is a plain slice copy.
 //!
 //! Resolving — a capacity check, an extent update, a binary search over
 //! the segment store, page materialization on first touch — is what a
@@ -657,10 +657,11 @@ pub type ReadWindow<'a> = Cow<'a, [u8]>;
 /// [`Pe::window_pair`] / [`Pe::write_window`] — that lands any number of
 /// chunks with [`WriteWindow::put`].
 ///
-/// With neither a fault plan nor write verification installed a `put` is a
-/// bounds-checked slice copy. Otherwise every chunk takes the checked
-/// landing: dropped if the PE is stuck in the current epoch, struck by
-/// whatever [`crate::fault::FaultPlan::write_fault`] schedules for its
+/// With no fault plan attached a `put` is a bounds-checked slice copy,
+/// verified or not: nothing can strike the landing, so a compare could
+/// never fail. Under a plan every chunk takes the checked landing: dropped
+/// if the PE is stuck in the current epoch, struck by whatever
+/// [`crate::fault::FaultPlan::write_fault`] schedules for its
 /// `(pe, offset, len)`, and — under verification — read back and compared
 /// with the intended bytes, the first mismatch per PE (by FNV digest)
 /// being kept for collection at the next execute boundary. (Resolving is
@@ -677,7 +678,7 @@ pub struct WriteWindow<'a> {
 
 #[derive(Debug)]
 struct Hooks<'a> {
-    fault: Option<&'a FaultCtx>,
+    fault: &'a FaultCtx,
     verify: bool,
     corruption: &'a mut Option<Box<CorruptionEvent>>,
 }
@@ -705,13 +706,13 @@ impl WriteWindow<'_> {
 
     /// Lands all of `src` at MRAM offset `offset` as one run of
     /// `chunk`-byte pieces, piece `i` being `src[i * chunk..][..chunk]` at
-    /// `offset + i * chunk`. On a direct window the run is a single copy
-    /// and `order` is never consumed; a window that only verifies adds one
-    /// compare of the whole run. A window with a fault plan lands the
-    /// pieces one by one through the checked landing, in the order `order`
-    /// names them — so each keeps the `(pe, offset, len)`, and the PE the
-    /// landing sequence, of the [`WriteWindow::put`] loop the run stands
-    /// for. `order` must name every piece once.
+    /// `offset + i * chunk`. On a direct window — verified or not — the run
+    /// is a single copy and `order` is never consumed. A window with a
+    /// fault plan lands the pieces one by one through the checked landing,
+    /// in the order `order` names them — so each keeps the
+    /// `(pe, offset, len)`, and the PE the landing sequence, of the
+    /// [`WriteWindow::put`] loop the run stands for. `order` must name
+    /// every piece once.
     ///
     /// # Panics
     ///
@@ -729,15 +730,6 @@ impl WriteWindow<'_> {
         match &mut self.hooks {
             None => landed.copy_from_slice(src),
             Some(hooks) => {
-                // Verification without a plan: nothing can single a piece
-                // out, so the run lands and is checked whole. The pieces
-                // are walked only to name the one that differs.
-                if hooks.fault.is_none() {
-                    landed.copy_from_slice(src);
-                    if *landed == *src {
-                        return;
-                    }
-                }
                 for at in order.into_iter().map(|i| i * chunk) {
                     let piece = at..at + chunk;
                     hooks.land(&mut landed[piece.clone()], offset + at, &src[piece]);
@@ -749,15 +741,16 @@ impl WriteWindow<'_> {
 
 impl<'a> Hooks<'a> {
     /// The hooks a window over a PE in this fault-layer state lands
-    /// through: `None`, the direct lane, unless a plan is attached or
-    /// verification is on.
+    /// through: `None`, the direct lane, unless a plan is attached. With no
+    /// plan nothing can strike a landing, so verification alone has
+    /// nothing to compare.
     fn of(
         fault: &'a Option<FaultCtx>,
         verify: bool,
         corruption: &'a mut Option<Box<CorruptionEvent>>,
     ) -> Option<Self> {
-        (fault.is_some() || verify).then_some(Hooks {
-            fault: fault.as_ref(),
+        fault.as_ref().map(|fault| Hooks {
+            fault,
             verify,
             corruption,
         })
@@ -766,17 +759,12 @@ impl<'a> Hooks<'a> {
     /// The checked landing. With no fault scheduled it lands exactly the
     /// bytes the direct lane would.
     fn land(&mut self, landed: &mut [u8], offset: usize, src: &[u8]) {
-        let (stuck, injected, pe, epoch) = match self.fault {
-            Some(ctx) => {
-                let stuck = ctx.plan.pe_stuck(ctx.pe);
-                let injected = if stuck {
-                    None
-                } else {
-                    ctx.plan.write_fault(ctx.pe, offset, src.len())
-                };
-                (stuck, injected, ctx.pe, ctx.plan.epoch())
-            }
-            None => (false, None, u32::MAX, 0),
+        let FaultCtx { pe, ref plan } = *self.fault;
+        let stuck = plan.pe_stuck(pe);
+        let injected = if stuck {
+            None
+        } else {
+            plan.write_fault(pe, offset, src.len())
         };
         if !stuck {
             landed.copy_from_slice(src);
@@ -803,7 +791,7 @@ impl<'a> Hooks<'a> {
                     len: src.len(),
                     expected,
                     found,
-                    epoch,
+                    epoch: plan.epoch(),
                 }));
             }
         }
@@ -1033,7 +1021,7 @@ impl Pe {
     /// zero tail is left unmaterialized (reading as zeros) where no pages
     /// exist, and where they do, the pages it covers whole become a run of
     /// zeros and only the bytes on the pages it cuts are zero-filled.
-    /// Bytes, extent and verification are those of the whole row; only
+    /// Bytes and extent are those of the whole row; only
     /// [`Pe::mram_resident`] is smaller. A fault plan draws by
     /// the landing's `(pe, offset, len)`, so under one the whole row lands
     /// — through a window that zeroes what it covers first, since a stuck
@@ -1075,9 +1063,8 @@ impl Pe {
     /// Extent and residency are the copy's on either lane: a
     /// [`Landing::Run`] materializes its whole region, like the window it
     /// stands for; a [`Landing::Row`] follows [`Pe::write`]'s zero-tail
-    /// rule. Verification alone keeps the direct lane: with no fault plan
-    /// nothing can strike a landing, and a shared page reads the intended
-    /// bytes by construction.
+    /// rule. Verification alone keeps the direct lane, as it does for
+    /// every landing: with no fault plan nothing can strike one.
     ///
     /// # Panics
     ///
@@ -1245,8 +1232,9 @@ impl Pe {
     }
 
     /// Enables or disables read-after-write verification of transport
-    /// writes. Verification never charges modeled time and never grows
-    /// MRAM, so enabling it leaves both modeled costs and the data image
+    /// writes. It acts only under a fault plan (with none, nothing can
+    /// strike a landing), never charges modeled time and never grows MRAM,
+    /// so enabling it leaves both modeled costs and the data image
     /// bit-identical on a fault-free run.
     pub fn set_verify(&mut self, on: bool) {
         self.verify = on;
@@ -1923,23 +1911,6 @@ mod tests {
                 assert_eq!(pe.take_corruption(), want, "{kind:?} at {len} B");
             }
         }
-
-        // Verification alone: the run lands as on the direct lane — one
-        // copy, the order never asked for — and records nothing.
-        let src: Vec<u8> = (0..PAGE_BYTES + 8).map(|i| (i * 7 + 1) as u8).collect();
-        let mut direct = Pe::new();
-        let mut verified = Pe::new();
-        verified.set_verify(true);
-        for pe in [&mut direct, &mut verified] {
-            let never = std::iter::from_fn(|| -> Option<usize> { panic!("no piece is walked") });
-            pe.write_window(40, src.len()).put_run(40, &src, 8, never);
-        }
-        assert_eq!(
-            verified.peek(0, 2 * PAGE_BYTES),
-            direct.peek(0, 2 * PAGE_BYTES)
-        );
-        assert_eq!(verified.peek(40, src.len()), src);
-        assert!(verified.take_corruption().is_none());
     }
 
     #[test]

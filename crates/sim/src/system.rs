@@ -474,19 +474,12 @@ impl PimSystem {
                 pe.set_fault_ctx(None);
             }
         }
-        let verify = self.verify;
-        if verify {
-            self.set_verify_writes(false);
-        }
         for (pe, buf) in self.geometry.pes().zip(&ckpt.pes) {
             let mut at = 0;
             for &(offset, len) in &ckpt.regions {
                 self.pes[pe.index()].write(offset, &buf[at..at + len]);
                 at += len;
             }
-        }
-        if verify {
-            self.set_verify_writes(true);
         }
         if let Some(fp) = fault {
             self.attach_fault_plan(fp);

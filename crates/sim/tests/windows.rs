@@ -412,6 +412,45 @@ fn verification_alone_shares_and_records_nothing() {
     }
 }
 
+/// With no fault plan attached, verification changes nothing: `put` loops,
+/// a `put_run` (one copy, the order never asked for) and `Pe::write` of a
+/// row with a zero tail land the same bytes, hold the same pages and reach
+/// the same extent on a verified PE as on a direct one, and record nothing.
+#[test]
+fn verification_alone_is_the_direct_lane() {
+    let data: Vec<u8> = (0..PAGE_BYTES + 64).map(|i| (i * 7 + 1) as u8).collect();
+    let mut row = data.clone();
+    row.resize(3 * PAGE_BYTES, 0);
+    for base in [40, PAGE_BYTES, 3 * PAGE_BYTES - 8] {
+        let [mut direct, mut verified] = [(); 2].map(|()| {
+            let mut pe = Pe::new();
+            pe.write(0, &[0xEE; 2 * PAGE_BYTES]);
+            pe
+        });
+        verified.set_verify(true);
+        for pe in [&mut direct, &mut verified] {
+            let mut w = pe.write_window(base, data.len());
+            for (i, piece) in data.chunks_exact(8).enumerate() {
+                w.put(base + 8 * i, piece);
+            }
+            let at = base + 8 * PAGE_BYTES;
+            let never = std::iter::from_fn(|| -> Option<usize> { panic!("no piece is walked") });
+            pe.write_window(at, data.len()).put_run(at, &data, 8, never);
+            pe.write(base + 16 * PAGE_BYTES, &row);
+        }
+        let end = direct.mram_used();
+        assert_eq!(verified.mram_used(), end, "base {base}");
+        assert_eq!(
+            verified.mram_resident(),
+            direct.mram_resident(),
+            "base {base}"
+        );
+        assert_eq!(verified.peek(0, end), direct.peek(0, end), "base {base}");
+        assert_eq!(verified.peek(base, data.len()), data);
+        assert!(verified.take_corruption().is_none(), "base {base}");
+    }
+}
+
 #[test]
 fn run_without_faults_is_silent_under_verification_and_dropped_on_a_stuck_pe() {
     let data = [5u8; 64];
