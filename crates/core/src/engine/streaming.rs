@@ -58,9 +58,9 @@
 //! lands the same way: one image per group, built from one read of each
 //! source ([`pim_sim::pe::Pe::read_window`]), shared by every member. No
 //! region is walked twice and nothing is moved in pieces smaller than the
-//! model's registers unless the fault layer is watching them — under a
-//! fault plan an image lands as the register run it stands for
-//! ([`pim_sim::pe::WriteWindow::put_run`]), each PE taking its pieces in
+//! model's registers unless a fault strikes one — under a fault plan an
+//! image still lands shared, and its pieces are drawn as the register run
+//! it stands for ([`pim_sim::pe::Landing::Run`]), each PE taking them in
 //! the order the register loop would land them.
 //!
 //! Every function here executes a [`CollectivePlan`]: the per-cluster
@@ -71,16 +71,18 @@
 //! # Fault model
 //!
 //! The streaming loops need no fault hooks of their own: every byte they
-//! land goes through [`pim_sim::pe::WriteWindow::put`] (or `put_run`) on the
-//! destination PE — directly in phase B, via [`pim_sim::pe::Pe::write`] in
-//! the rooted primitives' row writes, via `Pe::write_shared`'s window in
-//! AllReduce's and AllGather's fan-out — which is where
-//! [`pim_sim::FaultPlan`] injection and read-after-write verification
-//! live; a window resolved while a plan is attached lands each chunk
-//! checked, with the chunk's own `(pe, offset, len)` — a run as the
-//! registers it stands for, in their order. Verification belongs to the
-//! plan: with none attached every window is the direct lane, verified or
-//! not. Phase-A reordering ([`pim_sim::pe::Pe::rotate_parts`]) and the
+//! land goes through [`pim_sim::pe::WriteWindow::put`] on the destination
+//! PE (phase B), or through the one landing body of
+//! [`pim_sim::pe::Pe::write`] (the rooted primitives' row writes) and
+//! `Pe::write_shared` (AllReduce's and AllGather's fan-out) — which is
+//! where [`pim_sim::FaultPlan`] injection and read-after-write
+//! verification live. A window resolved while a plan is attached lands
+//! each chunk checked, with the chunk's own `(pe, offset, len)`; the
+//! landing body lands directly and draws each piece by the same key — a
+//! run as the registers it stands for, in their order — and lands a struck
+//! piece again through a window over it alone. Verification belongs to
+//! the plan: with none attached every landing is the direct lane,
+//! verified or not. Phase-A reordering ([`pim_sim::pe::Pe::rotate_parts`]) and the
 //! typed in-place views are PE-local *compute*, deliberately outside the
 //! transport fault scope (see `pim_sim::pe`). With no fault plan attached,
 //! none of these paths change behavior by a single byte or modeled
@@ -671,10 +673,10 @@ pub(crate) fn all_gather(sys: &mut PimSystem, plan: &CollectivePlan) {
 /// Lands each packed group's image — a result every member receives
 /// whole — on every member as one shared image
 /// ([`pim_sim::pe::Pe::write_shared`]). Where the fault layer watches, an
-/// image lands as the registers the model counts, in the order the
-/// register loop would land them: the PE at lane `d` takes, part by part
-/// and rotation `k` by rotation, the `chunk`-byte piece at its final slot
-/// `final_slot[k][d]` — slot `(i - k) % l` for lane rank `i`.
+/// image's pieces are drawn as the registers the model counts, in the
+/// order the register loop would land them: the PE at lane `d` takes, part
+/// by part and rotation `k` by rotation, the `chunk`-byte piece at its
+/// final slot `final_slot[k][d]` — slot `(i - k) % l` for lane rank `i`.
 fn land_replicated(task: &mut ClusterTask, dst: usize, chunk: usize, images: &[Arc<[u8]>]) {
     let c = task.cluster;
     let (l, m) = (c.lane_count, c.eg_count());

@@ -28,12 +28,18 @@
 //! under seeded storms, and Degraded completion (within a modeled-time
 //! deadline) where a persistent PE failure used to be a fatal error.
 
+mod common;
+
+use common::{assert_sharing_survives, edit, land_replicas};
 use pidcomm::{
     BufferSpec, CollectivePlan, Communicator, DimMask, Error, HypercubeManager, HypercubeShape,
     OptLevel, Primitive, RecoveryPolicy, ReduceKind, Topology,
 };
 use pim_sim::fault::fnv1a;
+use pim_sim::pe::PAGE_BYTES;
+use pim_sim::testgen::fill_byte;
 use pim_sim::{DType, DimmGeometry, FaultKind, FaultPlan, PeId, PimSystem};
+use std::ops::Range;
 use std::sync::Arc;
 
 const B: usize = 256;
@@ -519,6 +525,153 @@ fn seeded_chaos_never_corrupts_silently() {
             "fault storm triggered nothing: periods too sparse"
         );
     }
+}
+
+/// The source of the shared-source storm: off the page grid and five
+/// pages long, so that a landing shares four whole pages.
+const SHARED_SRC: usize = 8;
+const SHARED_B: usize = 5 * PAGE_BYTES;
+/// Its AllReduce's destination, off the grid past the source.
+const SHARED_DST: usize = (1 << 16) + 8;
+
+/// Indices of the whole pages of `[at, at + len)`.
+fn whole_pages(at: usize, len: usize) -> Range<usize> {
+    at.div_ceil(PAGE_BYTES)..(at + len) / PAGE_BYTES
+}
+
+/// A replicated source plus per-PE edits, landed as CC lands its label
+/// prototype under a storm that strikes about one PE's landing in eight,
+/// then reduced by an idempotent (`Min`) and a non-idempotent (`Sum`)
+/// AllReduce under seeded storms at both engines. Every run ends
+/// bit-exact — the faulted system's bytes are those of a clean run over
+/// the same sources — or in a typed detection error. And faulted runs
+/// hold shared pages: after the landing, every PE whose landing no fault
+/// struck lends the image on each whole page its edit leaves alone, and
+/// a struck PE owns its source; after a run that no fault reached,
+/// lane-mates still lend the same bytes on every page far from an edit or
+/// a struck source, and each group's members lend one image of the
+/// result on every whole page of the destination.
+#[test]
+fn a_shared_source_under_storms_ends_exact_or_detected_and_stays_shared() {
+    let base: u64 = std::env::var("PIDCOMM_CHAOS_SEED")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0xC0FFEE);
+    let policy = RecoveryPolicy {
+        max_retries: 3,
+        degrade: true,
+    };
+    let mask: DimMask = "10".parse().unwrap();
+    let region = |sys: &PimSystem| -> Vec<Vec<u8>> {
+        let pes = sys.geometry().pes();
+        pes.map(|pe| [SHARED_SRC, SHARED_DST].map(|at| sys.pe(pe).peek(at, SHARED_B)))
+            .map(|[src, dst]| [src, dst].concat())
+            .collect()
+    };
+    let (mut struck, mut exact, mut recovered, mut detected, mut shared) = (0, 0, 0, 0, 0);
+    for round in 0..2u64 {
+        let seed = base.wrapping_add(round.wrapping_mul(0x9E3779B97F4A7C15));
+        let image: Arc<[u8]> = (0..SHARED_B).map(|i| fill_byte(seed, 0, i)).collect();
+        for opt in [OptLevel::Baseline, OptLevel::Full] {
+            let c = comm(opt);
+            for op in [ReduceKind::Min, ReduceKind::Sum] {
+                let spec = BufferSpec::new(SHARED_SRC, SHARED_DST, SHARED_B).with_dtype(DType::U32);
+                let plan = c.plan(Primitive::AllReduce, &mask, &spec, op).unwrap();
+                let storms = [
+                    (1 << 14, 0),
+                    (0, 1 << 15),
+                    (1 << 10, 1 << 11),
+                    (1 << 5, 1 << 6),
+                ];
+                for (flip_p, row_p) in storms {
+                    let what = format!("{opt:?} {op} seed {seed} storm {flip_p}/{row_p}");
+                    let mut sys = PimSystem::new(DimmGeometry::single_rank());
+                    let landing = Arc::new(FaultPlan::new(seed ^ row_p).with_bit_flip_period(8));
+                    sys.attach_fault_plan(Arc::clone(&landing));
+                    land_replicas(&mut sys, SHARED_SRC, &image, true);
+                    let edits = edit(&mut sys, SHARED_SRC, SHARED_B, seed);
+                    let mut cuts: Vec<(Option<PeId>, Range<usize>)> = vec![
+                        (None, SHARED_SRC..SHARED_SRC + 1),
+                        (None, SHARED_SRC + SHARED_B - 1..SHARED_SRC + SHARED_B),
+                    ];
+                    for pe in sys.geometry().pes() {
+                        let hit = landing.write_fault(pe.0, SHARED_SRC, SHARED_B).is_some();
+                        let edited = edits.iter().filter(|(who, _)| *who == pe);
+                        let edited: Vec<usize> = edited
+                            .flat_map(|(_, r)| r.start / PAGE_BYTES..=(r.end - 1) / PAGE_BYTES)
+                            .collect();
+                        for p in whole_pages(SHARED_SRC, SHARED_B) {
+                            let lent = sys.pe(pe).try_slice(p * PAGE_BYTES, PAGE_BYTES);
+                            let at = image[p * PAGE_BYTES - SHARED_SRC..].as_ptr();
+                            let from_image = lent.map(<[u8]>::as_ptr) == Some(at);
+                            let owned = hit || edited.contains(&p);
+                            assert_eq!(from_image, !owned, "{what}: {pe} landed page {p}");
+                        }
+                        if hit {
+                            cuts.push((Some(pe), SHARED_SRC..SHARED_SRC + SHARED_B));
+                            struck += 1;
+                        }
+                    }
+                    cuts.extend(edits.into_iter().map(|(pe, r)| (Some(pe), r)));
+
+                    let mut clean = sys.clone();
+                    clean.detach_fault_plan();
+                    plan.run(&mut clean, None).unwrap();
+                    let mut fp = FaultPlan::new(seed ^ (flip_p << 1) ^ row_p);
+                    if flip_p > 0 {
+                        fp = fp.with_bit_flip_period(flip_p);
+                    }
+                    if row_p > 0 {
+                        fp = fp.with_row_corrupt_period(row_p);
+                    }
+                    sys.attach_fault_plan(Arc::new(fp));
+                    match c.execute_verified(&mut sys, &plan, None, &policy) {
+                        Ok(ver) => {
+                            assert!(!ver.degraded, "{what}: no PE ever dies here");
+                            sys.detach_fault_plan();
+                            assert!(region(&sys) == region(&clean), "{what}: PE bytes");
+                            exact += 1;
+                            if ver.retries > 0 {
+                                recovered += 1;
+                                continue;
+                            }
+                            let src = (SHARED_SRC, SHARED_B);
+                            let (s, _) =
+                                assert_sharing_survives(&sys, &c, &mask, opt, src, &cuts, &what);
+                            shared += s;
+                            for g in c.manager().groups(&mask).unwrap() {
+                                for p in whole_pages(SHARED_DST, SHARED_B) {
+                                    let lent = |pe: &PeId| {
+                                        let bytes =
+                                            sys.pe(*pe).try_slice(p * PAGE_BYTES, PAGE_BYTES);
+                                        bytes.map(<[u8]>::as_ptr)
+                                    };
+                                    let first = lent(&g.members[0]);
+                                    assert!(
+                                        first.is_some()
+                                            && g.members.iter().all(|pe| lent(pe) == first),
+                                        "{what}: group {} result page {p}",
+                                        g.id
+                                    );
+                                }
+                            }
+                        }
+                        Err(Error::DataCorruption { .. }) | Err(Error::PeFailed { .. }) => {
+                            detected += 1;
+                        }
+                        Err(other) => panic!("{what}: unexpected error {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+    eprintln!(
+        "shared-source storm: {struck} struck landings, {exact} exact ({recovered} after a \
+         retry), {detected} detected, {shared} source pages shared with a lane-mate"
+    );
+    assert!(struck > 0, "the landing storm struck nothing");
+    assert!(recovered + detected > 0, "the run storms struck nothing");
+    assert!(shared > 0, "no faulted run kept a source page shared");
 }
 
 /// The recovery rollback image is scoped to the plan's written regions:

@@ -7,7 +7,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use pidcomm::hypercube::EgCluster;
+use pidcomm::hypercube::{build_clusters, EgCluster};
 use pidcomm::{
     oracle, BufferSpec, Communicator, DimMask, HypercubeManager, HypercubeShape, OptLevel,
     Primitive,
@@ -93,6 +93,78 @@ pub fn edit(
 /// Bytes of the pages `[offset, offset + len)` touches.
 pub fn pages(offset: usize, len: usize) -> usize {
     (offset + len).next_multiple_of(PAGE_BYTES) - offset / PAGE_BYTES * PAGE_BYTES
+}
+
+/// Asserts that lane-mates — members of one group that `opt` rotates
+/// alike — lend the same bytes, by `try_slice` pointer, for every whole
+/// page of the source region farther than a part and a page from any
+/// place where sharing ends for either of them. Returns (shared pages,
+/// whole pages) over all PEs.
+pub fn assert_sharing_survives(
+    sys: &PimSystem,
+    comm: &pidcomm::Communicator,
+    mask: &DimMask,
+    opt: OptLevel,
+    (src, b): (usize, usize),
+    cuts: &[(Option<PeId>, Range<usize>)],
+    what: &str,
+) -> (usize, usize) {
+    let geom = *sys.geometry();
+    let groups = comm.manager().groups(mask).unwrap();
+    let l = build_clusters(comm.manager(), mask).unwrap()[0].lane_count;
+    let span = l * (b / groups[0].members.len());
+    // Full rotates a 64 KiB tile of whole parts at a time; a page that a
+    // tile boundary cuts is owned like a cut page.
+    let tile = (64 * 1024 / span).max(1) * span;
+    let mut ends: Vec<(Option<PeId>, Range<usize>)> = cuts.to_vec();
+    if opt == OptLevel::Full {
+        ends.extend(
+            (tile..b)
+                .step_by(tile)
+                .map(|t| (None, src + t..src + t + 1)),
+        );
+    }
+    let page = |p: usize, pe: PeId| {
+        let lo = p * PAGE_BYTES;
+        let far = ends
+            .iter()
+            .filter(|(who, _)| who.is_none_or(|w| w == pe))
+            .all(|(_, r)| {
+                r.end + span + PAGE_BYTES <= lo || r.start >= lo + PAGE_BYTES + span + PAGE_BYTES
+            });
+        (
+            far,
+            sys.pe(pe).try_slice(lo, PAGE_BYTES).map(<[u8]>::as_ptr),
+        )
+    };
+    let whole = src.div_ceil(PAGE_BYTES)..(src + b) / PAGE_BYTES;
+    let (mut shared, mut pages) = (0, 0);
+    // Lane-mates: the members `opt` rotates alike — all of them under
+    // Baseline, which does not rotate. Each is held to the next one round
+    // its class.
+    let class_of = |x: PeId| match opt {
+        OptLevel::Baseline => 0,
+        _ => geom.lane_of(x),
+    };
+    for g in &groups {
+        for lane in 0..LANES {
+            let class: Vec<PeId> = (g.members.iter().copied())
+                .filter(|&x| class_of(x) == lane)
+                .collect();
+            for (k, &x) in class.iter().enumerate() {
+                let y = class[(k + 1) % class.len()];
+                for p in whole.clone() {
+                    pages += 1;
+                    let ((far_x, at_x), (far_y, at_y)) = (page(p, x), page(p, y));
+                    if x != y && far_x && far_y {
+                        assert_eq!(at_x, at_y, "{what}: {x} and {y} unshared page {p}");
+                    }
+                    shared += usize::from(x != y && at_x.is_some() && at_x == at_y);
+                }
+            }
+        }
+    }
+    (shared, pages)
 }
 
 /// One collective call of the suite.

@@ -105,7 +105,8 @@ crates/sim/src/{pe.rs,system.rs}. All transport writes must land through
 `Pe::write`, a `WriteWindow::put` or the typed-view encoders.
 
 Contract (PR 6, PR 12): the fault layer injects and verifies at the
-single `WriteWindow::put` choke point (`Pe::write` is its one-row case).
+single `WriteWindow::put` choke point (`Pe::write` lands a struck row
+through it).
 A raw `slice_mut` write elsewhere is invisible to injection and
 read-after-write verification, quietly shrinking the chaos suite's
 coverage. A window resolved elsewhere is still hooked, but it is a

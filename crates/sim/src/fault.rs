@@ -10,8 +10,8 @@
 //!
 //! # Fault model
 //!
-//! Three fault kinds, all striking the host-mediated transport writes
-//! (every burst/row landing funnels through [`crate::pe::Pe::write`]):
+//! Three fault kinds, all striking the host-mediated transport writes (a
+//! [`crate::pe::WriteWindow::put`], or a piece a [`crate::pe::Landing`] names):
 //!
 //! * **Bit flips** ([`FaultKind::BitFlip`]): one bit of a landed write is
 //!   inverted — transient MRAM corruption at the moment data lands.

@@ -6,17 +6,18 @@
 //! through the host — but they *can* rearrange their own data, which is what
 //! the paper's *PE-assisted reordering* exploits (§V-A1).
 //!
-//! All inter-PE traffic lands through a [`WriteWindow`] — [`Pe::write`] is
-//! the one-row case: resolve a window, [`WriteWindow::put`] once; a
-//! [`WriteWindow::put_run`] is many `put`s that a direct window takes as
-//! one copy — so the window's landing is the chokepoint of the fault layer
-//! ([`crate::fault`]): an installed
-//! [`crate::fault::FaultCtx`] lets a seeded plan corrupt or drop landing
-//! writes, and under a plan write verification compares each landing with
-//! the bytes it was meant to land (a landing that differs is named by its
-//! intended and landed FNV digests). The hooks are decided once, when the
-//! window is resolved: with no plan attached, verified or not, the hot path
-//! is a plain slice copy.
+//! All inter-PE traffic lands through one of two routes: a [`WriteWindow`]
+//! that a streaming loop resolves once and [`WriteWindow::put`]s chunks
+//! through, or the one landing body behind [`Pe::write`] (a row) and
+//! [`Pe::write_shared`] (a replicated image). Both are the fault layer's
+//! ([`crate::fault`]): an installed [`crate::fault::FaultCtx`] lets a
+//! seeded plan corrupt or drop landing writes, and under a plan write
+//! verification compares each landing with the bytes it was meant to land
+//! (a landing that differs is named by its intended and landed FNV
+//! digests). A window decides its hooks once, when it is resolved; the
+//! landing body lands directly and then draws its pieces, and a struck
+//! piece lands again through a window over it alone. With no plan
+//! attached, verified or not, both are a plain copy.
 //!
 //! Resolving — a capacity check, an extent update, a binary search over
 //! the segment store, page materialization on first touch — is what a
@@ -41,8 +42,8 @@
 //! turns a page whose every touching part lies in one image run into a
 //! page of the image rotated, built once per pass ([`Rotations`]), so PEs
 //! that shared an image before the rotation share its rotation after it.
-//! A fault plan keeps a replicated landing a copy, landed exactly as the
-//! window or row it stands for.
+//! A fault plan strikes pages, not landings: a faulted replicated landing
+//! shares as a clean one does, and only a struck piece's pages are owned.
 //!
 //! Readers that fold many PEs' regions take them as [`Pe::pieces`]: the
 //! PE's own bytes, zeros, or image bytes together with the image, so a
@@ -229,7 +230,7 @@ impl Segment {
 
     /// Makes the pages MRAM range `r` covers whole owned without touching
     /// them, for a landing that overwrites all of `r`. The pages it cuts
-    /// keep their state, for the landing's window to freshen.
+    /// keep their state, for the landing to freshen.
     #[inline]
     fn claim(&mut self, r: Range<usize>) {
         self.own(self.split(r).0);
@@ -456,15 +457,15 @@ impl Segment {
 /// A materialized page is the segment's own unless a run covers it, and
 /// then it reads as the run's source: zeros ([`Pe::reset`] puts every page
 /// in one such run, a zero tail the pages it covers whole) or a page of a
-/// result image (a direct-lane [`Pe::write_shared`], or its rotation by
+/// result image (a [`Pe::write_shared`], or its rotation by
 /// [`Pe::rotate_parts`]). Every `&self` reader
 /// sees the source without touching the page; [`Pe::pieces`] lends it as
 /// it is, and [`Pe::try_slice`],
 /// [`Pe::read_window`] and the source of [`Pe::window_pair`] borrow the
 /// image itself where the range lies in one image run, and copy
 /// otherwise. Every mutable access owns the pages it reaches, copying
-/// their source in, and a direct-lane [`Pe::write`] owns the pages its
-/// row covers whole without a copy — so a reset costs what the next run
+/// their source in, and a [`Pe::write`] owns the pages its row covers
+/// whole without a copy — so a reset costs what the next run
 /// touches, not what the PE has ever held. A merge folds a run in as its
 /// bytes. Run pages stay allocated and count towards
 /// [`Pe::mram_resident`], so residency is the copy's.
@@ -488,7 +489,7 @@ pub struct Pe {
     /// outside a single kernel invocation.
     scratch: Vec<u8>,
     /// Handle on the system's fault plan, if one is attached. `None` (the
-    /// default) keeps [`Pe::write`] on the direct store path.
+    /// default) draws nothing.
     fault: Option<FaultCtx>,
     /// Read-after-write verification of transport writes. Off by default.
     verify: bool,
@@ -666,7 +667,9 @@ pub type ReadWindow<'a> = Cow<'a, [u8]>;
 /// with the intended bytes, the first mismatch per PE (by FNV digest)
 /// being kept for collection at the next execute boundary. (Resolving is
 /// not landing: a stuck PE's window still materializes its pages, which
-/// then stay zero.)
+/// then keep what they held.) [`Pe::write`] and [`Pe::write_shared`] land
+/// directly and take a window only over a piece a fault strikes, or over
+/// a stuck PE's whole landing.
 #[derive(Debug)]
 pub struct WriteWindow<'a> {
     /// MRAM offset of `data[0]`.
@@ -693,49 +696,20 @@ impl WriteWindow<'_> {
     pub fn put(&mut self, offset: usize, src: &[u8]) {
         let landed = &mut self.data[offset.wrapping_sub(self.start)..][..src.len()];
         match &mut self.hooks {
-            // One lane word — the transport's unit and the chunk of the
-            // overhead-bound collectives — moves as a register, not as a
-            // call into memcpy.
-            None => match <&mut [u8; LANE_BYTES]>::try_from(&mut *landed) {
-                Ok(word) => *word = src.try_into().expect("same length"),
-                Err(_) => landed.copy_from_slice(src),
-            },
+            None => copy_in(landed, src),
             Some(hooks) => hooks.land(landed, offset, src),
         }
     }
+}
 
-    /// Lands all of `src` at MRAM offset `offset` as one run of
-    /// `chunk`-byte pieces, piece `i` being `src[i * chunk..][..chunk]` at
-    /// `offset + i * chunk`. On a direct window — verified or not — the run
-    /// is a single copy and `order` is never consumed. A window with a
-    /// fault plan lands the pieces one by one through the checked landing,
-    /// in the order `order` names them — so each keeps the
-    /// `(pe, offset, len)`, and the PE the landing sequence, of the
-    /// [`WriteWindow::put`] loop the run stands for. `order` must name
-    /// every piece once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `[offset, offset + src.len())` leaves the window or, where
-    /// the pieces are walked, a named piece leaves the run.
-    #[inline]
-    pub fn put_run(
-        &mut self,
-        offset: usize,
-        src: &[u8],
-        chunk: usize,
-        order: impl IntoIterator<Item = usize>,
-    ) {
-        let landed = &mut self.data[offset.wrapping_sub(self.start)..][..src.len()];
-        match &mut self.hooks {
-            None => landed.copy_from_slice(src),
-            Some(hooks) => {
-                for at in order.into_iter().map(|i| i * chunk) {
-                    let piece = at..at + chunk;
-                    hooks.land(&mut landed[piece.clone()], offset + at, &src[piece]);
-                }
-            }
-        }
+/// Copies `src` into `landed`, which is as long. One lane word — the
+/// transport's unit and the chunk of the overhead-bound collectives —
+/// moves as a register, not as a call into memcpy.
+#[inline]
+fn copy_in(landed: &mut [u8], src: &[u8]) {
+    match <&mut [u8; LANE_BYTES]>::try_from(&mut *landed) {
+        Ok(word) => *word = src.try_into().expect("same length"),
+        Err(_) => landed.copy_from_slice(src),
     }
 }
 
@@ -798,21 +772,33 @@ impl<'a> Hooks<'a> {
     }
 }
 
-/// How [`Pe::write_shared`] lands a replicated image where the fault layer
-/// watches it, and what it materializes on either lane.
+/// The pieces a landing stands for: what the fault layer draws, one by
+/// one, as the copy the landing replaces would have landed them.
 #[derive(Clone, Copy)]
 pub enum Landing<'a> {
-    /// One row, as [`Pe::write`] lands it: the pages of its zero tail stay
-    /// unmaterialized, and under a fault plan the row is one checked
-    /// landing.
+    /// One row, as [`Pe::write`] lands it: one piece, and the pages of its
+    /// zero tail stay unmaterialized.
     Row,
-    /// A run through a window over the whole region, which materializes
-    /// it whole: under a fault plan its `chunk`-byte pieces land one by
-    /// one, piece `order(j)` as the `j`-th ([`WriteWindow::put_run`]).
+    /// A run through a window over the whole region, which materializes it
+    /// whole: `chunk`-byte pieces, piece `order(j)` the `j`-th.
     Run {
         chunk: usize,
         order: &'a dyn Fn(usize) -> usize,
     },
+}
+
+impl Landing<'_> {
+    /// Calls `f(at, len)` for each piece of a landing of `len` bytes, in
+    /// order.
+    #[inline]
+    fn pieces(self, len: usize, mut f: impl FnMut(usize, usize)) {
+        match self {
+            Landing::Row => f(0, len),
+            Landing::Run { chunk, order } => {
+                (0..len / chunk).for_each(|j| f(order(j) * chunk, chunk))
+            }
+        }
+    }
 }
 
 impl Pe {
@@ -1010,96 +996,101 @@ impl Pe {
         }
     }
 
-    /// Writes `src` at `offset`: resolves a one-row [`WriteWindow`] and
-    /// lands `src` through it — the landing point of every host-mediated
-    /// transport that is not already streaming through a longer-lived
-    /// window (burst lanes, row transfers, host scatters).
+    /// Writes `src` at `offset` as one row — the landing point of every
+    /// host-mediated transport that is not already streaming through a
+    /// longer-lived window (burst lanes, row transfers, host scatters).
     ///
-    /// With no fault plan attached the row overwrites everything it
-    /// covers, so the pages it covers whole are owned without a copy. A
-    /// row no one segment covers yet lands only its non-zero prefix: its
-    /// zero tail is left unmaterialized (reading as zeros) where no pages
-    /// exist, and where they do, the pages it covers whole become a run of
-    /// zeros and only the bytes on the pages it cuts are zero-filled.
-    /// Bytes and extent are those of the whole row; only
-    /// [`Pe::mram_resident`] is smaller. A fault plan draws by
-    /// the landing's `(pe, offset, len)`, so under one the whole row lands
-    /// — through a window that zeroes what it covers first, since a stuck
-    /// PE drops the landing.
+    /// The row overwrites everything it covers, so the pages it covers
+    /// whole are owned without a copy. A row no one segment covers yet
+    /// lands only its non-zero prefix: its zero tail is left
+    /// unmaterialized (reading as zeros) where no pages exist, and where
+    /// they do, the pages it covers whole become a run of zeros and only
+    /// the bytes on the pages it cuts are zero-filled. Bytes and extent are
+    /// those of the whole row; only [`Pe::mram_resident`] is smaller. Under
+    /// a fault plan the row is one piece, drawn by its `(pe, offset, len)`:
+    /// struck, it lands again through a window over the whole row, which
+    /// takes the flip and the verification ([`WriteWindow`]).
     ///
     /// # Panics
     ///
     /// Panics if the region would exceed [`MRAM_CAPACITY`].
     #[inline]
     pub fn write(&mut self, offset: usize, src: &[u8]) {
-        let end = check_capacity(offset, src.len());
-        if self.fault.is_some() {
-            self.write_window(offset, src.len()).put(offset, src);
-            return;
-        }
-        if let Some(i) = seg_covering(&self.segs, offset, src.len()) {
-            self.segs[i].claim(offset..end);
-            self.write_window(offset, src.len()).put(offset, src);
-            return;
-        }
-        self.extent = self.extent.max(end);
-        let (live, seg) = self.row_prefix(offset, src);
-        if let Some(i) = seg {
-            self.segs[i].claim(offset..offset + live);
-        }
-        self.write_window(offset, live).put(offset, &src[..live]);
-        self.zero_tail(offset + live..end);
+        self.land(offset, src, None, Landing::Row);
     }
 
     /// Lands `image` at `offset` as one replica of a result that other PEs
     /// receive too — an AllReduce's reduced vector, an AllGather's
-    /// concatenation. On the direct lane the pages the image covers whole
-    /// share it (one `Arc` per PE, no copy) and only its bytes on the
-    /// pages it cuts are copied. Under a fault
-    /// plan it lands the pieces `landing` names, through the window or the
-    /// row [`Pe::write`] the copy it stands for would take, so every draw
-    /// and every recorded event is that copy's.
-    ///
-    /// Extent and residency are the copy's on either lane: a
-    /// [`Landing::Run`] materializes its whole region, like the window it
-    /// stands for; a [`Landing::Row`] follows [`Pe::write`]'s zero-tail
-    /// rule. Verification alone keeps the direct lane, as it does for
-    /// every landing: with no fault plan nothing can strike one.
+    /// concatenation: the pages the image covers whole share it (one `Arc`
+    /// per PE, no copy) and only its bytes on the pages it cuts are
+    /// copied. A [`Landing::Run`] materializes its whole region, like the
+    /// window it stands for; a [`Landing::Row`] follows [`Pe::write`]'s
+    /// zero-tail rule. Under a fault plan each piece `landing` names is
+    /// drawn, in its order, as the copy it stands for would draw it, and a
+    /// struck piece alone is owned and takes the flip; a stuck PE drops the
+    /// copy instead. So every byte, draw and recorded event is the copy's,
+    /// and pages no fault reaches stay shared.
     ///
     /// # Panics
     ///
     /// Panics if the region would exceed [`MRAM_CAPACITY`] or, for a run,
     /// its chunk does not divide the image.
     pub fn write_shared(&mut self, offset: usize, image: &Arc<[u8]>, landing: Landing<'_>) {
-        let end = check_capacity(offset, image.len());
-        if self.fault.is_some() {
-            match landing {
-                Landing::Row => self.write(offset, image),
-                Landing::Run { chunk, order } => {
-                    assert!(image.len().is_multiple_of(chunk), "pieces tile the image");
-                    let pieces = (0..image.len() / chunk).map(order);
-                    self.write_window(offset, image.len())
-                        .put_run(offset, image, chunk, pieces);
-                }
-            }
+        self.land(offset, image, Some(image), landing);
+    }
+
+    /// The one landing body: lands `src` — `image`'s bytes where it is
+    /// shared, the PE's own otherwise — as the direct lane does. Under a
+    /// fault plan it then draws each piece `landing` names, in order, by
+    /// its `(pe, offset, len)`, and a struck piece lands again through a
+    /// window over it alone, which owns only its pages and takes the flip
+    /// and the verification. A stuck PE's landing is dropped through the
+    /// window the copy would take, which materializes its region.
+    #[inline]
+    fn land(&mut self, offset: usize, src: &[u8], image: Option<&Arc<[u8]>>, landing: Landing) {
+        let end = check_capacity(offset, src.len());
+        if let Landing::Run { chunk, .. } = landing {
+            assert!(
+                chunk > 0 && src.len().is_multiple_of(chunk),
+                "pieces tile the image"
+            );
+        }
+        if self.fault.as_ref().is_some_and(|f| f.plan.pe_stuck(f.pe)) {
+            let mut w = self.write_window(offset, src.len());
+            landing.pieces(src.len(), |at, len| w.put(offset + at, &src[at..at + len]));
             return;
         }
         let covering = match landing {
             // A run materializes its whole region, like its window.
-            Landing::Run { .. } => {
-                (!image.is_empty()).then(|| self.ensure_span(offset, end - offset))
-            }
-            Landing::Row => seg_covering(&self.segs, offset, image.len()),
+            Landing::Run { .. } => (!src.is_empty()).then(|| self.ensure_span(offset, src.len())),
+            Landing::Row => seg_covering(&self.segs, offset, src.len()),
         };
         let (live, seg) = match covering {
-            Some(i) => (image.len(), Some(i)),
-            None => self.row_prefix(offset, image),
+            Some(i) => (src.len(), Some(i)),
+            None => self.row_prefix(offset, src),
         };
         self.extent = self.extent.max(end);
-        if let Some(i) = seg {
-            self.segs[i].land(offset..offset + live, Some(image));
+        if let Some(s) = seg.map(|i| &mut self.segs[i]) {
+            let r = offset..offset + live;
+            match image {
+                Some(image) => s.land(r, Some(image)),
+                None => {
+                    s.claim(r.clone());
+                    s.freshen(r.clone());
+                    copy_in(s.span_mut(r), &src[..live]);
+                }
+            }
         }
         self.zero_tail(offset + live..end);
+        let Some(FaultCtx { pe, plan }) = self.fault.clone() else {
+            return;
+        };
+        landing.pieces(src.len(), |at, len| {
+            let piece = &src[at..at + len];
+            if plan.write_fault(pe, offset + at, len).is_some() {
+                self.write_window(offset + at, len).put(offset + at, piece);
+            }
+        });
     }
 
     /// The direct-lane residency of a one-row landing of `row` at `offset`
@@ -1789,15 +1780,16 @@ mod tests {
 
     #[test]
     fn a_faulted_landing_materializes_and_draws_the_whole_row() {
-        use crate::fault::{FaultKind, FaultPlan};
+        use crate::fault::{FaultKind::*, FaultPlan};
         use std::sync::Arc;
 
-        // Under a fault plan `write` is the whole-row window: the two agree
-        // in every byte, page and recorded event, and a fault may strike
-        // the zero tail.
+        // Under a fault plan `write` draws the whole row as one piece. A
+        // struck (or stuck) row is the whole-row window: the two agree in
+        // every byte, page and recorded event, and a fault may strike the
+        // zero tail. An unstruck row keeps the direct lane's pages.
         let row = padded_row(16, 2 * PAGE_BYTES);
-        for kind in [FaultKind::BitFlip, FaultKind::RowCorrupt, FaultKind::Stuck] {
-            let plan = Arc::new(FaultPlan::new(5).with_event(kind, 1, 1));
+        for (kind, on) in [(BitFlip, 1), (RowCorrupt, 1), (Stuck, 1), (BitFlip, 2)] {
+            let plan = Arc::new(FaultPlan::new(5).with_event(kind, on, 1));
             plan.begin_epoch();
             let [mut write, mut window] = [(); 2].map(|()| {
                 let mut pe = Pe::new();
@@ -1807,14 +1799,16 @@ mod tests {
             });
             write.write(8, &row);
             window.write_window(8, row.len()).put(8, &row);
-            assert_eq!(write.mram_resident(), 3 * PAGE_BYTES, "{kind:?}");
-            assert_eq!(write.mram_resident(), window.mram_resident(), "{kind:?}");
+            let struck = on == 1;
+            let pages = if struck { 3 } else { 1 } * PAGE_BYTES;
+            assert_eq!(write.mram_resident(), pages, "{kind:?}");
+            assert_eq!(write.mram_used(), window.mram_used(), "{kind:?}");
             assert_eq!(
                 write.peek(0, 3 * PAGE_BYTES),
                 window.peek(0, 3 * PAGE_BYTES)
             );
             let event = write.take_corruption();
-            assert!(event.is_some(), "{kind:?}");
+            assert_eq!(event.is_some(), struck, "{kind:?}");
             assert_eq!(event, window.take_corruption(), "{kind:?}");
         }
     }

@@ -25,6 +25,14 @@
 //! each piece the very bytes `try_slice` lends for its range: the PE's
 //! own, the image's, or none for zeros.
 //!
+//! A landing under a seeded fault storm — `Pe::write`, or one image
+//! landed by `Pe::write_shared` as a row or as a run in a random order —
+//! lands on both PEs, and the model is the copy with the plan's own
+//! `write_fault` flips applied piece by piece; a failed PE lands nothing.
+//! The first piece that lands other than meant must be the recorded
+//! event. One image on both PEs means a flip landed in the shared image
+//! instead of on a page of the PE's own reaches the other PE's bytes.
+//!
 //! The flat model cannot see residency; `paged_mram.rs` holds what the
 //! paged store must materialize.
 //!
@@ -32,7 +40,7 @@
 
 use std::sync::Arc;
 
-use pim_sim::fault::{FaultCtx, FaultPlan};
+use pim_sim::fault::{FaultCtx, FaultPlan, WriteFault};
 use pim_sim::pe::{Landing, Pe, Piece, Rotations, PAGE_BYTES};
 use pim_sim::testgen::SplitMix64;
 
@@ -170,12 +178,36 @@ impl Gen {
         self.0.pick(&[1, 8, 24, 64, 520, PAGE_BYTES])
     }
 
+    /// A fault plan that strikes often: bit-flip and row periods, and a
+    /// failed PE one time in four.
+    fn storm(&mut self) -> FaultPlan {
+        let plan = FaultPlan::new(self.0.next_u64())
+            .with_bit_flip_period(self.0.pick(&[2, 5, 40]))
+            .with_row_corrupt_period(self.0.pick(&[3, 7, 60]));
+        match self.below(8) {
+            pe @ 0..2 => plan.with_failed_pe(pe as u32),
+            _ => plan,
+        }
+    }
+
     fn perm(&mut self, n: usize) -> Vec<usize> {
         let mut p: Vec<usize> = (0..n).collect();
         for i in (1..n).rev() {
             p.swap(i, self.below(i + 1));
         }
         p
+    }
+}
+
+/// Applies `fault` to `landed` as the checked landing does.
+fn strike(landed: &mut [u8], fault: WriteFault) {
+    match fault {
+        WriteFault::BitFlip { bit } => landed[bit / 8] ^= 1 << (bit % 8),
+        WriteFault::RowCorrupt { word, mask } => {
+            for (b, m) in landed[word * 8..][..8].iter_mut().zip(mask.to_le_bytes()) {
+                *b ^= m;
+            }
+        }
     }
 }
 
@@ -191,7 +223,7 @@ fn lent(pe: &Pe, at: usize, len: usize) -> Vec<Option<*const u8>> {
 /// name.
 fn step(g: &mut Gen, pes: &mut [Twin; 2], kept: &mut Kept) -> &'static str {
     let [t, other] = pes;
-    match g.below(22) {
+    match g.below(23) {
         0 | 1 => {
             let len = g.len();
             let at = g.offset(len);
@@ -223,12 +255,13 @@ fn step(g: &mut Gen, pes: &mut [Twin; 2], kept: &mut Kept) -> &'static str {
             let at = g.offset(len);
             let run_at = at + g.below(len - pieces * chunk + 1);
             let bytes = g.0.bytes(pieces * chunk);
-            let order = g.perm(pieces);
-            t.pe.write_window(at, len)
-                .put_run(run_at, &bytes, chunk, order);
+            let mut w = t.pe.write_window(at, len);
+            for i in g.perm(pieces) {
+                w.put(run_at + i * chunk, &bytes[i * chunk..][..chunk]);
+            }
             t.model[run_at..run_at + bytes.len()].copy_from_slice(&bytes);
             t.touch(at..at + len);
-            "write_window + put_run"
+            "write_window + put run"
         }
         4 => {
             let len = g.len();
@@ -437,6 +470,83 @@ fn step(g: &mut Gen, pes: &mut [Twin; 2], kept: &mut Kept) -> &'static str {
                 twin.shared = Some((at, len));
             }
             "replicated landing + rotate_parts"
+        }
+        21 => {
+            // A landing under a seeded storm on both PEs — a row, a
+            // replicated row or a replicated run in a random order — of
+            // one image, so that a flip landed in the image would reach
+            // the other PE.
+            let plan = Arc::new(g.storm());
+            plan.begin_epoch();
+            let (kind, chunk) = (g.below(3), g.0.pick(&[8, 24, 520, PAGE_BYTES]));
+            let len = match kind {
+                2 => chunk * (1 + g.below(3 * PAGE_BYTES / chunk)),
+                _ => g.len(),
+            };
+            let bytes = g.row(len);
+            let image: Arc<[u8]> = bytes.clone().into();
+            let order = g.perm(len / chunk);
+            let order = |j: usize| order[j];
+            for (id, twin) in [&mut *t, &mut *other].into_iter().enumerate() {
+                let at = g.offset(len);
+                let was = twin.model[at..at + len].to_vec();
+                twin.pe
+                    .set_fault_ctx(Some(FaultCtx::new(id as u32, Arc::clone(&plan))));
+                twin.pe.set_verify(true);
+                let pieces = match kind {
+                    0 => {
+                        twin.pe.write(at, &bytes);
+                        vec![(0, len)]
+                    }
+                    1 => {
+                        twin.pe.write_shared(at, &image, Landing::Row);
+                        vec![(0, len)]
+                    }
+                    _ => {
+                        let landing = Landing::Run {
+                            chunk,
+                            order: &order,
+                        };
+                        twin.pe.write_shared(at, &image, landing);
+                        (0..len / chunk)
+                            .map(|j| (order(j) * chunk, chunk))
+                            .collect()
+                    }
+                };
+                twin.pe.set_fault_ctx(None);
+                twin.pe.set_verify(false);
+                // The model: the copy with the plan's flips applied piece by
+                // piece; a stuck PE lands nothing. The first piece that
+                // lands other than meant is the recorded event.
+                let stuck = plan.pe_stuck(id as u32);
+                let mut first = None;
+                for (o, n) in pieces {
+                    let landed = &mut twin.model[at + o..at + o + n];
+                    if !stuck {
+                        landed.copy_from_slice(&bytes[o..o + n]);
+                        if let Some(fault) = plan.write_fault(id as u32, at + o, n) {
+                            strike(landed, fault);
+                        }
+                    }
+                    if first.is_none() && *landed != bytes[o..o + n] {
+                        first = Some((at + o, n));
+                    }
+                }
+                let event = twin.pe.take_corruption().map(|e| (e.offset, e.len));
+                assert_eq!(
+                    event, first,
+                    "{len} B at {at} (stuck: {stuck}), first event"
+                );
+                if stuck {
+                    assert_eq!(
+                        twin.model[at..at + len],
+                        was[..],
+                        "a stuck PE lands nothing"
+                    );
+                }
+                twin.touch(at..at + len);
+            }
+            "faulted landing"
         }
         14 => {
             t.pe.reset();
