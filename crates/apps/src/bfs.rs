@@ -228,10 +228,9 @@ pub fn run_bfs_resilient_in(
             pes: p,
             row_bytes: slice_bytes,
         };
-        let scattered = run.step(&[], |sys, at| {
+        run.step(&[], |sys, at| {
             at.collective(sys, &scatter_plan, Some(&rows))
-        });
-        run.profile.record(&scattered?.report);
+        })?;
 
         // Host-side mirrors of the distributed state (each PE holds the
         // same global bitmap after every AllReduce), committed only at
@@ -250,7 +249,7 @@ pub fn run_bfs_resilient_in(
         // degraded execution, where corrupted merges are not guaranteed
         // monotone.
         while !frontier.is_empty() && (level as usize) < n {
-            let (kernel, report) = run.step(&[], |sys, at| {
+            run.step(&[], |sys, at| {
                 // PE kernel: each PE expands its owned frontier vertices
                 // into a local copy of the bitmap — a per-*worker* scratch
                 // buffer each item overwrites wholesale, so high PE counts
@@ -290,19 +289,17 @@ pub fn run_bfs_resilient_in(
                         // simlint: hot(end)
                     },
                 );
-                let kernel = Run::launch(sys, kernels);
+                at.launch(sys, kernels);
 
                 // Merge bitmaps globally: AllReduce with bitwise OR (u8
                 // elements, which skips domain transfer entirely, §V-C) —
                 // the warm per-level plan — and read the merged bitmap
                 // back (identical on every healthy PE).
-                let report = at.collective(sys, &merge_plan, None)?.report;
+                at.collective(sys, &merge_plan, None)?;
                 sys.pe_mut(at.readback_pe(&geom))
                     .read_into(bitmap_dst, &mut merged);
-                Ok((kernel, report))
+                Ok(())
             })?;
-            run.record_kernel(kernel);
-            run.profile.record(&report);
 
             // Commit: new frontier = newly set bits, scanned 64 at a time
             // (the padding beyond `n` is never set, so whole words are
@@ -340,8 +337,7 @@ pub fn run_bfs_resilient_in(
             );
             at.collective(sys, &gather_plan, None)
         })?;
-        run.profile.record(&gathered.report);
-        let gathered = gathered.host_out.expect("gather produces host output");
+        let gathered = gathered.expect("gather produces host output");
 
         // Reassemble the owned ranges.
         let mut got = vec![u32::MAX; n];

@@ -224,11 +224,12 @@ pub fn run_cc_resilient_in(
         dims: vec![p],
         opt: cfg.opt,
         threads: cfg.threads,
-        profile: AppProfile::new("CC", format!("{n}v")),
+        profile: AppProfile::new("CC", format!("{n}v/0it")),
     };
-    // Passes until the labels reach a fixed point, counted in
-    // `iterations`; returns the final labels.
-    let propagate = |run: &mut Run<'_>, iterations: &mut usize| {
+    // Passes until the labels reach a fixed point; returns the final
+    // labels. The dataset label counts the passes, an aborted one too.
+    let body = |run: &mut Run<'_>| {
+        let mut iterations = 0usize;
         let mask = DimMask::all(run.comm.manager().shape());
         let mut plan = |primitive, src, dst, bytes, op| {
             let spec = BufferSpec::new(src, dst, bytes).with_dtype(DType::U32);
@@ -257,10 +258,9 @@ pub fn run_cc_resilient_in(
         let rows = ZeroRows {
             len: p * slice_bytes,
         };
-        let scattered = run.step(&[], |sys, at| {
+        run.step(&[], |sys, at| {
             at.collective(sys, &scatter_plan, Some(&rows))
-        });
-        run.profile.record(&scattered?.report);
+        })?;
 
         let mut labels: Vec<u32> = (0..n as u32).collect();
         let mut merged = vec![0u32; n];
@@ -282,13 +282,14 @@ pub fn run_cc_resilient_in(
         let mut dirty = vec![true; n];
 
         loop {
-            *iterations += 1;
+            iterations += 1;
+            run.relabel(format!("{n}v/{iterations}it"));
 
             proto.fill(0xFF);
             kernels::encode_u32(&labels, &mut proto[..n * 4]);
             let image: Arc<[u8]> = proto.as_slice().into();
 
-            let (kernel, report) = run.step(&[], |sys, at| {
+            run.step(&[], |sys, at| {
                 // PE kernel: every PE lands the one prototype image as a
                 // replica it shares (`Pe::write_shared`: its whole pages
                 // read the image, and under a fault plan it is the row
@@ -320,18 +321,16 @@ pub fn run_cc_resilient_in(
                     KERNEL_SCALE * pe_kernel_ns(48 * edges + label_bytes as u64, 10 * edges)
                     // simlint: hot(end)
                 });
-                let kernel = Run::launch(sys, kernels);
+                at.launch(sys, kernels);
 
                 // Merge with AllReduce(Min) — the warm per-iteration plan
                 // — and read the merged labels back (identical on every
                 // healthy PE).
-                let report = at.collective(sys, &merge_plan, None)?.report;
-                sys.pe_mut(at.readback_pe(&geom))
-                    .read_u32s(dst_off, &mut merged);
-                Ok((kernel, report))
+                at.collective(sys, &merge_plan, None)?;
+                let pe = sys.pe_mut(at.readback_pe(&geom));
+                kernels::decode_u32(pe.read(dst_off, n * 4), &mut merged);
+                Ok(())
             })?;
-            run.record_kernel(kernel);
-            run.profile.record(&report);
 
             // Commit: changed vertices and their neighborhoods form the
             // next dirty set; a fixed point leaves it empty and ends the
@@ -352,7 +351,7 @@ pub fn run_cc_resilient_in(
             // cap never binds on one; it guards termination under heavily
             // degraded execution, where corrupted merges are not
             // guaranteed monotone.
-            if !changed || *iterations > n {
+            if !changed || iterations > n {
                 break;
             }
         }
@@ -362,19 +361,10 @@ pub fn run_cc_resilient_in(
         // (a no-op numerically). Reads cannot be corrupted and the step
         // writes no MRAM, so there is nothing to checkpoint.
         let reduced = run.step(&[], |sys, at| at.collective(sys, &reduce_plan, None))?;
-        run.profile.record(&reduced.report);
-        let reduced = reduced.host_out.expect("reduce produces host output");
+        let reduced = reduced.expect("reduce produces host output");
         let mut final_labels = vec![0u32; n];
         kernels::decode_u32(&reduced[0][..n * 4], &mut final_labels);
         Ok(final_labels)
-    };
-    let body = |run: &mut Run<'_>| {
-        let mut iterations = 0usize;
-        let labels = propagate(run, &mut iterations);
-        // Recorded even when the run stopped early: the pass count is
-        // part of what an aborted run did.
-        run.profile.dataset = format!("{n}v/{iterations}it");
-        labels
     };
     drive(arena, fault, policy, setup, body, |labels| {
         let (expected, cpu_ns) = cpu_reference(&graph);

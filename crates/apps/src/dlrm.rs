@@ -465,10 +465,10 @@ pub fn run_dlrm_resilient_in(
             )
         });
         run.arena.recycle_bytes(batch_host);
-        run.profile.record(&scattered?.report);
+        scattered?;
 
         // The embedding pipeline as one step.
-        let (reports, lookup_kernel) = run.step(&[], |sys, at| {
+        run.step(&[], |sys, at| {
             // Encode each source PE's routed index chunks (PAD-padded)
             // into its AlltoAll send buffer.
             par_pes_with(
@@ -482,82 +482,78 @@ pub fn run_dlrm_resilient_in(
                     // simlint: hot(end)
                 },
             );
-            let mut lookup_kernel = 0.0f64;
-            let reports = at.fused(sys, &pipeline, |step, sys| {
-                match step {
+            at.fused(sys, &pipeline, |step, sys| {
+                Ok(match step {
                     // After the index AlltoAll: sum-pool owned rows, as a
                     // typed-lane add over the PE's column slice of each
                     // materialized embedding row.
-                    0 => {
-                        let kernels = par_pes_with(
-                            sys.pes_mut(),
-                            cfg.threads,
-                            || (vec![0i32; partial_entries], vec![0i32; d]),
-                            |(partial, spare), pid, pe| {
-                                // simlint: hot(begin, dlrm pooled lookup)
-                                let (x, _, z) = coords(pid);
-                                partial.fill(0);
-                                let mut lookups = 0u64;
-                                {
-                                    let received = pe.read(idx_dst, idx_b);
-                                    for e in received.chunks_exact(8) {
-                                        let v = u64::from_le_bytes(e.try_into().unwrap());
-                                        if v == PAD {
-                                            continue;
-                                        }
-                                        let (s, ti, row) = unpack(v);
-                                        // Degraded transport can deliver
-                                        // corrupted entries; skip anything
-                                        // out of range instead of indexing
-                                        // with garbage (clean runs never
-                                        // hit this — every routed entry is
-                                        // valid).
-                                        if s >= bs
-                                            || ti >= t
-                                            || row as usize >= w.rows_per_table
-                                            || ti / tables_per_z != z
-                                        {
-                                            continue;
-                                        }
-                                        let local_t = ti % tables_per_z;
-                                        lookups += 1;
-                                        let base = (s * tables_per_z + local_t) * comps;
-                                        let vals = match rows.get(ti, row) {
-                                            Some(vals) => vals,
-                                            // In range, yet no sample
-                                            // looks it up: a corrupted
-                                            // entry. Pool what the table
-                                            // holds there all the same.
-                                            None => {
-                                                for (c, v) in spare.iter_mut().enumerate() {
-                                                    *v = embedding_value(ti, row, c);
-                                                }
-                                                &spare[..]
-                                            }
-                                        };
-                                        kernels::add_wrap(
-                                            DType::I32,
-                                            &mut partial[base..base + comps],
-                                            &vals[x * comps..(x + 1) * comps],
-                                        );
+                    0 => Some(par_pes_with(
+                        sys.pes_mut(),
+                        cfg.threads,
+                        || (vec![0i32; partial_entries], vec![0i32; d]),
+                        |(partial, spare), pid, pe| {
+                            // simlint: hot(begin, dlrm pooled lookup)
+                            let (x, _, z) = coords(pid);
+                            partial.fill(0);
+                            let mut lookups = 0u64;
+                            {
+                                let received = pe.read(idx_dst, idx_b);
+                                for e in received.chunks_exact(8) {
+                                    let v = u64::from_le_bytes(e.try_into().unwrap());
+                                    if v == PAD {
+                                        continue;
                                     }
+                                    let (s, ti, row) = unpack(v);
+                                    // Degraded transport can deliver
+                                    // corrupted entries; skip anything
+                                    // out of range instead of indexing
+                                    // with garbage (clean runs never
+                                    // hit this — every routed entry is
+                                    // valid).
+                                    if s >= bs
+                                        || ti >= t
+                                        || row as usize >= w.rows_per_table
+                                        || ti / tables_per_z != z
+                                    {
+                                        continue;
+                                    }
+                                    let local_t = ti % tables_per_z;
+                                    lookups += 1;
+                                    let base = (s * tables_per_z + local_t) * comps;
+                                    let vals = match rows.get(ti, row) {
+                                        Some(vals) => vals,
+                                        // In range, yet no sample
+                                        // looks it up: a corrupted
+                                        // entry. Pool what the table
+                                        // holds there all the same.
+                                        None => {
+                                            for (c, v) in spare.iter_mut().enumerate() {
+                                                *v = embedding_value(ti, row, c);
+                                            }
+                                            &spare[..]
+                                        }
+                                    };
+                                    kernels::add_wrap(
+                                        DType::I32,
+                                        &mut partial[base..base + comps],
+                                        &vals[x * comps..(x + 1) * comps],
+                                    );
                                 }
-                                pe.write_i32s(pool_src, partial);
-                                // simlint: allow(pe-choke-point, reason = "zero-fills freshly staged PE-local scratch pad, not transport; the payload above goes through the typed-view encoder")
-                                pe.slice_mut(
-                                    pool_src + partial_entries * 4,
-                                    partial_bytes - partial_entries * 4,
-                                )
-                                .fill(0);
-                                pe_kernel_ns(
-                                    lookups * (comps as u64 * 4 + 8),
-                                    6 * lookups * comps as u64,
-                                )
-                                // simlint: hot(end)
-                            },
-                        );
-                        lookup_kernel = Run::launch(sys, kernels);
-                    }
+                            }
+                            pe.write_i32s(pool_src, partial);
+                            // simlint: allow(pe-choke-point, reason = "zero-fills freshly staged PE-local scratch pad, not transport; the payload above goes through the typed-view encoder")
+                            pe.slice_mut(
+                                pool_src + partial_entries * 4,
+                                partial_bytes - partial_entries * 4,
+                            )
+                            .fill(0);
+                            pe_kernel_ns(
+                                lookups * (comps as u64 * 4 + 8),
+                                6 * lookups * comps as u64,
+                            )
+                            // simlint: hot(end)
+                        },
+                    )),
                     // After the ReduceScatter: stage the RS chunk as
                     // destination-rank-major chunks. The chunk layout
                     // ([sample in y-range][local table][comp] i32) already
@@ -574,16 +570,11 @@ pub fn run_dlrm_resilient_in(
                                 .fill(0);
                             // simlint: hot(end)
                         });
+                        None
                     }
-                }
-                Ok(())
-            })?;
-            Ok((reports, lookup_kernel))
+                })
+            })
         })?;
-        run.profile.record(&reports[0]);
-        run.record_kernel(lookup_kernel);
-        run.profile.record(&reports[1]);
-        run.profile.record(&reports[2]);
 
         // Assemble the full embedding vectors and count divergence from
         // the reference (read-only, so there is nothing to supervise).
@@ -627,7 +618,7 @@ pub fn run_dlrm_resilient_in(
         // verdict on the embeddings above stands even if this last step
         // aborts under policy.
         let gathered = run.step(&[], |sys, at| {
-            sys.run_kernel(mlp_kernel);
+            at.launch(sys, [mlp_kernel]);
             par_pes(sys.pes_mut(), cfg.threads, |_, pe| {
                 // simlint: hot(begin, dlrm score staging)
                 // simlint: allow(pe-choke-point, reason = "stages PE-local placeholder scores before the Gather, not transport; the Gather itself moves them through Pe::write")
@@ -637,14 +628,9 @@ pub fn run_dlrm_resilient_in(
             at.collective(sys, &gather_plan, None)
         });
         match gathered {
-            Ok(gathered) => {
-                run.record_kernel(mlp_kernel);
-                run.profile.record(&gathered.report);
-            }
-            Err(Stop::Aborted) => {}
-            Err(stop) => return Err(stop),
+            Ok(_) | Err(Stop::Aborted) => Ok(mismatched),
+            Err(stop) => Err(stop),
         }
-        Ok(mismatched)
     };
     drive(arena, fault, policy, setup, body, |mismatched| {
         // CPU reference also runs the top MLP.

@@ -19,11 +19,17 @@
 //! — and returns both checkouts to the arena on **every** exit, so an
 //! `Err` or an aborted storm run cannot cost a sweep worker its warmed
 //! plan cache or leave a fault plan attached to a pooled system.
+//!
+//! It alone keeps the run's [`AppProfile`]. Each attempt of a step logs,
+//! in execution order, the reports of its collectives and fused chains
+//! and the kernels it launched ([`Step::launch`], or a chain's hooks);
+//! a retry starts a fresh log, and the committed attempt's log is replayed
+//! onto the profile in order (f64 sums are order-sensitive). The profile
+//! thus counts committed steps only.
 
 use std::sync::Arc;
 
 use pidcomm::engine::supervisor::{Attempt, Iteration, Supervisor};
-use pidcomm::engine::Execution;
 use pidcomm::{
     CollectivePlan, CommReport, Communicator, FusedPlan, HostRows, HypercubeManager,
     HypercubeShape, OptLevel, PlanCache, RunPolicy,
@@ -93,7 +99,7 @@ pub(crate) struct Run<'a> {
     pub arena: &'a mut SystemArena,
     pub plans: PlanCache,
     pub comm: Communicator,
-    pub profile: AppProfile,
+    profile: AppProfile,
     sup: Supervisor,
 }
 
@@ -108,68 +114,96 @@ impl Run<'_> {
         regions: &[(usize, usize)],
         mut body: impl FnMut(&mut PimSystem, &mut Step<'_, '_>) -> pidcomm::Result<T>,
     ) -> Result<T, Stop> {
-        let Run {
-            sys, arena, sup, ..
-        } = self;
-        let outcome = sup.iteration(sys, arena, regions, |sys, attempt| {
-            body(sys, &mut Step { attempt })
-        })?;
-        match outcome {
-            Iteration::Done(value) => Ok(value),
-            Iteration::Abort(_) => Err(Stop::Aborted),
+        let mut log = Vec::new();
+        let outcome = self
+            .sup
+            .iteration(&mut self.sys, self.arena, regions, |sys, attempt| {
+                log.clear();
+                let log = &mut log;
+                body(sys, &mut Step { attempt, log })
+            })?;
+        let Iteration::Done(value) = outcome else {
+            return Err(Stop::Aborted);
+        };
+        for ran in &log {
+            match ran {
+                Ran::Collective(report) => self.profile.record(report),
+                Ran::Kernel(ns) => self.profile.record_kernel(*ns),
+            }
         }
+        Ok(value)
     }
 
-    /// Charges one kernel launch whose modeled time is the slowest PE's,
-    /// returning that time for [`Run::record_kernel`] once the step
-    /// commits.
-    pub(crate) fn launch(sys: &mut PimSystem, per_pe_ns: Vec<f64>) -> f64 {
-        let slowest = per_pe_ns.into_iter().fold(0.0f64, f64::max);
-        sys.run_kernel(slowest);
-        slowest
-    }
-
-    /// Records a committed kernel (execution + launch overhead) in the
-    /// profile.
-    pub(crate) fn record_kernel(&mut self, kernel_ns: f64) {
-        let launch_ns = self.sys.model().kernel_launch_ns;
-        self.profile.record_kernel(kernel_ns + launch_ns);
+    /// Sets the profile's dataset label (CC's counts its passes).
+    pub(crate) fn relabel(&mut self, dataset: String) {
+        self.profile.dataset = dataset;
     }
 }
 
+/// One entry of a step attempt's log.
+enum Ran {
+    Collective(CommReport),
+    /// Kernel execution plus launch overhead.
+    Kernel(f64),
+}
+
+/// Charges one kernel launch whose modeled time is the slowest PE's, and
+/// returns what the profile books for it: that time plus the launch
+/// overhead.
+fn charge(sys: &mut PimSystem, per_pe_ns: impl IntoIterator<Item = f64>) -> f64 {
+    let slowest = per_pe_ns.into_iter().fold(0.0f64, f64::max);
+    sys.run_kernel(slowest);
+    slowest + sys.model().kernel_launch_ns
+}
+
 /// Per-attempt handle of a step body: issues the step's collectives
-/// through the run's [`Attempt`].
+/// through the run's [`Attempt`] and launches its kernels, logging both.
 pub(crate) struct Step<'s, 'a> {
     attempt: &'s mut Attempt<'a>,
+    log: &'s mut Vec<Ran>,
 }
 
 impl Step<'_, '_> {
     /// Executes one collective (`host_in`, a row source, for
-    /// Scatter/Broadcast; `host_out` comes back for Gather/Reduce).
+    /// Scatter/Broadcast); returns the host output of a Gather/Reduce.
     pub(crate) fn collective(
         &mut self,
         sys: &mut PimSystem,
         plan: &CollectivePlan,
         host_in: Option<&dyn HostRows>,
-    ) -> pidcomm::Result<Execution> {
+    ) -> pidcomm::Result<Option<Vec<Vec<u8>>>> {
         let exec = self.attempt.collective(sys, plan, host_in)?;
-        Ok(Execution {
-            report: exec.report,
-            host_out: exec.host_out,
-        })
+        self.log.push(Ran::Collective(exec.report));
+        Ok(exec.host_out)
     }
 
     /// Executes a fused chain with `hook(k, sys)` between steps `k` and
-    /// `k + 1`, returning one report per step. The chain is the retry
-    /// unit: hooks re-run on a rollback, so they must write only MRAM the
-    /// chain's regions cover.
+    /// `k + 1`; a hook returns the per-PE times of the kernel it ran, if
+    /// any, for the chain to launch. The chain is the retry unit: hooks
+    /// re-run on a rollback, so they must write only MRAM the chain's
+    /// regions cover, and a hook's kernel is logged once, after its step,
+    /// however often the chain replayed it.
     pub(crate) fn fused(
         &mut self,
         sys: &mut PimSystem,
         fused: &FusedPlan,
-        hook: impl FnMut(usize, &mut PimSystem) -> pidcomm::Result<()>,
-    ) -> pidcomm::Result<Vec<CommReport>> {
-        Ok(self.attempt.fused(sys, fused, None, hook)?.reports)
+        mut hook: impl FnMut(usize, &mut PimSystem) -> pidcomm::Result<Option<Vec<f64>>>,
+    ) -> pidcomm::Result<()> {
+        let mut hooked = vec![None; fused.steps().len()];
+        let exec = self.attempt.fused(sys, fused, None, |k, sys| {
+            hooked[k] = hook(k, sys)?.map(|per_pe_ns| charge(sys, per_pe_ns));
+            Ok(())
+        })?;
+        for (report, kernel) in exec.reports.into_iter().zip(hooked) {
+            self.log.push(Ran::Collective(report));
+            self.log.extend(kernel.map(Ran::Kernel));
+        }
+        Ok(())
+    }
+
+    /// Launches one kernel whose modeled time is the slowest PE's.
+    pub(crate) fn launch(&mut self, sys: &mut PimSystem, per_pe_ns: impl IntoIterator<Item = f64>) {
+        self.log.push(Ran::Kernel(charge(sys, per_pe_ns)));
     }
 
     /// The PE to read a replicated result back from: the first one the

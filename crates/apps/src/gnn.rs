@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use pidcomm::{par_pes, par_pes_with, BufferSpec, DimMask, OptLevel, Primitive, RunPolicy};
 use pidcomm_data::{CsrGraph, MatI32};
-use pim_sim::{kernels, DType, FaultPlan, PimSystem, ReduceKind, SystemArena};
+use pim_sim::{kernels, DType, FaultPlan, ReduceKind, SystemArena};
 
 use crate::cost::{pe_kernel_ns, CpuModel};
 use crate::driver::{drive, geometry, mismatches, validated, Run, Setup, Verdict};
@@ -309,7 +309,7 @@ pub fn run_gnn_resilient_in(
             at.collective(sys, &scatter_plan, Some(&scatter_bufs))
         });
         run.arena.recycle_byte_set(scatter_bufs);
-        run.profile.record(&scattered?.report);
+        scattered?;
 
         for (layer, w) in weights.iter().enumerate() {
             let mask = layer_mask(layer)?;
@@ -362,110 +362,101 @@ pub fn run_gnn_resilient_in(
 
             // The live state at a layer boundary is the feature block
             // (everything else is rewritten from it or read-only).
-            let (agg_kernel, comb_kernel, reports) =
-                run.step(&[(FEAT, block_bytes)], |sys, at| {
-                    // Aggregation kernel: within its group, PE of rank r
-                    // computes A[i_group][r] · F_r, a partial of row-block
-                    // i_group. Per-edge row accumulation runs as a
-                    // typed-lane segment-sum over the feature block
-                    // decoded into per-worker scratch.
+            run.step(&[(FEAT, block_bytes)], |sys, at| {
+                // Aggregation kernel: within its group, PE of rank r
+                // computes A[i_group][r] · F_r, a partial of row-block
+                // i_group. Per-edge row accumulation runs as a
+                // typed-lane segment-sum over the feature block
+                // decoded into per-worker scratch.
+                let kernels = par_pes_with(
+                    sys.pes_mut(),
+                    cfg.threads,
+                    || (vec![0i32; bs * f], vec![0i32; bs * f]),
+                    |(fblk, partial), pid, pe| {
+                        // simlint: hot(begin, gnn aggregation)
+                        let (gid, rank) = owner[pid];
+                        kernels::decode_sext(cfg.dtype, pe.read(FEAT, block_bytes), fblk);
+                        partial.fill(0);
+                        let t = &tile[gid][rank];
+                        for &(u, v) in t {
+                            let (u, v) = (u as usize, v as usize);
+                            kernels::add_wrap(
+                                cfg.dtype,
+                                &mut partial[u * f..(u + 1) * f],
+                                &fblk[v * f..(v + 1) * f],
+                            );
+                        }
+                        pe.write_trunc(partial_off, cfg.dtype, partial);
+                        let edges = t.len() as u64;
+                        KERNEL_SCALE
+                            * pe_kernel_ns(
+                                edges * (f * es) as u64 + block_bytes as u64,
+                                4 * edges * f as u64,
+                            )
+                        // simlint: hot(end)
+                    },
+                );
+                at.launch(sys, kernels);
+
+                // The combination kernel, run as the chain's hook: one
+                // panel product of the PE's reduced rows with a panel
+                // of W^T, then ReLU. RS&AR multiplies its rows
+                // sub-block by all of W and places the result at its
+                // sub-block position in an otherwise-zero block;
+                // AR&AG multiplies the whole block by its rank's
+                // column block of W, which the AllGather picks up
+                // from the same place.
+                at.fused(sys, &fused, |_, sys| {
                     let kernels = par_pes_with(
                         sys.pes_mut(),
                         cfg.threads,
-                        || (vec![0i32; bs * f], vec![0i32; bs * f]),
-                        |(fblk, partial), pid, pe| {
-                            // simlint: hot(begin, gnn aggregation)
-                            let (gid, rank) = owner[pid];
-                            pe.read_sext(FEAT, cfg.dtype, fblk);
-                            partial.fill(0);
-                            let t = &tile[gid][rank];
-                            for &(u, v) in t {
-                                let (u, v) = (u as usize, v as usize);
-                                kernels::add_wrap(
-                                    cfg.dtype,
-                                    &mut partial[u * f..(u + 1) * f],
-                                    &fblk[v * f..(v + 1) * f],
-                                );
-                            }
-                            pe.write_trunc(partial_off, cfg.dtype, partial);
-                            let edges = t.len() as u64;
+                        || (vec![0i32; in_rows * f], vec![0i32; out_len]),
+                        |(rows, out), pid, pe| {
+                            // simlint: hot(begin, gnn combine)
+                            let (_, rank) = owner[pid];
+                            let (slot, panel) = match cfg.variant {
+                                GnnVariant::RsAr => (rank * tile_len, 0),
+                                GnnVariant::ArAg => (0, rank * panel_cols * f),
+                            };
+                            let reduced = pe.read(reduced_off, in_rows * f * es);
+                            kernels::decode_sext(cfg.dtype, reduced, rows);
+                            out.fill(0);
+                            let product = &mut out[slot..slot + tile_len];
+                            kernels::panel_product_wrap(
+                                cfg.dtype,
+                                product,
+                                rows,
+                                &wt[panel..panel + panel_cols * f],
+                                f,
+                            );
+                            kernels::relu_i32(product);
+                            pe.write_trunc(partial_off, cfg.dtype, out);
                             KERNEL_SCALE
                                 * pe_kernel_ns(
-                                    edges * (f * es) as u64 + block_bytes as u64,
-                                    4 * edges * f as u64,
+                                    ((in_rows + panel_cols) * f * es) as u64,
+                                    12 * (in_rows * f * panel_cols) as u64,
                                 )
                             // simlint: hot(end)
                         },
                     );
-                    let agg_kernel = Run::launch(sys, kernels);
-
-                    // The combination kernel, run as the chain's hook: one
-                    // panel product of the PE's reduced rows with a panel
-                    // of W^T, then ReLU. RS&AR multiplies its rows
-                    // sub-block by all of W and places the result at its
-                    // sub-block position in an otherwise-zero block;
-                    // AR&AG multiplies the whole block by its rank's
-                    // column block of W, which the AllGather picks up
-                    // from the same place.
-                    let combine = |sys: &mut PimSystem| {
-                        par_pes_with(
-                            sys.pes_mut(),
-                            cfg.threads,
-                            || (vec![0i32; in_rows * f], vec![0i32; out_len]),
-                            |(rows, out), pid, pe| {
-                                // simlint: hot(begin, gnn combine)
-                                let (_, rank) = owner[pid];
-                                let (slot, panel) = match cfg.variant {
-                                    GnnVariant::RsAr => (rank * tile_len, 0),
-                                    GnnVariant::ArAg => (0, rank * panel_cols * f),
-                                };
-                                pe.read_sext(reduced_off, cfg.dtype, rows);
-                                out.fill(0);
-                                let product = &mut out[slot..slot + tile_len];
-                                kernels::panel_product_wrap(
-                                    cfg.dtype,
-                                    product,
-                                    rows,
-                                    &wt[panel..panel + panel_cols * f],
-                                    f,
-                                );
-                                kernels::relu_i32(product);
-                                pe.write_trunc(partial_off, cfg.dtype, out);
-                                KERNEL_SCALE
-                                    * pe_kernel_ns(
-                                        ((in_rows + panel_cols) * f * es) as u64,
-                                        12 * (in_rows * f * panel_cols) as u64,
-                                    )
-                                // simlint: hot(end)
-                            },
-                        )
-                    };
-                    let mut comb_kernel = 0.0f64;
-                    let reports = at.fused(sys, &fused, |_, sys| {
-                        let kernels = combine(sys);
-                        comb_kernel = Run::launch(sys, kernels);
-                        Ok(())
-                    })?;
-                    // The result block becomes the next layer's feature
-                    // block: as it stands for RS&AR; AR&AG's gathered
-                    // layout is column-block-major, and interleaving it
-                    // back to row-major is the same PE-local pass.
-                    par_pes(sys.pes_mut(), cfg.threads, |_, pe| {
-                        // simlint: hot(begin, gnn feature rotate)
-                        match cfg.variant {
-                            GnnVariant::RsAr => pe.copy_within_region(out_off, FEAT, block_bytes),
-                            GnnVariant::ArAg => {
-                                pe.interleave_blocks(out_off, FEAT, s, bs, sub_cols * es)
-                            }
-                        }
-                        // simlint: hot(end)
-                    });
-                    Ok((agg_kernel, comb_kernel, reports))
+                    Ok(Some(kernels))
                 })?;
-            run.record_kernel(agg_kernel);
-            run.profile.record(&reports[0]);
-            run.record_kernel(comb_kernel);
-            run.profile.record(&reports[1]);
+                // The result block becomes the next layer's feature
+                // block: as it stands for RS&AR; AR&AG's gathered
+                // layout is column-block-major, and interleaving it
+                // back to row-major is the same PE-local pass.
+                par_pes(sys.pes_mut(), cfg.threads, |_, pe| {
+                    // simlint: hot(begin, gnn feature rotate)
+                    match cfg.variant {
+                        GnnVariant::RsAr => pe.copy_within_region(out_off, FEAT, block_bytes),
+                        GnnVariant::ArAg => {
+                            pe.interleave_blocks(out_off, FEAT, s, bs, sub_cols * es)
+                        }
+                    }
+                    // simlint: hot(end)
+                });
+                Ok(())
+            })?;
         }
 
         // Gather final features along the last active mask. A run that
@@ -480,8 +471,7 @@ pub fn run_gnn_resilient_in(
             ReduceKind::Sum,
         )?;
         let gathered = run.step(&[], |sys, at| at.collective(sys, &gather_plan, None))?;
-        run.profile.record(&gathered.report);
-        Ok(gathered.host_out.expect("gather produces host output"))
+        Ok(gathered.expect("gather produces host output"))
     };
     drive(arena, fault, policy, setup, body, |gathered| {
         let (expected, cpu_ns) = cpu_reference(graph, &f0, &weights, cfg.dtype);

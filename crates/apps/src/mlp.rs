@@ -270,19 +270,16 @@ pub fn run_mlp_resilient_in(
         // from the host side, so a re-run needs no checkpointed MRAM state.
         let host_x: Vec<Vec<u8>> = vec![x0.iter().flat_map(|v| v.to_le_bytes()).collect()];
         let weights = WeightRows { f, cols, layers };
-        let scattered = run.step(&[], |sys, at| {
-            let x = at.collective(sys, &x_scatter_plan, Some(&host_x))?;
-            let w = at.collective(sys, &w_scatter_plan, Some(&weights))?;
-            Ok([x.report, w.report])
+        run.step(&[], |sys, at| {
+            at.collective(sys, &x_scatter_plan, Some(&host_x))?;
+            at.collective(sys, &w_scatter_plan, Some(&weights))?;
+            Ok(())
         })?;
-        for report in &scattered {
-            run.profile.record(report);
-        }
 
         for l in 0..layers {
             // The live state at a layer boundary is the activation slice
             // (everything else is rewritten from it or read-only).
-            let (kernel, report) = run.step(&[(SLICE, slice_bytes)], |sys, at| {
+            run.step(&[(SLICE, slice_bytes)], |sys, at| {
                 // PE kernel: partial_p = sum over owned columns c of
                 // x[c] * W[:,c], with ReLU applied to the incoming slice
                 // (except the first layer, whose input is raw). One
@@ -298,7 +295,7 @@ pub fn run_mlp_resilient_in(
                     || (vec![0i32; cols], vec![0i32; f]),
                     |(xs, partial), _, pe| {
                         // simlint: hot(begin, mlp gemv)
-                        pe.read_i32s(SLICE, xs);
+                        kernels::decode_i32(pe.read(SLICE, cols * 4), xs);
                         if l > 0 {
                             kernels::relu_i32(xs);
                         }
@@ -320,12 +317,12 @@ pub fn run_mlp_resilient_in(
                         // simlint: hot(end)
                     },
                 );
-                let kernel = Run::launch(sys, kernels);
+                at.launch(sys, kernels);
 
                 // ReduceScatter the partials: PE p ends with elements
                 // [p*cols, (p+1)*cols) of the summed output — the warm
                 // per-layer plan.
-                let report = at.collective(sys, &rs_plan, None)?.report;
+                at.collective(sys, &rs_plan, None)?;
 
                 // The reduced slice becomes the next activation slice.
                 par_pes(sys.pes_mut(), cfg.threads, |_, pe| {
@@ -333,17 +330,14 @@ pub fn run_mlp_resilient_in(
                     pe.copy_within_region(out_off, SLICE, slice_bytes);
                     // simlint: hot(end)
                 });
-                Ok((kernel, report))
+                Ok(())
             })?;
-            run.record_kernel(kernel);
-            run.profile.record(&report);
         }
 
         // Gather the final activation (pre-ReLU of the last layer's
         // output, so apply ReLU on the host like the reference does).
         let gathered = run.step(&[], |sys, at| at.collective(sys, &gather_plan, None))?;
-        run.profile.record(&gathered.report);
-        let gathered = gathered.host_out.expect("gather produces host output");
+        let gathered = gathered.expect("gather produces host output");
         Ok(gathered[0]
             .chunks_exact(4)
             .map(|c| relu(i32::from_le_bytes(c.try_into().unwrap())))

@@ -4,6 +4,11 @@
 //! by communication primitive plus PE kernel time — exactly the
 //! decomposition of the paper's Fig. 13 — along with the full cost-category
 //! breakdown used for Fig. 4.
+//!
+//! The run driver (`driver.rs`) is its only writer and counts committed
+//! steps only, in execution order. A committed report carries its
+//! collective's own recovery surcharges; failed step attempts show only
+//! in `ResilientRun::modeled_ns`.
 
 use pidcomm::{CommReport, Primitive};
 use pim_sim::Breakdown;

@@ -178,7 +178,9 @@ pub fn check(committed: &Path, computed: &Path, cells: &[Pin]) -> Result<(), Str
 }
 
 /// The five [`apps::small_cases`] at Baseline and Full on 64 PEs, on the
-/// serial reference schedule; pins each run's total modeled time.
+/// serial reference schedule; pins each run's total modeled time and its
+/// Fig. 13 split: `<cell>/kernel` and `<cell>/<primitive>` for every
+/// primitive the run spent time in.
 ///
 /// # Panics
 ///
@@ -187,16 +189,27 @@ pub fn apps_small() -> Vec<Pin> {
     let cases = apps::small_cases();
     let cells = apps::base_vs_full_cells(cases.len(), 64);
     let runs = apps::run_app_sweep(&cases, &cells, 1);
-    let pin = |(cell, run): (&apps::AppCell, &pidcomm_apps::AppRun)| {
+    let mut pins = Vec::new();
+    for (cell, run) in cells.iter().zip(&runs) {
         let case = &cases[cell.case];
         let key = format!("{}/{}/{:?}/{}", case.app, case.dataset, cell.opt, cell.pes);
         assert!(
             run.validated,
             "{key}: output differs from the CPU reference"
         );
-        Pin::new(key, run.profile.total_ns().to_bits())
-    };
-    cells.iter().zip(&runs).map(pin).collect()
+        let profile = &run.profile;
+        pins.push(Pin::new(key.clone(), profile.total_ns().to_bits()));
+        pins.push(Pin::new(
+            format!("{key}/kernel"),
+            profile.kernel_ns.to_bits(),
+        ));
+        for (p, ns) in Primitive::ALL.iter().zip(profile.per_primitive) {
+            if ns > 0.0 {
+                pins.push(Pin::new(format!("{key}/{}", p.abbrev()), ns.to_bits()));
+            }
+        }
+    }
+    pins
 }
 
 /// Fig. 23a's three AllReduce topologies on fig23's 32×32 cell, then the

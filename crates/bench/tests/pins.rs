@@ -1,8 +1,8 @@
-//! The pins that live nowhere else — 10 small app cells, 61 design-space
-//! cells, 22 kernel checksums — checked against the
-//! `BENCH_*.json` files at the repo root. A failing set names every cell
-//! that moved; `cargo test -p pidcomm-bench --test pins <set>` re-runs one
-//! set alone, and each run leaves what it computed under
+//! The pins that live nowhere else — 54 small app cells (10 totals and
+//! their kernel / per-primitive split), 73 design-space cells, 22 kernel
+//! checksums — checked against the `BENCH_*.json` files at the repo root.
+//! A failing set names every cell that moved; `cargo test -p
+//! pidcomm-bench --test pins <set>` re-runs one set alone, and each run leaves what it computed under
 //! `CARGO_TARGET_TMPDIR` (`target/tmp/`), so re-blessing an intended
 //! change is copying that file over the committed one.
 

@@ -1277,12 +1277,19 @@ mod app_storms {
         }
     }
 
-    /// Seeded storms over every app, three seeds, quarantine on and off:
+    /// Seeded storms over every app, four seeds, quarantine on and off:
     /// whatever each cell's typed outcome is, rerunning the cell must
     /// reproduce it exactly — outcome, recovery counters and modeled bits.
+    /// The profile books committed steps only, so a storm cell's kernel
+    /// time is the plain run's bit for bit, retried steps included (its
+    /// communication time may differ: verified reports carry recovery
+    /// surcharges). Seed 0 retries a GNN and a DLRM chain after its hook
+    /// launched a kernel, which must still count once.
     #[test]
     fn storm_outcomes_are_deterministic() {
-        for seed in [0xD00Du64, 0xBEE5, 0x5EED] {
+        let plain = plain_all();
+        let mut retried = Vec::new();
+        for seed in [0xD00Du64, 0xBEE5, 0x5EED, 0] {
             for quarantine in [true, false] {
                 let fault = move || {
                     Some(Arc::new(
@@ -1302,7 +1309,20 @@ mod app_storms {
                 for ((app, a), (_, b)) in first.iter().zip(&second) {
                     assert_same(app, &ctx, a, b);
                 }
+                for ((app, a), (_, p)) in first.iter().zip(&plain) {
+                    assert_eq!(
+                        a.run.profile.kernel_ns.to_bits(),
+                        p.profile.kernel_ns.to_bits(),
+                        "{app} {ctx}: committed kernel time differs from the plain run's"
+                    );
+                    if a.retries > 0 {
+                        retried.push(*app);
+                    }
+                }
             }
+        }
+        for app in ["BFS", "CC", "GNN", "DLRM"] {
+            assert!(retried.contains(&app), "no {app} storm cell retried");
         }
     }
 

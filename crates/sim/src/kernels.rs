@@ -36,10 +36,10 @@
 //! byte-for-byte over seeded inputs at many lengths and alignments, and
 //! every other kernel to the element-wise definition written in the test.
 //!
-//! Zero-copy entry points over PE memory live on [`crate::pe::Pe`]
-//! (`read_i32s` / `write_i32s` / `read_sext` / `write_trunc`): decodes
-//! borrow the materialized segment directly and encodes write straight
-//! into MRAM, so staging `Vec`s disappear from the apps' inner loops.
+//! Over PE memory a decode reads the slice [`crate::pe::Pe::read`]
+//! borrows from the materialized segment, and an encode writes straight
+//! into MRAM through `Pe::write_i32s` / `Pe::write_trunc`, so staging
+//! `Vec`s disappear from the apps' inner loops.
 
 use crate::dtype::DType;
 use crate::geometry::LANE_BYTES;

@@ -1357,27 +1357,17 @@ impl Pe {
         }
     }
 
-    // ---- typed views (the `crate::kernels` entry points) ---------------
+    // ---- typed writes (the `crate::kernels` encoders) ------------------
     //
-    // Decodes borrow the materialized segment directly (`Pe::read`) and
-    // encodes write straight into it (`Pe::slice_mut`), so app kernels
-    // move typed lanes in and out of MRAM without intermediate `Vec`s.
-    // Untouched regions decode as zeros, exactly like `Pe::read`.
+    // Encodes write straight into the segment (`Pe::slice_mut`), so app
+    // kernels move typed lanes into MRAM without intermediate `Vec`s; a
+    // typed read is a `crate::kernels::decode_*` over the slice
+    // `Pe::read` borrows (untouched regions decode as zeros).
     //
-    // These views model *PE-local compute* (the DPU operating on its own
+    // These writes model *PE-local compute* (the DPU operating on its own
     // bank), not host-mediated transport, so they are deliberately outside
     // the fault layer's injection and verification scope — the fault model
     // covers the communication substrate, not app arithmetic.
-
-    /// Decodes `dst.len()` little-endian `i32`s starting at `offset`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the access would exceed [`MRAM_CAPACITY`].
-    pub fn read_i32s(&mut self, offset: usize, dst: &mut [i32]) {
-        let src = self.read(offset, dst.len() * 4);
-        crate::kernels::decode_i32(src, dst);
-    }
 
     /// Encodes `src` as little-endian `i32`s starting at `offset`,
     /// directly into the backing segment.
@@ -1388,29 +1378,6 @@ impl Pe {
     pub fn write_i32s(&mut self, offset: usize, src: &[i32]) {
         let dst = self.slice_mut(offset, src.len() * 4);
         crate::kernels::encode_i32(src, dst);
-    }
-
-    /// Decodes `dst.len()` little-endian `u32`s starting at `offset`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the access would exceed [`MRAM_CAPACITY`].
-    pub fn read_u32s(&mut self, offset: usize, dst: &mut [u32]) {
-        let src = self.read(offset, dst.len() * 4);
-        crate::kernels::decode_u32(src, dst);
-    }
-
-    /// Sign-extending decode of `dst.len()` elements of width
-    /// `dtype.size_bytes()` (1/2/4) starting at `offset` — the narrow
-    /// typed view of [`crate::kernels::decode_sext`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the access would exceed [`MRAM_CAPACITY`] or `dtype` is
-    /// wider than 4 bytes.
-    pub fn read_sext(&mut self, offset: usize, dtype: crate::DType, dst: &mut [i32]) {
-        let src = self.read(offset, dst.len() * dtype.size_bytes());
-        crate::kernels::decode_sext(dtype, src, dst);
     }
 
     /// Truncating encode of `src` to elements of width

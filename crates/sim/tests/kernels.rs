@@ -287,7 +287,7 @@ fn pe_typed_views_roundtrip_across_page_boundaries() {
             let mut pe = Pe::new();
             pe.write_i32s(offset, &vals);
             let mut back = vec![0i32; n];
-            pe.read_i32s(offset, &mut back);
+            kernels::decode_i32(pe.read(offset, n * 4), &mut back);
             assert_eq!(back, vals, "i32 roundtrip at {offset} x{n}");
             // The bytes in MRAM are the little-endian encoding.
             let expect = le(&vals, i32::to_le_bytes);
@@ -297,7 +297,7 @@ fn pe_typed_views_roundtrip_across_page_boundaries() {
             let mut pe = Pe::new();
             kernels::encode_u32(&uvals, pe.slice_mut(offset, n * 4));
             let mut back = vec![0u32; n];
-            pe.read_u32s(offset, &mut back);
+            kernels::decode_u32(pe.read(offset, n * 4), &mut back);
             assert_eq!(back, uvals, "u32 roundtrip at {offset} x{n}");
 
             for dt in NARROW {
@@ -305,7 +305,7 @@ fn pe_typed_views_roundtrip_across_page_boundaries() {
                 let mut pe = Pe::new();
                 pe.write_trunc(offset, dt, &raw);
                 let mut got = vec![0i32; n];
-                pe.read_sext(offset, dt, &mut got);
+                kernels::decode_sext(dt, pe.read(offset, n * dt.size_bytes()), &mut got);
                 let mut bytes = vec![0u8; n * dt.size_bytes()];
                 oracle::encode_trunc_scalar_ref(dt, &raw, &mut bytes);
                 let mut want = vec![0i32; n];
@@ -322,7 +322,7 @@ fn pe_typed_reads_of_untouched_mram_are_zero() {
     // A read that spans one materialized island and the gaps around it.
     pe.write_i32s(PAGE_BYTES, &[7, -7]);
     let mut out = vec![1i32; 16];
-    pe.read_i32s(PAGE_BYTES - 16, &mut out);
+    kernels::decode_i32(pe.read(PAGE_BYTES - 16, 64), &mut out);
     let mut want = vec![0i32; 16];
     want[4] = 7;
     want[5] = -7;
