@@ -63,6 +63,16 @@
 //! it stands for ([`pim_sim::pe::Landing::Run`]), each PE taking them in
 //! the order the register loop would land them.
 //!
+//! Phase A is where the Full engine's host time goes beyond Baseline's on
+//! AlltoAll and the three reducing primitives: the device runs it on the
+//! PEs, the simulator moves every source byte for it on the host, and
+//! Baseline has no phase A. [`pim_sim::pe::Pe::rotate_parts`] rotates each
+//! part through its shorter side — the region moved once plus the shorter
+//! side copied twice, at every part size — into a scratch that the pass's
+//! [`Rotations`] memo holds, one per cluster task. What phase A costs is
+//! therefore that copy, and on pages a PE shared before the pass, the copy
+//! that owns them first.
+//!
 //! Every function here executes a [`CollectivePlan`]: the per-cluster
 //! rotation and final-slot schedules ([`ClusterSched`]) and the resolved
 //! thread fan-out were all derived at *plan* time, so a plan held across

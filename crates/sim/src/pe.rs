@@ -327,13 +327,21 @@ impl Segment {
                 span,
                 cut,
                 [Some(&kept), right.as_ref()],
+                &mut rotations.scratch,
             );
             hi = kept.pages.start;
             if let Some(run) = right.replace(kept) {
                 self.share(run);
             }
         }
-        self.rotate_owned(pages.start..hi, rel, span, cut, [None, right.as_ref()]);
+        self.rotate_owned(
+            pages.start..hi,
+            rel,
+            span,
+            cut,
+            [None, right.as_ref()],
+            &mut rotations.scratch,
+        );
         if let Some(run) = right {
             self.share(run);
         }
@@ -383,6 +391,7 @@ impl Segment {
         span: usize,
         cut: usize,
         beside: [Option<&Run>; 2],
+        scratch: &mut Vec<u8>,
     ) {
         let u = (pages.start * PAGE_BYTES).max(rel.start);
         let v = (pages.end * PAGE_BYTES).min(rel.end);
@@ -406,7 +415,7 @@ impl Segment {
         }
         from_kept(0, u..first);
         from_kept(1, last..v);
-        rotate_parts_in(&mut self.data[first..last], span, cut);
+        rotate_parts_in(&mut self.data[first..last], span, cut, scratch);
     }
 
     /// Borrows MRAM range `r`: the segment's own bytes when no run reaches
@@ -605,10 +614,13 @@ impl Piece<'_> {
 /// shares an image, rotated alike, shares the one rotated image: one per
 /// image, part phase (the image offset of a part's first byte, modulo the
 /// part), part length and cut. Each image is held, so a key never outlives
-/// what it names.
+/// what it names. The memo also holds the pass's rotation scratch, the
+/// shorter side of a part on its way round, so a pass allocates it once
+/// rather than once per PE.
 #[derive(Debug, Default)]
 pub struct Rotations {
     built: Vec<Rotated>,
+    scratch: Vec<u8>,
 }
 
 #[derive(Debug)]
@@ -634,7 +646,7 @@ impl Rotations {
         let mut image = source.to_vec();
         let parts = &mut image[phase.min(source.len())..];
         let whole = parts.len() / span * span;
-        rotate_parts_in(&mut parts[..whole], span, cut);
+        rotate_parts_in(&mut parts[..whole], span, cut, &mut self.scratch);
         let image: Arc<[u8]> = image.into();
         self.built.push(Rotated {
             source: Arc::clone(source),
@@ -1416,7 +1428,8 @@ impl Pe {
     /// `rotations` holds for it, built on first use, so the PEs of a pass
     /// that share an image and rotate it alike share its one rotation.
     /// Every other page is owned and rotated in place. A rotation by 0
-    /// owns nothing.
+    /// owns nothing. Either way a part rotates through its shorter side,
+    /// which `rotations` holds the scratch for.
     ///
     /// # Panics
     ///
@@ -1464,27 +1477,34 @@ impl Pe {
     }
 }
 
-/// Rotates every `span`-byte part of `region` left by `cut` bytes. The
-/// engine's parts are a burst wide (8 chunks of 8 bytes) at the payload
-/// sizes where phase A dominates, so small parts go through a stack buffer
-/// — two straight copies instead of `rotate_left`'s general cycle walk.
-fn rotate_parts_in(region: &mut [u8], span: usize, cut: usize) {
-    const STACK: usize = 512;
-    if cut == 0 {
+/// Rotates every `span`-byte part of `region` left by `cut` bytes, one
+/// body for every part size: per part, the shorter side
+/// (`min(cut, span - cut)` bytes) goes out to `scratch`, the longer side
+/// moves over in one `copy_within`, and the shorter side comes back.
+/// `scratch` is the pass's ([`Rotations`]) and grows to the longest
+/// shorter side it meets.
+fn rotate_parts_in(region: &mut [u8], span: usize, cut: usize, scratch: &mut Vec<u8>) {
+    // simlint: hot(begin, phase-A rotation)
+    let short = cut.min(span - cut);
+    if short == 0 {
         return;
     }
-    if span > STACK {
-        for part in region.chunks_exact_mut(span) {
-            part.rotate_left(cut);
-        }
-        return;
+    if scratch.len() < short {
+        scratch.resize(short, 0);
     }
-    let mut tmp = [0u8; STACK];
+    let tmp = &mut scratch[..short];
     for part in region.chunks_exact_mut(span) {
-        tmp[..cut].copy_from_slice(&part[..cut]);
-        part.copy_within(cut.., 0);
-        part[span - cut..].copy_from_slice(&tmp[..cut]);
+        if cut == short {
+            tmp.copy_from_slice(&part[..cut]);
+            part.copy_within(cut.., 0);
+            part[span - cut..].copy_from_slice(tmp);
+        } else {
+            tmp.copy_from_slice(&part[cut..]);
+            part.copy_within(..cut, short);
+            part[..short].copy_from_slice(tmp);
+        }
     }
+    // simlint: hot(end)
 }
 
 #[cfg(test)]

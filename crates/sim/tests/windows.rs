@@ -559,8 +559,7 @@ fn stuck_pe_window_drops_every_landing() {
 
 #[test]
 fn rotate_parts_is_permute_blocks_with_the_rotation_table() {
-    // Small parts (stack path), large parts (slice rotation), every
-    // rotation, page-straddling base.
+    // Small parts and large ones, every rotation, page-straddling base.
     for (block, part, parts) in [(8usize, 8usize, 5usize), (1, 3, 4), (24, 4, 3), (128, 8, 2)] {
         let count = part * parts;
         let data: Vec<u8> = (0..block * count).map(|i| (i * 13 + 5) as u8).collect();
